@@ -214,13 +214,12 @@ class RegionPoint:
         return "unresolved"
 
 
-def region_scan(inv_beta_v_values, b_over_v_values, n_max=64, quad_nodes=64,
-                workers=None):
+def region_scan(inv_beta_v_values, b_over_v_values, n_max=64, quad_nodes=64):
     """Evaluate the gap bracket on a grid; returns a row-major list of points.
 
     The x axis is 1/(beta v) (so lam = 1/(4 x^2)) and the y axis is b/v
-    (so beta_b = y/x).  k(lam) is computed once per column.  Grid order:
-    x outer, y inner.
+    (so beta_b = y/x).  k(lam) and the G_N/N infimum are computed once per
+    column, the latter broadcast over (y, N).  Grid order: x outer, y inner.
     """
     xs = np.asarray(inv_beta_v_values, dtype=float)
     ys = np.asarray(b_over_v_values, dtype=float)
@@ -233,17 +232,17 @@ def region_scan(inv_beta_v_values, b_over_v_values, n_max=64, quad_nodes=64,
         lam = 1.0 / (4.0 * x * x)
         k_val = k_of_lambda(lam, quad_nodes=quad_nodes)
         weak = bool(x > 1.0)
-        for y in ys:
-            beta_b = y / x
-            lower = max(0.0, k_val - float(logcosh(beta_b)))
-            upper, _ = inf_g_n_over_n(lam, beta_b, n_max=n_max)
+        beta_b = ys / x
+        lower = np.maximum(0.0, k_val - logcosh(beta_b))
+        upper, _ = inf_g_n_over_n(lam, beta_b, n_max=n_max)
+        for y, lo, up in zip(ys, lower, upper):
             points.append(
                 RegionPoint(
                     inv_beta_v=float(x),
                     b_over_v=float(y),
-                    delta_lower=lower,
-                    delta_upper=upper,
-                    lower_bound_positive=bool(lower > 0.0),
+                    delta_lower=float(lo),
+                    delta_upper=float(up),
+                    lower_bound_positive=bool(lo > 0.0),
                     weak_disorder=weak,
                 )
             )

@@ -189,11 +189,13 @@ def cmd_constants(args):
               "inf_argmin", "w_n"] + chain_names
     rows = []
     n, lam = opts["n_spins"], opts["lam"]
-    for bb in sweep:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        inf_vals, inf_args = constants.inf_g_n_over_n(lam, sweep, opts["n_max"])
+    for bb, inf_val, inf_arg in zip(sweep, inf_vals, inf_args):
         checks = constants.moment_inequalities(bb)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inf_val, inf_arg = constants.inf_g_n_over_n(lam, bb, opts["n_max"])
             w_val = constants.w_n_of(n, lam, bb, quad_nodes=opts["quad_nodes"])
         rows.append(
             [bb, constants.m_of(bb), constants.p_of(bb), constants.c0_of(bb),
@@ -456,8 +458,7 @@ def cmd_region(args):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         points = annealed.region_scan(xs, ys, n_max=opts["n_max"],
-                                      quad_nodes=opts["quad_nodes"],
-                                      workers=args.workers)
+                                      quad_nodes=opts["quad_nodes"])
     header = ["inv_beta_v", "b_over_v", "delta_lower", "delta_upper",
               "classification"]
     rows = [[p.inv_beta_v, p.b_over_v, p.delta_lower, p.delta_upper,

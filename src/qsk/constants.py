@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .numerics import LN2, gauss_legendre_01, logcosh, normal_nodes, refine_once
+from .numerics import LN2, gauss_hermite, gauss_legendre_01, logcosh, refine_once
 
 __all__ = [
     "ModelParams",
@@ -170,11 +170,19 @@ def two_p_minus_m(beta_b):
 
 
 def p_n_of(n, beta_b):
-    """Finite-size second moment p_N = p + (1-p)/N (the diagonal correction)."""
-    if n < 1:
+    """Finite-size second moment p_N = p + (1-p)/N (the diagonal correction).
+
+    ``n`` and ``beta_b`` broadcast against each other; scalar inputs give a
+    float.
+    """
+    n = np.asarray(n)
+    if np.any(n < 1):
         raise ValueError("n must be >= 1")
     p = p_of(beta_b)
-    return p + (1.0 - p) / n
+    out = p + (1.0 - p) / n
+    if np.ndim(out) == 0:
+        return float(out)
+    return out
 
 
 def g_n_of(n, lam, beta_b):
@@ -182,37 +190,52 @@ def g_n_of(n, lam, beta_b):
 
     Valid for any N >= 1 and lam >= 0; for N*lam beyond the overflow range
     the equivalent form N*lam + ln(p_N + (1-p_N) e^{-N lam}) is used.
+    ``n`` and ``beta_b`` broadcast against each other; scalar inputs give a
+    float.
     """
-    if n < 1:
+    n = np.asarray(n)
+    if np.any(n < 1):
         raise ValueError("n must be >= 1")
     if lam < 0:
         raise ValueError("lam must be >= 0")
     pn = p_n_of(n, beta_b)
     x = n * lam
-    if x <= 700.0:
-        return float(np.log1p(pn * np.expm1(x)))
-    return float(x + np.log(pn) + np.log1p((1.0 - pn) * np.exp(-x) / pn))
+    # both branches are evaluated everywhere: expm1 overflows to inf only
+    # where the direct form is discarded, and exp(-x) underflows to a
+    # harmless 0 in the shifted form
+    with np.errstate(over="ignore", under="ignore"):
+        direct = np.log1p(pn * np.expm1(x))
+        shifted = x + np.log(pn) + np.log1p((1.0 - pn) * np.exp(-x) / pn)
+    out = np.where(x <= 700.0, direct, shifted)
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def inf_g_n_over_n(lam, beta_b, n_max=64):
     """Minimize G_N/N over integer N in [2, n_max].
 
-    Returns ``(value, argmin)``.  Warns when the minimizer sits on the upper
-    boundary, because then the reported infimum is only an upper bound for
-    the true infimum over all N.
+    Returns ``(value, argmin)``; for an array ``beta_b`` both are arrays of
+    its shape, computed in one broadcast over N.  Warns once when any
+    minimizer sits on the upper boundary, because then the reported infimum
+    is only an upper bound for the true infimum over all N.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     ns = np.arange(2, int(n_max) + 1)
-    vals = np.array([g_n_of(int(n), lam, beta_b) / n for n in ns])
-    k = int(np.argmin(vals))
-    if ns[k] == n_max:
+    bb = np.asarray(beta_b, dtype=float)
+    vals = g_n_of(ns, lam, bb[..., None]) / ns
+    argmins = ns[np.argmin(vals, axis=-1)]
+    if np.any(argmins == n_max):
         warnings.warn(
             "inf G_N/N attained at the n_max boundary (N=%d); value may still decrease"
             % n_max,
             stacklevel=2,
         )
-    return float(vals[k]), int(ns[k])
+    values = np.min(vals, axis=-1)
+    if bb.ndim == 0:
+        return float(values), int(argmins)
+    return values, argmins
 
 
 def _w_n_eval(n, lam, beta_b, gl_nodes, gh_nodes):
@@ -222,7 +245,7 @@ def _w_n_eval(n, lam, beta_b, gl_nodes, gh_nodes):
     # cosh(u) + mu*sinh(u) = [(1+mu)e^u + (1-mu)e^{-u}]/2 keeps everything in
     # log space (mu in (0,1], so both terms are non-negative).
     t, wt = gauss_legendre_01(gl_nodes)
-    y, wy = np.polynomial.hermite.hermgauss(gh_nodes)
+    y, wy = gauss_hermite(gh_nodes)
     mu_t = mu(t, 0.0, beta_b)
     u = np.sqrt(4.0 * lam / n) * y  # s*x at x = y/sqrt(N)
     with np.errstate(divide="ignore"):  # mu = 1 (beta_b = 0) gives a clean -inf

@@ -1,5 +1,7 @@
 """Closed-form constants: moments of mu, sequences p_N / G_N / W_N, c0."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,6 +207,70 @@ def test_inf_g_n_over_n():
     assert g_n_of(argmin, 0.1, 1.0) / argmin == pytest.approx(val, rel=1e-14)
     with pytest.warns(UserWarning):
         inf_g_n_over_n(0.001, 1.0, n_max=8)  # argmin pinned at the boundary
+
+
+def _g_n_reference(n, lam, bb):
+    # the scalar two-branch formula, kept as the oracle for the broadcast one
+    pn = p_of(bb) + (1.0 - p_of(bb)) / n
+    x = n * lam
+    if x <= 700.0:
+        return float(np.log1p(pn * np.expm1(x)))
+    return float(x + np.log(pn) + np.log1p((1.0 - pn) * np.exp(-x) / pn))
+
+
+ORACLE_LAMS = (0.0, 0.1, 100.0)  # 100 puts N*lam past 700 for N >= 8
+ORACLE_BBS = np.array([0.0, 1e-9, 1.0, 50.0])
+
+
+def test_g_n_broadcast_matches_scalar_reference():
+    ns = np.arange(1, 65)
+    for lam in ORACLE_LAMS:
+        grid = g_n_of(ns, lam, ORACLE_BBS[:, None])
+        assert grid.shape == (ORACLE_BBS.size, ns.size)
+        for i, bb in enumerate(ORACLE_BBS):
+            for j, n in enumerate(ns):
+                ref = _g_n_reference(int(n), lam, float(bb))
+                assert grid[i, j] == ref, (lam, bb, n)
+                assert g_n_of(int(n), lam, float(bb)) == ref
+    assert isinstance(g_n_of(3, 0.1, 1.0), float)
+    assert isinstance(p_n_of(3, 1.0), float)
+    assert np.array_equal(p_n_of(ns, 1.0), [p_n_of(int(n), 1.0) for n in ns])
+
+
+def test_inf_g_n_over_n_broadcast_matches_scalar_loop():
+    for lam in ORACLE_LAMS:
+        for n_max in (2, 8, 64):
+            ref = []
+            for bb in ORACLE_BBS:
+                vals = [g_n_of(n, lam, float(bb)) / n for n in range(2, n_max + 1)]
+                k = min(range(len(vals)), key=vals.__getitem__)
+                ref.append((vals[k], k + 2))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                values, argmins = inf_g_n_over_n(lam, ORACLE_BBS, n_max=n_max)
+                on_boundary = any(a == n_max for _, a in ref)
+                assert len(caught) == int(on_boundary), (lam, n_max)
+                for bb, (v, a) in zip(ORACLE_BBS, ref):
+                    caught.clear()
+                    assert inf_g_n_over_n(lam, float(bb), n_max=n_max) == (v, a)
+                    assert len(caught) == int(a == n_max)
+            assert values.tolist() == [v for v, _ in ref], (lam, n_max)
+            assert argmins.tolist() == [a for _, a in ref], (lam, n_max)
+
+
+def test_bounds_layer_validation():
+    with pytest.raises(ValueError):
+        g_n_of(np.array([0, 1, 2]), 0.1, 1.0)
+    with pytest.raises(ValueError):
+        p_n_of(np.array([2, 0]), 1.0)
+    with pytest.raises(ValueError):
+        g_n_of(2, -0.1, 1.0)
+    with pytest.raises(ValueError):
+        g_n_of(np.arange(1, 4), 0.1, np.array([1.0, -1.0])[:, None])
+    with pytest.raises(ValueError):
+        inf_g_n_over_n(0.1, np.array([1.0, -1.0]))
+    with pytest.raises(ValueError):
+        inf_g_n_over_n(0.1, 1.0, n_max=1)
 
 
 def test_w_2_equals_g_2():
