@@ -1,10 +1,13 @@
-"""Golden outputs: deterministic CLI invocations keep byte-identical stdout.
+"""Golden outputs: deterministic CLI invocations keep byte-identical output.
 
-The hashes were recorded before the bounds layer was vectorized, so a change
-to any number these commands print shows up here.  The default region grid
-starts at x = 0.05 (lam = 100), which exercises the N*lam > 700 branch of
-G_N.  Update a hash only for a change that is meant to alter the output, and
-say why in the commit.
+Each hash was recorded before the refactor it guards (the bounds layer
+vectorization for ``region``, ``constants`` and ``static``; the API
+subtraction for the rest), so a change to any number these commands print
+shows up here.  The default region grid starts at x = 0.05 (lam = 100),
+which exercises the N*lam > 700 branch of G_N.  Commands run in a scratch
+directory under fixed relative file names, because the options echoed in
+every output include those names.  Update a hash only for a change that is
+meant to alter the output, and say why in the commit.
 """
 
 import hashlib
@@ -18,11 +21,42 @@ GOLDEN = {
     "constants": "2aaad3deb9b9c1b63e20114cac45eab08e0cf4931adce4128e6d57d068b47595",
     "static --lam-count 5":
         "6613a09f1e747c99bbdf2eb13fb6d75f49d1dd66520ec4b80c3fd4a16b899deb",
+    "exactdiag --n-spins 4":
+        "f97518f22c0f5e06bad952c6d2c42d4a8a88e2df3e8c03a4f6658da91f5e980b",
+    "annealed --n-spins 2 --ensembles 4000":
+        "ff5e2d76edf195394474b4e764ddae369e93b97f66e990108d72c714f3beb327",
+    "annealed --n-spins 4 --ensembles 4000":
+        "52c63029faaf006d5db561dfbbe1d2ee69403ba22880946e00a7fd17c1cb3c80",
+    "variational --ensembles 5000 --m-cells 8 --psi-out psi.json":
+        "a9c33300566eec97f4b0a20bee4335103448fa69f332ab888eb2fcccbd1aedbd",
+    "quenched --n-spins 4 --n-disorder 60 --per-sample-out per_sample.csv":
+        "e6f14c44b7074c40d328b8277e8b4d236ff8f2f66dea8085dd141e3c036602da",
+    "verify --seed 777":
+        "09ce0d43d58ef21ba0518066a2e24b3143ded90cb9391cc4cc99b45fc426c048",
+}
+
+#: files a command writes besides stdout, keyed like GOLDEN
+GOLDEN_FILES = {
+    "variational --ensembles 5000 --m-cells 8 --psi-out psi.json": {
+        "psi.json":
+            "a1501df6dcbe1aac57d0d89e1241f5ed876a6aa6e01e71c5c749b630ef56ecf0",
+    },
+    "quenched --n-spins 4 --n-disorder 60 --per-sample-out per_sample.csv": {
+        "per_sample.csv":
+            "840cc295d43ef999b4d752e98b000dc1f2f681d842b78a51a236cb9f2cea99a8",
+    },
 }
 
 
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
 @pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_stdout_matches_golden_hash(command, capsys):
+def test_stdout_matches_golden_hash(command, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     assert cli.main(command.split()) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
+    assert _sha256(out.encode()) == GOLDEN[command]
+    for name, digest in GOLDEN_FILES.get(command, {}).items():
+        assert _sha256((tmp_path / name).read_bytes()) == digest, name
