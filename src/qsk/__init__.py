@@ -13,13 +13,11 @@ Subpackages by topic:
 
 __version__ = "0.1.0"
 
-from .constants import ClosedFormBundle, ModelParams, closed_form_bundle
+from .constants import ModelParams
 from .stats import EstimateWithError
 
 __all__ = [
     "__version__",
     "ModelParams",
-    "ClosedFormBundle",
-    "closed_form_bundle",
     "EstimateWithError",
 ]

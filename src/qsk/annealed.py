@@ -15,15 +15,14 @@ the replica-symmetric scale function
 by rigorous bounds on the annealed-to-quenched gap.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from . import paths
-from .constants import ModelParams, g_n_of, inf_g_n_over_n, p_n_of
-from .numerics import gauss_legendre_01, logcosh, normal_nodes, refine_once
+from .constants import ModelParams, inf_g_n_over_n
+from .numerics import logcosh, normal_nodes, refine_once
 from .stats import EstimateWithError, log_mean_exp, mean_with_err
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "mean_p_n",
     "annealed_free_energy",
     "k_of_lambda",
-    "sk_equation_solve",
     "delta_infinity_bounds",
     "RegionPoint",
     "region_scan",
@@ -78,15 +76,20 @@ def mean_p_n(params: ModelParams, ensemble_count, seed, workers=None):
 
 def annealed_free_energy(params: ModelParams, ensemble_count, seed, workers=None):
     """beta f_N^ann = (lam - F_N)/N - ln(2 cosh(beta*b)), estimated by MC."""
-    f_hat = estimate_f_n(params, ensemble_count, seed, workers=workers)
+    return _beta_f_ann(params, estimate_f_n(params, ensemble_count, seed,
+                                            workers=workers))
+
+
+def _beta_f_ann(params: ModelParams, f_hat):
+    """beta f_N^ann from an estimate of F_N; the error scales by 1/N."""
     n = params.n_spins
     value = (params.lam - f_hat.value) / n - (logcosh(params.beta_b) + np.log(2.0))
     return EstimateWithError(
-        float(value), f_hat.std_err / n, f_hat.n_samples, seed
+        float(value), f_hat.std_err / n, f_hat.n_samples, f_hat.seed
     )
 
 
-# -- the scale function k and the SK consistency equation ------------------
+# -- the scale function k --------------------------------------------------
 
 
 def _k_objective(lam, q_grid, nodes):
@@ -127,52 +130,6 @@ def k_of_lambda(lam, quad_nodes=64):
 
     value, _ = refine_once(evaluate, quad_nodes, label="k_of_lambda")
     return max(0.0, value)
-
-
-#: half-line panels for integrands that decay like e^{-2*s*y}; the edges
-#: refine toward the origin, where the large-s mass concentrates
-_HALF_LINE_EDGES = (0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0)
-
-
-def _tanh_sq_expect(s, panel_nodes=32):
-    """E tanh^2(s Z) for Z ~ N(0,1), as 1 - E sech^2(s Z).
-
-    Gauss-Hermite converges slowly here (tanh^2 saturates at infinity and
-    has double poles at i*pi/(2s)), so the sech^2 remainder is integrated on
-    the half line with composite Gauss-Legendre panels instead; the result
-    is accurate to machine precision uniformly in s.
-    """
-    x01, w01 = gauss_legendre_01(int(panel_nodes))
-    edges = np.asarray(_HALF_LINE_EDGES)
-    y = (edges[:-1, None] + np.diff(edges)[:, None] * x01[None, :]).ravel()
-    w = (np.diff(edges)[:, None] * w01[None, :]).ravel()
-    a = float(s) * y
-    sech_sq = np.square(2.0 * np.exp(-a) / (1.0 + np.exp(-2.0 * a)))
-    phi = np.exp(-0.5 * y * y) / np.sqrt(2.0 * np.pi)
-    return 1.0 - 2.0 * float(w @ (phi * sech_sq))
-
-
-def sk_equation_solve(lam, quad_nodes=32):
-    """Largest root q of q = E tanh^2(g sqrt(4 lam q)); 0 when 4*lam <= 1.
-
-    For 4*lam > 1 the nonzero root is unique and coincides with the
-    maximizer of the k objective (k'(lam) = q^2).  ``quad_nodes`` counts
-    Gauss-Legendre nodes per half-line panel.
-    """
-    lam = float(lam)
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    if 4.0 * lam <= 1.0:
-        return 0.0
-
-    def h(q):
-        return _tanh_sq_expect(np.sqrt(4.0 * lam * q), panel_nodes=quad_nodes) - q
-
-    # near q=0+, E tanh^2 ~ 4 lam q > q, so h > 0; h(1) < 0
-    lo = 1e-12
-    if h(lo) <= 0.0:  # pragma: no cover - only at threshold rounding
-        return 0.0
-    return float(brentq(h, lo, 1.0, xtol=1e-14))
 
 
 # -- phase-diagram bounds --------------------------------------------------

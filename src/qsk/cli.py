@@ -250,18 +250,14 @@ def cmd_annealed(args):
         f_hat = annealed.estimate_f_n(params, opts["ensembles"], args.seed,
                                       workers=args.workers)
     _gate_on_ess(caught)
-    from .numerics import LN2, logcosh
-
     n, lam, bb = params.n_spins, params.lam, params.beta_b
-    beta_f_ann = (lam - f_hat.value) / n - (float(logcosh(bb)) + LN2)
     lower = n * constants.p_n_of(n, bb) * lam
     g_val = constants.g_n_of(n, lam, bb)
     w_val = constants.w_n_of(n, lam, bb, quad_nodes=opts["quad_nodes"])
     payload = {
         "params": params.to_dict(),
         "f_n_hat": f_hat.to_dict(),
-        "beta_f_ann": {**f_hat.to_dict(), "value": beta_f_ann,
-                       "std_err": f_hat.std_err / n},
+        "beta_f_ann": annealed._beta_f_ann(params, f_hat).to_dict(),
         "bounds": {"lower_n_p_n_lam": lower, "g_n": g_val, "w_n": w_val},
         "verdicts": {
             "lower_ok": bool(f_hat.value >= lower - 3 * f_hat.std_err),
@@ -426,9 +422,7 @@ def cmd_quenched(args):
             ratio.value <= payload["second_moment_theory_bound"] + 3 * ratio.std_err
         )
     if opts["per_sample_out"]:
-        ln_z, beta_f, op = disorder._study_arrays(
-            params, opts["n_disorder"], args.seed, workers=args.workers
-        )
+        ln_z, beta_f, op = result.per_sample
         lines = _meta_lines("quenched.per_sample", args.seed, opts)
         lines.append("index,ln_z,beta_f,order_parameter")
         for i in range(ln_z.size):

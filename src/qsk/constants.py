@@ -26,7 +26,6 @@ from .numerics import LN2, gauss_hermite, gauss_legendre_01, logcosh, refine_onc
 
 __all__ = [
     "ModelParams",
-    "ClosedFormBundle",
     "mu",
     "m_of",
     "p_of",
@@ -37,7 +36,6 @@ __all__ = [
     "inf_g_n_over_n",
     "w_n_of",
     "c0_of",
-    "closed_form_bundle",
     "moment_inequalities",
 ]
 
@@ -312,37 +310,6 @@ def c0_of(beta_b):
     p = p_of(x)
     w = 2.0 * p - m  # = 1/cosh^2(x), exact identity
     return (m - p) / (4.0 * x * x) + w / 6.0 - (w / 2.0) ** 2
-
-
-@dataclass(frozen=True)
-class ClosedFormBundle:
-    """All closed-form constants evaluated at one (n, lam, beta_b)."""
-
-    n_spins: int
-    lam: float
-    beta_b: float
-    m: float
-    p: float
-    p_n: float
-    g_n: float
-    c0: float
-    w_n: float
-
-
-def closed_form_bundle(params: ModelParams, quad_nodes=64):
-    """Evaluate every closed-form constant at the given parameters."""
-    bb = params.beta_b
-    return ClosedFormBundle(
-        n_spins=params.n_spins,
-        lam=params.lam,
-        beta_b=bb,
-        m=m_of(bb),
-        p=p_of(bb),
-        p_n=p_n_of(params.n_spins, bb),
-        g_n=g_n_of(params.n_spins, params.lam, bb),
-        c0=c0_of(bb),
-        w_n=w_n_of(params.n_spins, params.lam, bb, quad_nodes=quad_nodes),
-    )
 
 
 def moment_inequalities(beta_b, slack=1e-12):

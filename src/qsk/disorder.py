@@ -12,7 +12,7 @@ Disorder draws and path draws live in disjoint stream domains, so mixed
 estimators (e.g. quenched-vs-annealed gaps) never share randomness.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import logsumexp
@@ -22,6 +22,7 @@ from .constants import ModelParams
 from .hilbert import (
     DisorderSample,
     build_hamiltonian,
+    draw_couplings,
     gibbs_zz_matrix,
     spectrum,
 )
@@ -31,16 +32,14 @@ from .stats import (
     jackknife_se,
     mean_with_err,
 )
-from .streams import DOMAIN_DISORDER, batch_generator, batch_ranges, map_batches
+from .streams import batch_ranges, map_batches
 
 __all__ = [
     "DisorderStudyConfig",
     "DisorderStudyResult",
     "run_study",
     "order_parameter_trend",
-    "concentration_check",
     "concentration_bound",
-    "concentration_summability",
     "second_moment_theory_bound",
     "generalized_second_moment",
     "paley_zygmund_witness",
@@ -69,7 +68,11 @@ class DisorderStudyConfig:
 
 @dataclass(frozen=True)
 class DisorderStudyResult:
-    """Summary statistics of one disorder study (all beta-scaled)."""
+    """Summary statistics of one disorder study (all beta-scaled).
+
+    ``per_sample`` holds the (ln_z, beta_f, order_parameter) arrays the
+    summaries were computed from, one entry per disorder sample.
+    """
 
     quenched_mean: EstimateWithError
     second_moment_ratio: EstimateWithError
@@ -77,6 +80,7 @@ class DisorderStudyResult:
     tail_frequency: EstimateWithError
     n_disorder: int
     seed: int
+    per_sample: tuple = field(repr=False, compare=False)
 
 
 def _validate_disorder_params(params, allow_strong=False):
@@ -91,8 +95,7 @@ def _validate_disorder_params(params, allow_strong=False):
         )
 
 
-def _study_arrays(params, n_disorder, seed, workers=None, want_pairs=True,
-                  spot_check=True):
+def _study_arrays(params, n_disorder, seed, workers=None, want_pairs=True):
     """Per-sample ln Z, beta*f, and mean squared pair correlation.
 
     Spot checks structural invariants (symmetry, bounded correlations,
@@ -100,13 +103,12 @@ def _study_arrays(params, n_disorder, seed, workers=None, want_pairs=True,
     offending (seed, batch, index) triple.
     """
     n = params.n_spins
-    n_pairs = n * (n - 1) // 2
+    couplings = draw_couplings(n, n_disorder, seed)
     pieces = list(batch_ranges(n_disorder))
 
     def one(batch_index):
         b, start, stop = pieces[batch_index]
-        rng = batch_generator(seed, DOMAIN_DISORDER, b)
-        g = rng.standard_normal((stop - start, n_pairs))
+        g = couplings[start:stop]
         ln_z = np.empty(stop - start)
         op = np.zeros(stop - start)
         iu = np.triu_indices(n, k=1)
@@ -114,7 +116,7 @@ def _study_arrays(params, n_disorder, seed, workers=None, want_pairs=True,
             try:
                 sample = DisorderSample(n_spins=n, couplings=g[r], seed=seed)
                 h = build_hamiltonian(params, sample)
-                if spot_check and r % 10 == 0:
+                if r % 10 == 0:
                     assert np.array_equal(h.matrix, h.matrix.T)
                     assert abs(np.trace(h.matrix)) < 1e-10 * (
                         1.0 + np.abs(np.diag(h.matrix)).max()
@@ -122,7 +124,7 @@ def _study_arrays(params, n_disorder, seed, workers=None, want_pairs=True,
                 ln_z[r] = spectrum(h).ln_z
                 if want_pairs:
                     c = gibbs_zz_matrix(h, params.beta)
-                    if spot_check and r % 10 == 0:
+                    if r % 10 == 0:
                         assert np.abs(c).max() <= 1.0 + 1e-12
                     op[r] = np.square(c[iu]).mean()
             except Exception as exc:
@@ -172,6 +174,7 @@ def run_study(config: DisorderStudyConfig, workers=None, allow_strong=False):
         tail_frequency=frequency_with_err(tail_hits, beta_f.size, seed=config.seed),
         n_disorder=config.n_disorder,
         seed=config.seed,
+        per_sample=(ln_z, beta_f, op),
     )
 
 
@@ -201,35 +204,6 @@ def concentration_bound(n_spins, delta, beta_v):
         raise ValueError("beta_v must be positive")
     n = int(n_spins)
     return 2.0 * float(np.exp(-(n * n * delta * delta) / (2.0 * (n - 1) * beta_v**2)))
-
-
-def concentration_check(config: DisorderStudyConfig, workers=None):
-    """Empirical tail frequency vs the Gaussian bound at the config's delta."""
-    params = config.params
-    _validate_disorder_params(params)
-    _, beta_f, _ = _study_arrays(
-        params, config.n_disorder, config.seed, workers=workers, want_pairs=False
-    )
-    hits = int((np.abs(beta_f - beta_f.mean()) > config.delta).sum())
-    empirical = frequency_with_err(hits, beta_f.size, seed=config.seed)
-    bound = concentration_bound(params.n_spins, config.delta, params.beta_v)
-    return empirical, bound
-
-
-def concentration_summability(delta, lam, n_lo=2, n_hi=64):
-    """Per-N bounds with N-independent delta, their sum, and the geometric cap.
-
-    With q = exp(-delta^2/(8 lam)) each bound is <= 2 q^N, so the sum over
-    N >= 2 is at most 2 q^2/(1-q).  Returns (bounds, total, cap).
-    """
-    if delta <= 0 or lam <= 0:
-        raise ValueError("delta and lam must be positive")
-    beta_v = 2.0 * np.sqrt(lam)
-    ns = np.arange(int(n_lo), int(n_hi) + 1)
-    bounds = np.array([concentration_bound(n, delta, beta_v) for n in ns])
-    q = float(np.exp(-delta * delta / (8.0 * lam)))
-    cap = 2.0 * q * q / (1.0 - q) if q < 1.0 else np.inf
-    return bounds, float(bounds.sum()), cap
 
 
 # -- second moments --------------------------------------------------------

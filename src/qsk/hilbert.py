@@ -31,7 +31,6 @@ __all__ = [
     "spectrum",
     "gibbs_zz",
     "gibbs_zz_matrix",
-    "gibbs_z",
     "two_spin_scaled_spectrum",
     "f2_quenched_exact",
     "f2_annealed_exact",
@@ -62,7 +61,7 @@ class DisorderSample:
         object.__setattr__(self, "couplings", g)
 
 
-def draw_couplings(n_spins, n_samples, seed, workers=None):
+def draw_couplings(n_spins, n_samples, seed):
     """(n_samples, N(N-1)/2) standard normal couplings, batch-deterministic."""
     n_pairs = n_spins * (n_spins - 1) // 2
     out = np.empty((n_samples, n_pairs))
@@ -202,15 +201,6 @@ def gibbs_zz_matrix(h: DenseHamiltonian, beta):
     c = 0.5 * (c + c.T)
     np.fill_diagonal(c, 1.0)
     return c
-
-
-def gibbs_z(h: DenseHamiltonian, beta, i):
-    """Thermal magnetization <Sz_i>; vanishes identically by spin-flip symmetry."""
-    n = h.params.n_spins
-    if not (1 <= i <= n):
-        raise IndexError("spin index must lie in [1, N]")
-    q = _gibbs_weights(h, float(beta))
-    return float(q @ _z_table(n)[:, i - 1])
 
 
 # -- the exactly solvable two-spin system ---------------------------------

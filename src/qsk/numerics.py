@@ -33,13 +33,6 @@ def sinhc(x):
     return out
 
 
-def log_mean_from_logs(log_terms):
-    """ln of the arithmetic mean of e^{x_i}, via a max shift."""
-    log_terms = np.asarray(log_terms, dtype=float)
-    shift = np.max(log_terms)
-    return shift + np.log(np.exp(log_terms - shift).mean())
-
-
 @lru_cache(maxsize=64)
 def gauss_legendre_01(n):
     """Gauss-Legendre nodes/weights mapped to [0, 1]."""

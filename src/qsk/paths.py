@@ -13,27 +13,18 @@ All of them reduce to alternating sums over merged, sorted jump times and
 are therefore exact (no time discretization anywhere).
 """
 
-import io
-import struct
 from functools import lru_cache
 
 import numpy as np
 
-from .numerics import logcosh, sinhc
-from .streams import BATCH_SIZE, DOMAIN_PATHS, batch_generator, batch_ranges, map_batches
+from .numerics import sinhc
+from .streams import DOMAIN_PATHS, batch_generator, batch_ranges, map_batches
 
 __all__ = [
-    "JumpPath",
     "PathEnsemble",
-    "sample_even_path",
     "sample_ensemble",
     "sample_unconditioned",
     "signed_totals",
-    "sigma_at",
-    "overlap_integral",
-    "p_n_functional",
-    "cell_signed_lengths",
-    "two_set_correlation",
     "laplace_conditional",
     "even_jump_count_cdf",
 ]
@@ -41,57 +32,6 @@ __all__ = [
 #: padding value for jump matrices; sorts after every real time and compares
 #: False against every query point t <= 1
 PAD = 2.0
-
-_MAGIC = b"QSKE"
-_VERSION = 1
-
-
-class JumpPath:
-    """An even-parity jump path: sorted jump times in the open interval (0, 1).
-
-    Parameters
-    ----------
-    times : array_like
-        Strictly increasing jump times, even in number (possibly none).
-    rate : float
-        Poisson rate the path was (or would be) sampled at; metadata only.
-    """
-
-    __slots__ = ("times", "rate")
-
-    def __init__(self, times, rate):
-        times = np.asarray(times, dtype=float)
-        if times.ndim != 1:
-            raise ValueError("times must be one-dimensional")
-        if times.size % 2 != 0:
-            raise ValueError("an even-parity path needs an even number of jumps")
-        if times.size and (times[0] <= 0.0 or times[-1] >= 1.0):
-            raise ValueError("jump times must lie strictly inside (0, 1)")
-        if times.size and np.any(np.diff(times) <= 0.0):
-            raise ValueError("jump times must be strictly increasing")
-        if rate < 0:
-            raise ValueError("rate must be >= 0")
-        self.times = times
-        self.rate = float(rate)
-
-    @property
-    def n_jumps(self):
-        return self.times.size
-
-    def __repr__(self):
-        return f"JumpPath(n_jumps={self.n_jumps}, rate={self.rate})"
-
-
-def sigma_at(path, t):
-    """sigma(t) = (-1)^{#jumps <= t} for a JumpPath; t must lie in [0, 1]."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0) or np.any(t > 1.0):
-        raise ValueError("t must lie in [0, 1]")
-    k = np.searchsorted(path.times, t, side="right")
-    out = 1.0 - 2.0 * (k % 2)
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 @lru_cache(maxsize=256)
@@ -121,17 +61,6 @@ def even_jump_count_cdf(rate):
             raise RuntimeError("even-count series failed to converge")
     cdf = np.cumsum(terms)
     return cdf / cdf[-1]
-
-
-def sample_even_path(rate, rng):
-    """Draw one even-parity path at the given rate from a numpy Generator."""
-    cdf = even_jump_count_cdf(float(rate))
-    j = int(np.searchsorted(cdf, rng.random(), side="right"))
-    k = 2 * j
-    while True:
-        times = np.sort(rng.random(k))
-        if k == 0 or (times[0] > 0.0 and np.all(np.diff(times) > 0.0)):
-            return JumpPath(times, rate)
 
 
 def _sample_batch(rate, n, seed, batch_index, conditioned=True):
@@ -176,12 +105,6 @@ class PathEnsemble:
     def __len__(self):
         return self.jumps.shape[0]
 
-    def path(self, i):
-        return JumpPath(self.jumps[i, : self.counts[i]], self.rate)
-
-    def __iter__(self):
-        return (self.path(i) for i in range(len(self)))
-
     def sigma_matrix(self, t):
         """sigma_i(t) for every path i; t scalar in [0, 1]."""
         t = float(t)
@@ -198,66 +121,6 @@ class PathEnsemble:
                 self.jumps, m_cells
             )
         return self._signed_cache[m_cells]
-
-    def total_signed_times(self):
-        """integral_0^1 sigma_i(t) dt for every path (even counts only here)."""
-        return _alternating_totals(self.jumps, self.counts)
-
-    # -- serialization ----------------------------------------------------
-
-    def save(self, file):
-        """Write the ensemble to a binary stream or path (versioned format)."""
-        close = False
-        if not hasattr(file, "write"):
-            file = open(file, "wb")
-            close = True
-        try:
-            file.write(_MAGIC)
-            file.write(struct.pack("<B", _VERSION))
-            file.write(struct.pack("<Q", len(self)))
-            file.write(struct.pack("<d", self.rate))
-            for i in range(len(self)):
-                k = int(self.counts[i])
-                file.write(struct.pack("<I", k))
-                file.write(self.jumps[i, :k].astype("<f8").tobytes())
-        finally:
-            if close:
-                file.close()
-
-    @classmethod
-    def load(cls, file):
-        close = False
-        if not hasattr(file, "read"):
-            file = open(file, "rb")
-            close = True
-        try:
-            magic = file.read(4)
-            if magic != _MAGIC:
-                raise ValueError("not a path-ensemble file (bad magic)")
-            (version,) = struct.unpack("<B", file.read(1))
-            if version != _VERSION:
-                raise ValueError(f"unsupported path-ensemble format version {version}")
-            (n,) = struct.unpack("<Q", file.read(8))
-            (rate,) = struct.unpack("<d", file.read(8))
-            rows = []
-            counts = np.empty(n, dtype=np.int64)
-            for i in range(n):
-                (k,) = struct.unpack("<I", file.read(4))
-                counts[i] = k
-                rows.append(np.frombuffer(file.read(8 * k), dtype="<f8"))
-            kmax = int(counts.max()) if n else 0
-            jumps = np.full((n, kmax), PAD)
-            for i, row in enumerate(rows):
-                jumps[i, : counts[i]] = row
-            return cls(jumps, counts, rate, seed=None)
-        finally:
-            if close:
-                file.close()
-
-    def to_bytes(self):
-        buf = io.BytesIO()
-        self.save(buf)
-        return buf.getvalue()
 
 
 def _sample_matrix(rate, count, seed, workers, conditioned):
@@ -299,11 +162,19 @@ def sample_unconditioned(rate, count, seed, workers=None):
 
 
 def signed_totals(jumps, counts):
-    """integral_0^1 sigma(t) dt per row of a padded jump matrix (any parity)."""
-    return _alternating_totals(jumps, np.asarray(counts))
+    """integral_0^1 sigma(t) dt per row of a padded jump matrix (any parity).
+
+    integral_0^1 sigma = (-1)^K + 2 sum_j (-1)^{j-1} t_j, K the jump count.
+    """
+    signs = _alternating_signs(jumps.shape[1])
+    s = 2.0 * (signs[None, :] * np.where(jumps < 1.5, jumps, 0.0)).sum(axis=1)
+    return (1.0 - 2.0 * (np.asarray(counts) % 2)) + s
 
 
 # -- overlap algebra ------------------------------------------------------
+
+#: groups per block in p_n_batch; bounds the merged-jump temporaries
+_P_N_CHUNK = 4096
 
 
 def _alternating_signs(width):
@@ -312,54 +183,34 @@ def _alternating_signs(width):
     return s
 
 
-def _alternating_totals(jumps, counts):
-    # integral_0^1 sigma = (-1)^K + 2 sum_j (-1)^{j-1} t_j  (K = jump count)
-    width = jumps.shape[1]
-    signs = _alternating_signs(width)
-    real = jumps < 1.5
-    s = 2.0 * (signs[None, :] * np.where(real, jumps, 0.0)).sum(axis=1)
-    return (1.0 - 2.0 * (counts % 2)) + s
+def _grouped_jumps(ensemble, n):
+    """The jump matrix as (n_groups, n, kmax) for consecutive groups of n paths."""
+    total = len(ensemble)
+    if total % n != 0:
+        raise ValueError("ensemble length must be a multiple of n_spins")
+    return ensemble.jumps.reshape(total // n, n, -1)
 
 
-def overlap_integral(path_a, path_b):
-    """Exact overlap integral_0^1 sigma_a(t) sigma_b(t) dt of two even paths.
+def _pair_overlaps(grouped):
+    """Yield ``(i, j, A_ij)`` for i < j, A_ij holding one overlap per group.
 
-    The product sigma_a sigma_b flips sign at every jump of the merged path,
-    so the integral is an alternating sum of the merged jump times:
-    A = 1 + 2 sum_j (-1)^{j-1} t_(j) over the sorted union.  Always in
-    [-1, 1]; the overlap of a path with itself is exactly 1.
+    The product sigma_i sigma_j flips sign at every jump of the merged path,
+    so the overlap integral_0^1 sigma_i sigma_j dt is an alternating sum of
+    the merged jump times: A = 1 + 2 sum_k (-1)^{k-1} t_(k) over the sorted
+    union.  ``grouped`` is a (n_groups, N, kmax) padded jump array.
     """
-    merged = np.sort(np.concatenate([path_a.times, path_b.times]))
-    signs = _alternating_signs(merged.size)
-    return float(1.0 + 2.0 * (signs * merged).sum())
-
-
-def p_n_functional(paths):
-    """P_N = (1/N^2) sum_{i,j} A_ij^2 for a configuration of N >= 2 paths.
-
-    Includes the diagonal (A_ii = 1), so P_N >= 1/N always, and P_N <= 1.
-    """
-    n = len(paths)
-    if n < 2:
-        raise ValueError("need at least two paths")
-    acc = float(n)  # diagonal terms
+    n = grouped.shape[1]
+    signs = _alternating_signs(2 * grouped.shape[2])
     for i in range(n):
         for j in range(i + 1, n):
-            acc += 2.0 * overlap_integral(paths[i], paths[j]) ** 2
-    return acc / n**2
+            merged = np.concatenate([grouped[:, i, :], grouped[:, j, :]], axis=1)
+            merged.sort(axis=1)
+            vals = np.where(merged < 1.5, merged, 0.0)
+            yield i, j, 1.0 + 2.0 * (signs[None, :] * vals).sum(axis=1)
 
 
-def _pair_overlaps(jumps_i, jumps_j):
-    """Row-wise overlaps of two padded jump matrices (same row counts)."""
-    merged = np.concatenate([jumps_i, jumps_j], axis=1)
-    merged.sort(axis=1)
-    signs = _alternating_signs(merged.shape[1])
-    vals = np.where(merged < 1.5, merged, 0.0)
-    return 1.0 + 2.0 * (signs[None, :] * vals).sum(axis=1)
-
-
-def p_n_batch(ensemble, n_spins, chunk=4096):
-    """P_N for consecutive groups of ``n_spins`` paths of an ensemble.
+def p_n_batch(ensemble, n_spins):
+    """P_N = (1/N^2) sum_{i,j} A_ij^2 for consecutive groups of ``n_spins`` paths.
 
     The ensemble length must be a multiple of n_spins; returns one value per
     group.  Vectorized over groups, exact per pair.
@@ -367,39 +218,26 @@ def p_n_batch(ensemble, n_spins, chunk=4096):
     n = int(n_spins)
     if n < 2:
         raise ValueError("n_spins must be >= 2")
-    total = len(ensemble)
-    if total % n != 0:
-        raise ValueError("ensemble length must be a multiple of n_spins")
-    n_groups = total // n
-    jumps = ensemble.jumps.reshape(n_groups, n, -1)
-    out = np.empty(n_groups)
-    for lo in range(0, n_groups, chunk):
-        hi = min(lo + chunk, n_groups)
-        block = jumps[lo:hi]
-        acc = np.full(hi - lo, float(n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                a = _pair_overlaps(block[:, i, :], block[:, j, :])
-                acc += 2.0 * np.square(a)
-        out[lo:hi] = acc / n**2
+    grouped = _grouped_jumps(ensemble, n)
+    out = np.empty(grouped.shape[0])
+    for lo in range(0, grouped.shape[0], _P_N_CHUNK):
+        block = grouped[lo:lo + _P_N_CHUNK]
+        acc = np.full(block.shape[0], float(n))  # diagonal terms A_ii = 1
+        for _, _, a in _pair_overlaps(block):
+            acc += 2.0 * np.square(a)
+        out[lo:lo + block.shape[0]] = acc / n**2
     return out
 
 
 def overlap_matrix_batch(ensemble, n_spins):
     """(n_groups, N, N) overlap matrices A for consecutive groups of paths."""
     n = int(n_spins)
-    total = len(ensemble)
-    if total % n != 0:
-        raise ValueError("ensemble length must be a multiple of n_spins")
-    n_groups = total // n
-    jumps = ensemble.jumps.reshape(n_groups, n, -1)
-    out = np.empty((n_groups, n, n))
+    grouped = _grouped_jumps(ensemble, n)
+    out = np.empty((grouped.shape[0], n, n))
     out[:, np.arange(n), np.arange(n)] = 1.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            a = _pair_overlaps(jumps[:, i, :], jumps[:, j, :])
-            out[:, i, j] = a
-            out[:, j, i] = a
+    for i, j, a in _pair_overlaps(grouped):
+        out[:, i, j] = a
+        out[:, j, i] = a
     return out
 
 
@@ -435,39 +273,7 @@ def _batch_signed_lengths(jumps, m_cells, chunk_elems=20_000_000):
     return out
 
 
-def cell_signed_lengths(path, m_cells):
-    """Signed occupation of each grid cell for one path: integral over the cell.
-
-    Entries lie in [-1/M, 1/M] and sum to the total signed time of the path.
-    """
-    mat = _batch_signed_lengths(path.times[None, :], m_cells)
-    return mat[0]
-
-
 # -- closed-form correlation kernels --------------------------------------
-
-
-def two_set_correlation(len_a, len_b, len_int, beta_b):
-    """E[sigma(A) sigma(B)] for unions of intervals with given measures.
-
-    Here sigma(A) = sign((-1)^{#jumps in A}); only the Lebesgue measures
-    |A| = len_a, |B| = len_b and |A ^ B| = len_int enter:
-
-        cosh(beta_b*(1 - 2len_a - 2len_b + 4len_int)) / cosh(beta_b).
-
-    Validates 0 <= len_int <= min(len_a, len_b) and |A u B| <= 1.
-    """
-    la, lb, li = float(len_a), float(len_b), float(len_int)
-    if la < 0 or lb < 0:
-        raise ValueError("set measures must be >= 0")
-    if not (0.0 <= li <= min(la, lb)):
-        raise ValueError("intersection measure must lie in [0, min(len_a, len_b)]")
-    if la + lb - li > 1.0 + 1e-12:
-        raise ValueError("the union cannot exceed the unit circle")
-    if beta_b < 0:
-        raise ValueError("beta_b must be >= 0")
-    arg = beta_b * (1.0 - 2.0 * la - 2.0 * lb + 4.0 * li)
-    return float(np.exp(logcosh(arg) - logcosh(beta_b)))
 
 
 def laplace_conditional(g, beta, b, s):

@@ -78,7 +78,7 @@ def log_mean_exp(log_terms, seed=None, warn_label=None):
     ubar = u.mean()
     value = shift + np.log(ubar)
     se = u.std(ddof=1) / (ubar * np.sqrt(n))
-    ess = float(u.sum() ** 2 / np.square(u).sum())
+    ess = effective_sample_size(lw)
     if warn_label is not None and ess < ESS_FLOOR:
         warnings.warn(
             "%s: effective sample size %.1f < %.0f; estimate is unreliable"
@@ -87,43 +87,6 @@ def log_mean_exp(log_terms, seed=None, warn_label=None):
             stacklevel=2,
         )
     return EstimateWithError(float(value), float(se), n, seed), ess
-
-
-def log_mean_exp_diff(log_a, log_b, seed=None):
-    """ln mean e^{a} - ln mean e^{b} for paired samples, correlation-aware.
-
-    Both arrays must come from the same draws (same length, index-aligned);
-    the delta method then uses the variance of u_i/ubar - v_i/vbar, which is
-    what makes small differences of strongly correlated averages resolvable.
-    """
-    la = np.asarray(log_a, dtype=float)
-    lb = np.asarray(log_b, dtype=float)
-    if la.shape != lb.shape:
-        raise ValueError("paired difference needs index-aligned samples")
-    n = la.size
-    u = np.exp(la - la.max())
-    v = np.exp(lb - lb.max())
-    d = u / u.mean() - v / v.mean()
-    value = (la.max() + np.log(u.mean())) - (lb.max() + np.log(v.mean()))
-    se = d.std(ddof=1) / np.sqrt(n)
-    return EstimateWithError(float(value), float(se), n, seed)
-
-
-def self_normalized_mean(values, log_weights):
-    """Importance-sampling mean sum(w f)/sum(w) with its delta-method error.
-
-    ``values`` may have trailing axes; weights run over axis 0.  Returns
-    (mean, std_err) arrays of the trailing shape.
-    """
-    lw = np.asarray(log_weights, dtype=float)
-    f = np.asarray(values, dtype=float)
-    w = np.exp(lw - lw.max())
-    wt = w / w.sum()
-    expand = (slice(None),) + (None,) * (f.ndim - 1)
-    mean = (wt[expand] * f).sum(axis=0)
-    dev = f - mean
-    var = (np.square(wt)[expand] * np.square(dev)).sum(axis=0)
-    return mean, np.sqrt(var)
 
 
 def jackknife_se(loo_values):

@@ -24,7 +24,7 @@ from scipy.special import logsumexp
 
 from .constants import c0_of, p_of
 from .numerics import gauss_hermite, logcosh, refine_once
-from .stats import EstimateWithError, log_mean_exp
+from .stats import EstimateWithError, effective_sample_size, log_mean_exp
 
 __all__ = [
     "GridFunction",
@@ -33,7 +33,6 @@ __all__ = [
     "lambda_functional",
     "lambda_prime",
     "omega",
-    "omega_prime",
     "fixed_point_solve",
     "lambda_constant",
     "static_approximation",
@@ -65,31 +64,15 @@ class GridFunction:
         self.m_cells = values.shape[0]
         self.symmetric = bool(symmetric)
 
-    @classmethod
-    def constant(cls, value, m_cells):
-        return cls(np.full((m_cells, m_cells), float(value)), symmetric=True)
-
     def norm2(self):
         """Squared grid norm ||f||^2 = (1/M^2) sum f^2."""
         return float(np.square(self.values).sum()) / self.m_cells**2
-
-    def norm(self):
-        return float(np.sqrt(self.norm2()))
-
-    def sup_abs(self):
-        return float(np.abs(self.values).max())
 
     def scaled(self, factor):
         return GridFunction(factor * self.values, symmetric=self.symmetric)
 
     def __repr__(self):
         return f"GridFunction(m_cells={self.m_cells}, symmetric={self.symmetric})"
-
-
-def grid_inner(a: GridFunction, b: GridFunction):
-    if a.m_cells != b.m_cells:
-        raise ValueError("grid sizes differ")
-    return float((a.values * b.values).sum()) / a.m_cells**2
 
 
 def save_grid_function(gf: GridFunction, file, meta=None):
@@ -239,17 +222,6 @@ def omega(psi: GridFunction, lam, ensemble):
     )
 
 
-def omega_prime(psi: GridFunction, lam, ensemble):
-    """Gradient Omega'(psi) = psi/(2 lam) - Lambda'(psi) on the ensemble."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    grad = lambda_prime(psi, ensemble)
-    return GridFunction(
-        psi.values / (2.0 * lam) - grad.values,
-        symmetric=psi.symmetric and grad.symmetric,
-    )
-
-
 @dataclass(frozen=True)
 class FixedPointReport:
     """Outcome of the sample-average fixed-point iteration.
@@ -326,9 +298,7 @@ def fixed_point_solve(lam, beta_b, m_cells, ensemble, tol=1e-8, max_iter=200):
         np.sqrt(np.square(2.0 * lam * grad.values - psi.values).sum()) / m
     )
     om = omega(psi, lam, ensemble)
-    x = _quadratic_forms(psi, ensemble.signed_lengths(m))
-    w = np.exp(x - x.max())
-    ess = float(w.sum() ** 2 / np.square(w).sum())
+    ess = effective_sample_size(_quadratic_forms(psi, ensemble.signed_lengths(m)))
     return FixedPointReport(
         psi=psi,
         omega_value=om,

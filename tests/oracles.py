@@ -1,0 +1,122 @@
+"""Scalar reference implementations that the vectorized kernels are tested against.
+
+A path here is a plain sorted array of jump times in the open interval
+(0, 1), even in number, with sigma(0) = +1 and sigma(t) = (-1)^{#jumps <= t}.
+Each function evaluates its quantity directly, one path or one pair at a
+time, so a test can compare it with the batched kernels in ``qsk.paths``
+and ``qsk.annealed``.
+"""
+
+import numpy as np
+from scipy.optimize import brentq
+
+from qsk.numerics import gauss_legendre_01
+from qsk.paths import even_jump_count_cdf
+
+
+def sigma_at(times, t):
+    """sigma(t) = (-1)^{#jumps <= t}; t must lie in [0, 1]."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0) or np.any(t > 1.0):
+        raise ValueError("t must lie in [0, 1]")
+    k = np.searchsorted(times, t, side="right")
+    out = 1.0 - 2.0 * (k % 2)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def sample_even_path(rate, rng):
+    """Draw one even-parity path at the given rate from a numpy Generator."""
+    cdf = even_jump_count_cdf(float(rate))
+    k = 2 * int(np.searchsorted(cdf, rng.random(), side="right"))
+    while True:
+        times = np.sort(rng.random(k))
+        if k == 0 or (times[0] > 0.0 and np.all(np.diff(times) > 0.0)):
+            return times
+
+
+def overlap_integral(times_a, times_b):
+    """Exact overlap integral_0^1 sigma_a(t) sigma_b(t) dt of two even paths.
+
+    The product sigma_a sigma_b flips sign at every jump of the merged path,
+    so the integral is an alternating sum of the merged jump times:
+    A = 1 + 2 sum_j (-1)^{j-1} t_(j) over the sorted union.
+    """
+    merged = np.sort(np.concatenate([times_a, times_b]))
+    signs = np.where(np.arange(merged.size) % 2 == 0, 1.0, -1.0)
+    return float(1.0 + 2.0 * (signs * merged).sum())
+
+
+def p_n_functional(paths):
+    """P_N = (1/N^2) sum_{i,j} A_ij^2 for a configuration of N >= 2 paths."""
+    n = len(paths)
+    if n < 2:
+        raise ValueError("need at least two paths")
+    acc = float(n)  # diagonal terms A_ii = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            acc += 2.0 * overlap_integral(paths[i], paths[j]) ** 2
+    return acc / n**2
+
+
+def cell_signed_lengths(times, m_cells):
+    """Integral of sigma over each of the m_cells uniform cells.
+
+    Each cell is split at the jumps inside it and sigma is read at the
+    midpoint of every piece.
+    """
+    out = np.empty(m_cells)
+    for k in range(m_cells):
+        lo, hi = k / m_cells, (k + 1) / m_cells
+        knots = [lo] + [t for t in times if lo < t < hi] + [hi]
+        out[k] = sum((b - a) * sigma_at(times, 0.5 * (a + b))
+                     for a, b in zip(knots, knots[1:]))
+    return out
+
+
+#: half-line panels for integrands that decay like e^{-2*s*y}; the edges
+#: refine toward the origin, where the large-s mass concentrates
+_HALF_LINE_EDGES = (0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0)
+
+
+def _tanh_sq_expect(s, panel_nodes=32):
+    """E tanh^2(s Z) for Z ~ N(0,1), as 1 - E sech^2(s Z).
+
+    Gauss-Hermite converges slowly here (tanh^2 saturates at infinity and
+    has double poles at i*pi/(2s)), so the sech^2 remainder is integrated on
+    the half line with composite Gauss-Legendre panels instead; the result
+    is accurate to machine precision uniformly in s.
+    """
+    x01, w01 = gauss_legendre_01(int(panel_nodes))
+    edges = np.asarray(_HALF_LINE_EDGES)
+    y = (edges[:-1, None] + np.diff(edges)[:, None] * x01[None, :]).ravel()
+    w = (np.diff(edges)[:, None] * w01[None, :]).ravel()
+    a = float(s) * y
+    sech_sq = np.square(2.0 * np.exp(-a) / (1.0 + np.exp(-2.0 * a)))
+    phi = np.exp(-0.5 * y * y) / np.sqrt(2.0 * np.pi)
+    return 1.0 - 2.0 * float(w @ (phi * sech_sq))
+
+
+def sk_equation_solve(lam, quad_nodes=32):
+    """Largest root q of q = E tanh^2(g sqrt(4 lam q)); 0 when 4*lam <= 1.
+
+    For 4*lam > 1 the nonzero root is unique and coincides with the
+    maximizer of the k objective (k'(lam) = q^2), which makes it an
+    independent check on ``qsk.annealed.k_of_lambda``.  ``quad_nodes``
+    counts Gauss-Legendre nodes per half-line panel.
+    """
+    lam = float(lam)
+    if lam < 0:
+        raise ValueError("lam must be >= 0")
+    if 4.0 * lam <= 1.0:
+        return 0.0
+
+    def h(q):
+        return _tanh_sq_expect(np.sqrt(4.0 * lam * q), panel_nodes=quad_nodes) - q
+
+    # near q=0+, E tanh^2 ~ 4 lam q > q, so h > 0; h(1) < 0
+    lo = 1e-12
+    if h(lo) <= 0.0:  # pragma: no cover - only at threshold rounding
+        return 0.0
+    return float(brentq(h, lo, 1.0, xtol=1e-14))

@@ -13,10 +13,11 @@ from qsk.annealed import (
     k_of_lambda,
     mean_p_n,
     region_scan,
-    sk_equation_solve,
 )
 from qsk.constants import ModelParams, g_n_of, inf_g_n_over_n, p_n_of, w_n_of
 from qsk.numerics import logcosh
+
+from oracles import sk_equation_solve
 
 
 # -- F_N estimator ---------------------------------------------------------

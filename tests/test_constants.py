@@ -10,10 +10,8 @@ from scipy.optimize import minimize_scalar
 
 from qsk import constants
 from qsk.constants import (
-    ClosedFormBundle,
     ModelParams,
     c0_of,
-    closed_form_bundle,
     g_n_of,
     inf_g_n_over_n,
     log_two_p_minus_m,
@@ -325,20 +323,3 @@ def test_c0_maximum_location():
                           method="bounded", options={"xatol": 1e-10})
     assert -res.fun == pytest.approx(0.069571391294736920621, abs=1e-10)
     assert res.x == pytest.approx(0.90897951563012698062, abs=1e-6)
-
-
-# -- bundle ----------------------------------------------------------------
-
-
-def test_closed_form_bundle():
-    params = ModelParams.from_dimensionless(4, 0.2, 1.0)
-    b = closed_form_bundle(params)
-    assert isinstance(b, ClosedFormBundle)
-    assert b.m == m_of(1.0)
-    assert b.p == p_of(1.0)
-    assert b.p_n == p_n_of(4, 1.0)
-    assert b.g_n == g_n_of(4, params.lam, params.beta_b)
-    assert b.c0 == c0_of(1.0)
-    assert b.w_n == pytest.approx(w_n_of(4, params.lam, params.beta_b), rel=1e-14)
-    # bundle-level identity at 1e-12 relative, in the conditioned form
-    assert abs(np.exp(0.5 * log_two_p_minus_m(b.beta_b) + logcosh(b.beta_b)) - 1.0) < 1e-12

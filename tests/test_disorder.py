@@ -10,8 +10,6 @@ from qsk.constants import ModelParams
 from qsk.disorder import (
     DisorderStudyConfig,
     concentration_bound,
-    concentration_check,
-    concentration_summability,
     generalized_second_moment,
     order_parameter_trend,
     paley_zygmund_witness,
@@ -94,22 +92,10 @@ def test_concentration_bound_hand_value():
 def test_concentration_check_agrees_with_bound():
     params = ModelParams.from_dimensionless(5, 0.1, 1.0)
     cfg = DisorderStudyConfig(params=params, n_disorder=300, seed=13, delta=0.35)
-    empirical, bound = concentration_check(cfg)
+    empirical = run_study(cfg).tail_frequency
+    bound = concentration_bound(5, 0.35, params.beta_v)
     assert 0.0 <= empirical.value <= 1.0
     assert empirical.value <= bound + 3.5 * empirical.std_err
-
-
-def test_concentration_summability():
-    bounds, total, cap = concentration_summability(0.8, 0.125)
-    assert bounds.shape == (63,)
-    assert np.all(np.diff(bounds) < 0)
-    assert total <= cap
-    q = math.exp(-0.64 / 1.0)
-    assert cap == pytest.approx(2.0 * q * q / (1.0 - q), rel=1e-14)
-    with pytest.raises(ValueError):
-        concentration_summability(0.0, 0.125)
-    with pytest.raises(ValueError):
-        concentration_summability(0.5, 0.0)
 
 
 # -- second moments --------------------------------------------------------

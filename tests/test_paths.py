@@ -1,7 +1,5 @@
 """Even-conditioned Poisson jump paths, overlaps, and single-spin kernels."""
 
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,25 +9,31 @@ from scipy.linalg import expm
 from qsk import paths
 from qsk.constants import mu
 from qsk.paths import (
-    JumpPath,
     PathEnsemble,
-    cell_signed_lengths,
     even_jump_count_cdf,
     laplace_conditional,
-    overlap_integral,
-    p_n_functional,
     sample_ensemble,
-    sample_even_path,
     sample_unconditioned,
-    sigma_at,
     signed_totals,
-    two_set_correlation,
 )
 from qsk.stats import frequency_with_err, mean_with_err
 
+from oracles import (
+    cell_signed_lengths,
+    overlap_integral,
+    p_n_functional,
+    sample_even_path,
+    sigma_at,
+)
 
-def _path(*times, rate=1.0):
-    return JumpPath(times=np.array(times, dtype=float), rate=rate)
+
+def _path(*times):
+    return np.array(times, dtype=float)
+
+
+def _rows(ens):
+    """The jump times of every path of an ensemble, one array per path."""
+    return [ens.jumps[i, :ens.counts[i]] for i in range(len(ens))]
 
 
 @st.composite
@@ -45,20 +49,18 @@ def jump_paths(draw):
     return _path(*sorted(ts))
 
 
-# -- JumpPath / sigma_at ---------------------------------------------------
+# -- paths / sigma_at -----------------------------------------------------
 
 
 def test_jump_path_validation():
-    _path()  # empty path is fine
-    _path(0.2, 0.7)
+    PathEnsemble(np.empty((2, 0)), [0, 0], rate=1.0)  # jump-free paths are fine
+    PathEnsemble([[0.2, 0.7], [2.0, 2.0]], [2, 0], rate=1.0)
     with pytest.raises(ValueError):
-        _path(0.5)  # odd count
+        PathEnsemble([[0.5]], [1], rate=1.0)  # odd count
     with pytest.raises(ValueError):
-        _path(0.7, 0.2)  # unsorted
+        PathEnsemble([[0.2, 0.7]], [2, 0], rate=1.0)  # counts do not match rows
     with pytest.raises(ValueError):
-        _path(0.2, 0.2)  # duplicate
-    with pytest.raises(ValueError):
-        _path(0.0, 0.5)  # boundary time
+        PathEnsemble([0.2, 0.7], [2], rate=1.0)  # not a matrix
 
 
 def test_sigma_at_piecewise():
@@ -105,14 +107,13 @@ def test_empirical_even_count_distribution():
 
 
 def test_sample_even_path_structure():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        p = sample_even_path(2.0, rng)
-        assert p.n_jumps % 2 == 0
-        if p.n_jumps:
-            assert 0.0 < p.times[0]
-            assert p.times[-1] < 1.0
-            assert np.all(np.diff(p.times) > 0)
+    ens = sample_ensemble(2.0, 200, seed=3)
+    for times in _rows(ens):
+        assert times.size % 2 == 0
+        if times.size:
+            assert 0.0 < times[0]
+            assert times[-1] < 1.0
+            assert np.all(np.diff(times) > 0)
 
 
 # -- overlap integral ------------------------------------------------------
@@ -120,7 +121,7 @@ def test_sample_even_path_structure():
 
 def _overlap_reference(a, b):
     """O(k) merge evaluation of int_0^1 sigma_a sigma_b dt."""
-    knots = np.concatenate([[0.0], np.sort(np.concatenate([a.times, b.times])), [1.0]])
+    knots = np.concatenate([[0.0], np.sort(np.concatenate([a, b])), [1.0]])
     total = 0.0
     for lo, hi in zip(knots[:-1], knots[1:]):
         mid = 0.5 * (lo + hi)
@@ -171,62 +172,30 @@ def test_ensemble_deterministic_across_workers():
     assert not np.array_equal(e1.counts, e_other.counts)
 
 
-def test_ensemble_roundtrip_serialization(tmp_path):
-    ens = sample_ensemble(1.7, 500, seed=2)
-    f = tmp_path / "ens.bin"
-    ens.save(f)
-    back = PathEnsemble.load(f)
-    assert back.rate == ens.rate
-    np.testing.assert_array_equal(back.counts, ens.counts)
-    np.testing.assert_array_equal(back.jumps, ens.jumps)
-
-
-def test_ensemble_rejects_corrupt_stream():
-    ens = sample_ensemble(1.0, 10, seed=2)
-    raw = bytearray(ens.to_bytes())
-    raw[0:4] = b"XXXX"
-    with pytest.raises(ValueError):
-        PathEnsemble.load(io.BytesIO(bytes(raw)))
-    raw = bytearray(ens.to_bytes())
-    raw[4] = 99  # unsupported version
-    with pytest.raises(ValueError):
-        PathEnsemble.load(io.BytesIO(bytes(raw)))
-
-
 def test_sigma_matrix_and_total_times():
     ens = sample_ensemble(2.0, 400, seed=9)
     assert np.all(ens.sigma_matrix(0.0) == 1)
     t = 0.37
-    direct = np.array([sigma_at(p, t) for p in ens])
+    direct = np.array([sigma_at(p, t) for p in _rows(ens)])
     np.testing.assert_array_equal(ens.sigma_matrix(t), direct)
-    totals = ens.total_signed_times()
-    ref = np.array([_overlap_reference(p, _path()) for p in ens])
+    totals = signed_totals(ens.jumps, ens.counts)
+    ref = np.array([_overlap_reference(p, _path()) for p in _rows(ens)])
     np.testing.assert_allclose(totals, ref, atol=1e-12)
 
 
-def _cell_reference(p, m, k):
-    """Exact signed time of sigma over cell k, split at the jump knots."""
-    lo, hi = k / m, (k + 1) / m
-    knots = [lo] + [t for t in p.times if lo < t < hi] + [hi]
-    return sum((b - a) * sigma_at(p, 0.5 * (a + b))
-               for a, b in zip(knots, knots[1:]))
-
-
 def test_cell_signed_lengths_consistency():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        p = sample_even_path(2.5, rng)
-        for m in (1, 3, 8):
-            cells = cell_signed_lengths(p, m)
-            assert cells.shape == (m,)
+    ens = sample_ensemble(2.5, 50, seed=1)
+    for m in (1, 3, 8):
+        cells = ens.signed_lengths(m)
+        assert cells.shape == (50, m)
+        # each cell's magnitude is bounded by the cell width
+        assert np.all(np.abs(cells) <= 1.0 / m + 1e-15)
+        for p, row in zip(_rows(ens), cells):
             # row sums recover the full signed time
-            assert cells.sum() == pytest.approx(
+            assert row.sum() == pytest.approx(
                 _overlap_reference(p, _path()), abs=1e-12)
-            # each cell's magnitude is bounded by the cell width
-            assert np.all(np.abs(cells) <= 1.0 / m + 1e-15)
-            for k in range(m):
-                assert cells[k] == pytest.approx(_cell_reference(p, m, k),
-                                                 abs=1e-12)
+            np.testing.assert_allclose(row, cell_signed_lengths(p, m),
+                                       atol=1e-12)
 
 
 def test_p_n_functional_identity_n2():
@@ -240,42 +209,28 @@ def test_p_n_functional_identity_n2():
 def test_p_n_batch_matches_loop():
     n, groups = 3, 40
     ens = sample_ensemble(1.0, n * groups, seed=6)
+    rows = _rows(ens)
     batch = paths.p_n_batch(ens, n)
     loop = np.array([
-        p_n_functional([ens.path(g * n + i) for i in range(n)])
+        p_n_functional(rows[g * n:(g + 1) * n])
         for g in range(groups)
     ])
     np.testing.assert_allclose(batch, loop, atol=1e-13)
     mats = paths.overlap_matrix_batch(ens, n)
     assert mats.shape == (groups, n, n)
     np.testing.assert_allclose(mats[:, range(n), range(n)], 1.0, atol=0)
+    pairs = np.array([
+        [[overlap_integral(rows[g * n + i], rows[g * n + j]) for j in range(n)]
+         for i in range(n)]
+        for g in range(groups)
+    ])
+    off = ~np.eye(n, dtype=bool)
+    np.testing.assert_allclose(mats[:, off], pairs[:, off], rtol=0, atol=1e-13)
     np.testing.assert_allclose((mats**2).sum(axis=(1, 2)) / n**2, batch,
                                atol=1e-13)
 
 
 # -- closed-form kernels ---------------------------------------------------
-
-
-def test_two_set_correlation_values():
-    bb = 1.3
-    # disjoint sets of lengths la, lb: exponent uses 1-2la-2lb
-    assert two_set_correlation(0.2, 0.3, 0.0, bb) == pytest.approx(
-        np.cosh(bb * (1 - 0.4 - 0.6)) / np.cosh(bb), rel=1e-12)
-    # identical sets: correlation 1
-    assert two_set_correlation(0.25, 0.25, 0.25, bb) == pytest.approx(1.0,
-                                                                      rel=1e-12)
-    with pytest.raises(ValueError):
-        two_set_correlation(0.2, 0.3, 0.25, bb)  # intersection too large
-    with pytest.raises(ValueError):
-        two_set_correlation(0.7, 0.5, 0.1, bb)  # union exceeds the circle
-
-
-def test_two_set_correlation_reduces_to_mu():
-    # intervals [0,t] and [0,t'] with t < t': lengths t, t', intersection t
-    # gives exponent 1-2(t'-t), i.e. mu(t, t')
-    for t, tp, bb in ((0.1, 0.6, 0.8), (0.3, 0.35, 2.0)):
-        assert two_set_correlation(t, tp, t, bb) == pytest.approx(
-            mu(t, tp, bb), rel=1e-12)
 
 
 def test_laplace_conditional_matrix_oracle():
