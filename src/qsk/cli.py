@@ -224,7 +224,7 @@ def cmd_exactdiag(args):
         "ln_z": res.ln_z,
         "beta_f_n": params.beta * res.f_n,
         "gibbs_zz_12": zz,
-        "trace_abs": abs(float(np.trace(h.matrix))),
+        "trace_abs": abs(float(np.trace(h.blocks, axis1=1, axis2=2).sum())),
         "ground_energy": float(res.eigenvalues[0]),
         "max_energy": float(res.eigenvalues[-1]),
     }
@@ -534,7 +534,7 @@ def _check_two_spin(seed):
         params = ModelParams.from_dimensionless(2, lam, bb)
         sample = hilbert.DisorderSample(n_spins=2, couplings=np.array([g]))
         h = hilbert.build_hamiltonian(params, sample)
-        evals = np.linalg.eigvalsh(params.beta * h.matrix)
+        evals = params.beta * hilbert.spectrum(h).eigenvalues
         ref = hilbert.two_spin_scaled_spectrum(lam, bb, g)
         worst = max(worst, float(np.abs(evals - ref).max()))
     mc_ok = True

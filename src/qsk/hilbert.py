@@ -3,16 +3,24 @@
 H = -(v/sqrt(N)) sum_{i<j} g_ij Sz_i Sz_j - b sum_i Sx_i, where Sz, Sx have
 eigenvalues +-1 (Pauli convention).  Basis states are indexed by the bits of
 the row index: bit k encodes spin k+1, bit value 0 meaning Sz eigenvalue +1.
-The Sz-Sz part is diagonal; the transverse field contributes exactly one
-off-diagonal entry -b per (row, flipped-bit) pair, so the matrix is
-symmetric by construction (entries are assigned, never symmetrized).
 
-Memory grows as 4^N; the builder refuses N beyond a configurable cap
-(default 12, about 134 MB per matrix).
+H commutes with the global spin flip prod_i Sx_i, so it is built and
+diagonalized in the flip-parity basis (|s> +- |s-bar>)/sqrt(2), s ranging
+over the 2^(N-1) representatives with spin N up and s-bar = s with every
+bit flipped.  The Sz-Sz part is diagonal there with the same entries in
+both blocks; the transverse field of spins 1..N-1 maps representatives to
+representatives, and that of spin N maps s to J s = s XOR (2^(N-1) - 1)
+with sign +-1 in the +- block.  Each off-diagonal entry is assigned, never
+symmetrized, so both blocks are symmetric by construction.  Sz_i Sz_j
+preserves the blocks, so ln Z and every <Sz_i Sz_j> come from one
+eigendecomposition of the two blocks.
+
+Memory grows as 4^(N-1); the builder refuses N beyond a configurable cap
+(default 12, where the blocks take 2 * 4^(N-1) * 8 B = 67 MB).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import logsumexp
@@ -23,7 +31,7 @@ from .streams import DOMAIN_DISORDER, batch_generator, batch_ranges
 
 __all__ = [
     "DisorderSample",
-    "DenseHamiltonian",
+    "Hamiltonian",
     "SpectrumResult",
     "draw_sample",
     "draw_couplings",
@@ -79,59 +87,91 @@ def draw_sample(n_spins, seed):
 
 @lru_cache(maxsize=16)
 def _z_table(n):
-    """(2^n, n) matrix of Sz eigenvalues; bit value 0 maps to +1."""
-    states = np.arange(2**n, dtype=np.int64)
+    """(2^(n-1), n) Sz eigenvalues of the representatives; bit value 0 maps to +1.
+
+    The representatives are the states with spin N up (top bit 0); their
+    flipped partners carry the negated rows, so every product z_i z_j is the
+    same on a state and its partner.
+    """
+    states = np.arange(2 ** (n - 1), dtype=np.int64)
     bits = (states[:, None] >> np.arange(n)[None, :]) & 1
     return (1.0 - 2.0 * bits).astype(float)
 
 
 @lru_cache(maxsize=16)
 def _pair_z_table(n):
-    """(2^n, n(n-1)/2) products z_i z_j over upper-triangle pairs (integer +-1)."""
+    """(2^(n-1), n(n-1)/2) products z_i z_j over upper-triangle pairs (integer +-1)."""
     z = _z_table(n)
     iu, ju = np.triu_indices(n, k=1)
     return z[:, iu] * z[:, ju]
 
 
-@dataclass(frozen=True)
-class DenseHamiltonian:
-    """A dense symmetric Hamiltonian matrix with its defining data."""
+@lru_cache(maxsize=4)
+def _field_blocks(n, b):
+    """Read-only (2, D, D) transverse-field part of the (+, -) blocks, D = 2^(n-1).
 
-    matrix: np.ndarray
+    -b (sum_{k<N-1} flip_k +- J) with J: s -> s XOR (D-1), the image of
+    flipping spin N.  At N = 2, flip_0 and J hit the same entries and add.
+    """
+    dim = 2 ** (n - 1)
+    out = np.zeros((2, dim, dim))
+    rows = np.arange(dim)
+    for k in range(n - 1):
+        out[:, rows, rows ^ (1 << k)] = -b
+    out[0, rows, rows ^ (dim - 1)] -= b
+    out[1, rows, rows ^ (dim - 1)] += b
+    out.setflags(write=False)
+    return out
+
+
+@dataclass(frozen=True)
+class Hamiltonian:
+    """H in the flip-parity basis: its (+, -) blocks with the defining data.
+
+    ``blocks[0]`` and ``blocks[1]`` act on (|s> + |s-bar>)/sqrt(2) and
+    (|s> - |s-bar>)/sqrt(2) for the representatives s of ``_z_table``.
+    """
+
+    blocks: np.ndarray
     params: ModelParams
     sample: DisorderSample
 
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
+    @cached_property
+    def eigh(self):
+        """(eigenvalues (2, D), eigenvectors (2, D, D)) of both blocks, one solve."""
+        try:
+            return np.linalg.eigh(self.blocks)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            defect = float(
+                np.abs(self.blocks - self.blocks.transpose(0, 2, 1)).max())
+            raise RuntimeError(
+                "eigensolver failed: N=%d, max|H|=%.3e, symmetry defect=%.3e"
+                % (self.params.n_spins, np.abs(self.blocks).max(), defect)
+            ) from exc
 
 
 def build_hamiltonian(params: ModelParams, sample: DisorderSample,
                       max_spins=DEFAULT_MAX_SPINS):
-    """Assemble the dense 2^N x 2^N matrix for one disorder sample.
+    """Assemble the two 2^(N-1) x 2^(N-1) flip-parity blocks of one sample.
 
-    The diagonal carries the Sz-Sz part (traceless: every pair product z_i z_j
-    is +1 on exactly half the basis states), the transverse field contributes
-    the N single-bit-flip entries -b per row, and nothing else.  Raises for
-    mismatched sample size, non-finite couplings, or N over the cap.
+    The diagonal carries the Sz-Sz part (traceless in each block: every pair
+    product z_i z_j is +1 on exactly half the representatives), the
+    transverse field the off-diagonal entries of ``_field_blocks``.  Raises
+    for mismatched sample size, non-finite couplings, or N over the cap.
     """
     n = params.n_spins
     if n != sample.n_spins:
         raise ValueError("sample was drawn for a different N")
     if n > max_spins:
         raise ValueError(
-            f"N={n} exceeds the dense-diagonalization cap ({max_spins}); "
-            "raise max_spins explicitly if you really want 4^N memory"
+            f"N={n} exceeds the exact-diagonalization cap ({max_spins}); "
+            "raise max_spins explicitly if you really want 4^(N-1) memory"
         )
-    dim = 2**n
+    dim = 2 ** (n - 1)
     weights = -(params.v / np.sqrt(n)) * sample.couplings
-    h = np.zeros((dim, dim))
-    np.fill_diagonal(h, _pair_z_table(n) @ weights)
-    if params.b != 0.0:
-        rows = np.arange(dim)
-        for k in range(n):
-            h[rows, rows ^ (1 << k)] = -params.b
-    return DenseHamiltonian(matrix=h, params=params, sample=sample)
+    blocks = _field_blocks(n, params.b).copy()
+    blocks.reshape(2, dim * dim)[:, :: dim + 1] = _pair_z_table(n) @ weights
+    return Hamiltonian(blocks=blocks, params=params, sample=sample)
 
 
 @dataclass(frozen=True)
@@ -144,25 +184,19 @@ class SpectrumResult:
     beta: float
 
 
-def spectrum(h: DenseHamiltonian, beta=None):
-    """Full spectrum and f_N = -ln Z / (beta N) via a dense symmetric solve.
+def spectrum(h: Hamiltonian, beta=None):
+    """Full sorted spectrum and f_N = -ln Z / (beta N) from both blocks.
 
-    ln Z is computed as a max-shifted log-sum-exp of -beta * eigenvalues, so
-    it never overflows.  Eigensolver failures are re-raised with diagnostics
-    (matrix norm and symmetry defect) attached.
+    ln Z is a log-sum-exp of -beta * eigenvalues shifted by its largest term,
+    -beta * (ground energy), so it never overflows.  Eigensolver failures
+    are re-raised with diagnostics (block norm and symmetry defect) attached.
     """
     beta = h.params.beta if beta is None else float(beta)
     if beta <= 0:
         raise ValueError("beta must be positive")
-    try:
-        evals = np.linalg.eigvalsh(h.matrix)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        defect = float(np.abs(h.matrix - h.matrix.T).max())
-        raise RuntimeError(
-            "eigensolver failed: dim=%d, max|H|=%.3e, symmetry defect=%.3e"
-            % (h.dim, np.abs(h.matrix).max(), defect)
-        ) from exc
-    ln_z = float(logsumexp(-beta * evals))
+    evals = np.sort(h.eigh[0], axis=None)
+    excited = np.exp(-beta * (evals[1:] - evals[0])).sum()
+    ln_z = float(-beta * evals[0] + np.log1p(excited))
     return SpectrumResult(
         eigenvalues=evals,
         ln_z=ln_z,
@@ -172,14 +206,14 @@ def spectrum(h: DenseHamiltonian, beta=None):
 
 
 def _gibbs_weights(h, beta):
-    evals, vecs = np.linalg.eigh(h.matrix)
+    """Gibbs probability of each representative s plus its partner s-bar."""
+    evals, vecs = h.eigh
     w = np.exp(-beta * (evals - evals.min()))
     w /= w.sum()
-    # probability of each basis state under the Gibbs measure
-    return np.square(vecs) @ w
+    return (np.square(vecs) @ w[:, :, None]).sum(axis=0)[:, 0]
 
 
-def gibbs_zz(h: DenseHamiltonian, beta, i, j):
+def gibbs_zz(h: Hamiltonian, beta, i, j):
     """Thermal correlation <Sz_i Sz_j> for 1-based spin indices i != j."""
     n = h.params.n_spins
     if not (1 <= i <= n and 1 <= j <= n):
@@ -189,11 +223,12 @@ def gibbs_zz(h: DenseHamiltonian, beta, i, j):
     q = _gibbs_weights(h, float(beta))
     z = _z_table(n)
     val = float(q @ (z[:, i - 1] * z[:, j - 1]))
-    assert abs(val) <= 1.0 + 1e-12
+    if abs(val) > 1.0 + 1e-12:
+        raise RuntimeError("|<Sz_%d Sz_%d>| = %.17g exceeds 1" % (i, j, abs(val)))
     return val
 
 
-def gibbs_zz_matrix(h: DenseHamiltonian, beta):
+def gibbs_zz_matrix(h: Hamiltonian, beta):
     """Matrix of <Sz_i Sz_j> for all pairs (diagonal exactly 1)."""
     q = _gibbs_weights(h, float(beta))
     z = _z_table(h.params.n_spins)

@@ -130,7 +130,8 @@ def _sample_matrix(rate, count, seed, workers, conditioned):
 
     def one(batch_index):
         b, start, stop = pieces[batch_index]
-        assert b == batch_index
+        if b != batch_index:
+            raise RuntimeError("batch %d read piece %d" % (batch_index, b))
         return _sample_batch(rate, stop - start, seed, batch_index, conditioned)
 
     parts = map_batches(one, len(pieces), workers=workers)

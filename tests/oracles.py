@@ -1,10 +1,12 @@
-"""Scalar reference implementations that the vectorized kernels are tested against.
+"""Reference implementations that the fast kernels are tested against.
 
 A path here is a plain sorted array of jump times in the open interval
 (0, 1), even in number, with sigma(0) = +1 and sigma(t) = (-1)^{#jumps <= t}.
-Each function evaluates its quantity directly, one path or one pair at a
-time, so a test can compare it with the batched kernels in ``qsk.paths``
-and ``qsk.annealed``.
+Each path function evaluates its quantity directly, one path or one pair at
+a time, so a test can compare it with the batched kernels in ``qsk.paths``
+and ``qsk.annealed``.  The dense Hamiltonian is the full 2^N x 2^N matrix in
+the Sz basis, diagonalized without the spin-flip reduction of
+``qsk.hilbert``.
 """
 
 import numpy as np
@@ -120,3 +122,33 @@ def sk_equation_solve(lam, quad_nodes=32):
     if h(lo) <= 0.0:  # pragma: no cover - only at threshold rounding
         return 0.0
     return float(brentq(h, lo, 1.0, xtol=1e-14))
+
+
+def z_table(n):
+    """(2^n, n) Sz eigenvalues of every basis state; bit k = spin k+1, 0 -> +1."""
+    states = np.arange(2**n)
+    return 1.0 - 2.0 * ((states[:, None] >> np.arange(n)[None, :]) & 1)
+
+
+def dense_hamiltonian(params, couplings):
+    """H as a dense 2^N x 2^N matrix: Sz-Sz diagonal plus -b per single flip."""
+    n = params.n_spins
+    dim = 2**n
+    z = z_table(n)
+    iu, ju = np.triu_indices(n, k=1)
+    h = np.zeros((dim, dim))
+    np.fill_diagonal(h, (z[:, iu] * z[:, ju]) @ (-(params.v / np.sqrt(n))
+                                                  * np.asarray(couplings)))
+    if params.b != 0.0:
+        rows = np.arange(dim)
+        for k in range(n):
+            h[rows, rows ^ (1 << k)] = -params.b
+    return h
+
+
+def dense_gibbs_weights(matrix, beta):
+    """Gibbs probability of every Sz basis state, from one dense eigh."""
+    evals, vecs = np.linalg.eigh(matrix)
+    w = np.exp(-beta * (evals - evals.min()))
+    w /= w.sum()
+    return np.square(vecs) @ w

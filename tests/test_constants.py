@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from qsk import constants
 from qsk.constants import (
     ModelParams,
     c0_of,

@@ -1,10 +1,15 @@
 """Disorder studies: quenched means, second moments, concentration, tails."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qsk
 from qsk import disorder
 from qsk.constants import ModelParams
 from qsk.disorder import (
@@ -30,6 +35,25 @@ def test_run_study_no_disorder_limit():
     assert res.second_moment_ratio.value == pytest.approx(1.0, abs=1e-12)
     assert res.order_parameter.value <= 1e-12
     assert res.tail_frequency.value == 0.0
+
+
+def test_one_eigendecomposition_per_sample(monkeypatch):
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    params = ModelParams.from_dimensionless(5, 0.1, 1.0)
+    run_study(DisorderStudyConfig(params=params, n_disorder=23, seed=3,
+                                  delta=0.1))
+    assert shapes == [(2, 16, 16)] * 23
 
 
 def test_run_study_weak_disorder_sanity():
@@ -154,3 +178,32 @@ def test_ratio_of_means_constant_input():
     est = disorder._ratio_of_means(np.full(40, 2.5))
     assert est.value == pytest.approx(1.0, rel=1e-15)
     assert est.std_err == pytest.approx(0.0, abs=1e-15)
+
+
+_CORRUPT_CORRELATIONS = """
+import numpy as np
+from qsk import disorder
+from qsk.constants import ModelParams
+
+disorder.gibbs_zz_matrix = lambda h, beta: np.full((4, 4), 2.0)
+cfg = disorder.DisorderStudyConfig(
+    params=ModelParams.from_dimensionless(4, 0.1, 1.0),
+    n_disorder=20, seed=1, delta=0.1)
+try:
+    disorder.run_study(cfg)
+except RuntimeError as exc:
+    print("raised:", exc)
+else:
+    print("returned")
+"""
+
+
+def test_spot_checks_survive_optimized_mode():
+    # python -O strips assert statements; the spot checks must still raise
+    src = str(Path(qsk.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_CORRELATIONS],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised:"), proc.stdout
+    assert "exceeds 1" in proc.stdout

@@ -1,7 +1,8 @@
-"""Dense small-N Hamiltonians, spectra, and Gibbs correlations."""
+"""Flip-parity block Hamiltonians, spectra, and Gibbs correlations."""
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from qsk import hilbert
 from qsk.constants import ModelParams
@@ -17,6 +18,8 @@ from qsk.hilbert import (
     spectrum,
     two_spin_scaled_spectrum,
 )
+
+from oracles import dense_gibbs_weights, dense_hamiltonian, z_table
 
 SZ = np.diag([1.0, -1.0])
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -52,37 +55,85 @@ def _dense_reference(params, couplings):
     return h
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+def _parity_rotation(n):
+    """Orthogonal U with columns (|s> + |s-bar>)/sqrt(2), then (|s> - |s-bar>)/sqrt(2)."""
+    dim, half = 2**n, 2 ** (n - 1)
+    u = np.zeros((dim, dim))
+    reps = np.arange(half)
+    u[reps, reps] = u[dim - 1 - reps, reps] = np.sqrt(0.5)
+    u[reps, half + reps] = np.sqrt(0.5)
+    u[dim - 1 - reps, half + reps] = -np.sqrt(0.5)
+    return u
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_hamiltonian_matches_kronecker_reference(n):
     rng = np.random.default_rng(n)
     params = ModelParams(n_spins=n, beta=1.3, v=0.8, b=0.6)
     sample = DisorderSample(n_spins=n,
                             couplings=rng.standard_normal(n * (n - 1) // 2))
+    kron = _dense_reference(params, sample.couplings)
+    np.testing.assert_allclose(dense_hamiltonian(params, sample.couplings),
+                               kron, atol=1e-14)
+    # in the flip-parity basis the reference splits into the two blocks
+    u = _parity_rotation(n)
+    rotated = u.T @ kron @ u
+    half = 2 ** (n - 1)
     h = build_hamiltonian(params, sample)
-    np.testing.assert_allclose(h.matrix, _dense_reference(params,
-                                                          sample.couplings),
-                               atol=1e-14)
-    assert np.array_equal(h.matrix, h.matrix.T)
+    assert h.blocks.shape == (2, half, half)
+    np.testing.assert_allclose(rotated[:half, :half], h.blocks[0], atol=1e-14)
+    np.testing.assert_allclose(rotated[half:, half:], h.blocks[1], atol=1e-14)
+    np.testing.assert_allclose(rotated[:half, half:], 0.0, atol=1e-14)
+    assert np.array_equal(h.blocks, h.blocks.transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("b", [0.0, 0.7, 50.0])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_blocked_route_matches_dense_oracle(n, b):
+    params = ModelParams(n_spins=n, beta=1.1, v=0.9, b=b)
+    sample = draw_sample(n, seed=n)
+    dense = dense_hamiltonian(params, sample.couplings)
+    h = build_hamiltonian(params, sample)
+    tol = dict(rtol=1e-12, atol=1e-12)
+
+    res = spectrum(h)
+    ref_evals = np.linalg.eigvalsh(dense)
+    np.testing.assert_allclose(res.eigenvalues, ref_evals, **tol)
+    np.testing.assert_allclose(
+        res.ln_z, logsumexp(-params.beta * ref_evals), **tol)
+
+    p = dense_gibbs_weights(dense, params.beta)
+    reps = np.arange(2 ** (n - 1))
+    np.testing.assert_allclose(hilbert._gibbs_weights(h, params.beta),
+                               p[reps] + p[2**n - 1 - reps], **tol)
+    z = z_table(n)
+    c = (z * p[:, None]).T @ z
+    np.fill_diagonal(c, 1.0)
+    np.testing.assert_allclose(gibbs_zz_matrix(h, params.beta), c, **tol)
 
 
 def test_trace_structure():
-    # diagonal = coupling-weighted sums of z_i z_j patterns; each pair pattern
-    # sums to zero over the computational basis, exactly in integer arithmetic
+    # block diagonal = coupling-weighted sums of z_i z_j patterns; each pair
+    # pattern sums to zero over the representatives, exactly in integer
+    # arithmetic
     params = ModelParams(n_spins=5, beta=1.0, v=1.0, b=0.7)
     sample = draw_sample(5, seed=1)
     h = build_hamiltonian(params, sample)
     ztab = hilbert._pair_z_table(5)
     assert ztab.dtype.kind in "if"
     np.testing.assert_array_equal(ztab.sum(axis=0), 0.0)
-    # the float trace is then a sum of exactly-cancelling pairs up to rounding
-    scale = np.abs(np.diag(h.matrix)).max()
-    assert abs(np.trace(h.matrix)) <= 64 * np.finfo(float).eps * max(scale, 1.0)
+    # each float block trace is then a sum of exactly-cancelling pairs up to
+    # rounding
+    diag = np.diagonal(h.blocks, axis1=1, axis2=2)
+    scale = np.abs(diag).max()
+    assert np.abs(diag.sum(axis=1)).max() <= (
+        64 * np.finfo(float).eps * max(scale, 1.0))
 
 
 def test_trace_exact_zero_n2():
     params = ModelParams(n_spins=2, beta=1.0, v=1.0, b=0.9)
     h = build_hamiltonian(params, DisorderSample(2, np.array([0.37])))
-    assert np.trace(h.matrix) == 0.0
+    np.testing.assert_array_equal(np.trace(h.blocks, axis1=1, axis2=2), 0.0)
 
 
 def test_build_errors():
@@ -105,7 +156,7 @@ def test_two_spin_spectrum_closed_form(seed):
     g = float(rng.standard_normal())
     params = ModelParams.from_dimensionless(2, lam, bb)
     h = build_hamiltonian(params, DisorderSample(2, np.array([g])))
-    evals = np.linalg.eigvalsh(params.beta * h.matrix)
+    evals = params.beta * spectrum(h).eigenvalues
     np.testing.assert_allclose(evals, two_spin_scaled_spectrum(lam, bb, g),
                                atol=1e-12)
 
@@ -182,11 +233,15 @@ def test_gibbs_zz_matrix_and_bounds():
 
 def test_gibbs_z_vanishes_by_flip_symmetry():
     params = ModelParams(n_spins=5, beta=1.0, v=1.1, b=0.8)
-    h = build_hamiltonian(params, draw_sample(5, seed=4))
-    # basis-state Gibbs probabilities, as gibbs_zz and gibbs_zz_matrix use them
-    q = hilbert._gibbs_weights(h, params.beta)
+    sample = draw_sample(5, seed=4)
+    # full-basis Gibbs probabilities from the dense oracle: <Sz_i> = 0 ...
+    p = dense_gibbs_weights(dense_hamiltonian(params, sample.couplings),
+                            params.beta)
     for i in (1, 3, 5):
-        assert abs(q @ hilbert._z_table(5)[:, i - 1]) < 1e-13
+        assert abs(p @ z_table(5)[:, i - 1]) < 1e-13
+    # ... because p(s) = p(s-bar), which is what lets the blocked route
+    # fold each state onto its representative
+    np.testing.assert_allclose(p, p[::-1], rtol=0, atol=1e-13)
 
 
 def test_x_polarized_limit():

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qsk import numerics, stats, streams
+from qsk import streams
 from qsk.numerics import (
     LN2,
     QuadratureConvergenceWarning,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsk import paths, variational
+from qsk import paths
 from qsk.constants import c0_of, g_n_of, m_of, p_of
 from qsk.variational import (
     FixedPointReport,
