@@ -18,7 +18,6 @@ by rigorous bounds on the annealed-to-quenched gap.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import paths
 from .constants import ModelParams, inf_g_n_over_n
@@ -115,6 +114,7 @@ def k_of_lambda(lam, quad_nodes=64):
         # numerical search would return O(1e-17) dust here, which must not
         # leak into positivity certificates downstream
         return 0.0
+    from scipy.optimize import minimize_scalar
 
     def evaluate(nodes):
         q = np.linspace(0.0, 1.0, 512)

@@ -20,9 +20,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .numerics import LN2, gauss_hermite, gauss_legendre_01, logcosh, refine_once
+from .numerics import (
+    LN2,
+    gauss_hermite,
+    gauss_legendre_01,
+    logcosh,
+    logsumexp,
+    refine_once,
+)
 
 __all__ = [
     "ModelParams",

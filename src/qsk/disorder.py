@@ -15,10 +15,10 @@ estimators (e.g. quenched-vs-annealed gaps) never share randomness.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import paths
 from .constants import ModelParams
+from .numerics import logsumexp
 from .hilbert import (
     DisorderSample,
     build_hamiltonian,
@@ -32,7 +32,7 @@ from .stats import (
     jackknife_se,
     mean_with_err,
 )
-from .streams import batch_ranges, map_batches
+from .streams import BATCH_SIZE, map_batches, resolve_workers, single_blas_thread
 
 __all__ = [
     "DisorderStudyConfig",
@@ -48,6 +48,13 @@ __all__ = [
 #: plain-mean disorder averages concentrate poorly outside this range
 MAX_SPINS_DISORDER = 10
 MAX_FOUR_LAM = 0.6
+
+#: flip-parity block size from which a study spreads its samples over the
+#: worker pool; below it the per-sample Python work, serialized by the
+#: interpreter lock, outweighs the LAPACK time that threads can overlap
+MIN_PARALLEL_DIM = 32
+#: contiguous sample chunks per worker, so uneven chunk times even out
+CHUNKS_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -104,48 +111,63 @@ def _check_blocks(blocks):
         raise RuntimeError("Hamiltonian block diagonal does not sum to zero")
 
 
+def _sample_stats(params, sample, check, pairs):
+    """(ln Z, mean squared <Sz_i Sz_j> over ``pairs``) of one disorder sample.
+
+    ``pairs`` is a ``triu_indices`` pair, or None to skip the correlations
+    (the second entry is then 0).  ``check`` runs the structural spot
+    checks.  The Hamiltonian lives only in this call, so a worker holds one
+    sample's blocks and eigenvectors at a time.
+    """
+    h = build_hamiltonian(params, sample)
+    if check:
+        _check_blocks(h.blocks)
+    ln_z = spectrum(h).ln_z
+    if pairs is None:
+        return ln_z, 0.0
+    c = gibbs_zz_matrix(h, params.beta)
+    if check and np.abs(c).max() > 1.0 + 1e-12:
+        raise RuntimeError("|<Sz_i Sz_j>| = %.17g exceeds 1" % np.abs(c).max())
+    return ln_z, np.square(c[pairs]).mean()
+
+
 def _study_arrays(params, n_disorder, seed, workers=None, want_pairs=True):
     """Per-sample ln Z, beta*f, and mean squared pair correlation.
 
-    Spot checks structural invariants (symmetric blocks, bounded
-    correlations, rounding-level trace of each block) on every tenth
-    sample.  Failures identify the offending (seed, batch, index) triple.
+    All couplings are drawn first; the samples are then solved in
+    contiguous chunks on the worker pool, each result stored at its sample
+    index, with numpy's BLAS on one thread throughout (so the output depends
+    neither on ``workers`` nor on the core count).  Studies with blocks
+    smaller than ``MIN_PARALLEL_DIM``, or without a handle on the BLAS
+    thread count, run serially.  Spot checks structural invariants
+    (symmetric blocks, bounded correlations, rounding-level trace of each
+    block) on every tenth sample.  Failures identify the offending
+    (seed, batch, index) triple.
     """
     n = params.n_spins
     couplings = draw_couplings(n, n_disorder, seed)
-    pieces = list(batch_ranges(n_disorder))
+    pairs = np.triu_indices(n, k=1) if want_pairs else None
+    ln_z = np.empty(n_disorder)
+    op = np.zeros(n_disorder)
 
-    def one(batch_index):
-        b, start, stop = pieces[batch_index]
-        g = couplings[start:stop]
-        ln_z = np.empty(stop - start)
-        op = np.zeros(stop - start)
-        iu = np.triu_indices(n, k=1)
-        for r in range(stop - start):
+    def solve_chunk(k):
+        for i in range(k * n_disorder // n_chunks,
+                       (k + 1) * n_disorder // n_chunks):
             try:
-                sample = DisorderSample(n_spins=n, couplings=g[r], seed=seed)
-                h = build_hamiltonian(params, sample)
-                if r % 10 == 0:
-                    _check_blocks(h.blocks)
-                ln_z[r] = spectrum(h).ln_z
-                if want_pairs:
-                    c = gibbs_zz_matrix(h, params.beta)
-                    if r % 10 == 0 and np.abs(c).max() > 1.0 + 1e-12:
-                        raise RuntimeError(
-                            "|<Sz_i Sz_j>| = %.17g exceeds 1" % np.abs(c).max())
-                    op[r] = np.square(c[iu]).mean()
+                sample = DisorderSample(n_spins=n, couplings=couplings[i], seed=seed)
+                ln_z[i], op[i] = _sample_stats(params, sample, i % 10 == 0, pairs)
             except Exception as exc:
                 raise RuntimeError(
                     "disorder sample failed (seed=%d, batch=%d, index=%d): %s"
-                    % (seed, b, start + r, exc)
+                    % (seed, i // BATCH_SIZE, i, exc)
                 ) from exc
-        return ln_z, op
 
-    parts = map_batches(one, len(pieces), workers=workers)
-    ln_z = np.concatenate([p[0] for p in parts])
-    op = np.concatenate([p[1] for p in parts])
-    beta_f = -ln_z / n
-    return ln_z, beta_f, op
+    with single_blas_thread() as pinned:
+        parallel = pinned and 2 ** (n - 1) >= MIN_PARALLEL_DIM
+        workers = resolve_workers(workers) if parallel else 1
+        n_chunks = min(n_disorder, CHUNKS_PER_WORKER * workers)
+        map_batches(solve_chunk, n_chunks, workers=workers)
+    return ln_z, -ln_z / n, op
 
 
 def _ratio_of_means(ln_z, seed=None):

@@ -20,13 +20,12 @@ Memory grows as 4^(N-1); the builder refuses N beyond a configurable cap
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .constants import DEFAULT_MAX_SPINS, ModelParams
-from .numerics import logcosh, normal_nodes, refine_once
+from .numerics import logcosh, logsumexp, normal_nodes, refine_once
 from .streams import DOMAIN_DISORDER, batch_generator, batch_ranges
 
 __all__ = [
@@ -136,11 +135,19 @@ class Hamiltonian:
     params: ModelParams
     sample: DisorderSample
 
-    @cached_property
+    @property
     def eigh(self):
-        """(eigenvalues (2, D), eigenvectors (2, D, D)) of both blocks, one solve."""
+        """(eigenvalues (2, D), eigenvectors (2, D, D)) of both blocks, one solve.
+
+        Cached on the instance without a lock: ``functools.cached_property``
+        holds one lock per class on Python < 3.12, which would run the solves
+        of different samples in different threads one at a time.
+        """
+        cached = self.__dict__.get("_eigh")
+        if cached is not None:
+            return cached
         try:
-            return np.linalg.eigh(self.blocks)
+            cached = np.linalg.eigh(self.blocks)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
             defect = float(
                 np.abs(self.blocks - self.blocks.transpose(0, 2, 1)).max())
@@ -148,6 +155,8 @@ class Hamiltonian:
                 "eigensolver failed: N=%d, max|H|=%.3e, symmetry defect=%.3e"
                 % (self.params.n_spins, np.abs(self.blocks).max(), defect)
             ) from exc
+        object.__setattr__(self, "_eigh", cached)
+        return cached
 
 
 def build_hamiltonian(params: ModelParams, sample: DisorderSample,

@@ -22,6 +22,32 @@ def logcosh(x):
     return ax + np.log1p(np.exp(-2.0 * ax)) - LN2
 
 
+def logsumexp(a, axis=None):
+    """ln sum exp(a) along ``axis`` (all axes when None), overflow-safe.
+
+    The algorithm of ``scipy.special.logsumexp`` for real input, without its
+    per-call dispatch cost: the m terms equal to the maximum are taken out of
+    the shifted sum s, and the result is log1p(s/m) + ln m + max.  Where that
+    is not finite (an infinite or all -inf input), the direct ln sum exp(a)
+    is returned instead.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    a_max = np.max(a, axis=axis, keepdims=True)
+    at_max = a == a_max
+    m = np.sum(at_max, axis=axis, keepdims=True, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=axis,
+                   keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
+            out = np.where(finite, out, direct)
+    out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
+
+
 def sinhc(x):
     """sinh(x)/x with the removable singularity filled in at x = 0."""
     x = np.asarray(x, dtype=float)

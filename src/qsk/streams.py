@@ -2,14 +2,24 @@
 
 Reproducibility contract: every stochastic routine derives its randomness
 from counter-based Philox generators keyed by (master seed, domain, batch
-index).  Work is always split into fixed-size batches, so results are
-bit-identical no matter how many workers execute the batches or in which
-order they finish.  Path sampling and disorder sampling live in disjoint
-domains and never share a stream.
+index).  Randomness is always drawn in fixed-size batches, and every
+result is stored by its batch or sample index, so results are bit-identical
+no matter how many workers share the work or in which order they finish.
+Path sampling and disorder sampling live in disjoint domains and never
+share a stream.
+
+Work whose threads each call LAPACK (the disorder studies) runs inside
+``single_blas_thread``: pool threads that each drive a multi-threaded
+OpenBLAS oversubscribe the cores, and a LAPACK result that depends on the
+BLAS thread count would make the output depend on the machine.
 """
 
+import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -50,7 +60,7 @@ def resolve_workers(workers=None):
 
 
 def map_batches(fn, n_batches, workers=None):
-    """Apply ``fn(batch_index)`` for each batch, in index order.
+    """Apply ``fn(batch_index)`` for each batch (or work chunk), in index order.
 
     The reduction is deterministic by construction: results are collected
     into a list indexed by batch, whatever the execution order.
@@ -61,3 +71,46 @@ def map_batches(fn, n_batches, workers=None):
         return [fn(b) for b in indices]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, indices))
+
+
+@lru_cache(maxsize=1)
+def _openblas_threads():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None.
+
+    numpy wheels ship OpenBLAS as ``numpy.libs/libscipy_openblas64_*.so``;
+    loading that file again returns the library numpy already uses.  None
+    when numpy was built against another BLAS.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextmanager
+def single_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread; yields whether it is.
+
+    The previous thread count is restored on exit.  Yields False, changing
+    nothing, when the OpenBLAS handle cannot be found; callers then keep
+    their work serial.
+    """
+    handle = _openblas_threads()
+    if handle is None:
+        yield False
+        return
+    get, set_ = handle
+    previous = get()
+    set_(1)
+    try:
+        yield True
+    finally:
+        set_(previous)

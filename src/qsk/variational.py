@@ -19,11 +19,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import logsumexp
 
 from .constants import c0_of, p_of
-from .numerics import gauss_hermite, logcosh, refine_once
+from .numerics import gauss_hermite, logcosh, logsumexp, refine_once
 from .stats import EstimateWithError, effective_sample_size, log_mean_exp
 
 __all__ = [
@@ -365,6 +363,7 @@ def static_approximation(lam, beta_b, quad_nodes=64):
     vals = lam * xs**2 - _lambda_constant_vec(2.0 * lam * xs, beta_b, quad_nodes)
     i = int(np.argmin(vals))
     lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+    from scipy.optimize import minimize_scalar
 
     def objective(x):
         return lam * x * x - float(_lambda_constant_vec([2.0 * lam * x], beta_b, quad_nodes)[0])

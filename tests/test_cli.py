@@ -1,10 +1,15 @@
 """End-to-end command-line behavior: outputs, config handling, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qsk
 from qsk import cli
 from qsk.variational import load_grid_function
 
@@ -218,6 +223,26 @@ def test_quenched_json_and_per_sample(tmp_path):
     assert header == ["index", "ln_z", "beta_f", "order_parameter"]
     assert len(rows) == 100
     assert np.isfinite([float(r[1]) for r in rows]).all()
+
+
+_SCIPY_FREE = """
+import sys
+import qsk.cli
+assert "scipy" not in sys.modules, "import qsk.cli loaded scipy"
+rc = qsk.cli.main(["quenched", "--n-spins", "6", "--n-disorder", "20",
+                   "--workers", "2", "--out", sys.argv[1]])
+assert rc == 0
+assert "scipy" not in sys.modules, "qsk quenched loaded scipy"
+"""
+
+
+def test_import_and_quenched_leave_scipy_unloaded(tmp_path):
+    src = str(Path(qsk.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE, str(tmp_path / "q.json")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_quenched_strong_disorder_usage_error(capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qsk
-from qsk import disorder
+from qsk import disorder, streams
 from qsk.constants import ModelParams
 from qsk.disorder import (
     DisorderStudyConfig,
@@ -21,6 +21,7 @@ from qsk.disorder import (
     run_study,
     second_moment_theory_bound,
 )
+from qsk.hilbert import draw_couplings
 from qsk.numerics import LN2, logcosh
 
 
@@ -69,13 +70,117 @@ def test_run_study_weak_disorder_sanity():
     assert res.n_disorder == 400
 
 
-def test_run_study_worker_invariance():
-    params = ModelParams.from_dimensionless(3, 0.1, 1.0)
-    cfg = DisorderStudyConfig(params=params, n_disorder=120, seed=5, delta=0.3)
-    a = run_study(cfg, workers=1)
-    b = run_study(cfg, workers=3)
-    assert a.quenched_mean.value == b.quenched_mean.value
-    assert a.second_moment_ratio.value == b.second_moment_ratio.value
+def _spy_map_batches(monkeypatch):
+    """Record (chunk count, workers) of every map_batches call in disorder."""
+    calls = []
+    real = disorder.map_batches
+
+    def spy(fn, n_batches, workers=None):
+        calls.append((n_batches, workers))
+        return real(fn, n_batches, workers=workers)
+
+    monkeypatch.setattr(disorder, "map_batches", spy)
+    return calls
+
+
+def _per_sample_bytes(result):
+    return [a.tobytes() for a in result.per_sample]
+
+
+def test_run_study_worker_invariance(monkeypatch):
+    # N = 3 stays serial (blocks below MIN_PARALLEL_DIM); N = 6 and N = 10
+    # spread their samples over several chunks, and N = 10 is large enough
+    # that eigh's bits depend on the BLAS thread count unless it is pinned
+    calls = _spy_map_batches(monkeypatch)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for n, count in ((3, 120), (6, 40), (10, 12)):
+            params = ModelParams.from_dimensionless(n, 0.1, 1.0)
+            cfg = DisorderStudyConfig(params=params, n_disorder=count, seed=5,
+                                      delta=0.3)
+            runs = {w: run_study(cfg, workers=w) for w in (1, 2, 4)}
+            for w in (2, 4):
+                assert _per_sample_bytes(runs[w]) == _per_sample_bytes(runs[1])
+                assert runs[w].quenched_mean == runs[1].quenched_mean
+    finally:
+        sys.setswitchinterval(switch)
+    assert calls == [(4, 1), (4, 1), (4, 1),
+                     (4, 1), (8, 2), (16, 4),
+                     (4, 1), (8, 2), (12, 4)]
+
+
+def test_blas_thread_context_restores_count():
+    handle = streams._openblas_threads()
+    if handle is None:
+        with streams.single_blas_thread() as pinned:
+            assert pinned is False
+        return
+    get, set_ = handle
+    original = get()
+    try:
+        set_(2)
+        with streams.single_blas_thread() as pinned:
+            assert pinned is True
+            assert get() == 1
+            with streams.single_blas_thread():
+                assert get() == 1
+            assert get() == 1
+        assert get() == 2
+        with pytest.raises(RuntimeError):
+            with streams.single_blas_thread():
+                raise RuntimeError("inside")
+        assert get() == 2
+    finally:
+        set_(original)
+
+
+def test_study_runs_serially_without_blas_handle(monkeypatch):
+    params = ModelParams.from_dimensionless(6, 0.1, 1.0)
+    cfg = DisorderStudyConfig(params=params, n_disorder=40, seed=8, delta=0.3)
+    reference = run_study(cfg, workers=1)
+    calls = _spy_map_batches(monkeypatch)
+    monkeypatch.setattr(streams, "_openblas_threads", lambda: None)
+    with streams.single_blas_thread() as pinned:
+        assert pinned is False
+    result = run_study(cfg, workers=2)
+    assert calls == [(4, 1)]
+    assert _per_sample_bytes(result) == _per_sample_bytes(reference)
+
+
+def test_parallel_failures_name_the_global_sample(monkeypatch):
+    params = ModelParams.from_dimensionless(6, 0.1, 1.0)
+    cfg = DisorderStudyConfig(params=params, n_disorder=40, seed=3, delta=0.3)
+    couplings = draw_couplings(6, 40, 3)
+    real_spectrum = disorder.spectrum
+    real_gibbs = disorder.gibbs_zz_matrix
+
+    def failing_spectrum(h, beta=None):
+        if np.array_equal(h.sample.couplings, couplings[13]):
+            raise np.linalg.LinAlgError("injected")
+        return real_spectrum(h, beta)
+
+    monkeypatch.setattr(disorder, "spectrum", failing_spectrum)
+    with pytest.raises(RuntimeError,
+                       match=r"seed=3, batch=0, index=13\): injected"):
+        run_study(cfg, workers=2)
+    monkeypatch.setattr(disorder, "spectrum", real_spectrum)
+
+    # the every-tenth-sample checks run on the global index: a corrupt
+    # sample 15 passes unchecked, a corrupt sample 20 is caught
+    def corrupt_at(index):
+        def gibbs(h, beta):
+            c = real_gibbs(h, beta)
+            if np.array_equal(h.sample.couplings, couplings[index]):
+                c[0, 1] = 2.0
+            return c
+        return gibbs
+
+    monkeypatch.setattr(disorder, "gibbs_zz_matrix", corrupt_at(15))
+    run_study(cfg, workers=2)
+    monkeypatch.setattr(disorder, "gibbs_zz_matrix", corrupt_at(20))
+    with pytest.raises(RuntimeError, match=r"index=20\): \|<Sz_i Sz_j>\|"):
+        run_study(cfg, workers=2)
 
 
 def test_study_validation():

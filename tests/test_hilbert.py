@@ -1,5 +1,8 @@
 """Flip-parity block Hamiltonians, spectra, and Gibbs correlations."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -159,6 +162,28 @@ def test_two_spin_spectrum_closed_form(seed):
     evals = params.beta * spectrum(h).eigenvalues
     np.testing.assert_allclose(evals, two_spin_scaled_spectrum(lam, bb, g),
                                atol=1e-12)
+
+
+def test_eigh_is_cached_and_solves_concurrently(monkeypatch):
+    # a per-class lock (functools.cached_property before Python 3.12) keeps
+    # the second solve waiting until the first returns: the barrier breaks
+    barrier = threading.Barrier(2, timeout=10)
+    real_eigh = np.linalg.eigh
+    solves = []
+
+    def meeting_eigh(a):
+        solves.append(a.shape)
+        barrier.wait()
+        return real_eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", meeting_eigh)
+    params = ModelParams.from_dimensionless(4, 0.1, 1.0)
+    hams = [build_hamiltonian(params, draw_sample(4, seed)) for seed in (1, 2)]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(lambda h: h.eigh, hams))
+    for h, result in zip(hams, results):
+        assert h.eigh is result
+    assert solves == [(2, 8, 8)] * 2
 
 
 def test_spectrum_result_consistency():

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 
 from qsk import streams
 from qsk.numerics import (
@@ -13,6 +14,7 @@ from qsk.numerics import (
     gauss_hermite,
     gauss_legendre_01,
     logcosh,
+    logsumexp,
     normal_nodes,
     refine_once,
     sinhc,
@@ -48,6 +50,27 @@ def test_logcosh_overflow_safe():
     # np.cosh(800) overflows; the log form must not
     assert logcosh(800.0) == pytest.approx(800.0 - LN2, rel=1e-15)
     assert logcosh(-800.0) == logcosh(800.0)
+
+
+def test_logsumexp_matches_scipy_bit_for_bit():
+    # scipy stays the oracle here; the package itself never imports it
+    rng = np.random.default_rng(11)
+    cases = [np.array([5.0]), np.array([[-3.0]]), np.array(2.5),
+             np.array([700.0, 700.0, -700.0]), np.array([-700.0, -700.0]),
+             np.array([1.0, 1.0, 1.0, 1.0]), np.array([-np.inf, 0.0, 3.0]),
+             np.array([np.inf, 1.0]), np.array([-np.inf, -np.inf])]
+    for k in range(300):
+        a = rng.standard_normal((1 + k % 5, 1 + k % 37)) * (1.0, 30.0, 700.0)[k % 3]
+        if k % 2:
+            a = np.round(a)  # ties at the maximum
+        cases.append(a)
+    for a in cases:
+        for axis in (None, 1) if a.ndim == 2 else (None,):
+            expect = scipy.special.logsumexp(a, axis=axis)
+            got = logsumexp(a, axis=axis)
+            assert type(got) is type(expect)
+            np.testing.assert_array_equal(got, expect)
+            assert np.shape(got) == np.shape(expect)
 
 
 def test_sinhc():
