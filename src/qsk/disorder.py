@@ -18,7 +18,6 @@ import numpy as np
 
 from . import paths
 from .constants import ModelParams
-from .numerics import logsumexp
 from .hilbert import (
     DisorderSample,
     build_hamiltonian,
@@ -26,6 +25,7 @@ from .hilbert import (
     gibbs_zz_matrix,
     spectrum,
 )
+from .numerics import logsumexp
 from .stats import (
     EstimateWithError,
     frequency_with_err,

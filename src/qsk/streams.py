@@ -101,7 +101,8 @@ def single_blas_thread():
 
     The previous thread count is restored on exit.  Yields False, changing
     nothing, when the OpenBLAS handle cannot be found; callers then keep
-    their work serial.
+    their work serial.  The count is process-wide, so blocks that overlap in
+    time from different threads would restore each other's setting.
     """
     handle = _openblas_threads()
     if handle is None:

@@ -105,9 +105,12 @@ def test_run_study_worker_invariance(monkeypatch):
                 assert runs[w].quenched_mean == runs[1].quenched_mean
     finally:
         sys.setswitchinterval(switch)
-    assert calls == [(4, 1), (4, 1), (4, 1),
-                     (4, 1), (8, 2), (16, 4),
-                     (4, 1), (8, 2), (12, 4)]
+    expected = [(4, 1), (4, 1), (4, 1),
+                (4, 1), (8, 2), (16, 4),
+                (4, 1), (8, 2), (12, 4)]
+    if streams._openblas_threads() is None:  # numpy without its OpenBLAS
+        expected = [(4, 1)] * 9
+    assert calls == expected
 
 
 def test_blas_thread_context_restores_count():
