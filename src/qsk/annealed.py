@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import paths
-from .constants import ModelParams, inf_g_n_over_n
+from .constants import ModelParams, g_n_of, inf_g_n_over_n, p_n_of, w_n_of
 from .numerics import logcosh, normal_nodes, refine_once
 from .stats import EstimateWithError, log_mean_exp, mean_with_err
 
@@ -28,6 +28,7 @@ __all__ = [
     "estimate_f_n",
     "mean_p_n",
     "annealed_free_energy",
+    "f_n_sandwich",
     "k_of_lambda",
     "delta_infinity_bounds",
     "RegionPoint",
@@ -86,6 +87,25 @@ def _beta_f_ann(params: ModelParams, f_hat):
     return EstimateWithError(
         float(value), f_hat.std_err / n, f_hat.n_samples, f_hat.seed
     )
+
+
+def f_n_sandwich(params: ModelParams, f_hat, n_sigma, quad_nodes=64):
+    """The rigorous sandwich N p_N lam <= F_N <= min(G_N, W_N) for an estimate.
+
+    Returns ``(bounds, verdicts)``: the three bounds, and whether ``f_hat``
+    lies within ``n_sigma`` standard errors of each side.
+    """
+    n, lam, bb = params.n_spins, params.lam, params.beta_b
+    lower = n * p_n_of(n, bb) * lam
+    g_val = g_n_of(n, lam, bb)
+    w_val = w_n_of(n, lam, bb, quad_nodes=quad_nodes)
+    slack = n_sigma * f_hat.std_err
+    bounds = {"lower_n_p_n_lam": lower, "g_n": g_val, "w_n": w_val}
+    verdicts = {
+        "lower_ok": bool(f_hat.value >= lower - slack),
+        "upper_ok": bool(f_hat.value <= min(g_val, w_val) + slack),
+    }
+    return bounds, verdicts
 
 
 # -- the scale function k --------------------------------------------------

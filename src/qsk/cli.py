@@ -27,7 +27,8 @@ import warnings
 
 import numpy as np
 
-from . import __version__, annealed, constants, disorder, hilbert, paths, variational
+from . import (__version__, annealed, checks, constants, disorder, hilbert, paths,
+               variational)
 from .constants import ModelParams
 from .stats import EffectiveSampleSizeWarning
 from .streams import WORKERS_ENV_VAR, resolve_workers
@@ -250,19 +251,14 @@ def cmd_annealed(args):
         f_hat = annealed.estimate_f_n(params, opts["ensembles"], args.seed,
                                       workers=args.workers)
     _gate_on_ess(caught)
-    n, lam, bb = params.n_spins, params.lam, params.beta_b
-    lower = n * constants.p_n_of(n, bb) * lam
-    g_val = constants.g_n_of(n, lam, bb)
-    w_val = constants.w_n_of(n, lam, bb, quad_nodes=opts["quad_nodes"])
+    bounds, verdicts = annealed.f_n_sandwich(params, f_hat, n_sigma=3,
+                                             quad_nodes=opts["quad_nodes"])
     payload = {
         "params": params.to_dict(),
         "f_n_hat": f_hat.to_dict(),
         "beta_f_ann": annealed._beta_f_ann(params, f_hat).to_dict(),
-        "bounds": {"lower_n_p_n_lam": lower, "g_n": g_val, "w_n": w_val},
-        "verdicts": {
-            "lower_ok": bool(f_hat.value >= lower - 3 * f_hat.std_err),
-            "upper_ok": bool(f_hat.value <= min(g_val, w_val) + 3 * f_hat.std_err),
-        },
+        "bounds": bounds,
+        "verdicts": verdicts,
     }
     _write_json(args, "annealed", args.seed, opts, payload)
     return 0
@@ -296,13 +292,6 @@ def cmd_variational(args):
             max_iter=opts["max_iter"],
         )
     _gate_on_ess(caught)
-    p = constants.p_of(bb)
-    m = constants.m_of(bb)
-    inf_g = constants.inf_g_n_over_n(lam, bb)[0]
-    om = report.omega_value
-    mu_grid = variational.discretize_mu(opts["m_cells"], bb)
-    gap = variational.omega(mu_grid.scaled(2 * lam), lam, ens).value - om.value
-    taylor = variational.taylor_prediction(lam, bb)
     payload = {
         "report": report.to_dict(),
         "verdicts": {
@@ -311,19 +300,11 @@ def cmd_variational(args):
             "ratio_bound_ok": bool(
                 all(r <= 2 * lam + 0.02 for r in report.contraction_ratios)
             ),
-            "omega_bracket_ok": bool(
-                -inf_g - 3 * om.std_err <= om.value <= -p * lam + 3 * om.std_err
-            ),
-            "start_gap": gap,
-            "start_gap_ok": bool(-3 * om.std_err <= gap <= 4 * lam**3 + 3 * om.std_err),
-            "taylor_abs_dev": abs(om.value - taylor),
-            "taylor_ok": bool(
-                abs(om.value - taylor)
-                <= (4 + 4 * m**3 / 3) * lam**3 + 3 * om.std_err
-            ),
+            **variational.fixed_point_verdicts(report, lam, bb, ens, n_sigma=3),
         },
     }
     if opts["with_static"]:
+        p, m = constants.p_of(bb), constants.m_of(bb)
         j = variational.static_approximation(lam, bb, quad_nodes=opts["quad_nodes"])
         thresh = (p - m * m) / (2 * p * (1 - m))
         payload["static"] = {
@@ -478,271 +459,18 @@ def cmd_region(args):
 # -- verify ----------------------------------------------------------------
 
 
-def _check_closed_forms(seed):
-    from .numerics import logcosh
-
-    bb = np.geomspace(1e-3, 1e3, 200)
-    # sqrt(2p-m)*cosh = exp(0.5*ln(2p-m) + ln cosh); cancellation-free form
-    product = np.exp(0.5 * constants.log_two_p_minus_m(bb) + logcosh(bb))
-    dev = float(np.abs(product - 1.0).max())
-    # tie the stable form to the plain p/m floats where they are conditioned
-    # (relative rounding noise of the subtraction stays below ~1e-12 there)
-    cond = bb[bb <= 6.0]
-    direct = 2.0 * constants.p_of(cond) - constants.m_of(cond)
-    tie = float(np.abs(direct / constants.two_p_minus_m(cond) - 1.0).max())
-    from scipy.optimize import minimize_scalar
-    root = 1.1996786402577338
-    p_at_root = constants.p_of(root)
-    res = minimize_scalar(lambda x: -constants.c0_of(x), bounds=(0.5, 1.5),
-                          method="bounded", options={"xatol": 1e-10})
-    ok = (
-        dev < 1e-10
-        and tie < 1e-10
-        and abs(p_at_root - 0.5) < 1e-4
-        and abs(-res.fun - 0.069571391294736921) < 5e-4
-        and abs(res.x - 0.9089795156301270) < 1e-3
-    )
-    detail = ("identity_dev=%.3e float_tie_dev=%.3e p_at_root_dev=%.3e "
-              "c0_max=%.12g at %.12g"
-              % (dev, tie, abs(p_at_root - 0.5), -res.fun, res.x))
-    return ok, detail
-
-
-def _check_moment_chain(seed):
-    bad = 0
-    for bb in np.geomspace(1e-3, 1e3, 200):
-        bad += not all(constants.moment_inequalities(bb).values())
-    corridor_bad = 0
-    for lam in (0.01, 0.1, 1.0, 4.0):
-        for bb in (0.3, 1.0, 3.0):
-            for n in range(2, 65):
-                g = constants.g_n_of(n, lam, bb)
-                lo = max(0.0, lam + np.log(constants.p_n_of(n, bb)) / n)
-                if not (lo - 1e-12 <= g / n <= lam + 1e-12):
-                    corridor_bad += 1
-    ok = bad == 0 and corridor_bad == 0
-    return ok, f"chain_violations={bad} corridor_violations={corridor_bad}"
-
-
-def _check_two_spin(seed):
-    rng = np.random.Generator(np.random.Philox(seed))
-    worst = 0.0
-    for _ in range(200):
-        lam = float(10 ** rng.uniform(-2, 0.5))
-        bb = float(10 ** rng.uniform(-1, 0.7))
-        g = float(rng.standard_normal())
-        params = ModelParams.from_dimensionless(2, lam, bb)
-        sample = hilbert.DisorderSample(n_spins=2, couplings=np.array([g]))
-        h = hilbert.build_hamiltonian(params, sample)
-        evals = params.beta * hilbert.spectrum(h).eigenvalues
-        ref = hilbert.two_spin_scaled_spectrum(lam, bb, g)
-        worst = max(worst, float(np.abs(evals - ref).max()))
-    mc_ok = True
-    mc_detail = []
-    for lam, bb in ((0.15, 0.8), (0.3, 1.5)):
-        params = ModelParams.from_dimensionless(2, lam, bb)
-        est = annealed.annealed_free_energy(params, 20_000, seed)
-        exact = hilbert.f2_annealed_exact(lam, bb)
-        mc_ok = mc_ok and est.agrees_with(exact, n_sigma=3.5)
-        mc_detail.append("%.3e" % abs(est.value - exact))
-    ok = worst < 1e-10 and mc_ok
-    return ok, "spectrum_dev=%.3e mc_devs=%s" % (worst, ",".join(mc_detail))
-
-
-def _check_path_kernels(seed):
-    from .stats import mean_with_err
-
-    rng = np.random.Generator(np.random.Philox(seed + 1))
-    fails = 0
-    for i in range(6):
-        bb = float(10 ** rng.uniform(-0.5, 0.6))
-        t, tp = sorted(float(u) for u in rng.uniform(0, 1, 2))
-        ens = paths.sample_ensemble(bb, 20_000, seed + i)
-        est = mean_with_err(ens.sigma_matrix(t) * ens.sigma_matrix(tp))
-        if not est.agrees_with(constants.mu(t, tp, bb), n_sigma=3.5):
-            fails += 1
-    for g, bb, s in ((0.7, 0.9, 1), (-0.4, 1.2, -1)):
-        jumps, counts = paths.sample_unconditioned(bb, 40_000, seed + 17)
-        tot = paths.signed_totals(jumps, counts)
-        keep = 1 - 2 * (counts % 2) == s
-        est = mean_with_err(np.exp(bb + g * tot) * keep)  # beta = 1
-        if not est.agrees_with(paths.laplace_conditional(g, 1.0, bb, s),
-                               n_sigma=3.5):
-            fails += 1
-    for n in (2, 4):
-        params = ModelParams.from_dimensionless(n, 0.1, 1.0)
-        est = annealed.mean_p_n(params, 20_000, seed + n)
-        if not est.agrees_with(constants.p_n_of(n, 1.0), n_sigma=3.5):
-            fails += 1
-    return fails == 0, f"failed_comparisons={fails}"
-
-
-def _check_f_bounds(seed):
-    fails = 0
-    lam, bb = 0.125, 1.0
-    for n in (2, 4):
-        params = ModelParams.from_dimensionless(n, lam, bb)
-        f_hat = annealed.estimate_f_n(params, 20_000, seed + n)
-        lower = n * constants.p_n_of(n, bb) * lam
-        upper = min(constants.g_n_of(n, lam, bb),
-                    constants.w_n_of(n, lam, bb))
-        if not (lower - 3.5 * f_hat.std_err <= f_hat.value
-                <= upper + 3.5 * f_hat.std_err):
-            fails += 1
-    return fails == 0, f"violations={fails}"
-
-
-def _check_fixed_point(seed):
-    lam, bb, m_cells = 0.1, 1.0, 32
-    ens = paths.sample_ensemble(bb, 20_000, seed)
-    report = variational.fixed_point_solve(lam, bb, m_cells, ens)
-    om = report.omega_value
-    p = constants.p_of(bb)
-    m = constants.m_of(bb)
-    upper_inf = annealed.delta_infinity_bounds(lam, bb)[1]
-    mu_grid = variational.discretize_mu(m_cells, bb)
-    om_start = variational.omega(mu_grid.scaled(2 * lam), lam, ens)
-    gap = om_start.value - om.value
-    taylor = variational.taylor_prediction(lam, bb)
-    checks = {
-        "converged": report.converged,
-        "ratios": all(r <= 0.22 for r in report.contraction_ratios),
-        "bracket": (-upper_inf - 3.5 * om.std_err <= om.value
-                    <= -p * lam + 3.5 * om.std_err),
-        "gap": -3.5 * om.std_err <= gap <= 4 * lam**3 + 3.5 * om.std_err,
-        "taylor": abs(om.value - taylor)
-        <= (4 + 4 * m**3 / 3) * lam**3 + 3.5 * om.std_err,
-        "psi_bounds": bool(
-            np.all(report.psi.values
-                   <= 2 * lam + 3.5 * report.psi_std_err.values + 1e-12)
-            and np.all(report.psi.values
-                       >= 2 * lam * mu_grid.values
-                       - 3.5 * report.psi_std_err.values - 1e-12)
-        ),
-    }
-    ok = all(checks.values())
-    return ok, " ".join(f"{k}={'ok' if v else 'BAD'}" for k, v in checks.items())
-
-
-def _check_static(seed):
-    fails = 0
-    for bb in (0.5, 1.0, 3.0):
-        p = constants.p_of(bb)
-        m = constants.m_of(bb)
-        lam_star = 0.5 * (p - m * m) / (2 * p * (1 - m))
-        j = variational.static_approximation(lam_star, bb)
-        if not j > -p * lam_star:
-            fails += 1
-    bb = 0.5
-    m = constants.m_of(bb)
-    j_small = variational.static_approximation(1e-3, bb)
-    if abs(j_small / 1e-3 + m * m) > 0.02 * m * m:
-        fails += 1
-    j_large = variational.static_approximation(20.0, bb)
-    if abs(j_large / 20.0 + 1.0) > 0.02:
-        fails += 1
-    return fails == 0, f"violations={fails}"
-
-
-def _check_disorder(seed):
-    lam, bb, n = 0.125, 1.0, 5
-    params = ModelParams.from_dimensionless(n, lam, bb)
-    delta = 0.3 * params.beta_v / np.sqrt(n)
-    config = disorder.DisorderStudyConfig(params=params, n_disorder=400,
-                                          seed=seed, delta=delta)
-    result = disorder.run_study(config)
-    c = disorder.second_moment_theory_bound(lam)
-    ratio = result.second_moment_ratio
-    pz, pz_floor = disorder.paley_zygmund_witness(params, 400, seed)
-    bound = disorder.concentration_bound(n, delta, params.beta_v)
-    trend = disorder.order_parameter_trend(params, (3, 4, 5), 300, seed)
-    trend_ok = all(
-        trend[k + 1].value < trend[k].value
-        + 3.5 * np.hypot(trend[k].std_err, trend[k + 1].std_err)
-        for k in range(len(trend) - 1)
-    )
-    checks = {
-        "ratio_ge_1": ratio.value >= 1.0 - 3.5 * ratio.std_err,
-        "ratio_le_c": ratio.value <= c + 3.5 * ratio.std_err,
-        "pz": pz.value >= pz_floor - 3.5 * pz.std_err,
-        "tail": result.tail_frequency.value
-        <= bound + 3.5 * result.tail_frequency.std_err,
-        "trend": trend_ok,
-    }
-    return all(checks.values()), " ".join(
-        f"{k}={'ok' if v else 'BAD'}" for k, v in checks.items()
-    )
-
-
-def _check_second_moment(seed):
-    params = ModelParams.from_dimensionless(3, 0.1, 1.0)
-    est = disorder.generalized_second_moment(params, 0.1, 4000, seed)
-    est0, diag = disorder.generalized_second_moment(
-        params, -params.lam, 500, seed, return_diagnostics=True
-    )
-    checks = {
-        "ratio_le_1": est.value <= 1.0 + 3.5 * est.std_err,
-        "trivial_coupling": diag["coupling_max_dev"] == 0.0,
-    }
-    return all(checks.values()), " ".join(
-        f"{k}={'ok' if v else 'BAD'}" for k, v in checks.items()
-    ) + " ratio=%.6g" % est.value
-
-
-def _check_region(seed):
-    from .numerics import logcosh
-
-    xs = np.linspace(0.2, 2.0, 30)
-    ys = np.linspace(0.0, 2.6, 30)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        points = annealed.region_scan(xs, ys, n_max=64)
-    k_by_x = {float(x): annealed.k_of_lambda(1.0 / (4.0 * x * x)) for x in xs}
-    bad = 0
-    edge_bad = 0
-    for pt in points:
-        x, y = pt.inv_beta_v, pt.b_over_v
-        if x > 1.0:
-            expect = "zero"
-        elif k_by_x[x] - float(logcosh(y / x)) > 0.0:
-            expect = "positive"
-        else:
-            expect = "unresolved"
-        if pt.classification != expect:
-            bad += 1
-        if y == 0.0 and x < 1.0 and pt.classification != "positive":
-            edge_bad += 1
-    return bad == 0 and edge_bad == 0, f"mislabels={bad} edge_mislabels={edge_bad}"
-
-
-VERIFY_CHECKS = (
-    ("closed_forms", _check_closed_forms),
-    ("moment_chain", _check_moment_chain),
-    ("two_spin", _check_two_spin),
-    ("path_kernels", _check_path_kernels),
-    ("f_bounds", _check_f_bounds),
-    ("fixed_point", _check_fixed_point),
-    ("static", _check_static),
-    ("disorder", _check_disorder),
-    ("second_moment", _check_second_moment),
-    ("region", _check_region),
-)
-
-
 def cmd_verify(args):
     only = set(args.only or [])
-    unknown = only - {name for name, _ in VERIFY_CHECKS}
+    unknown = only - set(checks.CHECKS)
     if unknown:
         raise _UsageError(f"unknown check(s): {', '.join(sorted(unknown))}")
     lines = _meta_lines("verify", args.seed, {"only": ",".join(sorted(only)) or "all"})
     failures = 0
-    for name, fn in VERIFY_CHECKS:
+    for name, fn in checks.CHECKS.items():
         if only and name not in only:
             continue
         t0 = time.perf_counter()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            ok, detail = fn(args.seed)
+        ok, detail = fn(args.seed, args.workers)
         dt = time.perf_counter() - t0
         print(f"[{name}] {dt:.2f}s", file=sys.stderr)
         lines.append(f"{'PASS' if ok else 'FAIL'} {name} {detail}")

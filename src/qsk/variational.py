@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import c0_of, p_of
+from .constants import c0_of, inf_g_n_over_n, m_of, p_of
 from .numerics import gauss_hermite, logcosh, logsumexp, refine_once
 from .stats import EstimateWithError, effective_sample_size, log_mean_exp
 
@@ -32,6 +32,7 @@ __all__ = [
     "lambda_prime",
     "omega",
     "fixed_point_solve",
+    "fixed_point_verdicts",
     "lambda_constant",
     "static_approximation",
     "taylor_prediction",
@@ -308,6 +309,30 @@ def fixed_point_solve(lam, beta_b, m_cells, ensemble, tol=1e-8, max_iter=200):
         ess=ess,
         psi_std_err=err.scaled(2.0 * lam),
     )
+
+
+def fixed_point_verdicts(report: FixedPointReport, lam, beta_b, ensemble, n_sigma):
+    """The paper's bounds on inf Omega, each within ``n_sigma`` MC errors.
+
+    inf Omega lies in [-inf_N G_N/N, -p lam]; the start Omega(2 lam mu)
+    exceeds it by at most 4 lam^3; and it deviates from the (beta v)^4
+    Taylor prediction by at most (4 + 4 m^3/3) lam^3.  ``ensemble`` is the
+    one the report was solved on.
+    """
+    om = report.omega_value
+    slack = n_sigma * om.std_err
+    p, m = p_of(beta_b), m_of(beta_b)
+    inf_g = inf_g_n_over_n(lam, beta_b)[0]
+    mu_grid = discretize_mu(report.psi.m_cells, beta_b)
+    gap = omega(mu_grid.scaled(2 * lam), lam, ensemble).value - om.value
+    taylor_dev = abs(om.value - taylor_prediction(lam, beta_b))
+    return {
+        "omega_bracket_ok": bool(-inf_g - slack <= om.value <= -p * lam + slack),
+        "start_gap": gap,
+        "start_gap_ok": bool(-slack <= gap <= 4 * lam**3 + slack),
+        "taylor_abs_dev": taylor_dev,
+        "taylor_ok": bool(taylor_dev <= (4 + 4 * m**3 / 3) * lam**3 + slack),
+    }
 
 
 # -- constant-kernel specialization and the static approximation -----------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qsk
-from qsk import cli
+from qsk import cli, paths
 from qsk.variational import load_grid_function
 
 
@@ -297,8 +297,9 @@ def test_verify_unknown_check(capsys):
 
 
 def test_verify_subset_worker_invariant(tmp_path, capsys):
+    # path_kernels samples 20k-path ensembles, five batches each on the pool
     args = ["verify", "--only", "closed_forms", "--only", "moment_chain",
-            "--seed", "99"]
+            "--only", "path_kernels", "--seed", "99"]
     out1, out2 = tmp_path / "v1.txt", tmp_path / "v2.txt"
     assert cli.main(args + ["--workers", "1", "--out", str(out1)]) == 0
     assert cli.main(args + ["--workers", "3", "--out", str(out2)]) == 0
@@ -306,7 +307,22 @@ def test_verify_subset_worker_invariant(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
     text = out1.read_text()
     assert "PASS closed_forms" in text and "PASS moment_chain" in text
+    assert "PASS path_kernels" in text
     assert "PASS overall failures=0" in text
+
+
+def test_verify_passes_workers_to_the_checks(monkeypatch, capsys):
+    seen = []
+    map_batches = paths.map_batches
+
+    def recording(fn, n_batches, workers=None):
+        seen.append(workers)
+        return map_batches(fn, n_batches, workers=workers)
+
+    monkeypatch.setattr(paths, "map_batches", recording)
+    assert cli.main(["verify", "--only", "path_kernels", "--workers", "3"]) == 0
+    capsys.readouterr()
+    assert seen and set(seen) == {3}
 
 
 def test_version_flag(capsys):

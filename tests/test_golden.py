@@ -6,7 +6,11 @@ subtraction for the rest), so a change to any number these commands print
 shows up here.  The ``exactdiag``, ``quenched`` and ``verify`` hashes were
 re-recorded when exact diagonalization moved to the two flip-parity blocks:
 that reorders floating-point sums, which moved printed values by at most
-5.3e-15 relative and changed no verdict.  The default region grid starts
+5.3e-15 relative and changed no verdict.  The ``verify`` hash was
+re-recorded once more when its checks moved into the registry that the
+acceptance suite shares: each check now runs the union of the sub-checks
+of its desk and full-scale copies, derives its sub-seeds by the acceptance
+offsets, and prints a new detail line.  The default region grid starts
 at x = 0.05 (lam = 100), which exercises the N*lam > 700 branch of G_N.
 Commands run in a scratch directory under fixed relative file names,
 because the options echoed in every output include those names.  Update a
@@ -36,7 +40,7 @@ GOLDEN = {
     "quenched --n-spins 4 --n-disorder 60 --per-sample-out per_sample.csv":
         "2b85c3d64cccf471157136abb1e3209035e516ccf9c7d0fd5fac5d1b9539d645",
     "verify --seed 777":
-        "6e025a2d18c0907dbc3ab3a1170b473af26123cea7c44b8adbe02a06727636ab",
+        "fbb5eb258628a8c05fe4c4c3f7b586359b439ce03802b304e3cca640acaca73a",
 }
 
 #: files a command writes besides stdout, keyed like GOLDEN
