@@ -220,10 +220,10 @@ def check_disorder(seed, workers=None, n_spins=5, samples=400,
                                           seed=seed, delta=delta)
     result = disorder.run_study(config, workers=workers)
     c = disorder.second_moment_theory_bound(lam)
-    ratio = result.second_moment_ratio
+    bound = disorder.concentration_bound(n_spins, delta, params.beta_v)
+    study = disorder.study_verdicts(result, bound, n_sigma, ratio_bound=c)
     pz, pz_floor = disorder.paley_zygmund_witness(params, samples, seed + 1,
                                                   workers=workers)
-    bound = disorder.concentration_bound(n_spins, delta, params.beta_v)
     trend = disorder.order_parameter_trend(params, trend_spins, trend_samples,
                                            seed + 2, workers=workers)
     trend_bad = sum(
@@ -232,16 +232,16 @@ def check_disorder(seed, workers=None, n_spins=5, samples=400,
         for k in range(len(trend) - 1)
     )
     checks = {
-        "ratio_ge_1": ratio.value >= 1.0 - n_sigma * ratio.std_err,
-        "ratio_le_c": ratio.value <= c + n_sigma * ratio.std_err,
+        "ratio_ge_1": study["ratio_ge_one"],
+        "ratio_le_c": study["ratio_le_theory"],
         "pz": pz.value >= pz_floor - n_sigma * pz.std_err,
-        "tail": result.tail_frequency.value
-        <= bound + n_sigma * result.tail_frequency.std_err,
+        "tail": study["tail_le_bound"],
         "trend": trend_bad == 0,
     }
     return all(checks.values()), (
         "ratio=%.4f<=%.4f pz=%.3f>=%.3f trend_bad=%d failed=%s"
-        % (ratio.value, c, pz.value, pz_floor, trend_bad, _failed(checks)))
+        % (result.second_moment_ratio.value, c, pz.value, pz_floor, trend_bad,
+           _failed(checks)))
 
 
 def check_second_moment(seed, workers=None, n_paths=4000, n_sigma=3.5):

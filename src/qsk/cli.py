@@ -379,29 +379,19 @@ def cmd_quenched(args):
         raise _UsageError(str(exc)) from exc
     bound = disorder.concentration_bound(params.n_spins, opts["delta"],
                                          params.beta_v)
-    ratio = result.second_moment_ratio
+    theory = (disorder.second_moment_theory_bound(params.lam)
+              if 4 * params.lam < 1 else None)
     payload = {
         "params": params.to_dict(),
         "quenched_mean": result.quenched_mean.to_dict(),
-        "second_moment_ratio": ratio.to_dict(),
+        "second_moment_ratio": result.second_moment_ratio.to_dict(),
         "order_parameter": result.order_parameter.to_dict(),
         "tail_frequency": result.tail_frequency.to_dict(),
         "concentration_bound": bound,
-        "verdicts": {
-            "ratio_ge_one": bool(ratio.value >= 1.0 - 3 * ratio.std_err),
-            "tail_le_bound": bool(
-                result.tail_frequency.value
-                <= bound + 3 * result.tail_frequency.std_err
-            ),
-        },
+        "verdicts": disorder.study_verdicts(result, bound, 3, ratio_bound=theory),
     }
-    if 4 * params.lam < 1:
-        payload["second_moment_theory_bound"] = disorder.second_moment_theory_bound(
-            params.lam
-        )
-        payload["verdicts"]["ratio_le_theory"] = bool(
-            ratio.value <= payload["second_moment_theory_bound"] + 3 * ratio.std_err
-        )
+    if theory is not None:
+        payload["second_moment_theory_bound"] = theory
     if opts["per_sample_out"]:
         ln_z, beta_f, op = result.per_sample
         lines = _meta_lines("quenched.per_sample", args.seed, opts)

@@ -41,6 +41,7 @@ __all__ = [
     "order_parameter_trend",
     "concentration_bound",
     "second_moment_theory_bound",
+    "study_verdicts",
     "generalized_second_moment",
     "paley_zygmund_witness",
 ]
@@ -243,6 +244,24 @@ def second_moment_theory_bound(lam):
     if not 0.0 <= 4.0 * lam < 1.0:
         raise ValueError("requires 0 <= 4*lam < 1")
     return float(np.exp(-2.0 * lam) / np.sqrt(1.0 - 4.0 * lam))
+
+
+def study_verdicts(result, tail_bound, n_sigma, ratio_bound=None):
+    """The inequalities a disorder study must meet, each within ``n_sigma`` errors.
+
+    ``ratio_ge_one``: E[Z^2]/E[Z]^2 >= 1; ``tail_le_bound``: the tail
+    frequency stays below the concentration bound ``tail_bound``; and, when
+    ``ratio_bound`` is given, ``ratio_le_theory``: the ratio stays below it.
+    """
+    ratio, tail = result.second_moment_ratio, result.tail_frequency
+    verdicts = {
+        "ratio_ge_one": bool(ratio.value >= 1.0 - n_sigma * ratio.std_err),
+        "tail_le_bound": bool(tail.value <= tail_bound + n_sigma * tail.std_err),
+    }
+    if ratio_bound is not None:
+        verdicts["ratio_le_theory"] = bool(
+            ratio.value <= ratio_bound + n_sigma * ratio.std_err)
+    return verdicts
 
 
 def _sign_patterns(n):

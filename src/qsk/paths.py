@@ -87,9 +87,12 @@ class PathEnsemble:
     is split into fixed-size batches with one counter-based stream each, so
     the result does not depend on the worker count.  Derived per-path
     quantities (signed cell lengths) are memoized on the instance.
+    ``workers`` is the pool size for the kernels that run on the ensemble
+    (signed cell lengths, ``p_n_batch``); None defers to ``QSK_WORKERS``.
+    Their results do not depend on it either.
     """
 
-    def __init__(self, jumps, counts, rate, seed=None):
+    def __init__(self, jumps, counts, rate, seed=None, workers=None):
         jumps = np.ascontiguousarray(jumps, dtype=float)
         counts = np.asarray(counts, dtype=np.int64)
         if jumps.ndim != 2 or counts.ndim != 1 or jumps.shape[0] != counts.size:
@@ -100,6 +103,7 @@ class PathEnsemble:
         self.counts = counts
         self.rate = float(rate)
         self.seed = seed
+        self.workers = workers
         self._signed_cache = {}
 
     def __len__(self):
@@ -118,7 +122,7 @@ class PathEnsemble:
         m_cells = int(m_cells)
         if m_cells not in self._signed_cache:
             self._signed_cache[m_cells] = _batch_signed_lengths(
-                self.jumps, m_cells
+                self.jumps, m_cells, self.workers
             )
         return self._signed_cache[m_cells]
 
@@ -148,7 +152,7 @@ def _sample_matrix(rate, count, seed, workers, conditioned):
 def sample_ensemble(rate, count, seed, workers=None):
     """Sample ``count`` even-parity paths at ``rate``; see PathEnsemble."""
     jumps, counts = _sample_matrix(rate, count, seed, workers, conditioned=True)
-    return PathEnsemble(jumps, counts, rate, seed=seed)
+    return PathEnsemble(jumps, counts, rate, seed=seed, workers=workers)
 
 
 def sample_unconditioned(rate, count, seed, workers=None):
@@ -172,10 +176,27 @@ def signed_totals(jumps, counts):
     return (1.0 - 2.0 * (np.asarray(counts) % 2)) + s
 
 
-# -- overlap algebra ------------------------------------------------------
+# -- chunked kernels -------------------------------------------------------
 
-#: groups per block in p_n_batch; bounds the merged-jump temporaries
-_P_N_CHUNK = 4096
+
+def _fill_chunks(block, out, workers):
+    """Call ``block(start, stop, out[start:stop])`` for every BATCH_SIZE chunk.
+
+    The chunks run on the worker pool.  Rows (paths or groups) are
+    independent, so ``out`` depends neither on the chunking nor on
+    ``workers``.
+    """
+    pieces = list(batch_ranges(out.shape[0]))
+
+    def one(batch_index):
+        _, start, stop = pieces[batch_index]
+        block(start, stop, out[start:stop])
+
+    map_batches(one, len(pieces), workers=workers)
+    return out
+
+
+# -- overlap algebra ------------------------------------------------------
 
 
 def _alternating_signs(width):
@@ -198,36 +219,44 @@ def _pair_overlaps(grouped):
     The product sigma_i sigma_j flips sign at every jump of the merged path,
     so the overlap integral_0^1 sigma_i sigma_j dt is an alternating sum of
     the merged jump times: A = 1 + 2 sum_k (-1)^{k-1} t_(k) over the sorted
-    union.  ``grouped`` is a (n_groups, N, kmax) padded jump array.
+    union.  ``grouped`` is a (n_groups, N, kmax) padded jump array.  Each
+    row of the merged buffer holds two sorted runs, which a stable sort
+    merges; the PAD entries end up last and are zeroed before the sum.
     """
-    n = grouped.shape[1]
-    signs = _alternating_signs(2 * grouped.shape[2])
+    n_groups, n, width = grouped.shape
+    signs = _alternating_signs(2 * width)
+    merged = np.empty((n_groups, 2 * width))
+    pad = np.empty(merged.shape, dtype=bool)
     for i in range(n):
         for j in range(i + 1, n):
-            merged = np.concatenate([grouped[:, i, :], grouped[:, j, :]], axis=1)
-            merged.sort(axis=1)
-            vals = np.where(merged < 1.5, merged, 0.0)
-            yield i, j, 1.0 + 2.0 * (signs[None, :] * vals).sum(axis=1)
+            merged[:, :width] = grouped[:, i, :]
+            merged[:, width:] = grouped[:, j, :]
+            merged.sort(axis=1, kind="stable")
+            np.greater_equal(merged, 1.5, out=pad)
+            merged[pad] = 0.0
+            merged *= signs
+            yield i, j, 1.0 + 2.0 * merged.sum(axis=1)
 
 
 def p_n_batch(ensemble, n_spins):
     """P_N = (1/N^2) sum_{i,j} A_ij^2 for consecutive groups of ``n_spins`` paths.
 
     The ensemble length must be a multiple of n_spins; returns one value per
-    group.  Vectorized over groups, exact per pair.
+    group.  Vectorized over groups, exact per pair; blocks of groups run on
+    the ensemble's worker pool.
     """
     n = int(n_spins)
     if n < 2:
         raise ValueError("n_spins must be >= 2")
     grouped = _grouped_jumps(ensemble, n)
-    out = np.empty(grouped.shape[0])
-    for lo in range(0, grouped.shape[0], _P_N_CHUNK):
-        block = grouped[lo:lo + _P_N_CHUNK]
-        acc = np.full(block.shape[0], float(n))  # diagonal terms A_ii = 1
-        for _, _, a in _pair_overlaps(block):
+
+    def block(start, stop, out):
+        acc = np.full(stop - start, float(n))  # diagonal terms A_ii = 1
+        for _, _, a in _pair_overlaps(grouped[start:stop]):
             acc += 2.0 * np.square(a)
-        out[lo:lo + block.shape[0]] = acc / n**2
-    return out
+        np.divide(acc, n**2, out=out)
+
+    return _fill_chunks(block, np.empty(grouped.shape[0]), ensemble.workers)
 
 
 def overlap_matrix_batch(ensemble, n_spins):
@@ -245,33 +274,38 @@ def overlap_matrix_batch(ensemble, n_spins):
 # -- signed cell lengths --------------------------------------------------
 
 
-def _batch_signed_lengths(jumps, m_cells, chunk_elems=20_000_000):
+def _batch_signed_lengths(jumps, m_cells, workers):
     """Integrals of sigma over the m_cells uniform cells, per path row.
 
     Uses the closed form of the antiderivative F(x) = integral_0^x sigma:
     F(x) = (-1)^{nu(x)} x + 2 sum_{j <= nu(x)} (-1)^{j-1} t_j with nu(x) the
     number of jumps up to x; cell values are differences of F at the cell
-    boundaries, so each entry is exact up to rounding.
+    boundaries, so each entry is exact up to rounding.  The jump counts nu
+    at the boundaries are integers: each jump is counted once, at the first
+    boundary at or above it, and the counts are summed along the row.
     """
     m = int(m_cells)
     if m < 1:
         raise ValueError("m_cells must be >= 1")
-    n, width = jumps.shape
+    width = jumps.shape[1]
     bounds = np.arange(m + 1) / m
     signs = _alternating_signs(width)
-    out = np.empty((n, m))
-    rows_per_chunk = max(1, chunk_elems // max(1, (m + 1) * max(width, 1)))
-    for lo in range(0, n, rows_per_chunk):
-        hi = min(lo + rows_per_chunk, n)
-        block = jumps[lo:hi]
-        nu = (block[:, None, :] <= bounds[None, :, None]).sum(axis=2)
-        prefix = np.zeros((hi - lo, width + 1))
-        np.cumsum(signs[None, :] * np.where(block < 1.5, block, 0.0), axis=1,
+
+    def block(start, stop, out):
+        rows = jumps[start:stop]
+        row = np.arange(stop - start)[:, None]
+        # slot m + 1 of each row collects the PAD entries
+        first = np.searchsorted(bounds, rows, side="left") + row * (m + 2)
+        per_bound = np.bincount(first.ravel(), minlength=row.size * (m + 2))
+        nu = per_bound.reshape(row.size, m + 2)[:, : m + 1].cumsum(axis=1)
+        prefix = np.zeros((row.size, width + 1))
+        np.cumsum(signs * np.where(rows < 1.5, rows, 0.0), axis=1,
                   out=prefix[:, 1:])
-        f = np.where(nu % 2 == 0, 1.0, -1.0) * bounds[None, :]
-        f += 2.0 * np.take_along_axis(prefix, nu, axis=1)
-        out[lo:hi] = np.diff(f, axis=1)
-    return out
+        f = (1 - 2 * (nu & 1)) * bounds
+        f += 2.0 * prefix.ravel()[nu + row * (width + 1)]
+        np.subtract(f[:, 1:], f[:, :-1], out=out)
+
+    return _fill_chunks(block, np.empty((jumps.shape[0], m)), workers)
 
 
 # -- closed-form correlation kernels --------------------------------------

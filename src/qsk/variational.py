@@ -22,7 +22,7 @@ import numpy as np
 
 from .constants import c0_of, inf_g_n_over_n, m_of, p_of
 from .numerics import gauss_hermite, logcosh, logsumexp, refine_once
-from .stats import EstimateWithError, effective_sample_size, log_mean_exp
+from .stats import EstimateWithError, log_mean_exp
 
 __all__ = [
     "GridFunction",
@@ -189,8 +189,12 @@ def lambda_prime(psi: GridFunction, ensemble, with_err=False):
     delta-method cellwise standard errors is returned.
     """
     s = ensemble.signed_lengths(psi.m_cells)
-    m2 = float(psi.m_cells) ** 2
-    x = _quadratic_forms(psi, s)
+    return _weighted_gram(s, _quadratic_forms(psi, s), with_err)
+
+
+def _weighted_gram(s, x, with_err):
+    """Lambda'(psi) (and its errors) from the signed lengths s and forms x of psi."""
+    m2 = float(s.shape[1]) ** 2
     w = np.exp(x - x.max())
     wt = w / w.sum()
     k = m2 * ((s * wt[:, None]).T @ s)
@@ -215,10 +219,13 @@ def omega(psi: GridFunction, lam, ensemble):
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    est = lambda_functional(psi, ensemble)
-    return EstimateWithError(
-        psi.norm2() / (4.0 * lam) - est.value, est.std_err, est.n_samples, est.seed
-    )
+    return _omega_of(psi, lam, lambda_functional(psi, ensemble))
+
+
+def _omega_of(psi, lam, lambda_est):
+    return EstimateWithError(psi.norm2() / (4.0 * lam) - lambda_est.value,
+                             lambda_est.std_err, lambda_est.n_samples,
+                             lambda_est.seed)
 
 
 @dataclass(frozen=True)
@@ -292,12 +299,17 @@ def fixed_point_solve(lam, beta_b, m_cells, ensemble, tol=1e-8, max_iter=200):
         if sup < tol:
             converged = True
             break
-    grad, err = lambda_prime(psi, ensemble, with_err=True)
+    # one pass over the final iterate's quadratic forms gives its gradient,
+    # errors, Lambda and the ESS of its weights
+    s = ensemble.signed_lengths(m)
+    x = _quadratic_forms(psi, s)
+    grad, err = _weighted_gram(s, x, with_err=True)
     residual = float(
         np.sqrt(np.square(2.0 * lam * grad.values - psi.values).sum()) / m
     )
-    om = omega(psi, lam, ensemble)
-    ess = effective_sample_size(_quadratic_forms(psi, ensemble.signed_lengths(m)))
+    lambda_est, ess = log_mean_exp(x, seed=ensemble.seed,
+                                   warn_label="lambda_functional")
+    om = _omega_of(psi, lam, lambda_est)
     return FixedPointReport(
         psi=psi,
         omega_value=om,

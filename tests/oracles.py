@@ -4,9 +4,12 @@ A path here is a plain sorted array of jump times in the open interval
 (0, 1), even in number, with sigma(0) = +1 and sigma(t) = (-1)^{#jumps <= t}.
 Each path function evaluates its quantity directly, one path or one pair at
 a time, so a test can compare it with the batched kernels in ``qsk.paths``
-and ``qsk.annealed``.  The dense Hamiltonian is the full 2^N x 2^N matrix in
-the Sz basis, diagonalized without the spin-flip reduction of
-``qsk.hilbert``.
+and ``qsk.annealed``.  ``signed_lengths_broadcast`` and ``p_n_batch_serial``
+take a whole padded jump matrix instead: they are the unchunked,
+single-threaded forms of the signed cell lengths and of ``p_n_batch``, which
+the chunked kernels on the worker pool must reproduce bit for bit.  The
+dense Hamiltonian is the full 2^N x 2^N matrix in the Sz basis,
+diagonalized without the spin-flip reduction of ``qsk.hilbert``.
 """
 
 import numpy as np
@@ -75,6 +78,47 @@ def cell_signed_lengths(times, m_cells):
         out[k] = sum((b - a) * sigma_at(times, 0.5 * (a + b))
                      for a, b in zip(knots, knots[1:]))
     return out
+
+
+def signed_lengths_broadcast(jumps, m_cells):
+    """Cell integrals of sigma per row of a PAD-padded jump matrix, in one block.
+
+    The jump count at every cell boundary comes from a (rows, M+1, kmax)
+    comparison tensor; the antiderivative F(x) = (-1)^{nu(x)} x
+    + 2 sum_{j <= nu(x)} (-1)^{j-1} t_j is then differenced at the boundaries.
+    """
+    n, width = jumps.shape
+    bounds = np.arange(m_cells + 1) / m_cells
+    signs = np.ones(width)
+    signs[1::2] = -1.0
+    nu = (jumps[:, None, :] <= bounds[None, :, None]).sum(axis=2)
+    prefix = np.zeros((n, width + 1))
+    np.cumsum(signs[None, :] * np.where(jumps < 1.5, jumps, 0.0), axis=1,
+              out=prefix[:, 1:])
+    f = np.where(nu % 2 == 0, 1.0, -1.0) * bounds[None, :]
+    f += 2.0 * np.take_along_axis(prefix, nu, axis=1)
+    return np.diff(f, axis=1)
+
+
+def p_n_batch_serial(jumps, n_spins):
+    """P_N per consecutive group of ``n_spins`` rows of a padded jump matrix.
+
+    All groups at once on one thread: every pair overlap is the alternating
+    sum over the sorted union of the two rows' jumps.
+    """
+    n = int(n_spins)
+    grouped = jumps.reshape(jumps.shape[0] // n, n, -1)
+    signs = np.ones(2 * grouped.shape[2])
+    signs[1::2] = -1.0
+    acc = np.full(grouped.shape[0], float(n))  # diagonal terms A_ii = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            merged = np.concatenate([grouped[:, i, :], grouped[:, j, :]], axis=1)
+            merged.sort(axis=1)
+            vals = np.where(merged < 1.5, merged, 0.0)
+            a = 1.0 + 2.0 * (signs[None, :] * vals).sum(axis=1)
+            acc += 2.0 * np.square(a)
+    return acc / n**2
 
 
 #: half-line panels for integrands that decay like e^{-2*s*y}; the edges

@@ -11,6 +11,7 @@ import pytest
 
 import qsk
 from qsk import cli, paths
+from qsk.streams import BATCH_SIZE
 from qsk.variational import load_grid_function
 
 
@@ -145,6 +146,21 @@ def test_annealed_ess_gate(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical gate tripped" in err
     assert not (tmp_path / "x.json").exists()  # aborts before writing
+
+
+@pytest.mark.parametrize("command", [
+    ["annealed", "--n-spins", "16"],
+    ["variational", "--m-cells", "16", "--with-static", "no"],
+])
+def test_path_mc_output_does_not_depend_on_workers(command, capsys):
+    # the P_N groups (annealed) and the signed-length rows (variational)
+    # span four chunks, so the pool runs both path kernels
+    args = command + ["--ensembles", str(3 * BATCH_SIZE + 50), "--seed", "8"]
+    outputs = []
+    for workers in ("1", "3"):
+        assert cli.main(args + ["--workers", workers]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 # -- variational -----------------------------------------------------------

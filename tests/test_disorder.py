@@ -14,15 +14,18 @@ from qsk import disorder, streams
 from qsk.constants import ModelParams
 from qsk.disorder import (
     DisorderStudyConfig,
+    DisorderStudyResult,
     concentration_bound,
     generalized_second_moment,
     order_parameter_trend,
     paley_zygmund_witness,
     run_study,
     second_moment_theory_bound,
+    study_verdicts,
 )
 from qsk.hilbert import draw_couplings
 from qsk.numerics import LN2, logcosh
+from qsk.stats import EstimateWithError
 
 
 def test_run_study_no_disorder_limit():
@@ -242,6 +245,21 @@ def test_second_moment_theory_bound_values():
         second_moment_theory_bound(0.25)
     with pytest.raises(ValueError):
         second_moment_theory_bound(-0.1)
+
+
+def test_study_verdicts_edges():
+    # ratio 0.975 +- 0.01 and tail 0.055 +- 0.01 against the bounds 0.95
+    # and 0.03: each inequality holds at 3 errors and fails at 2
+    est = EstimateWithError(0.0, 0.0, 100)
+    result = DisorderStudyResult(
+        quenched_mean=est, second_moment_ratio=EstimateWithError(0.975, 0.01, 100),
+        order_parameter=est, tail_frequency=EstimateWithError(0.055, 0.01, 100),
+        n_disorder=100, seed=0, per_sample=())
+    assert study_verdicts(result, 0.03, 3) == {"ratio_ge_one": True,
+                                               "tail_le_bound": True}
+    assert study_verdicts(result, 0.03, 3, ratio_bound=0.95)["ratio_le_theory"]
+    assert study_verdicts(result, 0.03, 2, ratio_bound=0.95) == {
+        "ratio_ge_one": False, "tail_le_bound": False, "ratio_le_theory": False}
 
 
 def test_generalized_second_moment_gamma_cancellation():

@@ -9,6 +9,7 @@ from scipy.linalg import expm
 from qsk import paths
 from qsk.constants import mu
 from qsk.paths import (
+    PAD,
     PathEnsemble,
     even_jump_count_cdf,
     laplace_conditional,
@@ -17,13 +18,16 @@ from qsk.paths import (
     signed_totals,
 )
 from qsk.stats import frequency_with_err, mean_with_err
+from qsk.streams import BATCH_SIZE
 
 from oracles import (
     cell_signed_lengths,
     overlap_integral,
+    p_n_batch_serial,
     p_n_functional,
     sample_even_path,
     sigma_at,
+    signed_lengths_broadcast,
 )
 
 
@@ -228,6 +232,68 @@ def test_p_n_batch_matches_loop():
     np.testing.assert_allclose(mats[:, off], pairs[:, off], rtol=0, atol=1e-13)
     np.testing.assert_allclose((mats**2).sum(axis=(1, 2)) / n**2, batch,
                                atol=1e-13)
+
+
+# -- chunked pool kernels against their serial forms ------------------------
+
+#: rows spanning three full chunks and part of a fourth
+MULTI_CHUNK = 3 * BATCH_SIZE + 123
+
+
+def _with_workers(ens, workers):
+    """A fresh copy of ``ens`` (empty memo) whose kernels use ``workers``."""
+    return PathEnsemble(ens.jumps, ens.counts, ens.rate, seed=ens.seed,
+                        workers=workers)
+
+
+@pytest.mark.parametrize("rate", [0.0, 1.5])
+def test_signed_lengths_match_serial_kernel_for_any_workers(rate):
+    ens = sample_ensemble(rate, MULTI_CHUNK, seed=21)
+    assert ens.jumps.shape[1] == (0 if rate == 0.0 else ens.counts.max())
+    for m in (1, 7, 64):
+        ref = signed_lengths_broadcast(ens.jumps, m)
+        for workers in (1, 2, 4):
+            got = _with_workers(ens, workers).signed_lengths(m)
+            assert np.array_equal(got, ref), (m, workers)
+    if rate == 0.0:
+        assert np.all(ref == 1.0 / 64)
+
+
+@pytest.mark.parametrize("rate", [0.0, 1.5])
+@pytest.mark.parametrize("n_spins, groups",
+                         [(3, MULTI_CHUNK), (16, 2 * BATCH_SIZE + 7)])
+def test_p_n_batch_matches_serial_kernel_for_any_workers(rate, n_spins, groups):
+    ens = sample_ensemble(rate, n_spins * groups, seed=22)
+    ref = p_n_batch_serial(ens.jumps, n_spins)
+    for workers in (1, 2, 4):
+        got = paths.p_n_batch(_with_workers(ens, workers), n_spins)
+        assert np.array_equal(got, ref), workers
+    if rate == 0.0:
+        assert np.all(ref == 1.0)
+
+
+@pytest.mark.parametrize("m_cells", [3, 4, 8])
+def test_signed_lengths_with_jumps_on_cell_boundaries(m_cells):
+    # a jump exactly at a boundary k/M (the float the kernel compares with)
+    # counts as having happened there: the cell to its right takes the new sign
+    b = np.arange(m_cells + 1) / m_cells
+    jumps = np.array([[b[1], b[2], PAD, PAD],
+                      [b[1], 0.5 * (b[1] + b[2]), b[2], b[-1]],
+                      [PAD, PAD, PAD, PAD]])
+    repeat = BATCH_SIZE + 1  # three rows repeated: four chunks
+    ens = PathEnsemble(np.repeat(jumps, repeat, axis=0),
+                       np.repeat([2, 4, 0], repeat), rate=1.0)
+    ref = signed_lengths_broadcast(ens.jumps, m_cells)
+    for workers in (1, 2, 4):
+        got = _with_workers(ens, workers).signed_lengths(m_cells)
+        assert np.array_equal(got, ref), workers
+    w = 1.0 / m_cells
+    np.testing.assert_allclose(ref[0], np.where(np.arange(m_cells) == 1, -w, w),
+                               rtol=0, atol=1e-15)
+    for row, times in enumerate(jumps):
+        np.testing.assert_allclose(ref[row * repeat],
+                                   cell_signed_lengths(times[times < 1.5], m_cells),
+                                   rtol=0, atol=1e-15)
 
 
 # -- closed-form kernels ---------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qsk import paths
 from qsk.constants import c0_of, g_n_of, m_of, p_of
+from qsk.stats import effective_sample_size
 from qsk.variational import (
     FixedPointReport,
     GridFunction,
@@ -243,6 +244,14 @@ def test_fixed_point_report_small_scale():
     d = report.to_dict()
     assert d["m_cells"] == 16 and d["converged"] is True
     assert np.array_equal(np.array(d["psi"]), report.psi.values)
+    # the final iterate's Omega, errors and ESS come from one pass over its
+    # quadratic forms and equal their separate evaluations exactly
+    s = ENSEMBLE.signed_lengths(16)
+    forms = ((s @ report.psi.values) * s).sum(axis=1)
+    assert report.ess == effective_sample_size(forms)
+    assert report.omega_value == omega(report.psi, lam, ENSEMBLE)
+    _, err = lambda_prime(report.psi, ENSEMBLE, with_err=True)
+    assert np.array_equal(report.psi_std_err.values, err.scaled(2 * lam).values)
 
 
 def test_descent_bracket_around_minimum():
