@@ -172,7 +172,7 @@ def check_fixed_point(seed, workers=None, points=((0.1, 1.0),), m_cells=32,
         ens = paths.sample_ensemble(bb, n_paths, seed + round(100 * lam),
                                     workers=workers)
         report = variational.fixed_point_solve(lam, bb, m_cells, ens)
-        verdicts = variational.fixed_point_verdicts(report, lam, bb, ens, n_sigma)
+        verdicts = variational.fixed_point_verdicts(report, lam, bb, n_sigma)
         psi = report.psi.values
         noise = n_sigma * report.psi_std_err.values
         mu_grid = variational.discretize_mu(m_cells, bb)

@@ -300,7 +300,7 @@ def cmd_variational(args):
             "ratio_bound_ok": bool(
                 all(r <= 2 * lam + 0.02 for r in report.contraction_ratios)
             ),
-            **variational.fixed_point_verdicts(report, lam, bb, ens, n_sigma=3),
+            **variational.fixed_point_verdicts(report, lam, bb, n_sigma=3),
         },
     }
     if opts["with_static"]:

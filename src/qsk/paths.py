@@ -18,7 +18,13 @@ from functools import lru_cache
 import numpy as np
 
 from .numerics import sinhc
-from .streams import DOMAIN_PATHS, batch_generator, batch_ranges, map_batches
+from .streams import (
+    DOMAIN_PATHS,
+    batch_generator,
+    batch_ranges,
+    fill_chunks,
+    map_batches,
+)
 
 __all__ = [
     "PathEnsemble",
@@ -176,26 +182,6 @@ def signed_totals(jumps, counts):
     return (1.0 - 2.0 * (np.asarray(counts) % 2)) + s
 
 
-# -- chunked kernels -------------------------------------------------------
-
-
-def _fill_chunks(block, out, workers):
-    """Call ``block(start, stop, out[start:stop])`` for every BATCH_SIZE chunk.
-
-    The chunks run on the worker pool.  Rows (paths or groups) are
-    independent, so ``out`` depends neither on the chunking nor on
-    ``workers``.
-    """
-    pieces = list(batch_ranges(out.shape[0]))
-
-    def one(batch_index):
-        _, start, stop = pieces[batch_index]
-        block(start, stop, out[start:stop])
-
-    map_batches(one, len(pieces), workers=workers)
-    return out
-
-
 # -- overlap algebra ------------------------------------------------------
 
 
@@ -256,7 +242,7 @@ def p_n_batch(ensemble, n_spins):
             acc += 2.0 * np.square(a)
         np.divide(acc, n**2, out=out)
 
-    return _fill_chunks(block, np.empty(grouped.shape[0]), ensemble.workers)
+    return fill_chunks(block, np.empty(grouped.shape[0]), ensemble.workers)
 
 
 def overlap_matrix_batch(ensemble, n_spins):
@@ -305,7 +291,7 @@ def _batch_signed_lengths(jumps, m_cells, workers):
         f += 2.0 * prefix.ravel()[nu + row * (width + 1)]
         np.subtract(f[:, 1:], f[:, :-1], out=out)
 
-    return _fill_chunks(block, np.empty((jumps.shape[0], m)), workers)
+    return fill_chunks(block, np.empty((jumps.shape[0], m)), workers)
 
 
 # -- closed-form correlation kernels --------------------------------------

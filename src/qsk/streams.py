@@ -8,10 +8,11 @@ no matter how many workers share the work or in which order they finish.
 Path sampling and disorder sampling live in disjoint domains and never
 share a stream.
 
-Work whose threads each call LAPACK (the disorder studies) runs inside
-``single_blas_thread``: pool threads that each drive a multi-threaded
-OpenBLAS oversubscribe the cores, and a LAPACK result that depends on the
-BLAS thread count would make the output depend on the machine.
+Work whose threads each call LAPACK or BLAS (the disorder studies, the
+variational fixed point) runs inside ``single_blas_thread``: pool threads
+that each drive a multi-threaded OpenBLAS oversubscribe the cores, and a
+LAPACK result that depends on the BLAS thread count would make the output
+depend on the machine.
 """
 
 import ctypes
@@ -73,6 +74,42 @@ def map_batches(fn, n_batches, workers=None):
         return list(pool.map(fn, indices))
 
 
+def _map_chunks(block, count, workers):
+    """``block(start, stop)`` for every BATCH_SIZE chunk of range(count), in order."""
+    pieces = list(batch_ranges(count))
+
+    def one(batch_index):
+        _, start, stop = pieces[batch_index]
+        return block(start, stop)
+
+    return map_batches(one, len(pieces), workers=workers)
+
+
+def fill_chunks(block, out, workers=None):
+    """Call ``block(start, stop, out[start:stop])`` for every BATCH_SIZE chunk.
+
+    The chunks run on the worker pool.  Rows (paths or groups) are
+    independent, so ``out`` depends neither on the chunking nor on
+    ``workers``.
+    """
+    _map_chunks(lambda start, stop: block(start, stop, out[start:stop]),
+                out.shape[0], workers)
+    return out
+
+
+def sum_chunks(block, count, workers=None):
+    """Sum of ``block(start, stop)`` over the BATCH_SIZE chunks of range(count).
+
+    The chunks run on the worker pool; their results (arrays of one shape)
+    are added in chunk order, so the sum does not depend on ``workers``.
+    """
+    parts = _map_chunks(block, count, workers)
+    total = parts[0]
+    for part in parts[1:]:
+        total += part
+    return total
+
+
 @lru_cache(maxsize=1)
 def _openblas_threads():
     """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None.
@@ -115,3 +152,16 @@ def single_blas_thread():
         yield True
     finally:
         set_(previous)
+
+
+def blas_workers(workers=None):
+    """Pool size for chunks that call BLAS: ``workers`` inside ``single_blas_thread``.
+
+    While numpy's OpenBLAS runs on one thread the chunks share out the
+    cores.  Otherwise OpenBLAS's own threads do, and the chunks run in turn
+    (always so when the OpenBLAS handle cannot be found).
+    """
+    handle = _openblas_threads()
+    if handle is None or handle[0]() != 1:
+        return 1
+    return resolve_workers(workers)

@@ -13,6 +13,14 @@ a kernel is a GridFunction, the path functional <psi, sigma x sigma>
 reduces exactly to a quadratic form in the signed cell occupations, and the
 path average is replaced by a fixed Monte-Carlo ensemble (sample-average
 approximation), so the solved problem is deterministic given the ensemble.
+
+The path kernels stream the (paths x M) signed-length matrix in BATCH_SIZE
+row chunks on the ensemble's worker pool: the quadratic forms write each
+chunk's slice of one vector, and the weighted Gram products add one M x M
+partial per chunk, in chunk order.  No other (paths x M) array is made.
+The chunks share out the cores only where numpy's OpenBLAS runs on one
+thread, as it does throughout ``fixed_point_solve``; elsewhere they run in
+turn.  The result does not depend on the worker count either way.
 """
 
 import json
@@ -23,6 +31,7 @@ import numpy as np
 from .constants import c0_of, inf_g_n_over_n, m_of, p_of
 from .numerics import gauss_hermite, logcosh, logsumexp, refine_once
 from .stats import EstimateWithError, log_mean_exp
+from .streams import blas_workers, fill_chunks, single_blas_thread, sum_chunks
 
 __all__ = [
     "GridFunction",
@@ -165,17 +174,24 @@ def discretize_mu(m_cells, beta_b):
 # -- path functionals ------------------------------------------------------
 
 
-def _quadratic_forms(psi: GridFunction, s):
+def _quadratic_forms(psi: GridFunction, s, workers):
     """<psi, sigma x sigma> per path: rows of s are signed cell occupations."""
     if s.shape[1] != psi.m_cells:
         raise ValueError("ensemble cell resolution does not match the kernel")
-    return ((s @ psi.values) * s).sum(axis=1)
+
+    def block(start, stop, out):
+        rows = s[start:stop]
+        prod = rows @ psi.values
+        prod *= rows
+        prod.sum(axis=1, out=out)
+
+    return fill_chunks(block, np.empty(s.shape[0]), workers)
 
 
 def lambda_functional(psi: GridFunction, ensemble):
     """Estimate Lambda(psi) = ln < e^{<psi, sigma x sigma>} > on the ensemble."""
     s = ensemble.signed_lengths(psi.m_cells)
-    x = _quadratic_forms(psi, s)
+    x = _quadratic_forms(psi, s, blas_workers(ensemble.workers))
     est, _ = log_mean_exp(x, seed=ensemble.seed, warn_label="lambda_functional")
     return est
 
@@ -189,24 +205,45 @@ def lambda_prime(psi: GridFunction, ensemble, with_err=False):
     delta-method cellwise standard errors is returned.
     """
     s = ensemble.signed_lengths(psi.m_cells)
-    return _weighted_gram(s, _quadratic_forms(psi, s), with_err)
+    workers = blas_workers(ensemble.workers)
+    return _weighted_gram(s, _quadratic_forms(psi, s, workers), with_err, workers)
 
 
-def _weighted_gram(s, x, with_err):
-    """Lambda'(psi) (and its errors) from the signed lengths s and forms x of psi."""
-    m2 = float(s.shape[1]) ** 2
+def _weighted_gram(s, x, with_err, workers):
+    """Lambda'(psi) (and its errors) from the signed lengths s and forms x of psi.
+
+    Each chunk returns its rows' share of the weighted second moments: the
+    Gram sum_i wt_i s_i s_i^T and, with ``with_err``, the same with wt_i^2
+    and with wt_i^2 on the squared lengths.
+    """
+    m = s.shape[1]
+    m2 = float(m) ** 2
     w = np.exp(x - x.max())
     wt = w / w.sum()
-    k = m2 * ((s * wt[:, None]).T @ s)
+
+    def block(start, stop):
+        rows, wt_rows = s[start:stop], wt[start:stop, None]
+        out = np.empty((3 if with_err else 1, m, m))
+        scaled = rows * wt_rows
+        np.matmul(scaled.T, rows, out=out[0])
+        if with_err:
+            wt2_rows = np.square(wt_rows)
+            np.multiply(rows, wt2_rows, out=scaled)
+            np.matmul(scaled.T, rows, out=out[1])
+            squares = np.square(rows)
+            np.multiply(squares, wt2_rows, out=scaled)
+            np.matmul(scaled.T, squares, out=out[2])
+        return out
+
+    sums = sum_chunks(block, s.shape[0], workers)
+    k = m2 * sums[0]
     k = 0.5 * (k + k.T)
     grad = GridFunction(k, symmetric=True)
     if not with_err:
         return grad
-    wt2 = np.square(wt)
-    c1 = m2 * ((s * wt2[:, None]).T @ s)
-    s2 = np.square(s)
-    c2 = m2 * m2 * ((s2 * wt2[:, None]).T @ s2)
-    var = c2 - 2.0 * k * c1 + np.square(k) * wt2.sum()
+    c1 = m2 * sums[1]
+    c2 = m2 * m2 * sums[2]
+    var = c2 - 2.0 * k * c1 + np.square(k) * np.square(wt).sum()
     var = 0.5 * (var + var.T)
     err = GridFunction(np.sqrt(np.clip(var, 0.0, None)), symmetric=True)
     return grad, err
@@ -236,7 +273,9 @@ class FixedPointReport:
     2*lam for the exact map; the empirical map obeys the same bound because
     the discretized kernel sigma x sigma has grid norm <= 1).  The stopping
     rule uses the sup norm of the update.  ``psi_std_err`` holds cellwise
-    Monte-Carlo errors of the final iterate.
+    Monte-Carlo errors of the final iterate.  ``start_lambda`` is Lambda at
+    the start kernel 2 lam mu_M, from the first iteration's quadratic forms;
+    it is not part of ``to_dict``.
     """
 
     psi: GridFunction
@@ -248,6 +287,7 @@ class FixedPointReport:
     non_contractive: bool
     ess: float
     psi_std_err: GridFunction
+    start_lambda: EstimateWithError
 
     def to_dict(self):
         return {
@@ -270,7 +310,9 @@ def fixed_point_solve(lam, beta_b, m_cells, ensemble, tol=1e-8, max_iter=200):
     One fixed ensemble is reused throughout (sample-average approximation),
     so the iteration is deterministic and, for 2 lam < 1, a contraction with
     rate <= 2 lam; ``non_contractive`` flags observed ratios above 1.
-    Stops when the sup-norm update falls below ``tol``.
+    Stops when the sup-norm update falls below ``tol``.  The whole solve
+    runs with numpy's OpenBLAS on one thread, so the path kernels run on
+    the ensemble's worker pool.
     """
     lam = float(lam)
     if lam <= 0:
@@ -283,27 +325,36 @@ def fixed_point_solve(lam, beta_b, m_cells, ensemble, tol=1e-8, max_iter=200):
         )
     m = int(m_cells)
     psi = discretize_mu(m, beta_b).scaled(2.0 * lam)
+    s = ensemble.signed_lengths(m)
     ratios = []
     prev_l2 = None
     converged = False
     iterations = 0
-    for iterations in range(1, int(max_iter) + 1):
-        nxt = lambda_prime(psi, ensemble).scaled(2.0 * lam)
-        delta = nxt.values - psi.values
-        sup = float(np.abs(delta).max())
-        l2 = float(np.sqrt(np.square(delta).sum()) / m)
-        if prev_l2 is not None and prev_l2 > 0.0:
-            ratios.append(l2 / prev_l2)
-        prev_l2 = l2
-        psi = nxt
-        if sup < tol:
-            converged = True
-            break
-    # one pass over the final iterate's quadratic forms gives its gradient,
-    # errors, Lambda and the ESS of its weights
-    s = ensemble.signed_lengths(m)
-    x = _quadratic_forms(psi, s)
-    grad, err = _weighted_gram(s, x, with_err=True)
+    with single_blas_thread():
+        workers = blas_workers(ensemble.workers)
+        # the start kernel's forms give its Lambda and the first gradient
+        x = _quadratic_forms(psi, s, workers)
+        start_lambda, _ = log_mean_exp(x, seed=ensemble.seed,
+                                       warn_label="lambda_functional")
+        grad = _weighted_gram(s, x, False, workers)
+        for iterations in range(1, int(max_iter) + 1):
+            if iterations > 1:
+                grad = lambda_prime(psi, ensemble)
+            nxt = grad.scaled(2.0 * lam)
+            delta = nxt.values - psi.values
+            sup = float(np.abs(delta).max())
+            l2 = float(np.sqrt(np.square(delta).sum()) / m)
+            if prev_l2 is not None and prev_l2 > 0.0:
+                ratios.append(l2 / prev_l2)
+            prev_l2 = l2
+            psi = nxt
+            if sup < tol:
+                converged = True
+                break
+        # one pass over the final iterate's quadratic forms gives its
+        # gradient, errors, Lambda and the ESS of its weights
+        x = _quadratic_forms(psi, s, workers)
+        grad, err = _weighted_gram(s, x, True, workers)
     residual = float(
         np.sqrt(np.square(2.0 * lam * grad.values - psi.values).sum()) / m
     )
@@ -320,23 +371,24 @@ def fixed_point_solve(lam, beta_b, m_cells, ensemble, tol=1e-8, max_iter=200):
         non_contractive=bool(any(r > 1.0 for r in ratios)),
         ess=ess,
         psi_std_err=err.scaled(2.0 * lam),
+        start_lambda=start_lambda,
     )
 
 
-def fixed_point_verdicts(report: FixedPointReport, lam, beta_b, ensemble, n_sigma):
+def fixed_point_verdicts(report: FixedPointReport, lam, beta_b, n_sigma):
     """The paper's bounds on inf Omega, each within ``n_sigma`` MC errors.
 
     inf Omega lies in [-inf_N G_N/N, -p lam]; the start Omega(2 lam mu)
     exceeds it by at most 4 lam^3; and it deviates from the (beta v)^4
-    Taylor prediction by at most (4 + 4 m^3/3) lam^3.  ``ensemble`` is the
-    one the report was solved on.
+    Taylor prediction by at most (4 + 4 m^3/3) lam^3.  The start Omega
+    uses the report's ``start_lambda``.
     """
     om = report.omega_value
     slack = n_sigma * om.std_err
     p, m = p_of(beta_b), m_of(beta_b)
     inf_g = inf_g_n_over_n(lam, beta_b)[0]
-    mu_grid = discretize_mu(report.psi.m_cells, beta_b)
-    gap = omega(mu_grid.scaled(2 * lam), lam, ensemble).value - om.value
+    start = discretize_mu(report.psi.m_cells, beta_b).scaled(2 * lam)
+    gap = _omega_of(start, lam, report.start_lambda).value - om.value
     taylor_dev = abs(om.value - taylor_prediction(lam, beta_b))
     return {
         "omega_bracket_ok": bool(-inf_g - slack <= om.value <= -p * lam + slack),

@@ -7,9 +7,13 @@ a time, so a test can compare it with the batched kernels in ``qsk.paths``
 and ``qsk.annealed``.  ``signed_lengths_broadcast`` and ``p_n_batch_serial``
 take a whole padded jump matrix instead: they are the unchunked,
 single-threaded forms of the signed cell lengths and of ``p_n_batch``, which
-the chunked kernels on the worker pool must reproduce bit for bit.  The
-dense Hamiltonian is the full 2^N x 2^N matrix in the Sz basis,
-diagonalized without the spin-flip reduction of ``qsk.hilbert``.
+the chunked kernels on the worker pool must reproduce bit for bit.
+``quadratic_forms_full`` and ``weighted_gram_full`` are the variational path
+kernels on the whole (paths x M) signed-length matrix at once; the chunked
+kernels reproduce the forms bit for bit and the Gram products up to the
+order in which the chunk partials are added.  The dense Hamiltonian is the
+full 2^N x 2^N matrix in the Sz basis, diagonalized without the spin-flip
+reduction of ``qsk.hilbert``.
 """
 
 import numpy as np
@@ -119,6 +123,31 @@ def p_n_batch_serial(jumps, n_spins):
             a = 1.0 + 2.0 * (signs[None, :] * vals).sum(axis=1)
             acc += 2.0 * np.square(a)
     return acc / n**2
+
+
+def quadratic_forms_full(psi_values, s):
+    """<psi, sigma x sigma> per row of the signed-length matrix s, in one block."""
+    return ((s @ psi_values) * s).sum(axis=1)
+
+
+def weighted_gram_full(s, x):
+    """Lambda' and its cellwise errors under weights e^x, full-matrix products.
+
+    Returns the symmetrized M^2-scaled weighted Gram matrix of the rows of s
+    and the delta-method standard error of every cell.
+    """
+    m2 = float(s.shape[1]) ** 2
+    w = np.exp(x - x.max())
+    wt = w / w.sum()
+    k = m2 * ((s * wt[:, None]).T @ s)
+    k = 0.5 * (k + k.T)
+    wt2 = np.square(wt)
+    c1 = m2 * ((s * wt2[:, None]).T @ s)
+    s2 = np.square(s)
+    c2 = m2 * m2 * ((s2 * wt2[:, None]).T @ s2)
+    var = c2 - 2.0 * k * c1 + np.square(k) * wt2.sum()
+    var = 0.5 * (var + var.T)
+    return k, np.sqrt(np.clip(var, 0.0, None))
 
 
 #: half-line panels for integrands that decay like e^{-2*s*y}; the edges

@@ -1,20 +1,24 @@
 """Grid kernels, the discretized variational objective, and its fixed point."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsk import paths
+from oracles import quadratic_forms_full, weighted_gram_full
+from qsk import paths, variational
 from qsk.constants import c0_of, g_n_of, m_of, p_of
 from qsk.stats import effective_sample_size
+from qsk.streams import BATCH_SIZE, single_blas_thread
 from qsk.variational import (
     FixedPointReport,
     GridFunction,
     discretize_mu,
     fixed_point_solve,
+    fixed_point_verdicts,
     lambda_constant,
     lambda_functional,
     lambda_prime,
@@ -27,6 +31,9 @@ from qsk.variational import (
 
 ENSEMBLE = paths.sample_ensemble(1.0, 20_000, seed=404)
 SMALL_ENSEMBLE = paths.sample_ensemble(1.0, 4_000, seed=405)
+#: three full BATCH_SIZE chunks and a partial one
+MULTI_CHUNK = paths.sample_ensemble(1.0, 3 * BATCH_SIZE + 50, seed=406)
+EPS = np.finfo(float).eps
 
 
 # -- grid functions --------------------------------------------------------
@@ -247,11 +254,99 @@ def test_fixed_point_report_small_scale():
     # the final iterate's Omega, errors and ESS come from one pass over its
     # quadratic forms and equal their separate evaluations exactly
     s = ENSEMBLE.signed_lengths(16)
-    forms = ((s @ report.psi.values) * s).sum(axis=1)
+    forms = quadratic_forms_full(report.psi.values, s)
     assert report.ess == effective_sample_size(forms)
     assert report.omega_value == omega(report.psi, lam, ENSEMBLE)
     _, err = lambda_prime(report.psi, ENSEMBLE, with_err=True)
     assert np.array_equal(report.psi_std_err.values, err.scaled(2 * lam).values)
+
+
+def _with_workers(ens, workers):
+    """A fresh copy of ``ens`` (empty memo) whose kernels use ``workers``."""
+    return paths.PathEnsemble(ens.jumps, ens.counts, ens.rate, seed=ens.seed,
+                              workers=workers)
+
+
+@pytest.mark.parametrize("m_cells", [1, 8, 64])
+def test_chunked_kernels_match_full_matrix_oracles(m_cells):
+    s = MULTI_CHUNK.signed_lengths(m_cells)
+    psi = discretize_mu(m_cells, 1.0).scaled(0.4)
+    runs = []
+    with single_blas_thread():
+        for workers in (1, 2, 4):
+            x = variational._quadratic_forms(psi, s, workers)
+            grad, err = variational._weighted_gram(s, x, True, workers)
+            grad_only = variational._weighted_gram(s, x, False, workers)
+            runs.append((x, grad.values, err.values, grad_only.values))
+    for workers, run in zip((2, 4), runs[1:]):
+        assert all(np.array_equal(a, b) for a, b in zip(runs[0], run)), workers
+    x, grad, err, grad_only = runs[0]
+    assert np.array_equal(x, quadratic_forms_full(psi.values, s))
+    assert np.array_equal(grad_only, grad)
+    # Each Gram entry is a weighted average of terms in [-1, 1], so either
+    # order of addition rounds it by at most about rows * eps; the variance
+    # c2 - 2 k c1 + k^2 sum wt^2 adds three such sums, each bounded by
+    # sum wt^2.  (Paths without jumps share one row of s, and a long run of
+    # equal terms makes the full product drift by up to ~1e-13.)
+    rows = s.shape[0]
+    k, k_err = weighted_gram_full(s, x)
+    np.testing.assert_allclose(grad, k, rtol=0, atol=2 * rows * EPS)
+    w = np.exp(x - x.max())
+    wt2_sum = np.square(w / w.sum()).sum()
+    np.testing.assert_allclose(np.square(err), np.square(k_err), rtol=0,
+                               atol=8 * rows * EPS * wt2_sum)
+
+
+def test_fixed_point_solve_is_identical_for_any_workers():
+    reports = [fixed_point_solve(0.1, 1.0, 8, _with_workers(MULTI_CHUNK, w))
+               for w in (1, 2, 4)]
+    for workers, rep in zip((2, 4), reports[1:]):
+        assert rep.to_dict() == reports[0].to_dict(), workers
+        assert rep.start_lambda == reports[0].start_lambda, workers
+
+
+def test_fixed_point_solve_makes_no_full_size_temporaries():
+    # numpy reports its buffers to tracemalloc; the memoized signed lengths
+    # are made before tracing starts, so the peak counts only the solve
+    ens = paths.sample_ensemble(1.0, 16 * BATCH_SIZE, seed=407, workers=2)
+    s = ens.signed_lengths(32)
+    tracemalloc.start()
+    try:
+        fixed_point_solve(0.1, 1.0, 32, ens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * s.nbytes, (peak, s.nbytes)
+
+
+def test_start_kernel_forms_are_computed_once(monkeypatch):
+    lam, bb = 0.1, 1.0
+    forms, primes = [], []
+    quadratic_forms, prime = variational._quadratic_forms, variational.lambda_prime
+
+    def counted_forms(*args):
+        forms.append(args[0])
+        return quadratic_forms(*args)
+
+    def counted_prime(*args, **kwargs):
+        primes.append(args[0])
+        return prime(*args, **kwargs)
+
+    monkeypatch.setattr(variational, "_quadratic_forms", counted_forms)
+    monkeypatch.setattr(variational, "lambda_prime", counted_prime)
+    report = fixed_point_solve(lam, bb, 8, SMALL_ENSEMBLE)
+    verdicts = fixed_point_verdicts(report, lam, bb, n_sigma=3)
+    # the start kernel, each later iterate through lambda_prime (so tracers
+    # see it by name), and the final iterate once more for its errors
+    assert report.iterations >= 2
+    assert len(forms) == report.iterations + 1
+    assert len(primes) == report.iterations - 1
+    start = discretize_mu(8, bb).scaled(2 * lam)
+    assert np.array_equal(forms[0].values, start.values)
+    assert report.start_lambda == lambda_functional(start, SMALL_ENSEMBLE)
+    assert verdicts["start_gap"] == (omega(start, lam, SMALL_ENSEMBLE).value
+                                     - report.omega_value.value)
+    assert "start_lambda" not in report.to_dict()
 
 
 def test_descent_bracket_around_minimum():
