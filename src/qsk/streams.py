@@ -85,7 +85,7 @@ def _map_chunks(block, count, workers):
     return map_batches(one, len(pieces), workers=workers)
 
 
-def fill_chunks(block, out, workers=None):
+def fill_chunks(block, out, workers):
     """Call ``block(start, stop, out[start:stop])`` for every BATCH_SIZE chunk.
 
     The chunks run on the worker pool.  Rows (paths or groups) are
@@ -97,7 +97,7 @@ def fill_chunks(block, out, workers=None):
     return out
 
 
-def sum_chunks(block, count, workers=None):
+def sum_chunks(block, count, workers):
     """Sum of ``block(start, stop)`` over the BATCH_SIZE chunks of range(count).
 
     The chunks run on the worker pool; their results (arrays of one shape)
