@@ -196,7 +196,7 @@ def check_static(seed, workers=None):
     checks = {}
     for bb in (0.5, 1.0, 3.0):
         p, m = constants.p_of(bb), constants.m_of(bb)
-        lam_star = 0.5 * (p - m * m) / (2 * p * (1 - m))
+        lam_star = 0.5 * variational.static_threshold(bb)
         checks[f"separation@{bb}"] = (
             variational.static_approximation(lam_star, bb) > -p * lam_star)
         slopes = [variational.static_approximation(lam, bb) / lam

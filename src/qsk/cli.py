@@ -304,14 +304,13 @@ def cmd_variational(args):
         },
     }
     if opts["with_static"]:
-        p, m = constants.p_of(bb), constants.m_of(bb)
+        p = constants.p_of(bb)
         j = variational.static_approximation(lam, bb, quad_nodes=opts["quad_nodes"])
-        thresh = (p - m * m) / (2 * p * (1 - m))
         payload["static"] = {
             "j_value": j,
             "minus_p_lam": -p * lam,
             "exceeds_minus_p_lam": bool(j > -p * lam),
-            "strict_regime": bool(lam < thresh),
+            "strict_regime": bool(lam < variational.static_threshold(bb)),
         }
     if opts["psi_out"]:
         variational.save_grid_function(
@@ -343,8 +342,7 @@ def cmd_static(args):
         raise _UsageError("lam_scale must be 'log' or 'linear'")
     bb = opts["beta_b"]
     p = constants.p_of(bb)
-    m = constants.m_of(bb)
-    thresh = (p - m * m) / (2.0 * p * (1.0 - m))
+    thresh = variational.static_threshold(bb)
     rows = []
     for lam in lams:
         j = variational.static_approximation(float(lam), bb,
@@ -545,9 +543,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.workers is None:
-        args.workers = resolve_workers(None)
     try:
+        try:
+            args.workers = resolve_workers(args.workers)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from exc
         return args.fn(args)
     except _UsageError as exc:
         print(f"qsk: error: {exc}", file=sys.stderr)

@@ -32,7 +32,7 @@ from .stats import (
     jackknife_se,
     mean_with_err,
 )
-from .streams import BATCH_SIZE, map_batches, resolve_workers, single_blas_thread
+from .streams import BATCH_SIZE, map_batches, resolve_workers
 
 __all__ = [
     "DisorderStudyConfig",
@@ -137,13 +137,11 @@ def _study_arrays(params, n_disorder, seed, workers=None, want_pairs=True):
 
     All couplings are drawn first; the samples are then solved in
     contiguous chunks on the worker pool, each result stored at its sample
-    index, with numpy's BLAS on one thread throughout (so the output depends
-    neither on ``workers`` nor on the core count).  Studies with blocks
-    smaller than ``MIN_PARALLEL_DIM``, or without a handle on the BLAS
-    thread count, run serially.  Spot checks structural invariants
-    (symmetric blocks, bounded correlations, rounding-level trace of each
-    block) on every tenth sample.  Failures identify the offending
-    (seed, batch, index) triple.
+    index, so the output does not depend on ``workers``.  Studies with
+    blocks smaller than ``MIN_PARALLEL_DIM`` run serially.  Spot checks
+    structural invariants (symmetric blocks, bounded correlations,
+    rounding-level trace of each block) on every tenth sample.  Failures
+    identify the offending (seed, batch, index) triple.
     """
     n = params.n_spins
     couplings = draw_couplings(n, n_disorder, seed)
@@ -163,11 +161,9 @@ def _study_arrays(params, n_disorder, seed, workers=None, want_pairs=True):
                     % (seed, i // BATCH_SIZE, i, exc)
                 ) from exc
 
-    with single_blas_thread() as pinned:
-        parallel = pinned and 2 ** (n - 1) >= MIN_PARALLEL_DIM
-        workers = resolve_workers(workers) if parallel else 1
-        n_chunks = min(n_disorder, CHUNKS_PER_WORKER * workers)
-        map_batches(solve_chunk, n_chunks, workers=workers)
+    workers = resolve_workers(workers) if 2 ** (n - 1) >= MIN_PARALLEL_DIM else 1
+    n_chunks = min(n_disorder, CHUNKS_PER_WORKER * workers)
+    map_batches(solve_chunk, n_chunks, workers=workers)
     return ln_z, -ln_z / n, op
 
 

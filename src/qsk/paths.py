@@ -19,11 +19,11 @@ import numpy as np
 
 from .numerics import sinhc
 from .streams import (
+    BATCH_SIZE,
     DOMAIN_PATHS,
     batch_generator,
-    batch_ranges,
     fill_chunks,
-    map_batches,
+    map_chunks,
 )
 
 __all__ = [
@@ -136,15 +136,10 @@ class PathEnsemble:
 def _sample_matrix(rate, count, seed, workers, conditioned):
     if count < 1:
         raise ValueError("count must be >= 1")
-    pieces = list(batch_ranges(count))
+    def batch(start, stop):
+        return _sample_batch(rate, stop - start, seed, start // BATCH_SIZE, conditioned)
 
-    def one(batch_index):
-        b, start, stop = pieces[batch_index]
-        if b != batch_index:
-            raise RuntimeError("batch %d read piece %d" % (batch_index, b))
-        return _sample_batch(rate, stop - start, seed, batch_index, conditioned)
-
-    parts = map_batches(one, len(pieces), workers=workers)
+    parts = map_chunks(batch, count, workers)
     counts = np.concatenate([c for _, c in parts])
     kmax = int(counts.max()) if count else 0
     jumps = np.full((count, kmax), PAD)

@@ -8,11 +8,11 @@ no matter how many workers share the work or in which order they finish.
 Path sampling and disorder sampling live in disjoint domains and never
 share a stream.
 
-Work whose threads each call LAPACK or BLAS (the disorder studies, the
-variational fixed point) runs inside ``single_blas_thread``: pool threads
-that each drive a multi-threaded OpenBLAS oversubscribe the cores, and a
-LAPACK result that depends on the BLAS thread count would make the output
-depend on the machine.
+``map_batches``, the one door to the worker pool, runs every batch with
+numpy's OpenBLAS on one thread (``single_blas_thread``): pool threads that
+each drive a multi-threaded OpenBLAS oversubscribe the cores, and a LAPACK
+result that depends on the BLAS thread count would make the output depend
+on the machine.  No caller deals with BLAS threads.
 """
 
 import ctypes
@@ -48,41 +48,45 @@ def batch_ranges(count):
 
 
 def resolve_workers(workers=None):
-    """Worker count: explicit argument wins, then QSK_WORKERS, then 1."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    """Worker count: explicit argument wins, then QSK_WORKERS, then 1.
+
+    Raises ValueError, naming the value, unless it is an integer >= 1; an
+    empty QSK_WORKERS counts as unset.
+    """
+    if workers is None:
+        workers = os.environ.get(WORKERS_ENV_VAR) or 1
+    try:
+        count = int(workers)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"worker count {workers!r} (--workers or "
+                         f"{WORKERS_ENV_VAR}) is not an integer >= 1")
+    return count
 
 
 def map_batches(fn, n_batches, workers=None):
     """Apply ``fn(batch_index)`` for each batch (or work chunk), in index order.
 
-    The reduction is deterministic by construction: results are collected
-    into a list indexed by batch, whatever the execution order.
+    Every batch runs inside ``single_blas_thread``.  The batches share a
+    pool of ``workers`` threads only when OpenBLAS is pinned and there is
+    more than one worker and more than one batch; otherwise they run in
+    turn.  Results are collected into a list indexed by batch, so they do
+    not depend on the worker count or on the order of completion.
     """
     workers = resolve_workers(workers)
     indices = range(n_batches)
-    if workers <= 1 or n_batches <= 1:
-        return [fn(b) for b in indices]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, indices))
+    with single_blas_thread() as pinned:
+        if not pinned or workers <= 1 or n_batches <= 1:
+            return [fn(b) for b in indices]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, indices))
 
 
-def _map_chunks(block, count, workers):
+def map_chunks(block, count, workers):
     """``block(start, stop)`` for every BATCH_SIZE chunk of range(count), in order."""
-    pieces = list(batch_ranges(count))
-
-    def one(batch_index):
-        _, start, stop = pieces[batch_index]
-        return block(start, stop)
-
-    return map_batches(one, len(pieces), workers=workers)
+    pieces = [(start, stop) for _, start, stop in batch_ranges(count)]
+    return map_batches(lambda b: block(*pieces[b]), len(pieces), workers=workers)
 
 
 def fill_chunks(block, out, workers):
@@ -92,8 +96,8 @@ def fill_chunks(block, out, workers):
     independent, so ``out`` depends neither on the chunking nor on
     ``workers``.
     """
-    _map_chunks(lambda start, stop: block(start, stop, out[start:stop]),
-                out.shape[0], workers)
+    map_chunks(lambda start, stop: block(start, stop, out[start:stop]),
+               out.shape[0], workers)
     return out
 
 
@@ -103,7 +107,7 @@ def sum_chunks(block, count, workers):
     The chunks run on the worker pool; their results (arrays of one shape)
     are added in chunk order, so the sum does not depend on ``workers``.
     """
-    parts = _map_chunks(block, count, workers)
+    parts = map_chunks(block, count, workers)
     total = parts[0]
     for part in parts[1:]:
         total += part
@@ -137,8 +141,8 @@ def single_blas_thread():
     """Run the block with numpy's OpenBLAS on one thread; yields whether it is.
 
     The previous thread count is restored on exit.  Yields False, changing
-    nothing, when the OpenBLAS handle cannot be found; callers then keep
-    their work serial.  The count is process-wide, so blocks that overlap in
+    nothing, when the OpenBLAS handle cannot be found; ``map_batches`` then
+    runs in turn.  The count is process-wide, so blocks that overlap in
     time from different threads would restore each other's setting.
     """
     handle = _openblas_threads()
@@ -153,15 +157,3 @@ def single_blas_thread():
     finally:
         set_(previous)
 
-
-def blas_workers(workers=None):
-    """Pool size for chunks that call BLAS: ``workers`` inside ``single_blas_thread``.
-
-    While numpy's OpenBLAS runs on one thread the chunks share out the
-    cores.  Otherwise OpenBLAS's own threads do, and the chunks run in turn
-    (always so when the OpenBLAS handle cannot be found).
-    """
-    handle = _openblas_threads()
-    if handle is None or handle[0]() != 1:
-        return 1
-    return resolve_workers(workers)

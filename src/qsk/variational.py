@@ -17,10 +17,8 @@ approximation), so the solved problem is deterministic given the ensemble.
 The path kernels stream the (paths x M) signed-length matrix in BATCH_SIZE
 row chunks on the ensemble's worker pool: the quadratic forms write each
 chunk's slice of one vector, and the weighted Gram products add one M x M
-partial per chunk, in chunk order.  No other (paths x M) array is made.
-The chunks share out the cores only where numpy's OpenBLAS runs on one
-thread, as it does throughout ``fixed_point_solve``; elsewhere they run in
-turn.  The result does not depend on the worker count either way.
+partial per chunk, in chunk order.  No other (paths x M) array is made,
+and the result does not depend on the worker count.
 """
 
 import json
@@ -31,7 +29,7 @@ import numpy as np
 from .constants import c0_of, inf_g_n_over_n, m_of, p_of
 from .numerics import gauss_hermite, logcosh, logsumexp, refine_once
 from .stats import EstimateWithError, log_mean_exp
-from .streams import blas_workers, fill_chunks, single_blas_thread, sum_chunks
+from .streams import fill_chunks, sum_chunks
 
 __all__ = [
     "GridFunction",
@@ -39,11 +37,11 @@ __all__ = [
     "discretize_mu",
     "lambda_functional",
     "lambda_prime",
-    "omega",
     "fixed_point_solve",
     "fixed_point_verdicts",
     "lambda_constant",
     "static_approximation",
+    "static_threshold",
     "taylor_prediction",
     "save_grid_function",
     "load_grid_function",
@@ -191,7 +189,7 @@ def _quadratic_forms(psi: GridFunction, s, workers):
 def lambda_functional(psi: GridFunction, ensemble):
     """Estimate Lambda(psi) = ln < e^{<psi, sigma x sigma>} > on the ensemble."""
     s = ensemble.signed_lengths(psi.m_cells)
-    x = _quadratic_forms(psi, s, blas_workers(ensemble.workers))
+    x = _quadratic_forms(psi, s, ensemble.workers)
     est, _ = log_mean_exp(x, seed=ensemble.seed, warn_label="lambda_functional")
     return est
 
@@ -205,8 +203,8 @@ def lambda_prime(psi: GridFunction, ensemble, with_err=False):
     delta-method cellwise standard errors is returned.
     """
     s = ensemble.signed_lengths(psi.m_cells)
-    workers = blas_workers(ensemble.workers)
-    return _weighted_gram(s, _quadratic_forms(psi, s, workers), with_err, workers)
+    x = _quadratic_forms(psi, s, ensemble.workers)
+    return _weighted_gram(s, x, with_err, ensemble.workers)
 
 
 def _weighted_gram(s, x, with_err, workers):
@@ -249,17 +247,8 @@ def _weighted_gram(s, x, with_err, workers):
     return grad, err
 
 
-def omega(psi: GridFunction, lam, ensemble):
-    """Objective Omega(psi) = ||psi||^2/(4 lam) - Lambda(psi) on the ensemble.
-
-    The norm term is exact; the standard error comes from Lambda alone.
-    """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    return _omega_of(psi, lam, lambda_functional(psi, ensemble))
-
-
 def _omega_of(psi, lam, lambda_est):
+    """Omega(psi) = ||psi||^2/(4 lam) - Lambda(psi); the error is Lambda's."""
     return EstimateWithError(psi.norm2() / (4.0 * lam) - lambda_est.value,
                              lambda_est.std_err, lambda_est.n_samples,
                              lambda_est.seed)
@@ -310,9 +299,8 @@ def fixed_point_solve(lam, beta_b, m_cells, ensemble, tol=1e-8, max_iter=200):
     One fixed ensemble is reused throughout (sample-average approximation),
     so the iteration is deterministic and, for 2 lam < 1, a contraction with
     rate <= 2 lam; ``non_contractive`` flags observed ratios above 1.
-    Stops when the sup-norm update falls below ``tol``.  The whole solve
-    runs with numpy's OpenBLAS on one thread, so the path kernels run on
-    the ensemble's worker pool.
+    Stops when the sup-norm update falls below ``tol``.  The path kernels
+    run on the ensemble's worker pool.
     """
     lam = float(lam)
     if lam <= 0:
@@ -330,31 +318,29 @@ def fixed_point_solve(lam, beta_b, m_cells, ensemble, tol=1e-8, max_iter=200):
     prev_l2 = None
     converged = False
     iterations = 0
-    with single_blas_thread():
-        workers = blas_workers(ensemble.workers)
-        # the start kernel's forms give its Lambda and the first gradient
-        x = _quadratic_forms(psi, s, workers)
-        start_lambda, _ = log_mean_exp(x, seed=ensemble.seed,
-                                       warn_label="lambda_functional")
-        grad = _weighted_gram(s, x, False, workers)
-        for iterations in range(1, int(max_iter) + 1):
-            if iterations > 1:
-                grad = lambda_prime(psi, ensemble)
-            nxt = grad.scaled(2.0 * lam)
-            delta = nxt.values - psi.values
-            sup = float(np.abs(delta).max())
-            l2 = float(np.sqrt(np.square(delta).sum()) / m)
-            if prev_l2 is not None and prev_l2 > 0.0:
-                ratios.append(l2 / prev_l2)
-            prev_l2 = l2
-            psi = nxt
-            if sup < tol:
-                converged = True
-                break
-        # one pass over the final iterate's quadratic forms gives its
-        # gradient, errors, Lambda and the ESS of its weights
-        x = _quadratic_forms(psi, s, workers)
-        grad, err = _weighted_gram(s, x, True, workers)
+    # the start kernel's forms give its Lambda and the first gradient
+    x = _quadratic_forms(psi, s, ensemble.workers)
+    start_lambda, _ = log_mean_exp(x, seed=ensemble.seed,
+                                   warn_label="lambda_functional")
+    grad = _weighted_gram(s, x, False, ensemble.workers)
+    for iterations in range(1, int(max_iter) + 1):
+        if iterations > 1:
+            grad = lambda_prime(psi, ensemble)
+        nxt = grad.scaled(2.0 * lam)
+        delta = nxt.values - psi.values
+        sup = float(np.abs(delta).max())
+        l2 = float(np.sqrt(np.square(delta).sum()) / m)
+        if prev_l2 is not None and prev_l2 > 0.0:
+            ratios.append(l2 / prev_l2)
+        prev_l2 = l2
+        psi = nxt
+        if sup < tol:
+            converged = True
+            break
+    # one pass over the final iterate's quadratic forms gives its
+    # gradient, errors, Lambda and the ESS of its weights
+    x = _quadratic_forms(psi, s, ensemble.workers)
+    grad, err = _weighted_gram(s, x, True, ensemble.workers)
     residual = float(
         np.sqrt(np.square(2.0 * lam * grad.values - psi.values).sum()) / m
     )
@@ -460,6 +446,12 @@ def static_approximation(lam, beta_b, quad_nodes=64):
     res = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-12})
     return float(min(vals[i], res.fun))
+
+
+def static_threshold(beta_b):
+    """lam* = (p - m^2)/(2 p (1 - m)); below it the static J exceeds -p lam."""
+    p, m = p_of(beta_b), m_of(beta_b)
+    return (p - m * m) / (2.0 * p * (1.0 - m))
 
 
 def taylor_prediction(lam, beta_b):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qsk
-from qsk import cli, paths
+from qsk import cli, streams
 from qsk.streams import BATCH_SIZE
 from qsk.variational import load_grid_function
 
@@ -329,16 +329,36 @@ def test_verify_subset_worker_invariant(tmp_path, capsys):
 
 def test_verify_passes_workers_to_the_checks(monkeypatch, capsys):
     seen = []
-    map_batches = paths.map_batches
+    map_batches = streams.map_batches
 
     def recording(fn, n_batches, workers=None):
         seen.append(workers)
         return map_batches(fn, n_batches, workers=workers)
 
-    monkeypatch.setattr(paths, "map_batches", recording)
+    monkeypatch.setattr(streams, "map_batches", recording)
     assert cli.main(["verify", "--only", "path_kernels", "--workers", "3"]) == 0
     capsys.readouterr()
     assert seen and set(seen) == {3}
+
+
+@pytest.mark.parametrize("flag, env", [(["--workers", "0"], None),
+                                       (["--workers", "-2"], None),
+                                       ([], "junk"), ([], "0")])
+def test_bad_worker_count_is_a_usage_error(flag, env, monkeypatch, capsys):
+    if env is None:
+        monkeypatch.delenv(streams.WORKERS_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(streams.WORKERS_ENV_VAR, env)
+    assert cli.main(["static", "--lam-count", "1"] + flag) == 2
+    err = capsys.readouterr().err
+    bad = flag[1] if flag else repr(env)
+    assert err.startswith("qsk: error: worker count ") and bad in err
+
+
+def test_empty_worker_env_means_unset(monkeypatch, capsys):
+    monkeypatch.setenv(streams.WORKERS_ENV_VAR, "")
+    assert cli.main(["static", "--lam-count", "1"]) == 0
+    capsys.readouterr()
 
 
 def test_version_flag(capsys):

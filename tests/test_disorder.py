@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qsk
-from qsk import disorder, streams
+from qsk import disorder, paths, streams
 from qsk.constants import ModelParams
 from qsk.disorder import (
     DisorderStudyConfig,
@@ -26,6 +26,8 @@ from qsk.disorder import (
 from qsk.hilbert import draw_couplings
 from qsk.numerics import LN2, logcosh
 from qsk.stats import EstimateWithError
+from qsk.streams import BATCH_SIZE
+from qsk.variational import fixed_point_solve
 
 
 def test_run_study_no_disorder_limit():
@@ -108,12 +110,11 @@ def test_run_study_worker_invariance(monkeypatch):
                 assert runs[w].quenched_mean == runs[1].quenched_mean
     finally:
         sys.setswitchinterval(switch)
-    expected = [(4, 1), (4, 1), (4, 1),
-                (4, 1), (8, 2), (16, 4),
-                (4, 1), (8, 2), (12, 4)]
-    if streams._openblas_threads() is None:  # numpy without its OpenBLAS
-        expected = [(4, 1)] * 9
-    assert calls == expected
+    # the chunking depends on the block size only; map_batches alone decides
+    # whether the chunks then share a pool
+    assert calls == [(4, 1), (4, 1), (4, 1),
+                     (4, 1), (8, 2), (16, 4),
+                     (4, 1), (8, 2), (12, 4)]
 
 
 def test_blas_thread_context_restores_count():
@@ -142,16 +143,38 @@ def test_blas_thread_context_restores_count():
 
 
 def test_study_runs_serially_without_blas_handle(monkeypatch):
+    # without the OpenBLAS handle no pool starts, and each pooled routine's
+    # output equals its workers = 1 output byte for byte; every input spans
+    # several chunks
     params = ModelParams.from_dimensionless(6, 0.1, 1.0)
     cfg = DisorderStudyConfig(params=params, n_disorder=40, seed=8, delta=0.3)
-    reference = run_study(cfg, workers=1)
-    calls = _spy_map_batches(monkeypatch)
+
+    def outputs(workers):
+        ens = paths.sample_ensemble(1.0, 2 * (BATCH_SIZE + 8), 9, workers=workers)
+        report = fixed_point_solve(0.1, 1.0, 4, ens)
+        return [_per_sample_bytes(run_study(cfg, workers=workers)),
+                ens.jumps.tobytes(), ens.counts.tobytes(),
+                paths.p_n_batch(ens, 2).tobytes(),
+                report.to_dict(), report.start_lambda]
+
+    reference = outputs(1)
+    pools = []
+
+    class CountingPool(streams.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(streams, "ThreadPoolExecutor", CountingPool)
+    if streams._openblas_threads() is not None:
+        assert outputs(2) == reference
+        assert pools and set(pools) == {2}  # with the handle they do pool
+        pools.clear()
     monkeypatch.setattr(streams, "_openblas_threads", lambda: None)
     with streams.single_blas_thread() as pinned:
         assert pinned is False
-    result = run_study(cfg, workers=2)
-    assert calls == [(4, 1)]
-    assert _per_sample_bytes(result) == _per_sample_bytes(reference)
+    assert outputs(2) == reference
+    assert pools == []
 
 
 def test_parallel_failures_name_the_global_sample(monkeypatch):

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from qsk.streams import (
     batch_generator,
     batch_ranges,
     map_batches,
+    map_chunks,
     resolve_workers,
 )
 
@@ -226,15 +228,64 @@ def test_resolve_workers(monkeypatch):
     monkeypatch.delenv(streams.WORKERS_ENV_VAR, raising=False)
     assert resolve_workers() == 1
     assert resolve_workers(4) == 4
-    assert resolve_workers(0) == 1
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match=f"worker count {bad} "):
+            resolve_workers(bad)
     monkeypatch.setenv(streams.WORKERS_ENV_VAR, "7")
     assert resolve_workers() == 7
     assert resolve_workers(2) == 2  # explicit argument wins
-    monkeypatch.setenv(streams.WORKERS_ENV_VAR, "junk")
-    assert resolve_workers() == 1
+    monkeypatch.setenv(streams.WORKERS_ENV_VAR, "")
+    assert resolve_workers() == 1  # empty means unset
+    for bad in ("junk", "0", "2.5"):
+        monkeypatch.setenv(streams.WORKERS_ENV_VAR, bad)
+        with pytest.raises(ValueError, match=f"worker count '{bad}' "):
+            resolve_workers()
+        assert resolve_workers(3) == 3  # never read when the argument is given
 
 
 def test_map_batches_order():
     out = map_batches(lambda b: b * b, 8, workers=4)
     assert out == [b * b for b in range(8)]
     assert map_batches(lambda b: -b, 1, workers=4) == [0]
+
+
+def test_only_streams_starts_pools_or_pins_blas():
+    # map_batches alone decides how batches run, so no other module may
+    # start a pool or touch the BLAS thread count
+    names = ("single_blas_thread", "_openblas_threads", "ThreadPoolExecutor")
+    modules = sorted(Path(streams.__file__).parent.glob("*.py"))
+    assert "streams.py" in [m.name for m in modules]
+    named = [(m.name, name) for m in modules if m.name != "streams.py"
+             for name in names if name in m.read_text()]
+    assert named == []
+
+
+def test_map_chunks_covers_the_batch_layout():
+    count = 2 * BATCH_SIZE + 5
+    out = map_chunks(lambda start, stop: (start, stop), count, 2)
+    assert out == [(start, stop) for _, start, stop in batch_ranges(count)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_batches_restores_blas_threads_when_a_batch_raises(workers):
+    handle = streams._openblas_threads()
+    if handle is None:
+        pytest.skip("numpy without its bundled OpenBLAS")
+    get, set_ = handle
+    original = get()
+    seen = []
+
+    def batch(b):
+        seen.append(get())
+        if b == 2:
+            raise RuntimeError("batch 2")
+        return b
+
+    try:
+        set_(2)
+        with pytest.raises(RuntimeError, match="batch 2"):
+            map_batches(batch, 4, workers=workers)
+        assert get() == 2
+        assert seen and set(seen) == {1}
+    finally:
+        set_(original)

@@ -12,7 +12,7 @@ from oracles import quadratic_forms_full, weighted_gram_full
 from qsk import paths, variational
 from qsk.constants import c0_of, g_n_of, m_of, p_of
 from qsk.stats import effective_sample_size
-from qsk.streams import BATCH_SIZE, single_blas_thread
+from qsk.streams import BATCH_SIZE
 from qsk.variational import (
     FixedPointReport,
     GridFunction,
@@ -23,9 +23,9 @@ from qsk.variational import (
     lambda_functional,
     lambda_prime,
     load_grid_function,
-    omega,
     save_grid_function,
     static_approximation,
+    static_threshold,
     taylor_prediction,
 )
 
@@ -184,21 +184,19 @@ def test_lambda_prime_at_zero_is_discretized_mu():
     assert np.all(np.abs(grad.values) <= 1.0 + 1e-12)
 
 
+def _omega(psi, lam, ensemble):
+    """Omega(psi) = ||psi||^2/(4 lam) - Lambda(psi) on the ensemble."""
+    return psi.norm2() / (4.0 * lam) - lambda_functional(psi, ensemble).value
+
+
 def test_omega_composition():
     lam, psi = 0.2, discretize_mu(8, 1.0).scaled(0.4)
-    om = omega(psi, lam, SMALL_ENSEMBLE)
-    lam_est = lambda_functional(psi, SMALL_ENSEMBLE)
-    assert om.value == pytest.approx(
-        psi.norm2() / (4 * lam) - lam_est.value, rel=1e-14)
-    assert om.std_err == lam_est.std_err
-    with pytest.raises(ValueError):
-        omega(psi, 0.0, SMALL_ENSEMBLE)
     # Omega'(psi) = psi/(2 lam) - Lambda'(psi) is the gradient of Omega:
     # compare its grid pairing with a direction to a central difference
     grad = psi.values / (2 * lam) - lambda_prime(psi, SMALL_ENSEMBLE).values
     d, eps = discretize_mu(8, 0.3).values, 1e-5
-    up, down = (omega(GridFunction(psi.values + s * eps * d, symmetric=True),
-                      lam, SMALL_ENSEMBLE).value for s in (1, -1))
+    up, down = (_omega(GridFunction(psi.values + s * eps * d, symmetric=True),
+                       lam, SMALL_ENSEMBLE) for s in (1, -1))
     assert (up - down) / (2 * eps) == pytest.approx((grad * d).sum() / 64,
                                                     abs=1e-8)
 
@@ -256,7 +254,10 @@ def test_fixed_point_report_small_scale():
     s = ENSEMBLE.signed_lengths(16)
     forms = quadratic_forms_full(report.psi.values, s)
     assert report.ess == effective_sample_size(forms)
-    assert report.omega_value == omega(report.psi, lam, ENSEMBLE)
+    lam_est = lambda_functional(report.psi, ENSEMBLE)
+    assert report.omega_value.value == _omega(report.psi, lam, ENSEMBLE)
+    assert report.omega_value.std_err == lam_est.std_err
+    assert report.omega_value.n_samples == lam_est.n_samples
     _, err = lambda_prime(report.psi, ENSEMBLE, with_err=True)
     assert np.array_equal(report.psi_std_err.values, err.scaled(2 * lam).values)
 
@@ -272,12 +273,11 @@ def test_chunked_kernels_match_full_matrix_oracles(m_cells):
     s = MULTI_CHUNK.signed_lengths(m_cells)
     psi = discretize_mu(m_cells, 1.0).scaled(0.4)
     runs = []
-    with single_blas_thread():
-        for workers in (1, 2, 4):
-            x = variational._quadratic_forms(psi, s, workers)
-            grad, err = variational._weighted_gram(s, x, True, workers)
-            grad_only = variational._weighted_gram(s, x, False, workers)
-            runs.append((x, grad.values, err.values, grad_only.values))
+    for workers in (1, 2, 4):
+        x = variational._quadratic_forms(psi, s, workers)
+        grad, err = variational._weighted_gram(s, x, True, workers)
+        grad_only = variational._weighted_gram(s, x, False, workers)
+        runs.append((x, grad.values, err.values, grad_only.values))
     for workers, run in zip((2, 4), runs[1:]):
         assert all(np.array_equal(a, b) for a, b in zip(runs[0], run)), workers
     x, grad, err, grad_only = runs[0]
@@ -344,7 +344,7 @@ def test_start_kernel_forms_are_computed_once(monkeypatch):
     start = discretize_mu(8, bb).scaled(2 * lam)
     assert np.array_equal(forms[0].values, start.values)
     assert report.start_lambda == lambda_functional(start, SMALL_ENSEMBLE)
-    assert verdicts["start_gap"] == (omega(start, lam, SMALL_ENSEMBLE).value
+    assert verdicts["start_gap"] == (_omega(start, lam, SMALL_ENSEMBLE)
                                      - report.omega_value.value)
     assert "start_lambda" not in report.to_dict()
 
@@ -355,10 +355,10 @@ def test_descent_bracket_around_minimum():
     lam, bb, m = 0.15, 1.0, 8
     report = fixed_point_solve(lam, bb, m, SMALL_ENSEMBLE, tol=1e-10)
     psi = report.psi
-    om_star = omega(psi, lam, SMALL_ENSEMBLE).value
+    om_star = _omega(psi, lam, SMALL_ENSEMBLE)
     for phi in (discretize_mu(m, bb).scaled(2 * lam),
                 _constant(2 * lam, m)):
-        gap = omega(phi, lam, SMALL_ENSEMBLE).value - om_star
+        gap = _omega(phi, lam, SMALL_ENSEMBLE) - om_star
         # Omega'(phi) = phi/(2 lam) - Lambda'(phi)
         grad = phi.values / (2 * lam) - lambda_prime(phi, SMALL_ENSEMBLE).values
         dist2 = np.square(phi.values - psi.values).sum() / m**2
@@ -411,7 +411,8 @@ def test_static_bounds():
 def test_static_exceeds_quadratic_lower_bound_below_threshold():
     for bb in (0.5, 1.0, 3.0):
         m, p = m_of(bb), p_of(bb)
-        lam_star = 0.5 * (p - m * m) / (2.0 * p * (1.0 - m))
+        assert static_threshold(bb) == (p - m * m) / (2.0 * p * (1.0 - m))
+        lam_star = 0.5 * static_threshold(bb)
         assert static_approximation(lam_star, bb) > -p * lam_star
 
 
