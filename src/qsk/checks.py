@@ -9,8 +9,6 @@ same functions at full scale.  Every sub-seed is a fixed offset of
 depends on ``workers``.
 """
 
-import warnings
-
 import numpy as np
 
 from . import annealed, constants, disorder, hilbert, paths, variational
@@ -268,9 +266,7 @@ def check_region(seed, workers=None, x_count=30, y_count=30):
     zero-field edge below x = 1 has a certified positive gap."""
     xs = np.linspace(0.2, 2.0, x_count)
     ys = np.linspace(0.0, 2.6, y_count)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        points = annealed.region_scan(xs, ys, n_max=64)
+    points = annealed.region_scan(xs, ys, n_max=64)
     k_by_x = {float(x): annealed.k_of_lambda(1.0 / (4.0 * x * x)) for x in xs}
     mislabels = 0
     edge_bad = 0

@@ -11,11 +11,16 @@ quenched     disorder study: quenched mean, moments, tails (JSON)
 region       phase-diagram scan of the quenched-annealed gap bounds (CSV)
 verify       run the desk-scale verification suite; nonzero exit on failure
 
+Each subcommand's options are declared once, in ``OPTIONS``: an option
+``name`` is the flag ``--name-with-dashes`` and the config key ``name``,
+read from ``[subcommand]`` and then ``[model]`` of the ``--config`` file.
+
 Conventions: all outputs are deterministic functions of (options, seed) —
 identical runs give byte-identical files regardless of worker count; wall
-clock timings go to stderr only.  Exit codes: 0 success, 1 verification
-failure, 2 usage/config error, 3 numerical-diagnostic abort (e.g. collapsed
-effective sample size).
+clock timings and warnings (e.g. an unsettled quadrature) go to stderr only.
+Exit codes: 0 success, 1 verification failure, 2 usage/config error, 3
+numerical-diagnostic abort: an effective sample size below the floor, in any
+subcommand.
 """
 
 import argparse
@@ -40,10 +45,6 @@ class _UsageError(Exception):
     pass
 
 
-class _GateError(Exception):
-    pass
-
-
 # -- option resolution -----------------------------------------------------
 
 
@@ -60,13 +61,13 @@ def _load_config(path):
 def _resolve(args, spec, sections):
     """Merge CLI flags, config sections, and defaults (flags win).
 
-    ``spec`` maps option name -> (type, default).  Config values are looked
-    up in the given sections in order.
+    ``spec`` maps option name -> (type, default), as in ``OPTIONS``.  Config
+    values are looked up in the given sections in order.
     """
-    cp = _load_config(args.config) if getattr(args, "config", None) else None
+    cp = _load_config(args.config) if args.config else None
     out = {}
     for name, (conv, default) in spec.items():
-        val = getattr(args, name, None)
+        val = getattr(args, name)
         if val is None and cp is not None:
             for section in sections:
                 if cp.has_option(section, name):
@@ -91,6 +92,75 @@ def _bool_opt(raw):
     if s in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {raw!r}")
+
+
+#: subcommand -> option name -> (type, default).  Each option is the flag
+#: ``--name-with-dashes`` and the config key ``name``, read from the
+#: ``[subcommand]`` section and then from ``[model]``.
+OPTIONS = {
+    "constants": {
+        "bb_min": (float, 1e-3),
+        "bb_max": (float, 1e3),
+        "bb_count": (int, 200),
+        "bb_scale": (str, "log"),
+        "n_spins": (int, 2),
+        "lam": (float, 0.1),
+        "n_max": (int, 64),
+        "quad_nodes": (int, 64),
+    },
+    "exactdiag": {
+        "n_spins": (int, 4),
+        "lam": (float, 0.1),
+        "beta_b": (float, 1.0),
+        "dump_spectrum": (str, None),
+    },
+    "annealed": {
+        "n_spins": (int, 4),
+        "lam": (float, 0.1),
+        "beta_b": (float, 1.0),
+        "ensembles": (int, 200_000),
+        "quad_nodes": (int, 64),
+    },
+    "variational": {
+        "lam": (float, 0.1),
+        "beta_b": (float, 1.0),
+        "m_cells": (int, 64),
+        "ensembles": (int, 200_000),
+        "tol": (float, 1e-8),
+        "max_iter": (int, 200),
+        "quad_nodes": (int, 64),
+        "with_static": (_bool_opt, True),
+        "psi_out": (str, None),
+    },
+    "static": {
+        "beta_b": (float, 1.0),
+        "lam_min": (float, 0.01),
+        "lam_max": (float, 1.0),
+        "lam_count": (int, 25),
+        "lam_scale": (str, "log"),
+        "quad_nodes": (int, 64),
+    },
+    "quenched": {
+        "n_spins": (int, 5),
+        "lam": (float, 0.125),
+        "beta_b": (float, 1.0),
+        "n_disorder": (int, 2000),
+        "delta": (float, 0.25),
+        "per_sample_out": (str, None),
+    },
+    "region": {
+        "x_min": (float, 0.05),
+        "x_max": (float, 2.0),
+        "x_count": (int, 100),
+        "y_min": (float, 0.0),
+        "y_max": (float, 2.65),
+        "y_count": (int, 100),
+        "n_max": (int, 64),
+        "quad_nodes": (int, 64),
+        "advisory_out": (str, None),
+    },
+    "verify": {},
+}
 
 
 def _model_from(opts):
@@ -122,7 +192,7 @@ def _meta_lines(command, seed, opts):
 
 
 def _write_out(args, text):
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as f:
             f.write(text)
     else:
@@ -151,27 +221,10 @@ def _write_json(args, command, seed, opts, payload):
     _write_out(args, json.dumps(doc, indent=2, sort_keys=True, default=float) + "\n")
 
 
-def _gate_on_ess(caught):
-    for w in caught:
-        if issubclass(w.category, EffectiveSampleSizeWarning):
-            raise _GateError(str(w.message))
-
-
 # -- subcommands -----------------------------------------------------------
 
 
-def cmd_constants(args):
-    spec = {
-        "bb_min": (float, 1e-3),
-        "bb_max": (float, 1e3),
-        "bb_count": (int, 200),
-        "bb_scale": (str, "log"),
-        "n_spins": (int, 2),
-        "lam": (float, 0.1),
-        "n_max": (int, 64),
-        "quad_nodes": (int, 64),
-    }
-    opts = _resolve(args, spec, ("constants", "model"))
+def cmd_constants(args, opts):
     if opts["bb_scale"] not in ("log", "linear"):
         raise _UsageError("bb_scale must be 'log' or 'linear'")
     if opts["bb_count"] < 0:
@@ -190,14 +243,10 @@ def cmd_constants(args):
               "inf_argmin", "w_n"] + chain_names
     rows = []
     n, lam = opts["n_spins"], opts["lam"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        inf_vals, inf_args = constants.inf_g_n_over_n(lam, sweep, opts["n_max"])
+    inf_vals, inf_args = constants.inf_g_n_over_n(lam, sweep, opts["n_max"])
     for bb, inf_val, inf_arg in zip(sweep, inf_vals, inf_args):
         checks = constants.moment_inequalities(bb)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            w_val = constants.w_n_of(n, lam, bb, quad_nodes=opts["quad_nodes"])
+        w_val = constants.w_n_of(n, lam, bb, quad_nodes=opts["quad_nodes"])
         rows.append(
             [bb, constants.m_of(bb), constants.p_of(bb), constants.c0_of(bb),
              constants.p_n_of(n, bb), constants.g_n_of(n, lam, bb) / n,
@@ -207,14 +256,7 @@ def cmd_constants(args):
     return 0
 
 
-def cmd_exactdiag(args):
-    spec = {
-        "n_spins": (int, 4),
-        "lam": (float, 0.1),
-        "beta_b": (float, 1.0),
-        "dump_spectrum": (str, None),
-    }
-    opts = _resolve(args, spec, ("exactdiag", "model"))
+def cmd_exactdiag(args, opts):
     params = _model_from(opts)
     sample = hilbert.draw_sample(params.n_spins, args.seed)
     h = hilbert.build_hamiltonian(params, sample)
@@ -236,21 +278,10 @@ def cmd_exactdiag(args):
     return 0
 
 
-def cmd_annealed(args):
-    spec = {
-        "n_spins": (int, 4),
-        "lam": (float, 0.1),
-        "beta_b": (float, 1.0),
-        "ensembles": (int, 200_000),
-        "quad_nodes": (int, 64),
-    }
-    opts = _resolve(args, spec, ("annealed", "model"))
+def cmd_annealed(args, opts):
     params = _model_from(opts)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        f_hat = annealed.estimate_f_n(params, opts["ensembles"], args.seed,
-                                      workers=args.workers)
-    _gate_on_ess(caught)
+    f_hat = annealed.estimate_f_n(params, opts["ensembles"], args.seed,
+                                  workers=args.workers)
     bounds, verdicts = annealed.f_n_sandwich(params, f_hat, n_sigma=3,
                                              quad_nodes=opts["quad_nodes"])
     payload = {
@@ -264,19 +295,7 @@ def cmd_annealed(args):
     return 0
 
 
-def cmd_variational(args):
-    spec = {
-        "lam": (float, 0.1),
-        "beta_b": (float, 1.0),
-        "m_cells": (int, 64),
-        "ensembles": (int, 200_000),
-        "tol": (float, 1e-8),
-        "max_iter": (int, 200),
-        "quad_nodes": (int, 64),
-        "with_static": (_bool_opt, True),
-        "psi_out": (str, None),
-    }
-    opts = _resolve(args, spec, ("variational", "model"))
+def cmd_variational(args, opts):
     lam, bb = opts["lam"], opts["beta_b"]
     if 2.0 * lam >= 1.0 and not args.allow_noncontractive:
         raise _UsageError(
@@ -285,13 +304,10 @@ def cmd_variational(args):
         )
     ens = paths.sample_ensemble(bb, opts["ensembles"], args.seed,
                                 workers=args.workers)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        report = variational.fixed_point_solve(
-            lam, bb, opts["m_cells"], ens, tol=opts["tol"],
-            max_iter=opts["max_iter"],
-        )
-    _gate_on_ess(caught)
+    report = variational.fixed_point_solve(
+        lam, bb, opts["m_cells"], ens, tol=opts["tol"],
+        max_iter=opts["max_iter"],
+    )
     payload = {
         "report": report.to_dict(),
         "verdicts": {
@@ -322,16 +338,7 @@ def cmd_variational(args):
     return 0
 
 
-def cmd_static(args):
-    spec = {
-        "beta_b": (float, 1.0),
-        "lam_min": (float, 0.01),
-        "lam_max": (float, 1.0),
-        "lam_count": (int, 25),
-        "lam_scale": (str, "log"),
-        "quad_nodes": (int, 64),
-    }
-    opts = _resolve(args, spec, ("static", "model"))
+def cmd_static(args, opts):
     if opts["lam_count"] < 1:
         raise _UsageError("lam_count must be >= 1")
     if opts["lam_scale"] == "log":
@@ -356,16 +363,7 @@ def cmd_static(args):
     return 0
 
 
-def cmd_quenched(args):
-    spec = {
-        "n_spins": (int, 5),
-        "lam": (float, 0.125),
-        "beta_b": (float, 1.0),
-        "n_disorder": (int, 2000),
-        "delta": (float, 0.25),
-        "per_sample_out": (str, None),
-    }
-    opts = _resolve(args, spec, ("quenched", "model"))
+def cmd_quenched(args, opts):
     params = _model_from(opts)
     config = disorder.DisorderStudyConfig(
         params=params, n_disorder=opts["n_disorder"], seed=args.seed,
@@ -403,25 +401,11 @@ def cmd_quenched(args):
     return 0
 
 
-def cmd_region(args):
-    spec = {
-        "x_min": (float, 0.05),
-        "x_max": (float, 2.0),
-        "x_count": (int, 100),
-        "y_min": (float, 0.0),
-        "y_max": (float, 2.65),
-        "y_count": (int, 100),
-        "n_max": (int, 64),
-        "quad_nodes": (int, 64),
-        "advisory_out": (str, None),
-    }
-    opts = _resolve(args, spec, ("region", "model"))
+def cmd_region(args, opts):
     xs = np.linspace(opts["x_min"], opts["x_max"], opts["x_count"])
     ys = np.linspace(opts["y_min"], opts["y_max"], opts["y_count"])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        points = annealed.region_scan(xs, ys, n_max=opts["n_max"],
-                                      quad_nodes=opts["quad_nodes"])
+    points = annealed.region_scan(xs, ys, n_max=opts["n_max"],
+                                  quad_nodes=opts["quad_nodes"])
     header = ["inv_beta_v", "b_over_v", "delta_lower", "delta_upper",
               "classification"]
     rows = [[p.inv_beta_v, p.b_over_v, p.delta_lower, p.delta_upper,
@@ -436,7 +420,7 @@ def cmd_region(args):
     if opts["advisory_out"]:
         with open(opts["advisory_out"], "w") as f:
             f.write(adv_text)
-    elif getattr(args, "out", None):
+    elif args.out:
         with open(args.out + ".advisory.csv", "w") as f:
             f.write(adv_text)
     else:
@@ -447,7 +431,7 @@ def cmd_region(args):
 # -- verify ----------------------------------------------------------------
 
 
-def cmd_verify(args):
+def cmd_verify(args, opts):
     only = set(args.only or [])
     unknown = only - set(checks.CHECKS)
     if unknown:
@@ -478,65 +462,20 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"qsk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, flags):
-        p = sub.add_parser(name)
+    for command, options in OPTIONS.items():
+        p = sub.add_parser(command)
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--workers", type=int, default=None,
                        help=f"worker threads (default: ${WORKERS_ENV_VAR} or 1)")
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--config", default=None, help="INI-style config file")
-        for flag, kwargs in flags:
-            p.add_argument(flag, **kwargs)
-        p.set_defaults(fn=fn)
-        return p
-
-    f = float
-    add("constants", cmd_constants, [
-        ("--bb-min", dict(type=f)), ("--bb-max", dict(type=f)),
-        ("--bb-count", dict(type=int)), ("--bb-scale", dict()),
-        ("--n-spins", dict(type=int)), ("--lam", dict(type=f)),
-        ("--n-max", dict(type=int)), ("--quad-nodes", dict(type=int)),
-    ])
-    add("exactdiag", cmd_exactdiag, [
-        ("--n-spins", dict(type=int)), ("--lam", dict(type=f)),
-        ("--beta-b", dict(type=f)), ("--dump-spectrum", dict()),
-    ])
-    add("annealed", cmd_annealed, [
-        ("--n-spins", dict(type=int)), ("--lam", dict(type=f)),
-        ("--beta-b", dict(type=f)), ("--ensembles", dict(type=int)),
-        ("--quad-nodes", dict(type=int)),
-    ])
-    add("variational", cmd_variational, [
-        ("--lam", dict(type=f)), ("--beta-b", dict(type=f)),
-        ("--m-cells", dict(type=int)), ("--ensembles", dict(type=int)),
-        ("--tol", dict(type=f)), ("--max-iter", dict(type=int)),
-        ("--quad-nodes", dict(type=int)),
-        ("--with-static", dict(type=_bool_opt)),
-        ("--allow-noncontractive", dict(action="store_true")),
-        ("--psi-out", dict()),
-    ])
-    add("static", cmd_static, [
-        ("--beta-b", dict(type=f)), ("--lam-min", dict(type=f)),
-        ("--lam-max", dict(type=f)), ("--lam-count", dict(type=int)),
-        ("--lam-scale", dict()), ("--quad-nodes", dict(type=int)),
-    ])
-    add("quenched", cmd_quenched, [
-        ("--n-spins", dict(type=int)), ("--lam", dict(type=f)),
-        ("--beta-b", dict(type=f)), ("--n-disorder", dict(type=int)),
-        ("--delta", dict(type=f)), ("--per-sample-out", dict()),
-    ])
-    add("region", cmd_region, [
-        ("--x-min", dict(type=f)), ("--x-max", dict(type=f)),
-        ("--x-count", dict(type=int)), ("--y-min", dict(type=f)),
-        ("--y-max", dict(type=f)), ("--y-count", dict(type=int)),
-        ("--n-max", dict(type=int)), ("--quad-nodes", dict(type=int)),
-        ("--advisory-out", dict()),
-    ])
-    add("verify", cmd_verify, [
-        ("--only", dict(action="append",
-                        help="run only the named check (repeatable)")),
-    ])
+        for name, (conv, _) in options.items():
+            p.add_argument("--" + name.replace("_", "-"), type=conv)
+        p.set_defaults(fn=globals()["cmd_" + command])
+    sub.choices["variational"].add_argument("--allow-noncontractive",
+                                            action="store_true")
+    sub.choices["verify"].add_argument(
+        "--only", action="append", help="run only the named check (repeatable)")
     return parser
 
 
@@ -548,11 +487,15 @@ def main(argv=None):
             args.workers = resolve_workers(args.workers)
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
-        return args.fn(args)
+        opts = _resolve(args, OPTIONS[args.command], (args.command, "model"))
+        # the ESS gate: a collapsed effective sample size aborts any subcommand
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", EffectiveSampleSizeWarning)
+            return args.fn(args, opts)
     except _UsageError as exc:
         print(f"qsk: error: {exc}", file=sys.stderr)
         return 2
-    except _GateError as exc:
+    except EffectiveSampleSizeWarning as exc:
         print(f"qsk: numerical gate tripped: {exc}", file=sys.stderr)
         return 3
 

@@ -449,7 +449,16 @@ def static_approximation(lam, beta_b, quad_nodes=64):
 
 
 def static_threshold(beta_b):
-    """lam* = (p - m^2)/(2 p (1 - m)); below it the static J exceeds -p lam."""
+    """lam* = (p - m^2)/(2 p (1 - m)); below it the static J exceeds -p lam.
+
+    The quotient cancels at small beta_b (it is 0/0 at 0), so below 0.1 its
+    Taylor series x^2/30 + 11x^4/1575 - 113x^6/47250 + 6917x^8/27286875
+    takes over; either side is within 2e-10 relative of the exact value.
+    """
+    if 0.0 <= beta_b < 0.1:
+        x2 = beta_b * beta_b
+        return (x2 / 30 + 11 * x2**2 / 1575 - 113 * x2**3 / 47250
+                + 6917 * x2**4 / 27286875)
     p, m = p_of(beta_b), m_of(beta_b)
     return (p - m * m) / (2.0 * p * (1.0 - m))
 

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, config handling, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -97,10 +98,153 @@ def test_config_bad_value(tmp_path, capsys):
 
 
 def test_config_missing_file(tmp_path, capsys):
-    rc = cli.main(["constants", "--config", str(tmp_path / "nope.ini")])
-    assert rc == 2
-    assert "cannot read config file" in capsys.readouterr().err
+    # verify reads --config like every other subcommand
+    for command in (["constants"], ["verify", "--only", "closed_forms"]):
+        rc = cli.main(command + ["--config", str(tmp_path / "nope.ini")])
+        assert rc == 2
+        assert "cannot read config file" in capsys.readouterr().err
 
+
+# -- the option table ------------------------------------------------------
+
+_COMMON = {
+    "seed": (("--seed",), 123456789, "store", "int"),
+    "workers": (("--workers",), None, "store", "int"),
+    "out": (("--out",), None, "store", "str"),
+    "config": (("--config",), None, "store", "str"),
+}
+
+#: every subcommand's flags as they were declared one by one, before they
+#: came from ``cli.OPTIONS``: dest -> (option strings, default, action,
+#: conversion), where a flag that had no type converts with ``str``
+RECORDED_FLAGS = {
+    "constants": {
+        **_COMMON,
+        "bb_min": (("--bb-min",), None, "store", "float"),
+        "bb_max": (("--bb-max",), None, "store", "float"),
+        "bb_count": (("--bb-count",), None, "store", "int"),
+        "bb_scale": (("--bb-scale",), None, "store", "str"),
+        "n_spins": (("--n-spins",), None, "store", "int"),
+        "lam": (("--lam",), None, "store", "float"),
+        "n_max": (("--n-max",), None, "store", "int"),
+        "quad_nodes": (("--quad-nodes",), None, "store", "int"),
+    },
+    "exactdiag": {
+        **_COMMON,
+        "n_spins": (("--n-spins",), None, "store", "int"),
+        "lam": (("--lam",), None, "store", "float"),
+        "beta_b": (("--beta-b",), None, "store", "float"),
+        "dump_spectrum": (("--dump-spectrum",), None, "store", "str"),
+    },
+    "annealed": {
+        **_COMMON,
+        "n_spins": (("--n-spins",), None, "store", "int"),
+        "lam": (("--lam",), None, "store", "float"),
+        "beta_b": (("--beta-b",), None, "store", "float"),
+        "ensembles": (("--ensembles",), None, "store", "int"),
+        "quad_nodes": (("--quad-nodes",), None, "store", "int"),
+    },
+    "variational": {
+        **_COMMON,
+        "lam": (("--lam",), None, "store", "float"),
+        "beta_b": (("--beta-b",), None, "store", "float"),
+        "m_cells": (("--m-cells",), None, "store", "int"),
+        "ensembles": (("--ensembles",), None, "store", "int"),
+        "tol": (("--tol",), None, "store", "float"),
+        "max_iter": (("--max-iter",), None, "store", "int"),
+        "quad_nodes": (("--quad-nodes",), None, "store", "int"),
+        "with_static": (("--with-static",), None, "store", "_bool_opt"),
+        "allow_noncontractive": (("--allow-noncontractive",), False,
+                                 "store_true", None),
+        "psi_out": (("--psi-out",), None, "store", "str"),
+    },
+    "static": {
+        **_COMMON,
+        "beta_b": (("--beta-b",), None, "store", "float"),
+        "lam_min": (("--lam-min",), None, "store", "float"),
+        "lam_max": (("--lam-max",), None, "store", "float"),
+        "lam_count": (("--lam-count",), None, "store", "int"),
+        "lam_scale": (("--lam-scale",), None, "store", "str"),
+        "quad_nodes": (("--quad-nodes",), None, "store", "int"),
+    },
+    "quenched": {
+        **_COMMON,
+        "n_spins": (("--n-spins",), None, "store", "int"),
+        "lam": (("--lam",), None, "store", "float"),
+        "beta_b": (("--beta-b",), None, "store", "float"),
+        "n_disorder": (("--n-disorder",), None, "store", "int"),
+        "delta": (("--delta",), None, "store", "float"),
+        "per_sample_out": (("--per-sample-out",), None, "store", "str"),
+    },
+    "region": {
+        **_COMMON,
+        "x_min": (("--x-min",), None, "store", "float"),
+        "x_max": (("--x-max",), None, "store", "float"),
+        "x_count": (("--x-count",), None, "store", "int"),
+        "y_min": (("--y-min",), None, "store", "float"),
+        "y_max": (("--y-max",), None, "store", "float"),
+        "y_count": (("--y-count",), None, "store", "int"),
+        "n_max": (("--n-max",), None, "store", "int"),
+        "quad_nodes": (("--quad-nodes",), None, "store", "int"),
+        "advisory_out": (("--advisory-out",), None, "store", "str"),
+    },
+    "verify": {
+        **_COMMON,
+        "only": (("--only",), None, "append", "str"),
+    },
+}
+
+_ACTIONS = {argparse._StoreAction: "store", argparse._StoreTrueAction: "store_true",
+            argparse._AppendAction: "append"}
+
+
+def _flag_set(parser):
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {}
+    for command, p in sub.choices.items():
+        flags[command] = {}
+        for a in p._actions:
+            if isinstance(a, argparse._HelpAction):
+                continue
+            action = _ACTIONS[type(a)]
+            conv = None if action == "store_true" else (a.type or str).__name__
+            flags[command][a.dest] = (tuple(a.option_strings), a.default, action, conv)
+    return flags
+
+
+def test_flags_derived_from_the_option_table_are_unchanged():
+    assert _flag_set(cli.build_parser()) == RECORDED_FLAGS
+    assert list(cli.OPTIONS) == list(RECORDED_FLAGS)
+
+
+#: two config values each option type accepts
+_VALUES = {int: ("7", "8"), float: ("0.25", "0.5"), str: ("a", "b"),
+           cli._bool_opt: ("no", "yes")}
+
+
+@pytest.mark.parametrize("command", list(cli.OPTIONS))
+def test_each_option_is_a_config_key(command, tmp_path, monkeypatch):
+    # [command] overrides [model], which overrides the table's default
+    seen = []
+
+    def handler(args, opts):
+        seen.append(opts)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_" + command, handler)
+    options = cli.OPTIONS[command]
+    keys = ["".join(f"{name} = {_VALUES[conv][k]}\n"
+                    for name, (conv, _) in options.items()) for k in (0, 1)]
+    cfg = tmp_path / "qsk.ini"
+    assert cli.main([command]) == 0
+    cfg.write_text("[model]\n" + keys[0])
+    assert cli.main([command, "--config", str(cfg)]) == 0
+    cfg.write_text(f"[model]\n{keys[0]}[{command}]\n{keys[1]}")
+    assert cli.main([command, "--config", str(cfg)]) == 0
+    assert seen == [{name: default for name, (_, default) in options.items()}] + [
+        {name: conv(_VALUES[conv][k]) for name, (conv, _) in options.items()}
+        for k in (0, 1)]
 
 # -- exactdiag -------------------------------------------------------------
 
@@ -147,6 +291,16 @@ def test_annealed_ess_gate(tmp_path, capsys):
     assert "numerical gate tripped" in err
     assert not (tmp_path / "x.json").exists()  # aborts before writing
 
+
+def test_variational_ess_gate(tmp_path, capsys):
+    # 50 paths cannot reach the ESS floor of 100
+    out = tmp_path / "x.json"
+    rc = cli.main(["variational", "--ensembles", "50", "--m-cells", "4",
+                   "--out", str(out)])
+    assert rc == 3
+    assert ("qsk: numerical gate tripped: lambda_functional: effective sample "
+            "size 49.9 < 100") in capsys.readouterr().err
+    assert not out.exists()
 
 @pytest.mark.parametrize("command", [
     ["annealed", "--n-spins", "16"],
@@ -220,6 +374,20 @@ def test_static_sweep(tmp_path):
         if row[5] == "yes":
             assert row[4] == "yes"
 
+
+@pytest.mark.parametrize("command", [
+    ["static", "--lam-count", "2"],
+    ["variational", "--ensembles", "2000", "--m-cells", "4", "--with-static", "true"],
+])
+def test_zero_field_static_threshold(command, capsys):
+    # the threshold is 0 at beta_b = 0, so no lam lies in the strict regime
+    assert cli.main(command + ["--beta-b", "0"]) == 0
+    out = capsys.readouterr().out
+    if command[0] == "static":
+        _, rows = _data_rows(out.splitlines())
+        assert [r[5] for r in rows] == ["no", "no"]
+    else:
+        assert json.loads(out)["result"]["static"]["strict_regime"] is False
 
 # -- quenched --------------------------------------------------------------
 
@@ -340,6 +508,19 @@ def test_verify_passes_workers_to_the_checks(monkeypatch, capsys):
     capsys.readouterr()
     assert seen and set(seen) == {3}
 
+
+def test_verify_keeps_quadrature_warnings_on_stderr(tmp_path):
+    # the ESS gate in main turns only its own warning into an error; the
+    # unsettled k_of_lambda quadratures of the region check still print
+    src = str(Path(qsk.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "qsk.cli", "verify", "--only", "region",
+         "--seed", "777", "--out", str(tmp_path / "v.txt")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert "QuadratureConvergenceWarning: k_of_lambda did not settle" in proc.stderr
+    assert "PASS region" in (tmp_path / "v.txt").read_text()
 
 @pytest.mark.parametrize("flag, env", [(["--workers", "0"], None),
                                        (["--workers", "-2"], None),

@@ -260,6 +260,14 @@ def test_only_streams_starts_pools_or_pins_blas():
     assert named == []
 
 
+def test_no_module_silences_warnings():
+    # an unsettled quadrature or a boundary minimizer must reach stderr
+    modules = sorted(Path(streams.__file__).parent.glob("*.py"))
+    silenced = [m.name for m in modules
+                if 'simplefilter("ignore")' in m.read_text()]
+    assert silenced == []
+
+
 def test_map_chunks_covers_the_batch_layout():
     count = 2 * BATCH_SIZE + 5
     out = map_chunks(lambda start, stop: (start, stop), count, 2)

@@ -416,6 +416,25 @@ def test_static_exceeds_quadratic_lower_bound_below_threshold():
         assert static_approximation(lam_star, bb) > -p * lam_star
 
 
+def test_static_threshold_matches_high_precision_oracle():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 60
+
+    def exact(x):
+        x = mp.mpf(x)
+        m = mp.tanh(x) / x
+        p = (1 - mp.tanh(x) ** 2 + m) / 2
+        return float((p - m * m) / (2 * p * (1 - m)))
+
+    assert static_threshold(0.0) == 0.0
+    # both sides of the switch to the series, densely where the quotient
+    # cancels worst just above it
+    xs = np.concatenate([np.geomspace(1e-10, 10.0, 101),
+                         np.linspace(0.04, 0.16, 241), [np.nextafter(0.1, 0)]])
+    worst = max(abs(static_threshold(float(x)) / exact(x) - 1.0) for x in xs)
+    assert worst <= 2e-9
+
+
 def test_static_endpoint_slopes():
     m = m_of(1.0)
     assert static_approximation(1e-3, 1.0) / 1e-3 == pytest.approx(
