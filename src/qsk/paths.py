@@ -11,6 +11,14 @@ the per-configuration overlap average P_N = (1/N^2) sum_{ij} A_ij^2, and the
 signed occupation of grid cells used by the discretized variational problem.
 All of them reduce to alternating sums over merged, sorted jump times and
 are therefore exact (no time discretization anywhere).
+
+A path has no jump with probability 1/cosh(rate), 0.65 at rate 1.  The
+kernels do merge work only where it changes the answer: a pair of paths is
+merged (gathered and sorted) only when both jump, a pair with one jumpless
+path takes the other path's own alternating sum, two jumpless paths
+overlap exactly 1, and a jumpless path's signed cell lengths are the cell
+widths.  Every value is laid out and summed as the full merge would be, so
+the outputs are byte-identical to merging every pair.
 """
 
 from functools import lru_cache
@@ -82,7 +90,8 @@ def _sample_batch(rate, n, seed, batch_index, conditioned=True):
         return np.empty((n, 0)), counts.astype(np.int64)
     jumps = rng.random((n, kmax))
     jumps[np.arange(kmax)[None, :] >= counts[:, None]] = PAD
-    jumps.sort(axis=1)
+    rows = np.flatnonzero(counts >= 2)  # a row with fewer jumps is sorted
+    jumps[rows] = np.sort(np.take(jumps, rows, axis=0), axis=1)
     return jumps, counts.astype(np.int64)
 
 
@@ -195,28 +204,64 @@ def _grouped_jumps(ensemble, n):
 
 
 def _pair_overlaps(grouped):
-    """Yield ``(i, j, A_ij)`` for i < j, A_ij holding one overlap per group.
+    """(n_groups, N(N-1)/2) overlaps A_ij, i < j in ``triu_indices`` order.
 
     The product sigma_i sigma_j flips sign at every jump of the merged path,
     so the overlap integral_0^1 sigma_i sigma_j dt is an alternating sum of
     the merged jump times: A = 1 + 2 sum_k (-1)^{k-1} t_(k) over the sorted
-    union.  ``grouped`` is a (n_groups, N, kmax) padded jump array.  Each
-    row of the merged buffer holds two sorted runs, which a stable sort
-    merges; the PAD entries end up last and are zeroed before the sum.
+    union.  ``grouped`` is a (n_groups, N, kmax) padded jump array.  Only
+    pairs in which both paths jump are merged: their two rows are gathered,
+    BATCH_SIZE pairs at a time, into one reused buffer of 2 kmax columns,
+    which is sorted; the PAD entries end up last and are zeroed before the
+    sum.  Against a jumpless partner the merged row would be the other
+    path's own row followed by kmax PADs, so such a pair takes that path's
+    value, summed over the same 2 kmax columns; two jumpless paths give
+    exactly 1.  Every entry is thus bit for bit the full merge, whichever
+    sort algorithm runs: equal keys are equal floats.  The index arrays are
+    built per spin i, for its pairs i < j, so no temporary holds an index
+    per (group, pair).
     """
     n_groups, n, width = grouped.shape
+    out = np.ones((n * (n - 1) // 2, n_groups))  # row p holds pair p
+    if width == 0:
+        return out.T
+    rows = grouped.reshape(-1, width)  # row g n + i is path i of group g
     signs = _alternating_signs(2 * width)
-    merged = np.empty((n_groups, 2 * width))
-    pad = np.empty(merged.shape, dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            merged[:, :width] = grouped[:, i, :]
-            merged[:, width:] = grouped[:, j, :]
-            merged.sort(axis=1, kind="stable")
-            np.greater_equal(merged, 1.5, out=pad)
-            merged[pad] = 0.0
-            merged *= signs
-            yield i, j, 1.0 + 2.0 * merged.sum(axis=1)
+    merged = np.empty((BATCH_SIZE, 2 * width))
+
+    def overlaps(first, second):
+        """A for the path pairs (first[k], second[k]); None: jumpless partner."""
+        values = np.empty(first.size)
+        for lo in range(0, first.size, BATCH_SIZE):
+            hi = min(lo + BATCH_SIZE, first.size)
+            buf = merged[: hi - lo]
+            buf[:, :width] = np.take(rows, first[lo:hi], axis=0)
+            if second is None:
+                buf[:, width:] = PAD
+            else:
+                buf[:, width:] = np.take(rows, second[lo:hi], axis=0)
+                buf.sort(axis=1)
+            buf *= buf < 1.5  # PAD -> 0
+            buf *= signs
+            values[lo:hi] = 1.0 + 2.0 * buf.sum(axis=1)
+        return values
+
+    jumping = rows[:, 0] < 1.5
+    alone = np.ones(rows.shape[0])  # each path's A against a jumpless path
+    movers = np.flatnonzero(jumping)
+    alone[movers] = overlaps(movers, None)
+    alone = np.ascontiguousarray(alone.reshape(n_groups, n).T)
+    jumping = np.ascontiguousarray(jumping.reshape(n_groups, n).T)
+    col = 0
+    for i in range(n - 1):
+        block = out[col : col + n - 1 - i]  # pairs (i, j) for j > i
+        col += n - 1 - i
+        block[...] = alone[i + 1 :]
+        np.copyto(block, alone[i], where=jumping[i])
+        js, g = np.nonzero(jumping[i + 1 :] & jumping[i])
+        first = g * n + i
+        block[js, g] = overlaps(first, first + 1 + js)
+    return out.T
 
 
 def p_n_batch(ensemble, n_spins):
@@ -233,7 +278,7 @@ def p_n_batch(ensemble, n_spins):
 
     def block(start, stop, out):
         acc = np.full(stop - start, float(n))  # diagonal terms A_ii = 1
-        for _, _, a in _pair_overlaps(grouped[start:stop]):
+        for a in _pair_overlaps(grouped[start:stop]).T:
             acc += 2.0 * np.square(a)
         np.divide(acc, n**2, out=out)
 
@@ -241,15 +286,22 @@ def p_n_batch(ensemble, n_spins):
 
 
 def overlap_matrix_batch(ensemble, n_spins):
-    """(n_groups, N, N) overlap matrices A for consecutive groups of paths."""
+    """(n_groups, N, N) overlap matrices A for consecutive groups of paths.
+
+    Blocks of groups run on the ensemble's worker pool.
+    """
     n = int(n_spins)
     grouped = _grouped_jumps(ensemble, n)
-    out = np.empty((grouped.shape[0], n, n))
-    out[:, np.arange(n), np.arange(n)] = 1.0
-    for i, j, a in _pair_overlaps(grouped):
-        out[:, i, j] = a
-        out[:, j, i] = a
-    return out
+    iu, ju = np.triu_indices(n, k=1)
+
+    def block(start, stop, out):
+        a = _pair_overlaps(grouped[start:stop])
+        out[:, iu, ju] = a
+        out[:, ju, iu] = a
+        out[:, np.arange(n), np.arange(n)] = 1.0
+
+    return fill_chunks(block, np.empty((grouped.shape[0], n, n)),
+                       ensemble.workers)
 
 
 # -- signed cell lengths --------------------------------------------------
@@ -263,18 +315,25 @@ def _batch_signed_lengths(jumps, m_cells, workers):
     number of jumps up to x; cell values are differences of F at the cell
     boundaries, so each entry is exact up to rounding.  The jump counts nu
     at the boundaries are integers: each jump is counted once, at the first
-    boundary at or above it, and the counts are summed along the row.
+    boundary at or above it, and the counts are summed along the row.  Only
+    rows with a jump take that route; on a jumpless row F is the identity.
     """
     m = int(m_cells)
     if m < 1:
         raise ValueError("m_cells must be >= 1")
     width = jumps.shape[1]
     bounds = np.arange(m + 1) / m
+    # F(bounds) = bounds on a jumpless row, so its cells are these bit for bit
+    widths = bounds[1:] - bounds[:-1]
     signs = _alternating_signs(width)
 
     def block(start, stop, out):
-        rows = jumps[start:stop]
-        row = np.arange(stop - start)[:, None]
+        out[...] = widths
+        if width == 0:
+            return
+        movers = np.flatnonzero(jumps[start:stop, 0] < 1.5)
+        rows = np.take(jumps[start:stop], movers, axis=0)
+        row = np.arange(movers.size)[:, None]
         # slot m + 1 of each row collects the PAD entries
         first = np.searchsorted(bounds, rows, side="left") + row * (m + 2)
         per_bound = np.bincount(first.ravel(), minlength=row.size * (m + 2))
@@ -284,7 +343,7 @@ def _batch_signed_lengths(jumps, m_cells, workers):
                   out=prefix[:, 1:])
         f = (1 - 2 * (nu & 1)) * bounds
         f += 2.0 * prefix.ravel()[nu + row * (width + 1)]
-        np.subtract(f[:, 1:], f[:, :-1], out=out)
+        out[movers] = f[:, 1:] - f[:, :-1]
 
     return fill_chunks(block, np.empty((jumps.shape[0], m)), workers)
 

@@ -430,10 +430,14 @@ def static_approximation(lam, beta_b, quad_nodes=64):
     The restriction of the variational problem to constant kernels; satisfies
     -lam <= J <= -m^2 lam, with J/lam -> -m^2 as lam -> 0 and -> -1 as
     lam -> infinity.  Dense scan plus bounded golden-section refinement.
+    At beta_b = 0 the paths never jump (sigma = 1, m = 1), both bounds meet
+    and J = -lam exactly, which the scan would only reach up to rounding.
     """
     lam = float(lam)
     if lam <= 0:
         raise ValueError("lam must be positive")
+    if beta_b == 0:
+        return -lam
     xs = np.linspace(0.0, 1.5, 601)
     vals = lam * xs**2 - _lambda_constant_vec(2.0 * lam * xs, beta_b, quad_nodes)
     i = int(np.argmin(vals))

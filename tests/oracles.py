@@ -4,10 +4,12 @@ A path here is a plain sorted array of jump times in the open interval
 (0, 1), even in number, with sigma(0) = +1 and sigma(t) = (-1)^{#jumps <= t}.
 Each path function evaluates its quantity directly, one path or one pair at
 a time, so a test can compare it with the batched kernels in ``qsk.paths``
-and ``qsk.annealed``.  ``signed_lengths_broadcast`` and ``p_n_batch_serial``
-take a whole padded jump matrix instead: they are the unchunked,
-single-threaded forms of the signed cell lengths and of ``p_n_batch``, which
-the chunked kernels on the worker pool must reproduce bit for bit.
+and ``qsk.annealed``.  ``signed_lengths_broadcast``,
+``overlap_matrix_serial`` and ``p_n_batch_serial`` take a whole padded jump
+matrix instead: they are the unchunked, single-threaded forms of the signed
+cell lengths and of the overlap kernels (the pairwise merge loop), which the
+chunked kernels on the worker pool must reproduce bit for bit;
+``even_paths_matrix`` is the sampler's batch layout drawn on one thread.
 ``quadratic_forms_full`` and ``weighted_gram_full`` are the variational path
 kernels on the whole (paths x M) signed-length matrix at once; the chunked
 kernels reproduce the forms bit for bit and the Gram products up to the
@@ -20,7 +22,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from qsk.numerics import gauss_legendre_01
-from qsk.paths import even_jump_count_cdf
+from qsk.paths import PAD, even_jump_count_cdf
+from qsk.streams import DOMAIN_PATHS, batch_generator, batch_ranges
 
 
 def sigma_at(times, t):
@@ -104,25 +107,67 @@ def signed_lengths_broadcast(jumps, m_cells):
     return np.diff(f, axis=1)
 
 
-def p_n_batch_serial(jumps, n_spins):
-    """P_N per consecutive group of ``n_spins`` rows of a padded jump matrix.
+def overlap_matrix_serial(jumps, n_spins):
+    """(n_groups, N, N) overlap matrices of consecutive groups of ``n_spins`` rows.
 
-    All groups at once on one thread: every pair overlap is the alternating
-    sum over the sorted union of the two rows' jumps.
+    The pairwise merge loop, all groups at once on one thread: for every
+    pair the two padded rows are concatenated and stable-sorted, the PAD
+    entries (last after the sort) are zeroed, and A = 1 + 2 sum_k
+    (-1)^{k-1} t_(k) is summed over all 2 kmax columns.
     """
     n = int(n_spins)
     grouped = jumps.reshape(jumps.shape[0] // n, n, -1)
-    signs = np.ones(2 * grouped.shape[2])
+    n_groups, _, width = grouped.shape
+    signs = np.ones(2 * width)
     signs[1::2] = -1.0
-    acc = np.full(grouped.shape[0], float(n))  # diagonal terms A_ii = 1
+    out = np.empty((n_groups, n, n))
+    out[:, np.arange(n), np.arange(n)] = 1.0
+    merged = np.empty((n_groups, 2 * width))
     for i in range(n):
         for j in range(i + 1, n):
-            merged = np.concatenate([grouped[:, i, :], grouped[:, j, :]], axis=1)
-            merged.sort(axis=1)
-            vals = np.where(merged < 1.5, merged, 0.0)
-            a = 1.0 + 2.0 * (signs[None, :] * vals).sum(axis=1)
-            acc += 2.0 * np.square(a)
+            merged[:, :width] = grouped[:, i, :]
+            merged[:, width:] = grouped[:, j, :]
+            merged.sort(axis=1, kind="stable")
+            merged[merged >= 1.5] = 0.0
+            merged *= signs
+            out[:, i, j] = out[:, j, i] = 1.0 + 2.0 * merged.sum(axis=1)
+    return out
+
+
+def p_n_batch_serial(jumps, n_spins):
+    """P_N per consecutive group of ``n_spins`` rows of a padded jump matrix.
+
+    The diagonal N plus 2 A_ij^2 for every pair i < j, added in that order.
+    """
+    n = int(n_spins)
+    a = overlap_matrix_serial(jumps, n)
+    acc = np.full(a.shape[0], float(n))  # diagonal terms A_ii = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            acc += 2.0 * np.square(a[:, i, j])
     return acc / n**2
+
+
+def even_paths_matrix(rate, count, seed):
+    """The padded jump matrix and counts of ``sample_ensemble``, batch by batch.
+
+    Every batch draws its jump counts and then its jump times from its own
+    stream and sorts every row, PAD-only rows included; the batches are
+    stacked under the widest one's column count.
+    """
+    cdf = even_jump_count_cdf(float(rate))
+    parts = []
+    for b, start, stop in batch_ranges(count):
+        rng = batch_generator(seed, DOMAIN_PATHS, b)
+        counts = 2 * np.searchsorted(cdf, rng.random(stop - start), side="right")
+        kmax = int(counts.max())
+        times = rng.random((stop - start, kmax)) if kmax else np.empty((stop - start, 0))
+        times[np.arange(kmax)[None, :] >= counts[:, None]] = PAD
+        parts.append((np.sort(times, axis=1), counts))
+    jumps = np.full((count, max(t.shape[1] for t, _ in parts)), PAD)
+    for (times, _), (_, start, stop) in zip(parts, batch_ranges(count)):
+        jumps[start:stop, : times.shape[1]] = times
+    return jumps, np.concatenate([c for _, c in parts]).astype(np.int64)
 
 
 def quadratic_forms_full(psi_values, s):

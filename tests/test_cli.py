@@ -380,14 +380,18 @@ def test_static_sweep(tmp_path):
     ["variational", "--ensembles", "2000", "--m-cells", "4", "--with-static", "true"],
 ])
 def test_zero_field_static_threshold(command, capsys):
-    # the threshold is 0 at beta_b = 0, so no lam lies in the strict regime
+    # the threshold is 0 at beta_b = 0, so no lam lies in the strict regime,
+    # and J = -lam = -p lam exactly, so J never exceeds -p lam
     assert cli.main(command + ["--beta-b", "0"]) == 0
     out = capsys.readouterr().out
     if command[0] == "static":
         _, rows = _data_rows(out.splitlines())
         assert [r[5] for r in rows] == ["no", "no"]
+        assert [r[4] for r in rows] == ["no", "no"]
     else:
-        assert json.loads(out)["result"]["static"]["strict_regime"] is False
+        static = json.loads(out)["result"]["static"]
+        assert static["strict_regime"] is False
+        assert static["exceeds_minus_p_lam"] is False
 
 # -- quenched --------------------------------------------------------------
 

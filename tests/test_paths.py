@@ -1,5 +1,7 @@
 """Even-conditioned Poisson jump paths, overlaps, and single-spin kernels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,13 +24,19 @@ from qsk.streams import BATCH_SIZE
 
 from oracles import (
     cell_signed_lengths,
+    even_paths_matrix,
     overlap_integral,
+    overlap_matrix_serial,
     p_n_batch_serial,
     p_n_functional,
     sample_even_path,
     sigma_at,
     signed_lengths_broadcast,
 )
+
+
+#: rows spanning three full chunks and part of a fourth
+MULTI_CHUNK = 3 * BATCH_SIZE + 123
 
 
 def _path(*times):
@@ -168,11 +176,15 @@ def test_overlap_riemann_cross_check():
 
 
 def test_ensemble_deterministic_across_workers():
-    e1 = sample_ensemble(1.0, 3000, seed=11, workers=1)
-    e4 = sample_ensemble(1.0, 3000, seed=11, workers=4)
+    e1 = sample_ensemble(1.0, MULTI_CHUNK, seed=11, workers=1)
+    e4 = sample_ensemble(1.0, MULTI_CHUNK, seed=11, workers=4)
     np.testing.assert_array_equal(e1.jumps, e4.jumps)
     np.testing.assert_array_equal(e1.counts, e4.counts)
-    e_other = sample_ensemble(1.0, 3000, seed=12)
+    # the same bytes as drawing every batch in turn and sorting every row
+    jumps, counts = even_paths_matrix(1.0, MULTI_CHUNK, seed=11)
+    assert e4.jumps.tobytes() == jumps.tobytes()
+    assert e4.counts.tobytes() == counts.tobytes()
+    e_other = sample_ensemble(1.0, MULTI_CHUNK, seed=12)
     assert not np.array_equal(e1.counts, e_other.counts)
 
 
@@ -236,9 +248,6 @@ def test_p_n_batch_matches_loop():
 
 # -- chunked pool kernels against their serial forms ------------------------
 
-#: rows spanning three full chunks and part of a fourth
-MULTI_CHUNK = 3 * BATCH_SIZE + 123
-
 
 def _with_workers(ens, workers):
     """A fresh copy of ``ens`` (empty memo) whose kernels use ``workers``."""
@@ -270,6 +279,59 @@ def test_p_n_batch_matches_serial_kernel_for_any_workers(rate, n_spins, groups):
         assert np.array_equal(got, ref), workers
     if rate == 0.0:
         assert np.all(ref == 1.0)
+
+
+def _jump_matrix(counts, rng):
+    """A PathEnsemble whose path k has ``counts[k]`` uniform jump times."""
+    jumps = np.full((counts.size, int(counts.max())), PAD)
+    for row, k in zip(jumps, counts):
+        row[:k] = np.sort(rng.random(k))
+    return PathEnsemble(jumps, counts, rate=1.0)
+
+
+def _overlap_input(kind, n_spins, groups):
+    """An ensemble of ``groups`` groups of paths of one of four kinds."""
+    if kind.startswith("rate"):
+        return sample_ensemble(float(kind[5:]), n_spins * groups, seed=23)
+    rng = np.random.default_rng(24)
+    counts = 2 * rng.integers(1, 4, size=(groups, n_spins))
+    if kind == "one_jumper":
+        # one path per group jumps, so a pair has one jumping path or none
+        counts *= np.arange(n_spins) == rng.integers(n_spins, size=(groups, 1))
+    return _jump_matrix(counts.ravel(), rng)
+
+
+@pytest.mark.parametrize("n_spins", [2, 16])
+@pytest.mark.parametrize("kind", ["rate_0.2", "rate_1.5", "all_jump", "one_jumper"])
+def test_overlap_kernels_match_pair_loop_oracle(kind, n_spins):
+    groups = 2 * BATCH_SIZE + 7  # two full chunks and part of a third
+    ens = _overlap_input(kind, n_spins, groups)
+    jumping = (ens.counts > 0).reshape(groups, n_spins)
+    if kind == "rate_0.2":
+        assert jumping.mean() < 0.05
+    elif kind == "all_jump":
+        assert jumping.all()
+    elif kind == "one_jumper":
+        assert np.all(jumping.sum(axis=1) == 1)
+    mats = overlap_matrix_serial(ens.jumps, n_spins)
+    p_n = p_n_batch_serial(ens.jumps, n_spins)
+    for workers in (1, 2, 4):
+        ens_w = _with_workers(ens, workers)
+        assert np.array_equal(paths.overlap_matrix_batch(ens_w, n_spins), mats), workers
+        assert np.array_equal(paths.p_n_batch(ens_w, n_spins), p_n), workers
+
+
+def test_p_n_batch_memory_does_not_grow_with_chunks():
+    def traced_peak(chunks):
+        ens = sample_ensemble(3.0, 16 * chunks * BATCH_SIZE, seed=25, workers=2)
+        tracemalloc.start()
+        try:
+            paths.p_n_batch(ens, 16)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(8) <= 1.25 * traced_peak(2)
 
 
 @pytest.mark.parametrize("m_cells", [3, 4, 8])

@@ -408,6 +408,12 @@ def test_static_bounds():
         static_approximation(0.0, 1.0)
 
 
+def test_static_zero_field_ties_minus_p_lam():
+    assert p_of(0.0) == 1.0
+    for lam in np.geomspace(1e-4, 20.0, 13):
+        assert static_approximation(lam, 0.0) == -lam
+
+
 def test_static_exceeds_quadratic_lower_bound_below_threshold():
     for bb in (0.5, 1.0, 3.0):
         m, p = m_of(bb), p_of(bb)
