@@ -50,12 +50,13 @@ __all__ = [
 MAX_SPINS_DISORDER = 10
 MAX_FOUR_LAM = 0.6
 
-#: flip-parity block size from which a study spreads its samples over the
-#: worker pool; below it the per-sample Python work, serialized by the
-#: interpreter lock, outweighs the LAPACK time that threads can overlap
+#: flip-parity block size from which a study spreads its chunks over the
+#: worker pool; below it the LAPACK time is too short to pay for the pool
 MIN_PARALLEL_DIM = 32
-#: contiguous sample chunks per worker, so uneven chunk times even out
+#: least chunks per worker, so that small studies still even out chunk times
 CHUNKS_PER_WORKER = 4
+#: block bytes per chunk, 16 D^2 a sample: 64 samples at N = 6, 1 at N = 10
+CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -104,39 +105,21 @@ def _validate_disorder_params(params, allow_strong=False):
 
 
 def _check_blocks(blocks):
-    """Raise unless both flip-parity blocks are symmetric and traceless."""
-    if not np.array_equal(blocks, blocks.transpose(0, 2, 1)):
+    """Raise unless each sample's flip-parity blocks are symmetric and traceless."""
+    if not np.array_equal(blocks, blocks.swapaxes(-1, -2)):
         raise RuntimeError("Hamiltonian block is not symmetric")
-    diag = np.diagonal(blocks, axis1=1, axis2=2)
-    if np.abs(diag.sum(axis=1)).max() >= 1e-10 * (1.0 + np.abs(diag).max()):
+    diag = np.diagonal(blocks, axis1=-2, axis2=-1)
+    scale = 1.0 + np.abs(diag).max(axis=(-2, -1))
+    if np.any(np.abs(diag.sum(axis=-1)).max(axis=-1) >= 1e-10 * scale):
         raise RuntimeError("Hamiltonian block diagonal does not sum to zero")
-
-
-def _sample_stats(params, sample, check, pairs):
-    """(ln Z, mean squared <Sz_i Sz_j> over ``pairs``) of one disorder sample.
-
-    ``pairs`` is a ``triu_indices`` pair, or None to skip the correlations
-    (the second entry is then 0).  ``check`` runs the structural spot
-    checks.  The Hamiltonian lives only in this call, so a worker holds one
-    sample's blocks and eigenvectors at a time.
-    """
-    h = build_hamiltonian(params, sample)
-    if check:
-        _check_blocks(h.blocks)
-    ln_z = spectrum(h).ln_z
-    if pairs is None:
-        return ln_z, 0.0
-    c = gibbs_zz_matrix(h, params.beta)
-    if check and np.abs(c).max() > 1.0 + 1e-12:
-        raise RuntimeError("|<Sz_i Sz_j>| = %.17g exceeds 1" % np.abs(c).max())
-    return ln_z, np.square(c[pairs]).mean()
 
 
 def _study_arrays(params, n_disorder, seed, workers=None, want_pairs=True):
     """Per-sample ln Z, beta*f, and mean squared pair correlation.
 
     All couplings are drawn first; the samples are then solved in
-    contiguous chunks on the worker pool, each result stored at its sample
+    contiguous chunks on the worker pool, each chunk as one stack of at
+    most ``CHUNK_BYTES`` of blocks, and each result is stored at its sample
     index, so the output does not depend on ``workers``.  Studies with
     blocks smaller than ``MIN_PARALLEL_DIM`` run serially.  Spot checks
     structural invariants (symmetric blocks, bounded correlations,
@@ -144,25 +127,51 @@ def _study_arrays(params, n_disorder, seed, workers=None, want_pairs=True):
     identify the offending (seed, batch, index) triple.
     """
     n = params.n_spins
+    dim = 2 ** (n - 1)
     couplings = draw_couplings(n, n_disorder, seed)
-    pairs = np.triu_indices(n, k=1) if want_pairs else None
+    iu, ju = np.triu_indices(n, k=1)
     ln_z = np.empty(n_disorder)
     op = np.zeros(n_disorder)
 
-    def solve_chunk(k):
-        for i in range(k * n_disorder // n_chunks,
-                       (k + 1) * n_disorder // n_chunks):
-            try:
-                sample = DisorderSample(n_spins=n, couplings=couplings[i], seed=seed)
-                ln_z[i], op[i] = _sample_stats(params, sample, i % 10 == 0, pairs)
-            except Exception as exc:
-                raise RuntimeError(
-                    "disorder sample failed (seed=%d, batch=%d, index=%d): %s"
-                    % (seed, i // BATCH_SIZE, i, exc)
-                ) from exc
+    def solve(start, stop):
+        sample = DisorderSample(n_spins=n, couplings=couplings[start:stop],
+                                seed=seed)
+        h = build_hamiltonian(params, sample)
+        # rows whose global sample index is a multiple of ten
+        checked = np.arange(-start % 10, stop - start, 10)
+        if checked.size:
+            _check_blocks(h.blocks[checked])
+        ln_z[start:stop] = spectrum(h).ln_z
+        if not want_pairs:
+            return
+        c = gibbs_zz_matrix(h, params.beta)
+        worst = np.abs(c[checked]).max(initial=0.0)
+        if worst > 1.0 + 1e-12:
+            raise RuntimeError("|<Sz_i Sz_j>| = %.17g exceeds 1" % worst)
+        # C-ordered rows, so each row mean is the one-sample pairwise sum
+        op[start:stop] = np.square(c[:, iu, ju], order="C").mean(axis=1)
 
-    workers = resolve_workers(workers) if 2 ** (n - 1) >= MIN_PARALLEL_DIM else 1
-    n_chunks = min(n_disorder, CHUNKS_PER_WORKER * workers)
+    def solve_chunk(k):
+        start = k * n_disorder // n_chunks
+        stop = (k + 1) * n_disorder // n_chunks
+        try:
+            solve(start, stop)
+        except Exception:
+            # re-solve one sample at a time to name the one that fails
+            for i in range(start, stop):
+                try:
+                    solve(i, i + 1)
+                except Exception as exc:
+                    raise RuntimeError(
+                        "disorder sample failed (seed=%d, batch=%d, index=%d): %s"
+                        % (seed, i // BATCH_SIZE, i, exc)
+                    ) from exc
+            raise
+
+    workers = resolve_workers(workers) if dim >= MIN_PARALLEL_DIM else 1
+    per_chunk = max(1, CHUNK_BYTES // (16 * dim * dim))
+    n_chunks = min(n_disorder, max(-(-n_disorder // per_chunk),
+                                   CHUNKS_PER_WORKER * workers))
     map_batches(solve_chunk, n_chunks, workers=workers)
     return ln_z, -ln_z / n, op
 

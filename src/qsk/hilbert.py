@@ -15,6 +15,14 @@ symmetrized, so both blocks are symmetric by construction.  Sz_i Sz_j
 preserves the blocks, so ln Z and every <Sz_i Sz_j> come from one
 eigendecomposition of the two blocks.
 
+``build_hamiltonian``, ``spectrum`` and ``gibbs_zz_matrix`` also take a
+stack of samples along a leading axis: a chunk of k samples is built in
+one (k, 2, D, D) array, solved by one ``numpy.linalg.eigh`` call and
+reduced by array operations over the stack.  Every step repeats the
+one-sample arithmetic (one matrix-vector product per sample for the
+diagonal, row-wise sums over C-ordered rows), so a sample's results do not
+depend on the stack it was solved in.
+
 Memory grows as 4^(N-1); the builder refuses N beyond a configurable cap
 (default 12, where the blocks take 2 * 4^(N-1) * 8 B = 67 MB).
 """
@@ -49,7 +57,8 @@ class DisorderSample:
     """One draw of the N(N-1)/2 standard-normal couplings g_ij (i < j).
 
     Couplings are stored in row-major upper-triangle order, matching
-    ``numpy.triu_indices(n, k=1)``.
+    ``numpy.triu_indices(n, k=1)``.  A (k, N(N-1)/2) array holds a stack of
+    k draws, one per row.
     """
 
     n_spins: int
@@ -59,7 +68,7 @@ class DisorderSample:
     def __post_init__(self):
         g = np.asarray(self.couplings, dtype=float)
         expected = self.n_spins * (self.n_spins - 1) // 2
-        if g.shape != (expected,):
+        if g.ndim not in (1, 2) or g.shape[-1] != expected:
             raise ValueError(
                 f"expected {expected} couplings for N={self.n_spins}, got {g.shape}"
             )
@@ -127,8 +136,10 @@ def _field_blocks(n, b):
 class Hamiltonian:
     """H in the flip-parity basis: its (+, -) blocks with the defining data.
 
-    ``blocks[0]`` and ``blocks[1]`` act on (|s> + |s-bar>)/sqrt(2) and
-    (|s> - |s-bar>)/sqrt(2) for the representatives s of ``_z_table``.
+    ``blocks[..., 0, :, :]`` and ``blocks[..., 1, :, :]`` act on
+    (|s> + |s-bar>)/sqrt(2) and (|s> - |s-bar>)/sqrt(2) for the
+    representatives s of ``_z_table``; a stacked ``sample`` gives a leading
+    sample axis.
     """
 
     blocks: np.ndarray
@@ -137,7 +148,7 @@ class Hamiltonian:
 
     @property
     def eigh(self):
-        """(eigenvalues (2, D), eigenvectors (2, D, D)) of both blocks, one solve.
+        """(eigenvalues (..., 2, D), eigenvectors (..., 2, D, D)), one solve.
 
         Cached on the instance without a lock: ``functools.cached_property``
         holds one lock per class on Python < 3.12, which would run the solves
@@ -150,7 +161,7 @@ class Hamiltonian:
             cached = np.linalg.eigh(self.blocks)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
             defect = float(
-                np.abs(self.blocks - self.blocks.transpose(0, 2, 1)).max())
+                np.abs(self.blocks - self.blocks.swapaxes(-1, -2)).max())
             raise RuntimeError(
                 "eigensolver failed: N=%d, max|H|=%.3e, symmetry defect=%.3e"
                 % (self.params.n_spins, np.abs(self.blocks).max(), defect)
@@ -165,8 +176,9 @@ def build_hamiltonian(params: ModelParams, sample: DisorderSample,
 
     The diagonal carries the Sz-Sz part (traceless in each block: every pair
     product z_i z_j is +1 on exactly half the representatives), the
-    transverse field the off-diagonal entries of ``_field_blocks``.  Raises
-    for mismatched sample size, non-finite couplings, or N over the cap.
+    transverse field the off-diagonal entries of ``_field_blocks``.  A
+    stacked sample of k draws gives (k, 2, D, D) blocks.  Raises for
+    mismatched sample size, non-finite couplings, or N over the cap.
     """
     n = params.n_spins
     if n != sample.n_spins:
@@ -178,23 +190,32 @@ def build_hamiltonian(params: ModelParams, sample: DisorderSample,
         )
     dim = 2 ** (n - 1)
     weights = -(params.v / np.sqrt(n)) * sample.couplings
-    blocks = _field_blocks(n, params.b).copy()
-    blocks.reshape(2, dim * dim)[:, :: dim + 1] = _pair_z_table(n) @ weights
+    lead = weights.shape[:-1]
+    blocks = np.broadcast_to(_field_blocks(n, params.b),
+                             lead + (2, dim, dim)).copy()
+    # one matrix-vector product per sample: a (samples x pairs) @ table.T
+    # product rounds differently from N = 4 on
+    diag = (_pair_z_table(n) @ weights[..., None])[..., 0]
+    blocks.reshape(lead + (2, dim * dim))[..., :: dim + 1] = diag[..., None, :]
     return Hamiltonian(blocks=blocks, params=params, sample=sample)
 
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Eigenvalues plus the derived log partition function and free energy."""
+    """Eigenvalues plus the derived log partition function and free energy.
+
+    For a stack of samples ``eigenvalues`` is (k, 2^N) and ``ln_z`` and
+    ``f_n`` are length-k arrays; for one sample they are floats.
+    """
 
     eigenvalues: np.ndarray
-    ln_z: float
-    f_n: float
+    ln_z: float | np.ndarray
+    f_n: float | np.ndarray
     beta: float
 
 
 def spectrum(h: Hamiltonian, beta=None):
-    """Full sorted spectrum and f_N = -ln Z / (beta N) from both blocks.
+    """Sorted spectrum and f_N = -ln Z / (beta N) from both blocks, per sample.
 
     ln Z is a log-sum-exp of -beta * eigenvalues shifted by its largest term,
     -beta * (ground energy), so it never overflows.  Eigensolver failures
@@ -203,9 +224,12 @@ def spectrum(h: Hamiltonian, beta=None):
     beta = h.params.beta if beta is None else float(beta)
     if beta <= 0:
         raise ValueError("beta must be positive")
-    evals = np.sort(h.eigh[0], axis=None)
-    excited = np.exp(-beta * (evals[1:] - evals[0])).sum()
-    ln_z = float(-beta * evals[0] + np.log1p(excited))
+    evals = h.eigh[0]
+    evals = np.sort(evals.reshape(evals.shape[:-2] + (-1,)), axis=-1)
+    excited = np.exp(-beta * (evals[..., 1:] - evals[..., :1])).sum(axis=-1)
+    ln_z = -beta * evals[..., 0] + np.log1p(excited)
+    if ln_z.ndim == 0:
+        ln_z = float(ln_z)
     return SpectrumResult(
         eigenvalues=evals,
         ln_z=ln_z,
@@ -217,13 +241,13 @@ def spectrum(h: Hamiltonian, beta=None):
 def _gibbs_weights(h, beta):
     """Gibbs probability of each representative s plus its partner s-bar."""
     evals, vecs = h.eigh
-    w = np.exp(-beta * (evals - evals.min()))
-    w /= w.sum()
-    return (np.square(vecs) @ w[:, :, None]).sum(axis=0)[:, 0]
+    w = np.exp(-beta * (evals - evals.min(axis=(-2, -1), keepdims=True)))
+    w /= w.reshape(w.shape[:-2] + (-1,)).sum(axis=-1)[..., None, None]
+    return (np.square(vecs) @ w[..., None]).sum(axis=-3)[..., 0]
 
 
 def gibbs_zz(h: Hamiltonian, beta, i, j):
-    """Thermal correlation <Sz_i Sz_j> for 1-based spin indices i != j."""
+    """Thermal correlation <Sz_i Sz_j> of one sample, 1-based spins i != j."""
     n = h.params.n_spins
     if not (1 <= i <= n and 1 <= j <= n):
         raise IndexError("spin indices must lie in [1, N]")
@@ -238,12 +262,14 @@ def gibbs_zz(h: Hamiltonian, beta, i, j):
 
 
 def gibbs_zz_matrix(h: Hamiltonian, beta):
-    """Matrix of <Sz_i Sz_j> for all pairs (diagonal exactly 1)."""
+    """Matrix of <Sz_i Sz_j> for all pairs (diagonal exactly 1), per sample."""
+    n = h.params.n_spins
     q = _gibbs_weights(h, float(beta))
-    z = _z_table(h.params.n_spins)
-    c = (z * q[:, None]).T @ z
-    c = 0.5 * (c + c.T)
-    np.fill_diagonal(c, 1.0)
+    z = _z_table(n)
+    c = (z * q[..., None]).swapaxes(-1, -2) @ z
+    c = 0.5 * (c + c.swapaxes(-1, -2))
+    diag = np.arange(n)
+    c[..., diag, diag] = 1.0
     return c
 
 

@@ -15,15 +15,29 @@ kernels on the whole (paths x M) signed-length matrix at once; the chunked
 kernels reproduce the forms bit for bit and the Gram products up to the
 order in which the chunk partials are added.  The dense Hamiltonian is the
 full 2^N x 2^N matrix in the Sz basis, diagonalized without the spin-flip
-reduction of ``qsk.hilbert``.
+reduction of ``qsk.hilbert``.  ``per_sample_study`` is the disorder study
+solved one sample at a time through the one-sample API of ``qsk.hilbert``,
+which the chunked study must reproduce bit for bit.
 """
 
 import numpy as np
 from scipy.optimize import brentq
 
+from qsk.hilbert import (
+    DisorderSample,
+    build_hamiltonian,
+    draw_couplings,
+    gibbs_zz_matrix,
+    spectrum,
+)
 from qsk.numerics import gauss_legendre_01
 from qsk.paths import PAD, even_jump_count_cdf
-from qsk.streams import DOMAIN_PATHS, batch_generator, batch_ranges
+from qsk.streams import (
+    DOMAIN_PATHS,
+    batch_generator,
+    batch_ranges,
+    single_blas_thread,
+)
 
 
 def sigma_at(times, t):
@@ -270,3 +284,24 @@ def dense_gibbs_weights(matrix, beta):
     w = np.exp(-beta * (evals - evals.min()))
     w /= w.sum()
     return np.square(vecs) @ w
+
+
+def per_sample_study(params, n_disorder, seed, want_pairs=True):
+    """(ln Z, beta*f, mean squared <Sz_i Sz_j> over pairs) of each disorder sample.
+
+    Each draw gets its own Hamiltonian, eigendecomposition and correlation
+    matrix, with OpenBLAS on one thread as on the worker pool (from N = 9
+    on, eigh's bits depend on the BLAS thread count).
+    """
+    n = params.n_spins
+    iu, ju = np.triu_indices(n, k=1)
+    ln_z = np.empty(n_disorder)
+    op = np.zeros(n_disorder)
+    with single_blas_thread():
+        for i, g in enumerate(draw_couplings(n, n_disorder, seed)):
+            h = build_hamiltonian(params, DisorderSample(n, g, seed))
+            ln_z[i] = spectrum(h).ln_z
+            if want_pairs:
+                c = gibbs_zz_matrix(h, params.beta)
+                op[i] = np.square(c[iu, ju]).mean()
+    return ln_z, -ln_z / n, op

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,8 @@ from qsk.numerics import LN2, logcosh
 from qsk.stats import EstimateWithError
 from qsk.streams import BATCH_SIZE
 from qsk.variational import fixed_point_solve
+
+from oracles import per_sample_study
 
 
 def test_run_study_no_disorder_limit():
@@ -59,7 +62,47 @@ def test_one_eigendecomposition_per_sample(monkeypatch):
     params = ModelParams.from_dimensionless(5, 0.1, 1.0)
     run_study(DisorderStudyConfig(params=params, n_disorder=23, seed=3,
                                   delta=0.1))
-    assert shapes == [(2, 16, 16)] * 23
+    # one stacked solve per chunk, and every sample in exactly one of them
+    assert len(shapes) == disorder.CHUNKS_PER_WORKER
+    assert [s[1:] for s in shapes] == [(2, 16, 16)] * len(shapes)
+    assert sum(s[0] for s in shapes) == 23
+
+
+#: samples per oracle study: for N <= 4 a chunk straddles the BATCH_SIZE
+#: boundary of the coupling draws; for N >= 5 the chunks hold fewer samples
+#: than the byte budget allows, or (N = 6, 7) the budget sets their count
+ORACLE_SAMPLES = {2: BATCH_SIZE + 8, 3: BATCH_SIZE + 8, 4: BATCH_SIZE + 8,
+                  5: 300, 6: 600, 7: 100, 8: 20, 9: 6, 10: 4}
+
+
+@pytest.mark.parametrize("b", [0.0, 1.0, 50.0])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_chunked_study_matches_per_sample_oracle(n, b):
+    params = ModelParams(n_spins=n, beta=1.1, v=0.9, b=b)
+    count = ORACLE_SAMPLES[n]
+    reference = per_sample_study(params, count, seed=n)
+    for workers in (1, 2, 4):
+        arrays = disorder._study_arrays(params, count, n, workers=workers)
+        for got, want in zip(arrays, reference):
+            assert np.array_equal(got, want), (n, b, workers)
+    ln_z, _, op = disorder._study_arrays(params, count, n, workers=2,
+                                         want_pairs=False)
+    assert np.array_equal(ln_z, reference[0])
+    assert not op.any()
+
+
+def test_chunked_study_memory_stays_near_chunk_budget():
+    # N = 8 fills a 1 MiB chunk with 4 samples; 64 samples in one stack
+    # would hold 16 MiB of blocks
+    params = ModelParams.from_dimensionless(8, 0.1, 1.0)
+    disorder._study_arrays(params, 16, 4, workers=2)  # fill the table caches
+    tracemalloc.start()
+    try:
+        disorder._study_arrays(params, 64, 4, workers=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * disorder.CHUNK_BYTES
 
 
 def test_run_study_weak_disorder_sanity():
@@ -100,7 +143,7 @@ def test_run_study_worker_invariance(monkeypatch):
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for n, count in ((3, 120), (6, 40), (10, 12)):
+        for n, count in ((3, 120), (6, 300), (10, 12)):
             params = ModelParams.from_dimensionless(n, 0.1, 1.0)
             cfg = DisorderStudyConfig(params=params, n_disorder=count, seed=5,
                                       delta=0.3)
@@ -110,11 +153,13 @@ def test_run_study_worker_invariance(monkeypatch):
                 assert runs[w].quenched_mean == runs[1].quenched_mean
     finally:
         sys.setswitchinterval(switch)
-    # the chunking depends on the block size only; map_batches alone decides
-    # whether the chunks then share a pool
+    # the chunking depends on the block size, the sample count and the
+    # workers only: at least CHUNKS_PER_WORKER chunks per worker, and at
+    # most CHUNK_BYTES of blocks (64 samples at N = 6, 1 at N = 10) in each;
+    # map_batches alone decides whether the chunks then share a pool
     assert calls == [(4, 1), (4, 1), (4, 1),
-                     (4, 1), (8, 2), (16, 4),
-                     (4, 1), (8, 2), (12, 4)]
+                     (5, 1), (8, 2), (16, 4),
+                     (12, 1), (12, 2), (12, 4)]
 
 
 def test_blas_thread_context_restores_count():
@@ -184,8 +229,14 @@ def test_parallel_failures_name_the_global_sample(monkeypatch):
     real_spectrum = disorder.spectrum
     real_gibbs = disorder.gibbs_zz_matrix
 
+    def rows_of(h, index):
+        """Rows of the stack in ``h`` that hold sample ``index``."""
+        return np.all(h.sample.couplings == couplings[index], axis=-1)
+
+    # a failing stacked solve is re-solved one sample at a time, so the
+    # error names the sample inside the chunk that fails
     def failing_spectrum(h, beta=None):
-        if np.array_equal(h.sample.couplings, couplings[13]):
+        if np.any(rows_of(h, 13)):
             raise np.linalg.LinAlgError("injected")
         return real_spectrum(h, beta)
 
@@ -200,8 +251,7 @@ def test_parallel_failures_name_the_global_sample(monkeypatch):
     def corrupt_at(index):
         def gibbs(h, beta):
             c = real_gibbs(h, beta)
-            if np.array_equal(h.sample.couplings, couplings[index]):
-                c[0, 1] = 2.0
+            c[rows_of(h, index), 0, 1] = 2.0
             return c
         return gibbs
 
@@ -334,7 +384,8 @@ import numpy as np
 from qsk import disorder
 from qsk.constants import ModelParams
 
-disorder.gibbs_zz_matrix = lambda h, beta: np.full((4, 4), 2.0)
+disorder.gibbs_zz_matrix = lambda h, beta: np.full(
+    h.blocks.shape[:-3] + (4, 4), 2.0)
 cfg = disorder.DisorderStudyConfig(
     params=ModelParams.from_dimensionless(4, 0.1, 1.0),
     n_disorder=20, seed=1, delta=0.1)

@@ -115,6 +115,32 @@ def test_blocked_route_matches_dense_oracle(n, b):
     np.testing.assert_allclose(gibbs_zz_matrix(h, params.beta), c, **tol)
 
 
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_stacked_samples_match_one_sample_calls(n):
+    # a stack of k samples gives, row by row, the bytes of k one-sample
+    # calls; a stack of one gives those of the plain call
+    params = ModelParams(n_spins=n, beta=1.1, v=0.9, b=0.7)
+    couplings = draw_couplings(n, 3, seed=n)
+    singles = []
+    for g in couplings:
+        h = build_hamiltonian(params, DisorderSample(n, g))
+        singles.append((h.blocks, spectrum(h), gibbs_zz_matrix(h, params.beta)))
+    for stack in (couplings[:1], couplings):
+        h = build_hamiltonian(params, DisorderSample(n, stack))
+        res = spectrum(h)
+        c = gibbs_zz_matrix(h, params.beta)
+        assert h.blocks.shape == (len(stack), 2, 2 ** (n - 1), 2 ** (n - 1))
+        assert res.ln_z.shape == res.f_n.shape == (len(stack),)
+        for k, (blocks, one, corr) in enumerate(singles[:len(stack)]):
+            assert h.blocks[k].tobytes() == blocks.tobytes()
+            assert res.eigenvalues[k].tobytes() == one.eigenvalues.tobytes()
+            assert res.ln_z[k] == one.ln_z and res.f_n[k] == one.f_n
+            assert c[k].tobytes() == corr.tobytes()
+    assert isinstance(singles[0][1].ln_z, float)
+    with pytest.raises(ValueError):
+        DisorderSample(n, couplings[None])
+
+
 def test_trace_structure():
     # block diagonal = coupling-weighted sums of z_i z_j patterns; each pair
     # pattern sums to zero over the representatives, exactly in integer
