@@ -139,8 +139,7 @@ def _study_arrays(params, n_disorder, seed, workers=None, want_pairs=True):
         h = build_hamiltonian(params, sample)
         # rows whose global sample index is a multiple of ten
         checked = np.arange(-start % 10, stop - start, 10)
-        if checked.size:
-            _check_blocks(h.blocks[checked])
+        _check_blocks(h.blocks[checked])
         ln_z[start:stop] = spectrum(h).ln_z
         if not want_pairs:
             return
