@@ -20,7 +20,10 @@ identical runs give byte-identical files regardless of worker count; wall
 clock timings and warnings (e.g. an unsettled quadrature) go to stderr only.
 Exit codes: 0 success, 1 verification failure, 2 usage/config error, 3
 numerical-diagnostic abort: an effective sample size below the floor, in any
-subcommand.
+subcommand.  In qsk a ``ValueError`` means an argument lies outside its
+domain, so ``main`` reports every ``ValueError``, from the options or from
+the library, as ``qsk: error: <message>`` with exit code 2; a broken
+invariant raises ``RuntimeError`` and ends the run with a traceback.
 """
 
 import argparse
@@ -41,10 +44,6 @@ from .streams import WORKERS_ENV_VAR, resolve_workers
 DEFAULT_SEED = 123456789
 
 
-class _UsageError(Exception):
-    pass
-
-
 # -- option resolution -----------------------------------------------------
 
 
@@ -54,7 +53,7 @@ def _load_config(path):
         with open(path) as f:
             cp.read_file(f)
     except (OSError, configparser.Error, UnicodeDecodeError) as exc:
-        raise _UsageError(f"cannot read config file {path}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     return cp
 
 
@@ -75,7 +74,7 @@ def _resolve(args, spec, sections):
                     try:
                         val = conv(raw)
                     except ValueError as exc:
-                        raise _UsageError(
+                        raise ValueError(
                             f"config [{section}] {name} = {raw!r}: {exc}"
                         ) from exc
                     break
@@ -164,11 +163,19 @@ OPTIONS = {
 
 
 def _model_from(opts):
-    try:
-        return ModelParams.from_dimensionless(opts["n_spins"], opts["lam"],
-                                              opts["beta_b"])
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    return ModelParams.from_dimensionless(opts["n_spins"], opts["lam"],
+                                          opts["beta_b"])
+
+
+def _sweep(lo, hi, count, scale):
+    """``count`` points from ``lo`` to ``hi``, even on a log or a linear scale."""
+    if scale == "linear":
+        return np.linspace(lo, hi, count)
+    if scale != "log":
+        raise ValueError(f"sweep scale {scale!r} is neither 'log' nor 'linear'")
+    if lo <= 0:
+        raise ValueError(f"a log sweep needs a positive lower end, not {lo!r}")
+    return np.geomspace(lo, hi, count)
 
 
 def _fmt(x):
@@ -191,52 +198,44 @@ def _meta_lines(command, seed, opts):
     ]
 
 
-def _write_out(args, text):
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+def _table(header, rows):
+    return [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
 
 
-def _write_csv(args, command, seed, opts, header, rows):
-    lines = _meta_lines(command, seed, opts)
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_out(args, "\n".join(lines) + "\n")
+def _csv_lines(args, opts, header, rows):
+    return _meta_lines(args.command, args.seed, opts) + _table(header, rows)
 
 
-def _write_json(args, command, seed, opts, payload):
+def _json_lines(args, opts, payload):
     doc = {
         "meta": {
             "tool": "qsk",
             "version": __version__,
-            "command": command,
-            "seed": seed,
+            "command": args.command,
+            "seed": args.seed,
             "options": {k: opts[k] for k in sorted(opts)},
         },
         "result": payload,
     }
-    _write_out(args, json.dumps(doc, indent=2, sort_keys=True, default=float) + "\n")
+    return [json.dumps(doc, indent=2, sort_keys=True, default=float)]
+
+
+def _write(path, lines):
+    """Write ``lines`` to the file ``path``, or to stdout when ``path`` is empty."""
+    text = "\n".join(lines) + "\n"
+    if path:
+        with open(path, "w") as f:
+            f.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 # -- subcommands -----------------------------------------------------------
 
 
 def cmd_constants(args, opts):
-    if opts["bb_scale"] not in ("log", "linear"):
-        raise _UsageError("bb_scale must be 'log' or 'linear'")
-    if opts["bb_count"] < 0:
-        raise _UsageError("bb_count must be >= 0")
-    if opts["bb_count"] == 0:
-        sweep = np.empty(0)
-    elif opts["bb_scale"] == "log":
-        if opts["bb_min"] <= 0:
-            raise _UsageError("log sweep needs bb_min > 0")
-        sweep = np.geomspace(opts["bb_min"], opts["bb_max"], opts["bb_count"])
-    else:
-        sweep = np.linspace(opts["bb_min"], opts["bb_max"], opts["bb_count"])
+    sweep = _sweep(opts["bb_min"], opts["bb_max"], opts["bb_count"],
+                   opts["bb_scale"])
     chain_names = ["m_sq_positive", "m_sq_lt_p", "p_lt_m", "m_lt_one",
                    "m_lt_two_p", "two_p_lt_one_plus_p_m"]
     header = ["beta_b", "m", "p", "c0", "p_n", "g_n_over_n", "inf_g_n_over_n",
@@ -252,8 +251,7 @@ def cmd_constants(args, opts):
              constants.p_n_of(n, bb), constants.g_n_of(n, lam, bb) / n,
              inf_val, inf_arg, w_val] + [checks[k] for k in chain_names]
         )
-    _write_csv(args, "constants", args.seed, opts, header, rows)
-    return 0
+    _write(args.out, _csv_lines(args, opts, header, rows))
 
 
 def cmd_exactdiag(args, opts):
@@ -272,10 +270,8 @@ def cmd_exactdiag(args, opts):
         "max_energy": float(res.eigenvalues[-1]),
     }
     if opts["dump_spectrum"]:
-        with open(opts["dump_spectrum"], "w") as f:
-            f.write("\n".join(_fmt(float(e)) for e in res.eigenvalues) + "\n")
-    _write_json(args, "exactdiag", args.seed, opts, payload)
-    return 0
+        _write(opts["dump_spectrum"], [_fmt(e) for e in res.eigenvalues.tolist()])
+    _write(args.out, _json_lines(args, opts, payload))
 
 
 def cmd_annealed(args, opts):
@@ -291,14 +287,13 @@ def cmd_annealed(args, opts):
         "bounds": bounds,
         "verdicts": verdicts,
     }
-    _write_json(args, "annealed", args.seed, opts, payload)
-    return 0
+    _write(args.out, _json_lines(args, opts, payload))
 
 
 def cmd_variational(args, opts):
     lam, bb = opts["lam"], opts["beta_b"]
     if 2.0 * lam >= 1.0 and not args.allow_noncontractive:
-        raise _UsageError(
+        raise ValueError(
             "2*lam >= 1: the iteration is not a contraction "
             "(pass --allow-noncontractive to proceed anyway)"
         )
@@ -334,19 +329,12 @@ def cmd_variational(args, opts):
             meta={"m_cells": opts["m_cells"], "beta_b": bb, "lam": lam,
                   "seed": args.seed},
         )
-    _write_json(args, "variational", args.seed, opts, payload)
-    return 0
+    _write(args.out, _json_lines(args, opts, payload))
 
 
 def cmd_static(args, opts):
-    if opts["lam_count"] < 1:
-        raise _UsageError("lam_count must be >= 1")
-    if opts["lam_scale"] == "log":
-        lams = np.geomspace(opts["lam_min"], opts["lam_max"], opts["lam_count"])
-    elif opts["lam_scale"] == "linear":
-        lams = np.linspace(opts["lam_min"], opts["lam_max"], opts["lam_count"])
-    else:
-        raise _UsageError("lam_scale must be 'log' or 'linear'")
+    lams = _sweep(opts["lam_min"], opts["lam_max"], opts["lam_count"],
+                  opts["lam_scale"])
     bb = opts["beta_b"]
     p = constants.p_of(bb)
     thresh = variational.static_threshold(bb)
@@ -359,8 +347,7 @@ def cmd_static(args, opts):
                      "yes" if lam < thresh else "no"])
     header = ["lam", "j_value", "j_over_lam", "minus_p_lam",
               "exceeds_minus_p_lam", "below_threshold"]
-    _write_csv(args, "static", args.seed, opts, header, rows)
-    return 0
+    _write(args.out, _csv_lines(args, opts, header, rows))
 
 
 def cmd_quenched(args, opts):
@@ -369,10 +356,7 @@ def cmd_quenched(args, opts):
         params=params, n_disorder=opts["n_disorder"], seed=args.seed,
         delta=opts["delta"],
     )
-    try:
-        result = disorder.run_study(config, workers=args.workers)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    result = disorder.run_study(config, workers=args.workers)
     bound = disorder.concentration_bound(params.n_spins, opts["delta"],
                                          params.beta_v)
     theory = (disorder.second_moment_theory_bound(params.lam)
@@ -389,16 +373,12 @@ def cmd_quenched(args, opts):
     if theory is not None:
         payload["second_moment_theory_bound"] = theory
     if opts["per_sample_out"]:
-        ln_z, beta_f, op = result.per_sample
-        lines = _meta_lines("quenched.per_sample", args.seed, opts)
-        lines.append("index,ln_z,beta_f,order_parameter")
-        for i in range(ln_z.size):
-            lines.append(f"{i},{_fmt(float(ln_z[i]))},{_fmt(float(beta_f[i]))},"
-                         f"{_fmt(float(op[i]))}")
-        with open(opts["per_sample_out"], "w") as f:
-            f.write("\n".join(lines) + "\n")
-    _write_json(args, "quenched", args.seed, opts, payload)
-    return 0
+        rows = zip(range(result.n_disorder),
+                   *(a.tolist() for a in result.per_sample))
+        _write(opts["per_sample_out"],
+               _meta_lines("quenched.per_sample", args.seed, opts)
+               + _table(["index", "ln_z", "beta_f", "order_parameter"], rows))
+    _write(args.out, _json_lines(args, opts, payload))
 
 
 def cmd_region(args, opts):
@@ -410,22 +390,13 @@ def cmd_region(args, opts):
               "classification"]
     rows = [[p.inv_beta_v, p.b_over_v, p.delta_lower, p.delta_upper,
              p.classification] for p in points]
-    _write_csv(args, "region", args.seed, opts, header, rows)
-    adv_lines = _meta_lines("region.advisory", args.seed, opts)
-    adv_lines.append("# non-rigorous reference curve, not a bound")
-    adv_lines.append("inv_beta_v,b_over_v_curve")
-    for x in np.linspace(0.0, 1.0, 201):
-        adv_lines.append(f"{_fmt(float(x))},{_fmt(annealed.advisory_curve(float(x)))}")
-    adv_text = "\n".join(adv_lines) + "\n"
-    if opts["advisory_out"]:
-        with open(opts["advisory_out"], "w") as f:
-            f.write(adv_text)
-    elif args.out:
-        with open(args.out + ".advisory.csv", "w") as f:
-            f.write(adv_text)
-    else:
-        sys.stdout.write(adv_text)
-    return 0
+    _write(args.out, _csv_lines(args, opts, header, rows))
+    grid = np.linspace(0.0, 1.0, 201).tolist()
+    curve = [(x, annealed.advisory_curve(x)) for x in grid]
+    _write(opts["advisory_out"] or (args.out and args.out + ".advisory.csv"),
+           _meta_lines("region.advisory", args.seed, opts)
+           + ["# non-rigorous reference curve, not a bound"]
+           + _table(["inv_beta_v", "b_over_v_curve"], curve))
 
 
 # -- verify ----------------------------------------------------------------
@@ -435,7 +406,7 @@ def cmd_verify(args, opts):
     only = set(args.only or [])
     unknown = only - set(checks.CHECKS)
     if unknown:
-        raise _UsageError(f"unknown check(s): {', '.join(sorted(unknown))}")
+        raise ValueError(f"unknown check(s): {', '.join(sorted(unknown))}")
     lines = _meta_lines("verify", args.seed, {"only": ",".join(sorted(only)) or "all"})
     failures = 0
     for name, fn in checks.CHECKS.items():
@@ -448,8 +419,9 @@ def cmd_verify(args, opts):
         lines.append(f"{'PASS' if ok else 'FAIL'} {name} {detail}")
         failures += not ok
     lines.append(f"{'PASS' if failures == 0 else 'FAIL'} overall failures={failures}")
-    _write_out(args, "\n".join(lines) + "\n")
-    return 1 if failures else 0
+    _write(args.out, lines)
+    if failures:
+        return 1
 
 
 # -- parser ----------------------------------------------------------------
@@ -480,19 +452,15 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        try:
-            args.workers = resolve_workers(args.workers)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
+        args.workers = resolve_workers(args.workers)
         opts = _resolve(args, OPTIONS[args.command], (args.command, "model"))
         # the ESS gate: a collapsed effective sample size aborts any subcommand
         with warnings.catch_warnings():
             warnings.simplefilter("error", EffectiveSampleSizeWarning)
-            return args.fn(args, opts)
-    except _UsageError as exc:
+            return args.fn(args, opts) or 0
+    except ValueError as exc:
         print(f"qsk: error: {exc}", file=sys.stderr)
         return 2
     except EffectiveSampleSizeWarning as exc:

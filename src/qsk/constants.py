@@ -45,11 +45,6 @@ __all__ = [
     "moment_inequalities",
 ]
 
-#: hard cap used by the exact-diagonalization layer; kept here so parameter
-#: validation and the builders agree on one number
-DEFAULT_MAX_SPINS = 12
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Physical parameters of the N-spin model.

@@ -20,6 +20,7 @@ from . import paths
 from .constants import ModelParams
 from .hilbert import (
     DisorderSample,
+    _sign_patterns,
     build_hamiltonian,
     draw_couplings,
     gibbs_zz_matrix,
@@ -266,12 +267,6 @@ def study_verdicts(result, tail_bound, n_sigma, ratio_bound=None):
         verdicts["ratio_le_theory"] = bool(
             ratio.value <= ratio_bound + n_sigma * ratio.std_err)
     return verdicts
-
-
-def _sign_patterns(n):
-    states = np.arange(2**n)
-    bits = (states[:, None] >> np.arange(n)[None, :]) & 1
-    return 1.0 - 2.0 * bits
 
 
 def generalized_second_moment(params: ModelParams, gamma, n_path_ensembles,

@@ -23,8 +23,7 @@ one-sample arithmetic (one matrix-vector product per sample for the
 diagonal, row-wise sums over C-ordered rows), so a sample's results do not
 depend on the stack it was solved in.
 
-Memory grows as 4^(N-1); the builder refuses N beyond a configurable cap
-(default 12, where the blocks take 2 * 4^(N-1) * 8 B = 67 MB).
+Memory grows as 4^(N-1); the builder refuses N beyond ``MAX_SPINS_ED``.
 """
 
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constants import DEFAULT_MAX_SPINS, ModelParams
+from .constants import ModelParams
 from .numerics import logcosh, logsumexp, normal_nodes, refine_once
 from .streams import DOMAIN_DISORDER, batch_generator, batch_ranges
 
@@ -50,6 +49,9 @@ __all__ = [
     "f2_quenched_exact",
     "f2_annealed_exact",
 ]
+
+#: the two blocks take 2 * 4^(N-1) * 8 B a sample: 67 MB at N = 12
+MAX_SPINS_ED = 12
 
 
 @dataclass(frozen=True)
@@ -94,22 +96,24 @@ def draw_sample(n_spins, seed):
 
 
 @lru_cache(maxsize=16)
-def _z_table(n):
-    """(2^(n-1), n) Sz eigenvalues of the representatives; bit value 0 maps to +1.
+def _sign_patterns(n):
+    """Read-only (2^n, n) Sz eigenvalues of the basis states; bit 0 maps to +1.
 
-    The representatives are the states with spin N up (top bit 0); their
-    flipped partners carry the negated rows, so every product z_i z_j is the
-    same on a state and its partner.
+    The first 2^(n-1) rows are the representatives, the states with spin N
+    up (top bit 0); their flipped partners carry the negated rows, so every
+    product z_i z_j is the same on a state and its partner.
     """
-    states = np.arange(2 ** (n - 1), dtype=np.int64)
+    states = np.arange(2**n, dtype=np.int64)
     bits = (states[:, None] >> np.arange(n)[None, :]) & 1
-    return (1.0 - 2.0 * bits).astype(float)
+    out = 1.0 - 2.0 * bits
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=16)
 def _pair_z_table(n):
     """(2^(n-1), n(n-1)/2) products z_i z_j over upper-triangle pairs (integer +-1)."""
-    z = _z_table(n)
+    z = _sign_patterns(n)[: 2 ** (n - 1)]
     iu, ju = np.triu_indices(n, k=1)
     return z[:, iu] * z[:, ju]
 
@@ -138,8 +142,8 @@ class Hamiltonian:
 
     ``blocks[..., 0, :, :]`` and ``blocks[..., 1, :, :]`` act on
     (|s> + |s-bar>)/sqrt(2) and (|s> - |s-bar>)/sqrt(2) for the
-    representatives s of ``_z_table``; a stacked ``sample`` gives a leading
-    sample axis.
+    representatives s of ``_sign_patterns``; a stacked ``sample`` gives a
+    leading sample axis.
     """
 
     blocks: np.ndarray
@@ -170,8 +174,7 @@ class Hamiltonian:
         return cached
 
 
-def build_hamiltonian(params: ModelParams, sample: DisorderSample,
-                      max_spins=DEFAULT_MAX_SPINS):
+def build_hamiltonian(params: ModelParams, sample: DisorderSample):
     """Assemble the two 2^(N-1) x 2^(N-1) flip-parity blocks of one sample.
 
     The diagonal carries the Sz-Sz part (traceless in each block: every pair
@@ -183,11 +186,9 @@ def build_hamiltonian(params: ModelParams, sample: DisorderSample,
     n = params.n_spins
     if n != sample.n_spins:
         raise ValueError("sample was drawn for a different N")
-    if n > max_spins:
-        raise ValueError(
-            f"N={n} exceeds the exact-diagonalization cap ({max_spins}); "
-            "raise max_spins explicitly if you really want 4^(N-1) memory"
-        )
+    if n > MAX_SPINS_ED:
+        raise ValueError(f"N={n} exceeds the exact-diagonalization cap "
+                         f"({MAX_SPINS_ED}): memory grows as 4^(N-1)")
     dim = 2 ** (n - 1)
     weights = -(params.v / np.sqrt(n)) * sample.couplings
     lead = weights.shape[:-1]
@@ -214,16 +215,14 @@ class SpectrumResult:
     beta: float
 
 
-def spectrum(h: Hamiltonian, beta=None):
+def spectrum(h: Hamiltonian):
     """Sorted spectrum and f_N = -ln Z / (beta N) from both blocks, per sample.
 
     ln Z is a log-sum-exp of -beta * eigenvalues shifted by its largest term,
     -beta * (ground energy), so it never overflows.  Eigensolver failures
     are re-raised with diagnostics (block norm and symmetry defect) attached.
     """
-    beta = h.params.beta if beta is None else float(beta)
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    beta = h.params.beta
     evals = h.eigh[0]
     evals = np.sort(evals.reshape(evals.shape[:-2] + (-1,)), axis=-1)
     excited = np.exp(-beta * (evals[..., 1:] - evals[..., :1])).sum(axis=-1)
@@ -254,7 +253,7 @@ def gibbs_zz(h: Hamiltonian, beta, i, j):
     if i == j:
         raise IndexError("spin indices must differ (the diagonal is trivially 1)")
     q = _gibbs_weights(h, float(beta))
-    z = _z_table(n)
+    z = _sign_patterns(n)[: 2 ** (n - 1)]
     val = float(q @ (z[:, i - 1] * z[:, j - 1]))
     if abs(val) > 1.0 + 1e-12:
         raise RuntimeError("|<Sz_%d Sz_%d>| = %.17g exceeds 1" % (i, j, abs(val)))
@@ -265,7 +264,7 @@ def gibbs_zz_matrix(h: Hamiltonian, beta):
     """Matrix of <Sz_i Sz_j> for all pairs (diagonal exactly 1), per sample."""
     n = h.params.n_spins
     q = _gibbs_weights(h, float(beta))
-    z = _z_table(n)
+    z = _sign_patterns(n)[: 2 ** (n - 1)]
     c = (z * q[..., None]).swapaxes(-1, -2) @ z
     c = 0.5 * (c + c.swapaxes(-1, -2))
     diag = np.arange(n)

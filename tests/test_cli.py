@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: outputs, config handling, exit codes."""
 
 import argparse
+import ast
 import json
 import os
 import subprocess
@@ -59,6 +60,33 @@ def test_constants_bad_scale_usage_error(capsys):
     rc = cli.main(["constants", "--bb-scale", "cubic"])
     assert rc == 2
     assert "qsk: error:" in capsys.readouterr().err
+
+
+#: options outside their domain, each with a fragment of its error message
+BAD_OPTIONS = [
+    ("static --lam-min 0", "log sweep needs a positive lower end"),
+    ("static --lam-scale linear --lam-min 0", "lam must be positive"),
+    ("static --quad-nodes 0", "at least one node"),
+    ("region --x-min 0", "inv_beta_v must be > 0"),
+    ("constants --n-max 1", "n_max must be >= 2"),
+    ("constants --quad-nodes 5", "quad_nodes must be >= 20"),
+    ("variational --m-cells 0", "m_cells must be >= 1"),
+    ("variational --tol 0", "tol must be positive"),
+    ("annealed --ensembles 1", "at least two path configurations"),
+    ("annealed --n-spins 40", "N=40 too large"),
+    ("quenched --n-disorder 5", "n_disorder must be >= 10"),
+    ("exactdiag --n-spins 13", "exact-diagonalization cap (12)"),
+]
+
+
+@pytest.mark.parametrize("command, message", BAD_OPTIONS)
+def test_out_of_domain_option_is_a_usage_error(command, message, capsys):
+    # a ValueError, from the handler or the library, is one line and exit 2
+    assert cli.main(command.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("qsk: error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
 
 
 def test_no_timestamps_in_output(tmp_path):
@@ -525,6 +553,17 @@ def test_verify_keeps_quadrature_warnings_on_stderr(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "QuadratureConvergenceWarning: k_of_lambda did not settle" in proc.stderr
     assert "PASS region" in (tmp_path / "v.txt").read_text()
+
+
+def test_cli_opens_files_only_in_the_config_reader_and_the_writer():
+    # one error route and one writer: no exception class of its own, and
+    # every output file goes through _write
+    tree = ast.parse(Path(cli.__file__).read_text())
+    openers = [getattr(top, "name", None) for top in tree.body
+               for node in ast.walk(top)
+               if isinstance(node, ast.Call) and "open" in ast.unparse(node.func)]
+    assert sorted(openers) == ["_load_config", "_write"]
+    assert not [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
 
 @pytest.mark.parametrize("flag, env", [(["--workers", "0"], None),
                                        (["--workers", "-2"], None),

@@ -235,10 +235,10 @@ def test_parallel_failures_name_the_global_sample(monkeypatch):
 
     # a failing stacked solve is re-solved one sample at a time, so the
     # error names the sample inside the chunk that fails
-    def failing_spectrum(h, beta=None):
+    def failing_spectrum(h):
         if np.any(rows_of(h, 13)):
             raise np.linalg.LinAlgError("injected")
-        return real_spectrum(h, beta)
+        return real_spectrum(h)
 
     monkeypatch.setattr(disorder, "spectrum", failing_spectrum)
     with pytest.raises(RuntimeError,

@@ -172,9 +172,6 @@ def test_build_errors():
     big = ModelParams(n_spins=13, beta=1.0, v=1.0, b=1.0)
     with pytest.raises(ValueError):
         build_hamiltonian(big, draw_sample(13, seed=0))
-    # raising the cap explicitly is allowed
-    build_hamiltonian(ModelParams(n_spins=2, beta=1.0, v=1.0, b=1.0),
-                      DisorderSample(2, np.array([0.1])), max_spins=2)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -221,10 +218,6 @@ def test_spectrum_result_consistency():
     assert res.ln_z == pytest.approx(brute, rel=1e-12)
     assert res.f_n == pytest.approx(-res.ln_z / (params.beta * 4), rel=1e-14)
     assert res.beta == params.beta
-    # overriding beta re-weights the same eigenvalues
-    res2 = spectrum(h, beta=1.0)
-    assert res2.ln_z == pytest.approx(
-        np.log(np.sum(np.exp(-res.eigenvalues))), rel=1e-12)
 
 
 def test_f2_exact_frozen_values():
