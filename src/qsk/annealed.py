@@ -21,7 +21,7 @@ import numpy as np
 
 from . import paths
 from .constants import ModelParams, g_n_of, inf_g_n_over_n, p_n_of, w_n_of
-from .numerics import logcosh, normal_nodes, refine_once
+from .numerics import logcosh, normal_nodes, refine_once, scan_minimize
 from .stats import EstimateWithError, log_mean_exp, mean_with_err
 
 __all__ = [
@@ -61,7 +61,7 @@ def estimate_f_n(params: ModelParams, ensemble_count, seed, workers=None):
         params.beta_b, _path_count(n, ensemble_count), seed, workers=workers
     )
     p_vals = paths.p_n_batch(ens, n)
-    est, _ = log_mean_exp(n * params.lam * p_vals, seed=seed, warn_label="estimate_f_n")
+    est, _ = log_mean_exp(n * params.lam * p_vals, "estimate_f_n", seed=seed)
     return est
 
 
@@ -123,7 +123,7 @@ def k_of_lambda(lam, quad_nodes=64):
     """k(lam) >= 0; equals 0 iff 4*lam <= 1, and k(lam) <= lam always.
 
     The objective can be bimodal near the threshold, so a 512-point dense
-    scan brackets the maximizer before golden-section refinement.  The
+    scan brackets the maximizer before bounded Brent refinement.  The
     Gaussian expectation uses Gauss-Hermite nodes; doubling is checked once.
     """
     lam = float(lam)
@@ -134,19 +134,10 @@ def k_of_lambda(lam, quad_nodes=64):
         # numerical search would return O(1e-17) dust here, which must not
         # leak into positivity certificates downstream
         return 0.0
-    from scipy.optimize import minimize_scalar
 
     def evaluate(nodes):
-        q = np.linspace(0.0, 1.0, 512)
-        vals = _k_objective(lam, q, nodes)
-        i = int(np.argmax(vals))
-        lo, hi = q[max(i - 1, 0)], q[min(i + 1, len(q) - 1)]
-        res = minimize_scalar(
-            lambda t: -float(_k_objective(lam, [t], nodes)[0]),
-            bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        return max(float(vals[i]), -float(res.fun))
+        return -scan_minimize(lambda q: -_k_objective(lam, q, nodes),
+                              np.linspace(0.0, 1.0, 512))
 
     value, _ = refine_once(evaluate, quad_nodes, label="k_of_lambda")
     return max(0.0, value)

@@ -86,8 +86,7 @@ def check_two_spin(seed, workers=None, spectra=200,
         bb = float(10 ** rng.uniform(-1, 0.7))
         g = float(rng.standard_normal())
         params = ModelParams.from_dimensionless(2, lam, bb)
-        sample = hilbert.DisorderSample(n_spins=2, couplings=np.array([g]))
-        h = hilbert.build_hamiltonian(params, sample)
+        h = hilbert.build_hamiltonian(params, np.array([g]))
         evals = params.beta * hilbert.spectrum(h).eigenvalues
         ref = hilbert.two_spin_scaled_spectrum(lam, bb, g)
         worst = max(worst, float(np.abs(evals - ref).max()))

@@ -29,6 +29,7 @@ invariant raises ``RuntimeError`` and ends the run with a traceback.
 import argparse
 import configparser
 import json
+import os
 import sys
 import time
 import warnings
@@ -256,10 +257,10 @@ def cmd_constants(args, opts):
 
 def cmd_exactdiag(args, opts):
     params = _model_from(opts)
-    sample = hilbert.draw_sample(params.n_spins, args.seed)
-    h = hilbert.build_hamiltonian(params, sample)
+    couplings = hilbert.draw_couplings(params.n_spins, 1, args.seed)[0]
+    h = hilbert.build_hamiltonian(params, couplings)
     res = hilbert.spectrum(h)
-    zz = hilbert.gibbs_zz(h, params.beta, 1, 2)
+    zz = hilbert.gibbs_zz(h, 1, 2)
     payload = {
         "params": params.to_dict(),
         "ln_z": res.ln_z,
@@ -359,8 +360,7 @@ def cmd_quenched(args, opts):
     result = disorder.run_study(config, workers=args.workers)
     bound = disorder.concentration_bound(params.n_spins, opts["delta"],
                                          params.beta_v)
-    theory = (disorder.second_moment_theory_bound(params.lam)
-              if 4 * params.lam < 1 else None)
+    theory = disorder.second_moment_theory_bound(params.lam)
     payload = {
         "params": params.to_dict(),
         "quenched_mean": result.quenched_mean.to_dict(),
@@ -368,10 +368,9 @@ def cmd_quenched(args, opts):
         "order_parameter": result.order_parameter.to_dict(),
         "tail_frequency": result.tail_frequency.to_dict(),
         "concentration_bound": bound,
+        "second_moment_theory_bound": theory,
         "verdicts": disorder.study_verdicts(result, bound, 3, ratio_bound=theory),
     }
-    if theory is not None:
-        payload["second_moment_theory_bound"] = theory
     if opts["per_sample_out"]:
         rows = zip(range(result.n_disorder),
                    *(a.tolist() for a in result.per_sample))
@@ -456,6 +455,11 @@ def main(argv=None):
     try:
         args.workers = resolve_workers(args.workers)
         opts = _resolve(args, OPTIONS[args.command], (args.command, "model"))
+        # an output file in a missing directory fails before any computing
+        files = ("dump_spectrum", "psi_out", "per_sample_out", "advisory_out")
+        for path in [args.out] + [opts.get(name) for name in files]:
+            if path and not os.path.isdir(os.path.dirname(path) or "."):
+                raise ValueError(f"the directory of output file {path} does not exist")
         # the ESS gate: a collapsed effective sample size aborts any subcommand
         with warnings.catch_warnings():
             warnings.simplefilter("error", EffectiveSampleSizeWarning)

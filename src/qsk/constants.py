@@ -45,6 +45,10 @@ __all__ = [
     "moment_inequalities",
 ]
 
+#: relative rounding slack forgiven by ``moment_inequalities``
+MOMENT_SLACK = 1e-12
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical parameters of the N-spin model.
@@ -313,23 +317,23 @@ def c0_of(beta_b):
     return (m - p) / (4.0 * x * x) + w / 6.0 - (w / 2.0) ** 2
 
 
-def moment_inequalities(beta_b, slack=1e-12):
+def moment_inequalities(beta_b):
     """The strict ordering 0 < m^2 < p < m < min(1, 2p) <= 2p < (1+p)m.
 
     Returns a dict of named booleans, one per inequality.  Each holds
     strictly in exact arithmetic for every beta_b > 0, but the true margins
     shrink to O(beta_b^4) as beta_b -> 0 (m^2 vs p) and below the rounding
     error of p as beta_b -> infinity (m vs 2p, where 2p - m = sech^2).  The
-    slack therefore forgives violations up to ``slack`` relative to the
-    larger side; it never demands a minimum separation.
+    slack therefore forgives violations up to ``MOMENT_SLACK`` relative to
+    the larger side; it never demands a minimum separation.
     """
     m = m_of(beta_b)
     p = p_of(beta_b)
     return {
         "m_sq_positive": 0.0 < m * m,
-        "m_sq_lt_p": m * m < p + slack * p,
-        "p_lt_m": p < m + slack * m,
-        "m_lt_one": m < 1.0 + slack,
-        "m_lt_two_p": m < 2.0 * p + slack * m,
-        "two_p_lt_one_plus_p_m": 2.0 * p < (1.0 + p) * m + slack * m,
+        "m_sq_lt_p": m * m < p + MOMENT_SLACK * p,
+        "p_lt_m": p < m + MOMENT_SLACK * m,
+        "m_lt_one": m < 1.0 + MOMENT_SLACK,
+        "m_lt_two_p": m < 2.0 * p + MOMENT_SLACK * m,
+        "two_p_lt_one_plus_p_m": 2.0 * p < (1.0 + p) * m + MOMENT_SLACK * m,
     }

@@ -36,10 +36,8 @@ from .numerics import logcosh, logsumexp, normal_nodes, refine_once
 from .streams import DOMAIN_DISORDER, batch_generator, batch_ranges
 
 __all__ = [
-    "DisorderSample",
     "Hamiltonian",
     "SpectrumResult",
-    "draw_sample",
     "draw_couplings",
     "build_hamiltonian",
     "spectrum",
@@ -52,47 +50,22 @@ __all__ = [
 
 #: the two blocks take 2 * 4^(N-1) * 8 B a sample: 67 MB at N = 12
 MAX_SPINS_ED = 12
-
-
-@dataclass(frozen=True)
-class DisorderSample:
-    """One draw of the N(N-1)/2 standard-normal couplings g_ij (i < j).
-
-    Couplings are stored in row-major upper-triangle order, matching
-    ``numpy.triu_indices(n, k=1)``.  A (k, N(N-1)/2) array holds a stack of
-    k draws, one per row.
-    """
-
-    n_spins: int
-    couplings: np.ndarray
-    seed: int | None = None
-
-    def __post_init__(self):
-        g = np.asarray(self.couplings, dtype=float)
-        expected = self.n_spins * (self.n_spins - 1) // 2
-        if g.ndim not in (1, 2) or g.shape[-1] != expected:
-            raise ValueError(
-                f"expected {expected} couplings for N={self.n_spins}, got {g.shape}"
-            )
-        if not np.all(np.isfinite(g)):
-            raise ValueError("couplings must be finite")
-        object.__setattr__(self, "couplings", g)
+#: Gauss-Hermite nodes of the exact two-spin averages (checked against 2x)
+F2_QUAD_NODES = 64
 
 
 def draw_couplings(n_spins, n_samples, seed):
-    """(n_samples, N(N-1)/2) standard normal couplings, batch-deterministic."""
+    """(n_samples, N(N-1)/2) standard normal couplings, batch-deterministic.
+
+    Each row holds the couplings g_ij (i < j) of one draw in row-major
+    upper-triangle order, matching ``numpy.triu_indices(n, k=1)``.
+    """
     n_pairs = n_spins * (n_spins - 1) // 2
     out = np.empty((n_samples, n_pairs))
     for b, start, stop in batch_ranges(n_samples):
         rng = batch_generator(seed, DOMAIN_DISORDER, b)
         out[start:stop] = rng.standard_normal((stop - start, n_pairs))
     return out
-
-
-def draw_sample(n_spins, seed):
-    """A single DisorderSample drawn from the disorder stream domain."""
-    g = draw_couplings(n_spins, 1, seed)[0]
-    return DisorderSample(n_spins=n_spins, couplings=g, seed=seed)
 
 
 @lru_cache(maxsize=16)
@@ -138,17 +111,16 @@ def _field_blocks(n, b):
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """H in the flip-parity basis: its (+, -) blocks with the defining data.
+    """H in the flip-parity basis: its (+, -) blocks and model parameters.
 
     ``blocks[..., 0, :, :]`` and ``blocks[..., 1, :, :]`` act on
     (|s> + |s-bar>)/sqrt(2) and (|s> - |s-bar>)/sqrt(2) for the
-    representatives s of ``_sign_patterns``; a stacked ``sample`` gives a
+    representatives s of ``_sign_patterns``; a stack of couplings gives a
     leading sample axis.
     """
 
     blocks: np.ndarray
     params: ModelParams
-    sample: DisorderSample
 
     @property
     def eigh(self):
@@ -174,23 +146,27 @@ class Hamiltonian:
         return cached
 
 
-def build_hamiltonian(params: ModelParams, sample: DisorderSample):
+def build_hamiltonian(params: ModelParams, couplings):
     """Assemble the two 2^(N-1) x 2^(N-1) flip-parity blocks of one sample.
 
-    The diagonal carries the Sz-Sz part (traceless in each block: every pair
-    product z_i z_j is +1 on exactly half the representatives), the
-    transverse field the off-diagonal entries of ``_field_blocks``.  A
-    stacked sample of k draws gives (k, 2, D, D) blocks.  Raises for
-    mismatched sample size, non-finite couplings, or N over the cap.
+    ``couplings`` is a row of ``draw_couplings``, or k rows for (k, 2, D, D)
+    blocks.  The diagonal carries the Sz-Sz part (traceless in each block:
+    every pair product z_i z_j is +1 on exactly half the representatives),
+    the transverse field the off-diagonal entries of ``_field_blocks``.
+    Raises for N over the cap, a wrong coupling count or non-finite ones.
     """
     n = params.n_spins
-    if n != sample.n_spins:
-        raise ValueError("sample was drawn for a different N")
     if n > MAX_SPINS_ED:
         raise ValueError(f"N={n} exceeds the exact-diagonalization cap "
                          f"({MAX_SPINS_ED}): memory grows as 4^(N-1)")
+    g = np.asarray(couplings, dtype=float)
+    if g.ndim not in (1, 2) or g.shape[-1] != n * (n - 1) // 2:
+        raise ValueError(
+            f"expected {n * (n - 1) // 2} couplings for N={n}, got {g.shape}")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("couplings must be finite")
     dim = 2 ** (n - 1)
-    weights = -(params.v / np.sqrt(n)) * sample.couplings
+    weights = -(params.v / np.sqrt(n)) * g
     lead = weights.shape[:-1]
     blocks = np.broadcast_to(_field_blocks(n, params.b),
                              lead + (2, dim, dim)).copy()
@@ -198,7 +174,7 @@ def build_hamiltonian(params: ModelParams, sample: DisorderSample):
     # product rounds differently from N = 4 on
     diag = (_pair_z_table(n) @ weights[..., None])[..., 0]
     blocks.reshape(lead + (2, dim * dim))[..., :: dim + 1] = diag[..., None, :]
-    return Hamiltonian(blocks=blocks, params=params, sample=sample)
+    return Hamiltonian(blocks=blocks, params=params)
 
 
 @dataclass(frozen=True)
@@ -212,7 +188,6 @@ class SpectrumResult:
     eigenvalues: np.ndarray
     ln_z: float | np.ndarray
     f_n: float | np.ndarray
-    beta: float
 
 
 def spectrum(h: Hamiltonian):
@@ -233,26 +208,25 @@ def spectrum(h: Hamiltonian):
         eigenvalues=evals,
         ln_z=ln_z,
         f_n=-ln_z / (beta * h.params.n_spins),
-        beta=beta,
     )
 
 
-def _gibbs_weights(h, beta):
+def _gibbs_weights(h):
     """Gibbs probability of each representative s plus its partner s-bar."""
     evals, vecs = h.eigh
-    w = np.exp(-beta * (evals - evals.min(axis=(-2, -1), keepdims=True)))
+    w = np.exp(-h.params.beta * (evals - evals.min(axis=(-2, -1), keepdims=True)))
     w /= w.reshape(w.shape[:-2] + (-1,)).sum(axis=-1)[..., None, None]
     return (np.square(vecs) @ w[..., None]).sum(axis=-3)[..., 0]
 
 
-def gibbs_zz(h: Hamiltonian, beta, i, j):
+def gibbs_zz(h: Hamiltonian, i, j):
     """Thermal correlation <Sz_i Sz_j> of one sample, 1-based spins i != j."""
     n = h.params.n_spins
     if not (1 <= i <= n and 1 <= j <= n):
         raise IndexError("spin indices must lie in [1, N]")
     if i == j:
         raise IndexError("spin indices must differ (the diagonal is trivially 1)")
-    q = _gibbs_weights(h, float(beta))
+    q = _gibbs_weights(h)
     z = _sign_patterns(n)[: 2 ** (n - 1)]
     val = float(q @ (z[:, i - 1] * z[:, j - 1]))
     if abs(val) > 1.0 + 1e-12:
@@ -260,10 +234,10 @@ def gibbs_zz(h: Hamiltonian, beta, i, j):
     return val
 
 
-def gibbs_zz_matrix(h: Hamiltonian, beta):
+def gibbs_zz_matrix(h: Hamiltonian):
     """Matrix of <Sz_i Sz_j> for all pairs (diagonal exactly 1), per sample."""
     n = h.params.n_spins
-    q = _gibbs_weights(h, float(beta))
+    q = _gibbs_weights(h)
     z = _sign_patterns(n)[: 2 ** (n - 1)]
     c = (z * q[..., None]).swapaxes(-1, -2) @ z
     c = 0.5 * (c + c.swapaxes(-1, -2))
@@ -296,18 +270,16 @@ def _f2_quenched_eval(lam, beta_b, nodes):
     return -0.5 * float(np.exp(lw) @ ln_z)
 
 
-def f2_quenched_exact(lam, beta_b, quad_nodes=64):
+def f2_quenched_exact(lam, beta_b):
     """E[beta f_2] by Gauss-Hermite quadrature over the single coupling.
 
     Deterministic reference for the N = 2 disorder average; node doubling is
     checked once (warning on non-convergence).
     """
-    if quad_nodes < 40:
-        raise ValueError("quad_nodes must be >= 40")
     if lam < 0 or beta_b < 0:
         raise ValueError("lam and beta_b must be >= 0")
     value, _ = refine_once(
-        lambda k: _f2_quenched_eval(lam, beta_b, k), quad_nodes,
+        lambda k: _f2_quenched_eval(lam, beta_b, k), F2_QUAD_NODES,
         label="f2_quenched_exact",
     )
     return value
@@ -321,18 +293,16 @@ def _f2_annealed_eval(lam, beta_b, nodes):
     return -0.5 * (np.log(2.0) + np.logaddexp(lam, ln_expect))
 
 
-def f2_annealed_exact(lam, beta_b, quad_nodes=64):
+def f2_annealed_exact(lam, beta_b):
     """beta f_2^ann = -(1/2) ln E[Z_2] by Gauss-Hermite quadrature.
 
     At lam = 0 this reduces to -ln(2 cosh(beta_b)); for lam > 0 it sits
     strictly below f2_quenched_exact (Jensen).
     """
-    if quad_nodes < 40:
-        raise ValueError("quad_nodes must be >= 40")
     if lam < 0 or beta_b < 0:
         raise ValueError("lam and beta_b must be >= 0")
     value, _ = refine_once(
-        lambda k: _f2_annealed_eval(lam, beta_b, k), quad_nodes,
+        lambda k: _f2_annealed_eval(lam, beta_b, k), F2_QUAD_NODES,
         label="f2_annealed_exact",
     )
     return value

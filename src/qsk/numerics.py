@@ -10,6 +10,8 @@ from functools import lru_cache
 import numpy as np
 
 LN2 = float(np.log(2.0))
+#: relative change, on the scale max(1, |value|), that ``refine_once`` accepts
+REFINE_RTOL = 1e-6
 
 
 class QuadratureConvergenceWarning(UserWarning):
@@ -94,7 +96,7 @@ def normal_nodes(n):
     return x * np.sqrt(2.0), lw - 0.5 * np.log(np.pi)
 
 
-def refine_once(evaluate, nodes, rtol=1e-6, label="quadrature"):
+def refine_once(evaluate, nodes, label="quadrature"):
     """Run ``evaluate`` at ``nodes`` and ``2*nodes``; warn if they disagree.
 
     Returns the fine-node value together with a convergence flag.  The
@@ -104,7 +106,7 @@ def refine_once(evaluate, nodes, rtol=1e-6, label="quadrature"):
     coarse = evaluate(int(nodes))
     fine = evaluate(2 * int(nodes))
     scale = max(1.0, abs(fine))
-    converged = abs(fine - coarse) <= rtol * scale
+    converged = abs(fine - coarse) <= REFINE_RTOL * scale
     if not converged:
         warnings.warn(
             "%s did not settle after doubling nodes (%d -> %d): %.3e vs %.3e"
@@ -113,3 +115,20 @@ def refine_once(evaluate, nodes, rtol=1e-6, label="quadrature"):
             stacklevel=2,
         )
     return fine, converged
+
+
+def scan_minimize(f, grid):
+    """min f on [grid[0], grid[-1]]: a scan of ``grid``, then bounded Brent.
+
+    ``f`` maps an array of points to their values.  Brent refines the least
+    grid value between its two neighbours to 1e-12; the smaller minimum wins.
+    """
+    from scipy.optimize import minimize_scalar
+
+    vals = f(grid)
+    i = int(np.argmin(vals))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    res = minimize_scalar(lambda x: float(f(np.array([x]))[0]),
+                          bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-12})
+    return float(min(vals[i], res.fun))

@@ -38,10 +38,9 @@ class EstimateWithError:
     def to_dict(self):
         return asdict(self)
 
-    def agrees_with(self, other_value, n_sigma=3.0, extra_err=0.0):
-        """|value - other_value| within n_sigma combined errors."""
-        tol = n_sigma * float(np.hypot(self.std_err, extra_err))
-        return abs(self.value - float(other_value)) <= tol
+    def agrees_with(self, other_value, n_sigma=3.0):
+        """|value - other_value| within n_sigma standard errors."""
+        return abs(self.value - float(other_value)) <= n_sigma * self.std_err
 
 
 def mean_with_err(samples, seed=None):
@@ -65,11 +64,11 @@ def effective_sample_size(log_weights):
     return float(w.sum() ** 2 / np.square(w).sum())
 
 
-def log_mean_exp(log_terms, seed=None, warn_label=None):
+def log_mean_exp(log_terms, label, seed=None):
     """ln((1/n) sum e^{x_i}) with a delta-method standard error.
 
-    Returns ``(estimate, ess)``.  If ``warn_label`` is given an
-    EffectiveSampleSizeWarning fires when the ESS drops below ESS_FLOOR.
+    Returns ``(estimate, ess)``.  An EffectiveSampleSizeWarning naming
+    ``label`` fires when the ESS drops below ESS_FLOOR.
     """
     lw = np.asarray(log_terms, dtype=float)
     n = lw.size
@@ -79,10 +78,10 @@ def log_mean_exp(log_terms, seed=None, warn_label=None):
     value = shift + np.log(ubar)
     se = u.std(ddof=1) / (ubar * np.sqrt(n))
     ess = effective_sample_size(lw)
-    if warn_label is not None and ess < ESS_FLOOR:
+    if ess < ESS_FLOOR:
         warnings.warn(
             "%s: effective sample size %.1f < %.0f; estimate is unreliable"
-            % (warn_label, ess, ESS_FLOOR),
+            % (label, ess, ESS_FLOOR),
             EffectiveSampleSizeWarning,
             stacklevel=2,
         )

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import c0_of, inf_g_n_over_n, m_of, p_of
-from .numerics import gauss_hermite, logcosh, logsumexp, refine_once
+from .numerics import (gauss_hermite, logcosh, logsumexp, refine_once,
+                       scan_minimize)
 from .stats import EstimateWithError, log_mean_exp
 from .streams import fill_chunks, sum_chunks
 
@@ -44,7 +45,6 @@ __all__ = [
     "static_threshold",
     "taylor_prediction",
     "save_grid_function",
-    "load_grid_function",
 ]
 
 
@@ -52,72 +52,43 @@ class GridFunction:
     """A kernel on [0,1]^2, piecewise constant on an M x M uniform grid.
 
     The grid inner product is <f, g> = (1/M^2) sum f_kl g_kl, matching the
-    L2 pairing of the piecewise-constant representatives.  ``symmetric``
-    asserts exact (bitwise) equality values[k,l] == values[l,k].
+    L2 pairing of the piecewise-constant representatives.  The values must
+    be exactly (bitwise) symmetric: values[k,l] == values[l,k].
     """
 
-    __slots__ = ("values", "m_cells", "symmetric")
+    __slots__ = ("values", "m_cells")
 
-    def __init__(self, values, symmetric=False):
+    def __init__(self, values):
         values = np.ascontiguousarray(values, dtype=float)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError("a grid function must be a square matrix")
         if values.shape[0] < 1:
             raise ValueError("need at least one cell per axis")
-        if symmetric and not np.array_equal(values, values.T):
-            raise ValueError("symmetric=True requires exact symmetry")
+        if not np.array_equal(values, values.T):
+            raise ValueError("a grid function must be exactly symmetric")
         self.values = values
         self.m_cells = values.shape[0]
-        self.symmetric = bool(symmetric)
 
     def norm2(self):
         """Squared grid norm ||f||^2 = (1/M^2) sum f^2."""
         return float(np.square(self.values).sum()) / self.m_cells**2
 
     def scaled(self, factor):
-        return GridFunction(factor * self.values, symmetric=self.symmetric)
-
-    def __repr__(self):
-        return f"GridFunction(m_cells={self.m_cells}, symmetric={self.symmetric})"
+        return GridFunction(factor * self.values)
 
 
-def save_grid_function(gf: GridFunction, file, meta=None):
-    """Serialize a GridFunction (plus optional metadata) as one JSON document."""
+def save_grid_function(gf: GridFunction, path, meta):
+    """Write a GridFunction and its metadata to ``path`` as one JSON document."""
     doc = {
         "format": "qsk-grid",
         "version": 1,
         "m_cells": gf.m_cells,
-        "symmetric": gf.symmetric,
-        "meta": dict(meta or {}),
+        "symmetric": True,
+        "meta": dict(meta),
         "values": gf.values.tolist(),
     }
-    close = False
-    if not hasattr(file, "write"):
-        file = open(file, "w")
-        close = True
-    try:
-        json.dump(doc, file)
-    finally:
-        if close:
-            file.close()
-
-
-def load_grid_function(file):
-    close = False
-    if not hasattr(file, "read"):
-        file = open(file)
-        close = True
-    try:
-        doc = json.load(file)
-    finally:
-        if close:
-            file.close()
-    if doc.get("format") != "qsk-grid" or doc.get("version") != 1:
-        raise ValueError("not a version-1 grid-function document")
-    gf = GridFunction(np.array(doc["values"]), symmetric=doc["symmetric"])
-    if gf.m_cells != doc["m_cells"]:
-        raise ValueError("grid size disagrees with header")
-    return gf, doc.get("meta", {})
+    with open(path, "w") as f:
+        json.dump(doc, f)
 
 
 # -- exact discretization of the two-point kernel --------------------------
@@ -166,7 +137,7 @@ def discretize_mu(m_cells, beta_b):
     second = g[1:] - 2.0 * g[:-1] + ext[:m]
     col = m * m * second
     vals = col[np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])]
-    return GridFunction(vals, symmetric=True)
+    return GridFunction(vals)
 
 
 # -- path functionals ------------------------------------------------------
@@ -190,21 +161,20 @@ def lambda_functional(psi: GridFunction, ensemble):
     """Estimate Lambda(psi) = ln < e^{<psi, sigma x sigma>} > on the ensemble."""
     s = ensemble.signed_lengths(psi.m_cells)
     x = _quadratic_forms(psi, s, ensemble.workers)
-    est, _ = log_mean_exp(x, seed=ensemble.seed, warn_label="lambda_functional")
+    est, _ = log_mean_exp(x, "lambda_functional", seed=ensemble.seed)
     return est
 
 
-def lambda_prime(psi: GridFunction, ensemble, with_err=False):
+def lambda_prime(psi: GridFunction, ensemble):
     """Gradient kernel Lambda'(psi) as a GridFunction (exactly symmetric).
 
     Cell (k, l) holds the self-normalized weighted average of
     M^2 s_k s_l under weights e^{<psi, sigma x sigma>}; entries lie in
-    [-1, 1] up to rounding.  With ``with_err`` a second GridFunction of
-    delta-method cellwise standard errors is returned.
+    [-1, 1] up to rounding.
     """
     s = ensemble.signed_lengths(psi.m_cells)
     x = _quadratic_forms(psi, s, ensemble.workers)
-    return _weighted_gram(s, x, with_err, ensemble.workers)
+    return _weighted_gram(s, x, False, ensemble.workers)
 
 
 def _weighted_gram(s, x, with_err, workers):
@@ -236,14 +206,14 @@ def _weighted_gram(s, x, with_err, workers):
     sums = sum_chunks(block, s.shape[0], workers)
     k = m2 * sums[0]
     k = 0.5 * (k + k.T)
-    grad = GridFunction(k, symmetric=True)
+    grad = GridFunction(k)
     if not with_err:
         return grad
     c1 = m2 * sums[1]
     c2 = m2 * m2 * sums[2]
     var = c2 - 2.0 * k * c1 + np.square(k) * np.square(wt).sum()
     var = 0.5 * (var + var.T)
-    err = GridFunction(np.sqrt(np.clip(var, 0.0, None)), symmetric=True)
+    err = GridFunction(np.sqrt(np.clip(var, 0.0, None)))
     return grad, err
 
 
@@ -320,8 +290,7 @@ def fixed_point_solve(lam, beta_b, m_cells, ensemble, tol=1e-8, max_iter=200):
     iterations = 0
     # the start kernel's forms give its Lambda and the first gradient
     x = _quadratic_forms(psi, s, ensemble.workers)
-    start_lambda, _ = log_mean_exp(x, seed=ensemble.seed,
-                                   warn_label="lambda_functional")
+    start_lambda, _ = log_mean_exp(x, "lambda_functional", seed=ensemble.seed)
     grad = _weighted_gram(s, x, False, ensemble.workers)
     for iterations in range(1, int(max_iter) + 1):
         if iterations > 1:
@@ -344,8 +313,7 @@ def fixed_point_solve(lam, beta_b, m_cells, ensemble, tol=1e-8, max_iter=200):
     residual = float(
         np.sqrt(np.square(2.0 * lam * grad.values - psi.values).sum()) / m
     )
-    lambda_est, ess = log_mean_exp(x, seed=ensemble.seed,
-                                   warn_label="lambda_functional")
+    lambda_est, ess = log_mean_exp(x, "lambda_functional", seed=ensemble.seed)
     om = _omega_of(psi, lam, lambda_est)
     return FixedPointReport(
         psi=psi,
@@ -429,7 +397,7 @@ def static_approximation(lam, beta_b, quad_nodes=64):
 
     The restriction of the variational problem to constant kernels; satisfies
     -lam <= J <= -m^2 lam, with J/lam -> -m^2 as lam -> 0 and -> -1 as
-    lam -> infinity.  Dense scan plus bounded golden-section refinement.
+    lam -> infinity.  A dense scan plus bounded Brent (``scan_minimize``).
     At beta_b = 0 the paths never jump (sigma = 1, m = 1), both bounds meet
     and J = -lam exactly, which the scan would only reach up to rounding.
     """
@@ -438,18 +406,10 @@ def static_approximation(lam, beta_b, quad_nodes=64):
         raise ValueError("lam must be positive")
     if beta_b == 0:
         return -lam
-    xs = np.linspace(0.0, 1.5, 601)
-    vals = lam * xs**2 - _lambda_constant_vec(2.0 * lam * xs, beta_b, quad_nodes)
-    i = int(np.argmin(vals))
-    lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-    from scipy.optimize import minimize_scalar
-
-    def objective(x):
-        return lam * x * x - float(_lambda_constant_vec([2.0 * lam * x], beta_b, quad_nodes)[0])
-
-    res = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    return float(min(vals[i], res.fun))
+    return scan_minimize(
+        lambda xs: lam * xs * xs
+        - _lambda_constant_vec(2.0 * lam * xs, beta_b, quad_nodes),
+        np.linspace(0.0, 1.5, 601))
 
 
 def static_threshold(beta_b):

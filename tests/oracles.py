@@ -23,13 +23,7 @@ which the chunked study must reproduce bit for bit.
 import numpy as np
 from scipy.optimize import brentq
 
-from qsk.hilbert import (
-    DisorderSample,
-    build_hamiltonian,
-    draw_couplings,
-    gibbs_zz_matrix,
-    spectrum,
-)
+from qsk.hilbert import build_hamiltonian, draw_couplings, gibbs_zz_matrix, spectrum
 from qsk.numerics import gauss_legendre_01
 from qsk.paths import PAD, even_jump_count_cdf
 from qsk.streams import (
@@ -299,9 +293,9 @@ def per_sample_study(params, n_disorder, seed, want_pairs=True):
     op = np.zeros(n_disorder)
     with single_blas_thread():
         for i, g in enumerate(draw_couplings(n, n_disorder, seed)):
-            h = build_hamiltonian(params, DisorderSample(n, g, seed))
+            h = build_hamiltonian(params, g)
             ln_z[i] = spectrum(h).ln_z
             if want_pairs:
-                c = gibbs_zz_matrix(h, params.beta)
+                c = gibbs_zz_matrix(h)
                 op[i] = np.square(c[iu, ju]).mean()
     return ln_z, -ln_z / n, op

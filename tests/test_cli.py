@@ -14,7 +14,6 @@ import pytest
 import qsk
 from qsk import cli, streams
 from qsk.streams import BATCH_SIZE
-from qsk.variational import load_grid_function
 
 
 def _read_lines(path):
@@ -87,6 +86,27 @@ def test_out_of_domain_option_is_a_usage_error(command, message, capsys):
     assert out == ""
     assert err.startswith("qsk: error: ") and err.count("\n") == 1
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    "static --lam-count 1 --out {d}/x.csv",
+    "exactdiag --dump-spectrum {d}/spectrum.txt",
+    "variational --psi-out {d}/psi.json",
+    "quenched --per-sample-out {d}/per_sample.csv",
+    "region --advisory-out {d}/advisory.csv",
+], ids=["out", "dump-spectrum", "psi-out", "per-sample-out", "advisory-out"])
+def test_output_in_a_missing_directory_is_a_usage_error(command, tmp_path,
+                                                        capsys, monkeypatch):
+    # refused before the subcommand computes anything
+    monkeypatch.setattr(cli, "cmd_" + command.split()[0],
+                        lambda args, opts: pytest.fail("the subcommand ran"))
+    missing = tmp_path / "missing"
+    assert cli.main(command.format(d=missing).split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("qsk: error: ") and err.count("\n") == 1
+    assert str(missing) in err and "Traceback" not in err
+    assert not missing.exists()
 
 
 def test_no_timestamps_in_output(tmp_path):
@@ -366,9 +386,12 @@ def test_variational_small_run(tmp_path):
     assert "static" not in res
     v = res["verdicts"]
     assert v["converged"] and v["ratio_bound_ok"] and v["omega_bracket_ok"]
-    gf, meta = load_grid_function(psi)
-    assert gf.m_cells == 4 and meta["lam"] == 0.1 and meta["seed"] == 6
-    assert np.array_equal(np.array(res["report"]["psi"]), gf.values)
+    with open(psi) as f:
+        doc = json.load(f)
+    meta = doc["meta"]
+    assert doc["m_cells"] == 4 and meta["lam"] == 0.1 and meta["seed"] == 6
+    assert doc["symmetric"] is True
+    assert np.array_equal(np.array(res["report"]["psi"]), np.array(doc["values"]))
 
 
 def test_variational_with_static_section(tmp_path):

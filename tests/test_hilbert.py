@@ -10,10 +10,8 @@ from scipy.special import logsumexp
 from qsk import hilbert
 from qsk.constants import ModelParams
 from qsk.hilbert import (
-    DisorderSample,
     build_hamiltonian,
     draw_couplings,
-    draw_sample,
     f2_annealed_exact,
     f2_quenched_exact,
     gibbs_zz,
@@ -25,6 +23,13 @@ from qsk.hilbert import (
 from oracles import dense_gibbs_weights, dense_hamiltonian, z_table
 
 SZ = np.diag([1.0, -1.0])
+
+
+def _draw(n, seed):
+    """The couplings of one sample, as ``qsk exactdiag`` draws them."""
+    return draw_couplings(n, 1, seed)[0]
+
+
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
@@ -73,16 +78,15 @@ def _parity_rotation(n):
 def test_hamiltonian_matches_kronecker_reference(n):
     rng = np.random.default_rng(n)
     params = ModelParams(n_spins=n, beta=1.3, v=0.8, b=0.6)
-    sample = DisorderSample(n_spins=n,
-                            couplings=rng.standard_normal(n * (n - 1) // 2))
-    kron = _dense_reference(params, sample.couplings)
-    np.testing.assert_allclose(dense_hamiltonian(params, sample.couplings),
+    couplings = rng.standard_normal(n * (n - 1) // 2)
+    kron = _dense_reference(params, couplings)
+    np.testing.assert_allclose(dense_hamiltonian(params, couplings),
                                kron, atol=1e-14)
     # in the flip-parity basis the reference splits into the two blocks
     u = _parity_rotation(n)
     rotated = u.T @ kron @ u
     half = 2 ** (n - 1)
-    h = build_hamiltonian(params, sample)
+    h = build_hamiltonian(params, couplings)
     assert h.blocks.shape == (2, half, half)
     np.testing.assert_allclose(rotated[:half, :half], h.blocks[0], atol=1e-14)
     np.testing.assert_allclose(rotated[half:, half:], h.blocks[1], atol=1e-14)
@@ -94,9 +98,9 @@ def test_hamiltonian_matches_kronecker_reference(n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_blocked_route_matches_dense_oracle(n, b):
     params = ModelParams(n_spins=n, beta=1.1, v=0.9, b=b)
-    sample = draw_sample(n, seed=n)
-    dense = dense_hamiltonian(params, sample.couplings)
-    h = build_hamiltonian(params, sample)
+    couplings = _draw(n, seed=n)
+    dense = dense_hamiltonian(params, couplings)
+    h = build_hamiltonian(params, couplings)
     tol = dict(rtol=1e-12, atol=1e-12)
 
     res = spectrum(h)
@@ -107,12 +111,12 @@ def test_blocked_route_matches_dense_oracle(n, b):
 
     p = dense_gibbs_weights(dense, params.beta)
     reps = np.arange(2 ** (n - 1))
-    np.testing.assert_allclose(hilbert._gibbs_weights(h, params.beta),
+    np.testing.assert_allclose(hilbert._gibbs_weights(h),
                                p[reps] + p[2**n - 1 - reps], **tol)
     z = z_table(n)
     c = (z * p[:, None]).T @ z
     np.fill_diagonal(c, 1.0)
-    np.testing.assert_allclose(gibbs_zz_matrix(h, params.beta), c, **tol)
+    np.testing.assert_allclose(gibbs_zz_matrix(h), c, **tol)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
@@ -123,12 +127,12 @@ def test_stacked_samples_match_one_sample_calls(n):
     couplings = draw_couplings(n, 3, seed=n)
     singles = []
     for g in couplings:
-        h = build_hamiltonian(params, DisorderSample(n, g))
-        singles.append((h.blocks, spectrum(h), gibbs_zz_matrix(h, params.beta)))
+        h = build_hamiltonian(params, g)
+        singles.append((h.blocks, spectrum(h), gibbs_zz_matrix(h)))
     for stack in (couplings[:1], couplings):
-        h = build_hamiltonian(params, DisorderSample(n, stack))
+        h = build_hamiltonian(params, stack)
         res = spectrum(h)
-        c = gibbs_zz_matrix(h, params.beta)
+        c = gibbs_zz_matrix(h)
         assert h.blocks.shape == (len(stack), 2, 2 ** (n - 1), 2 ** (n - 1))
         assert res.ln_z.shape == res.f_n.shape == (len(stack),)
         for k, (blocks, one, corr) in enumerate(singles[:len(stack)]):
@@ -138,7 +142,7 @@ def test_stacked_samples_match_one_sample_calls(n):
             assert c[k].tobytes() == corr.tobytes()
     assert isinstance(singles[0][1].ln_z, float)
     with pytest.raises(ValueError):
-        DisorderSample(n, couplings[None])
+        build_hamiltonian(params, couplings[None])
 
 
 def test_trace_structure():
@@ -146,8 +150,7 @@ def test_trace_structure():
     # pattern sums to zero over the representatives, exactly in integer
     # arithmetic
     params = ModelParams(n_spins=5, beta=1.0, v=1.0, b=0.7)
-    sample = draw_sample(5, seed=1)
-    h = build_hamiltonian(params, sample)
+    h = build_hamiltonian(params, _draw(5, seed=1))
     ztab = hilbert._pair_z_table(5)
     assert ztab.dtype.kind in "if"
     np.testing.assert_array_equal(ztab.sum(axis=0), 0.0)
@@ -161,17 +164,26 @@ def test_trace_structure():
 
 def test_trace_exact_zero_n2():
     params = ModelParams(n_spins=2, beta=1.0, v=1.0, b=0.9)
-    h = build_hamiltonian(params, DisorderSample(2, np.array([0.37])))
+    h = build_hamiltonian(params, np.array([0.37]))
     np.testing.assert_array_equal(np.trace(h.blocks, axis1=1, axis2=2), 0.0)
 
 
 def test_build_errors():
     params = ModelParams(n_spins=4, beta=1.0, v=1.0, b=1.0)
-    with pytest.raises(ValueError):
-        build_hamiltonian(params, DisorderSample(3, np.zeros(3)))
+    # couplings drawn for N = 3, one short, one over
+    for count in (3, 5, 7):
+        with pytest.raises(ValueError, match="expected 6 couplings"):
+            build_hamiltonian(params, np.zeros(count))
+    for bad in (np.nan, np.inf, -np.inf):
+        couplings = np.zeros(6)
+        couplings[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            build_hamiltonian(params, couplings)
+        with pytest.raises(ValueError, match="finite"):
+            build_hamiltonian(params, np.stack([np.zeros(6), couplings]))
     big = ModelParams(n_spins=13, beta=1.0, v=1.0, b=1.0)
-    with pytest.raises(ValueError):
-        build_hamiltonian(big, draw_sample(13, seed=0))
+    with pytest.raises(ValueError, match="cap"):
+        build_hamiltonian(big, _draw(13, seed=0))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -181,7 +193,7 @@ def test_two_spin_spectrum_closed_form(seed):
     bb = float(10 ** rng.uniform(-1, 0.7))
     g = float(rng.standard_normal())
     params = ModelParams.from_dimensionless(2, lam, bb)
-    h = build_hamiltonian(params, DisorderSample(2, np.array([g])))
+    h = build_hamiltonian(params, np.array([g]))
     evals = params.beta * spectrum(h).eigenvalues
     np.testing.assert_allclose(evals, two_spin_scaled_spectrum(lam, bb, g),
                                atol=1e-12)
@@ -201,7 +213,7 @@ def test_eigh_is_cached_and_solves_concurrently(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", meeting_eigh)
     params = ModelParams.from_dimensionless(4, 0.1, 1.0)
-    hams = [build_hamiltonian(params, draw_sample(4, seed)) for seed in (1, 2)]
+    hams = [build_hamiltonian(params, _draw(4, seed)) for seed in (1, 2)]
     with ThreadPoolExecutor(max_workers=2) as pool:
         results = list(pool.map(lambda h: h.eigh, hams))
     for h, result in zip(hams, results):
@@ -211,13 +223,12 @@ def test_eigh_is_cached_and_solves_concurrently(monkeypatch):
 
 def test_spectrum_result_consistency():
     params = ModelParams(n_spins=4, beta=2.0, v=0.7, b=0.5)
-    h = build_hamiltonian(params, draw_sample(4, seed=9))
+    h = build_hamiltonian(params, _draw(4, seed=9))
     res = spectrum(h)
     # ln Z against brute-force eigenvalue sum
     brute = np.log(np.sum(np.exp(-params.beta * res.eigenvalues)))
     assert res.ln_z == pytest.approx(brute, rel=1e-12)
     assert res.f_n == pytest.approx(-res.ln_z / (params.beta * 4), rel=1e-14)
-    assert res.beta == params.beta
 
 
 def test_f2_exact_frozen_values():
@@ -236,7 +247,7 @@ def test_f2_quenched_matches_sampled_average():
     vals = []
     for _ in range(4000):
         g = rng.standard_normal()
-        h = build_hamiltonian(params, DisorderSample(2, np.array([g])))
+        h = build_hamiltonian(params, np.array([g]))
         vals.append(spectrum(h).f_n)
     err = np.std(vals, ddof=1) / np.sqrt(len(vals))
     assert abs(np.mean(vals) - f2_quenched_exact(lam, bb)) < 3.5 * err
@@ -253,33 +264,33 @@ def test_gibbs_zz_classical_limit():
     # b = 0, N = 2: <Sz1 Sz2> = tanh(beta v g / sqrt(2))
     params = ModelParams(n_spins=2, beta=1.2, v=0.9, b=0.0)
     g = 0.83
-    h = build_hamiltonian(params, DisorderSample(2, np.array([g])))
+    h = build_hamiltonian(params, np.array([g]))
     expect = np.tanh(1.2 * 0.9 * g / np.sqrt(2))
-    assert gibbs_zz(h, params.beta, 1, 2) == pytest.approx(expect, rel=1e-12)
+    assert gibbs_zz(h, 1, 2) == pytest.approx(expect, rel=1e-12)
 
 
 def test_gibbs_zz_matrix_and_bounds():
     params = ModelParams(n_spins=4, beta=1.0, v=0.8, b=0.7)
-    h = build_hamiltonian(params, draw_sample(4, seed=20))
-    q = gibbs_zz_matrix(h, params.beta)
+    h = build_hamiltonian(params, _draw(4, seed=20))
+    q = gibbs_zz_matrix(h)
     np.testing.assert_array_equal(q, q.T)
     np.testing.assert_allclose(np.diag(q), 1.0, atol=0)
     assert np.all(np.abs(q) <= 1.0 + 1e-12)
     for i in range(1, 5):
         for j in range(i + 1, 5):
             assert q[i - 1, j - 1] == pytest.approx(
-                gibbs_zz(h, params.beta, i, j), abs=1e-13)
+                gibbs_zz(h, i, j), abs=1e-13)
     with pytest.raises(IndexError):
-        gibbs_zz(h, params.beta, 0, 2)
+        gibbs_zz(h, 0, 2)
     with pytest.raises(IndexError):
-        gibbs_zz(h, params.beta, 2, 2)
+        gibbs_zz(h, 2, 2)
 
 
 def test_gibbs_z_vanishes_by_flip_symmetry():
     params = ModelParams(n_spins=5, beta=1.0, v=1.1, b=0.8)
-    sample = draw_sample(5, seed=4)
+    couplings = _draw(5, seed=4)
     # full-basis Gibbs probabilities from the dense oracle: <Sz_i> = 0 ...
-    p = dense_gibbs_weights(dense_hamiltonian(params, sample.couplings),
+    p = dense_gibbs_weights(dense_hamiltonian(params, couplings),
                             params.beta)
     for i in (1, 3, 5):
         assert abs(p @ z_table(5)[:, i - 1]) < 1e-13
@@ -291,10 +302,10 @@ def test_gibbs_z_vanishes_by_flip_symmetry():
 def test_x_polarized_limit():
     # beta*b = 50 with tiny coupling: free transverse spins
     params = ModelParams(n_spins=3, beta=1.0, v=1e-8, b=50.0)
-    h = build_hamiltonian(params, draw_sample(3, seed=2))
+    h = build_hamiltonian(params, _draw(3, seed=2))
     res = spectrum(h)
     assert res.ln_z / 3 == pytest.approx(np.log(2 * np.cosh(50.0)), rel=1e-10)
-    assert abs(gibbs_zz(h, 1.0, 1, 2)) < 1e-6
+    assert abs(gibbs_zz(h, 1, 2)) < 1e-6
 
 
 def test_draw_couplings_determinism_and_shape():
@@ -305,5 +316,4 @@ def test_draw_couplings_determinism_and_shape():
     # crude normality check
     assert abs(a.mean()) < 4.0 / np.sqrt(a.size)
     assert abs(a.std() - 1.0) < 0.02
-    s = draw_sample(6, seed=7)
-    np.testing.assert_array_equal(s.couplings, a[0])
+    np.testing.assert_array_equal(_draw(6, seed=7), a[0])

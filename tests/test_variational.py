@@ -1,6 +1,6 @@
 """Grid kernels, the discretized variational objective, and its fixed point."""
 
-import io
+import json
 import tracemalloc
 
 import numpy as np
@@ -22,7 +22,6 @@ from qsk.variational import (
     lambda_constant,
     lambda_functional,
     lambda_prime,
-    load_grid_function,
     save_grid_function,
     static_approximation,
     static_threshold,
@@ -44,49 +43,39 @@ def test_grid_function_validation():
         GridFunction(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         GridFunction(np.zeros((2,)))
-    with pytest.raises(ValueError):
-        GridFunction(np.array([[0.0, 1.0], [2.0, 0.0]]), symmetric=True)
+
+def test_grid_function_requires_exact_symmetry():
+    with pytest.raises(ValueError, match="exactly symmetric"):
+        GridFunction(np.array([[0.0, 1.0], [2.0, 0.0]]))
+    # a one-ulp asymmetry is refused too
+    a = np.full((3, 3), 0.1)
+    a[0, 2] = np.nextafter(0.1, 1.0)
+    with pytest.raises(ValueError, match="exactly symmetric"):
+        GridFunction(a)
+    GridFunction(0.5 * (a + a.T))
 
 
 def _constant(value, m_cells):
-    return GridFunction(np.full((m_cells, m_cells), float(value)), symmetric=True)
+    return GridFunction(np.full((m_cells, m_cells), float(value)))
 
 
 def test_grid_function_norms():
     gf = _constant(0.5, 8)
     assert gf.norm2() == pytest.approx(0.25, rel=1e-15)
     assert gf.scaled(-2.0).values[0, 0] == -1.0
-    assert gf.scaled(-2.0).symmetric
 
 
 def test_grid_function_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
     a = rng.normal(size=(6, 6))
-    gf = GridFunction(0.5 * (a + a.T), symmetric=True)
+    gf = GridFunction(0.5 * (a + a.T))
     path = tmp_path / "kernel.json"
     save_grid_function(gf, path, meta={"note": "test"})
-    back, meta = load_grid_function(path)
-    assert np.array_equal(back.values, gf.values)
-    assert back.symmetric and meta == {"note": "test"}
-    # stream form
-    buf = io.StringIO()
-    save_grid_function(gf, buf)
-    buf.seek(0)
-    back2, _ = load_grid_function(buf)
-    assert np.array_equal(back2.values, gf.values)
-
-
-def test_load_rejects_corrupt_documents():
-    with pytest.raises(ValueError):
-        load_grid_function(io.StringIO('{"format": "other", "version": 1}'))
-    doc = ('{"format": "qsk-grid", "version": 2, "m_cells": 1,'
-           ' "symmetric": false, "values": [[1.0]]}')
-    with pytest.raises(ValueError):
-        load_grid_function(io.StringIO(doc))
-    doc = ('{"format": "qsk-grid", "version": 1, "m_cells": 3,'
-           ' "symmetric": false, "values": [[1.0]]}')
-    with pytest.raises(ValueError):
-        load_grid_function(io.StringIO(doc))
+    doc = json.loads(path.read_text())
+    assert {k: doc[k] for k in ("format", "version", "m_cells", "symmetric")} == {
+        "format": "qsk-grid", "version": 1, "m_cells": 6, "symmetric": True}
+    assert doc["meta"] == {"note": "test"}
+    assert np.array_equal(GridFunction(np.array(doc["values"])).values, gf.values)
 
 
 # -- discretized two-point kernel ------------------------------------------
@@ -108,7 +97,7 @@ def test_discretize_mu_mean_is_m(m_cells, beta_b):
 def test_discretize_mu_structure():
     gf = discretize_mu(6, 1.3)
     v = gf.values
-    assert gf.symmetric
+    assert np.array_equal(v, v.T)
     # Toeplitz: constant along diagonals
     for d in range(6):
         diag = np.diagonal(v, offset=d)
@@ -174,9 +163,17 @@ def test_lambda_functional_matches_constant_kernel_quadrature():
     assert est.agrees_with(lambda_constant(y, 1.0), n_sigma=3.5)
 
 
+def _gradient_with_err(psi, ensemble):
+    """Lambda'(psi) and its cellwise errors, as the fixed point's last pass."""
+    s = ensemble.signed_lengths(psi.m_cells)
+    x = variational._quadratic_forms(psi, s, ensemble.workers)
+    return variational._weighted_gram(s, x, True, ensemble.workers)
+
+
 def test_lambda_prime_at_zero_is_discretized_mu():
-    grad, err = lambda_prime(_constant(0.0, 8), ENSEMBLE,
-                             with_err=True)
+    grad, err = _gradient_with_err(_constant(0.0, 8), ENSEMBLE)
+    assert np.array_equal(grad.values,
+                          lambda_prime(_constant(0.0, 8), ENSEMBLE).values)
     target = discretize_mu(8, 1.0)
     dev = np.abs(grad.values - target.values)
     assert np.all(dev <= 3.5 * err.values + 1e-12)
@@ -195,7 +192,7 @@ def test_omega_composition():
     # compare its grid pairing with a direction to a central difference
     grad = psi.values / (2 * lam) - lambda_prime(psi, SMALL_ENSEMBLE).values
     d, eps = discretize_mu(8, 0.3).values, 1e-5
-    up, down = (_omega(GridFunction(psi.values + s * eps * d, symmetric=True),
+    up, down = (_omega(GridFunction(psi.values + s * eps * d),
                        lam, SMALL_ENSEMBLE) for s in (1, -1))
     assert (up - down) / (2 * eps) == pytest.approx((grad * d).sum() / 64,
                                                     abs=1e-8)
@@ -209,8 +206,8 @@ def test_empirical_map_is_nonexpansive(seed):
     rng = np.random.RandomState(seed)
     a = rng.uniform(-1.0, 1.0, (4, 4))
     b = rng.uniform(-1.0, 1.0, (4, 4))
-    fa = GridFunction(0.5 * (a + a.T), symmetric=True)
-    fb = GridFunction(0.5 * (b + b.T), symmetric=True)
+    fa = GridFunction(0.5 * (a + a.T))
+    fb = GridFunction(0.5 * (b + b.T))
     diff = np.sqrt(np.square(fa.values - fb.values).sum()) / 4
     ga = lambda_prime(fa, SMALL_ENSEMBLE)
     gb = lambda_prime(fb, SMALL_ENSEMBLE)
@@ -258,7 +255,7 @@ def test_fixed_point_report_small_scale():
     assert report.omega_value.value == _omega(report.psi, lam, ENSEMBLE)
     assert report.omega_value.std_err == lam_est.std_err
     assert report.omega_value.n_samples == lam_est.n_samples
-    _, err = lambda_prime(report.psi, ENSEMBLE, with_err=True)
+    _, err = _gradient_with_err(report.psi, ENSEMBLE)
     assert np.array_equal(report.psi_std_err.values, err.scaled(2 * lam).values)
 
 
