@@ -151,10 +151,11 @@ def delta_infinity_bounds(lam, beta_b, n_max=64, quad_nodes=64):
 
     Lower bound max(0, k(lam) - ln cosh(beta_b)); upper bound
     inf_{2<=N<=n_max} G_N/N.  Both are exact statements for every lam >= 0.
+    An array ``beta_b`` gives arrays of its shape, a scalar gives floats.
     """
-    lower = max(0.0, k_of_lambda(lam, quad_nodes=quad_nodes) - float(logcosh(beta_b)))
+    lower = np.maximum(0.0, k_of_lambda(lam, quad_nodes=quad_nodes) - logcosh(beta_b))
     upper, _ = inf_g_n_over_n(lam, beta_b, n_max=n_max)
-    return lower, upper
+    return (lower if np.ndim(lower) else float(lower)), upper
 
 
 @dataclass(frozen=True)
@@ -186,8 +187,8 @@ def region_scan(inv_beta_v_values, b_over_v_values, n_max=64, quad_nodes=64):
     """Evaluate the gap bracket on a grid; returns a row-major list of points.
 
     The x axis is 1/(beta v) (so lam = 1/(4 x^2)) and the y axis is b/v
-    (so beta_b = y/x).  k(lam) and the G_N/N infimum are computed once per
-    column, the latter broadcast over (y, N).  Grid order: x outer, y inner.
+    (so beta_b = y/x).  ``delta_infinity_bounds`` runs once per column,
+    broadcast over y.  Grid order: x outer, y inner.
     """
     xs = np.asarray(inv_beta_v_values, dtype=float)
     ys = np.asarray(b_over_v_values, dtype=float)
@@ -197,12 +198,8 @@ def region_scan(inv_beta_v_values, b_over_v_values, n_max=64, quad_nodes=64):
         raise ValueError("inv_beta_v must be > 0 and b_over_v >= 0")
     points = []
     for x in xs:
-        lam = 1.0 / (4.0 * x * x)
-        k_val = k_of_lambda(lam, quad_nodes=quad_nodes)
-        weak = bool(x > 1.0)
-        beta_b = ys / x
-        lower = np.maximum(0.0, k_val - logcosh(beta_b))
-        upper, _ = inf_g_n_over_n(lam, beta_b, n_max=n_max)
+        lower, upper = delta_infinity_bounds(1.0 / (4.0 * x * x), ys / x,
+                                             n_max=n_max, quad_nodes=quad_nodes)
         for y, lo, up in zip(ys, lower, upper):
             points.append(
                 RegionPoint(
@@ -211,7 +208,7 @@ def region_scan(inv_beta_v_values, b_over_v_values, n_max=64, quad_nodes=64):
                     delta_lower=float(lo),
                     delta_upper=float(up),
                     lower_bound_positive=bool(lo > 0.0),
-                    weak_disorder=weak,
+                    weak_disorder=bool(x > 1.0),
                 )
             )
     return points

@@ -107,8 +107,9 @@ def check_path_kernels(seed, workers=None, mu_points=6, mu_paths=20_000,
                        laplace_cases=2, laplace_paths=40_000,
                        p_n_spins=(2, 4), p_n_ensembles=20_000, n_sigma=3.5):
     """Path-MC estimates against closed forms: the two-point kernel mu at
-    random (t, t', beta_b), the first ``laplace_cases`` endpoint-resolved
-    exponential moments, and E[P_N] = p_N."""
+    random (t, t', beta_b), Lambda(0.8 * 1) on the first of those ensembles,
+    the first ``laplace_cases`` endpoint-resolved exponential moments, and
+    E[P_N] = p_N."""
     rng = np.random.Generator(np.random.Philox(seed + 4))
     mu_bad = 0
     worst_z = 0.0
@@ -120,6 +121,10 @@ def check_path_kernels(seed, workers=None, mu_points=6, mu_paths=20_000,
         target = constants.mu(t, tp, bb)
         worst_z = max(worst_z, abs(est.value - target) / est.std_err)
         mu_bad += not est.agrees_with(target, n_sigma=n_sigma)
+        if i == 0:
+            kernel = variational.GridFunction(np.full((8, 8), 0.8))
+            constant_ok = variational.lambda_functional(kernel, ens).agrees_with(
+                variational.lambda_constant(0.8, bb), n_sigma=n_sigma)
     lap_bad = 0
     for i, (g, bb, s) in enumerate(_LAPLACE_CASES[:laplace_cases]):
         jumps, counts = paths.sample_unconditioned(bb, laplace_paths, seed + 200 + i,
@@ -134,9 +139,9 @@ def check_path_kernels(seed, workers=None, mu_points=6, mu_paths=20_000,
         params = ModelParams.from_dimensionless(n, 0.1, 1.0)
         est = annealed.mean_p_n(params, p_n_ensembles, seed + 300 + n, workers=workers)
         p_bad += not est.agrees_with(constants.p_n_of(n, 1.0), n_sigma=n_sigma)
-    ok = mu_bad == 0 and lap_bad == 0 and p_bad == 0
-    return ok, ("mu_bad=%d worst_z=%.2f laplace_bad=%d p_n_bad=%d"
-                % (mu_bad, worst_z, lap_bad, p_bad))
+    ok = mu_bad == 0 and constant_ok and lap_bad == 0 and p_bad == 0
+    return ok, ("mu_bad=%d worst_z=%.2f constant_kernel=%s laplace_bad=%d p_n_bad=%d"
+                % (mu_bad, worst_z, "ok" if constant_ok else "BAD", lap_bad, p_bad))
 
 
 def check_f_bounds(seed, workers=None, lams=(0.125,), beta_bs=(1.0,),
@@ -174,8 +179,8 @@ def check_fixed_point(seed, workers=None, points=((0.1, 1.0),), m_cells=32,
         noise = n_sigma * report.psi_std_err.values
         mu_grid = variational.discretize_mu(m_cells, bb)
         checks = {
-            "converged": report.converged,
-            "ratios": all(r <= 0.22 for r in report.contraction_ratios),
+            "converged": verdicts["converged"],
+            "ratios": verdicts["ratio_bound_ok"],
             "psi_lower": bool(np.all(psi >= 2 * lam * mu_grid.values - noise)),
             "psi_upper": bool(np.all(psi <= 2 * lam + noise)),
             "omega_bracket": verdicts["omega_bracket_ok"],
@@ -213,9 +218,7 @@ def check_disorder(seed, workers=None, n_spins=5, samples=400,
     lam, bb = 0.125, 1.0
     params = ModelParams.from_dimensionless(n_spins, lam, bb)
     delta = 0.3 * params.beta_v / np.sqrt(n_spins)
-    config = disorder.DisorderStudyConfig(params=params, n_disorder=samples,
-                                          seed=seed, delta=delta)
-    result = disorder.run_study(config, workers=workers)
+    result = disorder.run_study(params, samples, seed, delta, workers=workers)
     c = disorder.second_moment_theory_bound(lam)
     bound = disorder.concentration_bound(n_spins, delta, params.beta_v)
     study = disorder.study_verdicts(result, bound, n_sigma, ratio_bound=c)

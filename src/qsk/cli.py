@@ -306,14 +306,7 @@ def cmd_variational(args, opts):
     )
     payload = {
         "report": report.to_dict(),
-        "verdicts": {
-            "converged": report.converged,
-            "non_contractive": report.non_contractive,
-            "ratio_bound_ok": bool(
-                all(r <= 2 * lam + 0.02 for r in report.contraction_ratios)
-            ),
-            **variational.fixed_point_verdicts(report, lam, bb, n_sigma=3),
-        },
+        "verdicts": variational.fixed_point_verdicts(report, lam, bb, n_sigma=3),
     }
     if opts["with_static"]:
         p = constants.p_of(bb)
@@ -353,11 +346,8 @@ def cmd_static(args, opts):
 
 def cmd_quenched(args, opts):
     params = _model_from(opts)
-    config = disorder.DisorderStudyConfig(
-        params=params, n_disorder=opts["n_disorder"], seed=args.seed,
-        delta=opts["delta"],
-    )
-    result = disorder.run_study(config, workers=args.workers)
+    result = disorder.run_study(params, opts["n_disorder"], args.seed,
+                                opts["delta"], workers=args.workers)
     bound = disorder.concentration_bound(params.n_spins, opts["delta"],
                                          params.beta_v)
     theory = disorder.second_moment_theory_bound(params.lam)

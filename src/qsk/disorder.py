@@ -35,7 +35,6 @@ from .stats import (
 from .streams import BATCH_SIZE, map_batches, resolve_workers
 
 __all__ = [
-    "DisorderStudyConfig",
     "DisorderStudyResult",
     "run_study",
     "order_parameter_trend",
@@ -60,22 +59,6 @@ CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
-class DisorderStudyConfig:
-    """Inputs of a disorder study: model, sample count, seed, tail width."""
-
-    params: ModelParams
-    n_disorder: int
-    seed: int
-    delta: float
-
-    def __post_init__(self):
-        if self.n_disorder < 10:
-            raise ValueError("n_disorder must be >= 10")
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
-
-
-@dataclass(frozen=True)
 class DisorderStudyResult:
     """Summary statistics of one disorder study (all beta-scaled).
 
@@ -91,15 +74,15 @@ class DisorderStudyResult:
     per_sample: tuple = field(repr=False, compare=False)
 
 
-def _validate_disorder_params(params, allow_strong=False):
+def _validate_disorder_params(params):
     if params.n_spins > MAX_SPINS_DISORDER:
         raise ValueError(
             f"N={params.n_spins} exceeds the disorder-study cap ({MAX_SPINS_DISORDER})"
         )
-    if not allow_strong and 4.0 * params.lam > MAX_FOUR_LAM:
+    if 4.0 * params.lam > MAX_FOUR_LAM:
         raise ValueError(
-            "4*lam = %.3f exceeds the default plain-mean range (%.2f); "
-            "pass allow_strong=True to override" % (4.0 * params.lam, MAX_FOUR_LAM)
+            "4*lam = %.3f exceeds the plain-mean range of disorder studies "
+            "(%.2f); use lam <= %g" % (4 * params.lam, MAX_FOUR_LAM, MAX_FOUR_LAM / 4)
         )
 
 
@@ -184,26 +167,26 @@ def _ratio_of_means(ln_z, seed=None):
     return EstimateWithError(float(value), jackknife_se(loo), n, seed)
 
 
-def run_study(config: DisorderStudyConfig, workers=None, allow_strong=False):
-    """Full disorder study at one parameter point.
+def run_study(params: ModelParams, n_disorder, seed, delta, workers=None):
+    """Full disorder study of ``n_disorder`` >= 10 samples at one parameter point.
 
     Returns plain-mean estimates of E[beta f_N], the second-moment ratio
     (jackknife error), the order parameter (2/(N(N-1))) sum_{i<j} <Sz_i Sz_j>^2
     averaged over disorder, and the frequency of |beta f - mean| > delta.
     """
-    params = config.params
-    _validate_disorder_params(params, allow_strong=allow_strong)
-    ln_z, beta_f, op = _study_arrays(
-        params, config.n_disorder, config.seed, workers=workers
-    )
-    quenched = mean_with_err(beta_f, seed=config.seed)
-    tail_hits = int((np.abs(beta_f - beta_f.mean()) > config.delta).sum())
+    if n_disorder < 10:
+        raise ValueError("n_disorder must be >= 10")
+    if not delta > 0:
+        raise ValueError("delta must be positive")
+    _validate_disorder_params(params)
+    ln_z, beta_f, op = _study_arrays(params, n_disorder, seed, workers=workers)
+    tail_hits = int((np.abs(beta_f - beta_f.mean()) > delta).sum())
     return DisorderStudyResult(
-        quenched_mean=quenched,
-        second_moment_ratio=_ratio_of_means(ln_z, seed=config.seed),
-        order_parameter=mean_with_err(op, seed=config.seed),
-        tail_frequency=frequency_with_err(tail_hits, beta_f.size, seed=config.seed),
-        n_disorder=config.n_disorder,
+        quenched_mean=mean_with_err(beta_f, seed=seed),
+        second_moment_ratio=_ratio_of_means(ln_z, seed=seed),
+        order_parameter=mean_with_err(op, seed=seed),
+        tail_frequency=frequency_with_err(tail_hits, beta_f.size, seed=seed),
+        n_disorder=n_disorder,
         per_sample=(ln_z, beta_f, op),
     )
 

@@ -44,7 +44,6 @@ __all__ = [
     "gibbs_zz",
     "gibbs_zz_matrix",
     "two_spin_scaled_spectrum",
-    "f2_quenched_exact",
     "f2_annealed_exact",
 ]
 
@@ -261,30 +260,6 @@ def two_spin_scaled_spectrum(lam, beta_b, g):
     return np.sort(np.array([-c, -abs(a), abs(a), c]))
 
 
-def _f2_quenched_eval(lam, beta_b, nodes):
-    y, lw = normal_nodes(nodes)
-    # ln Z_2(g) = ln 2 + ln[cosh(sqrt(2 lam) g) + cosh(sqrt(2 lam g^2 + 4 bb^2))]
-    a = np.sqrt(2.0 * lam) * y
-    c = np.sqrt(2.0 * lam * y * y + 4.0 * beta_b * beta_b)
-    ln_z = np.log(2.0) + np.logaddexp(logcosh(a), logcosh(c))
-    return -0.5 * float(np.exp(lw) @ ln_z)
-
-
-def f2_quenched_exact(lam, beta_b):
-    """E[beta f_2] by Gauss-Hermite quadrature over the single coupling.
-
-    Deterministic reference for the N = 2 disorder average; node doubling is
-    checked once (warning on non-convergence).
-    """
-    if lam < 0 or beta_b < 0:
-        raise ValueError("lam and beta_b must be >= 0")
-    value, _ = refine_once(
-        lambda k: _f2_quenched_eval(lam, beta_b, k), F2_QUAD_NODES,
-        label="f2_quenched_exact",
-    )
-    return value
-
-
 def _f2_annealed_eval(lam, beta_b, nodes):
     y, lw = normal_nodes(nodes)
     c = np.sqrt(2.0 * lam * y * y + 4.0 * beta_b * beta_b)
@@ -297,7 +272,7 @@ def f2_annealed_exact(lam, beta_b):
     """beta f_2^ann = -(1/2) ln E[Z_2] by Gauss-Hermite quadrature.
 
     At lam = 0 this reduces to -ln(2 cosh(beta_b)); for lam > 0 it sits
-    strictly below f2_quenched_exact (Jensen).
+    strictly below the quenched E[beta f_2] (Jensen).
     """
     if lam < 0 or beta_b < 0:
         raise ValueError("lam and beta_b must be >= 0")

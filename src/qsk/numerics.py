@@ -109,8 +109,10 @@ def refine_once(evaluate, nodes, label="quadrature"):
     converged = abs(fine - coarse) <= REFINE_RTOL * scale
     if not converged:
         warnings.warn(
-            "%s did not settle after doubling nodes (%d -> %d): %.3e vs %.3e"
-            % (label, nodes, 2 * nodes, coarse, fine),
+            "%s did not settle after doubling nodes (%d -> %d): %.9e vs %.9e, "
+            "relative change %.3e > tolerance %.0e"
+            % (label, nodes, 2 * nodes, coarse, fine,
+               abs(fine - coarse) / scale, REFINE_RTOL),
             QuadratureConvergenceWarning,
             stacklevel=2,
         )

@@ -47,6 +47,9 @@ __all__ = [
     "save_grid_function",
 ]
 
+#: Gauss-Hermite nodes of ``lambda_constant`` (checked against 2x)
+LAMBDA_CONSTANT_NODES = 64
+
 
 class GridFunction:
     """A kernel on [0,1]^2, piecewise constant on an M x M uniform grid.
@@ -330,7 +333,8 @@ def fixed_point_solve(lam, beta_b, m_cells, ensemble, tol=1e-8, max_iter=200):
 
 
 def fixed_point_verdicts(report: FixedPointReport, lam, beta_b, n_sigma):
-    """The paper's bounds on inf Omega, each within ``n_sigma`` MC errors.
+    """Convergence, contraction ratios <= 2 lam + 0.02, and the paper's bounds
+    on inf Omega, each within ``n_sigma`` MC errors.
 
     inf Omega lies in [-inf_N G_N/N, -p lam]; the start Omega(2 lam mu)
     exceeds it by at most 4 lam^3; and it deviates from the (beta v)^4
@@ -345,6 +349,9 @@ def fixed_point_verdicts(report: FixedPointReport, lam, beta_b, n_sigma):
     gap = _omega_of(start, lam, report.start_lambda).value - om.value
     taylor_dev = abs(om.value - taylor_prediction(lam, beta_b))
     return {
+        "converged": report.converged,
+        "non_contractive": report.non_contractive,
+        "ratio_bound_ok": all(r <= 2 * lam + 0.02 for r in report.contraction_ratios),
         "omega_bracket_ok": bool(-inf_g - slack <= om.value <= -p * lam + slack),
         "start_gap": gap,
         "start_gap_ok": bool(-slack <= gap <= 4 * lam**3 + slack),
@@ -373,7 +380,7 @@ def _lambda_constant_vec(ys, beta_b, nodes):
     return logsumexp(log_w[None, :] + logcosh(arg), axis=1) - logcosh(beta_b)
 
 
-def lambda_constant(y, beta_b, quad_nodes=64):
+def lambda_constant(y, beta_b):
     """Lambda evaluated at the constant kernel y * 1 (closed 1-D quadrature).
 
     Requires y >= 0 (the Gaussian-mixture form needs a non-negative
@@ -386,7 +393,7 @@ def lambda_constant(y, beta_b, quad_nodes=64):
         raise ValueError("beta_b must be >= 0")
     value, _ = refine_once(
         lambda k: float(_lambda_constant_vec([y], beta_b, k)[0]),
-        quad_nodes,
+        LAMBDA_CONSTANT_NODES,
         label="lambda_constant",
     )
     return value

@@ -18,13 +18,22 @@ full 2^N x 2^N matrix in the Sz basis, diagonalized without the spin-flip
 reduction of ``qsk.hilbert``.  ``per_sample_study`` is the disorder study
 solved one sample at a time through the one-sample API of ``qsk.hilbert``,
 which the chunked study must reproduce bit for bit.
+``f2_quenched_exact`` is the N = 2 quenched average E[beta f_2] by
+quadrature over the single coupling, the exact target of a two-spin
+disorder study.
 """
 
 import numpy as np
 from scipy.optimize import brentq
 
-from qsk.hilbert import build_hamiltonian, draw_couplings, gibbs_zz_matrix, spectrum
-from qsk.numerics import gauss_legendre_01
+from qsk.hilbert import (
+    F2_QUAD_NODES,
+    build_hamiltonian,
+    draw_couplings,
+    gibbs_zz_matrix,
+    spectrum,
+)
+from qsk.numerics import gauss_legendre_01, logcosh, normal_nodes, refine_once
 from qsk.paths import PAD, even_jump_count_cdf
 from qsk.streams import (
     DOMAIN_PATHS,
@@ -278,6 +287,30 @@ def dense_gibbs_weights(matrix, beta):
     w = np.exp(-beta * (evals - evals.min()))
     w /= w.sum()
     return np.square(vecs) @ w
+
+
+def _f2_quenched_eval(lam, beta_b, nodes):
+    y, lw = normal_nodes(nodes)
+    # ln Z_2(g) = ln 2 + ln[cosh(sqrt(2 lam) g) + cosh(sqrt(2 lam g^2 + 4 bb^2))]
+    a = np.sqrt(2.0 * lam) * y
+    c = np.sqrt(2.0 * lam * y * y + 4.0 * beta_b * beta_b)
+    ln_z = np.log(2.0) + np.logaddexp(logcosh(a), logcosh(c))
+    return -0.5 * float(np.exp(lw) @ ln_z)
+
+
+def f2_quenched_exact(lam, beta_b):
+    """E[beta f_2] by Gauss-Hermite quadrature over the single coupling.
+
+    Deterministic reference for the N = 2 disorder average; node doubling is
+    checked once (warning on non-convergence).
+    """
+    if lam < 0 or beta_b < 0:
+        raise ValueError("lam and beta_b must be >= 0")
+    value, _ = refine_once(
+        lambda k: _f2_quenched_eval(lam, beta_b, k), F2_QUAD_NODES,
+        label="f2_quenched_exact",
+    )
+    return value
 
 
 def per_sample_study(params, n_disorder, seed, want_pairs=True):

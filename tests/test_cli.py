@@ -488,7 +488,10 @@ def test_quenched_strong_disorder_usage_error(capsys):
     rc = cli.main(["quenched", "--n-spins", "4", "--lam", "0.2",
                    "--n-disorder", "50"])
     assert rc == 2
-    assert "allow_strong" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == ("qsk: error: 4*lam = 0.800 exceeds the plain-mean range of "
+                   "disorder studies (0.60); use lam <= 0.15\n")
+    assert "allow_strong" not in err
 
 
 # -- region ----------------------------------------------------------------

@@ -14,7 +14,6 @@ import qsk
 from qsk import disorder, paths, streams
 from qsk.constants import ModelParams
 from qsk.disorder import (
-    DisorderStudyConfig,
     DisorderStudyResult,
     concentration_bound,
     generalized_second_moment,
@@ -36,8 +35,7 @@ from oracles import per_sample_study
 def test_run_study_no_disorder_limit():
     # v = 0: Z is deterministic, so every disorder statistic collapses
     params = ModelParams(n_spins=4, beta=1.0, v=0.0, b=1.0)
-    cfg = DisorderStudyConfig(params=params, n_disorder=50, seed=9, delta=0.1)
-    res = run_study(cfg)
+    res = run_study(params, 50, 9, 0.1)
     expected = -(float(logcosh(1.0)) + LN2)
     assert res.quenched_mean.value == pytest.approx(expected, abs=1e-12)
     assert res.quenched_mean.std_err <= 1e-13
@@ -60,8 +58,7 @@ def test_one_eigendecomposition_per_sample(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
     params = ModelParams.from_dimensionless(5, 0.1, 1.0)
-    run_study(DisorderStudyConfig(params=params, n_disorder=23, seed=3,
-                                  delta=0.1))
+    run_study(params, 23, 3, 0.1)
     # one stacked solve per chunk, and every sample in exactly one of them
     assert len(shapes) == disorder.CHUNKS_PER_WORKER
     assert [s[1:] for s in shapes] == [(2, 16, 16)] * len(shapes)
@@ -107,8 +104,7 @@ def test_chunked_study_memory_stays_near_chunk_budget():
 
 def test_run_study_weak_disorder_sanity():
     params = ModelParams.from_dimensionless(4, 0.1, 1.0)
-    cfg = DisorderStudyConfig(params=params, n_disorder=400, seed=2, delta=0.4)
-    res = run_study(cfg)
+    res = run_study(params, 400, 2, 0.4)
     ratio = res.second_moment_ratio
     c = second_moment_theory_bound(0.1)
     assert 1.0 - 3.5 * ratio.std_err <= ratio.value <= c + 3.5 * ratio.std_err
@@ -145,9 +141,8 @@ def test_run_study_worker_invariance(monkeypatch):
     try:
         for n, count in ((3, 120), (6, 300), (10, 12)):
             params = ModelParams.from_dimensionless(n, 0.1, 1.0)
-            cfg = DisorderStudyConfig(params=params, n_disorder=count, seed=5,
-                                      delta=0.3)
-            runs = {w: run_study(cfg, workers=w) for w in (1, 2, 4)}
+            runs = {w: run_study(params, count, 5, 0.3, workers=w)
+                    for w in (1, 2, 4)}
             for w in (2, 4):
                 assert _per_sample_bytes(runs[w]) == _per_sample_bytes(runs[1])
                 assert runs[w].quenched_mean == runs[1].quenched_mean
@@ -192,12 +187,11 @@ def test_study_runs_serially_without_blas_handle(monkeypatch):
     # output equals its workers = 1 output byte for byte; every input spans
     # several chunks
     params = ModelParams.from_dimensionless(6, 0.1, 1.0)
-    cfg = DisorderStudyConfig(params=params, n_disorder=40, seed=8, delta=0.3)
 
     def outputs(workers):
         ens = paths.sample_ensemble(1.0, 2 * (BATCH_SIZE + 8), 9, workers=workers)
         report = fixed_point_solve(0.1, 1.0, 4, ens)
-        return [_per_sample_bytes(run_study(cfg, workers=workers)),
+        return [_per_sample_bytes(run_study(params, 40, 8, 0.3, workers=workers)),
                 ens.jumps.tobytes(), ens.counts.tobytes(),
                 paths.p_n_batch(ens, 2).tobytes(),
                 report.to_dict(), report.start_lambda]
@@ -224,7 +218,6 @@ def test_study_runs_serially_without_blas_handle(monkeypatch):
 
 def test_parallel_failures_name_the_global_sample(monkeypatch):
     params = ModelParams.from_dimensionless(6, 0.1, 1.0)
-    cfg = DisorderStudyConfig(params=params, n_disorder=40, seed=3, delta=0.3)
     couplings = draw_couplings(6, 40, 3)
     real_build = disorder.build_hamiltonian
     real_spectrum = disorder.spectrum
@@ -252,7 +245,7 @@ def test_parallel_failures_name_the_global_sample(monkeypatch):
     monkeypatch.setattr(disorder, "spectrum", failing_spectrum)
     with pytest.raises(RuntimeError,
                        match=r"seed=3, batch=0, index=13\): injected"):
-        run_study(cfg, workers=2)
+        run_study(params, 40, 3, 0.3, workers=2)
     monkeypatch.setattr(disorder, "spectrum", real_spectrum)
 
     # the every-tenth-sample checks run on the global index: a corrupt
@@ -265,26 +258,24 @@ def test_parallel_failures_name_the_global_sample(monkeypatch):
         return gibbs
 
     monkeypatch.setattr(disorder, "gibbs_zz_matrix", corrupt_at(15))
-    run_study(cfg, workers=2)
+    run_study(params, 40, 3, 0.3, workers=2)
     monkeypatch.setattr(disorder, "gibbs_zz_matrix", corrupt_at(20))
     with pytest.raises(RuntimeError, match=r"index=20\): \|<Sz_i Sz_j>\|"):
-        run_study(cfg, workers=2)
+        run_study(params, 40, 3, 0.3, workers=2)
 
 
 def test_study_validation():
     params = ModelParams.from_dimensionless(11, 0.1, 1.0)
-    cfg = DisorderStudyConfig(params=params, n_disorder=50, seed=1, delta=0.1)
     with pytest.raises(ValueError, match="cap"):
-        run_study(cfg)
+        run_study(params, 50, 1, 0.1)
     strong = ModelParams.from_dimensionless(4, 0.2, 1.0)
-    cfg2 = DisorderStudyConfig(params=strong, n_disorder=50, seed=1, delta=0.1)
-    with pytest.raises(ValueError, match="allow_strong"):
-        run_study(cfg2)
-    run_study(cfg2, allow_strong=True)  # override accepted
-    with pytest.raises(ValueError):
-        DisorderStudyConfig(params=strong, n_disorder=5, seed=1, delta=0.1)
-    with pytest.raises(ValueError):
-        DisorderStudyConfig(params=strong, n_disorder=50, seed=1, delta=0.0)
+    with pytest.raises(ValueError, match=r"4\*lam = 0\.800 .*use lam <= 0\.15"):
+        run_study(strong, 50, 1, 0.1)
+    weak = ModelParams.from_dimensionless(4, 0.1, 1.0)
+    with pytest.raises(ValueError, match="n_disorder must be >= 10"):
+        run_study(weak, 5, 1, 0.1)
+    with pytest.raises(ValueError, match="delta must be positive"):
+        run_study(weak, 50, 1, 0.0)
 
 
 def test_order_parameter_trend_decreasing():
@@ -308,8 +299,7 @@ def test_concentration_bound_hand_value():
 
 def test_concentration_check_agrees_with_bound():
     params = ModelParams.from_dimensionless(5, 0.1, 1.0)
-    cfg = DisorderStudyConfig(params=params, n_disorder=300, seed=13, delta=0.35)
-    empirical = run_study(cfg).tail_frequency
+    empirical = run_study(params, 300, 13, 0.35).tail_frequency
     bound = concentration_bound(5, 0.35, params.beta_v)
     assert 0.0 <= empirical.value <= 1.0
     assert empirical.value <= bound + 3.5 * empirical.std_err
@@ -394,11 +384,8 @@ from qsk.constants import ModelParams
 
 disorder.gibbs_zz_matrix = lambda h: np.full(
     h.blocks.shape[:-3] + (4, 4), 2.0)
-cfg = disorder.DisorderStudyConfig(
-    params=ModelParams.from_dimensionless(4, 0.1, 1.0),
-    n_disorder=20, seed=1, delta=0.1)
 try:
-    disorder.run_study(cfg)
+    disorder.run_study(ModelParams.from_dimensionless(4, 0.1, 1.0), 20, 1, 0.1)
 except RuntimeError as exc:
     print("raised:", exc)
 else:

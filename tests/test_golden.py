@@ -17,7 +17,10 @@ in one product: against the full-matrix kernel (``tests/oracles.py``) the
 kernel psi moved by at most 2.5e-14 relative (3.7e-15 absolute), Omega by
 2.7e-15 and the cellwise errors by 4.5e-13.  The contraction ratios and the
 residual norm, ratios and norms of updates near 1e-9, moved by up to 1.8e-6
-and 5e-5 relative; no verdict changed.  The default region grid starts
+and 5e-5 relative; no verdict changed.  The ``verify`` hash was
+re-recorded when ``path_kernels`` began to compare path-MC Lambda of a
+constant kernel with its quadrature: only that check's detail line
+changed, gaining ``constant_kernel=ok``.  The default region grid starts
 at x = 0.05 (lam = 100), which exercises the N*lam > 700 branch of G_N.
 Commands run in a scratch directory under fixed relative file names,
 because the options echoed in every output include those names.  Update a
@@ -47,7 +50,7 @@ GOLDEN = {
     "quenched --n-spins 4 --n-disorder 60 --per-sample-out per_sample.csv":
         "2b85c3d64cccf471157136abb1e3209035e516ccf9c7d0fd5fac5d1b9539d645",
     "verify --seed 777":
-        "fbb5eb258628a8c05fe4c4c3f7b586359b439ce03802b304e3cca640acaca73a",
+        "1677c4a4e600f5fe3243b4a9d769e118669aad1a0b8b3b39ad8ae9db4ef05471",
 }
 
 #: files a command writes besides stdout, keyed like GOLDEN

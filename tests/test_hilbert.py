@@ -13,14 +13,14 @@ from qsk.hilbert import (
     build_hamiltonian,
     draw_couplings,
     f2_annealed_exact,
-    f2_quenched_exact,
     gibbs_zz,
     gibbs_zz_matrix,
     spectrum,
     two_spin_scaled_spectrum,
 )
 
-from oracles import dense_gibbs_weights, dense_hamiltonian, z_table
+from oracles import (dense_gibbs_weights, dense_hamiltonian,
+                     f2_quenched_exact, z_table)
 
 SZ = np.diag([1.0, -1.0])
 

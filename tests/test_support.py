@@ -1,5 +1,6 @@
 """Shared numerics, estimate containers, and deterministic stream layout."""
 
+import ast
 import math
 import warnings
 from pathlib import Path
@@ -131,6 +132,16 @@ def test_refine_once():
     with pytest.warns(QuadratureConvergenceWarning, match="mylabel"):
         value, ok = refine_once(lambda n: 1.0 / n, 32, label="mylabel")
     assert value == 1.0 / 64 and ok is False
+    # 1 and 1 + 1e-5 agree to four digits, so the message needs nine digits
+    # and the relative change to show what moved
+    with pytest.warns(QuadratureConvergenceWarning) as record:
+        value, ok = refine_once(lambda n: 1.0 if n == 32 else 1.0 + 1e-5, 32,
+                                label="mylabel")
+    assert value == 1.0 + 1e-5 and ok is False
+    message = str(record[0].message)
+    assert message.startswith("mylabel did not settle")
+    assert "1.000000000e+00 vs 1.000010000e+00" in message
+    assert "relative change 1.000e-05 > tolerance 1e-06" in message
 
 
 def test_scan_minimize_parabola():
@@ -285,6 +296,39 @@ def test_no_module_silences_warnings():
     silenced = [m.name for m in modules
                 if 'simplefilter("ignore")' in m.read_text()]
     assert silenced == []
+
+
+def _names_read(tree):
+    """Names and attribute names that the code of ``tree`` reads, leaving out
+    each read inside the def or class of the same name (recursion)."""
+    found = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(getattr(node, "ctx", None), ast.Load):
+            name = node.id if isinstance(node, ast.Name) else getattr(
+                node, "attr", None)
+            if name is not None and name not in enclosing:
+                found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_public_name_has_a_reader_in_the_package():
+    # no public function, class or constant exists only for its own tests:
+    # each name in an __all__ is read by code somewhere in the package
+    modules = sorted(Path(streams.__file__).parent.glob("*.py"))
+    trees = {m.name: ast.parse(m.read_text()) for m in modules}
+    read = set().union(*map(_names_read, trees.values()))
+    unread = [f"{name}:{entry.value}" for name, tree in trees.items()
+              for node in tree.body if isinstance(node, ast.Assign)
+              and [ast.unparse(t) for t in node.targets] == ["__all__"]
+              for entry in node.value.elts if entry.value not in read]
+    assert unread == []
 
 
 def test_map_chunks_covers_the_batch_layout():

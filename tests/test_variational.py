@@ -1,5 +1,6 @@
 """Grid kernels, the discretized variational objective, and its fixed point."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import quadratic_forms_full, weighted_gram_full
-from qsk import paths, variational
+from qsk import checks, paths, variational
 from qsk.constants import c0_of, g_n_of, m_of, p_of
 from qsk.stats import effective_sample_size
 from qsk.streams import BATCH_SIZE
@@ -157,10 +158,17 @@ def test_lambda_constant_bounds_and_monotonicity():
         assert np.all(np.diff(vals) > 0)
 
 
-def test_lambda_functional_matches_constant_kernel_quadrature():
-    y = 0.8
-    est = lambda_functional(_constant(y, 8), ENSEMBLE)
-    assert est.agrees_with(lambda_constant(y, 1.0), n_sigma=3.5)
+def test_path_kernels_check_compares_lambda_of_a_constant_kernel(monkeypatch):
+    # path-MC Lambda(0.8 * 1) against the quadrature; shifting the quadrature
+    # by 0.05, some 15 standard errors at 4000 paths, fails the check
+    sizes = dict(mu_points=1, mu_paths=4000, laplace_cases=0, p_n_spins=())
+    ok, detail = checks.check_path_kernels(7, **sizes)
+    assert ok and "constant_kernel=ok" in detail
+    real = variational.lambda_constant
+    monkeypatch.setattr(variational, "lambda_constant",
+                        lambda y, bb: real(y, bb) + 0.05)
+    ok, detail = checks.check_path_kernels(7, **sizes)
+    assert not ok and "mu_bad=0" in detail and "constant_kernel=BAD" in detail
 
 
 def _gradient_with_err(psi, ensemble):
@@ -227,6 +235,15 @@ def test_fixed_point_report_small_scale():
     assert report.residual_norm < 1e-7
     assert report.ess > 1000
     assert all(r <= 2 * lam + 0.02 for r in report.contraction_ratios)
+    verdicts = fixed_point_verdicts(report, lam, bb, n_sigma=3.5)
+    assert verdicts["converged"] and not verdicts["non_contractive"]
+    assert verdicts["ratio_bound_ok"]
+    # the ratio bound 2 lam + 0.02 reads 0.22 at lam = 0.1 and 0.42 at 0.2
+    for at_lam, ratio, ok in ((0.1, 0.2199, True), (0.1, 0.2201, False),
+                              (0.2, 0.4199, True), (0.2, 0.4201, False)):
+        bent = dataclasses.replace(report, contraction_ratios=(0.05, ratio))
+        verdicts = fixed_point_verdicts(bent, at_lam, bb, 3.5)
+        assert verdicts["ratio_bound_ok"] is ok
     assert np.array_equal(report.psi.values, report.psi.values.T)
     # psi stays within [2 lam mu, 2 lam] cellwise, up to sampling noise
     start = discretize_mu(16, bb).scaled(2 * lam)
