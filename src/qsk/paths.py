@@ -15,10 +15,11 @@ are therefore exact (no time discretization anywhere).
 A path has no jump with probability 1/cosh(rate), 0.65 at rate 1.  The
 kernels do merge work only where it changes the answer: a pair of paths is
 merged (gathered and sorted) only when both jump, a pair with one jumpless
-path takes the other path's own alternating sum, two jumpless paths
-overlap exactly 1, and a jumpless path's signed cell lengths are the cell
-widths.  Every value is laid out and summed as the full merge would be, so
-the outputs are byte-identical to merging every pair.
+path takes the other path's own alternating sum, and two jumpless paths
+overlap exactly 1.  Every overlap is laid out and summed as the full merge
+would be, so the outputs are byte-identical to merging every pair.  The
+signed cell lengths are stored only for the paths that jump: a jumpless
+path's row would be the cell widths, the same for all of them.
 """
 
 from functools import lru_cache
@@ -30,6 +31,7 @@ from .streams import (
     BATCH_SIZE,
     DOMAIN_PATHS,
     batch_generator,
+    batch_ranges,
     fill_chunks,
     map_chunks,
 )
@@ -39,6 +41,7 @@ __all__ = [
     "sample_ensemble",
     "sample_unconditioned",
     "signed_totals",
+    "cell_widths",
     "laplace_conditional",
     "even_jump_count_cdf",
 ]
@@ -101,7 +104,9 @@ class PathEnsemble:
     Sampled ensembles are fully determined by (seed, count, rate): the draw
     is split into fixed-size batches with one counter-based stream each, so
     the result does not depend on the worker count.  Derived per-path
-    quantities (signed cell lengths) are memoized on the instance.
+    quantities (signed cell lengths) are memoized on the instance.  Row k
+    must hold counts[k] sorted jump times in (0, 1] followed by PAD, as the
+    kernels read it; anything else raises ValueError.
     ``workers`` is the pool size for the kernels that run on the ensemble
     (signed cell lengths, ``p_n_batch``); None defers to ``QSK_WORKERS``.
     Their results do not depend on it either.
@@ -114,6 +119,7 @@ class PathEnsemble:
             raise ValueError("jumps must be (n_paths, kmax) with matching counts")
         if np.any(counts % 2 != 0):
             raise ValueError("all paths must have an even jump count")
+        _check_rows(jumps, counts)
         self.jumps = jumps
         self.counts = counts
         self.rate = float(rate)
@@ -133,13 +139,46 @@ class PathEnsemble:
         return 1.0 - 2.0 * (k % 2)
 
     def signed_lengths(self, m_cells):
-        """(n_paths, m_cells) matrix of integrals of sigma over grid cells."""
+        """Integrals of sigma over the m_cells uniform cells, one row per path
+        that jumps, in path order.
+
+        A jumpless path (sigma = 1) would have ``cell_widths(m_cells)`` as
+        its row, so its row is not stored: the matrix has
+        ``np.count_nonzero(counts)`` rows, none at all at rate 0.
+        """
         m_cells = int(m_cells)
         if m_cells not in self._signed_cache:
             self._signed_cache[m_cells] = _batch_signed_lengths(
-                self.jumps, m_cells, self.workers
+                self.jumps, np.flatnonzero(self.counts), m_cells, self.workers
             )
         return self._signed_cache[m_cells]
+
+
+def _check_rows(jumps, counts):
+    """Raise ValueError unless row k holds counts[k] sorted times in (0, 1],
+    then PAD.
+
+    Once a row is known to be non-decreasing (a NaN fails that), its first
+    entry, its last time and its first PAD bound every other entry, so each
+    BATCH_SIZE chunk of rows takes a few passes over its contiguous values.
+    A jump at t = 1 is a jump at the last cell boundary and is accepted.
+    """
+    width = jumps.shape[1]
+    if np.any(counts < 0) or np.any(counts > width):
+        raise ValueError(f"jump counts must lie in [0, {width}], the row width")
+    for _, start, stop in batch_ranges(counts.size if width else 0):
+        flat, k = jumps[start:stop].ravel(), counts[start:stop]
+        rising = flat[1:] >= flat[:-1]
+        rising[width - 1 :: width] = True  # no order across rows
+        if not rising.all():
+            raise ValueError("every row of jump times must be sorted")
+        pad = np.arange(0, flat.size, width) + k  # each row's first PAD
+        if not (np.all(flat <= PAD) and np.all(
+                (k == width) | (flat.take(pad, mode="clip") == PAD))):
+            raise ValueError(f"row k must hold counts[k] jump times, then {PAD}")
+        if not (np.all(flat[::width] > 0.0) and np.all(
+                (k == 0) | (flat.take(pad - 1, mode="clip") <= 1.0))):
+            raise ValueError("jump times must lie in (0, 1]")
 
 
 def _sample_matrix(rate, count, seed, workers, conditioned):
@@ -204,7 +243,8 @@ def _grouped_jumps(ensemble, n):
 
 
 def _pair_overlaps(grouped):
-    """(n_groups, N(N-1)/2) overlaps A_ij, i < j in ``triu_indices`` order.
+    """Yield ``(i, a)`` for each spin i < N - 1: a is the (N-1-i, n_groups)
+    array of overlaps A_ij, j > i, so the blocks follow ``triu_indices``.
 
     The product sigma_i sigma_j flips sign at every jump of the merged path,
     so the overlap integral_0^1 sigma_i sigma_j dt is an alternating sum of
@@ -217,14 +257,14 @@ def _pair_overlaps(grouped):
     path's own row followed by kmax PADs, so such a pair takes that path's
     value, summed over the same 2 kmax columns; two jumpless paths give
     exactly 1.  Every entry is thus bit for bit the full merge, whichever
-    sort algorithm runs: equal keys are equal floats.  The index arrays are
-    built per spin i, for its pairs i < j, so no temporary holds an index
-    per (group, pair).
+    sort algorithm runs: equal keys are equal floats.  Only one spin's
+    block is held at a time, and its index arrays cover only its pairs.
     """
     n_groups, n, width = grouped.shape
-    out = np.ones((n * (n - 1) // 2, n_groups))  # row p holds pair p
     if width == 0:
-        return out.T
+        for i in range(n - 1):
+            yield i, np.ones((n - 1 - i, n_groups))
+        return
     rows = grouped.reshape(-1, width)  # row g n + i is path i of group g
     signs = _alternating_signs(2 * width)
     merged = np.empty((BATCH_SIZE, 2 * width))
@@ -252,16 +292,13 @@ def _pair_overlaps(grouped):
     alone[movers] = overlaps(movers, None)
     alone = np.ascontiguousarray(alone.reshape(n_groups, n).T)
     jumping = np.ascontiguousarray(jumping.reshape(n_groups, n).T)
-    col = 0
     for i in range(n - 1):
-        block = out[col : col + n - 1 - i]  # pairs (i, j) for j > i
-        col += n - 1 - i
-        block[...] = alone[i + 1 :]
+        block = alone[i + 1 :].copy()  # pairs (i, j) for j > i
         np.copyto(block, alone[i], where=jumping[i])
         js, g = np.nonzero(jumping[i + 1 :] & jumping[i])
         first = g * n + i
         block[js, g] = overlaps(first, first + 1 + js)
-    return out.T
+        yield i, block
 
 
 def p_n_batch(ensemble, n_spins):
@@ -278,8 +315,9 @@ def p_n_batch(ensemble, n_spins):
 
     def block(start, stop, out):
         acc = np.full(stop - start, float(n))  # diagonal terms A_ii = 1
-        for a in _pair_overlaps(grouped[start:stop]).T:
-            acc += 2.0 * np.square(a)
+        for _, pairs in _pair_overlaps(grouped[start:stop]):
+            for a in pairs:
+                acc += 2.0 * np.square(a)
         np.divide(acc, n**2, out=out)
 
     return fill_chunks(block, np.empty(grouped.shape[0]), ensemble.workers)
@@ -292,12 +330,11 @@ def overlap_matrix_batch(ensemble, n_spins):
     """
     n = int(n_spins)
     grouped = _grouped_jumps(ensemble, n)
-    iu, ju = np.triu_indices(n, k=1)
 
     def block(start, stop, out):
-        a = _pair_overlaps(grouped[start:stop])
-        out[:, iu, ju] = a
-        out[:, ju, iu] = a
+        for i, pairs in _pair_overlaps(grouped[start:stop]):
+            out[:, i, i + 1 :] = pairs.T
+            out[:, i + 1 :, i] = pairs.T
         out[:, np.arange(n), np.arange(n)] = 1.0
 
     return fill_chunks(block, np.empty((grouped.shape[0], n, n)),
@@ -307,33 +344,37 @@ def overlap_matrix_batch(ensemble, n_spins):
 # -- signed cell lengths --------------------------------------------------
 
 
-def _batch_signed_lengths(jumps, m_cells, workers):
-    """Integrals of sigma over the m_cells uniform cells, per path row.
+def cell_widths(m_cells):
+    """The signed cell lengths of a jumpless path (sigma = 1), bit for bit."""
+    return np.diff(np.arange(m_cells + 1) / m_cells)
+
+
+def _batch_signed_lengths(jumps, movers, m_cells, workers):
+    """Integrals of sigma over the m_cells uniform cells, per row in ``movers``.
 
     Uses the closed form of the antiderivative F(x) = integral_0^x sigma:
     F(x) = (-1)^{nu(x)} x + 2 sum_{j <= nu(x)} (-1)^{j-1} t_j with nu(x) the
     number of jumps up to x; cell values are differences of F at the cell
     boundaries, so each entry is exact up to rounding.  The jump counts nu
     at the boundaries are integers: each jump is counted once, at the first
-    boundary at or above it, and the counts are summed along the row.  Only
-    rows with a jump take that route; on a jumpless row F is the identity.
+    boundary at or above it, and the counts are summed along the row.  The
+    work is chunked by path index; each chunk writes its rows of ``movers``
+    (ascending row indices) at their place in the compact output.
     """
     m = int(m_cells)
     if m < 1:
         raise ValueError("m_cells must be >= 1")
     width = jumps.shape[1]
     bounds = np.arange(m + 1) / m
-    # F(bounds) = bounds on a jumpless row, so its cells are these bit for bit
-    widths = bounds[1:] - bounds[:-1]
     signs = _alternating_signs(width)
+    out = np.empty((movers.size, m))
 
-    def block(start, stop, out):
-        out[...] = widths
-        if width == 0:
+    def block(start, stop):
+        lo, hi = np.searchsorted(movers, (start, stop))
+        if lo == hi:
             return
-        movers = np.flatnonzero(jumps[start:stop, 0] < 1.5)
-        rows = np.take(jumps[start:stop], movers, axis=0)
-        row = np.arange(movers.size)[:, None]
+        rows = np.take(jumps, movers[lo:hi], axis=0)
+        row = np.arange(hi - lo)[:, None]
         # slot m + 1 of each row collects the PAD entries
         first = np.searchsorted(bounds, rows, side="left") + row * (m + 2)
         per_bound = np.bincount(first.ravel(), minlength=row.size * (m + 2))
@@ -343,9 +384,10 @@ def _batch_signed_lengths(jumps, m_cells, workers):
                   out=prefix[:, 1:])
         f = (1 - 2 * (nu & 1)) * bounds
         f += 2.0 * prefix.ravel()[nu + row * (width + 1)]
-        out[movers] = f[:, 1:] - f[:, :-1]
+        np.subtract(f[:, 1:], f[:, :-1], out=out[lo:hi])
 
-    return fill_chunks(block, np.empty((jumps.shape[0], m)), workers)
+    map_chunks(block, jumps.shape[0], workers)
+    return out
 
 
 # -- closed-form correlation kernels --------------------------------------

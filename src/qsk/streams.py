@@ -101,15 +101,15 @@ def fill_chunks(block, out, workers):
     return out
 
 
-def sum_chunks(block, count, workers):
-    """Sum of ``block(start, stop)`` over the BATCH_SIZE chunks of range(count).
+def sum_chunks(block, count, workers, total):
+    """Add ``block(start, stop)`` for each BATCH_SIZE chunk of range(count) to
+    the array ``total`` in place and return it.
 
-    The chunks run on the worker pool; their results (arrays of one shape)
-    are added in chunk order, so the sum does not depend on ``workers``.
+    The chunks run on the worker pool; their results (arrays of the shape of
+    ``total``) are added in chunk order, so the sum does not depend on
+    ``workers``.  With count 0 ``total`` comes back as it was.
     """
-    parts = map_chunks(block, count, workers)
-    total = parts[0]
-    for part in parts[1:]:
+    for part in map_chunks(block, count, workers):
         total += part
     return total
 

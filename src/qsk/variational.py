@@ -14,11 +14,16 @@ reduces exactly to a quadratic form in the signed cell occupations, and the
 path average is replaced by a fixed Monte-Carlo ensemble (sample-average
 approximation), so the solved problem is deterministic given the ensemble.
 
-The path kernels stream the (paths x M) signed-length matrix in BATCH_SIZE
-row chunks on the ensemble's worker pool: the quadratic forms write each
-chunk's slice of one vector, and the weighted Gram products add one M x M
-partial per chunk, in chunk order.  No other (paths x M) array is made,
-and the result does not depend on the worker count.
+A path has no jump with probability 1/cosh(beta_b), 0.65 at beta_b = 1, and
+every jumpless path has sigma = 1, so its signed cell lengths are the cell
+widths w.  The sample average is therefore one atom, the n0 jumpless paths
+with the common form <w, psi w> and weight, plus the paths that jump.  The
+ensemble stores signed lengths only for the latter, and the path kernels
+stream that matrix in BATCH_SIZE row chunks on the ensemble's worker pool:
+the quadratic forms write each chunk's slice of one vector, and the
+weighted Gram products add one M x M partial per chunk, in chunk order, to
+the atom's rank-one term.  No other (paths x M) array is made, and the
+result does not depend on the worker count.
 """
 
 import json
@@ -29,6 +34,7 @@ import numpy as np
 from .constants import c0_of, inf_g_n_over_n, m_of, p_of
 from .numerics import (gauss_hermite, logcosh, logsumexp, refine_once,
                        scan_minimize)
+from .paths import cell_widths
 from .stats import EstimateWithError, log_mean_exp
 from .streams import fill_chunks, sum_chunks
 
@@ -146,10 +152,15 @@ def discretize_mu(m_cells, beta_b):
 # -- path functionals ------------------------------------------------------
 
 
-def _quadratic_forms(psi: GridFunction, s, workers):
-    """<psi, sigma x sigma> per path: rows of s are signed cell occupations."""
-    if s.shape[1] != psi.m_cells:
-        raise ValueError("ensemble cell resolution does not match the kernel")
+def _quadratic_forms(psi: GridFunction, s, n_paths, workers):
+    """<psi, sigma x sigma> for each of ``n_paths`` paths.
+
+    The rows of s are the signed cell lengths of the paths that jump; their
+    forms come first, in path order.  The n_paths - len(s) jumpless paths
+    follow, each with the form <w, psi w> of the cell widths w.
+    """
+    w = cell_widths(psi.m_cells)
+    x = np.full(n_paths, w @ psi.values @ w)
 
     def block(start, stop, out):
         rows = s[start:stop]
@@ -157,13 +168,14 @@ def _quadratic_forms(psi: GridFunction, s, workers):
         prod *= rows
         prod.sum(axis=1, out=out)
 
-    return fill_chunks(block, np.empty(s.shape[0]), workers)
+    fill_chunks(block, x[: s.shape[0]], workers)
+    return x
 
 
 def lambda_functional(psi: GridFunction, ensemble):
     """Estimate Lambda(psi) = ln < e^{<psi, sigma x sigma>} > on the ensemble."""
     s = ensemble.signed_lengths(psi.m_cells)
-    x = _quadratic_forms(psi, s, ensemble.workers)
+    x = _quadratic_forms(psi, s, len(ensemble), ensemble.workers)
     est, _ = log_mean_exp(x, "lambda_functional", seed=ensemble.seed)
     return est
 
@@ -176,25 +188,37 @@ def lambda_prime(psi: GridFunction, ensemble):
     [-1, 1] up to rounding.
     """
     s = ensemble.signed_lengths(psi.m_cells)
-    x = _quadratic_forms(psi, s, ensemble.workers)
+    x = _quadratic_forms(psi, s, len(ensemble), ensemble.workers)
     return _weighted_gram(s, x, False, ensemble.workers)
 
 
 def _weighted_gram(s, x, with_err, workers):
     """Lambda'(psi) (and its errors) from the signed lengths s and forms x of psi.
 
-    Each chunk returns its rows' share of the weighted second moments: the
-    Gram sum_i wt_i s_i s_i^T and, with ``with_err``, the same with wt_i^2
-    and with wt_i^2 on the squared lengths.
+    ``x`` is laid out as ``_quadratic_forms`` returns it.  The weighted
+    second moments are the Gram sum_i wt_i s_i s_i^T and, with
+    ``with_err``, the same with wt_i^2 and with wt_i^2 on the squared
+    lengths.  The n0 jumpless paths share the row w and the weight wt0, so
+    they add n0 wt0 w w^T, n0 wt0^2 w w^T and n0 wt0^2 w^2 (w^2)^T; each
+    chunk of rows of s then adds its rows' share.
     """
-    m = s.shape[1]
+    n_jumping, m = s.shape
     m2 = float(m) ** 2
-    w = np.exp(x - x.max())
-    wt = w / w.sum()
+    u = np.exp(x - x.max())
+    total = u.sum()
+    wt = u / total
+    w = cell_widths(m)
+    atom = u[n_jumping:].sum() / total  # n0 wt0, exactly 1 when all weights tie
+    sums = np.empty((3 if with_err else 1, m, m))
+    sums[0] = atom * np.outer(w, w)
+    if with_err:
+        atom2 = np.square(wt[n_jumping:]).sum()  # n0 wt0^2
+        sums[1] = atom2 * np.outer(w, w)
+        sums[2] = atom2 * np.outer(w * w, w * w)
 
     def block(start, stop):
         rows, wt_rows = s[start:stop], wt[start:stop, None]
-        out = np.empty((3 if with_err else 1, m, m))
+        out = np.empty_like(sums)
         scaled = rows * wt_rows
         np.matmul(scaled.T, rows, out=out[0])
         if with_err:
@@ -206,7 +230,7 @@ def _weighted_gram(s, x, with_err, workers):
             np.matmul(scaled.T, squares, out=out[2])
         return out
 
-    sums = sum_chunks(block, s.shape[0], workers)
+    sums = sum_chunks(block, n_jumping, workers, sums)
     k = m2 * sums[0]
     k = 0.5 * (k + k.T)
     grad = GridFunction(k)
@@ -292,7 +316,7 @@ def fixed_point_solve(lam, beta_b, m_cells, ensemble, tol=1e-8, max_iter=200):
     converged = False
     iterations = 0
     # the start kernel's forms give its Lambda and the first gradient
-    x = _quadratic_forms(psi, s, ensemble.workers)
+    x = _quadratic_forms(psi, s, len(ensemble), ensemble.workers)
     start_lambda, _ = log_mean_exp(x, "lambda_functional", seed=ensemble.seed)
     grad = _weighted_gram(s, x, False, ensemble.workers)
     for iterations in range(1, int(max_iter) + 1):
@@ -311,7 +335,7 @@ def fixed_point_solve(lam, beta_b, m_cells, ensemble, tol=1e-8, max_iter=200):
             break
     # one pass over the final iterate's quadratic forms gives its
     # gradient, errors, Lambda and the ESS of its weights
-    x = _quadratic_forms(psi, s, ensemble.workers)
+    x = _quadratic_forms(psi, s, len(ensemble), ensemble.workers)
     grad, err = _weighted_gram(s, x, True, ensemble.workers)
     residual = float(
         np.sqrt(np.square(2.0 * lam * grad.values - psi.values).sum()) / m

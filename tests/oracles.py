@@ -11,9 +11,10 @@ cell lengths and of the overlap kernels (the pairwise merge loop), which the
 chunked kernels on the worker pool must reproduce bit for bit;
 ``even_paths_matrix`` is the sampler's batch layout drawn on one thread.
 ``quadratic_forms_full`` and ``weighted_gram_full`` are the variational path
-kernels on the whole (paths x M) signed-length matrix at once; the chunked
-kernels reproduce the forms bit for bit and the Gram products up to the
-order in which the chunk partials are added.  The dense Hamiltonian is the
+kernels on a whole (paths x M) signed-length matrix at once, with a row for
+every path, jumpless ones included; the chunked kernels, which carry the
+jumpless paths as one atom, reproduce a jumping path's form bit for bit
+and the rest up to the order of addition.  The dense Hamiltonian is the
 full 2^N x 2^N matrix in the Sz basis, diagonalized without the spin-flip
 reduction of ``qsk.hilbert``.  ``per_sample_study`` is the disorder study
 solved one sample at a time through the one-sample API of ``qsk.hilbert``,

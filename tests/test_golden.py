@@ -20,8 +20,15 @@ residual norm, ratios and norms of updates near 1e-9, moved by up to 1.8e-6
 and 5e-5 relative; no verdict changed.  The ``verify`` hash was
 re-recorded when ``path_kernels`` began to compare path-MC Lambda of a
 constant kernel with its quadrature: only that check's detail line
-changed, gaining ``constant_kernel=ok``.  The default region grid starts
-at x = 0.05 (lam = 100), which exercises the N*lam > 700 branch of G_N.
+changed, gaining ``constant_kernel=ok``.  The two ``variational`` hashes
+were re-recorded once more when the jumpless paths came to be carried as
+one weighted atom (one form <w, psi w> and one rank-one Gram term) instead
+of as equal rows of the signed-length matrix: against the previous output
+psi moved by at most 2.3e-14 relative, Omega by 3.4e-15 (its std_err by
+9.7e-15), psi_std_err by 1.4e-13, the contraction ratios by 3.0e-7 and
+the residual norm (1.26e-10) by 4.6e-5; no verdict changed.  The default
+region grid starts at x = 0.05 (lam = 100), which exercises the
+N*lam > 700 branch of G_N.
 Commands run in a scratch directory under fixed relative file names,
 because the options echoed in every output include those names.  Update a
 hash only for a change that is meant to alter the output, and say why in
@@ -46,7 +53,7 @@ GOLDEN = {
     "annealed --n-spins 4 --ensembles 4000":
         "52c63029faaf006d5db561dfbbe1d2ee69403ba22880946e00a7fd17c1cb3c80",
     "variational --ensembles 5000 --m-cells 8 --psi-out psi.json":
-        "4d7fd41fbacd2c58215769ef459f905b0f9517635a8a8c39fde72ad0c70a7ab2",
+        "0ec2d08e1111f68dd10a59a4f9efde1b0a45130a68c4096226df3207b06f6ab8",
     "quenched --n-spins 4 --n-disorder 60 --per-sample-out per_sample.csv":
         "2b85c3d64cccf471157136abb1e3209035e516ccf9c7d0fd5fac5d1b9539d645",
     "verify --seed 777":
@@ -57,7 +64,7 @@ GOLDEN = {
 GOLDEN_FILES = {
     "variational --ensembles 5000 --m-cells 8 --psi-out psi.json": {
         "psi.json":
-            "59ae69a89acd191ec163655eafdd904602f47e818c795e9e56bf9de119577f39",
+            "5cd3668829be3221b33addea00a0eda609f898bddab119a373861e4a5ea1bb24",
     },
     "quenched --n-spins 4 --n-disorder 60 --per-sample-out per_sample.csv": {
         "per_sample.csv":

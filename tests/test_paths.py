@@ -75,6 +75,36 @@ def test_jump_path_validation():
         PathEnsemble([0.2, 0.7], [2], rate=1.0)  # not a matrix
 
 
+@pytest.mark.parametrize("jumps, counts, message", [
+    ([[0.7, 0.2]], [2], "sorted"),
+    ([[2.0, 2.0]], [2], "lie in"),  # PAD counted as a jump time
+    ([[0.0, 0.5]], [2], "lie in"),
+    ([[0.5, 1.25]], [2], "lie in"),
+    ([[0.2, np.nan]], [2], "sorted"),
+    ([[np.nan]], [0], "then 2.0"),
+    ([[0.2, 0.7, 0.9, 2.0]], [2], "then 2.0"),  # a third time where PAD belongs
+    ([[0.2, 0.7, 2.0, 3.0]], [2], "then 2.0"),
+    ([[0.2, 0.7]], [4], r"lie in \[0, 2\]"),
+    ([[0.2, 0.7]], [-2], r"lie in \[0, 2\]"),
+])
+def test_path_ensemble_rejects_malformed_rows(jumps, counts, message):
+    # every kernel reads a row as counts[k] sorted times followed by PAD
+    with pytest.raises(ValueError, match=message):
+        PathEnsemble(jumps, counts, rate=1.0)
+
+
+def test_path_ensemble_checks_every_chunk():
+    # a bad row in the last chunk is found, and a jump at t = 1 is accepted
+    jumps = np.tile([0.2, 0.7, PAD, PAD], (BATCH_SIZE + 3, 1))
+    counts = np.full(BATCH_SIZE + 3, 2)
+    jumps[-1] = [0.1, 0.3, 0.6, 1.0]
+    counts[-1] = 4
+    PathEnsemble(jumps, counts, rate=1.0)
+    jumps[-1, 2] = 0.25
+    with pytest.raises(ValueError, match="sorted"):
+        PathEnsemble(jumps, counts, rate=1.0)
+
+
 def test_sigma_at_piecewise():
     p = _path(0.25, 0.75)
     assert sigma_at(p, 0.0) == 1
@@ -201,12 +231,15 @@ def test_sigma_matrix_and_total_times():
 
 def test_cell_signed_lengths_consistency():
     ens = sample_ensemble(2.5, 50, seed=1)
+    jumping = [p for p in _rows(ens) if p.size]
+    assert 0 < len(jumping) < 50
     for m in (1, 3, 8):
         cells = ens.signed_lengths(m)
-        assert cells.shape == (50, m)
+        # one row per path that jumps, in path order
+        assert cells.shape == (len(jumping), m)
         # each cell's magnitude is bounded by the cell width
         assert np.all(np.abs(cells) <= 1.0 / m + 1e-15)
-        for p, row in zip(_rows(ens), cells):
+        for p, row in zip(jumping, cells):
             # row sums recover the full signed time
             assert row.sum() == pytest.approx(
                 _overlap_reference(p, _path()), abs=1e-12)
@@ -255,17 +288,23 @@ def _with_workers(ens, workers):
                         workers=workers)
 
 
-@pytest.mark.parametrize("rate", [0.0, 1.5])
+@pytest.mark.parametrize("rate", [0.0, 1.5, 5.0])
 def test_signed_lengths_match_serial_kernel_for_any_workers(rate):
     ens = sample_ensemble(rate, MULTI_CHUNK, seed=21)
     assert ens.jumps.shape[1] == (0 if rate == 0.0 else ens.counts.max())
+    jumping = ens.counts > 0
+    if rate == 5.0:  # drop the 1.3% jumpless paths: every path jumps
+        ens = PathEnsemble(ens.jumps[jumping], ens.counts[jumping], rate)
+        jumping = jumping[jumping]
     for m in (1, 7, 64):
         ref = signed_lengths_broadcast(ens.jumps, m)
         for workers in (1, 2, 4):
             got = _with_workers(ens, workers).signed_lengths(m)
-            assert np.array_equal(got, ref), (m, workers)
-    if rate == 0.0:
-        assert np.all(ref == 1.0 / 64)
+            assert np.array_equal(got, ref[jumping]), (m, workers)
+        # the rows left out are the cell widths, bit for bit
+        assert np.all(ref[~jumping] == paths.cell_widths(m))
+    assert got.shape == (np.count_nonzero(jumping), 64)
+    assert (got.shape[0] == 0) == (rate == 0.0)
 
 
 @pytest.mark.parametrize("rate", [0.0, 1.5])
@@ -348,7 +387,7 @@ def test_signed_lengths_with_jumps_on_cell_boundaries(m_cells):
     ref = signed_lengths_broadcast(ens.jumps, m_cells)
     for workers in (1, 2, 4):
         got = _with_workers(ens, workers).signed_lengths(m_cells)
-        assert np.array_equal(got, ref), workers
+        assert np.array_equal(got, ref[ens.counts > 0]), workers
     w = 1.0 / m_cells
     np.testing.assert_allclose(ref[0], np.where(np.arange(m_cells) == 1, -w, w),
                                rtol=0, atol=1e-15)

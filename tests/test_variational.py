@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import quadratic_forms_full, weighted_gram_full
+from oracles import (quadratic_forms_full, signed_lengths_broadcast,
+                     weighted_gram_full)
 from qsk import checks, paths, variational
 from qsk.constants import c0_of, g_n_of, m_of, p_of
 from qsk.stats import effective_sample_size
@@ -174,7 +175,7 @@ def test_path_kernels_check_compares_lambda_of_a_constant_kernel(monkeypatch):
 def _gradient_with_err(psi, ensemble):
     """Lambda'(psi) and its cellwise errors, as the fixed point's last pass."""
     s = ensemble.signed_lengths(psi.m_cells)
-    x = variational._quadratic_forms(psi, s, ensemble.workers)
+    x = variational._quadratic_forms(psi, s, len(ensemble), ensemble.workers)
     return variational._weighted_gram(s, x, True, ensemble.workers)
 
 
@@ -265,8 +266,9 @@ def test_fixed_point_report_small_scale():
     assert np.array_equal(np.array(d["psi"]), report.psi.values)
     # the final iterate's Omega, errors and ESS come from one pass over its
     # quadratic forms and equal their separate evaluations exactly
-    s = ENSEMBLE.signed_lengths(16)
-    forms = quadratic_forms_full(report.psi.values, s)
+    forms = variational._quadratic_forms(
+        report.psi, ENSEMBLE.signed_lengths(16), len(ENSEMBLE), None)
+    assert forms.size == len(ENSEMBLE)
     assert report.ess == effective_sample_size(forms)
     lam_est = lambda_functional(report.psi, ENSEMBLE)
     assert report.omega_value.value == _omega(report.psi, lam, ENSEMBLE)
@@ -282,55 +284,138 @@ def _with_workers(ens, workers):
                               workers=workers)
 
 
+def _all_jumping(ens):
+    """The paths of ``ens`` that jump, as an ensemble with no jumpless path."""
+    keep = ens.counts > 0
+    return paths.PathEnsemble(ens.jumps[keep], ens.counts[keep], ens.rate,
+                              seed=ens.seed)
+
+
+#: ensembles over two or more BATCH_SIZE chunks in which 35% of the paths
+#: jump (rate 1), none (rate 0: the atom is every path) or all (n0 = 0)
+ATOM_CASES = {
+    "rate_1": MULTI_CHUNK,
+    "rate_0": paths.sample_ensemble(0.0, BATCH_SIZE + 50, seed=408),
+    "rate_5_all_jump": _all_jumping(
+        paths.sample_ensemble(5.0, 2 * BATCH_SIZE + 50, seed=409)),
+}
+
+
+def _oracle_rows(ens, m_cells):
+    """Every path's signed lengths in the kernels' order: the paths that jump
+    (in path order), then the jumpless ones."""
+    full = signed_lengths_broadcast(ens.jumps, m_cells)
+    jumping = ens.counts > 0
+    return np.concatenate([full[jumping], full[~jumping]])
+
+
 @pytest.mark.parametrize("m_cells", [1, 8, 64])
 def test_chunked_kernels_match_full_matrix_oracles(m_cells):
-    s = MULTI_CHUNK.signed_lengths(m_cells)
     psi = discretize_mu(m_cells, 1.0).scaled(0.4)
-    runs = []
-    for workers in (1, 2, 4):
-        x = variational._quadratic_forms(psi, s, workers)
-        grad, err = variational._weighted_gram(s, x, True, workers)
-        grad_only = variational._weighted_gram(s, x, False, workers)
-        runs.append((x, grad.values, err.values, grad_only.values))
-    for workers, run in zip((2, 4), runs[1:]):
-        assert all(np.array_equal(a, b) for a, b in zip(runs[0], run)), workers
-    x, grad, err, grad_only = runs[0]
-    assert np.array_equal(x, quadratic_forms_full(psi.values, s))
-    assert np.array_equal(grad_only, grad)
-    # Each Gram entry is a weighted average of terms in [-1, 1], so either
-    # order of addition rounds it by at most about rows * eps; the variance
-    # c2 - 2 k c1 + k^2 sum wt^2 adds three such sums, each bounded by
-    # sum wt^2.  (Paths without jumps share one row of s, and a long run of
-    # equal terms makes the full product drift by up to ~1e-13.)
-    rows = s.shape[0]
-    k, k_err = weighted_gram_full(s, x)
-    np.testing.assert_allclose(grad, k, rtol=0, atol=2 * rows * EPS)
-    w = np.exp(x - x.max())
-    wt2_sum = np.square(w / w.sum()).sum()
-    np.testing.assert_allclose(np.square(err), np.square(k_err), rtol=0,
-                               atol=8 * rows * EPS * wt2_sum)
+    for case, ens in ATOM_CASES.items():
+        s = ens.signed_lengths(m_cells)
+        runs = []
+        for workers in (1, 2, 4):
+            x = variational._quadratic_forms(psi, s, len(ens), workers)
+            grad, err = variational._weighted_gram(s, x, True, workers)
+            grad_only = variational._weighted_gram(s, x, False, workers)
+            runs.append((x, grad.values, err.values, grad_only.values))
+        for workers, run in zip((2, 4), runs[1:]):
+            assert all(np.array_equal(a, b) for a, b in zip(runs[0], run)), (
+                case, workers)
+        x, grad, err, grad_only = runs[0]
+        assert np.array_equal(grad_only, grad), case
+        full = _oracle_rows(ens, m_cells)
+        x_ref = quadratic_forms_full(psi.values, full)
+        # a jumping path's form is the oracle's bit for bit; the atom's
+        # <w, psi w> is summed in another order, within 4 eps relative
+        n_jumping = s.shape[0]
+        assert n_jumping == np.count_nonzero(ens.counts), case
+        assert np.array_equal(x[:n_jumping], x_ref[:n_jumping]), case
+        np.testing.assert_allclose(x[n_jumping:], x_ref[n_jumping:],
+                                   rtol=4 * EPS, atol=0, err_msg=case)
+        # Each Gram entry is a weighted average of terms in [-1, 1], so
+        # either order of addition rounds it by at most about rows * eps.
+        # The oracle adds the n0 equal jumpless terms one by one, which
+        # drifts by up to ~4e-14 at rate 0 (the kernel adds them as one
+        # rank-one term and gets the exact 1 there), so the bound counts
+        # every path.  The variance c2 - 2 k c1 + k^2 sum wt^2 adds three
+        # such sums, each bounded by sum wt^2.
+        rows = len(ens)
+        k, k_err = weighted_gram_full(full, x_ref)
+        np.testing.assert_allclose(grad, k, rtol=0, atol=2 * rows * EPS,
+                                   err_msg=case)
+        w = np.exp(x_ref - x_ref.max())
+        wt2_sum = np.square(w / w.sum()).sum()
+        np.testing.assert_allclose(np.square(err), np.square(k_err), rtol=0,
+                                   atol=8 * rows * EPS * wt2_sum,
+                                   err_msg=case)
+
+
+def _oracle_solve(lam, beta_b, m_cells, ens, iterations):
+    """``iterations`` steps psi -> 2 lam Lambda'(psi) from 2 lam mu_M with the
+    full-matrix kernels on every path's row."""
+    full = _oracle_rows(ens, m_cells)
+    psi = discretize_mu(m_cells, beta_b).values * (2 * lam)
+    for _ in range(iterations):
+        k, _ = weighted_gram_full(full, quadratic_forms_full(psi, full))
+        psi = 2 * lam * k
+    return psi
+
+
+@pytest.mark.parametrize("case", sorted(ATOM_CASES))
+def test_fixed_point_solve_matches_full_matrix_iteration(case):
+    ens = ATOM_CASES[case]
+    bb = ens.rate
+    report = fixed_point_solve(0.1, bb, 8, ens)
+    assert report.converged
+    ref = _oracle_solve(0.1, bb, 8, ens, report.iterations)
+    # each step rounds Lambda' by at most 2 rows eps (see above), scaled by
+    # 2 lam; the map contracts, so the steps do not add up beyond twice that
+    np.testing.assert_allclose(report.psi.values, ref, rtol=0,
+                               atol=8 * 0.1 * len(ens) * EPS)
+    assert report.omega_value.n_samples == len(ens)
+
+
+def test_fixed_point_at_zero_field_is_exact():
+    # at beta_b = 0 no path jumps: the atom is every path, sigma = 1, and the
+    # fixed point is the constant 2 lam, hit exactly after one step; adding
+    # the 5000 equal rows one by one would drift it by ~1e-14
+    lam = 0.1
+    ens = paths.sample_ensemble(0.0, 5000, seed=410)
+    assert ens.signed_lengths(8).shape == (0, 8)
+    report = fixed_point_solve(lam, 0.0, 8, ens)
+    assert report.converged and report.iterations == 1
+    assert np.all(report.psi.values == 2 * lam)
+    assert np.all(report.psi_std_err.values == 0.0)
+    assert report.omega_value.value == pytest.approx(-lam, rel=4 * EPS)
+    assert report.omega_value.std_err == 0.0
+    assert report.ess == 5000
 
 
 def test_fixed_point_solve_is_identical_for_any_workers():
-    reports = [fixed_point_solve(0.1, 1.0, 8, _with_workers(MULTI_CHUNK, w))
-               for w in (1, 2, 4)]
-    for workers, rep in zip((2, 4), reports[1:]):
-        assert rep.to_dict() == reports[0].to_dict(), workers
-        assert rep.start_lambda == reports[0].start_lambda, workers
+    for case, ens in ATOM_CASES.items():
+        reports = [fixed_point_solve(0.1, ens.rate, 8, _with_workers(ens, w))
+                   for w in (1, 2, 4)]
+        for workers, rep in zip((2, 4), reports[1:]):
+            assert rep.to_dict() == reports[0].to_dict(), (case, workers)
+            assert rep.start_lambda == reports[0].start_lambda, (case, workers)
 
 
 def test_fixed_point_solve_makes_no_full_size_temporaries():
     # numpy reports its buffers to tracemalloc; the memoized signed lengths
-    # are made before tracing starts, so the peak counts only the solve
+    # are made before tracing starts, so the peak counts only the solve.  The
+    # bound is half of a (paths x M) matrix with a row for every path.
     ens = paths.sample_ensemble(1.0, 16 * BATCH_SIZE, seed=407, workers=2)
-    s = ens.signed_lengths(32)
+    ens.signed_lengths(32)
     tracemalloc.start()
     try:
         fixed_point_solve(0.1, 1.0, 32, ens)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 0.5 * s.nbytes, (peak, s.nbytes)
+    bound = 0.5 * len(ens) * 32 * 8
+    assert peak < bound, (peak, bound)
 
 
 def test_start_kernel_forms_are_computed_once(monkeypatch):
