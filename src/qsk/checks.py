@@ -127,9 +127,9 @@ def check_path_kernels(seed, workers=None, mu_points=6, mu_paths=20_000,
                 variational.lambda_constant(0.8, bb), n_sigma=n_sigma)
     lap_bad = 0
     for i, (g, bb, s) in enumerate(_LAPLACE_CASES[:laplace_cases]):
-        jumps, counts = paths.sample_unconditioned(bb, laplace_paths, seed + 200 + i,
+        times, counts = paths.sample_unconditioned(bb, laplace_paths, seed + 200 + i,
                                                    workers=workers)
-        tot = paths.signed_totals(jumps, counts)
+        tot = paths.signed_totals(times, counts)
         keep = 1 - 2 * (counts % 2) == s
         est = mean_with_err(np.exp(bb + g * tot) * keep)  # beta = 1
         lap_bad += not est.agrees_with(paths.laplace_conditional(g, 1.0, bb, s),

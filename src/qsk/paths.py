@@ -12,14 +12,18 @@ signed occupation of grid cells used by the discretized variational problem.
 All of them reduce to alternating sums over merged, sorted jump times and
 are therefore exact (no time discretization anywhere).
 
-A path has no jump with probability 1/cosh(rate), 0.65 at rate 1.  The
-kernels do merge work only where it changes the answer: a pair of paths is
-merged (gathered and sorted) only when both jump, a pair with one jumpless
-path takes the other path's own alternating sum, and two jumpless paths
-overlap exactly 1.  Every overlap is laid out and summed as the full merge
-would be, so the outputs are byte-identical to merging every pair.  The
-signed cell lengths are stored only for the paths that jump: a jumpless
-path's row would be the cell widths, the same for all of them.
+A path has no jump with probability 1/cosh(rate), 0.65 at rate 1, and
+has rate*tanh(rate) jumps on average, so an ensemble stores its paths flat:
+the jump times of every path concatenated in path order, and one offset
+per path.  A kernel that needs rectangular rows pads one chunk of paths at
+a time.  The kernels do merge work only where it changes the answer: a
+pair of paths is merged (gathered and sorted) only when both jump, a pair
+with one jumpless path takes the other path's own alternating sum, and two
+jumpless paths overlap exactly 1.  Every overlap is laid out and summed as
+merging two rows padded to the ensemble's largest count would be, so the
+outputs do not depend on the chunking.  The signed cell lengths are stored
+only for the paths that jump: a jumpless path's row would be the cell
+widths, the same for all of them.
 """
 
 from functools import lru_cache
@@ -46,9 +50,12 @@ __all__ = [
     "even_jump_count_cdf",
 ]
 
-#: padding value for jump matrices; sorts after every real time and compares
-#: False against every query point t <= 1
+#: padding value of the rows a kernel builds for one chunk of paths; sorts
+#: after every real time and compares False against every query point t <= 1
 PAD = 2.0
+
+#: bytes of padded jump times that one chunk of the overlap kernels may hold
+OVERLAP_CHUNK_BYTES = 2 << 20
 
 
 @lru_cache(maxsize=256)
@@ -81,61 +88,78 @@ def even_jump_count_cdf(rate):
 
 
 def _sample_batch(rate, n, seed, batch_index, conditioned=True):
-    """Jump matrix (n, kmax) padded with PAD, plus per-path counts."""
+    """Sorted jump times of n paths, concatenated in path order, and the
+    per-path counts.
+
+    The times are drawn as an (n, kmax) block of uniforms, kmax the batch's
+    largest count, so the stream does not depend on the layout.
+    """
     rng = batch_generator(seed, DOMAIN_PATHS, batch_index)
     if conditioned:
         cdf = even_jump_count_cdf(float(rate))
         counts = 2 * np.searchsorted(cdf, rng.random(n), side="right")
     else:
         counts = rng.poisson(float(rate), size=n)
-    kmax = int(counts.max()) if n else 0
+    counts = counts.astype(np.int64)
+    kmax = int(counts.max())
     if kmax == 0:
-        return np.empty((n, 0)), counts.astype(np.int64)
+        return np.empty(0), counts
     jumps = rng.random((n, kmax))
-    jumps[np.arange(kmax)[None, :] >= counts[:, None]] = PAD
+    real = np.arange(kmax) < counts[:, None]
+    jumps[~real] = PAD
     rows = np.flatnonzero(counts >= 2)  # a row with fewer jumps is sorted
     jumps[rows] = np.sort(np.take(jumps, rows, axis=0), axis=1)
-    return jumps, counts.astype(np.int64)
+    return jumps[real], counts
 
 
 class PathEnsemble:
-    """A reproducible batch of paths stored as one padded jump matrix.
+    """A reproducible batch of paths stored flat.
+
+    ``times`` holds the sorted jump times of every path, concatenated in
+    path order; path k's times are ``times[offsets[k]:offsets[k + 1]]``.
+    A path that does not jump takes no space, so the ensemble costs 8 bytes
+    a path for its offset plus 8 bytes a jump.  The constructor takes the
+    times and the per-path jump counts, and raises ValueError unless every
+    count is even and >= 0, the counts add up to ``times.size`` and each
+    path's times are sorted and lie in (0, 1].
 
     Sampled ensembles are fully determined by (seed, count, rate): the draw
     is split into fixed-size batches with one counter-based stream each, so
     the result does not depend on the worker count.  Derived per-path
-    quantities (signed cell lengths) are memoized on the instance.  Row k
-    must hold counts[k] sorted jump times in (0, 1] followed by PAD, as the
-    kernels read it; anything else raises ValueError.
+    quantities (signed cell lengths) are memoized on the instance.
     ``workers`` is the pool size for the kernels that run on the ensemble
     (signed cell lengths, ``p_n_batch``); None defers to ``QSK_WORKERS``.
     Their results do not depend on it either.
     """
 
-    def __init__(self, jumps, counts, rate, seed=None, workers=None):
-        jumps = np.ascontiguousarray(jumps, dtype=float)
+    def __init__(self, times, counts, rate, seed=None, workers=None):
+        times = np.ascontiguousarray(times, dtype=float)
         counts = np.asarray(counts, dtype=np.int64)
-        if jumps.ndim != 2 or counts.ndim != 1 or jumps.shape[0] != counts.size:
-            raise ValueError("jumps must be (n_paths, kmax) with matching counts")
-        if np.any(counts % 2 != 0):
-            raise ValueError("all paths must have an even jump count")
-        _check_rows(jumps, counts)
-        self.jumps = jumps
-        self.counts = counts
+        if times.ndim != 1 or counts.ndim != 1:
+            raise ValueError("times and counts must be flat arrays")
+        self.offsets = _check_paths(times, counts)
+        self.times = times
+        self.max_count = int(counts.max()) if counts.size else 0
         self.rate = float(rate)
         self.seed = seed
         self.workers = workers
         self._signed_cache = {}
 
     def __len__(self):
-        return self.jumps.shape[0]
+        return self.offsets.size - 1
+
+    @property
+    def counts(self):
+        """The jump count of every path."""
+        return np.diff(self.offsets)
 
     def sigma_matrix(self, t):
         """sigma_i(t) for every path i; t scalar in [0, 1]."""
         t = float(t)
         if not 0.0 <= t <= 1.0:
             raise ValueError("t must lie in [0, 1]")
-        k = (self.jumps <= t).sum(axis=1)
+        hits = np.concatenate(([0], np.cumsum(self.times <= t)))
+        k = np.diff(hits[self.offsets])  # jumps <= t of each path
         return 1.0 - 2.0 * (k % 2)
 
     def signed_lengths(self, m_cells):
@@ -148,81 +172,98 @@ class PathEnsemble:
         """
         m_cells = int(m_cells)
         if m_cells not in self._signed_cache:
-            self._signed_cache[m_cells] = _batch_signed_lengths(
-                self.jumps, np.flatnonzero(self.counts), m_cells, self.workers
-            )
+            self._signed_cache[m_cells] = _batch_signed_lengths(self, m_cells)
         return self._signed_cache[m_cells]
 
 
-def _check_rows(jumps, counts):
-    """Raise ValueError unless row k holds counts[k] sorted times in (0, 1],
-    then PAD.
+def _check_paths(times, counts):
+    """The offsets of the paths in ``times``, one more than there are paths.
 
-    Once a row is known to be non-decreasing (a NaN fails that), its first
-    entry, its last time and its first PAD bound every other entry, so each
-    BATCH_SIZE chunk of rows takes a few passes over its contiguous values.
+    Raises ValueError unless every count is even and >= 0, the counts add
+    up to ``times.size`` and the times of each path are sorted and lie in
+    (0, 1], which a NaN does not.  Each check is a pass over the flat arrays.
     A jump at t = 1 is a jump at the last cell boundary and is accepted.
     """
-    width = jumps.shape[1]
-    if np.any(counts < 0) or np.any(counts > width):
-        raise ValueError(f"jump counts must lie in [0, {width}], the row width")
-    for _, start, stop in batch_ranges(counts.size if width else 0):
-        flat, k = jumps[start:stop].ravel(), counts[start:stop]
-        rising = flat[1:] >= flat[:-1]
-        rising[width - 1 :: width] = True  # no order across rows
-        if not rising.all():
-            raise ValueError("every row of jump times must be sorted")
-        pad = np.arange(0, flat.size, width) + k  # each row's first PAD
-        if not (np.all(flat <= PAD) and np.all(
-                (k == width) | (flat.take(pad, mode="clip") == PAD))):
-            raise ValueError(f"row k must hold counts[k] jump times, then {PAD}")
-        if not (np.all(flat[::width] > 0.0) and np.all(
-                (k == 0) | (flat.take(pad - 1, mode="clip") <= 1.0))):
-            raise ValueError("jump times must lie in (0, 1]")
+    if np.any(counts < 0) or np.any(counts & 1):
+        raise ValueError("every jump count must be even and >= 0")
+    offsets = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    if offsets[-1] != times.size:
+        raise ValueError(f"the jump counts add up to {offsets[-1]}, "
+                         f"but there are {times.size} jump times")
+    if times.size and not (times.min() > 0.0 and times.max() <= 1.0):
+        raise ValueError("jump times must lie in (0, 1]")
+    rising = times[1:] >= times[:-1]
+    starts = offsets[:-1][counts > 0]  # where each jumping path's times begin
+    rising[starts[1:] - 1] = True  # no order across paths
+    if not rising.all():
+        raise ValueError("the jump times of every path must be sorted")
+    return offsets
 
 
-def _sample_matrix(rate, count, seed, workers, conditioned):
+def _sample_paths(rate, count, seed, workers, conditioned):
+    """Flat jump times and per-path counts of ``count`` paths."""
     if count < 1:
         raise ValueError("count must be >= 1")
+
     def batch(start, stop):
         return _sample_batch(rate, stop - start, seed, start // BATCH_SIZE, conditioned)
 
     parts = map_chunks(batch, count, workers)
-    counts = np.concatenate([c for _, c in parts])
-    kmax = int(counts.max()) if count else 0
-    jumps = np.full((count, kmax), PAD)
-    row = 0
-    for mat, c in parts:
-        jumps[row : row + len(c), : mat.shape[1]] = mat
-        row += len(c)
-    return jumps, counts
+    return (np.concatenate([times for times, _ in parts]),
+            np.concatenate([counts for _, counts in parts]))
 
 
 def sample_ensemble(rate, count, seed, workers=None):
     """Sample ``count`` even-parity paths at ``rate``; see PathEnsemble."""
-    jumps, counts = _sample_matrix(rate, count, seed, workers, conditioned=True)
-    return PathEnsemble(jumps, counts, rate, seed=seed, workers=workers)
+    times, counts = _sample_paths(rate, count, seed, workers, conditioned=True)
+    return PathEnsemble(times, counts, rate, seed=seed, workers=workers)
 
 
 def sample_unconditioned(rate, count, seed, workers=None):
     """Plain rate-r Poisson paths (no parity conditioning).
 
-    Returns ``(jumps, counts)`` in the same padded-matrix layout as
-    PathEnsemble; counts may be odd, so this does not build an ensemble
-    object.  Signed totals for such paths are available via
-    ``signed_totals``.
+    Returns ``(times, counts)`` in the flat layout of PathEnsemble; counts
+    may be odd, so this does not build an ensemble object.  Signed totals
+    for such paths are available via ``signed_totals``.
     """
-    return _sample_matrix(rate, count, seed, workers, conditioned=False)
+    return _sample_paths(rate, count, seed, workers, conditioned=False)
 
 
-def signed_totals(jumps, counts):
-    """integral_0^1 sigma(t) dt per row of a padded jump matrix (any parity).
+def signed_totals(times, counts):
+    """integral_0^1 sigma(t) dt per path of the flat layout (any parity).
 
     integral_0^1 sigma = (-1)^K + 2 sum_j (-1)^{j-1} t_j, K the jump count.
+    Each BATCH_SIZE chunk of paths is summed as rows padded to the largest
+    count, so the sums round alike in every chunk.
     """
-    signs = _alternating_signs(jumps.shape[1])
-    s = 2.0 * (signs[None, :] * np.where(jumps < 1.5, jumps, 0.0)).sum(axis=1)
-    return (1.0 - 2.0 * (np.asarray(counts) % 2)) + s
+    counts = np.asarray(counts)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    width = int(counts.max())
+    signs = _alternating_signs(width)
+    sums = np.empty(counts.size)
+    for _, start, stop in batch_ranges(counts.size):
+        rows = _padded(times[offsets[start] : offsets[stop]], counts[start:stop], width)
+        sums[start:stop] = (signs * np.where(rows < 1.5, rows, 0.0)).sum(axis=1)
+    return (1.0 - 2.0 * (counts % 2)) + 2.0 * sums
+
+
+def _padded(times, counts, width):
+    """Rows of ``width`` columns: the jump times of path k, then PAD.
+
+    ``times`` holds exactly these paths' times, in order.
+    """
+    rows = np.full((counts.size, width), PAD)
+    before = np.cumsum(counts) - counts  # where path k's times begin
+    rows.ravel()[np.repeat(np.arange(counts.size) * width - before, counts)
+                 + np.arange(times.size)] = times
+    return rows
+
+
+def _chunk(ensemble, start, stop):
+    """The jump times and counts of paths start, ..., stop - 1."""
+    offsets = ensemble.offsets[start : stop + 1]
+    return ensemble.times[offsets[0] : offsets[-1]], np.diff(offsets)
 
 
 # -- overlap algebra ------------------------------------------------------
@@ -234,43 +275,62 @@ def _alternating_signs(width):
     return s
 
 
-def _grouped_jumps(ensemble, n):
-    """The jump matrix as (n_groups, n, kmax) for consecutive groups of n paths."""
-    total = len(ensemble)
-    if total % n != 0:
-        raise ValueError("ensemble length must be a multiple of n_spins")
-    return ensemble.jumps.reshape(total // n, n, -1)
+def _group_chunks(ensemble, n):
+    """The number of consecutive groups of n paths in the ensemble, and the
+    groups in one chunk of the overlap kernels.
 
-
-def _pair_overlaps(grouped):
-    """Yield ``(i, a)`` for each spin i < N - 1: a is the (N-1-i, n_groups)
-    array of overlaps A_ij, j > i, so the blocks follow ``triu_indices``.
-
-    The product sigma_i sigma_j flips sign at every jump of the merged path,
-    so the overlap integral_0^1 sigma_i sigma_j dt is an alternating sum of
-    the merged jump times: A = 1 + 2 sum_k (-1)^{k-1} t_(k) over the sorted
-    union.  ``grouped`` is a (n_groups, N, kmax) padded jump array.  Only
-    pairs in which both paths jump are merged: their two rows are gathered,
-    BATCH_SIZE pairs at a time, into one reused buffer of 2 kmax columns,
-    which is sorted; the PAD entries end up last and are zeroed before the
-    sum.  Against a jumpless partner the merged row would be the other
-    path's own row followed by kmax PADs, so such a pair takes that path's
-    value, summed over the same 2 kmax columns; two jumpless paths give
-    exactly 1.  Every entry is thus bit for bit the full merge, whichever
-    sort algorithm runs: equal keys are equal floats.  Only one spin's
-    block is held at a time, and its index arrays cover only its pairs.
+    A chunk pads its jumping paths to ``max_count``; it has BATCH_SIZE
+    groups, or fewer where most paths jump, so that those rows take about
+    OVERLAP_CHUNK_BYTES at most.
     """
-    n_groups, n, width = grouped.shape
-    if width == 0:
+    if len(ensemble) % n != 0:
+        raise ValueError("ensemble length must be a multiple of n_spins")
+    offsets = ensemble.offsets
+    jumping = np.count_nonzero(offsets[1:] > offsets[:-1]) / max(len(ensemble), 1)
+    group_bytes = max(8.0 * ensemble.max_count * n * jumping, 1.0)
+    size = min(BATCH_SIZE, max(1, int(OVERLAP_CHUNK_BYTES // group_bytes)))
+    return len(ensemble) // n, size
+
+
+def _pair_overlaps(times, counts, n, width):
+    """Yield ``(i, a)`` for each spin i < N - 1 of one chunk of groups: a is
+    the (N-1-i, n_groups) array of overlaps A_ij, j > i, so the blocks
+    follow ``triu_indices``.
+
+    ``times`` and ``counts`` are the flat layout of the chunk's paths, path
+    g N + i being spin i of group g, and ``width`` is the largest count of
+    the whole ensemble.  The product sigma_i sigma_j flips sign at every
+    jump of the merged path, so the overlap integral_0^1 sigma_i sigma_j dt
+    is an alternating sum of the merged jump times: A = 1 + 2 sum_k
+    (-1)^{k-1} t_(k) over the sorted union.  The chunk's jumping paths are
+    padded with PAD to ``width``, and only pairs in which both paths jump
+    are merged: their two rows are gathered, BATCH_SIZE pairs at a time,
+    into one reused buffer of 2 width columns, which is sorted; the PAD
+    entries end up last and are zeroed before the sum.  Rows of ``width``
+    columns in every chunk keep the sums alike: numpy's pairwise row sum
+    rounds by the row length.  Against a jumpless partner the merged row
+    would be the other path's own row followed by width PADs, so such a
+    pair takes that path's value, summed over the same 2 width columns; two
+    jumpless paths give exactly 1.  Every entry is thus bit for bit the full
+    merge, whichever sort algorithm runs: equal keys are equal floats.  Only
+    one spin's block is held at a time, and its index arrays cover only its
+    pairs.
+    """
+    n_groups = counts.size // n
+    jumping = counts > 0
+    movers = np.flatnonzero(jumping)
+    if movers.size == 0:
         for i in range(n - 1):
             yield i, np.ones((n - 1 - i, n_groups))
         return
-    rows = grouped.reshape(-1, width)  # row g n + i is path i of group g
+    rows = _padded(times, counts[movers], width)  # one row per jumping path
+    slot = np.empty(counts.size, dtype=np.int64)  # the row of path p, if it jumps
+    slot[movers] = np.arange(movers.size)
     signs = _alternating_signs(2 * width)
     merged = np.empty((BATCH_SIZE, 2 * width))
 
     def overlaps(first, second):
-        """A for the path pairs (first[k], second[k]); None: jumpless partner."""
+        """A for the row pairs (first[k], second[k]); None: jumpless partner."""
         values = np.empty(first.size)
         for lo in range(0, first.size, BATCH_SIZE):
             hi = min(lo + BATCH_SIZE, first.size)
@@ -286,18 +346,21 @@ def _pair_overlaps(grouped):
             values[lo:hi] = 1.0 + 2.0 * buf.sum(axis=1)
         return values
 
-    jumping = rows[:, 0] < 1.5
-    alone = np.ones(rows.shape[0])  # each path's A against a jumpless path
-    movers = np.flatnonzero(jumping)
-    alone[movers] = overlaps(movers, None)
+    alone = np.ones(counts.size)  # each path's A against a jumpless path
+    alone[movers] = overlaps(np.arange(movers.size), None)
     alone = np.ascontiguousarray(alone.reshape(n_groups, n).T)
     jumping = np.ascontiguousarray(jumping.reshape(n_groups, n).T)
     for i in range(n - 1):
         block = alone[i + 1 :].copy()  # pairs (i, j) for j > i
         np.copyto(block, alone[i], where=jumping[i])
-        js, g = np.nonzero(jumping[i + 1 :] & jumping[i])
-        first = g * n + i
-        block[js, g] = overlaps(first, first + 1 + js)
+        both = np.flatnonzero(jumping[i + 1 :] & jumping[i])  # entry (j - i - 1) G + g
+        first = both % n_groups
+        first *= n
+        first += i  # path i of group g
+        second = both // n_groups
+        second += first
+        second += 1  # path j of group g
+        block.ravel()[both] = overlaps(slot[first], slot[second])
         yield i, block
 
 
@@ -311,16 +374,17 @@ def p_n_batch(ensemble, n_spins):
     n = int(n_spins)
     if n < 2:
         raise ValueError("n_spins must be >= 2")
-    grouped = _grouped_jumps(ensemble, n)
+    n_groups, size = _group_chunks(ensemble, n)
 
     def block(start, stop, out):
         acc = np.full(stop - start, float(n))  # diagonal terms A_ii = 1
-        for _, pairs in _pair_overlaps(grouped[start:stop]):
+        chunk = _chunk(ensemble, start * n, stop * n)
+        for _, pairs in _pair_overlaps(*chunk, n, ensemble.max_count):
             for a in pairs:
                 acc += 2.0 * np.square(a)
         np.divide(acc, n**2, out=out)
 
-    return fill_chunks(block, np.empty(grouped.shape[0]), ensemble.workers)
+    return fill_chunks(block, np.empty(n_groups), ensemble.workers, size)
 
 
 def overlap_matrix_batch(ensemble, n_spins):
@@ -329,16 +393,16 @@ def overlap_matrix_batch(ensemble, n_spins):
     Blocks of groups run on the ensemble's worker pool.
     """
     n = int(n_spins)
-    grouped = _grouped_jumps(ensemble, n)
+    n_groups, size = _group_chunks(ensemble, n)
 
     def block(start, stop, out):
-        for i, pairs in _pair_overlaps(grouped[start:stop]):
+        for i, pairs in _pair_overlaps(*_chunk(ensemble, start * n, stop * n), n,
+                                       ensemble.max_count):
             out[:, i, i + 1 :] = pairs.T
             out[:, i + 1 :, i] = pairs.T
         out[:, np.arange(n), np.arange(n)] = 1.0
 
-    return fill_chunks(block, np.empty((grouped.shape[0], n, n)),
-                       ensemble.workers)
+    return fill_chunks(block, np.empty((n_groups, n, n)), ensemble.workers, size)
 
 
 # -- signed cell lengths --------------------------------------------------
@@ -349,8 +413,8 @@ def cell_widths(m_cells):
     return np.diff(np.arange(m_cells + 1) / m_cells)
 
 
-def _batch_signed_lengths(jumps, movers, m_cells, workers):
-    """Integrals of sigma over the m_cells uniform cells, per row in ``movers``.
+def _batch_signed_lengths(ensemble, m_cells):
+    """Integrals of sigma over the m_cells uniform cells, per path that jumps.
 
     Uses the closed form of the antiderivative F(x) = integral_0^x sigma:
     F(x) = (-1)^{nu(x)} x + 2 sum_{j <= nu(x)} (-1)^{j-1} t_j with nu(x) the
@@ -358,35 +422,38 @@ def _batch_signed_lengths(jumps, movers, m_cells, workers):
     boundaries, so each entry is exact up to rounding.  The jump counts nu
     at the boundaries are integers: each jump is counted once, at the first
     boundary at or above it, and the counts are summed along the row.  The
-    work is chunked by path index; each chunk writes its rows of ``movers``
-    (ascending row indices) at their place in the compact output.
+    work is chunked by path index; each chunk pads the rows of its jumping
+    paths to their largest count (a prefix sum does not depend on the
+    columns after it) and writes them at their place in the compact output.
     """
     m = int(m_cells)
     if m < 1:
         raise ValueError("m_cells must be >= 1")
-    width = jumps.shape[1]
+    movers = np.flatnonzero(ensemble.counts)
     bounds = np.arange(m + 1) / m
-    signs = _alternating_signs(width)
     out = np.empty((movers.size, m))
 
     def block(start, stop):
         lo, hi = np.searchsorted(movers, (start, stop))
         if lo == hi:
             return
-        rows = np.take(jumps, movers[lo:hi], axis=0)
+        times, counts = _chunk(ensemble, start, stop)  # a jumpless path has no times
+        counts = counts[counts > 0]
+        width = int(counts.max())
+        rows = _padded(times, counts, width)
         row = np.arange(hi - lo)[:, None]
         # slot m + 1 of each row collects the PAD entries
         first = np.searchsorted(bounds, rows, side="left") + row * (m + 2)
         per_bound = np.bincount(first.ravel(), minlength=row.size * (m + 2))
         nu = per_bound.reshape(row.size, m + 2)[:, : m + 1].cumsum(axis=1)
         prefix = np.zeros((row.size, width + 1))
-        np.cumsum(signs * np.where(rows < 1.5, rows, 0.0), axis=1,
-                  out=prefix[:, 1:])
+        np.cumsum(_alternating_signs(width) * np.where(rows < 1.5, rows, 0.0),
+                  axis=1, out=prefix[:, 1:])
         f = (1 - 2 * (nu & 1)) * bounds
         f += 2.0 * prefix.ravel()[nu + row * (width + 1)]
         np.subtract(f[:, 1:], f[:, :-1], out=out[lo:hi])
 
-    map_chunks(block, jumps.shape[0], workers)
+    map_chunks(block, len(ensemble), ensemble.workers)
     return out
 
 

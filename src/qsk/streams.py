@@ -83,21 +83,22 @@ def map_batches(fn, n_batches, workers=None):
             return list(pool.map(fn, indices))
 
 
-def map_chunks(block, count, workers):
-    """``block(start, stop)`` for every BATCH_SIZE chunk of range(count), in order."""
-    pieces = [(start, stop) for _, start, stop in batch_ranges(count)]
+def map_chunks(block, count, workers, size=BATCH_SIZE):
+    """``block(start, stop)`` for every chunk of ``size`` items of range(count),
+    in order."""
+    pieces = [(start, min(start + size, count)) for start in range(0, count, size)]
     return map_batches(lambda b: block(*pieces[b]), len(pieces), workers=workers)
 
 
-def fill_chunks(block, out, workers):
-    """Call ``block(start, stop, out[start:stop])`` for every BATCH_SIZE chunk.
+def fill_chunks(block, out, workers, size=BATCH_SIZE):
+    """Call ``block(start, stop, out[start:stop])`` for every chunk of ``size`` rows.
 
     The chunks run on the worker pool.  Rows (paths or groups) are
     independent, so ``out`` depends neither on the chunking nor on
     ``workers``.
     """
     map_chunks(lambda start, stop: block(start, stop, out[start:stop]),
-               out.shape[0], workers)
+               out.shape[0], workers, size)
     return out
 
 

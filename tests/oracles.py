@@ -6,10 +6,13 @@ Each path function evaluates its quantity directly, one path or one pair at
 a time, so a test can compare it with the batched kernels in ``qsk.paths``
 and ``qsk.annealed``.  ``signed_lengths_broadcast``,
 ``overlap_matrix_serial`` and ``p_n_batch_serial`` take a whole padded jump
-matrix instead: they are the unchunked, single-threaded forms of the signed
-cell lengths and of the overlap kernels (the pairwise merge loop), which the
-chunked kernels on the worker pool must reproduce bit for bit;
-``even_paths_matrix`` is the sampler's batch layout drawn on one thread.
+matrix instead, one PAD-padded row per path at the width of the largest
+count, which ``padded_matrix`` builds from the flat layout: they
+are the unchunked, single-threaded forms of the signed cell lengths and of
+the overlap kernels (the pairwise merge loop), which the chunked kernels on
+the worker pool must reproduce bit for bit, as ``signed_totals`` must
+reproduce ``signed_totals_padded``; ``even_paths`` is the sampler's batch
+layout drawn on one thread.
 ``quadratic_forms_full`` and ``weighted_gram_full`` are the variational path
 kernels on a whole (paths x M) signed-length matrix at once, with a row for
 every path, jumpless ones included; the chunked kernels, which carry the
@@ -105,6 +108,23 @@ def cell_signed_lengths(times, m_cells):
     return out
 
 
+def padded_matrix(times, counts):
+    """The (paths x max count) jump matrix of a flat layout: row k holds the
+    jump times of path k, then PAD."""
+    jumps = np.full((counts.size, int(counts.max(initial=0))), PAD)
+    jumps[np.arange(jumps.shape[1]) < counts[:, None]] = times
+    return jumps
+
+
+def signed_totals_padded(jumps, counts):
+    """integral_0^1 sigma per row of a padded jump matrix, any parity:
+    (-1)^K + 2 sum_j (-1)^{j-1} t_j, summed over the whole row."""
+    signs = np.ones(jumps.shape[1])
+    signs[1::2] = -1.0
+    s = 2.0 * (signs * np.where(jumps < 1.5, jumps, 0.0)).sum(axis=1)
+    return (1.0 - 2.0 * (counts % 2)) + s
+
+
 def signed_lengths_broadcast(jumps, m_cells):
     """Cell integrals of sigma per row of a PAD-padded jump matrix, in one block.
 
@@ -166,26 +186,26 @@ def p_n_batch_serial(jumps, n_spins):
     return acc / n**2
 
 
-def even_paths_matrix(rate, count, seed):
-    """The padded jump matrix and counts of ``sample_ensemble``, batch by batch.
+def even_paths(rate, count, seed):
+    """The flat jump times and the counts of ``sample_ensemble``, batch by batch.
 
-    Every batch draws its jump counts and then its jump times from its own
-    stream and sorts every row, PAD-only rows included; the batches are
-    stacked under the widest one's column count.
+    Every batch draws its jump counts and then an (n, kmax) block of jump
+    times from its own stream, with kmax the batch's largest count, and
+    sorts every row after setting the entries past a row's count to PAD,
+    PAD-only rows included; each row's real times are then read in order.
     """
     cdf = even_jump_count_cdf(float(rate))
-    parts = []
+    times, counts = [], []
     for b, start, stop in batch_ranges(count):
         rng = batch_generator(seed, DOMAIN_PATHS, b)
-        counts = 2 * np.searchsorted(cdf, rng.random(stop - start), side="right")
-        kmax = int(counts.max())
-        times = rng.random((stop - start, kmax)) if kmax else np.empty((stop - start, 0))
-        times[np.arange(kmax)[None, :] >= counts[:, None]] = PAD
-        parts.append((np.sort(times, axis=1), counts))
-    jumps = np.full((count, max(t.shape[1] for t, _ in parts)), PAD)
-    for (times, _), (_, start, stop) in zip(parts, batch_ranges(count)):
-        jumps[start:stop, : times.shape[1]] = times
-    return jumps, np.concatenate([c for _, c in parts]).astype(np.int64)
+        k = 2 * np.searchsorted(cdf, rng.random(stop - start), side="right")
+        kmax = int(k.max())
+        block = rng.random((stop - start, kmax))
+        block[np.arange(kmax)[None, :] >= k[:, None]] = PAD
+        block.sort(axis=1)
+        times += [row[:n] for row, n in zip(block, k)]
+        counts.append(k)
+    return np.concatenate(times), np.concatenate(counts).astype(np.int64)
 
 
 def quadratic_forms_full(psi_values, s):

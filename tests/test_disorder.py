@@ -192,7 +192,7 @@ def test_study_runs_serially_without_blas_handle(monkeypatch):
         ens = paths.sample_ensemble(1.0, 2 * (BATCH_SIZE + 8), 9, workers=workers)
         report = fixed_point_solve(0.1, 1.0, 4, ens)
         return [_per_sample_bytes(run_study(params, 40, 8, 0.3, workers=workers)),
-                ens.jumps.tobytes(), ens.counts.tobytes(),
+                ens.times.tobytes(), ens.counts.tobytes(),
                 paths.p_n_batch(ens, 2).tobytes(),
                 report.to_dict(), report.start_lambda]
 

@@ -11,7 +11,6 @@ from scipy.linalg import expm
 from qsk import paths
 from qsk.constants import mu
 from qsk.paths import (
-    PAD,
     PathEnsemble,
     even_jump_count_cdf,
     laplace_conditional,
@@ -24,14 +23,16 @@ from qsk.streams import BATCH_SIZE
 
 from oracles import (
     cell_signed_lengths,
-    even_paths_matrix,
+    even_paths,
     overlap_integral,
     overlap_matrix_serial,
     p_n_batch_serial,
     p_n_functional,
+    padded_matrix,
     sample_even_path,
     sigma_at,
     signed_lengths_broadcast,
+    signed_totals_padded,
 )
 
 
@@ -45,7 +46,7 @@ def _path(*times):
 
 def _rows(ens):
     """The jump times of every path of an ensemble, one array per path."""
-    return [ens.jumps[i, :ens.counts[i]] for i in range(len(ens))]
+    return np.split(ens.times, ens.offsets[1:-1])
 
 
 @st.composite
@@ -65,44 +66,48 @@ def jump_paths(draw):
 
 
 def test_jump_path_validation():
-    PathEnsemble(np.empty((2, 0)), [0, 0], rate=1.0)  # jump-free paths are fine
-    PathEnsemble([[0.2, 0.7], [2.0, 2.0]], [2, 0], rate=1.0)
+    PathEnsemble(np.empty(0), [0, 0], rate=1.0)  # jump-free paths are fine
+    ens = PathEnsemble([0.2, 0.7, 0.1, 1.0], [2, 0, 2], rate=1.0)  # t = 1 is a jump
+    assert len(ens) == 3
+    assert ens.offsets.tolist() == [0, 2, 2, 4]
+    assert ens.counts.tolist() == [2, 0, 2]
     with pytest.raises(ValueError):
-        PathEnsemble([[0.5]], [1], rate=1.0)  # odd count
+        PathEnsemble([0.5], [1], rate=1.0)  # odd count
     with pytest.raises(ValueError):
-        PathEnsemble([[0.2, 0.7]], [2, 0], rate=1.0)  # counts do not match rows
+        PathEnsemble([0.2, 0.7], [2, 2], rate=1.0)  # counts need more times
     with pytest.raises(ValueError):
-        PathEnsemble([0.2, 0.7], [2], rate=1.0)  # not a matrix
+        PathEnsemble([[0.2, 0.7]], [2], rate=1.0)  # not flat
 
 
 @pytest.mark.parametrize("jumps, counts, message", [
-    ([[0.7, 0.2]], [2], "sorted"),
-    ([[2.0, 2.0]], [2], "lie in"),  # PAD counted as a jump time
-    ([[0.0, 0.5]], [2], "lie in"),
-    ([[0.5, 1.25]], [2], "lie in"),
-    ([[0.2, np.nan]], [2], "sorted"),
-    ([[np.nan]], [0], "then 2.0"),
-    ([[0.2, 0.7, 0.9, 2.0]], [2], "then 2.0"),  # a third time where PAD belongs
-    ([[0.2, 0.7, 2.0, 3.0]], [2], "then 2.0"),
-    ([[0.2, 0.7]], [4], r"lie in \[0, 2\]"),
-    ([[0.2, 0.7]], [-2], r"lie in \[0, 2\]"),
+    ([0.7, 0.2], [2], "sorted"),
+    ([2.0, 2.0], [2], "lie in"),  # a padding value given as jump times
+    ([0.0, 0.5], [2], "lie in"),
+    ([0.5, 1.25], [2], "lie in"),
+    ([0.2, 0.7, 0.5, 0.3], [2, 2], "sorted"),  # the second path is unsorted
+    ([np.nan], [0], "add up"),
+    ([0.2, 0.7, 0.9], [2], "add up"),  # a time with no path
+    ([0.2, np.nan], [2], "lie in"),
+    ([0.2, 0.7], [4], "add up"),
+    ([0.2, 0.7, 0.5, 0.6], [4, -2], "even and >= 0"),
+    ([0.2, 0.7, 0.9, 0.95], [1, 3], "even and >= 0"),
+    ([0.3, 0.2], [0, 2, 0], "sorted"),  # between jumpless paths
 ])
 def test_path_ensemble_rejects_malformed_rows(jumps, counts, message):
-    # every kernel reads a row as counts[k] sorted times followed by PAD
+    # every kernel reads path k as counts[k] sorted times in (0, 1]
     with pytest.raises(ValueError, match=message):
         PathEnsemble(jumps, counts, rate=1.0)
 
 
 def test_path_ensemble_checks_every_chunk():
-    # a bad row in the last chunk is found, and a jump at t = 1 is accepted
-    jumps = np.tile([0.2, 0.7, PAD, PAD], (BATCH_SIZE + 3, 1))
-    counts = np.full(BATCH_SIZE + 3, 2)
-    jumps[-1] = [0.1, 0.3, 0.6, 1.0]
-    counts[-1] = 4
-    PathEnsemble(jumps, counts, rate=1.0)
-    jumps[-1, 2] = 0.25
+    # a bad path after many good ones is found, and a jump at t = 1 is
+    # accepted; one path's times may lie below the previous path's
+    times = np.concatenate([np.tile([0.2, 0.7], BATCH_SIZE + 3), [0.1, 0.3, 0.6, 1.0]])
+    counts = np.append(np.full(BATCH_SIZE + 3, 2), 4)
+    PathEnsemble(times, counts, rate=1.0)
+    times[-2] = 0.25
     with pytest.raises(ValueError, match="sorted"):
-        PathEnsemble(jumps, counts, rate=1.0)
+        PathEnsemble(times, counts, rate=1.0)
 
 
 def test_sigma_at_piecewise():
@@ -208,11 +213,11 @@ def test_overlap_riemann_cross_check():
 def test_ensemble_deterministic_across_workers():
     e1 = sample_ensemble(1.0, MULTI_CHUNK, seed=11, workers=1)
     e4 = sample_ensemble(1.0, MULTI_CHUNK, seed=11, workers=4)
-    np.testing.assert_array_equal(e1.jumps, e4.jumps)
+    np.testing.assert_array_equal(e1.times, e4.times)
     np.testing.assert_array_equal(e1.counts, e4.counts)
     # the same bytes as drawing every batch in turn and sorting every row
-    jumps, counts = even_paths_matrix(1.0, MULTI_CHUNK, seed=11)
-    assert e4.jumps.tobytes() == jumps.tobytes()
+    times, counts = even_paths(1.0, MULTI_CHUNK, seed=11)
+    assert e4.times.tobytes() == times.tobytes()
     assert e4.counts.tobytes() == counts.tobytes()
     e_other = sample_ensemble(1.0, MULTI_CHUNK, seed=12)
     assert not np.array_equal(e1.counts, e_other.counts)
@@ -224,9 +229,20 @@ def test_sigma_matrix_and_total_times():
     t = 0.37
     direct = np.array([sigma_at(p, t) for p in _rows(ens)])
     np.testing.assert_array_equal(ens.sigma_matrix(t), direct)
-    totals = signed_totals(ens.jumps, ens.counts)
+    totals = signed_totals(ens.times, ens.counts)
     ref = np.array([_overlap_reference(p, _path()) for p in _rows(ens)])
     np.testing.assert_allclose(totals, ref, atol=1e-12)
+
+
+def test_sigma_matrix_at_the_ends_and_at_jump_times():
+    # sigma is right-continuous: at a jump time it already has the new sign
+    ens = PathEnsemble([0.25, 0.75, 0.5, 1.0, 0.1, 0.2, 0.3, 0.4], [2, 0, 2, 4],
+                       rate=1.0)
+    for t in (0.0, 1.0, 0.1, 0.25, 0.3, 0.5, 0.75):
+        direct = np.array([sigma_at(p, t) for p in _rows(ens)])
+        np.testing.assert_array_equal(ens.sigma_matrix(t), direct)
+    assert ens.sigma_matrix(1.0).tolist() == [1, 1, 1, 1]
+    assert ens.sigma_matrix(0.5).tolist() == [-1, 1, -1, 1]
 
 
 def test_cell_signed_lengths_consistency():
@@ -284,20 +300,20 @@ def test_p_n_batch_matches_loop():
 
 def _with_workers(ens, workers):
     """A fresh copy of ``ens`` (empty memo) whose kernels use ``workers``."""
-    return PathEnsemble(ens.jumps, ens.counts, ens.rate, seed=ens.seed,
+    return PathEnsemble(ens.times, ens.counts, ens.rate, seed=ens.seed,
                         workers=workers)
 
 
 @pytest.mark.parametrize("rate", [0.0, 1.5, 5.0])
 def test_signed_lengths_match_serial_kernel_for_any_workers(rate):
     ens = sample_ensemble(rate, MULTI_CHUNK, seed=21)
-    assert ens.jumps.shape[1] == (0 if rate == 0.0 else ens.counts.max())
+    assert (ens.times.size == 0) == (rate == 0.0)
     jumping = ens.counts > 0
     if rate == 5.0:  # drop the 1.3% jumpless paths: every path jumps
-        ens = PathEnsemble(ens.jumps[jumping], ens.counts[jumping], rate)
+        ens = PathEnsemble(ens.times, ens.counts[jumping], rate)
         jumping = jumping[jumping]
     for m in (1, 7, 64):
-        ref = signed_lengths_broadcast(ens.jumps, m)
+        ref = signed_lengths_broadcast(padded_matrix(ens.times, ens.counts), m)
         for workers in (1, 2, 4):
             got = _with_workers(ens, workers).signed_lengths(m)
             assert np.array_equal(got, ref[jumping]), (m, workers)
@@ -312,7 +328,7 @@ def test_signed_lengths_match_serial_kernel_for_any_workers(rate):
                          [(3, MULTI_CHUNK), (16, 2 * BATCH_SIZE + 7)])
 def test_p_n_batch_matches_serial_kernel_for_any_workers(rate, n_spins, groups):
     ens = sample_ensemble(rate, n_spins * groups, seed=22)
-    ref = p_n_batch_serial(ens.jumps, n_spins)
+    ref = p_n_batch_serial(padded_matrix(ens.times, ens.counts), n_spins)
     for workers in (1, 2, 4):
         got = paths.p_n_batch(_with_workers(ens, workers), n_spins)
         assert np.array_equal(got, ref), workers
@@ -320,16 +336,14 @@ def test_p_n_batch_matches_serial_kernel_for_any_workers(rate, n_spins, groups):
         assert np.all(ref == 1.0)
 
 
-def _jump_matrix(counts, rng):
+def _uniform_paths(counts, rng):
     """A PathEnsemble whose path k has ``counts[k]`` uniform jump times."""
-    jumps = np.full((counts.size, int(counts.max())), PAD)
-    for row, k in zip(jumps, counts):
-        row[:k] = np.sort(rng.random(k))
-    return PathEnsemble(jumps, counts, rate=1.0)
+    times = [np.sort(rng.random(k)) for k in counts]
+    return PathEnsemble(np.concatenate(times), counts, rate=1.0)
 
 
 def _overlap_input(kind, n_spins, groups):
-    """An ensemble of ``groups`` groups of paths of one of four kinds."""
+    """An ensemble of ``groups`` groups of paths of one of five kinds."""
     if kind.startswith("rate"):
         return sample_ensemble(float(kind[5:]), n_spins * groups, seed=23)
     rng = np.random.default_rng(24)
@@ -337,11 +351,16 @@ def _overlap_input(kind, n_spins, groups):
     if kind == "one_jumper":
         # one path per group jumps, so a pair has one jumping path or none
         counts *= np.arange(n_spins) == rng.integers(n_spins, size=(groups, 1))
-    return _jump_matrix(counts.ravel(), rng)
+    elif kind == "one_long":
+        # every chunk but the first pads to 6 columns where a merged row
+        # must still span 2 * 24: row sums round by their length
+        counts[0, 0] = 24
+    return _uniform_paths(counts.ravel(), rng)
 
 
 @pytest.mark.parametrize("n_spins", [2, 16])
-@pytest.mark.parametrize("kind", ["rate_0.2", "rate_1.5", "all_jump", "one_jumper"])
+@pytest.mark.parametrize("kind", ["rate_0.2", "rate_1.5", "all_jump", "one_jumper",
+                                  "one_long"])
 def test_overlap_kernels_match_pair_loop_oracle(kind, n_spins):
     groups = 2 * BATCH_SIZE + 7  # two full chunks and part of a third
     ens = _overlap_input(kind, n_spins, groups)
@@ -352,8 +371,9 @@ def test_overlap_kernels_match_pair_loop_oracle(kind, n_spins):
         assert jumping.all()
     elif kind == "one_jumper":
         assert np.all(jumping.sum(axis=1) == 1)
-    mats = overlap_matrix_serial(ens.jumps, n_spins)
-    p_n = p_n_batch_serial(ens.jumps, n_spins)
+    jumps = padded_matrix(ens.times, ens.counts)
+    mats = overlap_matrix_serial(jumps, n_spins)
+    p_n = p_n_batch_serial(jumps, n_spins)
     for workers in (1, 2, 4):
         ens_w = _with_workers(ens, workers)
         assert np.array_equal(paths.overlap_matrix_batch(ens_w, n_spins), mats), workers
@@ -373,27 +393,54 @@ def test_p_n_batch_memory_does_not_grow_with_chunks():
     assert traced_peak(8) <= 1.25 * traced_peak(2)
 
 
+def test_p_n_batch_pads_fewer_groups_where_most_paths_jump():
+    # at rate 3, 90% of the paths jump: the padded rows of a chunk of
+    # BATCH_SIZE groups at N = 16 alone would take more than the kernel's peak
+    ens = sample_ensemble(3.0, 16 * 2 * BATCH_SIZE, seed=25, workers=1)
+    chunk_rows = 8 * ens.max_count * np.count_nonzero(ens.counts[: 16 * BATCH_SIZE])
+    tracemalloc.start()
+    try:
+        paths.p_n_batch(ens, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < chunk_rows
+
+
+@pytest.mark.parametrize("rate, n_spins, count",
+                         [(3.0, 16, 480_000), (1.0, 8, 800_000)])
+def test_sampling_and_p_n_batch_peak_below_one_padded_matrix(rate, n_spins, count):
+    # the flat layout and the chunked kernels never hold a (paths x max
+    # count) jump matrix, which alone would take count * max(counts) * 8 B
+    tracemalloc.start()
+    try:
+        ens = sample_ensemble(rate, count, seed=26, workers=2)
+        paths.p_n_batch(ens, n_spins)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < count * int(ens.counts.max()) * 8
+
+
 @pytest.mark.parametrize("m_cells", [3, 4, 8])
 def test_signed_lengths_with_jumps_on_cell_boundaries(m_cells):
     # a jump exactly at a boundary k/M (the float the kernel compares with)
     # counts as having happened there: the cell to its right takes the new sign
     b = np.arange(m_cells + 1) / m_cells
-    jumps = np.array([[b[1], b[2], PAD, PAD],
-                      [b[1], 0.5 * (b[1] + b[2]), b[2], b[-1]],
-                      [PAD, PAD, PAD, PAD]])
-    repeat = BATCH_SIZE + 1  # three rows repeated: four chunks
-    ens = PathEnsemble(np.repeat(jumps, repeat, axis=0),
+    rows = [[b[1], b[2]], [b[1], 0.5 * (b[1] + b[2]), b[2], b[-1]], []]
+    repeat = BATCH_SIZE + 1  # three paths repeated: four chunks
+    ens = PathEnsemble(np.concatenate([np.tile(r, repeat) for r in rows]),
                        np.repeat([2, 4, 0], repeat), rate=1.0)
-    ref = signed_lengths_broadcast(ens.jumps, m_cells)
+    ref = signed_lengths_broadcast(padded_matrix(ens.times, ens.counts), m_cells)
     for workers in (1, 2, 4):
         got = _with_workers(ens, workers).signed_lengths(m_cells)
         assert np.array_equal(got, ref[ens.counts > 0]), workers
     w = 1.0 / m_cells
     np.testing.assert_allclose(ref[0], np.where(np.arange(m_cells) == 1, -w, w),
                                rtol=0, atol=1e-15)
-    for row, times in enumerate(jumps):
+    for row, times in enumerate(rows):
         np.testing.assert_allclose(ref[row * repeat],
-                                   cell_signed_lengths(times[times < 1.5], m_cells),
+                                   cell_signed_lengths(np.array(times), m_cells),
                                    rtol=0, atol=1e-15)
 
 
@@ -429,9 +476,21 @@ def test_laplace_conditional_limits():
         laplace_conditional(0.5, 1.0, 1.0, 2)
 
 
+def test_signed_totals_match_padded_oracle():
+    # bit for bit the sums over rows as wide as the largest count: 9, from
+    # the first path, while no path in a later chunk has more than 7
+    rng = np.random.default_rng(14)
+    counts = np.minimum(rng.poisson(1.5, MULTI_CHUNK), 7)
+    counts[0] = 9
+    rows = np.sort(rng.random((MULTI_CHUNK, 9)), axis=1)
+    times = rows[np.arange(9) < counts[:, None]]
+    expected = signed_totals_padded(padded_matrix(times, counts), counts)
+    assert np.array_equal(signed_totals(times, counts), expected)
+
+
 def test_laplace_conditional_monte_carlo():
-    jumps, counts = sample_unconditioned(0.9, 60_000, seed=13)
-    tot = signed_totals(jumps, counts)
+    times, counts = sample_unconditioned(0.9, 60_000, seed=13)
+    tot = signed_totals(times, counts)
     for g, s in ((0.7, 1), (-0.4, -1)):
         keep = (1 - 2 * (counts % 2)) == s
         est = mean_with_err(np.exp(0.9 + g * tot) * keep)

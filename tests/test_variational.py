@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (quadratic_forms_full, signed_lengths_broadcast,
-                     weighted_gram_full)
+from oracles import (padded_matrix, quadratic_forms_full,
+                     signed_lengths_broadcast, weighted_gram_full)
 from qsk import checks, paths, variational
 from qsk.constants import c0_of, g_n_of, m_of, p_of
 from qsk.stats import effective_sample_size
@@ -280,14 +280,14 @@ def test_fixed_point_report_small_scale():
 
 def _with_workers(ens, workers):
     """A fresh copy of ``ens`` (empty memo) whose kernels use ``workers``."""
-    return paths.PathEnsemble(ens.jumps, ens.counts, ens.rate, seed=ens.seed,
+    return paths.PathEnsemble(ens.times, ens.counts, ens.rate, seed=ens.seed,
                               workers=workers)
 
 
 def _all_jumping(ens):
     """The paths of ``ens`` that jump, as an ensemble with no jumpless path."""
-    keep = ens.counts > 0
-    return paths.PathEnsemble(ens.jumps[keep], ens.counts[keep], ens.rate,
+    counts = ens.counts
+    return paths.PathEnsemble(ens.times, counts[counts > 0], ens.rate,
                               seed=ens.seed)
 
 
@@ -304,7 +304,7 @@ ATOM_CASES = {
 def _oracle_rows(ens, m_cells):
     """Every path's signed lengths in the kernels' order: the paths that jump
     (in path order), then the jumpless ones."""
-    full = signed_lengths_broadcast(ens.jumps, m_cells)
+    full = signed_lengths_broadcast(padded_matrix(ens.times, ens.counts), m_cells)
     jumping = ens.counts > 0
     return np.concatenate([full[jumping], full[~jumping]])
 
