@@ -89,7 +89,7 @@ def _beta_f_ann(params: ModelParams, f_hat):
     )
 
 
-def f_n_sandwich(params: ModelParams, f_hat, n_sigma, quad_nodes=64):
+def f_n_sandwich(params: ModelParams, f_hat, n_sigma):
     """The rigorous sandwich N p_N lam <= F_N <= min(G_N, W_N) for an estimate.
 
     Returns ``(bounds, verdicts)``: the three bounds, and whether ``f_hat``
@@ -98,7 +98,7 @@ def f_n_sandwich(params: ModelParams, f_hat, n_sigma, quad_nodes=64):
     n, lam, bb = params.n_spins, params.lam, params.beta_b
     lower = n * p_n_of(n, bb) * lam
     g_val = g_n_of(n, lam, bb)
-    w_val = w_n_of(n, lam, bb, quad_nodes=quad_nodes)
+    w_val = w_n_of(n, lam, bb)
     slack = n_sigma * f_hat.std_err
     bounds = {"lower_n_p_n_lam": lower, "g_n": g_val, "w_n": w_val}
     verdicts = {
@@ -119,7 +119,7 @@ def _k_objective(lam, q_grid, nodes):
     return lam * (1.0 - np.square(1.0 - np.asarray(q_grid))) - expect
 
 
-def k_of_lambda(lam, quad_nodes=64):
+def k_of_lambda(lam):
     """k(lam) >= 0; equals 0 iff 4*lam <= 1, and k(lam) <= lam always.
 
     The objective can be bimodal near the threshold, so a 512-point dense
@@ -139,21 +139,21 @@ def k_of_lambda(lam, quad_nodes=64):
         return -scan_minimize(lambda q: -_k_objective(lam, q, nodes),
                               np.linspace(0.0, 1.0, 512))
 
-    value, _ = refine_once(evaluate, quad_nodes, label="k_of_lambda")
+    value, _ = refine_once(evaluate, "k_of_lambda")
     return max(0.0, value)
 
 
 # -- phase-diagram bounds --------------------------------------------------
 
 
-def delta_infinity_bounds(lam, beta_b, n_max=64, quad_nodes=64):
+def delta_infinity_bounds(lam, beta_b, n_max=64):
     """Rigorous bracket for the limiting quenched-annealed gap beta*Delta.
 
     Lower bound max(0, k(lam) - ln cosh(beta_b)); upper bound
     inf_{2<=N<=n_max} G_N/N.  Both are exact statements for every lam >= 0.
     An array ``beta_b`` gives arrays of its shape, a scalar gives floats.
     """
-    lower = np.maximum(0.0, k_of_lambda(lam, quad_nodes=quad_nodes) - logcosh(beta_b))
+    lower = np.maximum(0.0, k_of_lambda(lam) - logcosh(beta_b))
     upper, _ = inf_g_n_over_n(lam, beta_b, n_max=n_max)
     return (lower if np.ndim(lower) else float(lower)), upper
 
@@ -183,7 +183,7 @@ class RegionPoint:
         return "unresolved"
 
 
-def region_scan(inv_beta_v_values, b_over_v_values, n_max=64, quad_nodes=64):
+def region_scan(inv_beta_v_values, b_over_v_values, n_max=64):
     """Evaluate the gap bracket on a grid; returns a row-major list of points.
 
     The x axis is 1/(beta v) (so lam = 1/(4 x^2)) and the y axis is b/v
@@ -199,7 +199,7 @@ def region_scan(inv_beta_v_values, b_over_v_values, n_max=64, quad_nodes=64):
     points = []
     for x in xs:
         lower, upper = delta_infinity_bounds(1.0 / (4.0 * x * x), ys / x,
-                                             n_max=n_max, quad_nodes=quad_nodes)
+                                             n_max=n_max)
         for y, lo, up in zip(ys, lower, upper):
             points.append(
                 RegionPoint(

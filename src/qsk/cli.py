@@ -14,6 +14,7 @@ verify       run the desk-scale verification suite; nonzero exit on failure
 Each subcommand's options are declared once, in ``OPTIONS``: an option
 ``name`` is the flag ``--name-with-dashes`` and the config key ``name``,
 read from ``[subcommand]`` and then ``[model]`` of the ``--config`` file.
+A config key that no subcommand reads is a usage error.
 
 Conventions: all outputs are deterministic functions of (options, seed) —
 identical runs give byte-identical files regardless of worker count; wall
@@ -49,12 +50,30 @@ DEFAULT_SEED = 123456789
 
 
 def _load_config(path):
+    """Read the INI file ``path`` and refuse any key that no subcommand reads.
+
+    Keys in ``[<subcommand>]`` must be options of that subcommand and keys
+    in the shared ``[model]`` options of some subcommand, whichever
+    subcommand runs; any other section, ``[DEFAULT]`` among them, is refused.
+    """
     cp = configparser.ConfigParser()
     try:
         with open(path) as f:
             cp.read_file(f)
     except (OSError, configparser.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
+    readers = {**OPTIONS, "model": set().union(*OPTIONS.values())}
+    sections = cp.sections()
+    if cp.defaults():  # first, as its keys show in every other section too
+        sections.insert(0, cp.default_section)
+    for section in sections:
+        if section not in readers:
+            raise ValueError(f"config [{section}]: qsk reads only [model] and "
+                             "one section per subcommand")
+        for key in cp.options(section):
+            if key not in readers[section]:
+                whose = "any subcommand" if section == "model" else section
+                raise ValueError(f"config [{section}] {key}: not an option of {whose}")
     return cp
 
 
@@ -85,15 +104,6 @@ def _resolve(args, spec, sections):
     return out
 
 
-def _bool_opt(raw):
-    s = str(raw).strip().lower()
-    if s in ("1", "true", "yes", "on"):
-        return True
-    if s in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 #: subcommand -> option name -> (type, default).  Each option is the flag
 #: ``--name-with-dashes`` and the config key ``name``, read from the
 #: ``[subcommand]`` section and then from ``[model]``.
@@ -106,7 +116,6 @@ OPTIONS = {
         "n_spins": (int, 2),
         "lam": (float, 0.1),
         "n_max": (int, 64),
-        "quad_nodes": (int, 64),
     },
     "exactdiag": {
         "n_spins": (int, 4),
@@ -119,7 +128,6 @@ OPTIONS = {
         "lam": (float, 0.1),
         "beta_b": (float, 1.0),
         "ensembles": (int, 200_000),
-        "quad_nodes": (int, 64),
     },
     "variational": {
         "lam": (float, 0.1),
@@ -128,8 +136,6 @@ OPTIONS = {
         "ensembles": (int, 200_000),
         "tol": (float, 1e-8),
         "max_iter": (int, 200),
-        "quad_nodes": (int, 64),
-        "with_static": (_bool_opt, True),
         "psi_out": (str, None),
     },
     "static": {
@@ -138,7 +144,6 @@ OPTIONS = {
         "lam_max": (float, 1.0),
         "lam_count": (int, 25),
         "lam_scale": (str, "log"),
-        "quad_nodes": (int, 64),
     },
     "quenched": {
         "n_spins": (int, 5),
@@ -156,7 +161,6 @@ OPTIONS = {
         "y_max": (float, 2.65),
         "y_count": (int, 100),
         "n_max": (int, 64),
-        "quad_nodes": (int, 64),
         "advisory_out": (str, None),
     },
     "verify": {},
@@ -246,7 +250,7 @@ def cmd_constants(args, opts):
     inf_vals, inf_args = constants.inf_g_n_over_n(lam, sweep, opts["n_max"])
     for bb, inf_val, inf_arg in zip(sweep, inf_vals, inf_args):
         checks = constants.moment_inequalities(bb)
-        w_val = constants.w_n_of(n, lam, bb, quad_nodes=opts["quad_nodes"])
+        w_val = constants.w_n_of(n, lam, bb)
         rows.append(
             [bb, constants.m_of(bb), constants.p_of(bb), constants.c0_of(bb),
              constants.p_n_of(n, bb), constants.g_n_of(n, lam, bb) / n,
@@ -279,8 +283,7 @@ def cmd_annealed(args, opts):
     params = _model_from(opts)
     f_hat = annealed.estimate_f_n(params, opts["ensembles"], args.seed,
                                   workers=args.workers)
-    bounds, verdicts = annealed.f_n_sandwich(params, f_hat, n_sigma=3,
-                                             quad_nodes=opts["quad_nodes"])
+    bounds, verdicts = annealed.f_n_sandwich(params, f_hat, n_sigma=3)
     payload = {
         "params": params.to_dict(),
         "f_n_hat": f_hat.to_dict(),
@@ -304,19 +307,18 @@ def cmd_variational(args, opts):
         lam, bb, opts["m_cells"], ens, tol=opts["tol"],
         max_iter=opts["max_iter"],
     )
+    minus_p_lam = -constants.p_of(bb) * lam
+    j = variational.static_approximation(lam, bb)
     payload = {
         "report": report.to_dict(),
         "verdicts": variational.fixed_point_verdicts(report, lam, bb, n_sigma=3),
-    }
-    if opts["with_static"]:
-        p = constants.p_of(bb)
-        j = variational.static_approximation(lam, bb, quad_nodes=opts["quad_nodes"])
-        payload["static"] = {
+        "static": {
             "j_value": j,
-            "minus_p_lam": -p * lam,
-            "exceeds_minus_p_lam": bool(j > -p * lam),
+            "minus_p_lam": minus_p_lam,
+            "exceeds_minus_p_lam": bool(j > minus_p_lam),
             "strict_regime": bool(lam < variational.static_threshold(bb)),
-        }
+        },
+    }
     if opts["psi_out"]:
         variational.save_grid_function(
             report.psi, opts["psi_out"],
@@ -334,8 +336,7 @@ def cmd_static(args, opts):
     thresh = variational.static_threshold(bb)
     rows = []
     for lam in lams:
-        j = variational.static_approximation(float(lam), bb,
-                                             quad_nodes=opts["quad_nodes"])
+        j = variational.static_approximation(float(lam), bb)
         rows.append([float(lam), j, j / lam, -p * lam,
                      "yes" if j > -p * lam else "no",
                      "yes" if lam < thresh else "no"])
@@ -373,8 +374,7 @@ def cmd_quenched(args, opts):
 def cmd_region(args, opts):
     xs = np.linspace(opts["x_min"], opts["x_max"], opts["x_count"])
     ys = np.linspace(opts["y_min"], opts["y_max"], opts["y_count"])
-    points = annealed.region_scan(xs, ys, n_max=opts["n_max"],
-                                  quad_nodes=opts["quad_nodes"])
+    points = annealed.region_scan(xs, ys, n_max=opts["n_max"])
     header = ["inv_beta_v", "b_over_v", "delta_lower", "delta_upper",
               "classification"]
     rows = [[p.inv_beta_v, p.b_over_v, p.delta_lower, p.delta_upper,

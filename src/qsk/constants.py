@@ -269,7 +269,7 @@ def _w_n_eval(n, lam, beta_b, gl_nodes, gh_nodes):
     return float(logsumexp(log_terms))
 
 
-def w_n_of(n, lam, beta_b, quad_nodes=64):
+def w_n_of(n, lam, beta_b):
     """Gaussian-interpolation bound W_N (ln of a smoothed N-th moment).
 
     Satisfies F_N <= W_N <= G_N with equality W_2 = G_2.  Evaluated by a
@@ -279,13 +279,9 @@ def w_n_of(n, lam, beta_b, quad_nodes=64):
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if quad_nodes < 20:
-        raise ValueError("quad_nodes must be >= 20")
     if lam < 0 or beta_b < 0:
         raise ValueError("lam and beta_b must be >= 0")
-    value, _ = refine_once(
-        lambda k: _w_n_eval(n, lam, beta_b, k, k), quad_nodes, label="w_n_of"
-    )
+    value, _ = refine_once(lambda k: _w_n_eval(n, lam, beta_b, k, k), "w_n_of")
     return value
 
 

@@ -49,8 +49,6 @@ __all__ = [
 
 #: the two blocks take 2 * 4^(N-1) * 8 B a sample: 67 MB at N = 12
 MAX_SPINS_ED = 12
-#: Gauss-Hermite nodes of the exact two-spin averages (checked against 2x)
-F2_QUAD_NODES = 64
 
 
 def draw_couplings(n_spins, n_samples, seed):
@@ -276,8 +274,6 @@ def f2_annealed_exact(lam, beta_b):
     """
     if lam < 0 or beta_b < 0:
         raise ValueError("lam and beta_b must be >= 0")
-    value, _ = refine_once(
-        lambda k: _f2_annealed_eval(lam, beta_b, k), F2_QUAD_NODES,
-        label="f2_annealed_exact",
-    )
+    value, _ = refine_once(lambda k: _f2_annealed_eval(lam, beta_b, k),
+                           "f2_annealed_exact")
     return value

@@ -12,6 +12,8 @@ import numpy as np
 LN2 = float(np.log(2.0))
 #: relative change, on the scale max(1, |value|), that ``refine_once`` accepts
 REFINE_RTOL = 1e-6
+#: Gauss nodes of every quadrature; ``refine_once`` checks them against twice
+QUAD_NODES = 64
 
 
 class QuadratureConvergenceWarning(UserWarning):
@@ -96,22 +98,22 @@ def normal_nodes(n):
     return x * np.sqrt(2.0), lw - 0.5 * np.log(np.pi)
 
 
-def refine_once(evaluate, nodes, label="quadrature"):
-    """Run ``evaluate`` at ``nodes`` and ``2*nodes``; warn if they disagree.
+def refine_once(evaluate, label):
+    """Run ``evaluate`` at ``QUAD_NODES`` and twice that; warn if they disagree.
 
     Returns the fine-node value together with a convergence flag.  The
     comparison is relative on the scale max(1, |fine|), which suits the
     log-valued integrals used throughout this package.
     """
-    coarse = evaluate(int(nodes))
-    fine = evaluate(2 * int(nodes))
+    coarse = evaluate(QUAD_NODES)
+    fine = evaluate(2 * QUAD_NODES)
     scale = max(1.0, abs(fine))
     converged = abs(fine - coarse) <= REFINE_RTOL * scale
     if not converged:
         warnings.warn(
             "%s did not settle after doubling nodes (%d -> %d): %.9e vs %.9e, "
             "relative change %.3e > tolerance %.0e"
-            % (label, nodes, 2 * nodes, coarse, fine,
+            % (label, QUAD_NODES, 2 * QUAD_NODES, coarse, fine,
                abs(fine - coarse) / scale, REFINE_RTOL),
             QuadratureConvergenceWarning,
             stacklevel=2,

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import c0_of, inf_g_n_over_n, m_of, p_of
-from .numerics import (gauss_hermite, logcosh, logsumexp, refine_once,
-                       scan_minimize)
+from .numerics import (QUAD_NODES, gauss_hermite, logcosh, logsumexp,
+                       refine_once, scan_minimize)
 from .paths import cell_widths
 from .stats import EstimateWithError, log_mean_exp
 from .streams import fill_chunks, sum_chunks
@@ -52,9 +52,6 @@ __all__ = [
     "taylor_prediction",
     "save_grid_function",
 ]
-
-#: Gauss-Hermite nodes of ``lambda_constant`` (checked against 2x)
-LAMBDA_CONSTANT_NODES = 64
 
 
 class GridFunction:
@@ -416,19 +413,17 @@ def lambda_constant(y, beta_b):
     if beta_b < 0:
         raise ValueError("beta_b must be >= 0")
     value, _ = refine_once(
-        lambda k: float(_lambda_constant_vec([y], beta_b, k)[0]),
-        LAMBDA_CONSTANT_NODES,
-        label="lambda_constant",
-    )
+        lambda k: float(_lambda_constant_vec([y], beta_b, k)[0]), "lambda_constant")
     return value
 
 
-def static_approximation(lam, beta_b, quad_nodes=64):
+def static_approximation(lam, beta_b):
     """J(lam) = inf_{x >= 0} [lam x^2 - Lambda(2 lam x 1)].
 
     The restriction of the variational problem to constant kernels; satisfies
     -lam <= J <= -m^2 lam, with J/lam -> -m^2 as lam -> 0 and -> -1 as
-    lam -> infinity.  A dense scan plus bounded Brent (``scan_minimize``).
+    lam -> infinity.  A dense scan plus bounded Brent (``scan_minimize``) over
+    Lambda at ``QUAD_NODES`` Gauss-Hermite nodes, without a doubling check.
     At beta_b = 0 the paths never jump (sigma = 1, m = 1), both bounds meet
     and J = -lam exactly, which the scan would only reach up to rounding.
     """
@@ -439,7 +434,7 @@ def static_approximation(lam, beta_b, quad_nodes=64):
         return -lam
     return scan_minimize(
         lambda xs: lam * xs * xs
-        - _lambda_constant_vec(2.0 * lam * xs, beta_b, quad_nodes),
+        - _lambda_constant_vec(2.0 * lam * xs, beta_b, QUAD_NODES),
         np.linspace(0.0, 1.5, 601))
 
 

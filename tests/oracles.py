@@ -31,7 +31,6 @@ import numpy as np
 from scipy.optimize import brentq
 
 from qsk.hilbert import (
-    F2_QUAD_NODES,
     build_hamiltonian,
     draw_couplings,
     gibbs_zz_matrix,
@@ -327,10 +326,8 @@ def f2_quenched_exact(lam, beta_b):
     """
     if lam < 0 or beta_b < 0:
         raise ValueError("lam and beta_b must be >= 0")
-    value, _ = refine_once(
-        lambda k: _f2_quenched_eval(lam, beta_b, k), F2_QUAD_NODES,
-        label="f2_quenched_exact",
-    )
+    value, _ = refine_once(lambda k: _f2_quenched_eval(lam, beta_b, k),
+                           "f2_quenched_exact")
     return value
 
 

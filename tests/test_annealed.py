@@ -15,7 +15,7 @@ from qsk.annealed import (
     region_scan,
 )
 from qsk.constants import ModelParams, g_n_of, inf_g_n_over_n, p_n_of, w_n_of
-from qsk.numerics import logcosh
+from qsk.numerics import QuadratureConvergenceWarning, logcosh
 from qsk.stats import mean_with_err
 
 from oracles import sk_equation_solve
@@ -105,14 +105,14 @@ def test_k_zero_in_weak_disorder():
 
 
 def test_k_frozen_values():
-    assert k_of_lambda(0.26, quad_nodes=128) == pytest.approx(
-        1.2875884714625571e-6, rel=1e-8)
-    assert k_of_lambda(0.5, quad_nodes=128) == pytest.approx(
-        0.0099615064933730187, rel=1e-9)
-    assert k_of_lambda(1.0, quad_nodes=128) == pytest.approx(
-        0.10836129029054943, rel=1e-9)
-    assert k_of_lambda(2.0, quad_nodes=128) == pytest.approx(
-        0.49326466955716047, rel=1e-9)
+    # pinned at the one node count (QUAD_NODES, checked against twice it);
+    # the earlier 256-node pins needed the removed quad_nodes parameter
+    assert k_of_lambda(0.26) == pytest.approx(1.2875884714998176e-6, rel=1e-8)
+    assert k_of_lambda(0.5) == pytest.approx(0.009961506493373018, rel=1e-9)
+    assert k_of_lambda(1.0) == pytest.approx(0.1083612902806389, rel=1e-9)
+    # 64 and 128 nodes differ by 8e-6 relative here, and the check says so
+    with pytest.warns(QuadratureConvergenceWarning):
+        assert k_of_lambda(2.0) == pytest.approx(0.493264602373344, rel=1e-9)
 
 
 @pytest.mark.filterwarnings("ignore::qsk.numerics.QuadratureConvergenceWarning")
@@ -123,12 +123,12 @@ def test_k_simple_bounds():
 
 
 def test_k_flags_unsettled_quadrature():
-    # far into strong disorder the Hermite rule cannot settle at coarse
-    # node counts; the doubling check must say so
-    from qsk.numerics import QuadratureConvergenceWarning
-
-    with pytest.warns(QuadratureConvergenceWarning):
-        k_of_lambda(10.0, quad_nodes=32)
+    # far into strong disorder the Hermite rule cannot settle at the default
+    # node count (32 nodes are no longer settable); the doubling check must
+    # say so
+    with pytest.warns(QuadratureConvergenceWarning,
+                      match="k_of_lambda did not settle"):
+        k_of_lambda(10.0)
 
 
 def test_k_derivative_equals_q_squared():

@@ -62,13 +62,13 @@ def test_constants_bad_scale_usage_error(capsys):
 
 
 #: options outside their domain, each with a fragment of its error message
+#: (the node-count cases went with --quad-nodes, which
+#: test_removed_flags_are_rejected now refuses outright)
 BAD_OPTIONS = [
     ("static --lam-min 0", "log sweep needs a positive lower end"),
     ("static --lam-scale linear --lam-min 0", "lam must be positive"),
-    ("static --quad-nodes 0", "at least one node"),
     ("region --x-min 0", "inv_beta_v must be > 0"),
     ("constants --n-max 1", "n_max must be >= 2"),
-    ("constants --quad-nodes 5", "quad_nodes must be >= 20"),
     ("variational --m-cells 0", "m_cells must be >= 1"),
     ("variational --tol 0", "tol must be positive"),
     ("annealed --ensembles 1", "at least two path configurations"),
@@ -86,6 +86,24 @@ def test_out_of_domain_option_is_a_usage_error(command, message, capsys):
     assert out == ""
     assert err.startswith("qsk: error: ") and err.count("\n") == 1
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    "constants --quad-nodes 64",
+    "annealed --quad-nodes 64",
+    "variational --quad-nodes 64",
+    "static --quad-nodes 64",
+    "region --quad-nodes 64",
+    "variational --with-static yes",
+])
+def test_removed_flags_are_rejected(command, capsys):
+    # every quadrature runs at numerics.QUAD_NODES and variational always
+    # prints its static section, so neither flag is accepted any more
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command.split())
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + command.split(maxsplit=1)[1] in (
+        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command", [
@@ -145,6 +163,43 @@ def test_config_bad_value(tmp_path, capsys):
     assert "banana" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config, message", [
+    ("constants", "[constants]\nbb_cout = 3\n",
+     "config [constants] bb_cout: not an option of constants"),
+    ("static", "[static]\nquad_nodes = 64\n",
+     "config [static] quad_nodes: not an option of static"),
+    ("variational", "[variational]\nwith_static = no\n",
+     "config [variational] with_static: not an option of variational"),
+    # every section is checked, not only those the running command reads
+    ("static", "[static]\nlam_count = 2\n[constants]\nbb_cout = 3\n",
+     "config [constants] bb_cout: not an option of constants"),
+    ("static", "[model]\nquad_nodes = 64\n",
+     "config [model] quad_nodes: not an option of any subcommand"),
+    ("static", "[stattic]\nlam_count = 2\n", "config [stattic]: "),
+    ("static", "[DEFAULT]\nlam_count = 2\n", "config [DEFAULT]: "),
+], ids=["misspelt", "quad_nodes", "with_static", "other_section", "model",
+        "unknown_section", "default_section"])
+def test_config_key_no_subcommand_reads_is_a_usage_error(
+        command, config, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cmd_" + command,
+                        lambda args, opts: pytest.fail("the subcommand ran"))
+    cfg = tmp_path / "qsk.ini"
+    cfg.write_text(config)
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("qsk: error: " + message) and err.count("\n") == 1
+
+
+def test_config_model_key_of_another_subcommand_is_accepted(tmp_path, capsys):
+    # [model] is shared, so n_disorder (a quenched option) is fine there
+    cfg = tmp_path / "qsk.ini"
+    cfg.write_text("[model]\nn_disorder = 30\nlam = 0.2\n[static]\nlam_count = 2\n")
+    assert cli.main(["static", "--config", str(cfg)]) == 0
+    _, rows = _data_rows(capsys.readouterr().out.splitlines())
+    assert len(rows) == 2
+
+
 def test_config_missing_file(tmp_path, capsys):
     # verify reads --config like every other subcommand
     for command in (["constants"], ["verify", "--only", "closed_forms"]):
@@ -164,7 +219,9 @@ _COMMON = {
 
 #: every subcommand's flags as they were declared one by one, before they
 #: came from ``cli.OPTIONS``: dest -> (option strings, default, action,
-#: conversion), where a flag that had no type converts with ``str``
+#: conversion), where a flag that had no type converts with ``str``.  The
+#: ``--quad-nodes`` flags and ``--with-static`` were removed since;
+#: test_removed_flags_are_rejected keeps them out.
 RECORDED_FLAGS = {
     "constants": {
         **_COMMON,
@@ -175,7 +232,6 @@ RECORDED_FLAGS = {
         "n_spins": (("--n-spins",), None, "store", "int"),
         "lam": (("--lam",), None, "store", "float"),
         "n_max": (("--n-max",), None, "store", "int"),
-        "quad_nodes": (("--quad-nodes",), None, "store", "int"),
     },
     "exactdiag": {
         **_COMMON,
@@ -190,7 +246,6 @@ RECORDED_FLAGS = {
         "lam": (("--lam",), None, "store", "float"),
         "beta_b": (("--beta-b",), None, "store", "float"),
         "ensembles": (("--ensembles",), None, "store", "int"),
-        "quad_nodes": (("--quad-nodes",), None, "store", "int"),
     },
     "variational": {
         **_COMMON,
@@ -200,8 +255,6 @@ RECORDED_FLAGS = {
         "ensembles": (("--ensembles",), None, "store", "int"),
         "tol": (("--tol",), None, "store", "float"),
         "max_iter": (("--max-iter",), None, "store", "int"),
-        "quad_nodes": (("--quad-nodes",), None, "store", "int"),
-        "with_static": (("--with-static",), None, "store", "_bool_opt"),
         "allow_noncontractive": (("--allow-noncontractive",), False,
                                  "store_true", None),
         "psi_out": (("--psi-out",), None, "store", "str"),
@@ -213,7 +266,6 @@ RECORDED_FLAGS = {
         "lam_max": (("--lam-max",), None, "store", "float"),
         "lam_count": (("--lam-count",), None, "store", "int"),
         "lam_scale": (("--lam-scale",), None, "store", "str"),
-        "quad_nodes": (("--quad-nodes",), None, "store", "int"),
     },
     "quenched": {
         **_COMMON,
@@ -233,7 +285,6 @@ RECORDED_FLAGS = {
         "y_max": (("--y-max",), None, "store", "float"),
         "y_count": (("--y-count",), None, "store", "int"),
         "n_max": (("--n-max",), None, "store", "int"),
-        "quad_nodes": (("--quad-nodes",), None, "store", "int"),
         "advisory_out": (("--advisory-out",), None, "store", "str"),
     },
     "verify": {
@@ -266,9 +317,9 @@ def test_flags_derived_from_the_option_table_are_unchanged():
     assert list(cli.OPTIONS) == list(RECORDED_FLAGS)
 
 
-#: two config values each option type accepts
-_VALUES = {int: ("7", "8"), float: ("0.25", "0.5"), str: ("a", "b"),
-           cli._bool_opt: ("no", "yes")}
+#: two config values each option type accepts (the boolean type went with
+#: --with-static, its only option)
+_VALUES = {int: ("7", "8"), float: ("0.25", "0.5"), str: ("a", "b")}
 
 
 @pytest.mark.parametrize("command", list(cli.OPTIONS))
@@ -352,11 +403,12 @@ def test_variational_ess_gate(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [
     ["annealed", "--n-spins", "16"],
-    ["variational", "--m-cells", "16", "--with-static", "no"],
+    ["variational", "--m-cells", "16"],
 ])
 def test_path_mc_output_does_not_depend_on_workers(command, capsys):
     # the P_N groups (annealed) and the signed-length rows (variational)
-    # span four chunks, so the pool runs both path kernels
+    # span four chunks, so the pool runs both path kernels; variational
+    # now always adds its deterministic static section
     args = command + ["--ensembles", str(3 * BATCH_SIZE + 50), "--seed", "8"]
     outputs = []
     for workers in ("1", "3"):
@@ -379,11 +431,12 @@ def test_variational_small_run(tmp_path):
     psi = tmp_path / "psi.json"
     rc = cli.main(["variational", "--lam", "0.1", "--m-cells", "4",
                    "--ensembles", "3000", "--seed", "6", "--tol", "1e-7",
-                   "--with-static", "no", "--psi-out", str(psi),
-                   "--out", str(out)])
+                   "--psi-out", str(psi), "--out", str(out)])
     assert rc == 0
     res = json.loads(out.read_text())["result"]
-    assert "static" not in res
+    # the static section can no longer be left out (--with-static is gone);
+    # test_variational_with_static_section checks its values
+    assert "static" in res
     v = res["verdicts"]
     assert v["converged"] and v["ratio_bound_ok"] and v["omega_bracket_ok"]
     with open(psi) as f:
@@ -428,7 +481,7 @@ def test_static_sweep(tmp_path):
 
 @pytest.mark.parametrize("command", [
     ["static", "--lam-count", "2"],
-    ["variational", "--ensembles", "2000", "--m-cells", "4", "--with-static", "true"],
+    ["variational", "--ensembles", "2000", "--m-cells", "4"],
 ])
 def test_zero_field_static_threshold(command, capsys):
     # the threshold is 0 at beta_b = 0, so no lam lies in the strict regime,

@@ -283,10 +283,12 @@ def test_w_4_frozen_value_and_w_below_g():
 
 
 def test_w_n_validation():
+    # the node count is numerics.QUAD_NODES, no longer an argument to refuse
+    # (test_refine_once covers the nodes every quadrature uses)
     with pytest.raises(ValueError):
         w_n_of(1, 0.1, 1.0)
     with pytest.raises(ValueError):
-        w_n_of(4, 0.1, 1.0, quad_nodes=8)
+        w_n_of(4, -0.1, 1.0)
 
 
 # -- c0 --------------------------------------------------------------------

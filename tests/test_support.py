@@ -12,6 +12,7 @@ import scipy.special
 from qsk import streams
 from qsk.numerics import (
     LN2,
+    QUAD_NODES,
     QuadratureConvergenceWarning,
     gauss_hermite,
     gauss_legendre_01,
@@ -125,21 +126,25 @@ def test_normal_nodes_moments():
 
 
 def test_refine_once():
+    # every quadrature runs at QUAD_NODES and twice that, and nowhere else
+    seen = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value, ok = refine_once(lambda n: 42.0, 32)
+        value, ok = refine_once(lambda n: seen.append(n) or 42.0, "constant")
     assert value == 42.0 and ok is True
+    assert seen == [QUAD_NODES, 2 * QUAD_NODES] == [64, 128]
     with pytest.warns(QuadratureConvergenceWarning, match="mylabel"):
-        value, ok = refine_once(lambda n: 1.0 / n, 32, label="mylabel")
-    assert value == 1.0 / 64 and ok is False
+        value, ok = refine_once(lambda n: 1.0 / n, "mylabel")
+    assert value == 1.0 / (2 * QUAD_NODES) and ok is False
     # 1 and 1 + 1e-5 agree to four digits, so the message needs nine digits
     # and the relative change to show what moved
     with pytest.warns(QuadratureConvergenceWarning) as record:
-        value, ok = refine_once(lambda n: 1.0 if n == 32 else 1.0 + 1e-5, 32,
-                                label="mylabel")
+        value, ok = refine_once(
+            lambda n: 1.0 if n == QUAD_NODES else 1.0 + 1e-5, "mylabel")
     assert value == 1.0 + 1e-5 and ok is False
     message = str(record[0].message)
-    assert message.startswith("mylabel did not settle")
+    assert message.startswith("mylabel did not settle after doubling nodes "
+                              "(64 -> 128)")
     assert "1.000000000e+00 vs 1.000010000e+00" in message
     assert "relative change 1.000e-05 > tolerance 1e-06" in message
 

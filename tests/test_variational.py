@@ -13,6 +13,7 @@ from oracles import (padded_matrix, quadratic_forms_full,
                      signed_lengths_broadcast, weighted_gram_full)
 from qsk import checks, paths, variational
 from qsk.constants import c0_of, g_n_of, m_of, p_of
+from qsk.numerics import QUAD_NODES, REFINE_RTOL
 from qsk.stats import effective_sample_size
 from qsk.streams import BATCH_SIZE
 from qsk.variational import (
@@ -538,6 +539,19 @@ def test_static_threshold_matches_high_precision_oracle():
                          np.linspace(0.04, 0.16, 241), [np.nextafter(0.1, 0)]])
     worst = max(abs(static_threshold(float(x)) / exact(x) - 1.0) for x in xs)
     assert worst <= 2e-9
+
+
+@pytest.mark.parametrize("beta_b", [0.5, 1.0, 3.0])
+def test_static_quadrature_settled_at_quad_nodes(beta_b, monkeypatch):
+    # static_approximation evaluates Lambda at QUAD_NODES without doubling;
+    # on the default `qsk static` sweep plus lam = 20, twice the nodes must
+    # move J by no more than refine_once's tolerance, taken fully relative
+    lams = np.append(np.geomspace(0.01, 1.0, 25), 20.0)
+    coarse = np.array([static_approximation(lam, beta_b) for lam in lams])
+    monkeypatch.setattr(variational, "QUAD_NODES", 2 * QUAD_NODES)
+    fine = np.array([static_approximation(lam, beta_b) for lam in lams])
+    assert np.any(coarse != fine)  # the doubled count reached the quadrature
+    assert np.all(np.abs(coarse - fine) <= REFINE_RTOL * np.abs(fine))
 
 
 def test_static_endpoint_slopes():
