@@ -151,34 +151,33 @@ def delta_infinity_bounds(lam, beta_b, n_max=64):
 
     Lower bound max(0, k(lam) - ln cosh(beta_b)); upper bound
     inf_{2<=N<=n_max} G_N/N.  Both are exact statements for every lam >= 0.
-    An array ``beta_b`` gives arrays of its shape, a scalar gives floats.
+    Both bounds have the shape of ``beta_b``.
     """
     lower = np.maximum(0.0, k_of_lambda(lam) - logcosh(beta_b))
     upper, _ = inf_g_n_over_n(lam, beta_b, n_max=n_max)
-    return (lower if np.ndim(lower) else float(lower)), upper
+    return lower, upper
 
 
 @dataclass(frozen=True)
 class RegionPoint:
     """Classification of one point of the (1/(beta v), b/v) plane.
 
-    ``weak_disorder`` is the exact criterion inv_beta_v > 1 (i.e. beta*v < 1,
-    equivalently 4*lam < 1), where the gap vanishes.  ``lower_bound_positive``
-    certifies a strictly positive gap via k(lam) > ln cosh(beta_b).
+    ``classification`` is "zero" in weak disorder, the exact criterion
+    inv_beta_v > 1 (i.e. beta*v < 1, equivalently 4*lam < 1), where the gap
+    vanishes; else "positive" where delta_lower > 0 certifies a strictly
+    positive gap via k(lam) > ln cosh(beta_b); else "unresolved".
     """
 
     inv_beta_v: float
     b_over_v: float
     delta_lower: float
     delta_upper: float
-    lower_bound_positive: bool
-    weak_disorder: bool
 
     @property
     def classification(self):
-        if self.weak_disorder:
+        if self.inv_beta_v > 1.0:
             return "zero"
-        if self.lower_bound_positive:
+        if self.delta_lower > 0.0:
             return "positive"
         return "unresolved"
 
@@ -207,8 +206,6 @@ def region_scan(inv_beta_v_values, b_over_v_values, n_max=64):
                     b_over_v=float(y),
                     delta_lower=float(lo),
                     delta_upper=float(up),
-                    lower_bound_positive=bool(lo > 0.0),
-                    weak_disorder=bool(x > 1.0),
                 )
             )
     return points
@@ -221,7 +218,4 @@ def advisory_curve(inv_beta_v):
     k(lam) = ln cosh(beta_b) saturates; purely indicative, not a bound.
     """
     x = np.asarray(inv_beta_v, dtype=float)
-    out = 1.51 * np.sqrt(np.clip(1.0 - x * x, 0.0, None))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return 1.51 * np.sqrt(np.clip(1.0 - x * x, 0.0, None))

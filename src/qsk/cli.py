@@ -77,18 +77,18 @@ def _load_config(path):
     return cp
 
 
-def _resolve(args, spec, sections):
+def _resolve(args):
     """Merge CLI flags, config sections, and defaults (flags win).
 
-    ``spec`` maps option name -> (type, default), as in ``OPTIONS``.  Config
-    values are looked up in the given sections in order.
+    The options are those of ``OPTIONS[args.command]``; config values are
+    looked up in ``[<subcommand>]`` and then in ``[model]``.
     """
     cp = _load_config(args.config) if args.config else None
     out = {}
-    for name, (conv, default) in spec.items():
+    for name, (conv, default) in OPTIONS[args.command].items():
         val = getattr(args, name)
         if val is None and cp is not None:
-            for section in sections:
+            for section in (args.command, "model"):
                 if cp.has_option(section, name):
                     raw = cp.get(section, name)
                     try:
@@ -264,7 +264,7 @@ def cmd_exactdiag(args, opts):
     couplings = hilbert.draw_couplings(params.n_spins, 1, args.seed)[0]
     h = hilbert.build_hamiltonian(params, couplings)
     res = hilbert.spectrum(h)
-    zz = hilbert.gibbs_zz(h, 1, 2)
+    zz = hilbert.gibbs_zz(h)
     payload = {
         "params": params.to_dict(),
         "ln_z": res.ln_z,
@@ -304,14 +304,13 @@ def cmd_variational(args, opts):
     ens = paths.sample_ensemble(bb, opts["ensembles"], args.seed,
                                 workers=args.workers)
     report = variational.fixed_point_solve(
-        lam, bb, opts["m_cells"], ens, tol=opts["tol"],
-        max_iter=opts["max_iter"],
+        lam, opts["m_cells"], ens, tol=opts["tol"], max_iter=opts["max_iter"],
     )
     minus_p_lam = -constants.p_of(bb) * lam
     j = variational.static_approximation(lam, bb)
     payload = {
         "report": report.to_dict(),
-        "verdicts": variational.fixed_point_verdicts(report, lam, bb, n_sigma=3),
+        "verdicts": variational.fixed_point_verdicts(report, n_sigma=3),
         "static": {
             "j_value": j,
             "minus_p_lam": minus_p_lam,
@@ -380,8 +379,8 @@ def cmd_region(args, opts):
     rows = [[p.inv_beta_v, p.b_over_v, p.delta_lower, p.delta_upper,
              p.classification] for p in points]
     _write(args.out, _csv_lines(args, opts, header, rows))
-    grid = np.linspace(0.0, 1.0, 201).tolist()
-    curve = [(x, annealed.advisory_curve(x)) for x in grid]
+    grid = np.linspace(0.0, 1.0, 201)
+    curve = zip(grid.tolist(), annealed.advisory_curve(grid).tolist())
     _write(opts["advisory_out"] or (args.out and args.out + ".advisory.csv"),
            _meta_lines("region.advisory", args.seed, opts)
            + ["# non-rigorous reference curve, not a bound"]
@@ -444,7 +443,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.workers = resolve_workers(args.workers)
-        opts = _resolve(args, OPTIONS[args.command], (args.command, "model"))
+        opts = _resolve(args)
         # an output file in a missing directory fails before any computing
         files = ("dump_spectrum", "psi_out", "per_sample_out", "advisory_out")
         for path in [args.out] + [opts.get(name) for name in files]:

@@ -216,18 +216,14 @@ def _gibbs_weights(h):
     return (np.square(vecs) @ w[..., None]).sum(axis=-3)[..., 0]
 
 
-def gibbs_zz(h: Hamiltonian, i, j):
-    """Thermal correlation <Sz_i Sz_j> of one sample, 1-based spins i != j."""
+def gibbs_zz(h: Hamiltonian):
+    """Thermal correlation <Sz_1 Sz_2> of one sample."""
     n = h.params.n_spins
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise IndexError("spin indices must lie in [1, N]")
-    if i == j:
-        raise IndexError("spin indices must differ (the diagonal is trivially 1)")
     q = _gibbs_weights(h)
     z = _sign_patterns(n)[: 2 ** (n - 1)]
-    val = float(q @ (z[:, i - 1] * z[:, j - 1]))
+    val = float(q @ (z[:, 0] * z[:, 1]))
     if abs(val) > 1.0 + 1e-12:
-        raise RuntimeError("|<Sz_%d Sz_%d>| = %.17g exceeds 1" % (i, j, abs(val)))
+        raise RuntimeError("|<Sz_1 Sz_2>| = %.17g exceeds 1" % abs(val))
     return val
 
 

@@ -57,10 +57,7 @@ def sinhc(x):
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < 1e-6
     safe = np.where(small, 1.0, x)
-    out = np.where(small, 1.0 + x * x / 6.0, np.sinh(safe) / safe)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.where(small, 1.0 + x * x / 6.0, np.sinh(safe) / safe)
 
 
 @lru_cache(maxsize=64)
@@ -74,20 +71,14 @@ def gauss_legendre_01(n):
 
 @lru_cache(maxsize=64)
 def gauss_hermite(n):
-    """Physicists' Gauss-Hermite nodes/weights (weight e^{-x^2}).
+    """Physicists' Gauss-Hermite nodes/weights (weight e^{-x^2}), 1 to 256 nodes.
 
-    numpy's recurrence overflows above ~400 nodes, so large rules come from
-    scipy's asymptotic solver instead (identical digits where both work).
+    numpy's recurrence overflows above ~400 nodes; no rule here uses more
+    than 2 * QUAD_NODES.
     """
-    if n < 1:
-        raise ValueError("need at least one node")
-    if n <= 256:
-        x, w = np.polynomial.hermite.hermgauss(int(n))
-    else:
-        from scipy.special import roots_hermite
-
-        x, w = roots_hermite(int(n))
-    return x, w
+    if not 1 <= n <= 256:
+        raise ValueError("need 1 to 256 nodes")
+    return np.polynomial.hermite.hermgauss(int(n))
 
 
 def normal_nodes(n):

@@ -460,28 +460,26 @@ def _batch_signed_lengths(ensemble, m_cells):
 # -- closed-form correlation kernels --------------------------------------
 
 
-def laplace_conditional(g, beta, b, s):
+def laplace_conditional(g, b, s):
     """Endpoint-resolved exponential moment of the unconditioned process.
 
-    L_s(g) = e^{beta*b} < 1{sigma(1) = s} e^{beta*g*integral_0^1 sigma} >
-    over rate-(beta*b) Poisson paths with sigma(0) = +1.  Closed forms with
+    L_s(g, b) = e^b < 1{sigma(1) = s} e^{g*integral_0^1 sigma} >
+    over rate-b Poisson paths with sigma(0) = +1.  Closed forms with
     w = sqrt(b^2 + g^2):
 
-        L_{+1}(g) = cosh(beta*w) + (g/w) sinh(beta*w)
-        L_{-1}(g) = (b/w) sinh(beta*w)
+        L_{+1}(g, b) = cosh(w) + (g/w) sinh(w)
+        L_{-1}(g, b) = (b/w) sinh(w)
 
-    The w -> 0 limits are taken smoothly (sinh(x)/x -> 1), giving
-    L_{+1} -> cosh(beta*g) type behavior at b = 0 and L_{-1} -> beta*b at
-    g = 0; at g = b = 0 the values are 1 and 0.
+    At inverse temperature beta, the moment of e^{beta*g*integral sigma}
+    over rate-(beta*b) paths, times e^{beta*b}, is L_s(beta*g, beta*b).
+    sinh(w)/w is taken smoothly to 1 at w = 0, so at g = b = 0 the values
+    are 1 and 0.
     """
     if s not in (+1, -1):
         raise ValueError("s must be +1 or -1")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
     if b < 0:
         raise ValueError("b must be >= 0")
     w = np.hypot(b, g)
-    bw = beta * w
     if s == -1:
-        return float(b * beta * sinhc(bw))
-    return float(np.cosh(bw) + g * beta * sinhc(bw))
+        return float(b * sinhc(w))
+    return float(np.cosh(w) + g * sinhc(w))

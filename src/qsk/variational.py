@@ -256,9 +256,9 @@ class FixedPointReport:
     2*lam for the exact map; the empirical map obeys the same bound because
     the discretized kernel sigma x sigma has grid norm <= 1).  The stopping
     rule uses the sup norm of the update.  ``psi_std_err`` holds cellwise
-    Monte-Carlo errors of the final iterate.  ``start_lambda`` is Lambda at
-    the start kernel 2 lam mu_M, from the first iteration's quadratic forms;
-    it is not part of ``to_dict``.
+    Monte-Carlo errors of the final iterate.  ``start_lambda`` (Lambda at the
+    start kernel 2 lam mu_M), ``lam`` and ``beta_b`` (the ensemble's rate)
+    are not part of ``to_dict``.
     """
 
     psi: GridFunction
@@ -271,6 +271,8 @@ class FixedPointReport:
     ess: float
     psi_std_err: GridFunction
     start_lambda: EstimateWithError
+    lam: float
+    beta_b: float
 
     def to_dict(self):
         return {
@@ -287,26 +289,22 @@ class FixedPointReport:
         }
 
 
-def fixed_point_solve(lam, beta_b, m_cells, ensemble, tol=1e-8, max_iter=200):
+def fixed_point_solve(lam, m_cells, ensemble, tol=1e-8, max_iter=200):
     """Iterate psi -> 2 lam Lambda'(psi) from psi = 2 lam mu_M to convergence.
 
     One fixed ensemble is reused throughout (sample-average approximation),
     so the iteration is deterministic and, for 2 lam < 1, a contraction with
-    rate <= 2 lam; ``non_contractive`` flags observed ratios above 1.
-    Stops when the sup-norm update falls below ``tol``.  The path kernels
-    run on the ensemble's worker pool.
+    rate <= 2 lam; ``non_contractive`` flags observed ratios above 1.  beta_b
+    is the ensemble's rate.  Stops when the sup-norm update falls below
+    ``tol``.  The path kernels run on the ensemble's worker pool.
     """
     lam = float(lam)
     if lam <= 0:
         raise ValueError("lam must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if abs(ensemble.rate - beta_b) > 1e-12:
-        raise ValueError(
-            f"ensemble was sampled at rate {ensemble.rate}, expected beta_b={beta_b}"
-        )
     m = int(m_cells)
-    psi = discretize_mu(m, beta_b).scaled(2.0 * lam)
+    psi = discretize_mu(m, ensemble.rate).scaled(2.0 * lam)
     s = ensemble.signed_lengths(m)
     ratios = []
     prev_l2 = None
@@ -350,18 +348,21 @@ def fixed_point_solve(lam, beta_b, m_cells, ensemble, tol=1e-8, max_iter=200):
         ess=ess,
         psi_std_err=err.scaled(2.0 * lam),
         start_lambda=start_lambda,
+        lam=lam,
+        beta_b=ensemble.rate,
     )
 
 
-def fixed_point_verdicts(report: FixedPointReport, lam, beta_b, n_sigma):
+def fixed_point_verdicts(report: FixedPointReport, n_sigma):
     """Convergence, contraction ratios <= 2 lam + 0.02, and the paper's bounds
-    on inf Omega, each within ``n_sigma`` MC errors.
+    on inf Omega, each within ``n_sigma`` MC errors, at the report's lam, beta_b.
 
     inf Omega lies in [-inf_N G_N/N, -p lam]; the start Omega(2 lam mu)
     exceeds it by at most 4 lam^3; and it deviates from the (beta v)^4
     Taylor prediction by at most (4 + 4 m^3/3) lam^3.  The start Omega
     uses the report's ``start_lambda``.
     """
+    lam, beta_b = report.lam, report.beta_b
     om = report.omega_value
     slack = n_sigma * om.std_err
     p, m = p_of(beta_b), m_of(beta_b)

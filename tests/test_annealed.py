@@ -201,14 +201,12 @@ def test_delta_upper_is_inf_g():
 
 @pytest.mark.filterwarnings("ignore::qsk.numerics.QuadratureConvergenceWarning")
 def test_delta_bounds_broadcast_over_beta_b():
-    # an array beta_b gives the scalar brackets entry by entry, bit for bit;
-    # a scalar gives floats
+    # an array beta_b gives the scalar brackets entry by entry, bit for bit
     bbs = np.array([0.0, 0.4, 1.1, 2.5])
     lower, upper = delta_infinity_bounds(2.0, bbs)
     assert lower.shape == upper.shape == bbs.shape
     for bb, lo, hi in zip(bbs, lower, upper):
         assert delta_infinity_bounds(2.0, float(bb)) == (lo, hi)
-    assert all(type(v) is float for v in delta_infinity_bounds(2.0, 1.1))
     # region_scan reports the bracket of each column unchanged
     xs, ys = np.array([0.35, 0.6]), np.array([0.0, 0.5, 1.0])
     pts = region_scan(xs, ys)
@@ -254,20 +252,21 @@ def test_region_scan_validation():
 
 
 def test_region_point_classification_logic():
-    p = RegionPoint(inv_beta_v=1.2, b_over_v=0.3, delta_lower=0.0,
-                    delta_upper=0.1, lower_bound_positive=False,
-                    weak_disorder=True)
-    assert p.classification == "zero"
-    q = RegionPoint(inv_beta_v=0.5, b_over_v=0.0, delta_lower=0.2,
-                    delta_upper=0.9, lower_bound_positive=True,
-                    weak_disorder=False)
-    assert q.classification == "positive"
+    # weak disorder (inv_beta_v > 1) comes first, then delta_lower > 0; both
+    # comparisons are strict
+    for x, lower, expect in ((1.2, 0.0, "zero"), (1.2, 0.3, "zero"),
+                             (0.5, 0.2, "positive"), (0.5, 0.0, "unresolved"),
+                             (1.0, 0.2, "positive"), (1.0, 0.0, "unresolved")):
+        p = RegionPoint(inv_beta_v=x, b_over_v=0.3, delta_lower=lower,
+                        delta_upper=0.9)
+        assert p.classification == expect, (x, lower)
 
 
 def test_advisory_curve_shape():
-    assert advisory_curve(0.0) == pytest.approx(1.51, rel=1e-15)
-    assert advisory_curve(1.0) == 0.0
-    assert advisory_curve(1.3) == 0.0  # clipped beyond the corner
+    ends = advisory_curve(np.array([0.0, 1.0, 1.3]))
+    assert ends[0] == pytest.approx(1.51, rel=1e-15)
+    assert ends[1] == 0.0
+    assert ends[2] == 0.0  # clipped beyond the corner
     xs = np.linspace(0.0, 1.0, 11)
     ys = advisory_curve(xs)
     assert np.all(np.diff(ys) < 0)

@@ -32,7 +32,12 @@ the residual norm (1.26e-10) by 4.6e-5; no verdict changed.  Six hashes
 ``with_static`` options were removed: their options echo lost
 ``quad_nodes=64`` (and ``with_static``), and with those entries taken out
 of the earlier output the new output is byte-identical; ``psi.json`` and
-every other hash stayed as they were.  The default
+every other hash stayed as they were.  The ``verify`` hash was
+re-recorded when ``path_kernels`` began to scale each ``mu`` comparison by
+the exact variance 1 - mu^2 of the +-1 products instead of their sample
+variance, which is 0 (and ended ``verify --seed 2550`` in a division by
+zero) when no path jumps between t and t': only its ``worst_z`` moved,
+from 1.30 to 1.29.  The default
 region grid starts at x = 0.05 (lam = 100), which exercises the
 N*lam > 700 branch of G_N.
 Commands run in a scratch directory under fixed relative file names,
@@ -63,7 +68,7 @@ GOLDEN = {
     "quenched --n-spins 4 --n-disorder 60 --per-sample-out per_sample.csv":
         "2b85c3d64cccf471157136abb1e3209035e516ccf9c7d0fd5fac5d1b9539d645",
     "verify --seed 777":
-        "1677c4a4e600f5fe3243b4a9d769e118669aad1a0b8b3b39ad8ae9db4ef05471",
+        "0561e0ca696e8529991d15de0e30f8c11e20a5d8b95d5dc0f79f22dafd19ae27",
 }
 
 #: files a command writes besides stdout, keyed like GOLDEN

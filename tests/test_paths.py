@@ -448,7 +448,7 @@ def test_signed_lengths_with_jumps_on_cell_boundaries(m_cells):
 
 
 def test_laplace_conditional_matrix_oracle():
-    # 2x2 oracle: L_{s}(g) = <s| e^{beta(g Sz + b Sx)} |+>
+    # 2x2 oracle: L_s(beta g, beta b) = <s| e^{beta(g Sz + b Sx)} |+>
     rng = np.random.default_rng(8)
     for _ in range(25):
         g = float(rng.standard_normal())
@@ -456,24 +456,26 @@ def test_laplace_conditional_matrix_oracle():
         b = float(rng.uniform(0.1, 2.0))
         h = beta * np.array([[g, b], [b, -g]])
         e = expm(h)
-        assert laplace_conditional(g, beta, b, 1) == pytest.approx(
+        assert laplace_conditional(beta * g, beta * b, 1) == pytest.approx(
             e[0, 0], rel=1e-10)
-        assert laplace_conditional(g, beta, b, -1) == pytest.approx(
+        assert laplace_conditional(beta * g, beta * b, -1) == pytest.approx(
             e[1, 0], rel=1e-10)
 
 
 def test_laplace_conditional_limits():
-    # b -> 0: no flips possible; even sector is e^{beta g}, odd sector dies
-    assert laplace_conditional(0.7, 1.0, 0.0, 1) == pytest.approx(
+    # b -> 0: no flips possible; even sector is e^g, odd sector dies
+    assert laplace_conditional(0.7, 0.0, 1) == pytest.approx(
         np.exp(0.7), rel=1e-12)
-    assert laplace_conditional(0.7, 1.0, 0.0, -1) == 0.0
+    assert laplace_conditional(0.7, 0.0, -1) == 0.0
     # g = 0: pure transverse field
-    assert laplace_conditional(0.0, 2.0, 0.5, 1) == pytest.approx(
+    assert laplace_conditional(0.0, 1.0, 1) == pytest.approx(
         np.cosh(1.0), rel=1e-12)
-    assert laplace_conditional(0.0, 2.0, 0.5, -1) == pytest.approx(
+    assert laplace_conditional(0.0, 1.0, -1) == pytest.approx(
         np.sinh(1.0), rel=1e-12)
     with pytest.raises(ValueError):
-        laplace_conditional(0.5, 1.0, 1.0, 2)
+        laplace_conditional(0.5, 1.0, 2)
+    with pytest.raises(ValueError):
+        laplace_conditional(0.5, -1.0, 1)
 
 
 def test_signed_totals_match_padded_oracle():
@@ -494,7 +496,7 @@ def test_laplace_conditional_monte_carlo():
     for g, s in ((0.7, 1), (-0.4, -1)):
         keep = (1 - 2 * (counts % 2)) == s
         est = mean_with_err(np.exp(0.9 + g * tot) * keep)
-        assert est.agrees_with(laplace_conditional(g, 1.0, 0.9, s),
+        assert est.agrees_with(laplace_conditional(g, 0.9, s),
                                n_sigma=3.5)
 
 

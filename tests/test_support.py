@@ -108,13 +108,16 @@ def test_gauss_legendre_01():
         gauss_legendre_01(0)
 
 
-def test_gauss_hermite_both_providers():
-    for n in (64, 300):  # the second exercises the large-n provider
+def test_gauss_hermite_rules():
+    # numpy's rule serves 1 to 256 nodes (no quadrature uses more than 128);
+    # other counts are refused
+    for n in (64, 128, 256):
         x, w = gauss_hermite(n)
         assert w.sum() == pytest.approx(math.sqrt(math.pi), rel=1e-12)
         assert np.all(np.diff(x) > 0)
-    with pytest.raises(ValueError):
-        gauss_hermite(0)
+    for n in (0, 257):
+        with pytest.raises(ValueError):
+            gauss_hermite(n)
 
 
 def test_normal_nodes_moments():

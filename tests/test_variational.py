@@ -173,6 +173,14 @@ def test_path_kernels_check_compares_lambda_of_a_constant_kernel(monkeypatch):
     assert not ok and "mu_bad=0" in detail and "constant_kernel=BAD" in detail
 
 
+def test_path_kernels_check_takes_mu_errors_from_the_exact_variance():
+    # at seed 2550 no path of one mu point jumps between t and t' (they lie
+    # within 6e-5), so the +-1 products have sample variance 0; the check
+    # scales by the exact variance 1 - mu^2 and does not divide by zero
+    ok, detail = checks.check_path_kernels(2550)
+    assert ok and "mu_bad=0" in detail, detail
+
+
 def _gradient_with_err(psi, ensemble):
     """Lambda'(psi) and its cellwise errors, as the fixed point's last pass."""
     s = ensemble.signed_lengths(psi.m_cells)
@@ -230,21 +238,22 @@ def test_empirical_map_is_nonexpansive(seed):
 
 def test_fixed_point_report_small_scale():
     lam, bb = 0.1, 1.0
-    report = fixed_point_solve(lam, bb, 16, ENSEMBLE)
+    report = fixed_point_solve(lam, 16, ENSEMBLE)
     assert isinstance(report, FixedPointReport)
     assert report.converged and not report.non_contractive
     assert report.iterations >= 2
     assert report.residual_norm < 1e-7
     assert report.ess > 1000
     assert all(r <= 2 * lam + 0.02 for r in report.contraction_ratios)
-    verdicts = fixed_point_verdicts(report, lam, bb, n_sigma=3.5)
+    verdicts = fixed_point_verdicts(report, n_sigma=3.5)
     assert verdicts["converged"] and not verdicts["non_contractive"]
     assert verdicts["ratio_bound_ok"]
     # the ratio bound 2 lam + 0.02 reads 0.22 at lam = 0.1 and 0.42 at 0.2
     for at_lam, ratio, ok in ((0.1, 0.2199, True), (0.1, 0.2201, False),
                               (0.2, 0.4199, True), (0.2, 0.4201, False)):
-        bent = dataclasses.replace(report, contraction_ratios=(0.05, ratio))
-        verdicts = fixed_point_verdicts(bent, at_lam, bb, 3.5)
+        bent = dataclasses.replace(report, contraction_ratios=(0.05, ratio),
+                                   lam=at_lam)
+        verdicts = fixed_point_verdicts(bent, 3.5)
         assert verdicts["ratio_bound_ok"] is ok
     assert np.array_equal(report.psi.values, report.psi.values.T)
     # psi stays within [2 lam mu, 2 lam] cellwise, up to sampling noise
@@ -368,7 +377,7 @@ def _oracle_solve(lam, beta_b, m_cells, ens, iterations):
 def test_fixed_point_solve_matches_full_matrix_iteration(case):
     ens = ATOM_CASES[case]
     bb = ens.rate
-    report = fixed_point_solve(0.1, bb, 8, ens)
+    report = fixed_point_solve(0.1, 8, ens)
     assert report.converged
     ref = _oracle_solve(0.1, bb, 8, ens, report.iterations)
     # each step rounds Lambda' by at most 2 rows eps (see above), scaled by
@@ -385,7 +394,7 @@ def test_fixed_point_at_zero_field_is_exact():
     lam = 0.1
     ens = paths.sample_ensemble(0.0, 5000, seed=410)
     assert ens.signed_lengths(8).shape == (0, 8)
-    report = fixed_point_solve(lam, 0.0, 8, ens)
+    report = fixed_point_solve(lam, 8, ens)
     assert report.converged and report.iterations == 1
     assert np.all(report.psi.values == 2 * lam)
     assert np.all(report.psi_std_err.values == 0.0)
@@ -396,7 +405,7 @@ def test_fixed_point_at_zero_field_is_exact():
 
 def test_fixed_point_solve_is_identical_for_any_workers():
     for case, ens in ATOM_CASES.items():
-        reports = [fixed_point_solve(0.1, ens.rate, 8, _with_workers(ens, w))
+        reports = [fixed_point_solve(0.1, 8, _with_workers(ens, w))
                    for w in (1, 2, 4)]
         for workers, rep in zip((2, 4), reports[1:]):
             assert rep.to_dict() == reports[0].to_dict(), (case, workers)
@@ -411,7 +420,7 @@ def test_fixed_point_solve_makes_no_full_size_temporaries():
     ens.signed_lengths(32)
     tracemalloc.start()
     try:
-        fixed_point_solve(0.1, 1.0, 32, ens)
+        fixed_point_solve(0.1, 32, ens)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -434,8 +443,8 @@ def test_start_kernel_forms_are_computed_once(monkeypatch):
 
     monkeypatch.setattr(variational, "_quadratic_forms", counted_forms)
     monkeypatch.setattr(variational, "lambda_prime", counted_prime)
-    report = fixed_point_solve(lam, bb, 8, SMALL_ENSEMBLE)
-    verdicts = fixed_point_verdicts(report, lam, bb, n_sigma=3)
+    report = fixed_point_solve(lam, 8, SMALL_ENSEMBLE)
+    verdicts = fixed_point_verdicts(report, n_sigma=3)
     # the start kernel, each later iterate through lambda_prime (so tracers
     # see it by name), and the final iterate once more for its errors
     assert report.iterations >= 2
@@ -446,14 +455,16 @@ def test_start_kernel_forms_are_computed_once(monkeypatch):
     assert report.start_lambda == lambda_functional(start, SMALL_ENSEMBLE)
     assert verdicts["start_gap"] == (_omega(start, lam, SMALL_ENSEMBLE)
                                      - report.omega_value.value)
-    assert "start_lambda" not in report.to_dict()
+    # the verdicts read lam and beta_b (the ensemble's rate) from the report
+    assert (report.lam, report.beta_b) == (lam, SMALL_ENSEMBLE.rate)
+    assert not {"start_lambda", "lam", "beta_b"} & report.to_dict().keys()
 
 
 def test_descent_bracket_around_minimum():
     # lam ||Omega'(phi)||^2 <= Omega(phi) - Omega(psi*) <= ||phi-psi*||^2/(4 lam),
     # deterministic facts of the sample-average objective on a fixed ensemble
     lam, bb, m = 0.15, 1.0, 8
-    report = fixed_point_solve(lam, bb, m, SMALL_ENSEMBLE, tol=1e-10)
+    report = fixed_point_solve(lam, m, SMALL_ENSEMBLE, tol=1e-10)
     psi = report.psi
     om_star = _omega(psi, lam, SMALL_ENSEMBLE)
     for phi in (discretize_mu(m, bb).scaled(2 * lam),
@@ -468,7 +479,7 @@ def test_descent_bracket_around_minimum():
 
 def test_fixed_point_shrinks_with_lam():
     lam = 1e-4
-    report = fixed_point_solve(lam, 1.0, 8, SMALL_ENSEMBLE)
+    report = fixed_point_solve(lam, 8, SMALL_ENSEMBLE)
     assert report.converged and report.iterations <= 5
     start = discretize_mu(8, 1.0).scaled(2 * lam)
     dev = np.abs(report.psi.values - start.values)
@@ -476,12 +487,12 @@ def test_fixed_point_shrinks_with_lam():
 
 
 def test_fixed_point_validation():
+    # beta_b is the ensemble's rate, so no rate can mismatch the ensemble
+    # (test_start_kernel_forms_are_computed_once reads it back)
     with pytest.raises(ValueError):
-        fixed_point_solve(0.1, 0.5, 8, SMALL_ENSEMBLE)  # rate mismatch
+        fixed_point_solve(0.0, 8, SMALL_ENSEMBLE)
     with pytest.raises(ValueError):
-        fixed_point_solve(0.0, 1.0, 8, SMALL_ENSEMBLE)
-    with pytest.raises(ValueError):
-        fixed_point_solve(0.1, 1.0, 8, SMALL_ENSEMBLE, tol=0.0)
+        fixed_point_solve(0.1, 8, SMALL_ENSEMBLE, tol=0.0)
 
 
 # -- static approximation and the Taylor prediction ------------------------
