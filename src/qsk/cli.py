@@ -81,7 +81,7 @@ def _resolve(args):
     """Merge CLI flags, config sections, and defaults (flags win).
 
     The options are those of ``OPTIONS[args.command]``; config values are
-    looked up in ``[<subcommand>]`` and then in ``[model]``.
+    looked up in ``[<subcommand>]``, then in ``[model]``.  Floats are finite.
     """
     cp = _load_config(args.config) if args.config else None
     out = {}
@@ -100,6 +100,8 @@ def _resolve(args):
                     break
         if val is None:
             val = default
+        if conv is float and not np.isfinite(val):
+            raise ValueError(f"option {name} = {val!r} is not a finite number")
         out[name] = val
     return out
 
@@ -442,6 +444,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ValueError(f"--seed {args.seed} is negative")
         args.workers = resolve_workers(args.workers)
         opts = _resolve(args)
         # an output file in a missing directory fails before any computing

@@ -32,7 +32,7 @@ from .stats import (
     jackknife_se,
     mean_with_err,
 )
-from .streams import BATCH_SIZE, map_batches, resolve_workers
+from .streams import BATCH_SIZE, map_batches
 
 __all__ = [
     "DisorderStudyResult",
@@ -49,11 +49,6 @@ __all__ = [
 MAX_SPINS_DISORDER = 10
 MAX_FOUR_LAM = 0.6
 
-#: flip-parity block size from which a study spreads its chunks over the
-#: worker pool; below it the LAPACK time is too short to pay for the pool
-MIN_PARALLEL_DIM = 32
-#: least chunks per worker, so that small studies still even out chunk times
-CHUNKS_PER_WORKER = 4
 #: block bytes per chunk, 16 D^2 a sample: 64 samples at N = 6, 1 at N = 10
 CHUNK_BYTES = 1 << 20
 
@@ -99,12 +94,13 @@ def _check_blocks(blocks):
 def _study_arrays(params, n_disorder, seed, workers=None, want_pairs=True):
     """Per-sample ln Z, beta*f, and mean squared pair correlation.
 
-    All couplings are drawn first; the samples are then solved in
-    contiguous chunks on the worker pool, each chunk as one stack of at
-    most ``CHUNK_BYTES`` of blocks, and each result is stored at its sample
-    index, so the output does not depend on ``workers``.  Studies with
-    blocks smaller than ``MIN_PARALLEL_DIM`` run serially.  Spot checks
-    structural invariants (symmetric blocks, bounded correlations,
+    All couplings are drawn first; the samples are then solved in the
+    fewest contiguous chunks of balanced size that hold at most
+    ``CHUNK_BYTES`` of blocks each, each chunk as one stack.  The layout
+    depends on N and the sample count alone: ``map_batches`` decides
+    whether the chunks share the pool, and each result is stored at its
+    sample index, so the output does not depend on ``workers``.  Spot
+    checks structural invariants (symmetric blocks, bounded correlations,
     rounding-level trace of each block) on every tenth sample.  Failures
     identify the offending (seed, batch, index) triple.
     """
@@ -147,10 +143,8 @@ def _study_arrays(params, n_disorder, seed, workers=None, want_pairs=True):
                     ) from exc
             raise
 
-    workers = resolve_workers(workers) if dim >= MIN_PARALLEL_DIM else 1
     per_chunk = max(1, CHUNK_BYTES // (16 * dim * dim))
-    n_chunks = min(n_disorder, max(-(-n_disorder // per_chunk),
-                                   CHUNKS_PER_WORKER * workers))
+    n_chunks = -(-n_disorder // per_chunk)
     map_batches(solve_chunk, n_chunks, workers=workers)
     return ln_z, -ln_z / n, op
 

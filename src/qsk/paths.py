@@ -102,8 +102,6 @@ def _sample_batch(rate, n, seed, batch_index, conditioned=True):
         counts = rng.poisson(float(rate), size=n)
     counts = counts.astype(np.int64)
     kmax = int(counts.max())
-    if kmax == 0:
-        return np.empty(0), counts
     jumps = rng.random((n, kmax))
     real = np.arange(kmax) < counts[:, None]
     jumps[~real] = PAD
@@ -319,10 +317,6 @@ def _pair_overlaps(times, counts, n, width):
     n_groups = counts.size // n
     jumping = counts > 0
     movers = np.flatnonzero(jumping)
-    if movers.size == 0:
-        for i in range(n - 1):
-            yield i, np.ones((n - 1 - i, n_groups))
-        return
     rows = _padded(times, counts[movers], width)  # one row per jumping path
     slot = np.empty(counts.size, dtype=np.int64)  # the row of path p, if it jumps
     slot[movers] = np.arange(movers.size)

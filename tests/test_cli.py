@@ -75,13 +75,25 @@ BAD_OPTIONS = [
     ("annealed --n-spins 40", "N=40 too large"),
     ("quenched --n-disorder 5", "n_disorder must be >= 10"),
     ("exactdiag --n-spins 13", "exact-diagonalization cap (12)"),
+    # a float option must be finite, from a flag or a config key, and the
+    # seed must not be negative
+    ("static --beta-b nan", "option beta_b = nan is not a finite number"),
+    ("constants --lam nan", "option lam = nan is not a finite number"),
+    ("region --x-min nan", "option x_min = nan is not a finite number"),
+    ("variational --beta-b nan", "option beta_b = nan is not a finite number"),
+    ("variational --tol nan", "option tol = nan is not a finite number"),
+    ("static --lam-max inf", "option lam_max = inf is not a finite number"),
+    ("annealed --config {d}/nan.ini", "option lam = nan is not a finite number"),
+    ("verify --seed -1", "--seed -1 is negative"),
 ]
 
 
 @pytest.mark.parametrize("command, message", BAD_OPTIONS)
-def test_out_of_domain_option_is_a_usage_error(command, message, capsys):
+def test_out_of_domain_option_is_a_usage_error(command, message, tmp_path,
+                                               capsys):
     # a ValueError, from the handler or the library, is one line and exit 2
-    assert cli.main(command.split()) == 2
+    (tmp_path / "nan.ini").write_text("[model]\nlam = nan\n")
+    assert cli.main(command.format(d=tmp_path).split()) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("qsk: error: ") and err.count("\n") == 1

@@ -58,16 +58,18 @@ def test_one_eigendecomposition_per_sample(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
     params = ModelParams.from_dimensionless(5, 0.1, 1.0)
-    run_study(params, 23, 3, 0.1)
-    # one stacked solve per chunk, and every sample in exactly one of them
-    assert len(shapes) == disorder.CHUNKS_PER_WORKER
+    run_study(params, 523, 3, 0.1)
+    # one stacked solve per chunk, as few chunks as the byte budget allows
+    # (256 samples of two 16 x 16 blocks), and every sample in exactly one
+    assert len(shapes) == math.ceil(523 / (disorder.CHUNK_BYTES // (16 * 16**2)))
     assert [s[1:] for s in shapes] == [(2, 16, 16)] * len(shapes)
-    assert sum(s[0] for s in shapes) == 23
+    assert sum(s[0] for s in shapes) == 523
 
 
 #: samples per oracle study: for N <= 4 a chunk straddles the BATCH_SIZE
-#: boundary of the coupling draws; for N >= 5 the chunks hold fewer samples
-#: than the byte budget allows, or (N = 6, 7) the budget sets their count
+#: boundary of the coupling draws; the byte budget sets the chunk count, from
+#: one chunk at N = 2 to one chunk a sample at N = 9 and 10, and the samples
+#: are spread evenly over the chunks (2 chunks of 150 at N = 5, 10 of 60 at 6)
 ORACLE_SAMPLES = {2: BATCH_SIZE + 8, 3: BATCH_SIZE + 8, 4: BATCH_SIZE + 8,
                   5: 300, 6: 600, 7: 100, 8: 20, 9: 6, 10: 4}
 
@@ -132,14 +134,14 @@ def _per_sample_bytes(result):
 
 
 def test_run_study_worker_invariance(monkeypatch):
-    # N = 3 stays serial (blocks below MIN_PARALLEL_DIM); N = 6 and N = 10
-    # spread their samples over several chunks, and N = 10 is large enough
-    # that eigh's bits depend on the BLAS thread count unless it is pinned
+    # every study spreads its samples over several chunks, and N = 10 is
+    # large enough that eigh's bits depend on the BLAS thread count unless
+    # it is pinned
     calls = _spy_map_batches(monkeypatch)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for n, count in ((3, 120), (6, 300), (10, 12)):
+        for n, count in ((5, 300), (6, 300), (10, 12)):
             params = ModelParams.from_dimensionless(n, 0.1, 1.0)
             runs = {w: run_study(params, count, 5, 0.3, workers=w)
                     for w in (1, 2, 4)}
@@ -148,13 +150,11 @@ def test_run_study_worker_invariance(monkeypatch):
                 assert runs[w].quenched_mean == runs[1].quenched_mean
     finally:
         sys.setswitchinterval(switch)
-    # the chunking depends on the block size, the sample count and the
-    # workers only: at least CHUNKS_PER_WORKER chunks per worker, and at
-    # most CHUNK_BYTES of blocks (64 samples at N = 6, 1 at N = 10) in each;
+    # the chunking depends on the block size and the sample count alone:
+    # the fewest chunks of at most CHUNK_BYTES of blocks (256 samples at
+    # N = 5, 64 at N = 6, 1 at N = 10), the same at every worker count;
     # map_batches alone decides whether the chunks then share a pool
-    assert calls == [(4, 1), (4, 1), (4, 1),
-                     (5, 1), (8, 2), (16, 4),
-                     (12, 1), (12, 2), (12, 4)]
+    assert calls == [(chunks, w) for chunks in (2, 5, 12) for w in (1, 2, 4)]
 
 
 def test_blas_thread_context_restores_count():
@@ -191,7 +191,7 @@ def test_study_runs_serially_without_blas_handle(monkeypatch):
     def outputs(workers):
         ens = paths.sample_ensemble(1.0, 2 * (BATCH_SIZE + 8), 9, workers=workers)
         report = fixed_point_solve(0.1, 4, ens)
-        return [_per_sample_bytes(run_study(params, 40, 8, 0.3, workers=workers)),
+        return [_per_sample_bytes(run_study(params, 130, 8, 0.3, workers=workers)),
                 ens.times.tobytes(), ens.counts.tobytes(),
                 paths.p_n_batch(ens, 2).tobytes(),
                 report.to_dict(), report.start_lambda]
@@ -217,8 +217,9 @@ def test_study_runs_serially_without_blas_handle(monkeypatch):
 
 
 def test_parallel_failures_name_the_global_sample(monkeypatch):
+    # 75 samples at N = 6 make two chunks, samples 0-36 and 37-74
     params = ModelParams.from_dimensionless(6, 0.1, 1.0)
-    couplings = draw_couplings(6, 40, 3)
+    couplings = draw_couplings(6, 75, 3)
     real_build = disorder.build_hamiltonian
     real_spectrum = disorder.spectrum
     real_gibbs = disorder.gibbs_zz_matrix
@@ -238,18 +239,19 @@ def test_parallel_failures_name_the_global_sample(monkeypatch):
     # a failing stacked solve is re-solved one sample at a time, so the
     # error names the sample inside the chunk that fails
     def failing_spectrum(h):
-        if np.any(rows_of(h, 13)):
+        if np.any(rows_of(h, 43)):
             raise np.linalg.LinAlgError("injected")
         return real_spectrum(h)
 
     monkeypatch.setattr(disorder, "spectrum", failing_spectrum)
     with pytest.raises(RuntimeError,
-                       match=r"seed=3, batch=0, index=13\): injected"):
-        run_study(params, 40, 3, 0.3, workers=2)
+                       match=r"seed=3, batch=0, index=43\): injected"):
+        run_study(params, 75, 3, 0.3, workers=2)
     monkeypatch.setattr(disorder, "spectrum", real_spectrum)
 
     # the every-tenth-sample checks run on the global index: a corrupt
-    # sample 15 passes unchecked, a corrupt sample 20 is caught
+    # sample 47, the tenth of its chunk, passes unchecked, a corrupt sample
+    # 50 is caught
     def corrupt_at(index):
         def gibbs(h):
             c = real_gibbs(h)
@@ -257,11 +259,11 @@ def test_parallel_failures_name_the_global_sample(monkeypatch):
             return c
         return gibbs
 
-    monkeypatch.setattr(disorder, "gibbs_zz_matrix", corrupt_at(15))
-    run_study(params, 40, 3, 0.3, workers=2)
-    monkeypatch.setattr(disorder, "gibbs_zz_matrix", corrupt_at(20))
-    with pytest.raises(RuntimeError, match=r"index=20\): \|<Sz_i Sz_j>\|"):
-        run_study(params, 40, 3, 0.3, workers=2)
+    monkeypatch.setattr(disorder, "gibbs_zz_matrix", corrupt_at(47))
+    run_study(params, 75, 3, 0.3, workers=2)
+    monkeypatch.setattr(disorder, "gibbs_zz_matrix", corrupt_at(50))
+    with pytest.raises(RuntimeError, match=r"index=50\): \|<Sz_i Sz_j>\|"):
+        run_study(params, 75, 3, 0.3, workers=2)
 
 
 def test_study_validation():

@@ -211,16 +211,25 @@ def test_overlap_riemann_cross_check():
 
 
 def test_ensemble_deterministic_across_workers():
-    e1 = sample_ensemble(1.0, MULTI_CHUNK, seed=11, workers=1)
-    e4 = sample_ensemble(1.0, MULTI_CHUNK, seed=11, workers=4)
-    np.testing.assert_array_equal(e1.times, e4.times)
-    np.testing.assert_array_equal(e1.counts, e4.counts)
-    # the same bytes as drawing every batch in turn and sorting every row
-    times, counts = even_paths(1.0, MULTI_CHUNK, seed=11)
-    assert e4.times.tobytes() == times.tobytes()
-    assert e4.counts.tobytes() == counts.tobytes()
-    e_other = sample_ensemble(1.0, MULTI_CHUNK, seed=12)
-    assert not np.array_equal(e1.counts, e_other.counts)
+    # at rate 0 no batch jumps; at rate 0.02 and seed 11 batches 1 and 3 do
+    # not jump while batches 0 and 2 do
+    for rate in (1.0, 0.0, 0.02):
+        e1 = sample_ensemble(rate, MULTI_CHUNK, seed=11, workers=1)
+        e4 = sample_ensemble(rate, MULTI_CHUNK, seed=11, workers=4)
+        np.testing.assert_array_equal(e1.times, e4.times)
+        np.testing.assert_array_equal(e1.counts, e4.counts)
+        # the same bytes as drawing every batch in turn and sorting every row
+        times, counts = even_paths(rate, MULTI_CHUNK, seed=11)
+        assert e4.times.tobytes() == times.tobytes()
+        assert e4.counts.tobytes() == counts.tobytes()
+        jumps = np.add.reduceat(counts, np.arange(0, MULTI_CHUNK, BATCH_SIZE))
+        if rate == 0.0:
+            assert not jumps.any()
+        elif rate == 0.02:
+            assert not jumps.all() and jumps.any()
+        else:
+            e_other = sample_ensemble(rate, MULTI_CHUNK, seed=12)
+            assert not np.array_equal(e1.counts, e_other.counts)
 
 
 def test_sigma_matrix_and_total_times():
@@ -343,12 +352,15 @@ def _uniform_paths(counts, rng):
 
 
 def _overlap_input(kind, n_spins, groups):
-    """An ensemble of ``groups`` groups of paths of one of five kinds."""
+    """An ensemble of ``groups`` groups of paths of one of seven kinds."""
     if kind.startswith("rate"):
         return sample_ensemble(float(kind[5:]), n_spins * groups, seed=23)
     rng = np.random.default_rng(24)
     counts = 2 * rng.integers(1, 4, size=(groups, n_spins))
-    if kind == "one_jumper":
+    if kind == "first_chunk_still":
+        # no path of the first chunk (at most BATCH_SIZE groups) jumps
+        counts[:BATCH_SIZE] = 0
+    elif kind == "one_jumper":
         # one path per group jumps, so a pair has one jumping path or none
         counts *= np.arange(n_spins) == rng.integers(n_spins, size=(groups, 1))
     elif kind == "one_long":
@@ -359,13 +371,17 @@ def _overlap_input(kind, n_spins, groups):
 
 
 @pytest.mark.parametrize("n_spins", [2, 16])
-@pytest.mark.parametrize("kind", ["rate_0.2", "rate_1.5", "all_jump", "one_jumper",
-                                  "one_long"])
+@pytest.mark.parametrize("kind", ["rate_0", "rate_0.2", "rate_1.5", "all_jump",
+                                  "first_chunk_still", "one_jumper", "one_long"])
 def test_overlap_kernels_match_pair_loop_oracle(kind, n_spins):
     groups = 2 * BATCH_SIZE + 7  # two full chunks and part of a third
     ens = _overlap_input(kind, n_spins, groups)
     jumping = (ens.counts > 0).reshape(groups, n_spins)
-    if kind == "rate_0.2":
+    if kind == "rate_0":
+        assert not jumping.any()
+    elif kind == "first_chunk_still":
+        assert not jumping[:BATCH_SIZE].any() and jumping[BATCH_SIZE:].all()
+    elif kind == "rate_0.2":
         assert jumping.mean() < 0.05
     elif kind == "all_jump":
         assert jumping.all()

@@ -289,13 +289,15 @@ def test_map_batches_order():
 
 def test_only_streams_starts_pools_or_pins_blas():
     # map_batches alone decides how batches run, so no other module may
-    # start a pool or touch the BLAS thread count
-    names = ("single_blas_thread", "_openblas_threads", "ThreadPoolExecutor")
+    # start a pool or touch the BLAS thread count, and only the command
+    # line, where a bad worker count is a usage error, resolves the count
+    names = ("single_blas_thread", "_openblas_threads", "ThreadPoolExecutor",
+             "resolve_workers")
     modules = sorted(Path(streams.__file__).parent.glob("*.py"))
     assert "streams.py" in [m.name for m in modules]
     named = [(m.name, name) for m in modules if m.name != "streams.py"
              for name in names if name in m.read_text()]
-    assert named == []
+    assert named == [("cli.py", "resolve_workers")]
 
 
 def test_no_module_silences_warnings():
