@@ -47,7 +47,7 @@ def _path_count(n_spins, ensemble_count):
     return int(n_spins) * int(ensemble_count)
 
 
-def estimate_f_n(params: ModelParams, ensemble_count, seed, workers=None):
+def estimate_f_n(params: ModelParams, ensemble_count, seed):
     """Monte-Carlo estimate of F_N = ln < e^{N lam P_N} >.
 
     Draws ``ensemble_count`` independent N-tuples of even-parity paths at
@@ -57,27 +57,22 @@ def estimate_f_n(params: ModelParams, ensemble_count, seed, workers=None):
     n = params.n_spins
     if n > MAX_SPINS_PATH_MC:
         raise ValueError(f"N={n} too large for the plain-mean path estimator")
-    ens = paths.sample_ensemble(
-        params.beta_b, _path_count(n, ensemble_count), seed, workers=workers
-    )
+    ens = paths.sample_ensemble(params.beta_b, _path_count(n, ensemble_count), seed)
     p_vals = paths.p_n_batch(ens, n)
     est, _ = log_mean_exp(n * params.lam * p_vals, "estimate_f_n", seed=seed)
     return est
 
 
-def mean_p_n(params: ModelParams, ensemble_count, seed, workers=None):
+def mean_p_n(params: ModelParams, ensemble_count, seed):
     """Plain mean of P_N over path configurations; E[P_N] = p_N exactly."""
     n = params.n_spins
-    ens = paths.sample_ensemble(
-        params.beta_b, _path_count(n, ensemble_count), seed, workers=workers
-    )
+    ens = paths.sample_ensemble(params.beta_b, _path_count(n, ensemble_count), seed)
     return mean_with_err(paths.p_n_batch(ens, n), seed=seed)
 
 
-def annealed_free_energy(params: ModelParams, ensemble_count, seed, workers=None):
+def annealed_free_energy(params: ModelParams, ensemble_count, seed):
     """beta f_N^ann = (lam - F_N)/N - ln(2 cosh(beta*b)), estimated by MC."""
-    return _beta_f_ann(params, estimate_f_n(params, ensemble_count, seed,
-                                            workers=workers))
+    return _beta_f_ann(params, estimate_f_n(params, ensemble_count, seed))
 
 
 def _beta_f_ann(params: ModelParams, f_hat):

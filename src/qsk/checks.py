@@ -1,12 +1,12 @@
 """The registry of verification checks run by ``qsk verify`` and the acceptance suite.
 
-Each check is ``check(seed, workers=None, **sizes) -> (ok, detail)``: a
-verdict and a one-line summary.  The keyword defaults are the desk scale
-that ``qsk verify`` runs in about a second, with Monte-Carlo comparisons at
+Each check is ``check(seed, **sizes) -> (ok, detail)``: a verdict and a
+one-line summary.  The keyword defaults are the desk scale that ``qsk
+verify`` runs in about a second, with Monte-Carlo comparisons at
 ``n_sigma = 3.5`` standard errors; ``tests/test_acceptance.py`` runs the
 same functions at full scale.  Every sub-seed is a fixed offset of
-``seed``, so one seed fixes all randomness at either scale, and no result
-depends on ``workers``.
+``seed``, so one seed fixes all randomness at either scale; the checks run
+under the caller's pool setting, on which no result depends.
 """
 
 import numpy as np
@@ -25,7 +25,7 @@ def _failed(checks):
     return ",".join(k for k, v in checks.items() if not v) or "none"
 
 
-def check_closed_forms(seed, workers=None):
+def check_closed_forms(seed):
     """sqrt(2p - m) cosh(beta_b) = 1, the root of p = 1/2 and the maximum of c0."""
     from scipy.optimize import minimize_scalar
 
@@ -55,8 +55,7 @@ def check_closed_forms(seed, workers=None):
     return ok, detail
 
 
-def check_moment_chain(seed, workers=None, lams=(0.01, 0.1, 1.0, 4.0),
-                       beta_bs=(0.3, 1.0, 3.0)):
+def check_moment_chain(seed, lams=(0.01, 0.1, 1.0, 4.0), beta_bs=(0.3, 1.0, 3.0)):
     """The moment inequality chain on a beta_b sweep, and the corridor
     max(0, lam + ln(p_N)/N) <= G_N/N <= lam for 2 <= N <= 64."""
     bad = 0
@@ -74,9 +73,8 @@ def check_moment_chain(seed, workers=None, lams=(0.01, 0.1, 1.0, 4.0),
     return ok, f"chain_violations={bad} corridor_violations={corridor_bad}"
 
 
-def check_two_spin(seed, workers=None, spectra=200,
-                   points=((0.15, 0.8), (0.3, 1.5)), ensembles=20_000,
-                   n_sigma=3.5):
+def check_two_spin(seed, spectra=200, points=((0.15, 0.8), (0.3, 1.5)),
+                   ensembles=20_000, n_sigma=3.5):
     """Exact two-spin spectra at random parameters, and path-MC beta f_2^ann
     against its exact quadrature at ``points`` (lam, beta_b)."""
     rng = np.random.Generator(np.random.Philox(seed))
@@ -94,8 +92,7 @@ def check_two_spin(seed, workers=None, spectra=200,
     worst_z = 0.0
     for i, (lam, bb) in enumerate(points):
         params = ModelParams.from_dimensionless(2, lam, bb)
-        est = annealed.annealed_free_energy(params, ensembles, seed + i,
-                                            workers=workers)
+        est = annealed.annealed_free_energy(params, ensembles, seed + i)
         exact = hilbert.f2_annealed_exact(lam, bb)
         worst_z = max(worst_z, abs(est.value - exact) / est.std_err)
         mc_bad += not est.agrees_with(exact, n_sigma=n_sigma)
@@ -103,9 +100,9 @@ def check_two_spin(seed, workers=None, spectra=200,
     return ok, "spectrum_dev=%.3e mc_bad=%d worst_z=%.2f" % (worst, mc_bad, worst_z)
 
 
-def check_path_kernels(seed, workers=None, mu_points=6, mu_paths=20_000,
-                       laplace_cases=2, laplace_paths=40_000,
-                       p_n_spins=(2, 4), p_n_ensembles=20_000, n_sigma=3.5):
+def check_path_kernels(seed, mu_points=6, mu_paths=20_000, laplace_cases=2,
+                       laplace_paths=40_000, p_n_spins=(2, 4),
+                       p_n_ensembles=20_000, n_sigma=3.5):
     """Path-MC estimates against closed forms: the two-point kernel mu at
     random (t, t', beta_b), Lambda(0.8 * 1) on the first of those ensembles,
     the first ``laplace_cases`` endpoint-resolved exponential moments, and
@@ -116,7 +113,7 @@ def check_path_kernels(seed, workers=None, mu_points=6, mu_paths=20_000,
     for i in range(mu_points):
         bb = float(10 ** rng.uniform(-0.5, 0.6))
         t, tp = sorted(float(u) for u in rng.uniform(0, 1, 2))
-        ens = paths.sample_ensemble(bb, mu_paths, seed + 100 + i, workers=workers)
+        ens = paths.sample_ensemble(bb, mu_paths, seed + 100 + i)
         products = ens.sigma_matrix(t) * ens.sigma_matrix(tp)
         target = float(constants.mu(t, tp, bb))
         # exact variance of the +-1 products: a sample one is 0 without jumps
@@ -130,8 +127,7 @@ def check_path_kernels(seed, workers=None, mu_points=6, mu_paths=20_000,
                 variational.lambda_constant(0.8, bb), n_sigma=n_sigma)
     lap_bad = 0
     for i, (g, bb, s) in enumerate(_LAPLACE_CASES[:laplace_cases]):
-        times, counts = paths.sample_unconditioned(bb, laplace_paths, seed + 200 + i,
-                                                   workers=workers)
+        times, counts = paths.sample_unconditioned(bb, laplace_paths, seed + 200 + i)
         tot = paths.signed_totals(times, counts)
         keep = 1 - 2 * (counts % 2) == s
         est = mean_with_err(np.exp(bb + g * tot) * keep)
@@ -140,15 +136,15 @@ def check_path_kernels(seed, workers=None, mu_points=6, mu_paths=20_000,
     p_bad = 0
     for n in p_n_spins:
         params = ModelParams.from_dimensionless(n, 0.1, 1.0)
-        est = annealed.mean_p_n(params, p_n_ensembles, seed + 300 + n, workers=workers)
+        est = annealed.mean_p_n(params, p_n_ensembles, seed + 300 + n)
         p_bad += not est.agrees_with(constants.p_n_of(n, 1.0), n_sigma=n_sigma)
     ok = mu_bad == 0 and constant_ok and lap_bad == 0 and p_bad == 0
     return ok, ("mu_bad=%d worst_z=%.2f constant_kernel=%s laplace_bad=%d p_n_bad=%d"
                 % (mu_bad, worst_z, "ok" if constant_ok else "BAD", lap_bad, p_bad))
 
 
-def check_f_bounds(seed, workers=None, lams=(0.125,), beta_bs=(1.0,),
-                   spins=(2, 4), ensembles=20_000, n_sigma=3.5):
+def check_f_bounds(seed, lams=(0.125,), beta_bs=(1.0,), spins=(2, 4),
+                   ensembles=20_000, n_sigma=3.5):
     """The sandwich N p_N lam <= F_N <= min(G_N, W_N) for path-MC F_N."""
     bad = 0
     worst_margin = np.inf
@@ -156,8 +152,7 @@ def check_f_bounds(seed, workers=None, lams=(0.125,), beta_bs=(1.0,),
         for bb in beta_bs:
             for n in spins:
                 params = ModelParams.from_dimensionless(n, lam, bb)
-                f_hat = annealed.estimate_f_n(params, ensembles, seed + n,
-                                              workers=workers)
+                f_hat = annealed.estimate_f_n(params, ensembles, seed + n)
                 bounds, verdicts = annealed.f_n_sandwich(params, f_hat, n_sigma)
                 upper = min(bounds["g_n"], bounds["w_n"])
                 margin = min(f_hat.value - bounds["lower_n_p_n_lam"],
@@ -167,15 +162,14 @@ def check_f_bounds(seed, workers=None, lams=(0.125,), beta_bs=(1.0,),
     return bad == 0, "violations=%d worst_margin=%.2f sigma" % (bad, worst_margin)
 
 
-def check_fixed_point(seed, workers=None, points=((0.1, 1.0),), m_cells=32,
+def check_fixed_point(seed, points=((0.1, 1.0),), m_cells=32,
                       n_paths=20_000, n_sigma=3.5):
     """The fixed-point solve at ``points`` (lam, beta_b): convergence,
     contraction, 2 lam mu <= psi <= 2 lam, and the bracket, start-gap and
     Taylor bounds on inf Omega."""
     failed = []
     for lam, bb in points:
-        ens = paths.sample_ensemble(bb, n_paths, seed + round(100 * lam),
-                                    workers=workers)
+        ens = paths.sample_ensemble(bb, n_paths, seed + round(100 * lam))
         report = variational.fixed_point_solve(lam, m_cells, ens)
         verdicts = variational.fixed_point_verdicts(report, n_sigma)
         psi = report.psi.values
@@ -195,7 +189,7 @@ def check_fixed_point(seed, workers=None, points=((0.1, 1.0),), m_cells=32,
     return not failed, "failed=%s" % (",".join(failed) or "none")
 
 
-def check_static(seed, workers=None):
+def check_static(seed):
     """The static approximation J: J > -p lam below the threshold, J/lam
     decreasing from -m^2 (small lam) towards -1 (large lam)."""
     checks = {}
@@ -213,7 +207,7 @@ def check_static(seed, workers=None):
     return all(checks.values()), f"failed={_failed(checks)}"
 
 
-def check_disorder(seed, workers=None, n_spins=5, samples=400,
+def check_disorder(seed, n_spins=5, samples=400,
                    trend_spins=(3, 4, 5), trend_samples=300, n_sigma=3.5):
     """Exact-diagonalization disorder statistics at lam = 0.125, beta_b = 1:
     1 <= E[Z^2]/E[Z]^2 <= c(lam), the Paley-Zygmund witness, the
@@ -221,14 +215,12 @@ def check_disorder(seed, workers=None, n_spins=5, samples=400,
     lam, bb = 0.125, 1.0
     params = ModelParams.from_dimensionless(n_spins, lam, bb)
     delta = 0.3 * params.beta_v / np.sqrt(n_spins)
-    result = disorder.run_study(params, samples, seed, delta, workers=workers)
+    result = disorder.run_study(params, samples, seed, delta)
     c = disorder.second_moment_theory_bound(lam)
     bound = disorder.concentration_bound(n_spins, delta, params.beta_v)
     study = disorder.study_verdicts(result, bound, n_sigma, ratio_bound=c)
-    pz, pz_floor = disorder.paley_zygmund_witness(params, samples, seed + 1,
-                                                  workers=workers)
-    trend = disorder.order_parameter_trend(params, trend_spins, trend_samples,
-                                           seed + 2, workers=workers)
+    pz, pz_floor = disorder.paley_zygmund_witness(params, samples, seed + 1)
+    trend = disorder.order_parameter_trend(params, trend_spins, trend_samples, seed + 2)
     trend_bad = sum(
         not trend[k + 1].value < trend[k].value
         + n_sigma * np.hypot(trend[k].std_err, trend[k + 1].std_err)
@@ -247,26 +239,24 @@ def check_disorder(seed, workers=None, n_spins=5, samples=400,
            _failed(checks)))
 
 
-def check_second_moment(seed, workers=None, n_paths=4000, n_sigma=3.5):
+def check_second_moment(seed, n_paths=4000, n_sigma=3.5):
     """The generalized second moment stays <= 1 at coupling shifts gamma in
     {0, 0.1}, and the shift gamma = -lam decouples the replicas exactly."""
     params = ModelParams.from_dimensionless(3, 0.1, 1.0)
     zs = []
     bad = 0
     for i, gamma in enumerate((0.0, 0.1)):
-        est = disorder.generalized_second_moment(params, gamma, n_paths, seed + i,
-                                                 workers=workers)
+        est = disorder.generalized_second_moment(params, gamma, n_paths, seed + i)
         zs.append((est.value - 1.0) / est.std_err)
         bad += not est.value <= 1.0 + n_sigma * est.std_err
     _, coupling_max_dev = disorder.generalized_second_moment(
-        params, -params.lam, 500, seed + 2, workers=workers, return_diagnostics=True
-    )
+        params, -params.lam, 500, seed + 2, return_diagnostics=True)
     trivial = coupling_max_dev == 0.0
     return bad == 0 and trivial, "violations=%d z_scores=%s trivial_coupling=%s" % (
         bad, ",".join("%.2f" % z for z in zs), "ok" if trivial else "BAD")
 
 
-def check_region(seed, workers=None, x_count=30, y_count=30):
+def check_region(seed, x_count=30, y_count=30):
     """Each point of a region scan carries the label its rule gives, and the
     zero-field edge below x = 1 has a certified positive gap."""
     xs = np.linspace(0.2, 2.0, x_count)

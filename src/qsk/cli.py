@@ -41,7 +41,7 @@ from . import (__version__, annealed, checks, constants, disorder, hilbert, path
                variational)
 from .constants import ModelParams
 from .stats import EffectiveSampleSizeWarning
-from .streams import WORKERS_ENV_VAR, resolve_workers
+from .streams import WORKERS_ENV_VAR, worker_count
 
 DEFAULT_SEED = 123456789
 
@@ -176,6 +176,8 @@ def _model_from(opts):
 
 def _sweep(lo, hi, count, scale):
     """``count`` points from ``lo`` to ``hi``, even on a log or a linear scale."""
+    if count < 1:
+        raise ValueError(f"a sweep needs at least one point, not {count!r}")
     if scale == "linear":
         return np.linspace(lo, hi, count)
     if scale != "log":
@@ -283,8 +285,7 @@ def cmd_exactdiag(args, opts):
 
 def cmd_annealed(args, opts):
     params = _model_from(opts)
-    f_hat = annealed.estimate_f_n(params, opts["ensembles"], args.seed,
-                                  workers=args.workers)
+    f_hat = annealed.estimate_f_n(params, opts["ensembles"], args.seed)
     bounds, verdicts = annealed.f_n_sandwich(params, f_hat, n_sigma=3)
     payload = {
         "params": params.to_dict(),
@@ -303,8 +304,7 @@ def cmd_variational(args, opts):
             "2*lam >= 1: the iteration is not a contraction "
             "(pass --allow-noncontractive to proceed anyway)"
         )
-    ens = paths.sample_ensemble(bb, opts["ensembles"], args.seed,
-                                workers=args.workers)
+    ens = paths.sample_ensemble(bb, opts["ensembles"], args.seed)
     report = variational.fixed_point_solve(
         lam, opts["m_cells"], ens, tol=opts["tol"], max_iter=opts["max_iter"],
     )
@@ -348,8 +348,7 @@ def cmd_static(args, opts):
 
 def cmd_quenched(args, opts):
     params = _model_from(opts)
-    result = disorder.run_study(params, opts["n_disorder"], args.seed,
-                                opts["delta"], workers=args.workers)
+    result = disorder.run_study(params, opts["n_disorder"], args.seed, opts["delta"])
     bound = disorder.concentration_bound(params.n_spins, opts["delta"],
                                          params.beta_v)
     theory = disorder.second_moment_theory_bound(params.lam)
@@ -403,7 +402,7 @@ def cmd_verify(args, opts):
         if only and name not in only:
             continue
         t0 = time.perf_counter()
-        ok, detail = fn(args.seed, args.workers)
+        ok, detail = fn(args.seed)
         dt = time.perf_counter() - t0
         print(f"[{name}] {dt:.2f}s", file=sys.stderr)
         lines.append(f"{'PASS' if ok else 'FAIL'} {name} {detail}")
@@ -446,7 +445,6 @@ def main(argv=None):
     try:
         if args.seed < 0:
             raise ValueError(f"--seed {args.seed} is negative")
-        args.workers = resolve_workers(args.workers)
         opts = _resolve(args)
         # an output file in a missing directory fails before any computing
         files = ("dump_spectrum", "psi_out", "per_sample_out", "advisory_out")
@@ -454,7 +452,7 @@ def main(argv=None):
             if path and not os.path.isdir(os.path.dirname(path) or "."):
                 raise ValueError(f"the directory of output file {path} does not exist")
         # the ESS gate: a collapsed effective sample size aborts any subcommand
-        with warnings.catch_warnings():
+        with worker_count(args.workers), warnings.catch_warnings():
             warnings.simplefilter("error", EffectiveSampleSizeWarning)
             return args.fn(args, opts) or 0
     except ValueError as exc:

@@ -91,7 +91,7 @@ def _check_blocks(blocks):
         raise RuntimeError("Hamiltonian block diagonal does not sum to zero")
 
 
-def _study_arrays(params, n_disorder, seed, workers=None, want_pairs=True):
+def _study_arrays(params, n_disorder, seed, want_pairs=True):
     """Per-sample ln Z, beta*f, and mean squared pair correlation.
 
     All couplings are drawn first; the samples are then solved in the
@@ -99,7 +99,7 @@ def _study_arrays(params, n_disorder, seed, workers=None, want_pairs=True):
     ``CHUNK_BYTES`` of blocks each, each chunk as one stack.  The layout
     depends on N and the sample count alone: ``map_batches`` decides
     whether the chunks share the pool, and each result is stored at its
-    sample index, so the output does not depend on ``workers``.  Spot
+    sample index, so the output does not depend on the worker count.  Spot
     checks structural invariants (symmetric blocks, bounded correlations,
     rounding-level trace of each block) on every tenth sample.  Failures
     identify the offending (seed, batch, index) triple.
@@ -145,7 +145,7 @@ def _study_arrays(params, n_disorder, seed, workers=None, want_pairs=True):
 
     per_chunk = max(1, CHUNK_BYTES // (16 * dim * dim))
     n_chunks = -(-n_disorder // per_chunk)
-    map_batches(solve_chunk, n_chunks, workers=workers)
+    map_batches(solve_chunk, n_chunks)
     return ln_z, -ln_z / n, op
 
 
@@ -161,7 +161,7 @@ def _ratio_of_means(ln_z, seed=None):
     return EstimateWithError(float(value), jackknife_se(loo), n, seed)
 
 
-def run_study(params: ModelParams, n_disorder, seed, delta, workers=None):
+def run_study(params: ModelParams, n_disorder, seed, delta):
     """Full disorder study of ``n_disorder`` >= 10 samples at one parameter point.
 
     Returns plain-mean estimates of E[beta f_N], the second-moment ratio
@@ -173,7 +173,7 @@ def run_study(params: ModelParams, n_disorder, seed, delta, workers=None):
     if not delta > 0:
         raise ValueError("delta must be positive")
     _validate_disorder_params(params)
-    ln_z, beta_f, op = _study_arrays(params, n_disorder, seed, workers=workers)
+    ln_z, beta_f, op = _study_arrays(params, n_disorder, seed)
     tail_hits = int((np.abs(beta_f - beta_f.mean()) > delta).sum())
     return DisorderStudyResult(
         quenched_mean=mean_with_err(beta_f, seed=seed),
@@ -185,8 +185,7 @@ def run_study(params: ModelParams, n_disorder, seed, delta, workers=None):
     )
 
 
-def order_parameter_trend(params_base: ModelParams, n_list, n_disorder, seed,
-                          workers=None):
+def order_parameter_trend(params_base: ModelParams, n_list, n_disorder, seed):
     """Order parameter at fixed (beta, v, b) for each N in n_list.
 
     The disorder average of the mean squared pair correlation decreases
@@ -199,7 +198,7 @@ def order_parameter_trend(params_base: ModelParams, n_list, n_disorder, seed,
         params = ModelParams(n_spins=int(n), beta=params_base.beta,
                              v=params_base.v, b=params_base.b)
         _validate_disorder_params(params)
-        _, _, op = _study_arrays(params, n_disorder, seed, workers=workers)
+        _, _, op = _study_arrays(params, n_disorder, seed)
         out.append(mean_with_err(op, seed=seed))
     return out
 
@@ -242,7 +241,7 @@ def study_verdicts(result, tail_bound, n_sigma, ratio_bound):
 
 
 def generalized_second_moment(params: ModelParams, gamma, n_path_ensembles,
-                              seed, workers=None, return_diagnostics=False):
+                              seed, return_diagnostics=False):
     """Path-average form of E[Z^2]-type moments at shifted coupling gamma.
 
     For two independent N-path systems with overlap matrices A, B the
@@ -265,9 +264,7 @@ def generalized_second_moment(params: ModelParams, gamma, n_path_ensembles,
         raise ValueError("requires 0 <= 4*(lam+gamma) < 1")
     if n_path_ensembles < 2:
         raise ValueError("need at least two paired systems")
-    ens = paths.sample_ensemble(
-        params.beta_b, 2 * n * int(n_path_ensembles), seed, workers=workers
-    )
+    ens = paths.sample_ensemble(params.beta_b, 2 * n * int(n_path_ensembles), seed)
     a = paths.overlap_matrix_batch(ens, n).reshape(-1, 2, n, n)
     lam = params.lam
     p_vals = np.square(a).sum(axis=(2, 3)) / n**2          # (n_items, 2)
@@ -291,7 +288,7 @@ def generalized_second_moment(params: ModelParams, gamma, n_path_ensembles,
     return est, float(np.abs(coupling - 1.0).max())
 
 
-def paley_zygmund_witness(params: ModelParams, n_disorder, seed, workers=None):
+def paley_zygmund_witness(params: ModelParams, n_disorder, seed):
     """Frequency of Z >= (sample mean of Z)/2 vs the threshold 1/(4c).
 
     c = e^{-2 lam}/sqrt(1 - 4 lam) bounds the second-moment ratio, so the
@@ -299,9 +296,7 @@ def paley_zygmund_witness(params: ModelParams, n_disorder, seed, workers=None):
     """
     _validate_disorder_params(params)
     c = second_moment_theory_bound(params.lam)
-    ln_z, _, _ = _study_arrays(
-        params, n_disorder, seed, workers=workers, want_pairs=False
-    )
+    ln_z, _, _ = _study_arrays(params, n_disorder, seed, want_pairs=False)
     ln_mean = float(logsumexp(ln_z) - np.log(ln_z.size))
     hits = int((ln_z >= ln_mean - np.log(2.0)).sum())
     return frequency_with_err(hits, ln_z.size, seed=seed), 1.0 / (4.0 * c)

@@ -124,13 +124,12 @@ class PathEnsemble:
     Sampled ensembles are fully determined by (seed, count, rate): the draw
     is split into fixed-size batches with one counter-based stream each, so
     the result does not depend on the worker count.  Derived per-path
-    quantities (signed cell lengths) are memoized on the instance.
-    ``workers`` is the pool size for the kernels that run on the ensemble
-    (signed cell lengths, ``p_n_batch``); None defers to ``QSK_WORKERS``.
-    Their results do not depend on it either.
+    quantities (signed cell lengths) are memoized on the instance.  The
+    kernels that run on the ensemble (signed cell lengths, ``p_n_batch``)
+    share the worker pool, and their results do not depend on it either.
     """
 
-    def __init__(self, times, counts, rate, seed=None, workers=None):
+    def __init__(self, times, counts, rate, seed=None):
         times = np.ascontiguousarray(times, dtype=float)
         counts = np.asarray(counts, dtype=np.int64)
         if times.ndim != 1 or counts.ndim != 1:
@@ -140,7 +139,6 @@ class PathEnsemble:
         self.max_count = int(counts.max()) if counts.size else 0
         self.rate = float(rate)
         self.seed = seed
-        self.workers = workers
         self._signed_cache = {}
 
     def __len__(self):
@@ -199,7 +197,7 @@ def _check_paths(times, counts):
     return offsets
 
 
-def _sample_paths(rate, count, seed, workers, conditioned):
+def _sample_paths(rate, count, seed, conditioned):
     """Flat jump times and per-path counts of ``count`` paths."""
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -207,25 +205,25 @@ def _sample_paths(rate, count, seed, workers, conditioned):
     def batch(start, stop):
         return _sample_batch(rate, stop - start, seed, start // BATCH_SIZE, conditioned)
 
-    parts = map_chunks(batch, count, workers)
+    parts = map_chunks(batch, count)
     return (np.concatenate([times for times, _ in parts]),
             np.concatenate([counts for _, counts in parts]))
 
 
-def sample_ensemble(rate, count, seed, workers=None):
+def sample_ensemble(rate, count, seed):
     """Sample ``count`` even-parity paths at ``rate``; see PathEnsemble."""
-    times, counts = _sample_paths(rate, count, seed, workers, conditioned=True)
-    return PathEnsemble(times, counts, rate, seed=seed, workers=workers)
+    times, counts = _sample_paths(rate, count, seed, conditioned=True)
+    return PathEnsemble(times, counts, rate, seed=seed)
 
 
-def sample_unconditioned(rate, count, seed, workers=None):
+def sample_unconditioned(rate, count, seed):
     """Plain rate-r Poisson paths (no parity conditioning).
 
     Returns ``(times, counts)`` in the flat layout of PathEnsemble; counts
     may be odd, so this does not build an ensemble object.  Signed totals
     for such paths are available via ``signed_totals``.
     """
-    return _sample_paths(rate, count, seed, workers, conditioned=False)
+    return _sample_paths(rate, count, seed, conditioned=False)
 
 
 def signed_totals(times, counts):
@@ -363,7 +361,7 @@ def p_n_batch(ensemble, n_spins):
 
     The ensemble length must be a multiple of n_spins; returns one value per
     group.  Vectorized over groups, exact per pair; blocks of groups run on
-    the ensemble's worker pool.
+    the worker pool.
     """
     n = int(n_spins)
     if n < 2:
@@ -378,13 +376,13 @@ def p_n_batch(ensemble, n_spins):
                 acc += 2.0 * np.square(a)
         np.divide(acc, n**2, out=out)
 
-    return fill_chunks(block, np.empty(n_groups), ensemble.workers, size)
+    return fill_chunks(block, np.empty(n_groups), size)
 
 
 def overlap_matrix_batch(ensemble, n_spins):
     """(n_groups, N, N) overlap matrices A for consecutive groups of paths.
 
-    Blocks of groups run on the ensemble's worker pool.
+    Blocks of groups run on the worker pool.
     """
     n = int(n_spins)
     n_groups, size = _group_chunks(ensemble, n)
@@ -396,7 +394,7 @@ def overlap_matrix_batch(ensemble, n_spins):
             out[:, i + 1 :, i] = pairs.T
         out[:, np.arange(n), np.arange(n)] = 1.0
 
-    return fill_chunks(block, np.empty((n_groups, n, n)), ensemble.workers, size)
+    return fill_chunks(block, np.empty((n_groups, n, n)), size)
 
 
 # -- signed cell lengths --------------------------------------------------
@@ -447,7 +445,7 @@ def _batch_signed_lengths(ensemble, m_cells):
         f += 2.0 * prefix.ravel()[nu + row * (width + 1)]
         np.subtract(f[:, 1:], f[:, :-1], out=out[lo:hi])
 
-    map_chunks(block, len(ensemble), ensemble.workers)
+    map_chunks(block, len(ensemble))
     return out
 
 

@@ -12,7 +12,8 @@ share a stream.
 numpy's OpenBLAS on one thread (``single_blas_thread``): pool threads that
 each drive a multi-threaded OpenBLAS oversubscribe the cores, and a LAPACK
 result that depends on the BLAS thread count would make the output depend
-on the machine.  No caller deals with BLAS threads.
+on the machine.  The pool size is one process-wide setting, made by the
+``worker_count`` context.  No caller deals with BLAS threads or worker counts.
 """
 
 import ctypes
@@ -65,16 +66,35 @@ def resolve_workers(workers=None):
     return count
 
 
-def map_batches(fn, n_batches, workers=None):
+#: the pool size ``worker_count`` set, or None outside any such block
+_workers = None
+
+
+@contextmanager
+def worker_count(workers):
+    """Run the block with a pool of ``resolve_workers(workers)`` threads.
+
+    The previous setting is restored on exit, also when the block raises.
+    Outside any such block ``map_batches`` reads QSK_WORKERS, then 1.
+    """
+    global _workers
+    previous, _workers = _workers, resolve_workers(workers)
+    try:
+        yield
+    finally:
+        _workers = previous
+
+
+def map_batches(fn, n_batches):
     """Apply ``fn(batch_index)`` for each batch (or work chunk), in index order.
 
     Every batch runs inside ``single_blas_thread``.  The batches share a
-    pool of ``workers`` threads only when OpenBLAS is pinned and there is
-    more than one worker and more than one batch; otherwise they run in
-    turn.  Results are collected into a list indexed by batch, so they do
+    pool of the threads ``worker_count`` set only when OpenBLAS is pinned
+    and there is more than one worker and more than one batch; otherwise
+    they run in turn.  Results are collected into a list indexed by batch, so they do
     not depend on the worker count or on the order of completion.
     """
-    workers = resolve_workers(workers)
+    workers = _workers or resolve_workers()
     indices = range(n_batches)
     with single_blas_thread() as pinned:
         if not pinned or workers <= 1 or n_batches <= 1:
@@ -83,34 +103,34 @@ def map_batches(fn, n_batches, workers=None):
             return list(pool.map(fn, indices))
 
 
-def map_chunks(block, count, workers, size=BATCH_SIZE):
+def map_chunks(block, count, size=BATCH_SIZE):
     """``block(start, stop)`` for every chunk of ``size`` items of range(count),
     in order."""
     pieces = [(start, min(start + size, count)) for start in range(0, count, size)]
-    return map_batches(lambda b: block(*pieces[b]), len(pieces), workers=workers)
+    return map_batches(lambda b: block(*pieces[b]), len(pieces))
 
 
-def fill_chunks(block, out, workers, size=BATCH_SIZE):
+def fill_chunks(block, out, size=BATCH_SIZE):
     """Call ``block(start, stop, out[start:stop])`` for every chunk of ``size`` rows.
 
     The chunks run on the worker pool.  Rows (paths or groups) are
-    independent, so ``out`` depends neither on the chunking nor on
-    ``workers``.
+    independent, so ``out`` depends neither on the chunking nor on the
+    worker count.
     """
     map_chunks(lambda start, stop: block(start, stop, out[start:stop]),
-               out.shape[0], workers, size)
+               out.shape[0], size)
     return out
 
 
-def sum_chunks(block, count, workers, total):
+def sum_chunks(block, count, total):
     """Add ``block(start, stop)`` for each BATCH_SIZE chunk of range(count) to
     the array ``total`` in place and return it.
 
     The chunks run on the worker pool; their results (arrays of the shape of
-    ``total``) are added in chunk order, so the sum does not depend on
-    ``workers``.  With count 0 ``total`` comes back as it was.
+    ``total``) are added in chunk order, so the sum does not depend on the
+    worker count.  With count 0 ``total`` comes back as it was.
     """
-    for part in map_chunks(block, count, workers):
+    for part in map_chunks(block, count):
         total += part
     return total
 

@@ -19,10 +19,10 @@ every jumpless path has sigma = 1, so its signed cell lengths are the cell
 widths w.  The sample average is therefore one atom, the n0 jumpless paths
 with the common form <w, psi w> and weight, plus the paths that jump.  The
 ensemble stores signed lengths only for the latter, and the path kernels
-stream that matrix in BATCH_SIZE row chunks on the ensemble's worker pool:
-the quadratic forms write each chunk's slice of one vector, and the
-weighted Gram products add one M x M partial per chunk, in chunk order, to
-the atom's rank-one term.  No other (paths x M) array is made, and the
+stream that matrix in BATCH_SIZE row chunks on the worker pool: the
+quadratic forms write each chunk's slice of one vector, and the weighted
+Gram products add one M x M partial per chunk, in chunk order, to the
+atom's rank-one term.  No other (paths x M) array is made, and the
 result does not depend on the worker count.
 """
 
@@ -149,7 +149,7 @@ def discretize_mu(m_cells, beta_b):
 # -- path functionals ------------------------------------------------------
 
 
-def _quadratic_forms(psi: GridFunction, s, n_paths, workers):
+def _quadratic_forms(psi: GridFunction, s, n_paths):
     """<psi, sigma x sigma> for each of ``n_paths`` paths.
 
     The rows of s are the signed cell lengths of the paths that jump; their
@@ -165,14 +165,14 @@ def _quadratic_forms(psi: GridFunction, s, n_paths, workers):
         prod *= rows
         prod.sum(axis=1, out=out)
 
-    fill_chunks(block, x[: s.shape[0]], workers)
+    fill_chunks(block, x[: s.shape[0]])
     return x
 
 
 def lambda_functional(psi: GridFunction, ensemble):
     """Estimate Lambda(psi) = ln < e^{<psi, sigma x sigma>} > on the ensemble."""
     s = ensemble.signed_lengths(psi.m_cells)
-    x = _quadratic_forms(psi, s, len(ensemble), ensemble.workers)
+    x = _quadratic_forms(psi, s, len(ensemble))
     est, _ = log_mean_exp(x, "lambda_functional", seed=ensemble.seed)
     return est
 
@@ -185,11 +185,11 @@ def lambda_prime(psi: GridFunction, ensemble):
     [-1, 1] up to rounding.
     """
     s = ensemble.signed_lengths(psi.m_cells)
-    x = _quadratic_forms(psi, s, len(ensemble), ensemble.workers)
-    return _weighted_gram(s, x, False, ensemble.workers)
+    x = _quadratic_forms(psi, s, len(ensemble))
+    return _weighted_gram(s, x, False)
 
 
-def _weighted_gram(s, x, with_err, workers):
+def _weighted_gram(s, x, with_err):
     """Lambda'(psi) (and its errors) from the signed lengths s and forms x of psi.
 
     ``x`` is laid out as ``_quadratic_forms`` returns it.  The weighted
@@ -227,7 +227,7 @@ def _weighted_gram(s, x, with_err, workers):
             np.matmul(scaled.T, squares, out=out[2])
         return out
 
-    sums = sum_chunks(block, n_jumping, workers, sums)
+    sums = sum_chunks(block, n_jumping, sums)
     k = m2 * sums[0]
     k = 0.5 * (k + k.T)
     grad = GridFunction(k)
@@ -296,24 +296,26 @@ def fixed_point_solve(lam, m_cells, ensemble, tol=1e-8, max_iter=200):
     so the iteration is deterministic and, for 2 lam < 1, a contraction with
     rate <= 2 lam; ``non_contractive`` flags observed ratios above 1.  beta_b
     is the ensemble's rate.  Stops when the sup-norm update falls below
-    ``tol``.  The path kernels run on the ensemble's worker pool.
+    ``tol`` or after ``max_iter`` >= 1 iterations.  The path kernels run on
+    the worker pool.
     """
     lam = float(lam)
     if lam <= 0:
         raise ValueError("lam must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError(f"max_iter {max_iter} must be >= 1")
     m = int(m_cells)
     psi = discretize_mu(m, ensemble.rate).scaled(2.0 * lam)
     s = ensemble.signed_lengths(m)
     ratios = []
     prev_l2 = None
     converged = False
-    iterations = 0
     # the start kernel's forms give its Lambda and the first gradient
-    x = _quadratic_forms(psi, s, len(ensemble), ensemble.workers)
+    x = _quadratic_forms(psi, s, len(ensemble))
     start_lambda, _ = log_mean_exp(x, "lambda_functional", seed=ensemble.seed)
-    grad = _weighted_gram(s, x, False, ensemble.workers)
+    grad = _weighted_gram(s, x, False)
     for iterations in range(1, int(max_iter) + 1):
         if iterations > 1:
             grad = lambda_prime(psi, ensemble)
@@ -330,8 +332,8 @@ def fixed_point_solve(lam, m_cells, ensemble, tol=1e-8, max_iter=200):
             break
     # one pass over the final iterate's quadratic forms gives its
     # gradient, errors, Lambda and the ESS of its weights
-    x = _quadratic_forms(psi, s, len(ensemble), ensemble.workers)
-    grad, err = _weighted_gram(s, x, True, ensemble.workers)
+    x = _quadratic_forms(psi, s, len(ensemble))
+    grad, err = _weighted_gram(s, x, True)
     residual = float(
         np.sqrt(np.square(2.0 * lam * grad.values - psi.values).sum()) / m
     )

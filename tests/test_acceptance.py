@@ -11,6 +11,7 @@ import inspect
 import time
 
 from qsk import checks, cli
+from qsk.streams import worker_count
 
 SEED = 123456789
 N_SIGMA = 3.0
@@ -49,7 +50,8 @@ def _run_full_scale(name, workers=WORKERS):
     kwargs = dict(FULL_SCALE[name][1])
     if "n_sigma" in inspect.signature(fn).parameters:
         kwargs["n_sigma"] = N_SIGMA
-    return fn(SEED, workers, **kwargs)
+    with worker_count(workers):
+        return fn(SEED, **kwargs)
 
 
 def _report(capsys, num, ok, elapsed, budget, detail):
@@ -100,10 +102,10 @@ def test_acceptance_11_verify_determinism(capsys, tmp_path):
 def test_registry_table_and_verify_name_the_same_checks(monkeypatch, capsys):
     assert list(FULL_SCALE) == list(checks.CHECKS)
     for name, (_, sizes, budget) in FULL_SCALE.items():
-        inspect.signature(checks.CHECKS[name]).bind(SEED, WORKERS, **sizes)
+        inspect.signature(checks.CHECKS[name]).bind(SEED, **sizes)
         assert budget > 0
     for name in checks.CHECKS:
-        monkeypatch.setitem(checks.CHECKS, name, lambda seed, workers: (True, "-"))
+        monkeypatch.setitem(checks.CHECKS, name, lambda seed: (True, "-"))
     assert cli.main(["verify"]) == 0
     lines = [ln for ln in capsys.readouterr().out.splitlines()
              if not ln.startswith("#")]

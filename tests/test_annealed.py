@@ -17,6 +17,7 @@ from qsk.annealed import (
 from qsk.constants import ModelParams, g_n_of, inf_g_n_over_n, p_n_of, w_n_of
 from qsk.numerics import QuadratureConvergenceWarning, logcosh
 from qsk.stats import mean_with_err
+from qsk.streams import worker_count
 
 from oracles import sk_equation_solve
 
@@ -33,8 +34,10 @@ def test_estimate_f2_against_frozen_reference():
 
 def test_estimate_f_n_worker_invariance():
     params = ModelParams.from_dimensionless(3, 0.1, 1.0)
-    a = estimate_f_n(params, 5000, seed=3, workers=1)
-    b = estimate_f_n(params, 5000, seed=3, workers=4)
+    with worker_count(1):
+        a = estimate_f_n(params, 5000, seed=3)
+    with worker_count(4):
+        b = estimate_f_n(params, 5000, seed=3)
     assert a.value == b.value
     assert a.std_err == b.std_err
 

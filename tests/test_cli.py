@@ -47,14 +47,6 @@ def test_constants_sweep(tmp_path):
         assert all(v == "PASS" for v in row[-6:])
 
 
-def test_constants_empty_sweep_keeps_header(tmp_path, capsys):
-    rc = cli.main(["constants", "--bb-count", "0"])
-    assert rc == 0
-    lines = capsys.readouterr().out.splitlines()
-    header, rows = _data_rows(lines)
-    assert header[0] == "beta_b" and rows == []
-
-
 def test_constants_bad_scale_usage_error(capsys):
     rc = cli.main(["constants", "--bb-scale", "cubic"])
     assert rc == 2
@@ -71,6 +63,11 @@ BAD_OPTIONS = [
     ("constants --n-max 1", "n_max must be >= 2"),
     ("variational --m-cells 0", "m_cells must be >= 1"),
     ("variational --tol 0", "tol must be positive"),
+    ("variational --ensembles 2000 --max-iter 0", "max_iter 0 must be >= 1"),
+    ("variational --ensembles 2000 --max-iter -3", "max_iter -3 must be >= 1"),
+    ("constants --bb-count 0", "a sweep needs at least one point, not 0"),
+    ("constants --bb-count -1", "a sweep needs at least one point, not -1"),
+    ("static --lam-count 0", "a sweep needs at least one point, not 0"),
     ("annealed --ensembles 1", "at least two path configurations"),
     ("annealed --n-spins 40", "N=40 too large"),
     ("quenched --n-disorder 5", "n_disorder must be >= 10"),
@@ -619,17 +616,22 @@ def test_verify_subset_worker_invariant(tmp_path, capsys):
 
 
 def test_verify_passes_workers_to_the_checks(monkeypatch, capsys):
-    seen = []
-    map_batches = streams.map_batches
+    # the checks take no worker count: every pool they start has the size
+    # that main set for the run, and the setting ends with the run
+    if streams._openblas_threads() is None:
+        pytest.skip("numpy without its bundled OpenBLAS starts no pool")
+    sizes = []
 
-    def recording(fn, n_batches, workers=None):
-        seen.append(workers)
-        return map_batches(fn, n_batches, workers=workers)
+    class RecordingPool(streams.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
 
-    monkeypatch.setattr(streams, "map_batches", recording)
+    monkeypatch.setattr(streams, "ThreadPoolExecutor", RecordingPool)
     assert cli.main(["verify", "--only", "path_kernels", "--workers", "3"]) == 0
     capsys.readouterr()
-    assert seen and set(seen) == {3}
+    assert sizes and set(sizes) == {3}
+    assert streams._workers is None
 
 
 def test_verify_keeps_quadrature_warnings_on_stderr(tmp_path):

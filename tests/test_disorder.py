@@ -26,7 +26,7 @@ from qsk.disorder import (
 from qsk.hilbert import draw_couplings
 from qsk.numerics import LN2, logcosh
 from qsk.stats import EstimateWithError
-from qsk.streams import BATCH_SIZE
+from qsk.streams import BATCH_SIZE, worker_count
 from qsk.variational import fixed_point_solve
 
 from oracles import per_sample_study
@@ -81,11 +81,12 @@ def test_chunked_study_matches_per_sample_oracle(n, b):
     count = ORACLE_SAMPLES[n]
     reference = per_sample_study(params, count, seed=n)
     for workers in (1, 2, 4):
-        arrays = disorder._study_arrays(params, count, n, workers=workers)
+        with worker_count(workers):
+            arrays = disorder._study_arrays(params, count, n)
         for got, want in zip(arrays, reference):
             assert np.array_equal(got, want), (n, b, workers)
-    ln_z, _, op = disorder._study_arrays(params, count, n, workers=2,
-                                         want_pairs=False)
+    with worker_count(2):
+        ln_z, _, op = disorder._study_arrays(params, count, n, want_pairs=False)
     assert np.array_equal(ln_z, reference[0])
     assert not op.any()
 
@@ -94,13 +95,14 @@ def test_chunked_study_memory_stays_near_chunk_budget():
     # N = 8 fills a 1 MiB chunk with 4 samples; 64 samples in one stack
     # would hold 16 MiB of blocks
     params = ModelParams.from_dimensionless(8, 0.1, 1.0)
-    disorder._study_arrays(params, 16, 4, workers=2)  # fill the table caches
-    tracemalloc.start()
-    try:
-        disorder._study_arrays(params, 64, 4, workers=2)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    with worker_count(2):
+        disorder._study_arrays(params, 16, 4)  # fill the table caches
+        tracemalloc.start()
+        try:
+            disorder._study_arrays(params, 64, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     assert peak <= 8 * disorder.CHUNK_BYTES
 
 
@@ -117,13 +119,13 @@ def test_run_study_weak_disorder_sanity():
 
 
 def _spy_map_batches(monkeypatch):
-    """Record (chunk count, workers) of every map_batches call in disorder."""
+    """Record (chunk count, pool setting) of every map_batches call in disorder."""
     calls = []
     real = disorder.map_batches
 
-    def spy(fn, n_batches, workers=None):
-        calls.append((n_batches, workers))
-        return real(fn, n_batches, workers=workers)
+    def spy(fn, n_batches):
+        calls.append((n_batches, streams._workers))
+        return real(fn, n_batches)
 
     monkeypatch.setattr(disorder, "map_batches", spy)
     return calls
@@ -143,8 +145,10 @@ def test_run_study_worker_invariance(monkeypatch):
     try:
         for n, count in ((5, 300), (6, 300), (10, 12)):
             params = ModelParams.from_dimensionless(n, 0.1, 1.0)
-            runs = {w: run_study(params, count, 5, 0.3, workers=w)
-                    for w in (1, 2, 4)}
+            runs = {}
+            for w in (1, 2, 4):
+                with worker_count(w):
+                    runs[w] = run_study(params, count, 5, 0.3)
             for w in (2, 4):
                 assert _per_sample_bytes(runs[w]) == _per_sample_bytes(runs[1])
                 assert runs[w].quenched_mean == runs[1].quenched_mean
@@ -189,12 +193,13 @@ def test_study_runs_serially_without_blas_handle(monkeypatch):
     params = ModelParams.from_dimensionless(6, 0.1, 1.0)
 
     def outputs(workers):
-        ens = paths.sample_ensemble(1.0, 2 * (BATCH_SIZE + 8), 9, workers=workers)
-        report = fixed_point_solve(0.1, 4, ens)
-        return [_per_sample_bytes(run_study(params, 130, 8, 0.3, workers=workers)),
-                ens.times.tobytes(), ens.counts.tobytes(),
-                paths.p_n_batch(ens, 2).tobytes(),
-                report.to_dict(), report.start_lambda]
+        with worker_count(workers):
+            ens = paths.sample_ensemble(1.0, 2 * (BATCH_SIZE + 8), 9)
+            report = fixed_point_solve(0.1, 4, ens)
+            return [_per_sample_bytes(run_study(params, 130, 8, 0.3)),
+                    ens.times.tobytes(), ens.counts.tobytes(),
+                    paths.p_n_batch(ens, 2).tobytes(),
+                    report.to_dict(), report.start_lambda]
 
     reference = outputs(1)
     pools = []
@@ -244,9 +249,9 @@ def test_parallel_failures_name_the_global_sample(monkeypatch):
         return real_spectrum(h)
 
     monkeypatch.setattr(disorder, "spectrum", failing_spectrum)
-    with pytest.raises(RuntimeError,
-                       match=r"seed=3, batch=0, index=43\): injected"):
-        run_study(params, 75, 3, 0.3, workers=2)
+    with worker_count(2), pytest.raises(
+            RuntimeError, match=r"seed=3, batch=0, index=43\): injected"):
+        run_study(params, 75, 3, 0.3)
     monkeypatch.setattr(disorder, "spectrum", real_spectrum)
 
     # the every-tenth-sample checks run on the global index: a corrupt
@@ -260,10 +265,12 @@ def test_parallel_failures_name_the_global_sample(monkeypatch):
         return gibbs
 
     monkeypatch.setattr(disorder, "gibbs_zz_matrix", corrupt_at(47))
-    run_study(params, 75, 3, 0.3, workers=2)
+    with worker_count(2):
+        run_study(params, 75, 3, 0.3)
     monkeypatch.setattr(disorder, "gibbs_zz_matrix", corrupt_at(50))
-    with pytest.raises(RuntimeError, match=r"index=50\): \|<Sz_i Sz_j>\|"):
-        run_study(params, 75, 3, 0.3, workers=2)
+    with worker_count(2), pytest.raises(
+            RuntimeError, match=r"index=50\): \|<Sz_i Sz_j>\|"):
+        run_study(params, 75, 3, 0.3)
 
 
 def test_study_validation():

@@ -19,7 +19,7 @@ from qsk.paths import (
     signed_totals,
 )
 from qsk.stats import frequency_with_err, mean_with_err
-from qsk.streams import BATCH_SIZE
+from qsk.streams import BATCH_SIZE, worker_count
 
 from oracles import (
     cell_signed_lengths,
@@ -214,8 +214,10 @@ def test_ensemble_deterministic_across_workers():
     # at rate 0 no batch jumps; at rate 0.02 and seed 11 batches 1 and 3 do
     # not jump while batches 0 and 2 do
     for rate in (1.0, 0.0, 0.02):
-        e1 = sample_ensemble(rate, MULTI_CHUNK, seed=11, workers=1)
-        e4 = sample_ensemble(rate, MULTI_CHUNK, seed=11, workers=4)
+        with worker_count(1):
+            e1 = sample_ensemble(rate, MULTI_CHUNK, seed=11)
+        with worker_count(4):
+            e4 = sample_ensemble(rate, MULTI_CHUNK, seed=11)
         np.testing.assert_array_equal(e1.times, e4.times)
         np.testing.assert_array_equal(e1.counts, e4.counts)
         # the same bytes as drawing every batch in turn and sorting every row
@@ -307,10 +309,9 @@ def test_p_n_batch_matches_loop():
 # -- chunked pool kernels against their serial forms ------------------------
 
 
-def _with_workers(ens, workers):
-    """A fresh copy of ``ens`` (empty memo) whose kernels use ``workers``."""
-    return PathEnsemble(ens.times, ens.counts, ens.rate, seed=ens.seed,
-                        workers=workers)
+def _fresh(ens):
+    """A fresh copy of ``ens``, with an empty memo."""
+    return PathEnsemble(ens.times, ens.counts, ens.rate, seed=ens.seed)
 
 
 @pytest.mark.parametrize("rate", [0.0, 1.5, 5.0])
@@ -324,7 +325,8 @@ def test_signed_lengths_match_serial_kernel_for_any_workers(rate):
     for m in (1, 7, 64):
         ref = signed_lengths_broadcast(padded_matrix(ens.times, ens.counts), m)
         for workers in (1, 2, 4):
-            got = _with_workers(ens, workers).signed_lengths(m)
+            with worker_count(workers):
+                got = _fresh(ens).signed_lengths(m)
             assert np.array_equal(got, ref[jumping]), (m, workers)
         # the rows left out are the cell widths, bit for bit
         assert np.all(ref[~jumping] == paths.cell_widths(m))
@@ -339,7 +341,8 @@ def test_p_n_batch_matches_serial_kernel_for_any_workers(rate, n_spins, groups):
     ens = sample_ensemble(rate, n_spins * groups, seed=22)
     ref = p_n_batch_serial(padded_matrix(ens.times, ens.counts), n_spins)
     for workers in (1, 2, 4):
-        got = paths.p_n_batch(_with_workers(ens, workers), n_spins)
+        with worker_count(workers):
+            got = paths.p_n_batch(_fresh(ens), n_spins)
         assert np.array_equal(got, ref), workers
     if rate == 0.0:
         assert np.all(ref == 1.0)
@@ -391,14 +394,16 @@ def test_overlap_kernels_match_pair_loop_oracle(kind, n_spins):
     mats = overlap_matrix_serial(jumps, n_spins)
     p_n = p_n_batch_serial(jumps, n_spins)
     for workers in (1, 2, 4):
-        ens_w = _with_workers(ens, workers)
-        assert np.array_equal(paths.overlap_matrix_batch(ens_w, n_spins), mats), workers
-        assert np.array_equal(paths.p_n_batch(ens_w, n_spins), p_n), workers
+        with worker_count(workers):
+            got_mats = paths.overlap_matrix_batch(ens, n_spins)
+            got_p_n = paths.p_n_batch(ens, n_spins)
+        assert np.array_equal(got_mats, mats), workers
+        assert np.array_equal(got_p_n, p_n), workers
 
 
 def test_p_n_batch_memory_does_not_grow_with_chunks():
     def traced_peak(chunks):
-        ens = sample_ensemble(3.0, 16 * chunks * BATCH_SIZE, seed=25, workers=2)
+        ens = sample_ensemble(3.0, 16 * chunks * BATCH_SIZE, seed=25)
         tracemalloc.start()
         try:
             paths.p_n_batch(ens, 16)
@@ -406,17 +411,19 @@ def test_p_n_batch_memory_does_not_grow_with_chunks():
         finally:
             tracemalloc.stop()
 
-    assert traced_peak(8) <= 1.25 * traced_peak(2)
+    with worker_count(2):
+        assert traced_peak(8) <= 1.25 * traced_peak(2)
 
 
 def test_p_n_batch_pads_fewer_groups_where_most_paths_jump():
     # at rate 3, 90% of the paths jump: the padded rows of a chunk of
     # BATCH_SIZE groups at N = 16 alone would take more than the kernel's peak
-    ens = sample_ensemble(3.0, 16 * 2 * BATCH_SIZE, seed=25, workers=1)
+    ens = sample_ensemble(3.0, 16 * 2 * BATCH_SIZE, seed=25)
     chunk_rows = 8 * ens.max_count * np.count_nonzero(ens.counts[: 16 * BATCH_SIZE])
     tracemalloc.start()
     try:
-        paths.p_n_batch(ens, 16)
+        with worker_count(1):
+            paths.p_n_batch(ens, 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -430,8 +437,9 @@ def test_sampling_and_p_n_batch_peak_below_one_padded_matrix(rate, n_spins, coun
     # count) jump matrix, which alone would take count * max(counts) * 8 B
     tracemalloc.start()
     try:
-        ens = sample_ensemble(rate, count, seed=26, workers=2)
-        paths.p_n_batch(ens, n_spins)
+        with worker_count(2):
+            ens = sample_ensemble(rate, count, seed=26)
+            paths.p_n_batch(ens, n_spins)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -449,7 +457,8 @@ def test_signed_lengths_with_jumps_on_cell_boundaries(m_cells):
                        np.repeat([2, 4, 0], repeat), rate=1.0)
     ref = signed_lengths_broadcast(padded_matrix(ens.times, ens.counts), m_cells)
     for workers in (1, 2, 4):
-        got = _with_workers(ens, workers).signed_lengths(m_cells)
+        with worker_count(workers):
+            got = _fresh(ens).signed_lengths(m_cells)
         assert np.array_equal(got, ref[ens.counts > 0]), workers
     w = 1.0 / m_cells
     np.testing.assert_allclose(ref[0], np.where(np.arange(m_cells) == 1, -w, w),

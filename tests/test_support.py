@@ -2,6 +2,7 @@
 
 import ast
 import math
+import threading
 import warnings
 from pathlib import Path
 
@@ -39,6 +40,7 @@ from qsk.streams import (
     map_batches,
     map_chunks,
     resolve_workers,
+    worker_count,
 )
 
 
@@ -282,22 +284,85 @@ def test_resolve_workers(monkeypatch):
 
 
 def test_map_batches_order():
-    out = map_batches(lambda b: b * b, 8, workers=4)
-    assert out == [b * b for b in range(8)]
-    assert map_batches(lambda b: -b, 1, workers=4) == [0]
+    with worker_count(4):
+        out = map_batches(lambda b: b * b, 8)
+        assert out == [b * b for b in range(8)]
+        assert map_batches(lambda b: -b, 1) == [0]
+
+
+def test_worker_count_sets_and_restores_the_pool_size(monkeypatch):
+    monkeypatch.setenv(streams.WORKERS_ENV_VAR, "5")
+    assert streams._workers is None
+    with worker_count(3):
+        assert streams._workers == 3
+        with pytest.raises(RuntimeError, match="inside"):
+            with worker_count(2):
+                assert streams._workers == 2
+                raise RuntimeError("inside")
+        assert streams._workers == 3
+        with worker_count(None):  # None reads QSK_WORKERS, as resolve_workers does
+            assert streams._workers == 5
+    assert streams._workers is None
+    with pytest.raises(ValueError, match="worker count 0 "):
+        with worker_count(0):
+            pass
+    assert streams._workers is None
+
+
+def test_worker_count_reaches_the_pool():
+    # two batches at 2 workers run on two threads at once: each waits at a
+    # barrier that only the other can release, so a serial run breaks the
+    # barrier at its timeout instead of hanging
+    if streams._openblas_threads() is None:
+        pytest.skip("numpy without its bundled OpenBLAS starts no pool")
+    barrier = threading.Barrier(2, timeout=20)
+
+    def batch(b):
+        barrier.wait()
+        return threading.get_ident()
+
+    with worker_count(2):
+        threads = map_batches(batch, 2)
+    assert len(set(threads)) == 2
 
 
 def test_only_streams_starts_pools_or_pins_blas():
     # map_batches alone decides how batches run, so no other module may
     # start a pool or touch the BLAS thread count, and only the command
-    # line, where a bad worker count is a usage error, resolves the count
+    # line, where a bad worker count is a usage error, sets the count
     names = ("single_blas_thread", "_openblas_threads", "ThreadPoolExecutor",
-             "resolve_workers")
+             "resolve_workers", "worker_count")
     modules = sorted(Path(streams.__file__).parent.glob("*.py"))
     assert "streams.py" in [m.name for m in modules]
     named = [(m.name, name) for m in modules if m.name != "streams.py"
              for name in names if name in m.read_text()]
-    assert named == [("cli.py", "resolve_workers")]
+    assert named == [("cli.py", "worker_count")]
+
+
+def test_the_pool_size_lives_in_streams_alone():
+    # outside the two streams functions that set the pool size, no function
+    # takes a ``workers`` parameter, and no object or class stores one (the
+    # command line reads its --workers option as ``args.workers``)
+    modules = sorted(Path(streams.__file__).parent.glob("*.py"))
+    takers, held = [], []
+    for m in modules:
+        for node in ast.walk(ast.parse(m.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs + [
+                    a for a in (args.vararg, args.kwarg) if a is not None]
+                if "workers" in [a.arg for a in params]:
+                    takers.append((m.name, getattr(node, "name", "lambda")))
+            elif (isinstance(node, ast.Attribute) and node.attr == "workers"
+                  and isinstance(node.ctx, ast.Store)):
+                held.append((m.name, ast.unparse(node)))
+            elif isinstance(node, ast.ClassDef):
+                held += [(m.name, node.name) for stmt in node.body
+                         for target in getattr(stmt, "targets", [])
+                         if ast.unparse(target) == "workers"]
+    assert takers == [("streams.py", "resolve_workers"),
+                      ("streams.py", "worker_count")]
+    assert held == []
 
 
 def test_no_module_silences_warnings():
@@ -343,7 +408,8 @@ def test_every_public_name_has_a_reader_in_the_package():
 
 def test_map_chunks_covers_the_batch_layout():
     count = 2 * BATCH_SIZE + 5
-    out = map_chunks(lambda start, stop: (start, stop), count, 2)
+    with worker_count(2):
+        out = map_chunks(lambda start, stop: (start, stop), count)
     assert out == [(start, stop) for _, start, stop in batch_ranges(count)]
 
 
@@ -364,8 +430,8 @@ def test_map_batches_restores_blas_threads_when_a_batch_raises(workers):
 
     try:
         set_(2)
-        with pytest.raises(RuntimeError, match="batch 2"):
-            map_batches(batch, 4, workers=workers)
+        with worker_count(workers), pytest.raises(RuntimeError, match="batch 2"):
+            map_batches(batch, 4)
         assert get() == 2
         assert seen and set(seen) == {1}
     finally:

@@ -15,7 +15,7 @@ from qsk import checks, paths, variational
 from qsk.constants import c0_of, g_n_of, m_of, p_of
 from qsk.numerics import QUAD_NODES, REFINE_RTOL
 from qsk.stats import effective_sample_size
-from qsk.streams import BATCH_SIZE
+from qsk.streams import BATCH_SIZE, worker_count
 from qsk.variational import (
     FixedPointReport,
     GridFunction,
@@ -184,8 +184,8 @@ def test_path_kernels_check_takes_mu_errors_from_the_exact_variance():
 def _gradient_with_err(psi, ensemble):
     """Lambda'(psi) and its cellwise errors, as the fixed point's last pass."""
     s = ensemble.signed_lengths(psi.m_cells)
-    x = variational._quadratic_forms(psi, s, len(ensemble), ensemble.workers)
-    return variational._weighted_gram(s, x, True, ensemble.workers)
+    x = variational._quadratic_forms(psi, s, len(ensemble))
+    return variational._weighted_gram(s, x, True)
 
 
 def test_lambda_prime_at_zero_is_discretized_mu():
@@ -277,7 +277,7 @@ def test_fixed_point_report_small_scale():
     # the final iterate's Omega, errors and ESS come from one pass over its
     # quadratic forms and equal their separate evaluations exactly
     forms = variational._quadratic_forms(
-        report.psi, ENSEMBLE.signed_lengths(16), len(ENSEMBLE), None)
+        report.psi, ENSEMBLE.signed_lengths(16), len(ENSEMBLE))
     assert forms.size == len(ENSEMBLE)
     assert report.ess == effective_sample_size(forms)
     lam_est = lambda_functional(report.psi, ENSEMBLE)
@@ -288,10 +288,9 @@ def test_fixed_point_report_small_scale():
     assert np.array_equal(report.psi_std_err.values, err.scaled(2 * lam).values)
 
 
-def _with_workers(ens, workers):
-    """A fresh copy of ``ens`` (empty memo) whose kernels use ``workers``."""
-    return paths.PathEnsemble(ens.times, ens.counts, ens.rate, seed=ens.seed,
-                              workers=workers)
+def _fresh(ens):
+    """A fresh copy of ``ens``, with an empty memo."""
+    return paths.PathEnsemble(ens.times, ens.counts, ens.rate, seed=ens.seed)
 
 
 def _all_jumping(ens):
@@ -326,9 +325,10 @@ def test_chunked_kernels_match_full_matrix_oracles(m_cells):
         s = ens.signed_lengths(m_cells)
         runs = []
         for workers in (1, 2, 4):
-            x = variational._quadratic_forms(psi, s, len(ens), workers)
-            grad, err = variational._weighted_gram(s, x, True, workers)
-            grad_only = variational._weighted_gram(s, x, False, workers)
+            with worker_count(workers):
+                x = variational._quadratic_forms(psi, s, len(ens))
+                grad, err = variational._weighted_gram(s, x, True)
+                grad_only = variational._weighted_gram(s, x, False)
             runs.append((x, grad.values, err.values, grad_only.values))
         for workers, run in zip((2, 4), runs[1:]):
             assert all(np.array_equal(a, b) for a, b in zip(runs[0], run)), (
@@ -405,8 +405,10 @@ def test_fixed_point_at_zero_field_is_exact():
 
 def test_fixed_point_solve_is_identical_for_any_workers():
     for case, ens in ATOM_CASES.items():
-        reports = [fixed_point_solve(0.1, 8, _with_workers(ens, w))
-                   for w in (1, 2, 4)]
+        reports = []
+        for w in (1, 2, 4):
+            with worker_count(w):
+                reports.append(fixed_point_solve(0.1, 8, _fresh(ens)))
         for workers, rep in zip((2, 4), reports[1:]):
             assert rep.to_dict() == reports[0].to_dict(), (case, workers)
             assert rep.start_lambda == reports[0].start_lambda, (case, workers)
@@ -416,14 +418,15 @@ def test_fixed_point_solve_makes_no_full_size_temporaries():
     # numpy reports its buffers to tracemalloc; the memoized signed lengths
     # are made before tracing starts, so the peak counts only the solve.  The
     # bound is half of a (paths x M) matrix with a row for every path.
-    ens = paths.sample_ensemble(1.0, 16 * BATCH_SIZE, seed=407, workers=2)
-    ens.signed_lengths(32)
-    tracemalloc.start()
-    try:
-        fixed_point_solve(0.1, 32, ens)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    with worker_count(2):
+        ens = paths.sample_ensemble(1.0, 16 * BATCH_SIZE, seed=407)
+        ens.signed_lengths(32)
+        tracemalloc.start()
+        try:
+            fixed_point_solve(0.1, 32, ens)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     bound = 0.5 * len(ens) * 32 * 8
     assert peak < bound, (peak, bound)
 
