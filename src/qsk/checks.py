@@ -62,13 +62,13 @@ def check_moment_chain(seed, lams=(0.01, 0.1, 1.0, 4.0), beta_bs=(0.3, 1.0, 3.0)
     for bb in np.geomspace(1e-3, 1e3, 200):
         bad += not all(constants.moment_inequalities(bb).values())
     corridor_bad = 0
+    ns = np.arange(2, 65)
     for lam in lams:
         for bb in beta_bs:
-            for n in range(2, 65):
-                g = constants.g_n_of(n, lam, bb)
-                lo = max(0.0, lam + np.log(constants.p_n_of(n, bb)) / n)
-                if not (lo - 1e-12 <= g / n <= lam + 1e-12):
-                    corridor_bad += 1
+            g = constants.g_n_of(ns, lam, bb) / ns
+            lo = np.maximum(0.0, lam + np.log(constants.p_n_of(ns, bb)) / ns)
+            corridor_bad += int(np.count_nonzero(
+                ~((lo - 1e-12 <= g) & (g <= lam + 1e-12))))
     ok = bad == 0 and corridor_bad == 0
     return ok, f"chain_violations={bad} corridor_violations={corridor_bad}"
 

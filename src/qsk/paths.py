@@ -21,9 +21,16 @@ pair of paths is merged (gathered and sorted) only when both jump, a pair
 with one jumpless path takes the other path's own alternating sum, and two
 jumpless paths overlap exactly 1.  Every overlap is laid out and summed as
 merging two rows padded to the ensemble's largest count would be, so the
-outputs do not depend on the chunking.  The signed cell lengths are stored
-only for the paths that jump: a jumpless path's row would be the cell
-widths, the same for all of them.
+outputs do not depend on the chunking.
+
+The signed cell lengths on M cells are never stored as rows.  A jump adds a
+step to sigma, and the step's cell integrals are one partial cell plus all
+the cells after it, so a path's row is a handful of terms: one indicator of
+"all cells from here on" and one partial cell for each cell that holds
+jumps (``CellTerms``).  Jumps that share a cell share its terms.  The
+ensemble memoizes, per M, each jumping path's products of pairs of terms,
+which turn a quadratic form in the row into lookups into one table; a
+jumpless path has no terms.
 """
 
 from functools import lru_cache
@@ -37,7 +44,7 @@ from .streams import (
     batch_generator,
     batch_ranges,
     fill_chunks,
-    map_chunks,
+    map_batches,
 )
 
 __all__ = [
@@ -45,7 +52,6 @@ __all__ = [
     "sample_ensemble",
     "sample_unconditioned",
     "signed_totals",
-    "cell_widths",
     "laplace_conditional",
     "even_jump_count_cdf",
 ]
@@ -87,29 +93,6 @@ def even_jump_count_cdf(rate):
     return cdf / cdf[-1]
 
 
-def _sample_batch(rate, n, seed, batch_index, conditioned=True):
-    """Sorted jump times of n paths, concatenated in path order, and the
-    per-path counts.
-
-    The times are drawn as an (n, kmax) block of uniforms, kmax the batch's
-    largest count, so the stream does not depend on the layout.
-    """
-    rng = batch_generator(seed, DOMAIN_PATHS, batch_index)
-    if conditioned:
-        cdf = even_jump_count_cdf(float(rate))
-        counts = 2 * np.searchsorted(cdf, rng.random(n), side="right")
-    else:
-        counts = rng.poisson(float(rate), size=n)
-    counts = counts.astype(np.int64)
-    kmax = int(counts.max())
-    jumps = rng.random((n, kmax))
-    real = np.arange(kmax) < counts[:, None]
-    jumps[~real] = PAD
-    rows = np.flatnonzero(counts >= 2)  # a row with fewer jumps is sorted
-    jumps[rows] = np.sort(np.take(jumps, rows, axis=0), axis=1)
-    return jumps[real], counts
-
-
 class PathEnsemble:
     """A reproducible batch of paths stored flat.
 
@@ -124,9 +107,9 @@ class PathEnsemble:
     Sampled ensembles are fully determined by (seed, count, rate): the draw
     is split into fixed-size batches with one counter-based stream each, so
     the result does not depend on the worker count.  Derived per-path
-    quantities (signed cell lengths) are memoized on the instance.  The
-    kernels that run on the ensemble (signed cell lengths, ``p_n_batch``)
-    share the worker pool, and their results do not depend on it either.
+    quantities (the jump-cell terms of the signed cell lengths) are memoized
+    on the instance.  The overlap kernels (``p_n_batch``) run on the worker
+    pool, and their results do not depend on it either.
     """
 
     def __init__(self, times, counts, rate, seed=None):
@@ -159,16 +142,16 @@ class PathEnsemble:
         return 1.0 - 2.0 * (k % 2)
 
     def signed_lengths(self, m_cells):
-        """Integrals of sigma over the m_cells uniform cells, one row per path
-        that jumps, in path order.
+        """The signed lengths of the paths that jump on m_cells uniform cells,
+        as the CellTerms of their jump cells.
 
-        A jumpless path (sigma = 1) would have ``cell_widths(m_cells)`` as
-        its row, so its row is not stored: the matrix has
-        ``np.count_nonzero(counts)`` rows, none at all at rate 0.
+        A jumpless path (sigma = 1) would have the cell widths as its row,
+        the same for all of them, so it has no terms; at rate 0 there are
+        none at all.  Memoized per m_cells.
         """
         m_cells = int(m_cells)
         if m_cells not in self._signed_cache:
-            self._signed_cache[m_cells] = _batch_signed_lengths(self, m_cells)
+            self._signed_cache[m_cells] = _cell_terms(self, m_cells)
         return self._signed_cache[m_cells]
 
 
@@ -198,16 +181,49 @@ def _check_paths(times, counts):
 
 
 def _sample_paths(rate, count, seed, conditioned):
-    """Flat jump times and per-path counts of ``count`` paths."""
+    """Flat jump times and per-path counts of ``count`` paths.
+
+    Every batch of the layout first draws its jump counts from its own
+    stream; the flat arrays are sized from those counts.  Each batch then
+    draws its times with the same generator, as an (n, kmax) block of
+    uniforms, kmax the batch's largest count, so the stream does not depend
+    on the layout, and writes them sorted into its own slice.  No batch's
+    times are held twice.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
+    ranges = list(batch_ranges(count))
 
-    def batch(start, stop):
-        return _sample_batch(rate, stop - start, seed, start // BATCH_SIZE, conditioned)
+    def draw_counts(b):
+        rng = batch_generator(seed, DOMAIN_PATHS, ranges[b][0])
+        n = ranges[b][2] - ranges[b][1]
+        if conditioned:
+            cdf = even_jump_count_cdf(float(rate))
+            k = 2 * np.searchsorted(cdf, rng.random(n), side="right")
+        else:
+            k = rng.poisson(float(rate), size=n)
+        return rng, k.astype(np.int64)
 
-    parts = map_chunks(batch, count)
-    return (np.concatenate([times for times, _ in parts]),
-            np.concatenate([counts for _, counts in parts]))
+    drawn = map_batches(draw_counts, len(ranges))
+    rngs = [rng for rng, _ in drawn]
+    ends = np.cumsum([k.sum() for _, k in drawn])  # where each batch's times end
+    counts = np.concatenate([k for _, k in drawn])
+    del drawn
+    times = np.empty(ends[-1])
+
+    def draw_times(b):
+        _, start, stop = ranges[b]
+        k = counts[start:stop]
+        kmax = int(k.max())
+        jumps = rngs[b].random((k.size, kmax))
+        real = np.arange(kmax) < k[:, None]
+        jumps[~real] = PAD
+        rows = np.flatnonzero(k >= 2)  # a row with fewer jumps is sorted
+        jumps[rows] = np.sort(np.take(jumps, rows, axis=0), axis=1)
+        times[ends[b] - k.sum() : ends[b]] = jumps[real]
+
+    map_batches(draw_times, len(ranges))
+    return times, counts
 
 
 def sample_ensemble(rate, count, seed):
@@ -397,56 +413,165 @@ def overlap_matrix_batch(ensemble, n_spins):
     return fill_chunks(block, np.empty((n_groups, n, n)), size)
 
 
-# -- signed cell lengths --------------------------------------------------
+# -- signed cell lengths as jump-cell terms -------------------------------
 
 
-def cell_widths(m_cells):
-    """The signed cell lengths of a jumpless path (sigma = 1), bit for bit."""
-    return np.diff(np.arange(m_cells + 1) / m_cells)
+class TermGroup:
+    """The terms of the jumping paths that have J jump cells.
+
+    ``rows`` holds the paths' places among the ensemble's jumping paths, in
+    path order.  Row k of ``pairs`` and ``coefs`` lists the pairs p <= q of
+    path k's 2J + 1 terms c_p v_(i_p) (see CellTerms): the index
+    i_p (2M + 1) + i_q into a flat (2M + 1) x (2M + 1) table and f c_p c_q,
+    with f = 2 for p < q.  For symmetric A, <z, A z> is then the row sum of
+    ``coefs`` times (V^T A V) at ``pairs``.  ``cells`` and ``levels`` hold
+    each path's jump cells c and z_c, from which ``CellTerms.squares``
+    makes the pair terms of z o z when they are needed.
+    """
+
+    def __init__(self, rows, pairs, coefs, cells, levels):
+        self.rows, self.pairs, self.coefs = rows, pairs, coefs
+        self.cells, self.levels = cells, levels
 
 
-def _batch_signed_lengths(ensemble, m_cells):
-    """Integrals of sigma over the m_cells uniform cells, per path that jumps.
+class CellTerms:
+    """The signed cell lengths of an ensemble's jumping paths, as terms.
 
-    Uses the closed form of the antiderivative F(x) = integral_0^x sigma:
-    F(x) = (-1)^{nu(x)} x + 2 sum_{j <= nu(x)} (-1)^{j-1} t_j with nu(x) the
-    number of jumps up to x; cell values are differences of F at the cell
-    boundaries, so each entry is exact up to rounding.  The jump counts nu
-    at the boundaries are integers: each jump is counted once, at the first
-    boundary at or above it, and the counts are summed along the row.  The
-    work is chunked by path index; each chunk pads the rows of its jumping
-    paths to their largest count (a prefix sum does not depend on the
-    columns after it) and writes them at their place in the compact output.
+    On M uniform cells, let u_b be the indicator of the cells >= b, for
+    b = 0, ..., M (u_M = 0), and e_c the unit vector of cell c.  These are
+    the 2M + 1 columns of V = [u_0 ... u_M e_0 ... e_(M-1)].  A jump at t
+    lies in cell c = floor(M t), the last cell for t = 1, and raises the
+    cell integrals of 1{s >= t} by (u_(c+1) + (c + 1 - M t) e_c)/M.  Since
+    sigma = 1 + sum_j a_j 1{s >= t_j} with a_j = 2 (-1)^j, a path's signed
+    cell lengths s, scaled to z = M s, are
+
+        z = u_0 + sum over its jump cells c of (alpha_c u_(c+1) + gamma_c e_c),
+
+    alpha_c = sum a_j and gamma_c = sum a_j (c + 1 - M t_j) over the jumps
+    in cell c.  Jumps that share a cell share its two terms, so a path with
+    K jumps has 2J + 1 terms, J <= min(K, M) its number of jump cells.
+    ``groups`` holds one TermGroup for each J that occurs, in increasing J.
+    A jumpless path would have z = u_0, the pair index 0, and is left out.
+    """
+
+    def __init__(self, m_cells, n_jumping, groups):
+        self.m_cells, self.n_jumping, self.groups = m_cells, n_jumping, groups
+
+    def table(self, a):
+        """V^T a V for a symmetric M x M matrix a, flat: the values that the
+        groups' pair indices point at.
+
+        Its blocks are the 2-D suffix sums of a (u_b against u_b'), its row
+        suffix sums (u_b against e_c) and a itself; row and column M, those
+        of u_M = 0, are zero.
+        """
+        m = self.m_cells
+        rows = np.zeros((m + 1, m))
+        rows[:m] = a[::-1].cumsum(axis=0)[::-1]
+        both = np.zeros((m + 1, m + 1))
+        both[:, :m] = rows[:, ::-1].cumsum(axis=1)[:, ::-1]
+        return np.block([[both, rows], [rows.T, a]]).ravel()
+
+    def squares(self, group, rows):
+        """The pairs and coefficients, like ``group.pairs`` and
+        ``group.coefs``, of z o z for ``rows`` of ``group``: its J + 1 terms
+        are u_0 (1 on every cell, as z_k^2 = 1 off the jump cells) and
+        (z_c^2 - 1) e_c for each jump cell c."""
+        cells = group.cells[rows]
+        ids = np.zeros((cells.shape[0], cells.shape[1] + 1), np.int64)
+        ids[:, 1:] = cells
+        ids[:, 1:] += self.m_cells + 1
+        coefs = np.ones(ids.shape)
+        coefs[:, 1:] = np.square(group.levels[rows]) - 1.0
+        return _pair_terms(ids, coefs, 2 * self.m_cells + 1)
+
+    def unfold(self, h):
+        """V h V^T, an M x M matrix, for h flat like ``table``: u_b adds to
+        the cells >= b, so V is a prefix sum over the first M + 1 indices
+        plus the last M."""
+        m = self.m_cells
+        h = h.reshape(2 * m + 1, 2 * m + 1)
+        vh = h[: m + 1].cumsum(axis=0)[:m] + h[m + 1 :]
+        return vh[:, : m + 1].cumsum(axis=1)[:, :m] + vh[:, m + 1 :]
+
+
+def _jump_cells(times, counts, m):
+    """The jump cells of the jumping paths of a flat layout, on m cells.
+
+    Returns the number of jump cells of each jumping path and, for every
+    jump cell in path order, the cell c, alpha_c, gamma_c and
+    z_c = sigma_c + gamma_c, where sigma_c is the value of sigma on the
+    cell before its first jump.
+    """
+    counts = counts[counts > 0]
+    y = m * times
+    cell = np.minimum(y.astype(np.int32), m - 1)  # floor: y >= 0
+    starts = np.cumsum(counts) - counts  # each path's first jump
+    index = np.arange(times.size) - np.repeat(starts, counts)  # j - 1
+    a = np.where(index & 1, 2.0, -2.0)
+    first = np.ones(times.size, dtype=bool)  # the first jump of its cell
+    first[1:] = (cell[1:] != cell[:-1]) | (index[1:] == 0)
+    at = np.flatnonzero(first)
+    gamma = np.add.reduceat(a * ((cell + 1) - y), at)
+    level = (1 - 2 * (index[at] & 1)) + gamma
+    return (np.add.reduceat(first, starts, dtype=np.int64), cell[at],
+            np.add.reduceat(a, at), gamma, level)
+
+
+@lru_cache(maxsize=64)
+def _triangle(n):
+    """The pairs p <= q of n terms, and f = 2 for p < q, else 1."""
+    p, q = np.triu_indices(n)
+    return p, q, np.where(p < q, 2.0, 1.0)
+
+
+def _pair_terms(ids, coefs, width):
+    """The pairs p <= q of each row's terms: i_p width + i_q, and f c_p c_q."""
+    p, q, f = _triangle(ids.shape[1])
+    return ids[:, p] * width + ids[:, q], coefs[:, p] * f * coefs[:, q]
+
+
+def _cell_terms(ensemble, m_cells):
+    """The CellTerms of the ensemble on m_cells uniform cells.
+
+    The jump cells of each BATCH_SIZE chunk of paths size every group; each
+    chunk's terms then go into its own rows of the groups.
     """
     m = int(m_cells)
     if m < 1:
         raise ValueError("m_cells must be >= 1")
-    movers = np.flatnonzero(ensemble.counts)
-    bounds = np.arange(m + 1) / m
-    out = np.empty((movers.size, m))
+    width = 2 * m + 1
 
-    def block(start, stop):
-        lo, hi = np.searchsorted(movers, (start, stop))
-        if lo == hi:
-            return
-        times, counts = _chunk(ensemble, start, stop)  # a jumpless path has no times
-        counts = counts[counts > 0]
-        width = int(counts.max())
-        rows = _padded(times, counts, width)
-        row = np.arange(hi - lo)[:, None]
-        # slot m + 1 of each row collects the PAD entries
-        first = np.searchsorted(bounds, rows, side="left") + row * (m + 2)
-        per_bound = np.bincount(first.ravel(), minlength=row.size * (m + 2))
-        nu = per_bound.reshape(row.size, m + 2)[:, : m + 1].cumsum(axis=1)
-        prefix = np.zeros((row.size, width + 1))
-        np.cumsum(_alternating_signs(width) * np.where(rows < 1.5, rows, 0.0),
-                  axis=1, out=prefix[:, 1:])
-        f = (1 - 2 * (nu & 1)) * bounds
-        f += 2.0 * prefix.ravel()[nu + row * (width + 1)]
-        np.subtract(f[:, 1:], f[:, :-1], out=out[lo:hi])
+    cells = [_jump_cells(*_chunk(ensemble, start, stop), m)
+             for _, start, stop in batch_ranges(len(ensemble))]
+    top = max((int(n.max(initial=0)) for n, *_ in cells), default=0)
+    tally = np.array([np.bincount(n, minlength=top + 1)
+                      for n, *_ in cells]).reshape(-1, top + 1)
+    before = np.cumsum(tally, axis=0) - tally  # group rows of the earlier chunks
+    movers = np.cumsum(tally.sum(axis=1))  # jumping paths up to each chunk
+    index = np.min_scalar_type(width * width - 1)  # holds every table index
+    groups = {j: TermGroup(np.empty(size, np.int32),
+                           np.empty((size, (2 * j + 1) * (j + 1)), index),
+                           np.empty((size, (2 * j + 1) * (j + 1))),
+                           np.empty((size, j), index), np.empty((size, j)))
+              for j, size in enumerate(tally.sum(axis=0)) if j and size}
 
-    map_chunks(block, len(ensemble))
-    return out
+    for chunk, (n, cell, alpha, gamma, level) in enumerate(cells):
+        first = np.cumsum(n) - n
+        for j, group in groups.items():
+            local = np.flatnonzero(n == j)
+            rows = slice(before[chunk, j], before[chunk, j] + local.size)
+            group.rows[rows] = movers[chunk] - n.size + local
+            at = first[local, None] + np.arange(j)
+            group.cells[rows], group.levels[rows] = cell[at], level[at]
+            ids = np.zeros((local.size, 2 * j + 1), np.int32)  # u_0, u_(c+1), e_c
+            ids[:, 1 : j + 1] = cell[at] + 1
+            ids[:, j + 1 :] = ids[:, 1 : j + 1] + m
+            coefs = np.ones(ids.shape)
+            coefs[:, 1 : j + 1] = alpha[at]
+            coefs[:, j + 1 :] = gamma[at]
+            group.pairs[rows], group.coefs[rows] = _pair_terms(ids, coefs, width)
+    return CellTerms(m, int(tally.sum()), tuple(groups.values()))
 
 
 # -- closed-form correlation kernels --------------------------------------

@@ -122,19 +122,6 @@ def fill_chunks(block, out, size=BATCH_SIZE):
     return out
 
 
-def sum_chunks(block, count, total):
-    """Add ``block(start, stop)`` for each BATCH_SIZE chunk of range(count) to
-    the array ``total`` in place and return it.
-
-    The chunks run on the worker pool; their results (arrays of the shape of
-    ``total``) are added in chunk order, so the sum does not depend on the
-    worker count.  With count 0 ``total`` comes back as it was.
-    """
-    for part in map_chunks(block, count):
-        total += part
-    return total
-
-
 @lru_cache(maxsize=1)
 def _openblas_threads():
     """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None.

@@ -14,16 +14,20 @@ reduces exactly to a quadratic form in the signed cell occupations, and the
 path average is replaced by a fixed Monte-Carlo ensemble (sample-average
 approximation), so the solved problem is deterministic given the ensemble.
 
-A path has no jump with probability 1/cosh(beta_b), 0.65 at beta_b = 1, and
-every jumpless path has sigma = 1, so its signed cell lengths are the cell
-widths w.  The sample average is therefore one atom, the n0 jumpless paths
-with the common form <w, psi w> and weight, plus the paths that jump.  The
-ensemble stores signed lengths only for the latter, and the path kernels
-stream that matrix in BATCH_SIZE row chunks on the worker pool: the
-quadratic forms write each chunk's slice of one vector, and the weighted
-Gram products add one M x M partial per chunk, in chunk order, to the
-atom's rank-one term.  No other (paths x M) array is made, and the
-result does not depend on the worker count.
+Paths are sparse: one has no jump with probability 1/cosh(beta_b), 0.65
+at beta_b = 1, and most of the rest jump twice.  The path kernels therefore
+work from each path's jump cells (``paths.CellTerms``) and never build its
+row of M signed cell lengths: with z = M s written as a sum of a few
+columns of a fixed (M x (2M + 1)) matrix V, a form <z, psi z> is a sum of
+lookups into the table V^T psi V, 15 for a path with two jumps in two
+cells, and the weighted Gram sum wt z z^T is V h V^T, where h adds up the
+same pair terms by table index.  Every jumpless path has z = u_0, so the
+sample average is one atom, the n0 jumpless paths with the common form
+and weight, plus the paths that jump.  The kernels go through the terms in
+chunks of rows, in turn: at a few lookups a path the pool's start-up and
+contention cost more than they save.  The results do not depend on the
+worker count, and agree with the dense (paths x M) route of
+``tests/oracles.py`` to rounding (see ``form_bounds`` there).
 """
 
 import json
@@ -34,9 +38,7 @@ import numpy as np
 from .constants import c0_of, inf_g_n_over_n, m_of, p_of
 from .numerics import (QUAD_NODES, gauss_hermite, logcosh, logsumexp,
                        refine_once, scan_minimize)
-from .paths import cell_widths
 from .stats import EstimateWithError, log_mean_exp
-from .streams import fill_chunks, sum_chunks
 
 __all__ = [
     "GridFunction",
@@ -149,30 +151,40 @@ def discretize_mu(m_cells, beta_b):
 # -- path functionals ------------------------------------------------------
 
 
-def _quadratic_forms(psi: GridFunction, s, n_paths):
+#: pair terms that one chunk of the path kernels reads
+PIECE_PAIRS = 1 << 15
+
+
+def _pieces(terms):
+    """Yield ``(group, rows)``: slices of the rows of every TermGroup of
+    ``terms``, about PIECE_PAIRS pair terms each."""
+    for group in terms.groups:
+        size = max(1, PIECE_PAIRS // group.pairs.shape[1])
+        for start in range(0, group.rows.size, size):
+            yield group, slice(start, start + size)
+
+
+def _quadratic_forms(psi: GridFunction, terms, n_paths):
     """<psi, sigma x sigma> for each of ``n_paths`` paths.
 
-    The rows of s are the signed cell lengths of the paths that jump; their
-    forms come first, in path order.  The n_paths - len(s) jumpless paths
-    follow, each with the form <w, psi w> of the cell widths w.
+    ``terms`` are the CellTerms of the paths that jump; their forms come
+    first, in path order, each the sum of its pair terms' lookups into
+    V^T psi V / M^2 (s = z/M).  The n_paths - terms.n_jumping jumpless paths
+    follow, each with the form <w, psi w> of the cell widths w = u_0/M.
     """
-    w = cell_widths(psi.m_cells)
-    x = np.full(n_paths, w @ psi.values @ w)
-
-    def block(start, stop, out):
-        rows = s[start:stop]
-        prod = rows @ psi.values
-        prod *= rows
-        prod.sum(axis=1, out=out)
-
-    fill_chunks(block, x[: s.shape[0]])
+    table = terms.table(psi.values) / psi.m_cells**2
+    x = np.full(n_paths, table[0])
+    for group, rows in _pieces(terms):
+        values = np.take(table, group.pairs[rows])
+        values *= group.coefs[rows]
+        x[group.rows[rows]] = values.sum(axis=1)
     return x
 
 
 def lambda_functional(psi: GridFunction, ensemble):
     """Estimate Lambda(psi) = ln < e^{<psi, sigma x sigma>} > on the ensemble."""
-    s = ensemble.signed_lengths(psi.m_cells)
-    x = _quadratic_forms(psi, s, len(ensemble))
+    terms = ensemble.signed_lengths(psi.m_cells)
+    x = _quadratic_forms(psi, terms, len(ensemble))
     est, _ = log_mean_exp(x, "lambda_functional", seed=ensemble.seed)
     return est
 
@@ -184,57 +196,46 @@ def lambda_prime(psi: GridFunction, ensemble):
     M^2 s_k s_l under weights e^{<psi, sigma x sigma>}; entries lie in
     [-1, 1] up to rounding.
     """
-    s = ensemble.signed_lengths(psi.m_cells)
-    x = _quadratic_forms(psi, s, len(ensemble))
-    return _weighted_gram(s, x, False)
+    terms = ensemble.signed_lengths(psi.m_cells)
+    return _weighted_gram(terms, _quadratic_forms(psi, terms, len(ensemble)), False)
 
 
-def _weighted_gram(s, x, with_err):
-    """Lambda'(psi) (and its errors) from the signed lengths s and forms x of psi.
+def _weighted_gram(terms, x, with_err):
+    """Lambda'(psi) (and its errors) from the CellTerms and forms x of psi.
 
-    ``x`` is laid out as ``_quadratic_forms`` returns it.  The weighted
-    second moments are the Gram sum_i wt_i s_i s_i^T and, with
-    ``with_err``, the same with wt_i^2 and with wt_i^2 on the squared
-    lengths.  The n0 jumpless paths share the row w and the weight wt0, so
-    they add n0 wt0 w w^T, n0 wt0^2 w w^T and n0 wt0^2 w^2 (w^2)^T; each
-    chunk of rows of s then adds its rows' share.
+    ``x`` is laid out as ``_quadratic_forms`` returns it.  With z = M s,
+    the weighted second moments are the Gram sum_i wt_i z_i z_i^T and, with
+    ``with_err``, the same with wt_i^2 and with wt_i^2 on z_i o z_i.  Each
+    is V h V^T, where h adds up the weighted pair terms by table index, one
+    ``bincount`` per chunk of rows.  The n0 jumpless paths share z = u_0 and
+    the weight wt0, so they add n0 wt0 to h[0, 0], and n0 wt0^2 to the
+    other two.
     """
-    n_jumping, m = s.shape
-    m2 = float(m) ** 2
+    size = (2 * terms.m_cells + 1) ** 2  # entries of the flat table
     u = np.exp(x - x.max())
     total = u.sum()
     wt = u / total
-    w = cell_widths(m)
-    atom = u[n_jumping:].sum() / total  # n0 wt0, exactly 1 when all weights tie
-    sums = np.empty((3 if with_err else 1, m, m))
-    sums[0] = atom * np.outer(w, w)
+    sums = np.zeros((3 if with_err else 1, size))
+    sums[0, 0] = u[terms.n_jumping :].sum() / total  # exactly 1 when all weights tie
     if with_err:
-        atom2 = np.square(wt[n_jumping:]).sum()  # n0 wt0^2
-        sums[1] = atom2 * np.outer(w, w)
-        sums[2] = atom2 * np.outer(w * w, w * w)
+        sums[1:, 0] = np.square(wt[terms.n_jumping :]).sum()
 
-    def block(start, stop):
-        rows, wt_rows = s[start:stop], wt[start:stop, None]
-        out = np.empty_like(sums)
-        scaled = rows * wt_rows
-        np.matmul(scaled.T, rows, out=out[0])
+    for group, rows in _pieces(terms):
+        wt_rows = wt[group.rows[rows], None]
+        pairs = group.pairs[rows].ravel()
+        sums[0] += np.bincount(pairs, (group.coefs[rows] * wt_rows).ravel(), size)
         if with_err:
             wt2_rows = np.square(wt_rows)
-            np.multiply(rows, wt2_rows, out=scaled)
-            np.matmul(scaled.T, rows, out=out[1])
-            squares = np.square(rows)
-            np.multiply(squares, wt2_rows, out=scaled)
-            np.matmul(scaled.T, squares, out=out[2])
-        return out
-
-    sums = sum_chunks(block, n_jumping, sums)
-    k = m2 * sums[0]
-    k = 0.5 * (k + k.T)
+            sums[1] += np.bincount(pairs, (group.coefs[rows] * wt2_rows).ravel(), size)
+            square_pairs, square_coefs = terms.squares(group, rows)
+            square_coefs *= wt2_rows
+            sums[2] += np.bincount(square_pairs.ravel(), square_coefs.ravel(), size)
+    grams = [terms.unfold(h) for h in sums]
+    k = 0.5 * (grams[0] + grams[0].T)
     grad = GridFunction(k)
     if not with_err:
         return grad
-    c1 = m2 * sums[1]
-    c2 = m2 * m2 * sums[2]
+    c1, c2 = grams[1:]
     var = c2 - 2.0 * k * c1 + np.square(k) * np.square(wt).sum()
     var = 0.5 * (var + var.T)
     err = GridFunction(np.sqrt(np.clip(var, 0.0, None)))
@@ -296,8 +297,8 @@ def fixed_point_solve(lam, m_cells, ensemble, tol=1e-8, max_iter=200):
     so the iteration is deterministic and, for 2 lam < 1, a contraction with
     rate <= 2 lam; ``non_contractive`` flags observed ratios above 1.  beta_b
     is the ensemble's rate.  Stops when the sup-norm update falls below
-    ``tol`` or after ``max_iter`` >= 1 iterations.  The path kernels run on
-    the worker pool.
+    ``tol`` or after ``max_iter`` >= 1 iterations.  The ensemble's
+    jump-cell terms are built once, on the first call at this M.
     """
     lam = float(lam)
     if lam <= 0:
@@ -308,14 +309,14 @@ def fixed_point_solve(lam, m_cells, ensemble, tol=1e-8, max_iter=200):
         raise ValueError(f"max_iter {max_iter} must be >= 1")
     m = int(m_cells)
     psi = discretize_mu(m, ensemble.rate).scaled(2.0 * lam)
-    s = ensemble.signed_lengths(m)
+    terms = ensemble.signed_lengths(m)
     ratios = []
     prev_l2 = None
     converged = False
     # the start kernel's forms give its Lambda and the first gradient
-    x = _quadratic_forms(psi, s, len(ensemble))
+    x = _quadratic_forms(psi, terms, len(ensemble))
     start_lambda, _ = log_mean_exp(x, "lambda_functional", seed=ensemble.seed)
-    grad = _weighted_gram(s, x, False)
+    grad = _weighted_gram(terms, x, False)
     for iterations in range(1, int(max_iter) + 1):
         if iterations > 1:
             grad = lambda_prime(psi, ensemble)
@@ -332,8 +333,8 @@ def fixed_point_solve(lam, m_cells, ensemble, tol=1e-8, max_iter=200):
             break
     # one pass over the final iterate's quadratic forms gives its
     # gradient, errors, Lambda and the ESS of its weights
-    x = _quadratic_forms(psi, s, len(ensemble))
-    grad, err = _weighted_gram(s, x, True)
+    x = _quadratic_forms(psi, terms, len(ensemble))
+    grad, err = _weighted_gram(terms, x, True)
     residual = float(
         np.sqrt(np.square(2.0 * lam * grad.values - psi.values).sum()) / m
     )

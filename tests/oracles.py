@@ -7,17 +7,17 @@ a time, so a test can compare it with the batched kernels in ``qsk.paths``
 and ``qsk.annealed``.  ``signed_lengths_broadcast``,
 ``overlap_matrix_serial`` and ``p_n_batch_serial`` take a whole padded jump
 matrix instead, one PAD-padded row per path at the width of the largest
-count, which ``padded_matrix`` builds from the flat layout: they
-are the unchunked, single-threaded forms of the signed cell lengths and of
-the overlap kernels (the pairwise merge loop), which the chunked kernels on
-the worker pool must reproduce bit for bit, as ``signed_totals`` must
-reproduce ``signed_totals_padded``; ``even_paths`` is the sampler's batch
-layout drawn on one thread.
+count, which ``padded_matrix`` builds from the flat layout.  The first
+gives the dense signed cell lengths, one row per path; the other two are
+the unchunked, single-threaded forms of the overlap kernels (the pairwise
+merge loop), which the chunked kernels on the worker pool must reproduce
+bit for bit, as ``signed_totals`` must reproduce ``signed_totals_padded``;
+``even_paths`` is the sampler's batch layout drawn on one thread.
 ``quadratic_forms_full`` and ``weighted_gram_full`` are the variational path
 kernels on a whole (paths x M) signed-length matrix at once, with a row for
-every path, jumpless ones included; the chunked kernels, which carry the
-jumpless paths as one atom, reproduce a jumping path's form bit for bit
-and the rest up to the order of addition.  The dense Hamiltonian is the
+every path, jumpless ones included: the dense route that the jump-cell
+kernels of ``qsk.variational`` replace.  Those never build the rows and
+reproduce the forms within ``form_bounds``.  The dense Hamiltonian is the
 full 2^N x 2^N matrix in the Sz basis, diagonalized without the spin-flip
 reduction of ``qsk.hilbert``.  ``per_sample_study`` is the disorder study
 solved one sample at a time through the one-sample API of ``qsk.hilbert``,
@@ -210,6 +210,26 @@ def even_paths(rate, count, seed):
 def quadratic_forms_full(psi_values, s):
     """<psi, sigma x sigma> per row of the signed-length matrix s, in one block."""
     return ((s @ psi_values) * s).sum(axis=1)
+
+
+def form_bounds(terms, psi_values):
+    """A bound on |<psi, s x s>| of each jumping path between the jump-cell
+    kernel on ``terms`` (``qsk.paths.CellTerms``) and a dense row, and last
+    the same for the jumpless paths' common form.
+
+    A path with T pair terms adds T lookups f c_p c_q (V^T psi V)/M^2.  Each
+    is at most 8 max|psi| in size (|f| <= 2, every |c| <= 2, and a table
+    entry sums at most M^2 entries of psi), and each table entry comes from
+    two prefix sums of at most M + 1 entries: a lookup carries at most about
+    2M + 2 roundings, and the row sum T more.  A jumpless path's form is the
+    single lookup u_0 against u_0.
+    """
+    pairs = np.zeros(terms.n_jumping + 1)
+    pairs[-1] = 1
+    for group in terms.groups:
+        pairs[group.rows] = group.pairs.shape[1]
+    eps = np.finfo(float).eps
+    return 8 * np.abs(psi_values).max() * eps * pairs * (2 * terms.m_cells + 2 + pairs)
 
 
 def weighted_gram_full(s, x):

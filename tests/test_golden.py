@@ -37,7 +37,15 @@ re-recorded when ``path_kernels`` began to scale each ``mu`` comparison by
 the exact variance 1 - mu^2 of the +-1 products instead of their sample
 variance, which is 0 (and ended ``verify --seed 2550`` in a division by
 zero) when no path jumps between t and t': only its ``worst_z`` moved,
-from 1.30 to 1.29.  The default
+from 1.30 to 1.29.  The two ``variational`` hashes were re-recorded
+when the forms and Gram products came to be computed from each path's
+jump cells (``paths.CellTerms``) instead of from a dense (paths x M)
+signed-length matrix: against the previous output psi moved by at most
+1.5e-15 relative (2.8e-16 absolute), psi_std_err by 5.4e-15 relative,
+Omega's std_err by 3.3e-19 (its value not at all), the contraction ratios
+by 2.6e-8 relative, the residual norm (1.26e-10) by 6.8e-7 relative and
+the start_gap verdict value by 2.8e-17; no verdict changed, and
+``verify --seed 777`` did not move.  The default
 region grid starts at x = 0.05 (lam = 100), which exercises the
 N*lam > 700 branch of G_N.
 Commands run in a scratch directory under fixed relative file names,
@@ -64,7 +72,7 @@ GOLDEN = {
     "annealed --n-spins 4 --ensembles 4000":
         "1dc4693f834d369b932a708f0db6e94f994af8313b1bc356b0accc8dfadbb52f",
     "variational --ensembles 5000 --m-cells 8 --psi-out psi.json":
-        "cf377eeea19edb355549e4957a9d7078d7612f31b60c6e8c91e361d52f3674ce",
+        "1cbd0ba10c66f3f005390ec593239648e0650cef75693db705474038f9ff82d0",
     "quenched --n-spins 4 --n-disorder 60 --per-sample-out per_sample.csv":
         "2b85c3d64cccf471157136abb1e3209035e516ccf9c7d0fd5fac5d1b9539d645",
     "verify --seed 777":
@@ -75,7 +83,7 @@ GOLDEN = {
 GOLDEN_FILES = {
     "variational --ensembles 5000 --m-cells 8 --psi-out psi.json": {
         "psi.json":
-            "5cd3668829be3221b33addea00a0eda609f898bddab119a373861e4a5ea1bb24",
+            "c5fe43f0f31750f9c21fde6adde0fa485069549d8e1d9397ffba194c205471fc",
     },
     "quenched --n-spins 4 --n-disorder 60 --per-sample-out per_sample.csv": {
         "per_sample.csv":

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from qsk import paths
+from qsk import paths, variational
 from qsk.constants import mu
 from qsk.paths import (
     PathEnsemble,
@@ -20,24 +20,29 @@ from qsk.paths import (
 )
 from qsk.stats import frequency_with_err, mean_with_err
 from qsk.streams import BATCH_SIZE, worker_count
+from qsk.variational import GridFunction
 
 from oracles import (
     cell_signed_lengths,
     even_paths,
+    form_bounds,
     overlap_integral,
     overlap_matrix_serial,
     p_n_batch_serial,
     p_n_functional,
     padded_matrix,
+    quadratic_forms_full,
     sample_even_path,
     sigma_at,
     signed_lengths_broadcast,
     signed_totals_padded,
+    weighted_gram_full,
 )
 
 
 #: rows spanning three full chunks and part of a fourth
 MULTI_CHUNK = 3 * BATCH_SIZE + 123
+EPS = np.finfo(float).eps
 
 
 def _path(*times):
@@ -256,22 +261,57 @@ def test_sigma_matrix_at_the_ends_and_at_jump_times():
     assert ens.sigma_matrix(0.5).tolist() == [-1, 1, -1, 1]
 
 
+def _kernels(ens, m_cells):
+    """The variational kernels on the ensemble's jump-cell terms at a fixed
+    random symmetric psi: the terms, psi, the forms, Lambda' and its errors."""
+    a = np.random.default_rng(m_cells).uniform(-1.0, 1.0, (m_cells, m_cells))
+    psi = GridFunction(0.5 * (a + a.T))
+    terms = ens.signed_lengths(m_cells)
+    x = variational._quadratic_forms(psi, terms, len(ens))
+    grad, err = variational._weighted_gram(terms, x, True)
+    return terms, psi, x, grad.values, err.values
+
+
+def _assert_kernels_match_rows(ens, m_cells, rows):
+    """The kernels on the ensemble's terms against the dense kernels on
+    ``rows``, one signed-length row per path in path order: every form within
+    ``form_bounds``, and Lambda' and its errors within the rounding of sums
+    over every path and the 2M + 2 prefix sums (see test_variational)."""
+    terms, psi, x, grad, err = _kernels(ens, m_cells)
+    jumping = ens.counts > 0
+    full = np.concatenate([rows[jumping], rows[~jumping]])
+    x_ref = quadratic_forms_full(psi.values, full)
+    bounds = form_bounds(terms, psi.values)
+    n = terms.n_jumping
+    assert np.all(np.abs(x[:n] - x_ref[:n]) <= bounds[:-1])
+    assert np.all(np.abs(x[n:] - x_ref[n:]) <= bounds[-1])
+    k, k_err = weighted_gram_full(full, x_ref)
+    sums = len(ens) + 2 * m_cells + 2
+    np.testing.assert_allclose(grad, k, rtol=0, atol=2 * sums * EPS)
+    w = np.exp(x_ref - x_ref.max())
+    np.testing.assert_allclose(np.square(err), np.square(k_err), rtol=0,
+                               atol=8 * sums * EPS * np.square(w / w.sum()).sum())
+
+
 def test_cell_signed_lengths_consistency():
     ens = sample_ensemble(2.5, 50, seed=1)
     jumping = [p for p in _rows(ens) if p.size]
     assert 0 < len(jumping) < 50
+    totals = np.array([_overlap_reference(p, _path()) for p in jumping])
     for m in (1, 3, 8):
-        cells = ens.signed_lengths(m)
-        # one row per path that jumps, in path order
-        assert cells.shape == (len(jumping), m)
+        # one set of terms per path that jumps
+        terms = ens.signed_lengths(m)
+        assert terms.n_jumping == len(jumping)
+        rows = np.array([cell_signed_lengths(p, m) for p in _rows(ens)])
         # each cell's magnitude is bounded by the cell width
-        assert np.all(np.abs(cells) <= 1.0 / m + 1e-15)
-        for p, row in zip(jumping, cells):
-            # row sums recover the full signed time
-            assert row.sum() == pytest.approx(
-                _overlap_reference(p, _path()), abs=1e-12)
-            np.testing.assert_allclose(row, cell_signed_lengths(p, m),
-                                       atol=1e-12)
+        assert np.all(np.abs(rows) <= 1.0 / m + 1e-15)
+        _assert_kernels_match_rows(ens, m, rows)
+        # at psi = 1 a form is (integral sigma)^2: the terms add up to the
+        # full signed time
+        x = variational._quadratic_forms(GridFunction(np.ones((m, m))), terms,
+                                         len(ens))
+        np.testing.assert_allclose(x[: len(jumping)], np.square(totals),
+                                   rtol=0, atol=1e-12)
 
 
 def test_p_n_functional_identity_n2():
@@ -323,15 +363,23 @@ def test_signed_lengths_match_serial_kernel_for_any_workers(rate):
         ens = PathEnsemble(ens.times, ens.counts[jumping], rate)
         jumping = jumping[jumping]
     for m in (1, 7, 64):
-        ref = signed_lengths_broadcast(padded_matrix(ens.times, ens.counts), m)
+        runs = []
         for workers in (1, 2, 4):
             with worker_count(workers):
-                got = _fresh(ens).signed_lengths(m)
-            assert np.array_equal(got, ref[jumping]), (m, workers)
-        # the rows left out are the cell widths, bit for bit
-        assert np.all(ref[~jumping] == paths.cell_widths(m))
-    assert got.shape == (np.count_nonzero(jumping), 64)
-    assert (got.shape[0] == 0) == (rate == 0.0)
+                runs.append(_kernels(_fresh(ens), m)[2:])
+        for workers, run in zip((2, 4), runs[1:]):
+            assert all(np.array_equal(a, b) for a, b in zip(runs[0], run)), (
+                m, workers)
+        ref = signed_lengths_broadcast(padded_matrix(ens.times, ens.counts), m)
+        _assert_kernels_match_rows(ens, m, ref)
+        # the rows left out are the cell widths, u_0/M up to rounding, and
+        # the jumpless paths share one form
+        assert np.all(np.abs(ref[~jumping] - 1.0 / m) <= EPS)
+        x = runs[0][0]
+        assert np.all(x[np.count_nonzero(jumping) :] == x[-1])
+    terms = ens.signed_lengths(64)
+    assert terms.n_jumping == np.count_nonzero(jumping)
+    assert (terms.n_jumping == 0) == (rate == 0.0)
 
 
 @pytest.mark.parametrize("rate", [0.0, 1.5])
@@ -446,6 +494,20 @@ def test_sampling_and_p_n_batch_peak_below_one_padded_matrix(rate, n_spins, coun
     assert peak < count * int(ens.counts.max()) * 8
 
 
+def test_sampling_holds_one_copy_of_the_paths():
+    # every batch draws its counts first, the flat arrays are sized from
+    # them, and each batch writes its sorted times into its own slice, so
+    # the sampling peak stays below 1.25 times the arrays it returns
+    tracemalloc.start()
+    try:
+        with worker_count(2):
+            times, counts = paths._sample_paths(3.0, 480_000, 26, conditioned=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * (times.nbytes + counts.nbytes), peak
+
+
 @pytest.mark.parametrize("m_cells", [3, 4, 8])
 def test_signed_lengths_with_jumps_on_cell_boundaries(m_cells):
     # a jump exactly at a boundary k/M (the float the kernel compares with)
@@ -455,11 +517,14 @@ def test_signed_lengths_with_jumps_on_cell_boundaries(m_cells):
     repeat = BATCH_SIZE + 1  # three paths repeated: four chunks
     ens = PathEnsemble(np.concatenate([np.tile(r, repeat) for r in rows]),
                        np.repeat([2, 4, 0], repeat), rate=1.0)
-    ref = signed_lengths_broadcast(padded_matrix(ens.times, ens.counts), m_cells)
+    runs = []
     for workers in (1, 2, 4):
         with worker_count(workers):
-            got = _fresh(ens).signed_lengths(m_cells)
-        assert np.array_equal(got, ref[ens.counts > 0]), workers
+            runs.append(_kernels(_fresh(ens), m_cells)[2:])
+    for workers, run in zip((2, 4), runs[1:]):
+        assert all(np.array_equal(a, b) for a, b in zip(runs[0], run)), workers
+    ref = signed_lengths_broadcast(padded_matrix(ens.times, ens.counts), m_cells)
+    _assert_kernels_match_rows(ens, m_cells, ref)
     w = 1.0 / m_cells
     np.testing.assert_allclose(ref[0], np.where(np.arange(m_cells) == 1, -w, w),
                                rtol=0, atol=1e-15)

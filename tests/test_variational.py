@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (padded_matrix, quadratic_forms_full,
+from oracles import (form_bounds, padded_matrix, quadratic_forms_full,
                      signed_lengths_broadcast, weighted_gram_full)
 from qsk import checks, paths, variational
 from qsk.constants import c0_of, g_n_of, m_of, p_of
 from qsk.numerics import QUAD_NODES, REFINE_RTOL
-from qsk.stats import effective_sample_size
+from qsk.stats import effective_sample_size, log_mean_exp
 from qsk.streams import BATCH_SIZE, worker_count
 from qsk.variational import (
     FixedPointReport,
@@ -183,9 +183,9 @@ def test_path_kernels_check_takes_mu_errors_from_the_exact_variance():
 
 def _gradient_with_err(psi, ensemble):
     """Lambda'(psi) and its cellwise errors, as the fixed point's last pass."""
-    s = ensemble.signed_lengths(psi.m_cells)
-    x = variational._quadratic_forms(psi, s, len(ensemble))
-    return variational._weighted_gram(s, x, True)
+    terms = ensemble.signed_lengths(psi.m_cells)
+    x = variational._quadratic_forms(psi, terms, len(ensemble))
+    return variational._weighted_gram(terms, x, True)
 
 
 def test_lambda_prime_at_zero_is_discretized_mu():
@@ -301,13 +301,23 @@ def _all_jumping(ens):
 
 
 #: ensembles over two or more BATCH_SIZE chunks in which 35% of the paths
-#: jump (rate 1), none (rate 0: the atom is every path) or all (n0 = 0)
+#: jump (rate 1), almost none (rate 1e-3), none (rate 0: the atom is every
+#: path) or all (n0 = 0)
 ATOM_CASES = {
     "rate_1": MULTI_CHUNK,
+    "rate_1e-3": paths.sample_ensemble(1e-3, BATCH_SIZE + 50, seed=411),
     "rate_0": paths.sample_ensemble(0.0, BATCH_SIZE + 50, seed=408),
     "rate_5_all_jump": _all_jumping(
         paths.sample_ensemble(5.0, 2 * BATCH_SIZE + 50, seed=409)),
 }
+
+#: jumps on the boundaries 1/8 and 1/4 (a boundary at every M tested), at
+#: t = 1, and two in one cell, with and without other jumps, and a jumpless
+#: path; 40 copies of each keep the effective sample size above its floor
+EDGE_CASE = paths.PathEnsemble(
+    np.tile([0.125, 0.25, 0.3, 1.0, 0.4, 0.4 + 2**-12,
+             0.125, 0.4, 0.4 + 2**-12, 1.0], 40),
+    np.tile([2, 2, 2, 4, 0], 40), rate=1.0)
 
 
 def _oracle_rows(ens, m_cells):
@@ -321,37 +331,44 @@ def _oracle_rows(ens, m_cells):
 @pytest.mark.parametrize("m_cells", [1, 8, 64])
 def test_chunked_kernels_match_full_matrix_oracles(m_cells):
     psi = discretize_mu(m_cells, 1.0).scaled(0.4)
-    for case, ens in ATOM_CASES.items():
-        s = ens.signed_lengths(m_cells)
+    for case, ens in {**ATOM_CASES, "edge": EDGE_CASE}.items():
+        terms = ens.signed_lengths(m_cells)
         runs = []
         for workers in (1, 2, 4):
             with worker_count(workers):
-                x = variational._quadratic_forms(psi, s, len(ens))
-                grad, err = variational._weighted_gram(s, x, True)
-                grad_only = variational._weighted_gram(s, x, False)
+                x = variational._quadratic_forms(psi, terms, len(ens))
+                grad, err = variational._weighted_gram(terms, x, True)
+                grad_only = variational._weighted_gram(terms, x, False)
             runs.append((x, grad.values, err.values, grad_only.values))
         for workers, run in zip((2, 4), runs[1:]):
             assert all(np.array_equal(a, b) for a, b in zip(runs[0], run)), (
                 case, workers)
         x, grad, err, grad_only = runs[0]
         assert np.array_equal(grad_only, grad), case
+        assert terms.n_jumping == np.count_nonzero(ens.counts), case
         full = _oracle_rows(ens, m_cells)
         x_ref = quadratic_forms_full(psi.values, full)
-        # a jumping path's form is the oracle's bit for bit; the atom's
-        # <w, psi w> is summed in another order, within 4 eps relative
-        n_jumping = s.shape[0]
-        assert n_jumping == np.count_nonzero(ens.counts), case
-        assert np.array_equal(x[:n_jumping], x_ref[:n_jumping]), case
-        np.testing.assert_allclose(x[n_jumping:], x_ref[n_jumping:],
-                                   rtol=4 * EPS, atol=0, err_msg=case)
+        # every form within the bound its pair-term count gives; the
+        # jumpless paths share the last one
+        bounds = form_bounds(terms, psi.values)
+        bounds = np.concatenate([bounds[:-1], np.full(len(ens) - terms.n_jumping,
+                                                      bounds[-1])])
+        assert np.all(np.abs(x - x_ref) <= bounds), case
+        # Lambda (and so Omega, which adds the same ||psi||^2/(4 lam)) is a
+        # weighted mean of the forms in the exponent: it moves by at most
+        # the largest form error, plus the rounding of the mean
+        lam_ref, _ = log_mean_exp(x_ref, "oracle")
+        assert abs(lambda_functional(psi, ens).value - lam_ref.value) <= (
+            bounds.max() + 64 * EPS), case
         # Each Gram entry is a weighted average of terms in [-1, 1], so
         # either order of addition rounds it by at most about rows * eps.
         # The oracle adds the n0 equal jumpless terms one by one, which
         # drifts by up to ~4e-14 at rate 0 (the kernel adds them as one
-        # rank-one term and gets the exact 1 there), so the bound counts
-        # every path.  The variance c2 - 2 k c1 + k^2 sum wt^2 adds three
-        # such sums, each bounded by sum wt^2.
-        rows = len(ens)
+        # term and gets the exact 1 there), so the bound counts every path;
+        # the kernel's prefix sums over the 2M + 1 table indices add 2M + 2
+        # more.  The variance c2 - 2 k c1 + k^2 sum wt^2 adds three such
+        # sums, each bounded by sum wt^2.
+        rows = len(ens) + 2 * m_cells + 2
         k, k_err = weighted_gram_full(full, x_ref)
         np.testing.assert_allclose(grad, k, rtol=0, atol=2 * rows * EPS,
                                    err_msg=case)
@@ -393,7 +410,8 @@ def test_fixed_point_at_zero_field_is_exact():
     # the 5000 equal rows one by one would drift it by ~1e-14
     lam = 0.1
     ens = paths.sample_ensemble(0.0, 5000, seed=410)
-    assert ens.signed_lengths(8).shape == (0, 8)
+    terms = ens.signed_lengths(8)
+    assert terms.n_jumping == 0 and terms.groups == ()
     report = fixed_point_solve(lam, 8, ens)
     assert report.converged and report.iterations == 1
     assert np.all(report.psi.values == 2 * lam)
@@ -415,19 +433,18 @@ def test_fixed_point_solve_is_identical_for_any_workers():
 
 
 def test_fixed_point_solve_makes_no_full_size_temporaries():
-    # numpy reports its buffers to tracemalloc; the memoized signed lengths
-    # are made before tracing starts, so the peak counts only the solve.  The
-    # bound is half of a (paths x M) matrix with a row for every path.
+    # numpy reports its buffers to tracemalloc.  The trace covers the build
+    # of the memoized jump-cell terms and the solve, and the bound is the
+    # (jumping paths x M) signed-length matrix that the terms replace
     with worker_count(2):
         ens = paths.sample_ensemble(1.0, 16 * BATCH_SIZE, seed=407)
-        ens.signed_lengths(32)
         tracemalloc.start()
         try:
-            fixed_point_solve(0.1, 32, ens)
+            fixed_point_solve(0.1, 64, ens)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    bound = 0.5 * len(ens) * 32 * 8
+    bound = np.count_nonzero(ens.counts) * 64 * 8
     assert peak < bound, (peak, bound)
 
 
