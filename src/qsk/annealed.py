@@ -15,8 +15,6 @@ the replica-symmetric scale function
 by rigorous bounds on the annealed-to-quenched gap.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import paths
@@ -31,7 +29,7 @@ __all__ = [
     "f_n_sandwich",
     "k_of_lambda",
     "delta_infinity_bounds",
-    "RegionPoint",
+    "region_labels",
     "region_scan",
     "advisory_curve",
 ]
@@ -153,36 +151,24 @@ def delta_infinity_bounds(lam, beta_b, n_max=64):
     return lower, upper
 
 
-@dataclass(frozen=True)
-class RegionPoint:
-    """Classification of one point of the (1/(beta v), b/v) plane.
+def region_labels(inv_beta_v, delta_lower):
+    """Phase label of each point of the (1/(beta v), b/v) plane; broadcasts.
 
-    ``classification`` is "zero" in weak disorder, the exact criterion
-    inv_beta_v > 1 (i.e. beta*v < 1, equivalently 4*lam < 1), where the gap
-    vanishes; else "positive" where delta_lower > 0 certifies a strictly
-    positive gap via k(lam) > ln cosh(beta_b); else "unresolved".
+    "zero" in weak disorder, the exact criterion inv_beta_v > 1 (i.e.
+    beta*v < 1, equivalently 4*lam < 1), where the gap vanishes; else
+    "positive" where delta_lower > 0 certifies a strictly positive gap via
+    k(lam) > ln cosh(beta_b); else "unresolved".
     """
-
-    inv_beta_v: float
-    b_over_v: float
-    delta_lower: float
-    delta_upper: float
-
-    @property
-    def classification(self):
-        if self.inv_beta_v > 1.0:
-            return "zero"
-        if self.delta_lower > 0.0:
-            return "positive"
-        return "unresolved"
+    return np.where(inv_beta_v > 1.0, "zero",
+                    np.where(delta_lower > 0.0, "positive", "unresolved"))
 
 
 def region_scan(inv_beta_v_values, b_over_v_values, n_max=64):
-    """Evaluate the gap bracket on a grid; returns a row-major list of points.
+    """The gap bracket on a grid: (delta_lower, delta_upper), each (x, y)-shaped.
 
     The x axis is 1/(beta v) (so lam = 1/(4 x^2)) and the y axis is b/v
     (so beta_b = y/x).  ``delta_infinity_bounds`` runs once per column,
-    broadcast over y.  Grid order: x outer, y inner.
+    broadcast over y, and fills row x of both grids.
     """
     xs = np.asarray(inv_beta_v_values, dtype=float)
     ys = np.asarray(b_over_v_values, dtype=float)
@@ -190,20 +176,11 @@ def region_scan(inv_beta_v_values, b_over_v_values, n_max=64):
         raise ValueError("need at least a 2x2 grid")
     if np.any(xs <= 0.0) or np.any(ys < 0.0):
         raise ValueError("inv_beta_v must be > 0 and b_over_v >= 0")
-    points = []
-    for x in xs:
-        lower, upper = delta_infinity_bounds(1.0 / (4.0 * x * x), ys / x,
-                                             n_max=n_max)
-        for y, lo, up in zip(ys, lower, upper):
-            points.append(
-                RegionPoint(
-                    inv_beta_v=float(x),
-                    b_over_v=float(y),
-                    delta_lower=float(lo),
-                    delta_upper=float(up),
-                )
-            )
-    return points
+    lower, upper = np.empty((2, xs.size, ys.size))
+    for i, x in enumerate(xs):
+        lower[i], upper[i] = delta_infinity_bounds(1.0 / (4.0 * x * x), ys / x,
+                                                   n_max=n_max)
+    return lower, upper
 
 
 def advisory_curve(inv_beta_v):

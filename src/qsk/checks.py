@@ -219,7 +219,7 @@ def check_disorder(seed, n_spins=5, samples=400,
     c = disorder.second_moment_theory_bound(lam)
     bound = disorder.concentration_bound(n_spins, delta, params.beta_v)
     study = disorder.study_verdicts(result, bound, n_sigma, ratio_bound=c)
-    pz, pz_floor = disorder.paley_zygmund_witness(params, samples, seed + 1)
+    pz, pz_floor = disorder.paley_zygmund_witness(result, lam)
     trend = disorder.order_parameter_trend(params, trend_spins, trend_samples, seed + 2)
     trend_bad = sum(
         not trend[k + 1].value < trend[k].value
@@ -261,21 +261,22 @@ def check_region(seed, x_count=30, y_count=30):
     zero-field edge below x = 1 has a certified positive gap."""
     xs = np.linspace(0.2, 2.0, x_count)
     ys = np.linspace(0.0, 2.6, y_count)
-    points = annealed.region_scan(xs, ys, n_max=64)
-    k_by_x = {float(x): annealed.k_of_lambda(1.0 / (4.0 * x * x)) for x in xs}
+    lower, _ = annealed.region_scan(xs, ys, n_max=64)
+    labels = annealed.region_labels(xs[:, None], lower)
     mislabels = 0
     edge_bad = 0
-    for pt in points:
-        x, y = pt.inv_beta_v, pt.b_over_v
-        if x > 1.0:
-            expect = "zero"
-        elif k_by_x[x] - float(logcosh(y / x)) > 0.0:
-            expect = "positive"
-        else:
-            expect = "unresolved"
-        mislabels += pt.classification != expect
-        if y == 0.0 and x < 1.0:
-            edge_bad += not (pt.classification == "positive" and pt.delta_lower > 0.0)
+    for i, x in enumerate(xs):
+        k = annealed.k_of_lambda(1.0 / (4.0 * x * x))
+        for j, y in enumerate(ys):
+            if x > 1.0:
+                expect = "zero"
+            elif k - float(logcosh(y / x)) > 0.0:
+                expect = "positive"
+            else:
+                expect = "unresolved"
+            mislabels += labels[i, j] != expect
+            if y == 0.0 and x < 1.0:
+                edge_bad += not (labels[i, j] == "positive" and lower[i, j] > 0.0)
     ok = mislabels == 0 and edge_bad == 0
     return ok, f"mislabels={mislabels} edge_mislabels={edge_bad}"
 

@@ -272,7 +272,7 @@ def cmd_exactdiag(args, opts):
     payload = {
         "params": params.to_dict(),
         "ln_z": res.ln_z,
-        "beta_f_n": params.beta * res.f_n,
+        "beta_f_n": -res.ln_z / params.n_spins,
         "gibbs_zz_12": zz,
         "trace_abs": abs(float(np.trace(h.blocks, axis1=1, axis2=2).sum())),
         "ground_energy": float(res.eigenvalues[0]),
@@ -374,11 +374,13 @@ def cmd_quenched(args, opts):
 def cmd_region(args, opts):
     xs = np.linspace(opts["x_min"], opts["x_max"], opts["x_count"])
     ys = np.linspace(opts["y_min"], opts["y_max"], opts["y_count"])
-    points = annealed.region_scan(xs, ys, n_max=opts["n_max"])
+    lower, upper = annealed.region_scan(xs, ys, n_max=opts["n_max"])
+    x_grid, y_grid = np.meshgrid(xs, ys, indexing="ij")
     header = ["inv_beta_v", "b_over_v", "delta_lower", "delta_upper",
               "classification"]
-    rows = [[p.inv_beta_v, p.b_over_v, p.delta_lower, p.delta_upper,
-             p.classification] for p in points]
+    columns = (x_grid, y_grid, lower, upper, annealed.region_labels(x_grid, lower))
+    # row-major: x outer, y inner
+    rows = zip(*(c.ravel().tolist() for c in columns))
     _write(args.out, _csv_lines(args, opts, header, rows))
     grid = np.linspace(0.0, 1.0, 201)
     curve = zip(grid.tolist(), annealed.advisory_curve(grid).tolist())

@@ -2,8 +2,9 @@
 
 Small-N exact diagonalization is repeated over many coupling draws to
 estimate E[beta f_N], the second-moment ratio E[Z^2]/E[Z]^2 (bounded by
-e^{-2 lam}/sqrt(1-4 lam) in the weak-disorder regime), the spin-glass order
-parameter E<Sz_1 Sz_2>^2, lower-tail witnesses, and the Gaussian
+c = e^{-2 lam}/sqrt(1-4 lam) in the weak-disorder regime), the spin-glass
+order parameter E<Sz_1 Sz_2>^2, the Paley-Zygmund witness (read from the
+ln Z of a study already run, never from a second solve), and the Gaussian
 concentration bound
 
     P(|beta f_N - E beta f_N| > delta) <= 2 exp(-N^2 delta^2 / (2(N-1)(beta v)^2)).
@@ -91,7 +92,7 @@ def _check_blocks(blocks):
         raise RuntimeError("Hamiltonian block diagonal does not sum to zero")
 
 
-def _study_arrays(params, n_disorder, seed, want_pairs=True):
+def _study_arrays(params, n_disorder, seed):
     """Per-sample ln Z, beta*f, and mean squared pair correlation.
 
     All couplings are drawn first; the samples are then solved in the
@@ -109,7 +110,7 @@ def _study_arrays(params, n_disorder, seed, want_pairs=True):
     couplings = draw_couplings(n, n_disorder, seed)
     iu, ju = np.triu_indices(n, k=1)
     ln_z = np.empty(n_disorder)
-    op = np.zeros(n_disorder)
+    op = np.empty(n_disorder)
 
     def solve(start, stop):
         h = build_hamiltonian(params, couplings[start:stop])
@@ -117,8 +118,6 @@ def _study_arrays(params, n_disorder, seed, want_pairs=True):
         checked = np.arange(-start % 10, stop - start, 10)
         _check_blocks(h.blocks[checked])
         ln_z[start:stop] = spectrum(h).ln_z
-        if not want_pairs:
-            return
         c = gibbs_zz_matrix(h)
         worst = np.abs(c[checked]).max(initial=0.0)
         if worst > 1.0 + 1e-12:
@@ -288,15 +287,16 @@ def generalized_second_moment(params: ModelParams, gamma, n_path_ensembles,
     return est, float(np.abs(coupling - 1.0).max())
 
 
-def paley_zygmund_witness(params: ModelParams, n_disorder, seed):
-    """Frequency of Z >= (sample mean of Z)/2 vs the threshold 1/(4c).
+def paley_zygmund_witness(result, lam):
+    """Frequency of Z >= (sample mean of Z)/2 in a study vs the threshold 1/(4c).
 
+    ``result`` is a ``run_study`` result, whose per-sample ln Z it reads.
     c = e^{-2 lam}/sqrt(1 - 4 lam) bounds the second-moment ratio, so the
     Paley-Zygmund inequality guarantees P(Z >= E[Z]/2) >= 1/(4c).
     """
-    _validate_disorder_params(params)
-    c = second_moment_theory_bound(params.lam)
-    ln_z, _, _ = _study_arrays(params, n_disorder, seed, want_pairs=False)
+    c = second_moment_theory_bound(lam)
+    ln_z = result.per_sample[0]
     ln_mean = float(logsumexp(ln_z) - np.log(ln_z.size))
     hits = int((ln_z >= ln_mean - np.log(2.0)).sum())
-    return frequency_with_err(hits, ln_z.size, seed=seed), 1.0 / (4.0 * c)
+    return (frequency_with_err(hits, ln_z.size, seed=result.quenched_mean.seed),
+            1.0 / (4.0 * c))

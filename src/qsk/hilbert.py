@@ -13,7 +13,9 @@ representatives, and that of spin N maps s to J s = s XOR (2^(N-1) - 1)
 with sign +-1 in the +- block.  Each off-diagonal entry is assigned, never
 symmetrized, so both blocks are symmetric by construction.  Sz_i Sz_j
 preserves the blocks, so ln Z and every <Sz_i Sz_j> come from one
-eigendecomposition of the two blocks.
+eigendecomposition of the two blocks.  ``spectrum`` gives ln Z (beta f_N
+is -ln Z / N), and ``gibbs_zz_matrix`` is the one correlation kernel:
+``gibbs_zz`` reads its (1, 2) entry.
 
 ``build_hamiltonian``, ``spectrum`` and ``gibbs_zz_matrix`` also take a
 stack of samples along a leading axis: a chunk of k samples is built in
@@ -176,19 +178,19 @@ def build_hamiltonian(params: ModelParams, couplings):
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Eigenvalues plus the derived log partition function and free energy.
+    """Eigenvalues plus the derived log partition function.
 
-    For a stack of samples ``eigenvalues`` is (k, 2^N) and ``ln_z`` and
-    ``f_n`` are length-k arrays; for one sample they are floats.
+    For a stack of samples ``eigenvalues`` is (k, 2^N) and ``ln_z`` a
+    length-k array; for one sample ``ln_z`` is a float.  beta f_N is
+    -ln Z / N.
     """
 
     eigenvalues: np.ndarray
     ln_z: float | np.ndarray
-    f_n: float | np.ndarray
 
 
 def spectrum(h: Hamiltonian):
-    """Sorted spectrum and f_N = -ln Z / (beta N) from both blocks, per sample.
+    """Sorted spectrum and ln Z from both blocks, per sample.
 
     ln Z is a log-sum-exp of -beta * eigenvalues shifted by its largest term,
     -beta * (ground energy), so it never overflows.  Eigensolver failures
@@ -201,11 +203,7 @@ def spectrum(h: Hamiltonian):
     ln_z = -beta * evals[..., 0] + np.log1p(excited)
     if ln_z.ndim == 0:
         ln_z = float(ln_z)
-    return SpectrumResult(
-        eigenvalues=evals,
-        ln_z=ln_z,
-        f_n=-ln_z / (beta * h.params.n_spins),
-    )
+    return SpectrumResult(eigenvalues=evals, ln_z=ln_z)
 
 
 def _gibbs_weights(h):
@@ -217,11 +215,8 @@ def _gibbs_weights(h):
 
 
 def gibbs_zz(h: Hamiltonian):
-    """Thermal correlation <Sz_1 Sz_2> of one sample."""
-    n = h.params.n_spins
-    q = _gibbs_weights(h)
-    z = _sign_patterns(n)[: 2 ** (n - 1)]
-    val = float(q @ (z[:, 0] * z[:, 1]))
+    """<Sz_1 Sz_2> of one sample: the (1, 2) entry of ``gibbs_zz_matrix``."""
+    val = float(gibbs_zz_matrix(h)[0, 1])
     if abs(val) > 1.0 + 1e-12:
         raise RuntimeError("|<Sz_1 Sz_2>| = %.17g exceeds 1" % abs(val))
     return val

@@ -57,18 +57,12 @@ def frequency_with_err(hits, n, seed=None):
     return EstimateWithError(float(p), float(se), int(n), seed)
 
 
-def effective_sample_size(log_weights):
-    """(sum w)^2 / sum w^2 for w = exp(log_weights), shift-invariant."""
-    lw = np.asarray(log_weights, dtype=float)
-    w = np.exp(lw - lw.max())
-    return float(w.sum() ** 2 / np.square(w).sum())
-
-
 def log_mean_exp(log_terms, label, seed=None):
     """ln((1/n) sum e^{x_i}) with a delta-method standard error.
 
     Returns ``(estimate, ess)``.  An EffectiveSampleSizeWarning naming
-    ``label`` fires when the ESS drops below ESS_FLOOR.
+    ``label`` fires when the ESS, (sum w)^2 / sum w^2 for the weights
+    w = e^{x_i}, drops below ESS_FLOOR.
     """
     lw = np.asarray(log_terms, dtype=float)
     n = lw.size
@@ -77,7 +71,7 @@ def log_mean_exp(log_terms, label, seed=None):
     ubar = u.mean()
     value = shift + np.log(ubar)
     se = u.std(ddof=1) / (ubar * np.sqrt(n))
-    ess = effective_sample_size(lw)
+    ess = float(u.sum() ** 2 / np.square(u).sum())
     if ess < ESS_FLOOR:
         warnings.warn(
             "%s: effective sample size %.1f < %.0f; estimate is unreliable"

@@ -103,22 +103,20 @@ def map_batches(fn, n_batches):
             return list(pool.map(fn, indices))
 
 
-def map_chunks(block, count, size=BATCH_SIZE):
-    """``block(start, stop)`` for every chunk of ``size`` items of range(count),
-    in order."""
-    pieces = [(start, min(start + size, count)) for start in range(0, count, size)]
-    return map_batches(lambda b: block(*pieces[b]), len(pieces))
-
-
-def fill_chunks(block, out, size=BATCH_SIZE):
+def fill_chunks(block, out, size):
     """Call ``block(start, stop, out[start:stop])`` for every chunk of ``size`` rows.
 
-    The chunks run on the worker pool.  Rows (paths or groups) are
-    independent, so ``out`` depends neither on the chunking nor on the
-    worker count.
+    The chunks run on the worker pool, in index order.  Rows (paths or
+    groups) are independent, so ``out`` depends neither on the chunking nor
+    on the worker count.
     """
-    map_chunks(lambda start, stop: block(start, stop, out[start:stop]),
-               out.shape[0], size)
+    count = out.shape[0]
+
+    def chunk(b):
+        start, stop = b * size, min((b + 1) * size, count)
+        block(start, stop, out[start:stop])
+
+    map_batches(chunk, -(-count // size))
     return out
 
 

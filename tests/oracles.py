@@ -351,7 +351,7 @@ def f2_quenched_exact(lam, beta_b):
     return value
 
 
-def per_sample_study(params, n_disorder, seed, want_pairs=True):
+def per_sample_study(params, n_disorder, seed):
     """(ln Z, beta*f, mean squared <Sz_i Sz_j> over pairs) of each disorder sample.
 
     Each draw gets its own Hamiltonian, eigendecomposition and correlation
@@ -361,12 +361,11 @@ def per_sample_study(params, n_disorder, seed, want_pairs=True):
     n = params.n_spins
     iu, ju = np.triu_indices(n, k=1)
     ln_z = np.empty(n_disorder)
-    op = np.zeros(n_disorder)
+    op = np.empty(n_disorder)
     with single_blas_thread():
         for i, g in enumerate(draw_couplings(n, n_disorder, seed)):
             h = build_hamiltonian(params, g)
             ln_z[i] = spectrum(h).ln_z
-            if want_pairs:
-                c = gibbs_zz_matrix(h)
-                op[i] = np.square(c[iu, ju]).mean()
+            c = gibbs_zz_matrix(h)
+            op[i] = np.square(c[iu, ju]).mean()
     return ln_z, -ln_z / n, op

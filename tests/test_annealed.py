@@ -5,13 +5,13 @@ import pytest
 
 from qsk import annealed, disorder, hilbert
 from qsk.annealed import (
-    RegionPoint,
     advisory_curve,
     annealed_free_energy,
     delta_infinity_bounds,
     estimate_f_n,
     k_of_lambda,
     mean_p_n,
+    region_labels,
     region_scan,
 )
 from qsk.constants import ModelParams, g_n_of, inf_g_n_over_n, p_n_of, w_n_of
@@ -210,39 +210,37 @@ def test_delta_bounds_broadcast_over_beta_b():
     assert lower.shape == upper.shape == bbs.shape
     for bb, lo, hi in zip(bbs, lower, upper):
         assert delta_infinity_bounds(2.0, float(bb)) == (lo, hi)
-    # region_scan reports the bracket of each column unchanged
+    # region_scan reports the bracket of each column unchanged, as row x
     xs, ys = np.array([0.35, 0.6]), np.array([0.0, 0.5, 1.0])
-    pts = region_scan(xs, ys)
+    lower_grid, upper_grid = region_scan(xs, ys)
     for i, x in enumerate(xs):
         lower, upper = delta_infinity_bounds(1.0 / (4.0 * x * x), ys / x)
-        assert [p.delta_lower for p in pts[3 * i:3 * i + 3]] == list(lower)
-        assert [p.delta_upper for p in pts[3 * i:3 * i + 3]] == list(upper)
+        assert np.array_equal(lower_grid[i], lower)
+        assert np.array_equal(upper_grid[i], upper)
 
 
 @pytest.mark.filterwarnings("ignore::qsk.numerics.QuadratureConvergenceWarning")
 def test_region_scan_grid_and_classification():
     xs = np.linspace(0.4, 1.6, 6)
     ys = np.linspace(0.0, 1.2, 5)
-    pts = region_scan(xs, ys)
-    assert len(pts) == 30
-    # row-major, x outer
-    assert [p.inv_beta_v for p in pts[:5]] == [xs[0]] * 5
-    assert [p.b_over_v for p in pts[:5]] == list(ys)
-    for p in pts:
-        lam = 1.0 / (4 * p.inv_beta_v**2)
-        bb = p.b_over_v / p.inv_beta_v
-        if p.inv_beta_v > 1.0:
-            expect = "zero"
-        elif k_of_lambda(lam) > float(logcosh(bb)):
-            expect = "positive"
-        else:
-            expect = "unresolved"
-        assert p.classification == expect, p
-        assert p.delta_lower <= p.delta_upper + 1e-15
+    lower, upper = region_scan(xs, ys)
+    # one row per x, one column per y
+    assert lower.shape == upper.shape == (6, 5)
+    labels = region_labels(xs[:, None], lower)
+    assert labels.shape == (6, 5)
+    for i, x in enumerate(xs):
+        lam = 1.0 / (4 * x**2)
+        for j, y in enumerate(ys):
+            if x > 1.0:
+                expect = "zero"
+            elif k_of_lambda(lam) > float(logcosh(y / x)):
+                expect = "positive"
+            else:
+                expect = "unresolved"
+            assert labels[i, j] == expect, (x, y)
+            assert lower[i, j] <= upper[i, j] + 1e-15
     # the zero-field edge is positive whenever beta*v > 1
-    for p in pts:
-        if p.b_over_v == 0.0 and p.inv_beta_v < 1.0:
-            assert p.classification == "positive"
+    assert all(labels[xs < 1.0, 0] == "positive")
 
 
 def test_region_scan_validation():
@@ -257,12 +255,17 @@ def test_region_scan_validation():
 def test_region_point_classification_logic():
     # weak disorder (inv_beta_v > 1) comes first, then delta_lower > 0; both
     # comparisons are strict
-    for x, lower, expect in ((1.2, 0.0, "zero"), (1.2, 0.3, "zero"),
-                             (0.5, 0.2, "positive"), (0.5, 0.0, "unresolved"),
-                             (1.0, 0.2, "positive"), (1.0, 0.0, "unresolved")):
-        p = RegionPoint(inv_beta_v=x, b_over_v=0.3, delta_lower=lower,
-                        delta_upper=0.9)
-        assert p.classification == expect, (x, lower)
+    cases = ((1.2, 0.0, "zero"), (1.2, 0.3, "zero"),
+             (0.5, 0.2, "positive"), (0.5, 0.0, "unresolved"),
+             (1.0, 0.2, "positive"), (1.0, 0.0, "unresolved"))
+    for x, lower, expect in cases:
+        assert region_labels(x, lower) == expect, (x, lower)
+    # the rule broadcasts: the six cases at once, and a column of x
+    # against a row of delta_lower
+    xs, lowers, expects = map(np.array, zip(*cases))
+    assert region_labels(xs, lowers).tolist() == expects.tolist()
+    grid = region_labels(np.array([[1.2], [0.5]]), np.array([0.0, 0.3]))
+    assert grid.tolist() == [["zero", "zero"], ["unresolved", "positive"]]
 
 
 def test_advisory_curve_shape():

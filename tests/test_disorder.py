@@ -1,5 +1,6 @@
 """Disorder studies: quenched means, second moments, concentration, tails."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import qsk
-from qsk import disorder, paths, streams
+from qsk import checks, disorder, paths, streams
 from qsk.constants import ModelParams
 from qsk.disorder import (
     DisorderStudyResult,
@@ -85,10 +86,6 @@ def test_chunked_study_matches_per_sample_oracle(n, b):
             arrays = disorder._study_arrays(params, count, n)
         for got, want in zip(arrays, reference):
             assert np.array_equal(got, want), (n, b, workers)
-    with worker_count(2):
-        ln_z, _, op = disorder._study_arrays(params, count, n, want_pairs=False)
-    assert np.array_equal(ln_z, reference[0])
-    assert not op.any()
 
 
 def test_chunked_study_memory_stays_near_chunk_budget():
@@ -372,11 +369,38 @@ def test_generalized_second_moment_validation():
 
 def test_paley_zygmund_witness():
     params = ModelParams.from_dimensionless(4, 0.1, 1.0)
-    freq, threshold = paley_zygmund_witness(params, 300, seed=17)
+    result = run_study(params, 300, 17, 0.4)
+    freq, threshold = paley_zygmund_witness(result, 0.1)
     assert threshold == pytest.approx(
         0.25 / second_moment_theory_bound(0.1), rel=1e-15)
-    assert 0.0 <= freq.value <= 1.0
+    assert freq.n_samples == 300 and freq.seed == 17
     assert freq.value >= threshold - 3.5 * freq.std_err
+    # every weak-disorder sample clears the bar, so spread ln Z by hand to
+    # see the count: Z_i >= (mean Z)/2, counted directly
+    for ln_z in (result.per_sample[0],
+                 np.random.default_rng(3).normal(scale=1.5, size=300)):
+        spread = dataclasses.replace(result, per_sample=(ln_z, None, None))
+        z = np.exp(ln_z)
+        hits = np.count_nonzero(z >= z.mean() / 2)
+        assert paley_zygmund_witness(spread, 0.1)[0].value == hits / 300
+    assert hits < 300
+
+
+def test_check_disorder_solves_the_witness_study_once(monkeypatch):
+    # the witness reads the N = 5 study the check already ran instead of
+    # solving 400 more samples
+    calls = []
+    real = disorder._study_arrays
+
+    def spy(params, n_disorder, *args, **kwargs):
+        calls.append((params.n_spins, n_disorder))
+        return real(params, n_disorder, *args, **kwargs)
+
+    monkeypatch.setattr(disorder, "_study_arrays", spy)
+    ok, detail = checks.check_disorder(11)
+    assert ok, detail
+    assert calls.count((5, 400)) == 1
+    assert sorted(calls) == [(3, 300), (4, 300), (5, 300), (5, 400)]
 
 
 def test_ratio_of_means_constant_input():

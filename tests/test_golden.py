@@ -45,7 +45,11 @@ signed-length matrix: against the previous output psi moved by at most
 Omega's std_err by 3.3e-19 (its value not at all), the contraction ratios
 by 2.6e-8 relative, the residual norm (1.26e-10) by 6.8e-7 relative and
 the start_gap verdict value by 2.8e-17; no verdict changed, and
-``verify --seed 777`` did not move.  The default
+``verify --seed 777`` did not move.  No hash was re-recorded when
+``gibbs_zz`` came to read its entry of ``gibbs_zz_matrix`` (whose
+symmetrized sum rounds differently) and ``exactdiag`` to print beta f_N as
+-ln Z / N: only ``exactdiag``'s ``gibbs_zz_12`` moved, by at most 1.7e-16
+and only from N = 5 on, and no golden runs N >= 5.  The default
 region grid starts at x = 0.05 (lam = 100), which exercises the
 N*lam > 700 branch of G_N.
 Commands run in a scratch directory under fixed relative file names,

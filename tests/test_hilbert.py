@@ -134,11 +134,11 @@ def test_stacked_samples_match_one_sample_calls(n):
         res = spectrum(h)
         c = gibbs_zz_matrix(h)
         assert h.blocks.shape == (len(stack), 2, 2 ** (n - 1), 2 ** (n - 1))
-        assert res.ln_z.shape == res.f_n.shape == (len(stack),)
+        assert res.ln_z.shape == (len(stack),)
         for k, (blocks, one, corr) in enumerate(singles[:len(stack)]):
             assert h.blocks[k].tobytes() == blocks.tobytes()
             assert res.eigenvalues[k].tobytes() == one.eigenvalues.tobytes()
-            assert res.ln_z[k] == one.ln_z and res.f_n[k] == one.f_n
+            assert res.ln_z[k] == one.ln_z
             assert c[k].tobytes() == corr.tobytes()
     assert isinstance(singles[0][1].ln_z, float)
     with pytest.raises(ValueError):
@@ -228,7 +228,6 @@ def test_spectrum_result_consistency():
     # ln Z against brute-force eigenvalue sum
     brute = np.log(np.sum(np.exp(-params.beta * res.eigenvalues)))
     assert res.ln_z == pytest.approx(brute, rel=1e-12)
-    assert res.f_n == pytest.approx(-res.ln_z / (params.beta * 4), rel=1e-14)
 
 
 def test_f2_exact_frozen_values():
@@ -248,7 +247,7 @@ def test_f2_quenched_matches_sampled_average():
     for _ in range(4000):
         g = rng.standard_normal()
         h = build_hamiltonian(params, np.array([g]))
-        vals.append(spectrum(h).f_n)
+        vals.append(-spectrum(h).ln_z / 2)
     err = np.std(vals, ddof=1) / np.sqrt(len(vals))
     assert abs(np.mean(vals) - f2_quenched_exact(lam, bb)) < 3.5 * err
 
@@ -276,9 +275,15 @@ def test_gibbs_zz_matrix_and_bounds():
     np.testing.assert_array_equal(q, q.T)
     np.testing.assert_allclose(np.diag(q), 1.0, atol=0)
     assert np.all(np.abs(q) <= 1.0 + 1e-12)
-    # gibbs_zz is the (1, 2) entry; test_blocked_route_matches_dense_oracle
-    # checks every pair of the matrix
-    assert q[0, 1] == pytest.approx(gibbs_zz(h), abs=1e-13)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_gibbs_zz_is_the_matrix_entry(n):
+    # one correlation kernel: gibbs_zz reads the (1, 2) entry bit for bit;
+    # test_blocked_route_matches_dense_oracle checks every pair of the matrix
+    params = ModelParams(n_spins=n, beta=1.3, v=0.8, b=0.7)
+    h = build_hamiltonian(params, _draw(n, seed=20 + n))
+    assert gibbs_zz(h) == gibbs_zz_matrix(h)[0, 1]
 
 
 def test_gibbs_z_vanishes_by_flip_symmetry():

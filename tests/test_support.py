@@ -27,7 +27,6 @@ from qsk.numerics import (
 from qsk.stats import (
     EffectiveSampleSizeWarning,
     EstimateWithError,
-    effective_sample_size,
     frequency_with_err,
     jackknife_se,
     log_mean_exp,
@@ -37,8 +36,8 @@ from qsk.streams import (
     BATCH_SIZE,
     batch_generator,
     batch_ranges,
+    fill_chunks,
     map_batches,
-    map_chunks,
     resolve_workers,
     worker_count,
 )
@@ -209,12 +208,16 @@ def test_frequency_with_err():
 
 
 def test_effective_sample_size():
-    assert effective_sample_size(np.zeros(250)) == pytest.approx(250.0)
+    # the ESS (sum w)^2 / sum w^2 of the weights w = e^x, shift-invariant
+    assert log_mean_exp(np.zeros(250), "flat")[1] == pytest.approx(250.0)
     concentrated = np.array([0.0] + [-500.0] * 99)
-    assert effective_sample_size(concentrated) == pytest.approx(1.0)
+    with pytest.warns(EffectiveSampleSizeWarning):
+        assert log_mean_exp(concentrated, "one")[1] == pytest.approx(1.0)
     lw = np.random.default_rng(0).normal(size=100)
-    assert effective_sample_size(lw) == pytest.approx(
-        effective_sample_size(lw + 123.0), rel=1e-12)
+    with pytest.warns(EffectiveSampleSizeWarning):
+        ess = log_mean_exp(lw, "normal")[1]
+        shifted = log_mean_exp(lw + 123.0, "shifted")[1]
+    assert ess == pytest.approx(shifted, rel=1e-12)
 
 
 def test_log_mean_exp():
@@ -406,11 +409,20 @@ def test_every_public_name_has_a_reader_in_the_package():
     assert unread == []
 
 
-def test_map_chunks_covers_the_batch_layout():
+def test_fill_chunks_covers_the_batch_layout():
+    # each chunk sees its own rows of out, and the last one stops at the
+    # row count
     count = 2 * BATCH_SIZE + 5
+    seen = []
+
+    def block(start, stop, rows):
+        seen.append((start, stop))
+        rows[:] = np.arange(start, stop)
+
     with worker_count(2):
-        out = map_chunks(lambda start, stop: (start, stop), count)
-    assert out == [(start, stop) for _, start, stop in batch_ranges(count)]
+        out = fill_chunks(block, np.full(count, -1), BATCH_SIZE)
+    assert sorted(seen) == [(start, stop) for _, start, stop in batch_ranges(count)]
+    assert np.array_equal(out, np.arange(count))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
