@@ -7,7 +7,7 @@ Subpackages by topic:
 - ``paths``: even-parity Poisson paths and overlap functionals
 - ``annealed``: path Monte Carlo for F_N, the scale function k, phase regions
 - ``variational``: discretized variational principle and fixed-point solver
-- ``disorder``: quenched ensemble statistics and concentration checks
+- ``disorder``: quenched ensemble statistics, second moments, Poincare ratio
 - ``cli``: the ``qsk`` command-line front end
 """
 

@@ -7,7 +7,7 @@ exactdiag    diagonalize one disorder sample at small N (JSON)
 annealed     path-MC estimate of F_N and beta f_N^ann with bound checks (JSON)
 variational  fixed-point solve of the discretized variational problem (JSON)
 static       sweep the static (constant-kernel) approximation J (CSV)
-quenched     disorder study: quenched mean, moments, tails (JSON)
+quenched     disorder study: quenched mean, moments, Poincare ratio (JSON)
 region       phase-diagram scan of the quenched-annealed gap bounds (CSV)
 verify       run the desk-scale verification suite; nonzero exit on failure
 
@@ -152,7 +152,6 @@ OPTIONS = {
         "lam": (float, 0.125),
         "beta_b": (float, 1.0),
         "n_disorder": (int, 2000),
-        "delta": (float, 0.25),
         "per_sample_out": (str, None),
     },
     "region": {
@@ -348,19 +347,16 @@ def cmd_static(args, opts):
 
 def cmd_quenched(args, opts):
     params = _model_from(opts)
-    result = disorder.run_study(params, opts["n_disorder"], args.seed, opts["delta"])
-    bound = disorder.concentration_bound(params.n_spins, opts["delta"],
-                                         params.beta_v)
+    result = disorder.run_study(params, opts["n_disorder"], args.seed)
     theory = disorder.second_moment_theory_bound(params.lam)
     payload = {
         "params": params.to_dict(),
         "quenched_mean": result.quenched_mean.to_dict(),
         "second_moment_ratio": result.second_moment_ratio.to_dict(),
         "order_parameter": result.order_parameter.to_dict(),
-        "tail_frequency": result.tail_frequency.to_dict(),
-        "concentration_bound": bound,
+        "poincare_ratio": result.poincare_ratio.to_dict(),
         "second_moment_theory_bound": theory,
-        "verdicts": disorder.study_verdicts(result, bound, 3, ratio_bound=theory),
+        "verdicts": disorder.study_verdicts(result, 3, ratio_bound=theory),
     }
     if opts["per_sample_out"]:
         rows = zip(range(result.n_disorder),

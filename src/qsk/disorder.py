@@ -4,10 +4,14 @@ Small-N exact diagonalization is repeated over many coupling draws to
 estimate E[beta f_N], the second-moment ratio E[Z^2]/E[Z]^2 (bounded by
 c = e^{-2 lam}/sqrt(1-4 lam) in the weak-disorder regime), the spin-glass
 order parameter E<Sz_1 Sz_2>^2, the Paley-Zygmund witness (read from the
-ln Z of a study already run, never from a second solve), and the Gaussian
-concentration bound
+ln Z of a study already run, never from a second solve), and the
+Gaussian-Poincare ratio.  The gradient d ln Z/d g_ij = (beta v/sqrt(N))
+<Sz_i Sz_j> is exact, so the Poincare inequality Var F(g) <= E|grad F|^2
+for the standard Gaussian couplings g gives
 
-    P(|beta f_N - E beta f_N| > delta) <= 2 exp(-N^2 delta^2 / (2(N-1)(beta v)^2)).
+    Var(ln Z_N) <= 2 lam (N-1) E[op],   op = mean over i<j of <Sz_i Sz_j>^2.
+
+One study holds both sides, and a mis-scaled ln Z or <Sz Sz> can break it.
 
 Disorder draws and path draws live in disjoint stream domains, so mixed
 estimators (e.g. quenched-vs-annealed gaps) never share randomness.
@@ -39,7 +43,6 @@ __all__ = [
     "DisorderStudyResult",
     "run_study",
     "order_parameter_trend",
-    "concentration_bound",
     "second_moment_theory_bound",
     "study_verdicts",
     "generalized_second_moment",
@@ -65,7 +68,7 @@ class DisorderStudyResult:
     quenched_mean: EstimateWithError
     second_moment_ratio: EstimateWithError
     order_parameter: EstimateWithError
-    tail_frequency: EstimateWithError
+    poincare_ratio: EstimateWithError
     n_disorder: int
     per_sample: tuple = field(repr=False, compare=False)
 
@@ -148,7 +151,7 @@ def _study_arrays(params, n_disorder, seed):
     return ln_z, -ln_z / n, op
 
 
-def _ratio_of_means(ln_z, seed=None):
+def _ratio_of_means(ln_z, seed):
     """E[Z^2]/E[Z]^2 plug-in estimate with a leave-one-out jackknife error."""
     n = ln_z.size
     c = ln_z.max()
@@ -160,25 +163,36 @@ def _ratio_of_means(ln_z, seed=None):
     return EstimateWithError(float(value), jackknife_se(loo), n, seed)
 
 
-def run_study(params: ModelParams, n_disorder, seed, delta):
+def _poincare_ratio(ln_z, op, params, seed):
+    """Var(ln Z)/(2 lam (N-1) E[op]) with a leave-one-out jackknife error."""
+    n = ln_z.size
+    scale = 2.0 * params.lam * (params.n_spins - 1)
+    value = np.var(ln_z, ddof=1) / (scale * op.mean())
+    x2 = np.square(ln_z - ln_z.mean())
+    loo_var = (x2.sum() - n / (n - 1) * x2) / (n - 2)
+    loo = loo_var / (scale * (op.sum() - op) / (n - 1))
+    return EstimateWithError(float(value), jackknife_se(loo), n, seed)
+
+
+def run_study(params: ModelParams, n_disorder, seed):
     """Full disorder study of ``n_disorder`` >= 10 samples at one parameter point.
 
     Returns plain-mean estimates of E[beta f_N], the second-moment ratio
     (jackknife error), the order parameter (2/(N(N-1))) sum_{i<j} <Sz_i Sz_j>^2
-    averaged over disorder, and the frequency of |beta f - mean| > delta.
+    averaged over disorder, and the Gaussian-Poincare ratio
+    Var(ln Z)/(2 lam (N-1) E[op]) (jackknife error), which needs lam > 0.
     """
     if n_disorder < 10:
         raise ValueError("n_disorder must be >= 10")
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    if not params.lam > 0:
+        raise ValueError("lam must be > 0: the Poincare ratio is 0/0 at lam = 0")
     _validate_disorder_params(params)
     ln_z, beta_f, op = _study_arrays(params, n_disorder, seed)
-    tail_hits = int((np.abs(beta_f - beta_f.mean()) > delta).sum())
     return DisorderStudyResult(
         quenched_mean=mean_with_err(beta_f, seed=seed),
         second_moment_ratio=_ratio_of_means(ln_z, seed=seed),
         order_parameter=mean_with_err(op, seed=seed),
-        tail_frequency=frequency_with_err(tail_hits, beta_f.size, seed=seed),
+        poincare_ratio=_poincare_ratio(ln_z, op, params, seed),
         n_disorder=n_disorder,
         per_sample=(ln_z, beta_f, op),
     )
@@ -202,17 +216,6 @@ def order_parameter_trend(params_base: ModelParams, n_list, n_disorder, seed):
     return out
 
 
-# -- concentration ---------------------------------------------------------
-
-
-def concentration_bound(n_spins, delta, beta_v):
-    """Gaussian concentration tail bound 2 exp(-N^2 d^2/(2(N-1)(beta v)^2))."""
-    if beta_v <= 0:
-        raise ValueError("beta_v must be positive")
-    n = int(n_spins)
-    return 2.0 * float(np.exp(-(n * n * delta * delta) / (2.0 * (n - 1) * beta_v**2)))
-
-
 # -- second moments --------------------------------------------------------
 
 
@@ -223,24 +226,22 @@ def second_moment_theory_bound(lam):
     return float(np.exp(-2.0 * lam) / np.sqrt(1.0 - 4.0 * lam))
 
 
-def study_verdicts(result, tail_bound, n_sigma, ratio_bound):
+def study_verdicts(result, n_sigma, ratio_bound):
     """The inequalities a disorder study must meet, each within ``n_sigma`` errors.
 
-    ``ratio_ge_one``: E[Z^2]/E[Z]^2 >= 1; ``tail_le_bound``: the tail
-    frequency stays below the concentration bound ``tail_bound``; and
-    ``ratio_le_theory``: the ratio stays below ``ratio_bound``.
+    ``ratio_le_theory``: E[Z^2]/E[Z]^2 stays below ``ratio_bound``; and
+    ``poincare_le_one``: Var(ln Z) <= 2 lam (N-1) E[op].
     """
-    ratio, tail = result.second_moment_ratio, result.tail_frequency
+    ratio, poincare = result.second_moment_ratio, result.poincare_ratio
     return {
-        "ratio_ge_one": bool(ratio.value >= 1.0 - n_sigma * ratio.std_err),
-        "tail_le_bound": bool(tail.value <= tail_bound + n_sigma * tail.std_err),
         "ratio_le_theory": bool(
             ratio.value <= ratio_bound + n_sigma * ratio.std_err),
+        "poincare_le_one": bool(
+            poincare.value <= 1.0 + n_sigma * poincare.std_err),
     }
 
 
-def generalized_second_moment(params: ModelParams, gamma, n_path_ensembles,
-                              seed, return_diagnostics=False):
+def generalized_second_moment(params: ModelParams, gamma, n_path_ensembles, seed):
     """Path-average form of E[Z^2]-type moments at shifted coupling gamma.
 
     For two independent N-path systems with overlap matrices A, B the
@@ -249,11 +250,12 @@ def generalized_second_moment(params: ModelParams, gamma, n_path_ensembles,
         e^{N lam (P_A + P_B)} 2^{-N} sum_eps exp((2(lam+gamma)/N)
             sum_{ij} eps_i eps_j A_ij B_ij)
 
-    has disorder-free mean E[Z^2-like]/(2 cosh)^{2N}-normalized; multiplied
-    by sqrt(1 - 4(lam+gamma)) and divided by the squared mean of
-    e^{N lam P}, the result is <= 1 for 0 <= 4(lam+gamma) < 1.  The eps sum
-    is enumerated exactly (N <= 4).  Jackknife standard error over the
-    paired systems.  ``return_diagnostics`` adds max |coupling - 1|, 0 at gamma = -lam.
+    averaged over the paired systems, divided by the squared mean of
+    e^{N lam P} and multiplied by sqrt(1 - 4(lam+gamma)), estimates a ratio
+    that is <= 1 for 0 <= 4(lam+gamma) < 1; at gamma = 0 that ratio is
+    E[Z_N^2]/E[Z_N]^2 / c(lam).
+    The eps sum is enumerated exactly (N <= 4).  Jackknife standard error
+    over the paired systems.
     """
     n = params.n_spins
     if n > 4:
@@ -281,10 +283,7 @@ def generalized_second_moment(params: ModelParams, gamma, n_path_ensembles,
     loo_num = (s_num - num) / (n_items - 1)
     loo_den = (s_den - den.sum(axis=1)) / (2 * n_items - 2)
     loo = scale * loo_num / np.square(loo_den)
-    est = EstimateWithError(float(value), jackknife_se(loo), n_items, seed)
-    if not return_diagnostics:
-        return est
-    return est, float(np.abs(coupling - 1.0).max())
+    return EstimateWithError(float(value), jackknife_se(loo), n_items, seed)
 
 
 def paley_zygmund_witness(result, lam):

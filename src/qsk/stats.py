@@ -38,7 +38,7 @@ class EstimateWithError:
     def to_dict(self):
         return asdict(self)
 
-    def agrees_with(self, other_value, n_sigma=3.0):
+    def agrees_with(self, other_value, n_sigma):
         """|value - other_value| within n_sigma standard errors."""
         return abs(self.value - float(other_value)) <= n_sigma * self.std_err
 

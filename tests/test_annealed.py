@@ -77,7 +77,7 @@ def test_quenched_dominates_annealed():
     # Jensen at N=4: E[beta f_N] >= beta f_N^ann, and the G_N/N wedge above it
     lam, bb, n = 0.1, 1.0, 4
     params = ModelParams.from_dimensionless(n, lam, bb)
-    quenched = disorder.run_study(params, 400, 3, 0.5).quenched_mean
+    quenched = disorder.run_study(params, 400, 3).quenched_mean
     ann = annealed_free_energy(params, 30_000, seed=4)
     err = 3.5 * np.hypot(quenched.std_err, ann.std_err)
     gap = quenched.value - ann.value

@@ -71,6 +71,7 @@ BAD_OPTIONS = [
     ("annealed --ensembles 1", "at least two path configurations"),
     ("annealed --n-spins 40", "N=40 too large"),
     ("quenched --n-disorder 5", "n_disorder must be >= 10"),
+    ("quenched --lam 0 --n-disorder 20", "lam must be > 0: the Poincare ratio"),
     ("exactdiag --n-spins 13", "exact-diagonalization cap (12)"),
     # a float option must be finite, from a flag or a config key, and the
     # seed must not be negative
@@ -104,10 +105,12 @@ def test_out_of_domain_option_is_a_usage_error(command, message, tmp_path,
     "static --quad-nodes 64",
     "region --quad-nodes 64",
     "variational --with-static yes",
+    "quenched --delta 0.25",
 ])
 def test_removed_flags_are_rejected(command, capsys):
-    # every quadrature runs at numerics.QUAD_NODES and variational always
-    # prints its static section, so neither flag is accepted any more
+    # every quadrature runs at numerics.QUAD_NODES, variational always
+    # prints its static section, and quenched has no tail frequency to
+    # count past a delta, so none of these flags is accepted any more
     with pytest.raises(SystemExit) as exc:
         cli.main(command.split())
     assert exc.value.code == 2
@@ -179,6 +182,8 @@ def test_config_bad_value(tmp_path, capsys):
      "config [static] quad_nodes: not an option of static"),
     ("variational", "[variational]\nwith_static = no\n",
      "config [variational] with_static: not an option of variational"),
+    ("quenched", "[quenched]\ndelta = 0.25\n",
+     "config [quenched] delta: not an option of quenched"),
     # every section is checked, not only those the running command reads
     ("static", "[static]\nlam_count = 2\n[constants]\nbb_cout = 3\n",
      "config [constants] bb_cout: not an option of constants"),
@@ -186,7 +191,7 @@ def test_config_bad_value(tmp_path, capsys):
      "config [model] quad_nodes: not an option of any subcommand"),
     ("static", "[stattic]\nlam_count = 2\n", "config [stattic]: "),
     ("static", "[DEFAULT]\nlam_count = 2\n", "config [DEFAULT]: "),
-], ids=["misspelt", "quad_nodes", "with_static", "other_section", "model",
+], ids=["misspelt", "quad_nodes", "with_static", "delta", "other_section", "model",
         "unknown_section", "default_section"])
 def test_config_key_no_subcommand_reads_is_a_usage_error(
         command, config, message, tmp_path, capsys, monkeypatch):
@@ -282,7 +287,6 @@ RECORDED_FLAGS = {
         "lam": (("--lam",), None, "store", "float"),
         "beta_b": (("--beta-b",), None, "store", "float"),
         "n_disorder": (("--n-disorder",), None, "store", "int"),
-        "delta": (("--delta",), None, "store", "float"),
         "per_sample_out": (("--per-sample-out",), None, "store", "str"),
     },
     "region": {
@@ -517,8 +521,8 @@ def test_quenched_json_and_per_sample(tmp_path):
                    "--per-sample-out", str(per), "--out", str(out)])
     assert rc == 0
     res = json.loads(out.read_text())["result"]
-    assert res["verdicts"]["ratio_ge_one"] and res["verdicts"]["tail_le_bound"]
-    assert res["verdicts"]["ratio_le_theory"]
+    assert res["verdicts"] == {"ratio_le_theory": True, "poincare_le_one": True}
+    assert 0.0 < res["poincare_ratio"]["value"] < 1.0
     assert res["second_moment_theory_bound"] > 1.0
     header, rows = _data_rows(_read_lines(per))
     assert header == ["index", "ln_z", "beta_f", "order_parameter"]

@@ -1,4 +1,4 @@
-"""Disorder studies: quenched means, second moments, concentration, tails."""
+"""Disorder studies: quenched means, second moments, the Poincare ratio."""
 
 import dataclasses
 import math
@@ -16,7 +16,6 @@ from qsk import checks, disorder, paths, streams
 from qsk.constants import ModelParams
 from qsk.disorder import (
     DisorderStudyResult,
-    concentration_bound,
     generalized_second_moment,
     order_parameter_trend,
     paley_zygmund_witness,
@@ -34,15 +33,17 @@ from oracles import per_sample_study
 
 
 def test_run_study_no_disorder_limit():
-    # v = 0: Z is deterministic, so every disorder statistic collapses
+    # v = 0: Z is deterministic, so every disorder statistic collapses, and
+    # the Poincare ratio is 0/0, so a study refuses lam = 0
     params = ModelParams(n_spins=4, beta=1.0, v=0.0, b=1.0)
-    res = run_study(params, 50, 9, 0.1)
+    ln_z, beta_f, op = disorder._study_arrays(params, 50, 9)
     expected = -(float(logcosh(1.0)) + LN2)
-    assert res.quenched_mean.value == pytest.approx(expected, abs=1e-12)
-    assert res.quenched_mean.std_err <= 1e-13
-    assert res.second_moment_ratio.value == pytest.approx(1.0, abs=1e-12)
-    assert res.order_parameter.value <= 1e-12
-    assert res.tail_frequency.value == 0.0
+    assert beta_f == pytest.approx(np.full(50, expected), abs=1e-12)
+    assert np.ptp(beta_f) <= 1e-13
+    assert disorder._ratio_of_means(ln_z, 9).value == pytest.approx(1.0, abs=1e-12)
+    assert op.max() <= 1e-12
+    with pytest.raises(ValueError, match="lam must be > 0"):
+        run_study(params, 50, 9)
 
 
 def test_one_eigendecomposition_per_sample(monkeypatch):
@@ -59,7 +60,7 @@ def test_one_eigendecomposition_per_sample(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
     params = ModelParams.from_dimensionless(5, 0.1, 1.0)
-    run_study(params, 523, 3, 0.1)
+    run_study(params, 523, 3)
     # one stacked solve per chunk, as few chunks as the byte budget allows
     # (256 samples of two 16 x 16 blocks), and every sample in exactly one
     assert len(shapes) == math.ceil(523 / (disorder.CHUNK_BYTES // (16 * 16**2)))
@@ -105,13 +106,13 @@ def test_chunked_study_memory_stays_near_chunk_budget():
 
 def test_run_study_weak_disorder_sanity():
     params = ModelParams.from_dimensionless(4, 0.1, 1.0)
-    res = run_study(params, 400, 2, 0.4)
+    res = run_study(params, 400, 2)
     ratio = res.second_moment_ratio
     c = second_moment_theory_bound(0.1)
     assert 1.0 - 3.5 * ratio.std_err <= ratio.value <= c + 3.5 * ratio.std_err
     assert res.order_parameter.value > 0.0
-    bound = concentration_bound(4, 0.4, params.beta_v)
-    assert res.tail_frequency.value <= bound + 3.5 * res.tail_frequency.std_err
+    poincare = res.poincare_ratio
+    assert 0.0 < poincare.value <= 1.0 + 3.5 * poincare.std_err
     assert res.n_disorder == 400
 
 
@@ -145,7 +146,7 @@ def test_run_study_worker_invariance(monkeypatch):
             runs = {}
             for w in (1, 2, 4):
                 with worker_count(w):
-                    runs[w] = run_study(params, count, 5, 0.3)
+                    runs[w] = run_study(params, count, 5)
             for w in (2, 4):
                 assert _per_sample_bytes(runs[w]) == _per_sample_bytes(runs[1])
                 assert runs[w].quenched_mean == runs[1].quenched_mean
@@ -193,7 +194,7 @@ def test_study_runs_serially_without_blas_handle(monkeypatch):
         with worker_count(workers):
             ens = paths.sample_ensemble(1.0, 2 * (BATCH_SIZE + 8), 9)
             report = fixed_point_solve(0.1, 4, ens)
-            return [_per_sample_bytes(run_study(params, 130, 8, 0.3)),
+            return [_per_sample_bytes(run_study(params, 130, 8)),
                     ens.times.tobytes(), ens.counts.tobytes(),
                     paths.p_n_batch(ens, 2).tobytes(),
                     report.to_dict(), report.start_lambda]
@@ -248,7 +249,7 @@ def test_parallel_failures_name_the_global_sample(monkeypatch):
     monkeypatch.setattr(disorder, "spectrum", failing_spectrum)
     with worker_count(2), pytest.raises(
             RuntimeError, match=r"seed=3, batch=0, index=43\): injected"):
-        run_study(params, 75, 3, 0.3)
+        run_study(params, 75, 3)
     monkeypatch.setattr(disorder, "spectrum", real_spectrum)
 
     # the every-tenth-sample checks run on the global index: a corrupt
@@ -263,25 +264,26 @@ def test_parallel_failures_name_the_global_sample(monkeypatch):
 
     monkeypatch.setattr(disorder, "gibbs_zz_matrix", corrupt_at(47))
     with worker_count(2):
-        run_study(params, 75, 3, 0.3)
+        run_study(params, 75, 3)
     monkeypatch.setattr(disorder, "gibbs_zz_matrix", corrupt_at(50))
     with worker_count(2), pytest.raises(
             RuntimeError, match=r"index=50\): \|<Sz_i Sz_j>\|"):
-        run_study(params, 75, 3, 0.3)
+        run_study(params, 75, 3)
 
 
 def test_study_validation():
     params = ModelParams.from_dimensionless(11, 0.1, 1.0)
     with pytest.raises(ValueError, match="cap"):
-        run_study(params, 50, 1, 0.1)
+        run_study(params, 50, 1)
     strong = ModelParams.from_dimensionless(4, 0.2, 1.0)
     with pytest.raises(ValueError, match=r"4\*lam = 0\.800 .*use lam <= 0\.15"):
-        run_study(strong, 50, 1, 0.1)
+        run_study(strong, 50, 1)
     weak = ModelParams.from_dimensionless(4, 0.1, 1.0)
     with pytest.raises(ValueError, match="n_disorder must be >= 10"):
-        run_study(weak, 5, 1, 0.1)
-    with pytest.raises(ValueError, match="delta must be positive"):
-        run_study(weak, 50, 1, 0.0)
+        run_study(weak, 5, 1)
+    free = ModelParams.from_dimensionless(4, 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"lam must be > 0: .* is 0/0 at lam = 0"):
+        run_study(free, 50, 1)
 
 
 def test_order_parameter_trend_decreasing():
@@ -292,23 +294,44 @@ def test_order_parameter_trend_decreasing():
     assert ests[0].value > ests[1].value - err
 
 
-# -- concentration ---------------------------------------------------------
+# -- Gaussian-Poincare ratio -----------------------------------------------
 
 
-def test_concentration_bound_hand_value():
-    # 2 exp(-36 * 0.09 / (2 * 5 * 0.49)) at N=6, delta=0.3, beta_v=0.7
-    expect = 2.0 * math.exp(-3.24 / 4.9)
-    assert concentration_bound(6, 0.3, 0.7) == pytest.approx(expect, rel=1e-15)
-    with pytest.raises(ValueError):
-        concentration_bound(6, 0.3, 0.0)
+def test_poincare_ratio_value_and_jackknife():
+    params = ModelParams(n_spins=5, beta=1.1, v=0.6, b=0.8)
+    ln_z, _, op = per_sample_study(params, 120, seed=13)
+    est = disorder._poincare_ratio(ln_z, op, params, 13)
+    scale = 2.0 * params.lam * (params.n_spins - 1)
+    assert est.value == pytest.approx(
+        np.var(ln_z, ddof=1) / (scale * op.mean()), rel=1e-12)
+    keep = ~np.eye(ln_z.size, dtype=bool)
+    loo = [np.var(ln_z[k], ddof=1) / (scale * op[k].mean()) for k in keep]
+    n = ln_z.size
+    se = math.sqrt((n - 1) / n * np.square(np.subtract(loo, np.mean(loo))).sum())
+    assert est.std_err == pytest.approx(se, rel=1e-10)
+    assert (est.n_samples, est.seed) == (120, 13)
+    assert run_study(params, 120, 13).poincare_ratio == est
 
 
-def test_concentration_check_agrees_with_bound():
-    params = ModelParams.from_dimensionless(5, 0.1, 1.0)
-    empirical = run_study(params, 300, 13, 0.35).tail_frequency
-    bound = concentration_bound(5, 0.35, params.beta_v)
-    assert 0.0 <= empirical.value <= 1.0
-    assert empirical.value <= bound + 3.5 * empirical.std_err
+def test_poincare_verdict_holds_over_seeds():
+    # the desk study of check_disorder at 20 seeds, gated at 3.5 errors
+    params = ModelParams.from_dimensionless(5, 0.125, 1.0)
+    c = second_moment_theory_bound(0.125)
+    for seed in range(20):
+        result = run_study(params, 400, seed)
+        assert study_verdicts(result, 3.5, c)["poincare_le_one"], seed
+
+
+def test_poincare_verdict_catches_scaled_correlations():
+    # <Sz Sz>^2 scaled by 0.3 moves the ratio from about 0.48 to 1.6
+    params = ModelParams.from_dimensionless(5, 0.125, 1.0)
+    result = run_study(params, 400, 777)
+    c = second_moment_theory_bound(0.125)
+    assert study_verdicts(result, 3.5, c)["poincare_le_one"]
+    ln_z, _, op = result.per_sample
+    scaled = dataclasses.replace(
+        result, poincare_ratio=disorder._poincare_ratio(ln_z, 0.3 * op, params, 777))
+    assert not study_verdicts(scaled, 3.5, c)["poincare_le_one"]
 
 
 # -- second moments --------------------------------------------------------
@@ -326,25 +349,29 @@ def test_second_moment_theory_bound_values():
 
 
 def test_study_verdicts_edges():
-    # ratio 0.975 +- 0.01 and tail 0.055 +- 0.01 against the bounds 0.95
-    # and 0.03: each inequality holds at 3 errors and fails at 2
+    # ratio 0.975 +- 0.01 against the bound 0.95 and Poincare ratio
+    # 1.025 +- 0.01 against 1: each inequality holds at 3 errors and fails at 2
     est = EstimateWithError(0.0, 0.0, 100)
     result = DisorderStudyResult(
         quenched_mean=est, second_moment_ratio=EstimateWithError(0.975, 0.01, 100),
-        order_parameter=est, tail_frequency=EstimateWithError(0.055, 0.01, 100),
+        order_parameter=est, poincare_ratio=EstimateWithError(1.025, 0.01, 100),
         n_disorder=100, per_sample=())
-    assert study_verdicts(result, 0.03, 3, ratio_bound=0.95) == {
-        "ratio_ge_one": True, "tail_le_bound": True, "ratio_le_theory": True}
-    assert study_verdicts(result, 0.03, 2, ratio_bound=0.95) == {
-        "ratio_ge_one": False, "tail_le_bound": False, "ratio_le_theory": False}
+    assert study_verdicts(result, 3, ratio_bound=0.95) == {
+        "ratio_le_theory": True, "poincare_le_one": True}
+    assert study_verdicts(result, 2, ratio_bound=0.95) == {
+        "ratio_le_theory": False, "poincare_le_one": False}
 
 
 def test_generalized_second_moment_gamma_cancellation():
-    # gamma = -lam removes the replica coupling exactly, not just on average
+    # gamma = -lam removes the replica coupling exactly, not just on average:
+    # the statistic is the uncoupled ratio of the same paired systems
     params = ModelParams.from_dimensionless(3, 0.1, 1.0)
-    est, coupling_max_dev = generalized_second_moment(
-        params, -0.1, 500, seed=3, return_diagnostics=True)
-    assert coupling_max_dev == 0.0
+    est = generalized_second_moment(params, -0.1, 500, seed=3)
+    ens = paths.sample_ensemble(1.0, 2 * 3 * 500, 3)
+    a = paths.overlap_matrix_batch(ens, 3).reshape(-1, 2, 3, 3)
+    weight = np.exp(0.1 * 3 * np.square(a).sum(axis=(2, 3)) / 9)
+    expect = weight.prod(axis=1).mean() / weight.mean() ** 2
+    assert est.value == pytest.approx(expect, rel=1e-12)
     assert est.value <= 1.0 + 3.5 * est.std_err
 
 
@@ -369,7 +396,7 @@ def test_generalized_second_moment_validation():
 
 def test_paley_zygmund_witness():
     params = ModelParams.from_dimensionless(4, 0.1, 1.0)
-    result = run_study(params, 300, 17, 0.4)
+    result = run_study(params, 300, 17)
     freq, threshold = paley_zygmund_witness(result, 0.1)
     assert threshold == pytest.approx(
         0.25 / second_moment_theory_bound(0.1), rel=1e-15)
@@ -404,7 +431,7 @@ def test_check_disorder_solves_the_witness_study_once(monkeypatch):
 
 
 def test_ratio_of_means_constant_input():
-    est = disorder._ratio_of_means(np.full(40, 2.5))
+    est = disorder._ratio_of_means(np.full(40, 2.5), 4)
     assert est.value == pytest.approx(1.0, rel=1e-15)
     assert est.std_err == pytest.approx(0.0, abs=1e-15)
 
@@ -417,7 +444,7 @@ from qsk.constants import ModelParams
 disorder.gibbs_zz_matrix = lambda h: np.full(
     h.blocks.shape[:-3] + (4, 4), 2.0)
 try:
-    disorder.run_study(ModelParams.from_dimensionless(4, 0.1, 1.0), 20, 1, 0.1)
+    disorder.run_study(ModelParams.from_dimensionless(4, 0.1, 1.0), 20, 1)
 except RuntimeError as exc:
     print("raised:", exc)
 else:

@@ -49,7 +49,18 @@ the start_gap verdict value by 2.8e-17; no verdict changed, and
 ``gibbs_zz`` came to read its entry of ``gibbs_zz_matrix`` (whose
 symmetrized sum rounds differently) and ``exactdiag`` to print beta f_N as
 -ln Z / N: only ``exactdiag``'s ``gibbs_zz_12`` moved, by at most 1.7e-16
-and only from N = 5 on, and no golden runs N >= 5.  The default
+and only from N = 5 on, and no golden runs N >= 5.  The ``quenched``
+hashes (stdout and ``per_sample.csv``) and the ``verify`` hash were
+re-recorded when the disorder sub-checks that cannot fail were removed
+(the tail frequency against a concentration bound above 1, the ratio
+E[Z^2]/E[Z]^2 >= 1 that Cauchy-Schwarz guarantees, and the replica
+coupling at gamma = -lam, which is exp(0) = 1) and the Gaussian-Poincare
+ratio Var(ln Z)/(2 lam (N-1) E[op]) took the tail's place: ``quenched``
+lost its ``delta`` option, ``tail_frequency``, ``concentration_bound`` and
+two verdicts, and gained ``poincare_ratio`` and ``poincare_le_one``;
+``per_sample.csv`` changed only in its options echo, which lost
+``delta=0.25``; ``verify`` changed only in its ``disorder`` and
+``second_moment`` detail lines.  The default
 region grid starts at x = 0.05 (lam = 100), which exercises the
 N*lam > 700 branch of G_N.
 Commands run in a scratch directory under fixed relative file names,
@@ -78,9 +89,9 @@ GOLDEN = {
     "variational --ensembles 5000 --m-cells 8 --psi-out psi.json":
         "1cbd0ba10c66f3f005390ec593239648e0650cef75693db705474038f9ff82d0",
     "quenched --n-spins 4 --n-disorder 60 --per-sample-out per_sample.csv":
-        "2b85c3d64cccf471157136abb1e3209035e516ccf9c7d0fd5fac5d1b9539d645",
+        "8639d171eb22ec26c092ff6ce6b76b2acaffeec45384b28fe40e6fcaaa4f9496",
     "verify --seed 777":
-        "0561e0ca696e8529991d15de0e30f8c11e20a5d8b95d5dc0f79f22dafd19ae27",
+        "f309b5e91b03a7438ea2fd668f3fca31690ee22ff0331d36e10c19656deb5022",
 }
 
 #: files a command writes besides stdout, keyed like GOLDEN
@@ -91,7 +102,7 @@ GOLDEN_FILES = {
     },
     "quenched --n-spins 4 --n-disorder 60 --per-sample-out per_sample.csv": {
         "per_sample.csv":
-            "c46348dfa2c853bf2e0de173a7250539a76df9bd388c61ab64d03973540959e6",
+            "a5b376416fdd373991e0f106c2bd041efadb495f741a0c990b1cc07eee87b164",
     },
 }
 

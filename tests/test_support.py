@@ -188,6 +188,8 @@ def test_agrees_with():
     assert est.agrees_with(1.25, n_sigma=3.0)
     assert not est.agrees_with(1.55, n_sigma=3.0)
     assert est.agrees_with(1.55, n_sigma=6.0)
+    with pytest.raises(TypeError):
+        est.agrees_with(1.25)  # no default width: every caller names its own
 
 
 def test_mean_with_err():
