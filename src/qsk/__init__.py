@@ -1,6 +1,6 @@
 """Numerical laboratory for the weak-disorder transverse-field SK model.
 
-Subpackages by topic:
+Modules by topic:
 
 - ``constants``: closed-form moment constants, bounds G_N / W_N / c0
 - ``hilbert``: exact diagonalization for small N

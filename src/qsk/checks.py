@@ -83,15 +83,15 @@ def check_two_spin(seed, spectra=200, points=((0.15, 0.8), (0.3, 1.5)),
         lam = float(10 ** rng.uniform(-2, 0.5))
         bb = float(10 ** rng.uniform(-1, 0.7))
         g = float(rng.standard_normal())
-        params = ModelParams.from_dimensionless(2, lam, bb)
+        params = ModelParams(2, lam, bb)
         h = hilbert.build_hamiltonian(params, np.array([g]))
-        evals = params.beta * hilbert.spectrum(h).eigenvalues
+        evals = hilbert.spectrum(h).eigenvalues
         ref = hilbert.two_spin_scaled_spectrum(lam, bb, g)
         worst = max(worst, float(np.abs(evals - ref).max()))
     mc_bad = 0
     worst_z = 0.0
     for i, (lam, bb) in enumerate(points):
-        params = ModelParams.from_dimensionless(2, lam, bb)
+        params = ModelParams(2, lam, bb)
         est = annealed.annealed_free_energy(params, ensembles, seed + i)
         exact = hilbert.f2_annealed_exact(lam, bb)
         worst_z = max(worst_z, abs(est.value - exact) / est.std_err)
@@ -135,7 +135,7 @@ def check_path_kernels(seed, mu_points=6, mu_paths=20_000, laplace_cases=2,
                                        n_sigma=n_sigma)
     p_bad = 0
     for n in p_n_spins:
-        params = ModelParams.from_dimensionless(n, 0.1, 1.0)
+        params = ModelParams(n, 0.1, 1.0)
         est = annealed.mean_p_n(params, p_n_ensembles, seed + 300 + n)
         p_bad += not est.agrees_with(constants.p_n_of(n, 1.0), n_sigma=n_sigma)
     ok = mu_bad == 0 and constant_ok and lap_bad == 0 and p_bad == 0
@@ -151,7 +151,7 @@ def check_f_bounds(seed, lams=(0.125,), beta_bs=(1.0,), spins=(2, 4),
     for lam in lams:
         for bb in beta_bs:
             for n in spins:
-                params = ModelParams.from_dimensionless(n, lam, bb)
+                params = ModelParams(n, lam, bb)
                 f_hat = annealed.estimate_f_n(params, ensembles, seed + n)
                 bounds, verdicts = annealed.f_n_sandwich(params, f_hat, n_sigma)
                 upper = min(bounds["g_n"], bounds["w_n"])
@@ -214,7 +214,7 @@ def check_disorder(seed, n_spins=5, samples=400,
     inequality Var(ln Z) <= 2 lam (N-1) E[op] (its ratio and margin in
     standard errors are printed), and an order parameter decreasing in N."""
     lam, bb = 0.125, 1.0
-    params = ModelParams.from_dimensionless(n_spins, lam, bb)
+    params = ModelParams(n_spins, lam, bb)
     result = disorder.run_study(params, samples, seed)
     c = disorder.second_moment_theory_bound(lam)
     study = disorder.study_verdicts(result, n_sigma, ratio_bound=c)
@@ -243,7 +243,7 @@ def check_disorder(seed, n_spins=5, samples=400,
 def check_second_moment(seed, n_paths=4000, n_sigma=3.5):
     """The generalized second moment stays <= 1 at coupling shifts gamma in
     {0, 0.1}; the z-scores against 1 are printed."""
-    params = ModelParams.from_dimensionless(3, 0.1, 1.0)
+    params = ModelParams(3, 0.1, 1.0)
     zs = []
     bad = 0
     for i, gamma in enumerate((0.0, 0.1)):

@@ -14,7 +14,10 @@ verify       run the desk-scale verification suite; nonzero exit on failure
 Each subcommand's options are declared once, in ``OPTIONS``: an option
 ``name`` is the flag ``--name-with-dashes`` and the config key ``name``,
 read from ``[subcommand]`` and then ``[model]`` of the ``--config`` file.
-A config key that no subcommand reads is a usage error.
+A config key that no subcommand reads is a usage error.  The model is
+given as ``--n-spins``, ``--lam`` = (beta v)^2/4 and ``--beta-b`` = beta b,
+in units with beta = 1, and a result's ``params`` block echoes those three
+values as they were given.
 
 Conventions: all outputs are deterministic functions of (options, seed) —
 identical runs give byte-identical files regardless of worker count; wall
@@ -169,8 +172,7 @@ OPTIONS = {
 
 
 def _model_from(opts):
-    return ModelParams.from_dimensionless(opts["n_spins"], opts["lam"],
-                                          opts["beta_b"])
+    return ModelParams(opts["n_spins"], opts["lam"], opts["beta_b"])
 
 
 def _sweep(lo, hi, count, scale):

@@ -51,59 +51,29 @@ MOMENT_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical parameters of the N-spin model.
+    """The N-spin model at lam = (beta v)^2 / 4 and beta_b = beta b.
 
-    Hamiltonian: H = -(v/sqrt(N)) sum_{i<j} g_ij Sz_i Sz_j - b sum_i Sx_i
-    with i.i.d. standard normal couplings g_ij.  The derived combinations
-    ``lam`` and ``beta_b`` are always recomputed from (beta, v, b), never
-    cached, so they cannot drift out of sync.
+    In units with beta = 1 the Hamiltonian is
+    beta H = -(2 sqrt(lam)/sqrt(N)) sum_{i<j} g_ij Sz_i Sz_j - beta_b sum_i Sx_i
+    with i.i.d. standard normal couplings g_ij; every result depends on
+    (beta, v, b) only through these two combinations.  Weak disorder is
+    4 lam < 1.
     """
 
     n_spins: int
-    beta: float
-    v: float
-    b: float
+    lam: float
+    beta_b: float
 
     def __post_init__(self):
         if int(self.n_spins) != self.n_spins or self.n_spins < 2:
             raise ValueError("n_spins must be an integer >= 2")
-        for name in ("beta", "v", "b"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.v < 0 or self.b < 0:
-            raise ValueError("v and b must be non-negative")
-
-    @property
-    def lam(self):
-        """Disorder strength lam = beta^2 v^2 / 4; weak disorder is 4*lam < 1."""
-        return (self.beta * self.v) ** 2 / 4.0
-
-    @property
-    def beta_b(self):
-        return self.beta * self.b
-
-    @property
-    def beta_v(self):
-        return self.beta * self.v
-
-    @classmethod
-    def from_dimensionless(cls, n_spins, lam, beta_b):
-        """Parameters with beta = 1 realizing the given (lam, beta_b)."""
-        if lam < 0 or beta_b < 0:
-            raise ValueError("lam and beta_b must be non-negative")
-        return cls(n_spins=n_spins, beta=1.0, v=2.0 * math.sqrt(lam), b=float(beta_b))
+        for name in ("lam", "beta_b"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, not {value!r}")
 
     def to_dict(self):
-        return {
-            "n_spins": self.n_spins,
-            "beta": self.beta,
-            "v": self.v,
-            "b": self.b,
-            "lam": self.lam,
-            "beta_b": self.beta_b,
-        }
+        return {"n_spins": self.n_spins, "lam": self.lam, "beta_b": self.beta_b}
 
 
 def mu(t, tp, beta_b):

@@ -17,7 +17,7 @@ Disorder draws and path draws live in disjoint stream domains, so mixed
 estimators (e.g. quenched-vs-annealed gaps) never share randomness.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -199,7 +199,7 @@ def run_study(params: ModelParams, n_disorder, seed):
 
 
 def order_parameter_trend(params_base: ModelParams, n_list, n_disorder, seed):
-    """Order parameter at fixed (beta, v, b) for each N in n_list.
+    """Order parameter at fixed (lam, beta_b) for each N in n_list.
 
     The disorder average of the mean squared pair correlation decreases
     with N in the weak-disorder regime.  Every entry draws at the same
@@ -208,8 +208,7 @@ def order_parameter_trend(params_base: ModelParams, n_list, n_disorder, seed):
     """
     out = []
     for n in n_list:
-        params = ModelParams(n_spins=int(n), beta=params_base.beta,
-                             v=params_base.v, b=params_base.b)
+        params = replace(params_base, n_spins=int(n))
         _validate_disorder_params(params)
         _, _, op = _study_arrays(params, n_disorder, seed)
         out.append(mean_with_err(op, seed=seed))

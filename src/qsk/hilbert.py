@@ -1,8 +1,13 @@
 """Exact diagonalization of the N-spin Hamiltonian on (C^2)^{tensor N}.
 
-H = -(v/sqrt(N)) sum_{i<j} g_ij Sz_i Sz_j - b sum_i Sx_i, where Sz, Sx have
-eigenvalues +-1 (Pauli convention).  Basis states are indexed by the bits of
-the row index: bit k encodes spin k+1, bit value 0 meaning Sz eigenvalue +1.
+In units with beta = 1 the Hamiltonian is
+
+    beta H = -(2 sqrt(lam)/sqrt(N)) sum_{i<j} g_ij Sz_i Sz_j - beta_b sum_i Sx_i,
+
+where Sz, Sx have eigenvalues +-1 (Pauli convention), so every eigenvalue
+here is one of beta H and Z = tr exp(-beta H).  Basis states are indexed by
+the bits of the row index: bit k encodes spin k+1, bit value 0 meaning Sz
+eigenvalue +1.
 
 H commutes with the global spin flip prod_i Sx_i, so it is built and
 diagonalized in the flip-parity basis (|s> +- |s-bar>)/sqrt(2), s ranging
@@ -165,9 +170,9 @@ def build_hamiltonian(params: ModelParams, couplings):
     if not np.all(np.isfinite(g)):
         raise ValueError("couplings must be finite")
     dim = 2 ** (n - 1)
-    weights = -(params.v / np.sqrt(n)) * g
+    weights = -(2.0 * np.sqrt(params.lam) / np.sqrt(n)) * g
     lead = weights.shape[:-1]
-    blocks = np.broadcast_to(_field_blocks(n, params.b),
+    blocks = np.broadcast_to(_field_blocks(n, params.beta_b),
                              lead + (2, dim, dim)).copy()
     # one matrix-vector product per sample: a (samples x pairs) @ table.T
     # product rounds differently from N = 4 on
@@ -192,15 +197,15 @@ class SpectrumResult:
 def spectrum(h: Hamiltonian):
     """Sorted spectrum and ln Z from both blocks, per sample.
 
-    ln Z is a log-sum-exp of -beta * eigenvalues shifted by its largest term,
-    -beta * (ground energy), so it never overflows.  Eigensolver failures
-    are re-raised with diagnostics (block norm and symmetry defect) attached.
+    ln Z is a log-sum-exp of the negated eigenvalues of beta H, shifted by
+    its largest term (minus the ground eigenvalue), so it never overflows.
+    Eigensolver failures are re-raised with diagnostics (block norm and
+    symmetry defect) attached.
     """
-    beta = h.params.beta
     evals = h.eigh[0]
     evals = np.sort(evals.reshape(evals.shape[:-2] + (-1,)), axis=-1)
-    excited = np.exp(-beta * (evals[..., 1:] - evals[..., :1])).sum(axis=-1)
-    ln_z = -beta * evals[..., 0] + np.log1p(excited)
+    excited = np.exp(-(evals[..., 1:] - evals[..., :1])).sum(axis=-1)
+    ln_z = -evals[..., 0] + np.log1p(excited)
     if ln_z.ndim == 0:
         ln_z = float(ln_z)
     return SpectrumResult(eigenvalues=evals, ln_z=ln_z)
@@ -209,7 +214,7 @@ def spectrum(h: Hamiltonian):
 def _gibbs_weights(h):
     """Gibbs probability of each representative s plus its partner s-bar."""
     evals, vecs = h.eigh
-    w = np.exp(-h.params.beta * (evals - evals.min(axis=(-2, -1), keepdims=True)))
+    w = np.exp(-(evals - evals.min(axis=(-2, -1), keepdims=True)))
     w /= w.reshape(w.shape[:-2] + (-1,)).sum(axis=-1)[..., None, None]
     return (np.square(vecs) @ w[..., None]).sum(axis=-3)[..., 0]
 

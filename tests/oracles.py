@@ -306,25 +306,26 @@ def z_table(n):
 
 
 def dense_hamiltonian(params, couplings):
-    """H as a dense 2^N x 2^N matrix: Sz-Sz diagonal plus -b per single flip."""
+    """beta H as a dense 2^N x 2^N matrix: Sz-Sz diagonal plus -beta_b per
+    single flip."""
     n = params.n_spins
     dim = 2**n
     z = z_table(n)
     iu, ju = np.triu_indices(n, k=1)
     h = np.zeros((dim, dim))
-    np.fill_diagonal(h, (z[:, iu] * z[:, ju]) @ (-(params.v / np.sqrt(n))
-                                                  * np.asarray(couplings)))
-    if params.b != 0.0:
+    weights = -(2.0 * np.sqrt(params.lam) / np.sqrt(n)) * np.asarray(couplings)
+    np.fill_diagonal(h, (z[:, iu] * z[:, ju]) @ weights)
+    if params.beta_b != 0.0:
         rows = np.arange(dim)
         for k in range(n):
-            h[rows, rows ^ (1 << k)] = -params.b
+            h[rows, rows ^ (1 << k)] = -params.beta_b
     return h
 
 
-def dense_gibbs_weights(matrix, beta):
+def dense_gibbs_weights(matrix):
     """Gibbs probability of every Sz basis state, from one dense eigh."""
     evals, vecs = np.linalg.eigh(matrix)
-    w = np.exp(-beta * (evals - evals.min()))
+    w = np.exp(-(evals - evals.min()))
     w /= w.sum()
     return np.square(vecs) @ w
 

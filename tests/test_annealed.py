@@ -26,14 +26,14 @@ from oracles import sk_equation_solve
 
 
 def test_estimate_f2_against_frozen_reference():
-    params = ModelParams.from_dimensionless(2, 0.25, 0.75)
+    params = ModelParams(2, 0.25, 0.75)
     est = estimate_f_n(params, 20_000, seed=7)
     assert est.agrees_with(0.4349374294760584, n_sigma=3.5)
     assert est.n_samples == 20_000
 
 
 def test_estimate_f_n_worker_invariance():
-    params = ModelParams.from_dimensionless(3, 0.1, 1.0)
+    params = ModelParams(3, 0.1, 1.0)
     with worker_count(1):
         a = estimate_f_n(params, 5000, seed=3)
     with worker_count(4):
@@ -45,7 +45,7 @@ def test_estimate_f_n_worker_invariance():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_sandwich_bounds_small_scale(n):
     lam, bb = 0.125, 1.0
-    params = ModelParams.from_dimensionless(n, lam, bb)
+    params = ModelParams(n, lam, bb)
     est = estimate_f_n(params, 20_000, seed=n)
     lower = n * p_n_of(n, bb) * lam
     upper = min(g_n_of(n, lam, bb), w_n_of(n, lam, bb))
@@ -55,20 +55,20 @@ def test_sandwich_bounds_small_scale(n):
 def test_subadditivity_of_f_n():
     # F_{N+M} <= F_N + F_M; compare N=4 against two copies of N=2
     lam, bb = 0.2, 1.0
-    f2 = estimate_f_n(ModelParams.from_dimensionless(2, lam, bb), 30_000, seed=1)
-    f4 = estimate_f_n(ModelParams.from_dimensionless(4, lam, bb), 30_000, seed=2)
+    f2 = estimate_f_n(ModelParams(2, lam, bb), 30_000, seed=1)
+    f4 = estimate_f_n(ModelParams(4, lam, bb), 30_000, seed=2)
     slack = 3.5 * np.hypot(2 * f2.std_err, f4.std_err)
     assert f4.value <= 2 * f2.value + slack
 
 
 def test_mean_p_n_matches_closed_form():
-    params = ModelParams.from_dimensionless(4, 0.1, 1.0)
+    params = ModelParams(4, 0.1, 1.0)
     est = mean_p_n(params, 20_000, seed=11)
     assert est.agrees_with(p_n_of(4, 1.0), n_sigma=3.5)
 
 
 def test_annealed_free_energy_matches_two_spin_exact():
-    params = ModelParams.from_dimensionless(2, 0.15, 0.8)
+    params = ModelParams(2, 0.15, 0.8)
     est = annealed_free_energy(params, 30_000, seed=5)
     assert est.agrees_with(hilbert.f2_annealed_exact(0.15, 0.8), n_sigma=3.5)
 
@@ -76,7 +76,7 @@ def test_annealed_free_energy_matches_two_spin_exact():
 def test_quenched_dominates_annealed():
     # Jensen at N=4: E[beta f_N] >= beta f_N^ann, and the G_N/N wedge above it
     lam, bb, n = 0.1, 1.0, 4
-    params = ModelParams.from_dimensionless(n, lam, bb)
+    params = ModelParams(n, lam, bb)
     quenched = disorder.run_study(params, 400, 3).quenched_mean
     ann = annealed_free_energy(params, 30_000, seed=4)
     err = 3.5 * np.hypot(quenched.std_err, ann.std_err)
@@ -89,8 +89,7 @@ def test_quenched_dominates_annealed():
 def test_classical_sk_lower_bound_at_zero_field():
     # E[beta f_N(beta v, 0)] >= k(lam) - lam - ln 2, checked by dense diag
     lam, n = 1.0, 6
-    params = ModelParams(n_spins=n, beta=1.0, v=2.0, b=0.0)
-    assert params.lam == pytest.approx(lam, rel=1e-15)
+    params = ModelParams(n, lam, 0.0)
     # 4 lam = 4 lies outside run_study's plain-mean range
     _, beta_f, _ = disorder._study_arrays(params, 300, 8)
     quenched = mean_with_err(beta_f)

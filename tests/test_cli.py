@@ -73,6 +73,8 @@ BAD_OPTIONS = [
     ("quenched --n-disorder 5", "n_disorder must be >= 10"),
     ("quenched --lam 0 --n-disorder 20", "lam must be > 0: the Poincare ratio"),
     ("exactdiag --n-spins 13", "exact-diagonalization cap (12)"),
+    ("exactdiag --lam -0.1", "lam must be finite and >= 0, not -0.1"),
+    ("annealed --beta-b -0.5", "beta_b must be finite and >= 0, not -0.5"),
     # a float option must be finite, from a flag or a config key, and the
     # seed must not be negative
     ("static --beta-b nan", "option beta_b = nan is not a finite number"),
@@ -358,6 +360,31 @@ def test_each_option_is_a_config_key(command, tmp_path, monkeypatch):
         {name: conv(_VALUES[conv][k]) for name, (conv, _) in options.items()}
         for k in (0, 1)]
 
+# -- the model parameters --------------------------------------------------
+
+
+#: every model subcommand at lam values that (2 sqrt(lam))^2 / 4 does not
+#: return exactly (0.12500000000000003, 0.15000000000000002,
+#: 0.29999999999999993); quenched refuses lam = 0.3, outside its plain-mean
+#: range 4 lam <= 0.6
+MODEL_RUNS = [
+    ("exactdiag", "0.125"), ("exactdiag", "0.15"), ("exactdiag", "0.3"),
+    ("annealed --ensembles 4000", "0.125"), ("annealed --ensembles 4000", "0.15"),
+    ("annealed --ensembles 4000", "0.3"),
+    ("quenched --n-disorder 20", "0.125"), ("quenched --n-disorder 20", "0.15"),
+]
+
+
+@pytest.mark.parametrize("command, lam", MODEL_RUNS)
+def test_params_block_is_the_model_given(command, lam, tmp_path):
+    out = tmp_path / "run.json"
+    assert cli.main(command.split() + ["--lam", lam, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    options, params = doc["meta"]["options"], doc["result"]["params"]
+    assert params == {key: options[key] for key in ("n_spins", "lam", "beta_b")}
+    assert params["lam"] == float(lam)
+
+
 # -- exactdiag -------------------------------------------------------------
 
 
@@ -548,6 +575,12 @@ def test_import_and_quenched_leave_scipy_unloaded(tmp_path):
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
+
+
+def test_quenched_accepts_the_top_of_its_lam_range(capsys):
+    # lam = 0.15 is 4 lam = 0.6 exactly, the edge of the plain-mean range
+    assert cli.main(["quenched", "--lam", "0.15", "--n-disorder", "20"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["params"]["lam"] == 0.15
 
 
 def test_quenched_strong_disorder_usage_error(capsys):

@@ -1,6 +1,7 @@
 """Closed-form constants: moments of mu, sequences p_N / G_N / W_N, c0."""
 
 import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -31,25 +32,27 @@ BB_SWEEP = np.geomspace(1e-3, 1e3, 200)
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        ModelParams(n_spins=1, beta=1.0, v=1.0, b=1.0)
-    with pytest.raises(ValueError):
-        ModelParams(n_spins=4, beta=0.0, v=1.0, b=1.0)
-    with pytest.raises(ValueError):
-        ModelParams(n_spins=4, beta=1.0, v=-0.5, b=1.0)
-    with pytest.raises(ValueError):
-        ModelParams(n_spins=4, beta=np.inf, v=1.0, b=1.0)
+    for n in (1, 0, -3, 2.5):
+        with pytest.raises(ValueError, match="n_spins"):
+            ModelParams(n, 0.1, 1.0)
+    for bad in (np.nan, np.inf, -np.inf, -0.1, -1e-300):
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            ModelParams(4, bad, 1.0)
+        with pytest.raises(ValueError, match="beta_b must be finite and >= 0"):
+            ModelParams(4, 0.1, bad)
+    # both zero limits are models: no disorder, and no transverse field
+    assert ModelParams(2, 0.0, 0.0).to_dict() == {
+        "n_spins": 2, "lam": 0.0, "beta_b": 0.0}
 
 
-def test_params_derived_combinations():
-    p = ModelParams(n_spins=4, beta=2.0, v=0.5, b=1.5)
-    assert p.lam == (2.0 * 0.5) ** 2 / 4.0
-    assert p.beta_b == 3.0
-    assert p.beta_v == 1.0
-    q = ModelParams.from_dimensionless(4, p.lam, p.beta_b)
-    assert q.lam == pytest.approx(p.lam, rel=1e-15)
-    assert q.beta_b == pytest.approx(p.beta_b, rel=1e-15)
-    assert q.beta == 1.0
+def test_params_hold_the_triple_bit_for_bit():
+    # the stored values are the ones given, also where (2 sqrt(lam))^2 / 4
+    # is not lam (0.12500000000000003 at lam = 0.125)
+    for lam in (0.125, 0.15, 0.3, 0.1):
+        p = ModelParams(4, lam, 1.0)
+        assert p.lam == lam and p.to_dict()["lam"] == lam
+    assert [f.name for f in fields(ModelParams)] == ["n_spins", "lam", "beta_b"]
+    assert replace(p, n_spins=6) == ModelParams(6, 0.1, 1.0)
 
 
 # -- mu --------------------------------------------------------------------

@@ -33,9 +33,9 @@ from oracles import per_sample_study
 
 
 def test_run_study_no_disorder_limit():
-    # v = 0: Z is deterministic, so every disorder statistic collapses, and
-    # the Poincare ratio is 0/0, so a study refuses lam = 0
-    params = ModelParams(n_spins=4, beta=1.0, v=0.0, b=1.0)
+    # lam = 0: Z is deterministic, so every disorder statistic collapses,
+    # and the Poincare ratio is 0/0, so a study refuses lam = 0
+    params = ModelParams(4, 0.0, 1.0)
     ln_z, beta_f, op = disorder._study_arrays(params, 50, 9)
     expected = -(float(logcosh(1.0)) + LN2)
     assert beta_f == pytest.approx(np.full(50, expected), abs=1e-12)
@@ -59,7 +59,7 @@ def test_one_eigendecomposition_per_sample(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
-    params = ModelParams.from_dimensionless(5, 0.1, 1.0)
+    params = ModelParams(5, 0.1, 1.0)
     run_study(params, 523, 3)
     # one stacked solve per chunk, as few chunks as the byte budget allows
     # (256 samples of two 16 x 16 blocks), and every sample in exactly one
@@ -79,7 +79,7 @@ ORACLE_SAMPLES = {2: BATCH_SIZE + 8, 3: BATCH_SIZE + 8, 4: BATCH_SIZE + 8,
 @pytest.mark.parametrize("b", [0.0, 1.0, 50.0])
 @pytest.mark.parametrize("n", range(2, 11))
 def test_chunked_study_matches_per_sample_oracle(n, b):
-    params = ModelParams(n_spins=n, beta=1.1, v=0.9, b=b)
+    params = ModelParams(n, 0.245025, 1.1 * b)
     count = ORACLE_SAMPLES[n]
     reference = per_sample_study(params, count, seed=n)
     for workers in (1, 2, 4):
@@ -92,7 +92,7 @@ def test_chunked_study_matches_per_sample_oracle(n, b):
 def test_chunked_study_memory_stays_near_chunk_budget():
     # N = 8 fills a 1 MiB chunk with 4 samples; 64 samples in one stack
     # would hold 16 MiB of blocks
-    params = ModelParams.from_dimensionless(8, 0.1, 1.0)
+    params = ModelParams(8, 0.1, 1.0)
     with worker_count(2):
         disorder._study_arrays(params, 16, 4)  # fill the table caches
         tracemalloc.start()
@@ -105,7 +105,7 @@ def test_chunked_study_memory_stays_near_chunk_budget():
 
 
 def test_run_study_weak_disorder_sanity():
-    params = ModelParams.from_dimensionless(4, 0.1, 1.0)
+    params = ModelParams(4, 0.1, 1.0)
     res = run_study(params, 400, 2)
     ratio = res.second_moment_ratio
     c = second_moment_theory_bound(0.1)
@@ -142,7 +142,7 @@ def test_run_study_worker_invariance(monkeypatch):
     sys.setswitchinterval(1e-5)
     try:
         for n, count in ((5, 300), (6, 300), (10, 12)):
-            params = ModelParams.from_dimensionless(n, 0.1, 1.0)
+            params = ModelParams(n, 0.1, 1.0)
             runs = {}
             for w in (1, 2, 4):
                 with worker_count(w):
@@ -188,7 +188,7 @@ def test_study_runs_serially_without_blas_handle(monkeypatch):
     # without the OpenBLAS handle no pool starts, and each pooled routine's
     # output equals its workers = 1 output byte for byte; every input spans
     # several chunks
-    params = ModelParams.from_dimensionless(6, 0.1, 1.0)
+    params = ModelParams(6, 0.1, 1.0)
 
     def outputs(workers):
         with worker_count(workers):
@@ -221,7 +221,7 @@ def test_study_runs_serially_without_blas_handle(monkeypatch):
 
 def test_parallel_failures_name_the_global_sample(monkeypatch):
     # 75 samples at N = 6 make two chunks, samples 0-36 and 37-74
-    params = ModelParams.from_dimensionless(6, 0.1, 1.0)
+    params = ModelParams(6, 0.1, 1.0)
     couplings = draw_couplings(6, 75, 3)
     real_build = disorder.build_hamiltonian
     real_spectrum = disorder.spectrum
@@ -272,22 +272,22 @@ def test_parallel_failures_name_the_global_sample(monkeypatch):
 
 
 def test_study_validation():
-    params = ModelParams.from_dimensionless(11, 0.1, 1.0)
+    params = ModelParams(11, 0.1, 1.0)
     with pytest.raises(ValueError, match="cap"):
         run_study(params, 50, 1)
-    strong = ModelParams.from_dimensionless(4, 0.2, 1.0)
+    strong = ModelParams(4, 0.2, 1.0)
     with pytest.raises(ValueError, match=r"4\*lam = 0\.800 .*use lam <= 0\.15"):
         run_study(strong, 50, 1)
-    weak = ModelParams.from_dimensionless(4, 0.1, 1.0)
+    weak = ModelParams(4, 0.1, 1.0)
     with pytest.raises(ValueError, match="n_disorder must be >= 10"):
         run_study(weak, 5, 1)
-    free = ModelParams.from_dimensionless(4, 0.0, 1.0)
+    free = ModelParams(4, 0.0, 1.0)
     with pytest.raises(ValueError, match=r"lam must be > 0: .* is 0/0 at lam = 0"):
         run_study(free, 50, 1)
 
 
 def test_order_parameter_trend_decreasing():
-    base = ModelParams.from_dimensionless(3, 0.125, 1.0)
+    base = ModelParams(3, 0.125, 1.0)
     ests = order_parameter_trend(base, [3, 4], 300, seed=21)
     assert len(ests) == 2
     err = 3.5 * math.hypot(ests[0].std_err, ests[1].std_err)
@@ -298,7 +298,7 @@ def test_order_parameter_trend_decreasing():
 
 
 def test_poincare_ratio_value_and_jackknife():
-    params = ModelParams(n_spins=5, beta=1.1, v=0.6, b=0.8)
+    params = ModelParams(5, 0.1089, 0.88)
     ln_z, _, op = per_sample_study(params, 120, seed=13)
     est = disorder._poincare_ratio(ln_z, op, params, 13)
     scale = 2.0 * params.lam * (params.n_spins - 1)
@@ -315,7 +315,7 @@ def test_poincare_ratio_value_and_jackknife():
 
 def test_poincare_verdict_holds_over_seeds():
     # the desk study of check_disorder at 20 seeds, gated at 3.5 errors
-    params = ModelParams.from_dimensionless(5, 0.125, 1.0)
+    params = ModelParams(5, 0.125, 1.0)
     c = second_moment_theory_bound(0.125)
     for seed in range(20):
         result = run_study(params, 400, seed)
@@ -324,7 +324,7 @@ def test_poincare_verdict_holds_over_seeds():
 
 def test_poincare_verdict_catches_scaled_correlations():
     # <Sz Sz>^2 scaled by 0.3 moves the ratio from about 0.48 to 1.6
-    params = ModelParams.from_dimensionless(5, 0.125, 1.0)
+    params = ModelParams(5, 0.125, 1.0)
     result = run_study(params, 400, 777)
     c = second_moment_theory_bound(0.125)
     assert study_verdicts(result, 3.5, c)["poincare_le_one"]
@@ -365,7 +365,7 @@ def test_study_verdicts_edges():
 def test_generalized_second_moment_gamma_cancellation():
     # gamma = -lam removes the replica coupling exactly, not just on average:
     # the statistic is the uncoupled ratio of the same paired systems
-    params = ModelParams.from_dimensionless(3, 0.1, 1.0)
+    params = ModelParams(3, 0.1, 1.0)
     est = generalized_second_moment(params, -0.1, 500, seed=3)
     ens = paths.sample_ensemble(1.0, 2 * 3 * 500, 3)
     a = paths.overlap_matrix_batch(ens, 3).reshape(-1, 2, 3, 3)
@@ -376,7 +376,7 @@ def test_generalized_second_moment_gamma_cancellation():
 
 
 def test_generalized_second_moment_bound():
-    params = ModelParams.from_dimensionless(3, 0.1, 1.0)
+    params = ModelParams(3, 0.1, 1.0)
     for gamma in (0.0, 0.1):
         est = generalized_second_moment(params, gamma, 2000, seed=7)
         assert est.value <= 1.0 + 3.5 * est.std_err
@@ -384,10 +384,10 @@ def test_generalized_second_moment_bound():
 
 
 def test_generalized_second_moment_validation():
-    params5 = ModelParams.from_dimensionless(5, 0.1, 1.0)
+    params5 = ModelParams(5, 0.1, 1.0)
     with pytest.raises(ValueError, match="N <= 4"):
         generalized_second_moment(params5, 0.0, 100, seed=1)
-    params = ModelParams.from_dimensionless(3, 0.1, 1.0)
+    params = ModelParams(3, 0.1, 1.0)
     with pytest.raises(ValueError, match="4"):
         generalized_second_moment(params, 0.15, 100, seed=1)
     with pytest.raises(ValueError):
@@ -395,7 +395,7 @@ def test_generalized_second_moment_validation():
 
 
 def test_paley_zygmund_witness():
-    params = ModelParams.from_dimensionless(4, 0.1, 1.0)
+    params = ModelParams(4, 0.1, 1.0)
     result = run_study(params, 300, 17)
     freq, threshold = paley_zygmund_witness(result, 0.1)
     assert threshold == pytest.approx(
@@ -444,7 +444,7 @@ from qsk.constants import ModelParams
 disorder.gibbs_zz_matrix = lambda h: np.full(
     h.blocks.shape[:-3] + (4, 4), 2.0)
 try:
-    disorder.run_study(ModelParams.from_dimensionless(4, 0.1, 1.0), 20, 1)
+    disorder.run_study(ModelParams(4, 0.1, 1.0), 20, 1)
 except RuntimeError as exc:
     print("raised:", exc)
 else:

@@ -60,7 +60,17 @@ lost its ``delta`` option, ``tail_frequency``, ``concentration_bound`` and
 two verdicts, and gained ``poincare_ratio`` and ``poincare_le_one``;
 ``per_sample.csv`` changed only in its options echo, which lost
 ``delta=0.25``; ``verify`` changed only in its ``disorder`` and
-``second_moment`` detail lines.  The default
+``second_moment`` detail lines.  Four hashes (``exactdiag --n-spins 4``,
+both ``annealed`` and ``quenched`` stdout) were re-recorded when the model
+came to be stored as (n_spins, lam, beta_b) instead of (beta, v, b) with
+beta = 1 and v = 2 sqrt(lam): each ``params`` block lost ``b``, ``beta``
+and ``v``.  At lam = 0.1 nothing else moved.  ``quenched`` runs at
+lam = 0.125, which the round trip (2 sqrt(lam))^2 / 4 had turned into
+0.12500000000000003: its ``lam`` now reads 0.125, and ``poincare_ratio``
+and ``second_moment_theory_bound``, the two numbers that read lam, moved
+by at most 6.5e-16 relative (the ratio's value by 3.1e-16, its std_err by
+6.5e-16, the bound by 2.0e-16).  ``per_sample.csv`` and every other hash
+stayed as they were.  The default
 region grid starts at x = 0.05 (lam = 100), which exercises the
 N*lam > 700 branch of G_N.
 Commands run in a scratch directory under fixed relative file names,
@@ -81,15 +91,15 @@ GOLDEN = {
     "static --lam-count 5":
         "e60ca8df6315fcb93349ecb11c6446fea6828b775c708083289f799bacc36d04",
     "exactdiag --n-spins 4":
-        "366be2df53493e6e2dfd96789769b12a608687700eeffaa195a9c1002df500aa",
+        "5dd7c9ea23e5b3185b0cc38c403c7a33194d2743a4b317942c94317a0f56b205",
     "annealed --n-spins 2 --ensembles 4000":
-        "6f0fe4405c8ed196309b27b6516a5c6e6c0615bea5d22c744450eb42ac204c5d",
+        "aade97ae77dbda15ce501d45168a7448049f5d357241ecfbe1cc92adf4b25ce0",
     "annealed --n-spins 4 --ensembles 4000":
-        "1dc4693f834d369b932a708f0db6e94f994af8313b1bc356b0accc8dfadbb52f",
+        "2706927a6ff9acf5dba28ed547638cf3368fc28f1659c7197a16cf3ea0bf8202",
     "variational --ensembles 5000 --m-cells 8 --psi-out psi.json":
         "1cbd0ba10c66f3f005390ec593239648e0650cef75693db705474038f9ff82d0",
     "quenched --n-spins 4 --n-disorder 60 --per-sample-out per_sample.csv":
-        "8639d171eb22ec26c092ff6ce6b76b2acaffeec45384b28fe40e6fcaaa4f9496",
+        "ff0b083096b23b315ce124e7b12858ea63249b5646bcdeade8661775fd15ad79",
     "verify --seed 777":
         "f309b5e91b03a7438ea2fd668f3fca31690ee22ff0331d36e10c19656deb5022",
 }

@@ -41,12 +41,13 @@ def _kron_chain(ops):
 
 
 def _dense_reference(params, couplings):
-    """Independent Kronecker-product construction of H.
+    """Independent Kronecker-product construction of beta H.
 
     Spin i lives on bit i of the basis index, so it must be the i-th kron
     factor counted from the right (least significant position).
     """
     n = params.n_spins
+    scale = 2.0 * np.sqrt(params.lam) / np.sqrt(n)
     h = np.zeros((2**n, 2**n))
     idx = 0
     for i in range(n):
@@ -54,12 +55,12 @@ def _dense_reference(params, couplings):
             ops = [np.eye(2)] * n
             ops[i] = SZ
             ops[j] = SZ
-            h -= params.v / np.sqrt(n) * couplings[idx] * _kron_chain(ops[::-1])
+            h -= scale * couplings[idx] * _kron_chain(ops[::-1])
             idx += 1
     for i in range(n):
         ops = [np.eye(2)] * n
         ops[i] = SX
-        h -= params.b * _kron_chain(ops[::-1])
+        h -= params.beta_b * _kron_chain(ops[::-1])
     return h
 
 
@@ -77,7 +78,7 @@ def _parity_rotation(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_hamiltonian_matches_kronecker_reference(n):
     rng = np.random.default_rng(n)
-    params = ModelParams(n_spins=n, beta=1.3, v=0.8, b=0.6)
+    params = ModelParams(n, 0.2704, 0.78)
     couplings = rng.standard_normal(n * (n - 1) // 2)
     kron = _dense_reference(params, couplings)
     np.testing.assert_allclose(dense_hamiltonian(params, couplings),
@@ -97,7 +98,7 @@ def test_hamiltonian_matches_kronecker_reference(n):
 @pytest.mark.parametrize("b", [0.0, 0.7, 50.0])
 @pytest.mark.parametrize("n", range(2, 9))
 def test_blocked_route_matches_dense_oracle(n, b):
-    params = ModelParams(n_spins=n, beta=1.1, v=0.9, b=b)
+    params = ModelParams(n, 0.245025, 1.1 * b)
     couplings = _draw(n, seed=n)
     dense = dense_hamiltonian(params, couplings)
     h = build_hamiltonian(params, couplings)
@@ -107,9 +108,9 @@ def test_blocked_route_matches_dense_oracle(n, b):
     ref_evals = np.linalg.eigvalsh(dense)
     np.testing.assert_allclose(res.eigenvalues, ref_evals, **tol)
     np.testing.assert_allclose(
-        res.ln_z, logsumexp(-params.beta * ref_evals), **tol)
+        res.ln_z, logsumexp(-ref_evals), **tol)
 
-    p = dense_gibbs_weights(dense, params.beta)
+    p = dense_gibbs_weights(dense)
     reps = np.arange(2 ** (n - 1))
     np.testing.assert_allclose(hilbert._gibbs_weights(h),
                                p[reps] + p[2**n - 1 - reps], **tol)
@@ -123,7 +124,7 @@ def test_blocked_route_matches_dense_oracle(n, b):
 def test_stacked_samples_match_one_sample_calls(n):
     # a stack of k samples gives, row by row, the bytes of k one-sample
     # calls; a stack of one gives those of the plain call
-    params = ModelParams(n_spins=n, beta=1.1, v=0.9, b=0.7)
+    params = ModelParams(n, 0.245025, 0.77)
     couplings = draw_couplings(n, 3, seed=n)
     singles = []
     for g in couplings:
@@ -149,7 +150,7 @@ def test_trace_structure():
     # block diagonal = coupling-weighted sums of z_i z_j patterns; each pair
     # pattern sums to zero over the representatives, exactly in integer
     # arithmetic
-    params = ModelParams(n_spins=5, beta=1.0, v=1.0, b=0.7)
+    params = ModelParams(5, 0.25, 0.7)
     h = build_hamiltonian(params, _draw(5, seed=1))
     ztab = hilbert._pair_z_table(5)
     assert ztab.dtype.kind in "if"
@@ -163,13 +164,13 @@ def test_trace_structure():
 
 
 def test_trace_exact_zero_n2():
-    params = ModelParams(n_spins=2, beta=1.0, v=1.0, b=0.9)
+    params = ModelParams(2, 0.25, 0.9)
     h = build_hamiltonian(params, np.array([0.37]))
     np.testing.assert_array_equal(np.trace(h.blocks, axis1=1, axis2=2), 0.0)
 
 
 def test_build_errors():
-    params = ModelParams(n_spins=4, beta=1.0, v=1.0, b=1.0)
+    params = ModelParams(4, 0.25, 1.0)
     # couplings drawn for N = 3, one short, one over
     for count in (3, 5, 7):
         with pytest.raises(ValueError, match="expected 6 couplings"):
@@ -181,7 +182,7 @@ def test_build_errors():
             build_hamiltonian(params, couplings)
         with pytest.raises(ValueError, match="finite"):
             build_hamiltonian(params, np.stack([np.zeros(6), couplings]))
-    big = ModelParams(n_spins=13, beta=1.0, v=1.0, b=1.0)
+    big = ModelParams(13, 0.25, 1.0)
     with pytest.raises(ValueError, match="cap"):
         build_hamiltonian(big, _draw(13, seed=0))
 
@@ -192,9 +193,9 @@ def test_two_spin_spectrum_closed_form(seed):
     lam = float(10 ** rng.uniform(-2, 0.5))
     bb = float(10 ** rng.uniform(-1, 0.7))
     g = float(rng.standard_normal())
-    params = ModelParams.from_dimensionless(2, lam, bb)
+    params = ModelParams(2, lam, bb)
     h = build_hamiltonian(params, np.array([g]))
-    evals = params.beta * spectrum(h).eigenvalues
+    evals = spectrum(h).eigenvalues
     np.testing.assert_allclose(evals, two_spin_scaled_spectrum(lam, bb, g),
                                atol=1e-12)
 
@@ -212,7 +213,7 @@ def test_eigh_is_cached_and_solves_concurrently(monkeypatch):
         return real_eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", meeting_eigh)
-    params = ModelParams.from_dimensionless(4, 0.1, 1.0)
+    params = ModelParams(4, 0.1, 1.0)
     hams = [build_hamiltonian(params, _draw(4, seed)) for seed in (1, 2)]
     with ThreadPoolExecutor(max_workers=2) as pool:
         results = list(pool.map(lambda h: h.eigh, hams))
@@ -222,11 +223,11 @@ def test_eigh_is_cached_and_solves_concurrently(monkeypatch):
 
 
 def test_spectrum_result_consistency():
-    params = ModelParams(n_spins=4, beta=2.0, v=0.7, b=0.5)
+    params = ModelParams(4, 0.49, 1.0)
     h = build_hamiltonian(params, _draw(4, seed=9))
     res = spectrum(h)
     # ln Z against brute-force eigenvalue sum
-    brute = np.log(np.sum(np.exp(-params.beta * res.eigenvalues)))
+    brute = np.log(np.sum(np.exp(-res.eigenvalues)))
     assert res.ln_z == pytest.approx(brute, rel=1e-12)
 
 
@@ -241,7 +242,7 @@ def test_f2_exact_frozen_values():
 
 def test_f2_quenched_matches_sampled_average():
     lam, bb = 0.2, 1.0
-    params = ModelParams.from_dimensionless(2, lam, bb)
+    params = ModelParams(2, lam, bb)
     rng = np.random.default_rng(12)
     vals = []
     for _ in range(4000):
@@ -260,16 +261,16 @@ def test_f2_annealed_finite_beyond_weak_disorder():
 
 
 def test_gibbs_zz_classical_limit():
-    # b = 0, N = 2: <Sz1 Sz2> = tanh(beta v g / sqrt(2))
-    params = ModelParams(n_spins=2, beta=1.2, v=0.9, b=0.0)
+    # beta_b = 0, N = 2: <Sz1 Sz2> = tanh(2 sqrt(lam) g / sqrt(2))
+    params = ModelParams(2, 0.2916, 0.0)
     g = 0.83
     h = build_hamiltonian(params, np.array([g]))
-    expect = np.tanh(1.2 * 0.9 * g / np.sqrt(2))
+    expect = np.tanh(1.08 * g / np.sqrt(2))
     assert gibbs_zz(h) == pytest.approx(expect, rel=1e-12)
 
 
 def test_gibbs_zz_matrix_and_bounds():
-    params = ModelParams(n_spins=4, beta=1.0, v=0.8, b=0.7)
+    params = ModelParams(4, 0.16, 0.7)
     h = build_hamiltonian(params, _draw(4, seed=20))
     q = gibbs_zz_matrix(h)
     np.testing.assert_array_equal(q, q.T)
@@ -281,17 +282,16 @@ def test_gibbs_zz_matrix_and_bounds():
 def test_gibbs_zz_is_the_matrix_entry(n):
     # one correlation kernel: gibbs_zz reads the (1, 2) entry bit for bit;
     # test_blocked_route_matches_dense_oracle checks every pair of the matrix
-    params = ModelParams(n_spins=n, beta=1.3, v=0.8, b=0.7)
+    params = ModelParams(n, 0.2704, 0.91)
     h = build_hamiltonian(params, _draw(n, seed=20 + n))
     assert gibbs_zz(h) == gibbs_zz_matrix(h)[0, 1]
 
 
 def test_gibbs_z_vanishes_by_flip_symmetry():
-    params = ModelParams(n_spins=5, beta=1.0, v=1.1, b=0.8)
+    params = ModelParams(5, 0.3025, 0.8)
     couplings = _draw(5, seed=4)
     # full-basis Gibbs probabilities from the dense oracle: <Sz_i> = 0 ...
-    p = dense_gibbs_weights(dense_hamiltonian(params, couplings),
-                            params.beta)
+    p = dense_gibbs_weights(dense_hamiltonian(params, couplings))
     for i in (1, 3, 5):
         assert abs(p @ z_table(5)[:, i - 1]) < 1e-13
     # ... because p(s) = p(s-bar), which is what lets the blocked route
@@ -300,8 +300,8 @@ def test_gibbs_z_vanishes_by_flip_symmetry():
 
 
 def test_x_polarized_limit():
-    # beta*b = 50 with tiny coupling: free transverse spins
-    params = ModelParams(n_spins=3, beta=1.0, v=1e-8, b=50.0)
+    # beta_b = 50 with tiny coupling: free transverse spins
+    params = ModelParams(3, 2.5e-17, 50.0)
     h = build_hamiltonian(params, _draw(3, seed=2))
     res = spectrum(h)
     assert res.ln_z / 3 == pytest.approx(np.log(2 * np.cosh(50.0)), rel=1e-10)
