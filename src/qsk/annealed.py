@@ -139,15 +139,15 @@ def k_of_lambda(lam):
 # -- phase-diagram bounds --------------------------------------------------
 
 
-def delta_infinity_bounds(lam, beta_b, n_max=64):
+def delta_infinity_bounds(lam, beta_b):
     """Rigorous bracket for the limiting quenched-annealed gap beta*Delta.
 
     Lower bound max(0, k(lam) - ln cosh(beta_b)); upper bound
-    inf_{2<=N<=n_max} G_N/N.  Both are exact statements for every lam >= 0.
-    Both bounds have the shape of ``beta_b``.
+    inf_{2<=N<=N_MAX} G_N/N (``constants.N_MAX``).  Both are exact
+    statements for every lam >= 0.  Both bounds have the shape of ``beta_b``.
     """
     lower = np.maximum(0.0, k_of_lambda(lam) - logcosh(beta_b))
-    upper, _ = inf_g_n_over_n(lam, beta_b, n_max=n_max)
+    upper, _ = inf_g_n_over_n(lam, beta_b)
     return lower, upper
 
 
@@ -163,7 +163,7 @@ def region_labels(inv_beta_v, delta_lower):
                     np.where(delta_lower > 0.0, "positive", "unresolved"))
 
 
-def region_scan(inv_beta_v_values, b_over_v_values, n_max=64):
+def region_scan(inv_beta_v_values, b_over_v_values):
     """The gap bracket on a grid: (delta_lower, delta_upper), each (x, y)-shaped.
 
     The x axis is 1/(beta v) (so lam = 1/(4 x^2)) and the y axis is b/v
@@ -178,8 +178,7 @@ def region_scan(inv_beta_v_values, b_over_v_values, n_max=64):
         raise ValueError("inv_beta_v must be > 0 and b_over_v >= 0")
     lower, upper = np.empty((2, xs.size, ys.size))
     for i, x in enumerate(xs):
-        lower[i], upper[i] = delta_infinity_bounds(1.0 / (4.0 * x * x), ys / x,
-                                                   n_max=n_max)
+        lower[i], upper[i] = delta_infinity_bounds(1.0 / (4.0 * x * x), ys / x)
     return lower, upper
 
 

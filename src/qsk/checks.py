@@ -259,7 +259,7 @@ def check_region(seed, x_count=30, y_count=30):
     zero-field edge below x = 1 has a certified positive gap."""
     xs = np.linspace(0.2, 2.0, x_count)
     ys = np.linspace(0.0, 2.6, y_count)
-    lower, _ = annealed.region_scan(xs, ys, n_max=64)
+    lower, _ = annealed.region_scan(xs, ys)
     labels = annealed.region_labels(xs[:, None], lower)
     mislabels = 0
     edge_bad = 0

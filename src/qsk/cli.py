@@ -17,7 +17,11 @@ read from ``[subcommand]`` and then ``[model]`` of the ``--config`` file.
 A config key that no subcommand reads is a usage error.  The model is
 given as ``--n-spins``, ``--lam`` = (beta v)^2/4 and ``--beta-b`` = beta b,
 in units with beta = 1, and a result's ``params`` block echoes those three
-values as they were given.
+values as they were given.  Numerical controls with one setting are module
+constants, not options: the largest N of the gap bound inf_N G_N/N
+(``constants.N_MAX``) and the fixed point's tolerance and iteration cap
+(``variational.FIXED_POINT_TOL``, ``FIXED_POINT_MAX_ITER``).  ``variational``
+refuses a lam outside 0 < 2 lam < 1, where its iteration is no contraction.
 
 Conventions: all outputs are deterministic functions of (options, seed) —
 identical runs give byte-identical files regardless of worker count; wall
@@ -120,7 +124,6 @@ OPTIONS = {
         "bb_scale": (str, "log"),
         "n_spins": (int, 2),
         "lam": (float, 0.1),
-        "n_max": (int, 64),
     },
     "exactdiag": {
         "n_spins": (int, 4),
@@ -139,8 +142,6 @@ OPTIONS = {
         "beta_b": (float, 1.0),
         "m_cells": (int, 64),
         "ensembles": (int, 200_000),
-        "tol": (float, 1e-8),
-        "max_iter": (int, 200),
         "psi_out": (str, None),
     },
     "static": {
@@ -164,7 +165,6 @@ OPTIONS = {
         "y_min": (float, 0.0),
         "y_max": (float, 2.65),
         "y_count": (int, 100),
-        "n_max": (int, 64),
         "advisory_out": (str, None),
     },
     "verify": {},
@@ -252,7 +252,7 @@ def cmd_constants(args, opts):
               "inf_argmin", "w_n"] + chain_names
     rows = []
     n, lam = opts["n_spins"], opts["lam"]
-    inf_vals, inf_args = constants.inf_g_n_over_n(lam, sweep, opts["n_max"])
+    inf_vals, inf_args = constants.inf_g_n_over_n(lam, sweep)
     for bb, inf_val, inf_arg in zip(sweep, inf_vals, inf_args):
         checks = constants.moment_inequalities(bb)
         w_val = constants.w_n_of(n, lam, bb)
@@ -300,15 +300,8 @@ def cmd_annealed(args, opts):
 
 def cmd_variational(args, opts):
     lam, bb = opts["lam"], opts["beta_b"]
-    if 2.0 * lam >= 1.0 and not args.allow_noncontractive:
-        raise ValueError(
-            "2*lam >= 1: the iteration is not a contraction "
-            "(pass --allow-noncontractive to proceed anyway)"
-        )
     ens = paths.sample_ensemble(bb, opts["ensembles"], args.seed)
-    report = variational.fixed_point_solve(
-        lam, opts["m_cells"], ens, tol=opts["tol"], max_iter=opts["max_iter"],
-    )
+    report = variational.fixed_point_solve(lam, opts["m_cells"], ens)
     minus_p_lam = -constants.p_of(bb) * lam
     j = variational.static_approximation(lam, bb)
     payload = {
@@ -372,7 +365,7 @@ def cmd_quenched(args, opts):
 def cmd_region(args, opts):
     xs = np.linspace(opts["x_min"], opts["x_max"], opts["x_count"])
     ys = np.linspace(opts["y_min"], opts["y_max"], opts["y_count"])
-    lower, upper = annealed.region_scan(xs, ys, n_max=opts["n_max"])
+    lower, upper = annealed.region_scan(xs, ys)
     x_grid, y_grid = np.meshgrid(xs, ys, indexing="ij")
     header = ["inv_beta_v", "b_over_v", "delta_lower", "delta_upper",
               "classification"]
@@ -433,8 +426,6 @@ def build_parser():
         for name, (conv, _) in options.items():
             p.add_argument("--" + name.replace("_", "-"), type=conv)
         p.set_defaults(fn=globals()["cmd_" + command])
-    sub.choices["variational"].add_argument("--allow-noncontractive",
-                                            action="store_true")
     sub.choices["verify"].add_argument(
         "--only", action="append", help="run only the named check (repeatable)")
     return parser

@@ -48,6 +48,9 @@ __all__ = [
 #: relative rounding slack forgiven by ``moment_inequalities``
 MOMENT_SLACK = 1e-12
 
+#: the largest N of the upper bound inf_N G_N/N on the quenched-annealed gap
+N_MAX = 64
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -185,24 +188,22 @@ def g_n_of(n, lam, beta_b):
     return out
 
 
-def inf_g_n_over_n(lam, beta_b, n_max=64):
-    """Minimize G_N/N over integer N in [2, n_max].
+def inf_g_n_over_n(lam, beta_b):
+    """Minimize G_N/N over integer N in [2, N_MAX].
 
     Returns ``(value, argmin)``; for an array ``beta_b`` both are arrays of
     its shape, computed in one broadcast over N.  Warns once when any
-    minimizer sits on the upper boundary, because then the reported infimum
-    is only an upper bound for the true infimum over all N.
+    minimizer sits on the upper boundary N_MAX, because then the reported
+    infimum is only an upper bound for the true infimum over all N.
     """
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    ns = np.arange(2, int(n_max) + 1)
+    ns = np.arange(2, N_MAX + 1)
     bb = np.asarray(beta_b, dtype=float)
     vals = g_n_of(ns, lam, bb[..., None]) / ns
     argmins = ns[np.argmin(vals, axis=-1)]
-    if np.any(argmins == n_max):
+    if np.any(argmins == N_MAX):
         warnings.warn(
-            "inf G_N/N attained at the n_max boundary (N=%d); value may still decrease"
-            % n_max,
+            "inf G_N/N attained at the N_MAX boundary (N=%d); value may still decrease"
+            % N_MAX,
             stacklevel=2,
         )
     values = np.min(vals, axis=-1)

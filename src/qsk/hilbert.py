@@ -20,7 +20,10 @@ symmetrized, so both blocks are symmetric by construction.  Sz_i Sz_j
 preserves the blocks, so ln Z and every <Sz_i Sz_j> come from one
 eigendecomposition of the two blocks.  ``spectrum`` gives ln Z (beta f_N
 is -ln Z / N), and ``gibbs_zz_matrix`` is the one correlation kernel:
-``gibbs_zz`` reads its (1, 2) entry.
+``gibbs_zz`` reads its (1, 2) entry.  Both kernels check their invariants
+on every sample: ``build_hamiltonian`` that each block is exactly symmetric
+and traceless to rounding, ``gibbs_zz_matrix`` that |<Sz_i Sz_j>| <= 1; a
+broken invariant raises ``RuntimeError``.
 
 ``build_hamiltonian``, ``spectrum`` and ``gibbs_zz_matrix`` also take a
 stack of samples along a leading axis: a chunk of k samples is built in
@@ -157,7 +160,9 @@ def build_hamiltonian(params: ModelParams, couplings):
     blocks.  The diagonal carries the Sz-Sz part (traceless in each block:
     every pair product z_i z_j is +1 on exactly half the representatives),
     the transverse field the off-diagonal entries of ``_field_blocks``.
-    Raises for N over the cap, a wrong coupling count or non-finite ones.
+    Raises ValueError for N over the cap, a wrong coupling count or
+    non-finite ones, and RuntimeError when a built block is not exactly
+    symmetric or its trace is not zero to rounding.
     """
     n = params.n_spins
     if n > MAX_SPINS_ED:
@@ -178,6 +183,12 @@ def build_hamiltonian(params: ModelParams, couplings):
     # product rounds differently from N = 4 on
     diag = (_pair_z_table(n) @ weights[..., None])[..., 0]
     blocks.reshape(lead + (2, dim * dim))[..., :: dim + 1] = diag[..., None, :]
+    if not np.array_equal(blocks, blocks.swapaxes(-1, -2)):
+        raise RuntimeError("Hamiltonian block is not symmetric")
+    on_diag = np.diagonal(blocks, axis1=-2, axis2=-1)
+    scale = 1.0 + np.abs(on_diag).max(axis=(-2, -1))
+    if np.any(np.abs(on_diag.sum(axis=-1)).max(axis=-1) >= 1e-10 * scale):
+        raise RuntimeError("Hamiltonian block diagonal does not sum to zero")
     return Hamiltonian(blocks=blocks, params=params)
 
 
@@ -221,14 +232,14 @@ def _gibbs_weights(h):
 
 def gibbs_zz(h: Hamiltonian):
     """<Sz_1 Sz_2> of one sample: the (1, 2) entry of ``gibbs_zz_matrix``."""
-    val = float(gibbs_zz_matrix(h)[0, 1])
-    if abs(val) > 1.0 + 1e-12:
-        raise RuntimeError("|<Sz_1 Sz_2>| = %.17g exceeds 1" % abs(val))
-    return val
+    return float(gibbs_zz_matrix(h)[0, 1])
 
 
 def gibbs_zz_matrix(h: Hamiltonian):
-    """Matrix of <Sz_i Sz_j> for all pairs (diagonal exactly 1), per sample."""
+    """Matrix of <Sz_i Sz_j> for all pairs (diagonal exactly 1), per sample.
+
+    Raises RuntimeError when any |<Sz_i Sz_j>| exceeds 1 beyond rounding.
+    """
     n = h.params.n_spins
     q = _gibbs_weights(h)
     z = _sign_patterns(n)[: 2 ** (n - 1)]
@@ -236,6 +247,9 @@ def gibbs_zz_matrix(h: Hamiltonian):
     c = 0.5 * (c + c.swapaxes(-1, -2))
     diag = np.arange(n)
     c[..., diag, diag] = 1.0
+    worst = np.abs(c).max()
+    if worst > 1.0 + 1e-12:
+        raise RuntimeError("|<Sz_i Sz_j>| = %.17g exceeds 1" % worst)
     return c
 
 

@@ -8,7 +8,10 @@ On the space of symmetric kernels psi(t, t') on [0,1]^2 define
 with the path average over one even-parity process and the L2([0,1]^2)
 pairing.  Then beta f^ann + ln(2 cosh beta_b) = -lam - 2c0 lam^2 + O(lam^3)
 and the minimizer solves psi = 2 lam Lambda'(psi), a contraction for
-2 lam < 1.  Everything here works on an M x M cell discretization:
+0 < 2 lam < 1, which covers the whole weak-disorder regime 4 lam < 1;
+``fixed_point_solve`` refuses any other lam, and it stops at the fixed
+tolerance ``FIXED_POINT_TOL`` or cap ``FIXED_POINT_MAX_ITER``.  Everything
+here works on an M x M cell discretization:
 a kernel is a GridFunction, the path functional <psi, sigma x sigma>
 reduces exactly to a quadratic form in the signed cell occupations, and the
 path average is replaced by a fixed Monte-Carlo ensemble (sample-average
@@ -154,6 +157,11 @@ def discretize_mu(m_cells, beta_b):
 #: pair terms that one chunk of the path kernels reads
 PIECE_PAIRS = 1 << 15
 
+#: the fixed-point iteration stops once the sup-norm update falls below
+#: FIXED_POINT_TOL, or after FIXED_POINT_MAX_ITER iterations
+FIXED_POINT_TOL = 1e-8
+FIXED_POINT_MAX_ITER = 200
+
 
 def _pieces(terms):
     """Yield ``(group, rows)``: slices of the rows of every TermGroup of
@@ -253,13 +261,13 @@ def _omega_of(psi, lam, lambda_est):
 class FixedPointReport:
     """Outcome of the sample-average fixed-point iteration.
 
-    ``contraction_ratios`` are successive L2 update-norm ratios (bounded by
-    2*lam for the exact map; the empirical map obeys the same bound because
-    the discretized kernel sigma x sigma has grid norm <= 1).  The stopping
-    rule uses the sup norm of the update.  ``psi_std_err`` holds cellwise
-    Monte-Carlo errors of the final iterate.  ``start_lambda`` (Lambda at the
-    start kernel 2 lam mu_M), ``lam`` and ``beta_b`` (the ensemble's rate)
-    are not part of ``to_dict``.
+    ``contraction_ratios`` are successive L2 update-norm ratios, bounded by
+    2*lam < 1 for the exact map; the empirical map obeys the same bound
+    because the discretized kernel sigma x sigma has grid norm <= 1, so no
+    ratio can exceed 1.  The stopping rule uses the sup norm of the update.
+    ``psi_std_err`` holds cellwise Monte-Carlo errors of the final iterate.
+    ``start_lambda`` (Lambda at the start kernel 2 lam mu_M), ``lam`` and
+    ``beta_b`` (the ensemble's rate) are not part of ``to_dict``.
     """
 
     psi: GridFunction
@@ -268,7 +276,6 @@ class FixedPointReport:
     residual_norm: float
     contraction_ratios: tuple
     converged: bool
-    non_contractive: bool
     ess: float
     psi_std_err: GridFunction
     start_lambda: EstimateWithError
@@ -285,28 +292,25 @@ class FixedPointReport:
             "residual_norm": self.residual_norm,
             "contraction_ratios": list(self.contraction_ratios),
             "converged": self.converged,
-            "non_contractive": self.non_contractive,
             "ess": self.ess,
         }
 
 
-def fixed_point_solve(lam, m_cells, ensemble, tol=1e-8, max_iter=200):
+def fixed_point_solve(lam, m_cells, ensemble):
     """Iterate psi -> 2 lam Lambda'(psi) from psi = 2 lam mu_M to convergence.
 
     One fixed ensemble is reused throughout (sample-average approximation),
-    so the iteration is deterministic and, for 2 lam < 1, a contraction with
-    rate <= 2 lam; ``non_contractive`` flags observed ratios above 1.  beta_b
-    is the ensemble's rate.  Stops when the sup-norm update falls below
-    ``tol`` or after ``max_iter`` >= 1 iterations.  The ensemble's
-    jump-cell terms are built once, on the first call at this M.
+    so the iteration is deterministic and a contraction with rate <= 2 lam.
+    That needs 0 < 2 lam < 1: any other lam is refused with a ValueError.
+    beta_b is the ensemble's rate.  Stops when the sup-norm update falls
+    below ``FIXED_POINT_TOL`` or after ``FIXED_POINT_MAX_ITER`` iterations.
+    The ensemble's jump-cell terms are built once, on the first call at
+    this M.
     """
     lam = float(lam)
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError(f"max_iter {max_iter} must be >= 1")
+    if not 0.0 < 2.0 * lam < 1.0:
+        raise ValueError(f"lam = {lam!r}: the fixed-point iteration is a "
+                         "contraction only for 0 < 2*lam < 1")
     m = int(m_cells)
     psi = discretize_mu(m, ensemble.rate).scaled(2.0 * lam)
     terms = ensemble.signed_lengths(m)
@@ -317,7 +321,7 @@ def fixed_point_solve(lam, m_cells, ensemble, tol=1e-8, max_iter=200):
     x = _quadratic_forms(psi, terms, len(ensemble))
     start_lambda, _ = log_mean_exp(x, "lambda_functional", seed=ensemble.seed)
     grad = _weighted_gram(terms, x, False)
-    for iterations in range(1, int(max_iter) + 1):
+    for iterations in range(1, FIXED_POINT_MAX_ITER + 1):
         if iterations > 1:
             grad = lambda_prime(psi, ensemble)
         nxt = grad.scaled(2.0 * lam)
@@ -328,7 +332,7 @@ def fixed_point_solve(lam, m_cells, ensemble, tol=1e-8, max_iter=200):
             ratios.append(l2 / prev_l2)
         prev_l2 = l2
         psi = nxt
-        if sup < tol:
+        if sup < FIXED_POINT_TOL:
             converged = True
             break
     # one pass over the final iterate's quadratic forms gives its
@@ -347,7 +351,6 @@ def fixed_point_solve(lam, m_cells, ensemble, tol=1e-8, max_iter=200):
         residual_norm=residual,
         contraction_ratios=tuple(ratios),
         converged=converged,
-        non_contractive=bool(any(r > 1.0 for r in ratios)),
         ess=ess,
         psi_std_err=err.scaled(2.0 * lam),
         start_lambda=start_lambda,
@@ -375,7 +378,6 @@ def fixed_point_verdicts(report: FixedPointReport, n_sigma):
     taylor_dev = abs(om.value - taylor_prediction(lam, beta_b))
     return {
         "converged": report.converged,
-        "non_contractive": report.non_contractive,
         "ratio_bound_ok": all(r <= 2 * lam + 0.02 for r in report.contraction_ratios),
         "omega_bracket_ok": bool(-inf_g - slack <= om.value <= -p * lam + slack),
         "start_gap": gap,

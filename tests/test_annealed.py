@@ -198,7 +198,7 @@ def test_delta_bounds_ordering():
 
 def test_delta_upper_is_inf_g():
     lo, hi = delta_infinity_bounds(0.2, 1.0)
-    assert hi == inf_g_n_over_n(0.2, 1.0, n_max=64)[0]
+    assert hi == inf_g_n_over_n(0.2, 1.0)[0]
 
 
 @pytest.mark.filterwarnings("ignore::qsk.numerics.QuadratureConvergenceWarning")

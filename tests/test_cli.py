@@ -54,17 +54,13 @@ def test_constants_bad_scale_usage_error(capsys):
 
 
 #: options outside their domain, each with a fragment of its error message
-#: (the node-count cases went with --quad-nodes, which
-#: test_removed_flags_are_rejected now refuses outright)
+#: (the --quad-nodes, --n-max, --tol and --max-iter cases went with those
+#: options, which test_removed_flags_are_rejected refuses outright)
 BAD_OPTIONS = [
     ("static --lam-min 0", "log sweep needs a positive lower end"),
     ("static --lam-scale linear --lam-min 0", "lam must be positive"),
     ("region --x-min 0", "inv_beta_v must be > 0"),
-    ("constants --n-max 1", "n_max must be >= 2"),
     ("variational --m-cells 0", "m_cells must be >= 1"),
-    ("variational --tol 0", "tol must be positive"),
-    ("variational --ensembles 2000 --max-iter 0", "max_iter 0 must be >= 1"),
-    ("variational --ensembles 2000 --max-iter -3", "max_iter -3 must be >= 1"),
     ("constants --bb-count 0", "a sweep needs at least one point, not 0"),
     ("constants --bb-count -1", "a sweep needs at least one point, not -1"),
     ("static --lam-count 0", "a sweep needs at least one point, not 0"),
@@ -81,7 +77,6 @@ BAD_OPTIONS = [
     ("constants --lam nan", "option lam = nan is not a finite number"),
     ("region --x-min nan", "option x_min = nan is not a finite number"),
     ("variational --beta-b nan", "option beta_b = nan is not a finite number"),
-    ("variational --tol nan", "option tol = nan is not a finite number"),
     ("static --lam-max inf", "option lam_max = inf is not a finite number"),
     ("annealed --config {d}/nan.ini", "option lam = nan is not a finite number"),
     ("verify --seed -1", "--seed -1 is negative"),
@@ -108,11 +103,18 @@ def test_out_of_domain_option_is_a_usage_error(command, message, tmp_path,
     "region --quad-nodes 64",
     "variational --with-static yes",
     "quenched --delta 0.25",
+    "constants --n-max 32",
+    "region --n-max 32",
+    "variational --tol 1e-6",
+    "variational --max-iter 5",
+    "variational --allow-noncontractive",
 ])
 def test_removed_flags_are_rejected(command, capsys):
     # every quadrature runs at numerics.QUAD_NODES, variational always
-    # prints its static section, and quenched has no tail frequency to
-    # count past a delta, so none of these flags is accepted any more
+    # prints its static section, quenched has no tail frequency to count
+    # past a delta, the gap bound runs to constants.N_MAX, and the fixed
+    # point stops at the constants of variational and refuses a lam with
+    # 2 lam >= 1 itself, so none of these flags is accepted any more
     with pytest.raises(SystemExit) as exc:
         cli.main(command.split())
     assert exc.value.code == 2
@@ -193,8 +195,24 @@ def test_config_bad_value(tmp_path, capsys):
      "config [model] quad_nodes: not an option of any subcommand"),
     ("static", "[stattic]\nlam_count = 2\n", "config [stattic]: "),
     ("static", "[DEFAULT]\nlam_count = 2\n", "config [DEFAULT]: "),
+    # the numerical controls that became constants
+    ("constants", "[constants]\nn_max = 32\n",
+     "config [constants] n_max: not an option of constants"),
+    ("region", "[region]\nn_max = 32\n",
+     "config [region] n_max: not an option of region"),
+    ("variational", "[variational]\ntol = 1e-6\n",
+     "config [variational] tol: not an option of variational"),
+    ("variational", "[variational]\nmax_iter = 5\n",
+     "config [variational] max_iter: not an option of variational"),
+    ("static", "[model]\nn_max = 32\n",
+     "config [model] n_max: not an option of any subcommand"),
+    ("static", "[model]\ntol = 1e-6\n",
+     "config [model] tol: not an option of any subcommand"),
+    ("static", "[model]\nmax_iter = 5\n",
+     "config [model] max_iter: not an option of any subcommand"),
 ], ids=["misspelt", "quad_nodes", "with_static", "delta", "other_section", "model",
-        "unknown_section", "default_section"])
+        "unknown_section", "default_section", "n_max", "region_n_max", "tol",
+        "max_iter", "model_n_max", "model_tol", "model_max_iter"])
 def test_config_key_no_subcommand_reads_is_a_usage_error(
         command, config, message, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_" + command,
@@ -236,7 +254,8 @@ _COMMON = {
 #: every subcommand's flags as they were declared one by one, before they
 #: came from ``cli.OPTIONS``: dest -> (option strings, default, action,
 #: conversion), where a flag that had no type converts with ``str``.  The
-#: ``--quad-nodes`` flags and ``--with-static`` were removed since;
+#: ``--quad-nodes`` flags, ``--with-static``, ``--n-max``, ``--tol``,
+#: ``--max-iter`` and ``--allow-noncontractive`` were removed since;
 #: test_removed_flags_are_rejected keeps them out.
 RECORDED_FLAGS = {
     "constants": {
@@ -247,7 +266,6 @@ RECORDED_FLAGS = {
         "bb_scale": (("--bb-scale",), None, "store", "str"),
         "n_spins": (("--n-spins",), None, "store", "int"),
         "lam": (("--lam",), None, "store", "float"),
-        "n_max": (("--n-max",), None, "store", "int"),
     },
     "exactdiag": {
         **_COMMON,
@@ -269,10 +287,6 @@ RECORDED_FLAGS = {
         "beta_b": (("--beta-b",), None, "store", "float"),
         "m_cells": (("--m-cells",), None, "store", "int"),
         "ensembles": (("--ensembles",), None, "store", "int"),
-        "tol": (("--tol",), None, "store", "float"),
-        "max_iter": (("--max-iter",), None, "store", "int"),
-        "allow_noncontractive": (("--allow-noncontractive",), False,
-                                 "store_true", None),
         "psi_out": (("--psi-out",), None, "store", "str"),
     },
     "static": {
@@ -299,7 +313,6 @@ RECORDED_FLAGS = {
         "y_min": (("--y-min",), None, "store", "float"),
         "y_max": (("--y-max",), None, "store", "float"),
         "y_count": (("--y-count",), None, "store", "int"),
-        "n_max": (("--n-max",), None, "store", "int"),
         "advisory_out": (("--advisory-out",), None, "store", "str"),
     },
     "verify": {
@@ -460,18 +473,23 @@ def test_path_mc_output_does_not_depend_on_workers(command, capsys):
 # -- variational -----------------------------------------------------------
 
 
-def test_variational_noncontractive_guard(tmp_path, capsys):
-    rc = cli.main(["variational", "--lam", "0.5"])
-    assert rc == 2
-    assert "allow-noncontractive" in capsys.readouterr().err
+def test_variational_noncontractive_guard(capsys):
+    # fixed_point_solve refuses 2 lam >= 1 itself, one usage-error line that
+    # names lam; no flag lets the iteration run outside its contraction range
+    for lam in ("0.5", "0.7"):
+        assert cli.main(["variational", "--lam", lam, "--ensembles", "2000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"qsk: error: lam = {lam}: ")
+        assert "0 < 2*lam < 1" in err
 
 
 def test_variational_small_run(tmp_path):
     out = tmp_path / "var.json"
     psi = tmp_path / "psi.json"
     rc = cli.main(["variational", "--lam", "0.1", "--m-cells", "4",
-                   "--ensembles", "3000", "--seed", "6", "--tol", "1e-7",
-                   "--psi-out", str(psi), "--out", str(out)])
+                   "--ensembles", "3000", "--seed", "6", "--psi-out", str(psi),
+                   "--out", str(out)])
     assert rc == 0
     res = json.loads(out.read_text())["result"]
     # the static section can no longer be left out (--with-static is gone);

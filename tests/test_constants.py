@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from qsk.constants import (
+    N_MAX,
     ModelParams,
     c0_of,
     g_n_of,
@@ -201,12 +202,18 @@ def test_g_n_large_exponent_log_space():
 
 
 def test_inf_g_n_over_n():
-    val, argmin = inf_g_n_over_n(0.1, 1.0, n_max=64)
+    assert N_MAX == 64
+    val, argmin = inf_g_n_over_n(0.1, 1.0)
     assert val == pytest.approx(min(g_n_of(n, 0.1, 1.0) / n
                                     for n in range(2, 65)), rel=1e-14)
     assert g_n_of(argmin, 0.1, 1.0) / argmin == pytest.approx(val, rel=1e-14)
-    with pytest.warns(UserWarning):
-        inf_g_n_over_n(0.001, 1.0, n_max=8)  # argmin pinned at the boundary
+    # at lam = 1e-4 the argmin is pinned at the boundary, and the warning
+    # names it; at lam = 1e-3 the argmin is 58 and nothing warns
+    with pytest.warns(UserWarning, match=r"N_MAX boundary \(N=64\)"):
+        assert inf_g_n_over_n(1e-4, 1.0)[1] == N_MAX
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert inf_g_n_over_n(0.001, 1.0)[1] == 58
 
 
 def _g_n_reference(n, lam, bb):
@@ -239,23 +246,22 @@ def test_g_n_broadcast_matches_scalar_reference():
 
 def test_inf_g_n_over_n_broadcast_matches_scalar_loop():
     for lam in ORACLE_LAMS:
-        for n_max in (2, 8, 64):
-            ref = []
-            for bb in ORACLE_BBS:
-                vals = [g_n_of(n, lam, float(bb)) / n for n in range(2, n_max + 1)]
-                k = min(range(len(vals)), key=vals.__getitem__)
-                ref.append((vals[k], k + 2))
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                values, argmins = inf_g_n_over_n(lam, ORACLE_BBS, n_max=n_max)
-                on_boundary = any(a == n_max for _, a in ref)
-                assert len(caught) == int(on_boundary), (lam, n_max)
-                for bb, (v, a) in zip(ORACLE_BBS, ref):
-                    caught.clear()
-                    assert inf_g_n_over_n(lam, float(bb), n_max=n_max) == (v, a)
-                    assert len(caught) == int(a == n_max)
-            assert values.tolist() == [v for v, _ in ref], (lam, n_max)
-            assert argmins.tolist() == [a for _, a in ref], (lam, n_max)
+        ref = []
+        for bb in ORACLE_BBS:
+            vals = [g_n_of(n, lam, float(bb)) / n for n in range(2, N_MAX + 1)]
+            k = min(range(len(vals)), key=vals.__getitem__)
+            ref.append((vals[k], k + 2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            values, argmins = inf_g_n_over_n(lam, ORACLE_BBS)
+            on_boundary = any(a == N_MAX for _, a in ref)
+            assert len(caught) == int(on_boundary), lam
+            for bb, (v, a) in zip(ORACLE_BBS, ref):
+                caught.clear()
+                assert inf_g_n_over_n(lam, float(bb)) == (v, a)
+                assert len(caught) == int(a == N_MAX)
+        assert values.tolist() == [v for v, _ in ref], lam
+        assert argmins.tolist() == [a for _, a in ref], lam
 
 
 def test_bounds_layer_validation():
@@ -269,8 +275,6 @@ def test_bounds_layer_validation():
         g_n_of(np.arange(1, 4), 0.1, np.array([1.0, -1.0])[:, None])
     with pytest.raises(ValueError):
         inf_g_n_over_n(0.1, np.array([1.0, -1.0]))
-    with pytest.raises(ValueError):
-        inf_g_n_over_n(0.1, 1.0, n_max=1)
 
 
 def test_w_2_equals_g_2():

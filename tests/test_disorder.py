@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qsk
-from qsk import checks, disorder, paths, streams
+from qsk import checks, disorder, hilbert, paths, streams
 from qsk.constants import ModelParams
 from qsk.disorder import (
     DisorderStudyResult,
@@ -225,7 +225,7 @@ def test_parallel_failures_name_the_global_sample(monkeypatch):
     couplings = draw_couplings(6, 75, 3)
     real_build = disorder.build_hamiltonian
     real_spectrum = disorder.spectrum
-    real_gibbs = disorder.gibbs_zz_matrix
+    real_weights = hilbert._gibbs_weights
     built = {}  # id of each Hamiltonian -> (it, the couplings it was built from)
 
     def recording_build(params, stack):
@@ -252,22 +252,27 @@ def test_parallel_failures_name_the_global_sample(monkeypatch):
         run_study(params, 75, 3)
     monkeypatch.setattr(disorder, "spectrum", real_spectrum)
 
-    # the every-tenth-sample checks run on the global index: a corrupt
-    # sample 47, the tenth of its chunk, passes unchecked, a corrupt sample
-    # 50 is caught
-    def corrupt_at(index):
-        def gibbs(h):
-            c = real_gibbs(h)
-            c[rows_of(h, index), 0, 1] = 2.0
-            return c
-        return gibbs
+    # gibbs_zz_matrix checks |<Sz_i Sz_j>| <= 1 on every sample: Gibbs
+    # weight 2 on the all-up state of sample 47 puts 2 in every pair and is
+    # caught
+    def corrupt_weights(h):
+        q = real_weights(h)
+        q[rows_of(h, 47)] = 0.0
+        q[rows_of(h, 47), 0] = 2.0
+        return q
 
-    monkeypatch.setattr(disorder, "gibbs_zz_matrix", corrupt_at(47))
-    with worker_count(2):
-        run_study(params, 75, 3)
-    monkeypatch.setattr(disorder, "gibbs_zz_matrix", corrupt_at(50))
+    monkeypatch.setattr(hilbert, "_gibbs_weights", corrupt_weights)
     with worker_count(2), pytest.raises(
-            RuntimeError, match=r"index=50\): \|<Sz_i Sz_j>\|"):
+            RuntimeError, match=r"index=47\): \|<Sz_i Sz_j>\| = 2 exceeds 1"):
+        run_study(params, 75, 3)
+    monkeypatch.setattr(hilbert, "_gibbs_weights", real_weights)
+
+    # build_hamiltonian checks that every block is traceless: a pair table
+    # that is +1 everywhere breaks each sample, and the first is named
+    monkeypatch.setattr(hilbert, "_pair_z_table",
+                        lambda n: np.ones((2 ** (n - 1), n * (n - 1) // 2)))
+    with worker_count(2), pytest.raises(
+            RuntimeError, match=r"index=0\): Hamiltonian block diagonal does not"):
         run_study(params, 75, 3)
 
 
@@ -438,11 +443,15 @@ def test_ratio_of_means_constant_input():
 
 _CORRUPT_CORRELATIONS = """
 import numpy as np
-from qsk import disorder
+from qsk import disorder, hilbert
 from qsk.constants import ModelParams
 
-disorder.gibbs_zz_matrix = lambda h: np.full(
-    h.blocks.shape[:-3] + (4, 4), 2.0)
+def all_up_twice(h):
+    q = np.zeros(h.blocks.shape[:-3] + h.blocks.shape[-1:])
+    q[..., 0] = 2.0
+    return q
+
+hilbert._gibbs_weights = all_up_twice
 try:
     disorder.run_study(ModelParams(4, 0.1, 1.0), 20, 1)
 except RuntimeError as exc:
@@ -453,7 +462,8 @@ else:
 
 
 def test_spot_checks_survive_optimized_mode():
-    # python -O strips assert statements; the spot checks must still raise
+    # python -O strips assert statements; the invariant checks of the
+    # hilbert kernels must still raise
     src = str(Path(qsk.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_CORRELATIONS],
                           capture_output=True, text=True, timeout=120,

@@ -70,7 +70,18 @@ lam = 0.125, which the round trip (2 sqrt(lam))^2 / 4 had turned into
 and ``second_moment_theory_bound``, the two numbers that read lam, moved
 by at most 6.5e-16 relative (the ratio's value by 3.1e-16, its std_err by
 6.5e-16, the bound by 2.0e-16).  ``per_sample.csv`` and every other hash
-stayed as they were.  The default
+stayed as they were.  Three hashes (``constants``, ``region`` and
+``variational`` stdout) were re-recorded when the last numerical options
+with one production value became constants (``constants.N_MAX`` for
+``n_max``, ``variational.FIXED_POINT_TOL`` and ``FIXED_POINT_MAX_ITER``
+for ``tol`` and ``max_iter``) and ``fixed_point_solve`` came to refuse
+2 lam >= 1 itself: ``constants`` lost ``n_max=64`` from its options echo,
+``region`` lost it from both of its echoes (the advisory block has its
+own), and ``variational`` lost ``max_iter`` and ``tol`` from
+``meta.options`` and ``non_contractive`` (which cannot be true below
+2 lam < 1) from ``report`` and ``verdicts``.  Every data row and number
+stayed byte-identical; ``psi.json``, ``per_sample.csv`` and the other six
+hashes stayed as they were.  The default
 region grid starts at x = 0.05 (lam = 100), which exercises the
 N*lam > 700 branch of G_N.
 Commands run in a scratch directory under fixed relative file names,
@@ -86,8 +97,8 @@ import pytest
 from qsk import cli
 
 GOLDEN = {
-    "region": "7d09cd3e6266fc74641c9742a177d4c194b998f020673d6784b3cead8431164c",
-    "constants": "cbeadb3475dacd2d4e52c282e65dcfde7dee2af4549f915cc9696de5872c92d4",
+    "region": "70c6681d5b8775f18d4e2605ae4fe2ac5fe0d5a75b8d6afe0fd7c1615380ed26",
+    "constants": "5fa1fb389283580d2826b76cb8ef91b2f5006f57094ccbb5a76265d452ceae9b",
     "static --lam-count 5":
         "e60ca8df6315fcb93349ecb11c6446fea6828b775c708083289f799bacc36d04",
     "exactdiag --n-spins 4":
@@ -97,7 +108,7 @@ GOLDEN = {
     "annealed --n-spins 4 --ensembles 4000":
         "2706927a6ff9acf5dba28ed547638cf3368fc28f1659c7197a16cf3ea0bf8202",
     "variational --ensembles 5000 --m-cells 8 --psi-out psi.json":
-        "1cbd0ba10c66f3f005390ec593239648e0650cef75693db705474038f9ff82d0",
+        "6af5fa24b107fbbfe39ed17f0ba84d85aac032c2993f179634c6d224c9b954c4",
     "quenched --n-spins 4 --n-disorder 60 --per-sample-out per_sample.csv":
         "ff0b083096b23b315ce124e7b12858ea63249b5646bcdeade8661775fd15ad79",
     "verify --seed 777":

@@ -278,6 +278,29 @@ def test_gibbs_zz_matrix_and_bounds():
     assert np.all(np.abs(q) <= 1.0 + 1e-12)
 
 
+def test_kernels_check_their_invariants(monkeypatch):
+    # every sample, stacked or single, is checked where it is computed
+    params = ModelParams(4, 0.16, 0.7)
+    couplings = draw_couplings(4, 3, seed=20)
+    field = hilbert._field_blocks(4, 0.7).copy()
+    field[1, 0, 1] += 1e-3  # one asymmetric off-diagonal entry
+    monkeypatch.setattr(hilbert, "_field_blocks", lambda n, b: field)
+    with pytest.raises(RuntimeError, match="Hamiltonian block is not symmetric"):
+        build_hamiltonian(params, couplings)
+    monkeypatch.undo()
+    table = hilbert._pair_z_table(4)
+    monkeypatch.setattr(hilbert, "_pair_z_table", lambda n: np.abs(table))
+    with pytest.raises(RuntimeError, match="diagonal does not sum to zero"):
+        build_hamiltonian(params, couplings[0])
+    monkeypatch.undo()
+    h = build_hamiltonian(params, couplings[0])
+    monkeypatch.setattr(hilbert, "_gibbs_weights",
+                        lambda h: 2.0 * (np.arange(8) == 0))
+    for kernel in (gibbs_zz_matrix, gibbs_zz):
+        with pytest.raises(RuntimeError, match=r"\|<Sz_i Sz_j>\| = 2 exceeds 1"):
+            kernel(h)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_gibbs_zz_is_the_matrix_entry(n):
     # one correlation kernel: gibbs_zz reads the (1, 2) entry bit for bit;

@@ -1,6 +1,7 @@
 """Shared numerics, estimate containers, and deterministic stream layout."""
 
 import ast
+import inspect
 import math
 import threading
 import warnings
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from qsk import streams
+from qsk import checks, streams
 from qsk.numerics import (
     LN2,
     QUAD_NODES,
@@ -41,6 +42,8 @@ from qsk.streams import (
     resolve_workers,
     worker_count,
 )
+
+from test_acceptance import FULL_SCALE
 
 
 # -- numerics --------------------------------------------------------------
@@ -368,6 +371,60 @@ def test_the_pool_size_lives_in_streams_alone():
     assert takers == [("streams.py", "resolve_workers"),
                       ("streams.py", "worker_count")]
     assert held == []
+
+
+def _defaulted_parameters(module_name, tree):
+    """(module, qualified function name, parameter) for every parameter of a
+    function or lambda in ``tree`` that has a default value."""
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, scopes):
+                visit(child, prefix)
+                continue
+            name = prefix + getattr(child, "name", "<lambda>")
+            if not isinstance(child, ast.ClassDef):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):] + [
+                    a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None]
+                found.update((module_name, name, a.arg) for a in defaulted)
+            visit(child, name + ".")
+
+    visit(tree, "")
+    return found
+
+
+def test_every_defaulted_parameter_is_on_the_allow_list():
+    # a defaulted parameter is a knob, and a knob that every production
+    # caller leaves at its default is a constant in disguise (N_MAX, the
+    # fixed point's tolerance and cap, QUAD_NODES), so each default must be
+    # argued here: an unlabelled estimate (seed=None), a reduction axis,
+    # the command line's argv, the worker count that only streams resolves,
+    # and the desk-scale sizes of each check, whose full scale is
+    # FULL_SCALE (the acceptance suite also passes n_sigma where it is taken)
+    allowed = {
+        ("stats.py", "mean_with_err", "seed"),
+        ("stats.py", "frequency_with_err", "seed"),
+        ("stats.py", "log_mean_exp", "seed"),
+        ("paths.py", "PathEnsemble.__init__", "seed"),
+        ("numerics.py", "logsumexp", "axis"),
+        ("cli.py", "main", "argv"),
+        ("streams.py", "resolve_workers", "workers"),
+    }
+    for name, fn in checks.CHECKS.items():
+        sizes = set(FULL_SCALE[name][1])
+        if "n_sigma" in inspect.signature(fn).parameters:
+            sizes.add("n_sigma")
+        allowed.update(("checks.py", fn.__name__, key) for key in sizes)
+    modules = sorted(Path(streams.__file__).parent.glob("*.py"))
+    found = set().union(*(_defaulted_parameters(m.name, ast.parse(m.read_text()))
+                          for m in modules))
+    assert sorted(found - allowed) == []
+    assert sorted(allowed - found) == []
 
 
 def test_no_module_silences_warnings():
