@@ -68,13 +68,9 @@ def mean_p_n(params: ModelParams, ensemble_count, seed):
     return mean_with_err(paths.p_n_batch(ens, n), seed=seed)
 
 
-def annealed_free_energy(params: ModelParams, ensemble_count, seed):
-    """beta f_N^ann = (lam - F_N)/N - ln(2 cosh(beta*b)), estimated by MC."""
-    return _beta_f_ann(params, estimate_f_n(params, ensemble_count, seed))
-
-
-def _beta_f_ann(params: ModelParams, f_hat):
-    """beta f_N^ann from an estimate of F_N; the error scales by 1/N."""
+def annealed_free_energy(params: ModelParams, f_hat):
+    """beta f_N^ann = (lam - F_N)/N - ln(2 cosh(beta*b)) from an estimate
+    ``f_hat`` of F_N (``estimate_f_n``); the error scales by 1/N."""
     n = params.n_spins
     value = (params.lam - f_hat.value) / n - (logcosh(params.beta_b) + np.log(2.0))
     return EstimateWithError(
@@ -185,8 +181,9 @@ def region_scan(inv_beta_v_values, b_over_v_values):
 def advisory_curve(inv_beta_v):
     """Non-rigorous reference curve 1.51*sqrt(1 - x^2) for x in [0, 1].
 
-    Marks the rough location where the positivity certificate
-    k(lam) = ln cosh(beta_b) saturates; purely indicative, not a bound.
+    A fixed sketch, computed from no bound in qsk and not a bound itself.
+    The exact boundary of the positivity certificate k(lam) > ln cosh(beta_b)
+    is in the ``classification`` column of ``qsk region`` (``region_labels``).
     """
     x = np.asarray(inv_beta_v, dtype=float)
     return 1.51 * np.sqrt(np.clip(1.0 - x * x, 0.0, None))

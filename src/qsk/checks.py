@@ -92,7 +92,8 @@ def check_two_spin(seed, spectra=200, points=((0.15, 0.8), (0.3, 1.5)),
     worst_z = 0.0
     for i, (lam, bb) in enumerate(points):
         params = ModelParams(2, lam, bb)
-        est = annealed.annealed_free_energy(params, ensembles, seed + i)
+        est = annealed.annealed_free_energy(
+            params, annealed.estimate_f_n(params, ensembles, seed + i))
         exact = hilbert.f2_annealed_exact(lam, bb)
         worst_z = max(worst_z, abs(est.value - exact) / est.std_err)
         mc_bad += not est.agrees_with(exact, n_sigma=n_sigma)

@@ -12,21 +12,20 @@ region       phase-diagram scan of the quenched-annealed gap bounds (CSV)
 verify       run the desk-scale verification suite; nonzero exit on failure
 
 Each subcommand's options are declared once, in ``OPTIONS``: an option
-``name`` is the flag ``--name-with-dashes`` and the config key ``name``,
-read from ``[subcommand]`` and then ``[model]`` of the ``--config`` file.
-A config key that no subcommand reads is a usage error.  The model is
-given as ``--n-spins``, ``--lam`` = (beta v)^2/4 and ``--beta-b`` = beta b,
-in units with beta = 1, and a result's ``params`` block echoes those three
-values as they were given.  Numerical controls with one setting are module
-constants, not options: the largest N of the gap bound inf_N G_N/N
-(``constants.N_MAX``) and the fixed point's tolerance and iteration cap
-(``variational.FIXED_POINT_TOL``, ``FIXED_POINT_MAX_ITER``).  ``variational``
-refuses a lam outside 0 < 2 lam < 1, where its iteration is no contraction.
+``name`` is the flag ``--name-with-dashes``, the only way to set it.  The
+model is given as ``--n-spins``, ``--lam`` = (beta v)^2/4 and ``--beta-b``
+= beta b, in units with beta = 1, and a result's ``params`` block echoes
+those three values as they were given.  Numerical controls with one
+setting are module constants, not options: the largest N of the gap bound
+inf_N G_N/N (``constants.N_MAX``) and the fixed point's tolerance and
+iteration cap (``variational.FIXED_POINT_TOL``, ``FIXED_POINT_MAX_ITER``).
+``variational`` refuses a lam outside 0 < 2 lam < 1, where its iteration is
+no contraction.
 
 Conventions: all outputs are deterministic functions of (options, seed) —
 identical runs give byte-identical files regardless of worker count; wall
 clock timings and warnings (e.g. an unsettled quadrature) go to stderr only.
-Exit codes: 0 success, 1 verification failure, 2 usage/config error, 3
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3
 numerical-diagnostic abort: an effective sample size below the floor, in any
 subcommand.  In qsk a ``ValueError`` means an argument lies outside its
 domain, so ``main`` reports every ``ValueError``, from the options or from
@@ -35,7 +34,6 @@ invariant raises ``RuntimeError`` and ends the run with a traceback.
 """
 
 import argparse
-import configparser
 import json
 import os
 import sys
@@ -56,57 +54,11 @@ DEFAULT_SEED = 123456789
 # -- option resolution -----------------------------------------------------
 
 
-def _load_config(path):
-    """Read the INI file ``path`` and refuse any key that no subcommand reads.
-
-    Keys in ``[<subcommand>]`` must be options of that subcommand and keys
-    in the shared ``[model]`` options of some subcommand, whichever
-    subcommand runs; any other section, ``[DEFAULT]`` among them, is refused.
-    """
-    cp = configparser.ConfigParser()
-    try:
-        with open(path) as f:
-            cp.read_file(f)
-    except (OSError, configparser.Error, UnicodeDecodeError) as exc:
-        raise ValueError(f"cannot read config file {path}: {exc}") from exc
-    readers = {**OPTIONS, "model": set().union(*OPTIONS.values())}
-    sections = cp.sections()
-    if cp.defaults():  # first, as its keys show in every other section too
-        sections.insert(0, cp.default_section)
-    for section in sections:
-        if section not in readers:
-            raise ValueError(f"config [{section}]: qsk reads only [model] and "
-                             "one section per subcommand")
-        for key in cp.options(section):
-            if key not in readers[section]:
-                whose = "any subcommand" if section == "model" else section
-                raise ValueError(f"config [{section}] {key}: not an option of {whose}")
-    return cp
-
-
 def _resolve(args):
-    """Merge CLI flags, config sections, and defaults (flags win).
-
-    The options are those of ``OPTIONS[args.command]``; config values are
-    looked up in ``[<subcommand>]``, then in ``[model]``.  Floats are finite.
-    """
-    cp = _load_config(args.config) if args.config else None
+    """The options of ``OPTIONS[args.command]`` as parsed; floats are finite."""
     out = {}
-    for name, (conv, default) in OPTIONS[args.command].items():
+    for name, (conv, _) in OPTIONS[args.command].items():
         val = getattr(args, name)
-        if val is None and cp is not None:
-            for section in (args.command, "model"):
-                if cp.has_option(section, name):
-                    raw = cp.get(section, name)
-                    try:
-                        val = conv(raw)
-                    except ValueError as exc:
-                        raise ValueError(
-                            f"config [{section}] {name} = {raw!r}: {exc}"
-                        ) from exc
-                    break
-        if val is None:
-            val = default
         if conv is float and not np.isfinite(val):
             raise ValueError(f"option {name} = {val!r} is not a finite number")
         out[name] = val
@@ -114,8 +66,7 @@ def _resolve(args):
 
 
 #: subcommand -> option name -> (type, default).  Each option is the flag
-#: ``--name-with-dashes`` and the config key ``name``, read from the
-#: ``[subcommand]`` section and then from ``[model]``.
+#: ``--name-with-dashes``.
 OPTIONS = {
     "constants": {
         "bb_min": (float, 1e-3),
@@ -291,7 +242,7 @@ def cmd_annealed(args, opts):
     payload = {
         "params": params.to_dict(),
         "f_n_hat": f_hat.to_dict(),
-        "beta_f_ann": annealed._beta_f_ann(params, f_hat).to_dict(),
+        "beta_f_ann": annealed.annealed_free_energy(params, f_hat).to_dict(),
         "bounds": bounds,
         "verdicts": verdicts,
     }
@@ -422,9 +373,8 @@ def build_parser():
         p.add_argument("--workers", type=int, default=None,
                        help=f"worker threads (default: ${WORKERS_ENV_VAR} or 1)")
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--config", default=None, help="INI-style config file")
-        for name, (conv, _) in options.items():
-            p.add_argument("--" + name.replace("_", "-"), type=conv)
+        for name, (conv, default) in options.items():
+            p.add_argument("--" + name.replace("_", "-"), type=conv, default=default)
         p.set_defaults(fn=globals()["cmd_" + command])
     sub.choices["verify"].add_argument(
         "--only", action="append", help="run only the named check (repeatable)")

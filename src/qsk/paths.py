@@ -127,11 +127,6 @@ class PathEnsemble:
     def __len__(self):
         return self.offsets.size - 1
 
-    @property
-    def counts(self):
-        """The jump count of every path."""
-        return np.diff(self.offsets)
-
     def sigma_matrix(self, t):
         """sigma_i(t) for every path i; t scalar in [0, 1]."""
         t = float(t)

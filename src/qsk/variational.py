@@ -6,7 +6,7 @@ On the space of symmetric kernels psi(t, t') on [0,1]^2 define
     Lambda(psi) = ln < exp(<psi, sigma x sigma>) >
 
 with the path average over one even-parity process and the L2([0,1]^2)
-pairing.  Then beta f^ann + ln(2 cosh beta_b) = -lam - 2c0 lam^2 + O(lam^3)
+pairing.  Then beta f^ann + ln(2 cosh beta_b) = -p lam - 2c0 lam^2 + O(lam^3)
 and the minimizer solves psi = 2 lam Lambda'(psi), a contraction for
 0 < 2 lam < 1, which covers the whole weak-disorder regime 4 lam < 1;
 ``fixed_point_solve`` refuses any other lam, and it stops at the fixed

@@ -69,7 +69,7 @@ def test_mean_p_n_matches_closed_form():
 
 def test_annealed_free_energy_matches_two_spin_exact():
     params = ModelParams(2, 0.15, 0.8)
-    est = annealed_free_energy(params, 30_000, seed=5)
+    est = annealed_free_energy(params, estimate_f_n(params, 30_000, seed=5))
     assert est.agrees_with(hilbert.f2_annealed_exact(0.15, 0.8), n_sigma=3.5)
 
 
@@ -78,7 +78,7 @@ def test_quenched_dominates_annealed():
     lam, bb, n = 0.1, 1.0, 4
     params = ModelParams(n, lam, bb)
     quenched = disorder.run_study(params, 400, 3).quenched_mean
-    ann = annealed_free_energy(params, 30_000, seed=4)
+    ann = annealed_free_energy(params, estimate_f_n(params, 30_000, seed=4))
     err = 3.5 * np.hypot(quenched.std_err, ann.std_err)
     gap = quenched.value - ann.value
     assert gap >= -err

@@ -1,4 +1,4 @@
-"""End-to-end command-line behavior: outputs, config handling, exit codes."""
+"""End-to-end command-line behavior: outputs, option handling, exit codes."""
 
 import argparse
 import ast
@@ -71,24 +71,21 @@ BAD_OPTIONS = [
     ("exactdiag --n-spins 13", "exact-diagonalization cap (12)"),
     ("exactdiag --lam -0.1", "lam must be finite and >= 0, not -0.1"),
     ("annealed --beta-b -0.5", "beta_b must be finite and >= 0, not -0.5"),
-    # a float option must be finite, from a flag or a config key, and the
-    # seed must not be negative
+    # a float option must be finite, and the seed must not be negative
     ("static --beta-b nan", "option beta_b = nan is not a finite number"),
     ("constants --lam nan", "option lam = nan is not a finite number"),
     ("region --x-min nan", "option x_min = nan is not a finite number"),
     ("variational --beta-b nan", "option beta_b = nan is not a finite number"),
     ("static --lam-max inf", "option lam_max = inf is not a finite number"),
-    ("annealed --config {d}/nan.ini", "option lam = nan is not a finite number"),
+    ("annealed --lam nan", "option lam = nan is not a finite number"),
     ("verify --seed -1", "--seed -1 is negative"),
 ]
 
 
 @pytest.mark.parametrize("command, message", BAD_OPTIONS)
-def test_out_of_domain_option_is_a_usage_error(command, message, tmp_path,
-                                               capsys):
+def test_out_of_domain_option_is_a_usage_error(command, message, capsys):
     # a ValueError, from the handler or the library, is one line and exit 2
-    (tmp_path / "nan.ini").write_text("[model]\nlam = nan\n")
-    assert cli.main(command.format(d=tmp_path).split()) == 2
+    assert cli.main(command.split()) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("qsk: error: ") and err.count("\n") == 1
@@ -108,13 +105,15 @@ def test_out_of_domain_option_is_a_usage_error(command, message, tmp_path,
     "variational --tol 1e-6",
     "variational --max-iter 5",
     "variational --allow-noncontractive",
+    *(f"{name} --config x.ini" for name in cli.OPTIONS),
 ])
 def test_removed_flags_are_rejected(command, capsys):
     # every quadrature runs at numerics.QUAD_NODES, variational always
     # prints its static section, quenched has no tail frequency to count
-    # past a delta, the gap bound runs to constants.N_MAX, and the fixed
-    # point stops at the constants of variational and refuses a lam with
-    # 2 lam >= 1 itself, so none of these flags is accepted any more
+    # past a delta, the gap bound runs to constants.N_MAX, the fixed point
+    # stops at the constants of variational and refuses a lam with
+    # 2 lam >= 1 itself, and a flag is the only way to set an option, so
+    # none of these flags is accepted any more
     with pytest.raises(SystemExit) as exc:
         cli.main(command.split())
     assert exc.value.code == 2
@@ -150,169 +149,77 @@ def test_no_timestamps_in_output(tmp_path):
     assert "time" not in text and "date" not in text
 
 
-# -- config files ----------------------------------------------------------
-
-
-def test_config_sections_and_flag_precedence(tmp_path):
-    cfg = tmp_path / "qsk.ini"
-    cfg.write_text(
-        "[constants]\nbb_count = 3\nbb_min = 0.5\nbb_max = 2.0\n"
-        "[model]\nlam = 0.2\n"
-    )
-    out1 = tmp_path / "a.csv"
-    assert cli.main(["constants", "--config", str(cfg), "--out", str(out1)]) == 0
-    _, rows = _data_rows(_read_lines(out1))
-    assert len(rows) == 3
-    assert "lam=0.20000000000000001" in _read_lines(out1)[3]
-    out2 = tmp_path / "b.csv"
-    assert cli.main(["constants", "--config", str(cfg), "--bb-count", "5",
-                     "--out", str(out2)]) == 0
-    _, rows2 = _data_rows(_read_lines(out2))
-    assert len(rows2) == 5  # explicit flag beats the config value
-
-
-def test_config_bad_value(tmp_path, capsys):
-    cfg = tmp_path / "bad.ini"
-    cfg.write_text("[constants]\nbb_count = banana\n")
-    rc = cli.main(["constants", "--config", str(cfg)])
-    assert rc == 2
-    assert "banana" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command, config, message", [
-    ("constants", "[constants]\nbb_cout = 3\n",
-     "config [constants] bb_cout: not an option of constants"),
-    ("static", "[static]\nquad_nodes = 64\n",
-     "config [static] quad_nodes: not an option of static"),
-    ("variational", "[variational]\nwith_static = no\n",
-     "config [variational] with_static: not an option of variational"),
-    ("quenched", "[quenched]\ndelta = 0.25\n",
-     "config [quenched] delta: not an option of quenched"),
-    # every section is checked, not only those the running command reads
-    ("static", "[static]\nlam_count = 2\n[constants]\nbb_cout = 3\n",
-     "config [constants] bb_cout: not an option of constants"),
-    ("static", "[model]\nquad_nodes = 64\n",
-     "config [model] quad_nodes: not an option of any subcommand"),
-    ("static", "[stattic]\nlam_count = 2\n", "config [stattic]: "),
-    ("static", "[DEFAULT]\nlam_count = 2\n", "config [DEFAULT]: "),
-    # the numerical controls that became constants
-    ("constants", "[constants]\nn_max = 32\n",
-     "config [constants] n_max: not an option of constants"),
-    ("region", "[region]\nn_max = 32\n",
-     "config [region] n_max: not an option of region"),
-    ("variational", "[variational]\ntol = 1e-6\n",
-     "config [variational] tol: not an option of variational"),
-    ("variational", "[variational]\nmax_iter = 5\n",
-     "config [variational] max_iter: not an option of variational"),
-    ("static", "[model]\nn_max = 32\n",
-     "config [model] n_max: not an option of any subcommand"),
-    ("static", "[model]\ntol = 1e-6\n",
-     "config [model] tol: not an option of any subcommand"),
-    ("static", "[model]\nmax_iter = 5\n",
-     "config [model] max_iter: not an option of any subcommand"),
-], ids=["misspelt", "quad_nodes", "with_static", "delta", "other_section", "model",
-        "unknown_section", "default_section", "n_max", "region_n_max", "tol",
-        "max_iter", "model_n_max", "model_tol", "model_max_iter"])
-def test_config_key_no_subcommand_reads_is_a_usage_error(
-        command, config, message, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "cmd_" + command,
-                        lambda args, opts: pytest.fail("the subcommand ran"))
-    cfg = tmp_path / "qsk.ini"
-    cfg.write_text(config)
-    assert cli.main([command, "--config", str(cfg)]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("qsk: error: " + message) and err.count("\n") == 1
-
-
-def test_config_model_key_of_another_subcommand_is_accepted(tmp_path, capsys):
-    # [model] is shared, so n_disorder (a quenched option) is fine there
-    cfg = tmp_path / "qsk.ini"
-    cfg.write_text("[model]\nn_disorder = 30\nlam = 0.2\n[static]\nlam_count = 2\n")
-    assert cli.main(["static", "--config", str(cfg)]) == 0
-    _, rows = _data_rows(capsys.readouterr().out.splitlines())
-    assert len(rows) == 2
-
-
-def test_config_missing_file(tmp_path, capsys):
-    # verify reads --config like every other subcommand
-    for command in (["constants"], ["verify", "--only", "closed_forms"]):
-        rc = cli.main(command + ["--config", str(tmp_path / "nope.ini")])
-        assert rc == 2
-        assert "cannot read config file" in capsys.readouterr().err
-
-
 # -- the option table ------------------------------------------------------
 
 _COMMON = {
     "seed": (("--seed",), 123456789, "store", "int"),
     "workers": (("--workers",), None, "store", "int"),
     "out": (("--out",), None, "store", "str"),
-    "config": (("--config",), None, "store", "str"),
 }
 
 #: every subcommand's flags as they were declared one by one, before they
 #: came from ``cli.OPTIONS``: dest -> (option strings, default, action,
 #: conversion), where a flag that had no type converts with ``str``.  The
-#: ``--quad-nodes`` flags, ``--with-static``, ``--n-max``, ``--tol``,
-#: ``--max-iter`` and ``--allow-noncontractive`` were removed since;
-#: test_removed_flags_are_rejected keeps them out.
+#: defaults are those of the table since a flag became the only way to set
+#: an option; the ``--quad-nodes`` flags, ``--with-static``, ``--n-max``,
+#: ``--tol``, ``--max-iter``, ``--allow-noncontractive`` and ``--config``
+#: were removed; test_removed_flags_are_rejected keeps them out.
 RECORDED_FLAGS = {
     "constants": {
         **_COMMON,
-        "bb_min": (("--bb-min",), None, "store", "float"),
-        "bb_max": (("--bb-max",), None, "store", "float"),
-        "bb_count": (("--bb-count",), None, "store", "int"),
-        "bb_scale": (("--bb-scale",), None, "store", "str"),
-        "n_spins": (("--n-spins",), None, "store", "int"),
-        "lam": (("--lam",), None, "store", "float"),
+        "bb_min": (("--bb-min",), 1e-3, "store", "float"),
+        "bb_max": (("--bb-max",), 1e3, "store", "float"),
+        "bb_count": (("--bb-count",), 200, "store", "int"),
+        "bb_scale": (("--bb-scale",), "log", "store", "str"),
+        "n_spins": (("--n-spins",), 2, "store", "int"),
+        "lam": (("--lam",), 0.1, "store", "float"),
     },
     "exactdiag": {
         **_COMMON,
-        "n_spins": (("--n-spins",), None, "store", "int"),
-        "lam": (("--lam",), None, "store", "float"),
-        "beta_b": (("--beta-b",), None, "store", "float"),
+        "n_spins": (("--n-spins",), 4, "store", "int"),
+        "lam": (("--lam",), 0.1, "store", "float"),
+        "beta_b": (("--beta-b",), 1.0, "store", "float"),
         "dump_spectrum": (("--dump-spectrum",), None, "store", "str"),
     },
     "annealed": {
         **_COMMON,
-        "n_spins": (("--n-spins",), None, "store", "int"),
-        "lam": (("--lam",), None, "store", "float"),
-        "beta_b": (("--beta-b",), None, "store", "float"),
-        "ensembles": (("--ensembles",), None, "store", "int"),
+        "n_spins": (("--n-spins",), 4, "store", "int"),
+        "lam": (("--lam",), 0.1, "store", "float"),
+        "beta_b": (("--beta-b",), 1.0, "store", "float"),
+        "ensembles": (("--ensembles",), 200_000, "store", "int"),
     },
     "variational": {
         **_COMMON,
-        "lam": (("--lam",), None, "store", "float"),
-        "beta_b": (("--beta-b",), None, "store", "float"),
-        "m_cells": (("--m-cells",), None, "store", "int"),
-        "ensembles": (("--ensembles",), None, "store", "int"),
+        "lam": (("--lam",), 0.1, "store", "float"),
+        "beta_b": (("--beta-b",), 1.0, "store", "float"),
+        "m_cells": (("--m-cells",), 64, "store", "int"),
+        "ensembles": (("--ensembles",), 200_000, "store", "int"),
         "psi_out": (("--psi-out",), None, "store", "str"),
     },
     "static": {
         **_COMMON,
-        "beta_b": (("--beta-b",), None, "store", "float"),
-        "lam_min": (("--lam-min",), None, "store", "float"),
-        "lam_max": (("--lam-max",), None, "store", "float"),
-        "lam_count": (("--lam-count",), None, "store", "int"),
-        "lam_scale": (("--lam-scale",), None, "store", "str"),
+        "beta_b": (("--beta-b",), 1.0, "store", "float"),
+        "lam_min": (("--lam-min",), 0.01, "store", "float"),
+        "lam_max": (("--lam-max",), 1.0, "store", "float"),
+        "lam_count": (("--lam-count",), 25, "store", "int"),
+        "lam_scale": (("--lam-scale",), "log", "store", "str"),
     },
     "quenched": {
         **_COMMON,
-        "n_spins": (("--n-spins",), None, "store", "int"),
-        "lam": (("--lam",), None, "store", "float"),
-        "beta_b": (("--beta-b",), None, "store", "float"),
-        "n_disorder": (("--n-disorder",), None, "store", "int"),
+        "n_spins": (("--n-spins",), 5, "store", "int"),
+        "lam": (("--lam",), 0.125, "store", "float"),
+        "beta_b": (("--beta-b",), 1.0, "store", "float"),
+        "n_disorder": (("--n-disorder",), 2000, "store", "int"),
         "per_sample_out": (("--per-sample-out",), None, "store", "str"),
     },
     "region": {
         **_COMMON,
-        "x_min": (("--x-min",), None, "store", "float"),
-        "x_max": (("--x-max",), None, "store", "float"),
-        "x_count": (("--x-count",), None, "store", "int"),
-        "y_min": (("--y-min",), None, "store", "float"),
-        "y_max": (("--y-max",), None, "store", "float"),
-        "y_count": (("--y-count",), None, "store", "int"),
+        "x_min": (("--x-min",), 0.05, "store", "float"),
+        "x_max": (("--x-max",), 2.0, "store", "float"),
+        "x_count": (("--x-count",), 100, "store", "int"),
+        "y_min": (("--y-min",), 0.0, "store", "float"),
+        "y_max": (("--y-max",), 2.65, "store", "float"),
+        "y_count": (("--y-count",), 100, "store", "int"),
         "advisory_out": (("--advisory-out",), None, "store", "str"),
     },
     "verify": {
@@ -345,14 +252,15 @@ def test_flags_derived_from_the_option_table_are_unchanged():
     assert list(cli.OPTIONS) == list(RECORDED_FLAGS)
 
 
-#: two config values each option type accepts (the boolean type went with
-#: --with-static, its only option)
-_VALUES = {int: ("7", "8"), float: ("0.25", "0.5"), str: ("a", "b")}
+#: a value of each option type, as given on the command line (the boolean
+#: type went with --with-static, its only option)
+_VALUES = {int: "7", float: "0.25", str: "a"}
 
 
 @pytest.mark.parametrize("command", list(cli.OPTIONS))
-def test_each_option_is_a_config_key(command, tmp_path, monkeypatch):
-    # [command] overrides [model], which overrides the table's default
+def test_each_option_is_a_flag(command, monkeypatch):
+    # --name value reaches the handler as conv(value); no flag gives the
+    # table's default
     seen = []
 
     def handler(args, opts):
@@ -361,17 +269,13 @@ def test_each_option_is_a_config_key(command, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "cmd_" + command, handler)
     options = cli.OPTIONS[command]
-    keys = ["".join(f"{name} = {_VALUES[conv][k]}\n"
-                    for name, (conv, _) in options.items()) for k in (0, 1)]
-    cfg = tmp_path / "qsk.ini"
+    flags = [arg for name, (conv, _) in options.items()
+             for arg in ("--" + name.replace("_", "-"), _VALUES[conv])]
     assert cli.main([command]) == 0
-    cfg.write_text("[model]\n" + keys[0])
-    assert cli.main([command, "--config", str(cfg)]) == 0
-    cfg.write_text(f"[model]\n{keys[0]}[{command}]\n{keys[1]}")
-    assert cli.main([command, "--config", str(cfg)]) == 0
-    assert seen == [{name: default for name, (_, default) in options.items()}] + [
-        {name: conv(_VALUES[conv][k]) for name, (conv, _) in options.items()}
-        for k in (0, 1)]
+    assert cli.main([command] + flags) == 0
+    assert seen == [{name: default for name, (_, default) in options.items()},
+                    {name: conv(_VALUES[conv]) for name, (conv, _) in options.items()}]
+
 
 # -- the model parameters --------------------------------------------------
 
@@ -703,14 +607,14 @@ def test_verify_keeps_quadrature_warnings_on_stderr(tmp_path):
     assert "PASS region" in (tmp_path / "v.txt").read_text()
 
 
-def test_cli_opens_files_only_in_the_config_reader_and_the_writer():
+def test_cli_opens_files_only_in_the_writer():
     # one error route and one writer: no exception class of its own, and
     # every output file goes through _write
     tree = ast.parse(Path(cli.__file__).read_text())
     openers = [getattr(top, "name", None) for top in tree.body
                for node in ast.walk(top)
                if isinstance(node, ast.Call) and "open" in ast.unparse(node.func)]
-    assert sorted(openers) == ["_load_config", "_write"]
+    assert openers == ["_write"]
     assert not [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
 
 @pytest.mark.parametrize("flag, env", [(["--workers", "0"], None),

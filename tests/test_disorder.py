@@ -195,7 +195,7 @@ def test_study_runs_serially_without_blas_handle(monkeypatch):
             ens = paths.sample_ensemble(1.0, 2 * (BATCH_SIZE + 8), 9)
             report = fixed_point_solve(0.1, 4, ens)
             return [_per_sample_bytes(run_study(params, 130, 8)),
-                    ens.times.tobytes(), ens.counts.tobytes(),
+                    ens.times.tobytes(), np.diff(ens.offsets).tobytes(),
                     paths.p_n_batch(ens, 2).tobytes(),
                     report.to_dict(), report.start_lambda]
 

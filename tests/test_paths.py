@@ -75,7 +75,7 @@ def test_jump_path_validation():
     ens = PathEnsemble([0.2, 0.7, 0.1, 1.0], [2, 0, 2], rate=1.0)  # t = 1 is a jump
     assert len(ens) == 3
     assert ens.offsets.tolist() == [0, 2, 2, 4]
-    assert ens.counts.tolist() == [2, 0, 2]
+    assert np.diff(ens.offsets).tolist() == [2, 0, 2]
     with pytest.raises(ValueError):
         PathEnsemble([0.5], [1], rate=1.0)  # odd count
     with pytest.raises(ValueError):
@@ -150,7 +150,7 @@ def test_even_count_cdf_edge_cases():
 def test_empirical_even_count_distribution():
     rate, n = 1.3, 40_000
     ens = sample_ensemble(rate, n, seed=5)
-    counts = ens.counts
+    counts = np.diff(ens.offsets)
     assert np.all(counts % 2 == 0)
     est = frequency_with_err(int((counts == 0).sum()), n)
     assert est.agrees_with(1.0 / np.cosh(rate), n_sigma=3.5)
@@ -224,11 +224,11 @@ def test_ensemble_deterministic_across_workers():
         with worker_count(4):
             e4 = sample_ensemble(rate, MULTI_CHUNK, seed=11)
         np.testing.assert_array_equal(e1.times, e4.times)
-        np.testing.assert_array_equal(e1.counts, e4.counts)
+        np.testing.assert_array_equal(e1.offsets, e4.offsets)
         # the same bytes as drawing every batch in turn and sorting every row
         times, counts = even_paths(rate, MULTI_CHUNK, seed=11)
         assert e4.times.tobytes() == times.tobytes()
-        assert e4.counts.tobytes() == counts.tobytes()
+        assert np.diff(e4.offsets).tobytes() == counts.tobytes()
         jumps = np.add.reduceat(counts, np.arange(0, MULTI_CHUNK, BATCH_SIZE))
         if rate == 0.0:
             assert not jumps.any()
@@ -236,7 +236,7 @@ def test_ensemble_deterministic_across_workers():
             assert not jumps.all() and jumps.any()
         else:
             e_other = sample_ensemble(rate, MULTI_CHUNK, seed=12)
-            assert not np.array_equal(e1.counts, e_other.counts)
+            assert not np.array_equal(e1.offsets, e_other.offsets)
 
 
 def test_sigma_matrix_and_total_times():
@@ -245,7 +245,7 @@ def test_sigma_matrix_and_total_times():
     t = 0.37
     direct = np.array([sigma_at(p, t) for p in _rows(ens)])
     np.testing.assert_array_equal(ens.sigma_matrix(t), direct)
-    totals = signed_totals(ens.times, ens.counts)
+    totals = signed_totals(ens.times, np.diff(ens.offsets))
     ref = np.array([_overlap_reference(p, _path()) for p in _rows(ens)])
     np.testing.assert_allclose(totals, ref, atol=1e-12)
 
@@ -278,7 +278,7 @@ def _assert_kernels_match_rows(ens, m_cells, rows):
     ``form_bounds``, and Lambda' and its errors within the rounding of sums
     over every path and the 2M + 2 prefix sums (see test_variational)."""
     terms, psi, x, grad, err = _kernels(ens, m_cells)
-    jumping = ens.counts > 0
+    jumping = np.diff(ens.offsets) > 0
     full = np.concatenate([rows[jumping], rows[~jumping]])
     x_ref = quadratic_forms_full(psi.values, full)
     bounds = form_bounds(terms, psi.values)
@@ -351,16 +351,16 @@ def test_p_n_batch_matches_loop():
 
 def _fresh(ens):
     """A fresh copy of ``ens``, with an empty memo."""
-    return PathEnsemble(ens.times, ens.counts, ens.rate, seed=ens.seed)
+    return PathEnsemble(ens.times, np.diff(ens.offsets), ens.rate, seed=ens.seed)
 
 
 @pytest.mark.parametrize("rate", [0.0, 1.5, 5.0])
 def test_signed_lengths_match_serial_kernel_for_any_workers(rate):
     ens = sample_ensemble(rate, MULTI_CHUNK, seed=21)
     assert (ens.times.size == 0) == (rate == 0.0)
-    jumping = ens.counts > 0
+    jumping = np.diff(ens.offsets) > 0
     if rate == 5.0:  # drop the 1.3% jumpless paths: every path jumps
-        ens = PathEnsemble(ens.times, ens.counts[jumping], rate)
+        ens = PathEnsemble(ens.times, np.diff(ens.offsets)[jumping], rate)
         jumping = jumping[jumping]
     for m in (1, 7, 64):
         runs = []
@@ -370,7 +370,8 @@ def test_signed_lengths_match_serial_kernel_for_any_workers(rate):
         for workers, run in zip((2, 4), runs[1:]):
             assert all(np.array_equal(a, b) for a, b in zip(runs[0], run)), (
                 m, workers)
-        ref = signed_lengths_broadcast(padded_matrix(ens.times, ens.counts), m)
+        ref = signed_lengths_broadcast(
+            padded_matrix(ens.times, np.diff(ens.offsets)), m)
         _assert_kernels_match_rows(ens, m, ref)
         # the rows left out are the cell widths, u_0/M up to rounding, and
         # the jumpless paths share one form
@@ -387,7 +388,7 @@ def test_signed_lengths_match_serial_kernel_for_any_workers(rate):
                          [(3, MULTI_CHUNK), (16, 2 * BATCH_SIZE + 7)])
 def test_p_n_batch_matches_serial_kernel_for_any_workers(rate, n_spins, groups):
     ens = sample_ensemble(rate, n_spins * groups, seed=22)
-    ref = p_n_batch_serial(padded_matrix(ens.times, ens.counts), n_spins)
+    ref = p_n_batch_serial(padded_matrix(ens.times, np.diff(ens.offsets)), n_spins)
     for workers in (1, 2, 4):
         with worker_count(workers):
             got = paths.p_n_batch(_fresh(ens), n_spins)
@@ -427,7 +428,7 @@ def _overlap_input(kind, n_spins, groups):
 def test_overlap_kernels_match_pair_loop_oracle(kind, n_spins):
     groups = 2 * BATCH_SIZE + 7  # two full chunks and part of a third
     ens = _overlap_input(kind, n_spins, groups)
-    jumping = (ens.counts > 0).reshape(groups, n_spins)
+    jumping = (np.diff(ens.offsets) > 0).reshape(groups, n_spins)
     if kind == "rate_0":
         assert not jumping.any()
     elif kind == "first_chunk_still":
@@ -438,7 +439,7 @@ def test_overlap_kernels_match_pair_loop_oracle(kind, n_spins):
         assert jumping.all()
     elif kind == "one_jumper":
         assert np.all(jumping.sum(axis=1) == 1)
-    jumps = padded_matrix(ens.times, ens.counts)
+    jumps = padded_matrix(ens.times, np.diff(ens.offsets))
     mats = overlap_matrix_serial(jumps, n_spins)
     p_n = p_n_batch_serial(jumps, n_spins)
     for workers in (1, 2, 4):
@@ -467,7 +468,8 @@ def test_p_n_batch_pads_fewer_groups_where_most_paths_jump():
     # at rate 3, 90% of the paths jump: the padded rows of a chunk of
     # BATCH_SIZE groups at N = 16 alone would take more than the kernel's peak
     ens = sample_ensemble(3.0, 16 * 2 * BATCH_SIZE, seed=25)
-    chunk_rows = 8 * ens.max_count * np.count_nonzero(ens.counts[: 16 * BATCH_SIZE])
+    chunk_rows = 8 * ens.max_count * np.count_nonzero(
+        np.diff(ens.offsets)[: 16 * BATCH_SIZE])
     tracemalloc.start()
     try:
         with worker_count(1):
@@ -491,7 +493,7 @@ def test_sampling_and_p_n_batch_peak_below_one_padded_matrix(rate, n_spins, coun
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < count * int(ens.counts.max()) * 8
+    assert peak < count * int(np.diff(ens.offsets).max()) * 8
 
 
 def test_sampling_holds_one_copy_of_the_paths():
@@ -523,7 +525,8 @@ def test_signed_lengths_with_jumps_on_cell_boundaries(m_cells):
             runs.append(_kernels(_fresh(ens), m_cells)[2:])
     for workers, run in zip((2, 4), runs[1:]):
         assert all(np.array_equal(a, b) for a, b in zip(runs[0], run)), workers
-    ref = signed_lengths_broadcast(padded_matrix(ens.times, ens.counts), m_cells)
+    ref = signed_lengths_broadcast(
+        padded_matrix(ens.times, np.diff(ens.offsets)), m_cells)
     _assert_kernels_match_rows(ens, m_cells, ref)
     w = 1.0 / m_cells
     np.testing.assert_allclose(ref[0], np.where(np.arange(m_cells) == 1, -w, w),

@@ -435,18 +435,18 @@ def test_no_module_silences_warnings():
     assert silenced == []
 
 
-def _names_read(tree):
-    """Names and attribute names that the code of ``tree`` reads, leaving out
-    each read inside the def or class of the same name (recursion)."""
+def _names_read(tree, kinds=(ast.Name, ast.Attribute)):
+    """Names and attribute names (the nodes of ``kinds``) that the code of
+    ``tree`` reads, leaving out each read inside the def or class of the
+    same name (recursion)."""
     found = set()
 
     def visit(node, enclosing):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             enclosing = enclosing | {node.name}
-        if isinstance(getattr(node, "ctx", None), ast.Load):
-            name = node.id if isinstance(node, ast.Name) else getattr(
-                node, "attr", None)
-            if name is not None and name not in enclosing:
+        if isinstance(node, kinds) and isinstance(node.ctx, ast.Load):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name not in enclosing:
                 found.add(name)
         for child in ast.iter_child_nodes(node):
             visit(child, enclosing)
@@ -456,15 +456,23 @@ def _names_read(tree):
 
 
 def test_every_public_name_has_a_reader_in_the_package():
-    # no public function, class or constant exists only for its own tests:
-    # each name in an __all__ is read by code somewhere in the package
+    # no public function, class, constant, method or property exists only
+    # for its own tests: each name in an __all__ is read by code somewhere
+    # in the package, and each public member of a class as an attribute
     modules = sorted(Path(streams.__file__).parent.glob("*.py"))
     trees = {m.name: ast.parse(m.read_text()) for m in modules}
     read = set().union(*map(_names_read, trees.values()))
+    attributes = set().union(*(_names_read(tree, ast.Attribute)
+                               for tree in trees.values()))
     unread = [f"{name}:{entry.value}" for name, tree in trees.items()
               for node in tree.body if isinstance(node, ast.Assign)
               and [ast.unparse(t) for t in node.targets] == ["__all__"]
               for entry in node.value.elts if entry.value not in read]
+    unread += [f"{name}:{cls.name}.{member.name}" for name, tree in trees.items()
+               for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for member in cls.body if isinstance(member, ast.FunctionDef)
+               and not member.name.startswith("_")
+               and member.name not in attributes]
     assert unread == []
 
 

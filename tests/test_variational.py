@@ -291,12 +291,13 @@ def test_fixed_point_report_small_scale():
 
 def _fresh(ens):
     """A fresh copy of ``ens``, with an empty memo."""
-    return paths.PathEnsemble(ens.times, ens.counts, ens.rate, seed=ens.seed)
+    return paths.PathEnsemble(ens.times, np.diff(ens.offsets), ens.rate,
+                              seed=ens.seed)
 
 
 def _all_jumping(ens):
     """The paths of ``ens`` that jump, as an ensemble with no jumpless path."""
-    counts = ens.counts
+    counts = np.diff(ens.offsets)
     return paths.PathEnsemble(ens.times, counts[counts > 0], ens.rate,
                               seed=ens.seed)
 
@@ -324,8 +325,9 @@ EDGE_CASE = paths.PathEnsemble(
 def _oracle_rows(ens, m_cells):
     """Every path's signed lengths in the kernels' order: the paths that jump
     (in path order), then the jumpless ones."""
-    full = signed_lengths_broadcast(padded_matrix(ens.times, ens.counts), m_cells)
-    jumping = ens.counts > 0
+    counts = np.diff(ens.offsets)
+    full = signed_lengths_broadcast(padded_matrix(ens.times, counts), m_cells)
+    jumping = counts > 0
     return np.concatenate([full[jumping], full[~jumping]])
 
 
@@ -346,7 +348,7 @@ def test_chunked_kernels_match_full_matrix_oracles(m_cells):
                 case, workers)
         x, grad, err, grad_only = runs[0]
         assert np.array_equal(grad_only, grad), case
-        assert terms.n_jumping == np.count_nonzero(ens.counts), case
+        assert terms.n_jumping == np.count_nonzero(np.diff(ens.offsets)), case
         full = _oracle_rows(ens, m_cells)
         x_ref = quadratic_forms_full(psi.values, full)
         # every form within the bound its pair-term count gives; the
@@ -445,7 +447,7 @@ def test_fixed_point_solve_makes_no_full_size_temporaries():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    bound = np.count_nonzero(ens.counts) * 64 * 8
+    bound = np.count_nonzero(np.diff(ens.offsets)) * 64 * 8
     assert peak < bound, (peak, bound)
 
 
