@@ -31,7 +31,6 @@ __all__ = [
     "delta_infinity_bounds",
     "region_labels",
     "region_scan",
-    "advisory_curve",
 ]
 
 #: estimating ln < e^{N lam P} > by a plain mean gets exponentially hard;
@@ -176,14 +175,3 @@ def region_scan(inv_beta_v_values, b_over_v_values):
     for i, x in enumerate(xs):
         lower[i], upper[i] = delta_infinity_bounds(1.0 / (4.0 * x * x), ys / x)
     return lower, upper
-
-
-def advisory_curve(inv_beta_v):
-    """Non-rigorous reference curve 1.51*sqrt(1 - x^2) for x in [0, 1].
-
-    A fixed sketch, computed from no bound in qsk and not a bound itself.
-    The exact boundary of the positivity certificate k(lam) > ln cosh(beta_b)
-    is in the ``classification`` column of ``qsk region`` (``region_labels``).
-    """
-    x = np.asarray(inv_beta_v, dtype=float)
-    return 1.51 * np.sqrt(np.clip(1.0 - x * x, 0.0, None))

@@ -2,11 +2,11 @@
 
 Subcommands
 -----------
-constants    sweep the closed-form constants, with inequality verdicts (CSV)
-exactdiag    diagonalize one disorder sample at small N (JSON)
+constants    log sweep of the closed-form constants, with inequality verdicts (CSV)
+exactdiag    diagonalize one disorder sample at small N: ln Z and spectrum (JSON)
 annealed     path-MC estimate of F_N and beta f_N^ann with bound checks (JSON)
 variational  fixed-point solve of the discretized variational problem (JSON)
-static       sweep the static (constant-kernel) approximation J (CSV)
+static       log sweep of the static (constant-kernel) approximation J (CSV)
 quenched     disorder study: quenched mean, moments, Poincare ratio (JSON)
 region       phase-diagram scan of the quenched-annealed gap bounds (CSV)
 verify       run the desk-scale verification suite; nonzero exit on failure
@@ -22,9 +22,12 @@ iteration cap (``variational.FIXED_POINT_TOL``, ``FIXED_POINT_MAX_ITER``).
 ``variational`` refuses a lam outside 0 < 2 lam < 1, where its iteration is
 no contraction.
 
-Conventions: all outputs are deterministic functions of (options, seed) —
-identical runs give byte-identical files regardless of worker count; wall
-clock timings and warnings (e.g. an unsettled quadrature) go to stderr only.
+Conventions: each subcommand writes its result once, as one document, to
+``--out`` or stdout; only ``quenched --per-sample-out`` adds a second file,
+the per-sample arrays that the document does not hold.  All outputs are
+deterministic functions of (options, seed) — identical runs give
+byte-identical files regardless of worker count; wall clock timings and
+warnings (e.g. an unsettled quadrature) go to stderr only.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3
 numerical-diagnostic abort: an effective sample size below the floor, in any
 subcommand.  In qsk a ``ValueError`` means an argument lies outside its
@@ -72,7 +75,6 @@ OPTIONS = {
         "bb_min": (float, 1e-3),
         "bb_max": (float, 1e3),
         "bb_count": (int, 200),
-        "bb_scale": (str, "log"),
         "n_spins": (int, 2),
         "lam": (float, 0.1),
     },
@@ -80,7 +82,6 @@ OPTIONS = {
         "n_spins": (int, 4),
         "lam": (float, 0.1),
         "beta_b": (float, 1.0),
-        "dump_spectrum": (str, None),
     },
     "annealed": {
         "n_spins": (int, 4),
@@ -93,14 +94,12 @@ OPTIONS = {
         "beta_b": (float, 1.0),
         "m_cells": (int, 64),
         "ensembles": (int, 200_000),
-        "psi_out": (str, None),
     },
     "static": {
         "beta_b": (float, 1.0),
         "lam_min": (float, 0.01),
         "lam_max": (float, 1.0),
         "lam_count": (int, 25),
-        "lam_scale": (str, "log"),
     },
     "quenched": {
         "n_spins": (int, 5),
@@ -116,7 +115,6 @@ OPTIONS = {
         "y_min": (float, 0.0),
         "y_max": (float, 2.65),
         "y_count": (int, 100),
-        "advisory_out": (str, None),
     },
     "verify": {},
 }
@@ -126,14 +124,10 @@ def _model_from(opts):
     return ModelParams(opts["n_spins"], opts["lam"], opts["beta_b"])
 
 
-def _sweep(lo, hi, count, scale):
-    """``count`` points from ``lo`` to ``hi``, even on a log or a linear scale."""
+def _sweep(lo, hi, count):
+    """``count`` points from ``lo`` to ``hi``, even on a log scale."""
     if count < 1:
         raise ValueError(f"a sweep needs at least one point, not {count!r}")
-    if scale == "linear":
-        return np.linspace(lo, hi, count)
-    if scale != "log":
-        raise ValueError(f"sweep scale {scale!r} is neither 'log' nor 'linear'")
     if lo <= 0:
         raise ValueError(f"a log sweep needs a positive lower end, not {lo!r}")
     return np.geomspace(lo, hi, count)
@@ -195,8 +189,7 @@ def _write(path, lines):
 
 
 def cmd_constants(args, opts):
-    sweep = _sweep(opts["bb_min"], opts["bb_max"], opts["bb_count"],
-                   opts["bb_scale"])
+    sweep = _sweep(opts["bb_min"], opts["bb_max"], opts["bb_count"])
     chain_names = ["m_sq_positive", "m_sq_lt_p", "p_lt_m", "m_lt_one",
                    "m_lt_two_p", "two_p_lt_one_plus_p_m"]
     header = ["beta_b", "m", "p", "c0", "p_n", "g_n_over_n", "inf_g_n_over_n",
@@ -227,11 +220,8 @@ def cmd_exactdiag(args, opts):
         "beta_f_n": -res.ln_z / params.n_spins,
         "gibbs_zz_12": zz,
         "trace_abs": abs(float(np.trace(h.blocks, axis1=1, axis2=2).sum())),
-        "ground_energy": float(res.eigenvalues[0]),
-        "max_energy": float(res.eigenvalues[-1]),
+        "eigenvalues": res.eigenvalues.tolist(),
     }
-    if opts["dump_spectrum"]:
-        _write(opts["dump_spectrum"], [_fmt(e) for e in res.eigenvalues.tolist()])
     _write(args.out, _json_lines(args, opts, payload))
 
 
@@ -265,18 +255,11 @@ def cmd_variational(args, opts):
             "strict_regime": bool(lam < variational.static_threshold(bb)),
         },
     }
-    if opts["psi_out"]:
-        variational.save_grid_function(
-            report.psi, opts["psi_out"],
-            meta={"m_cells": opts["m_cells"], "beta_b": bb, "lam": lam,
-                  "seed": args.seed},
-        )
     _write(args.out, _json_lines(args, opts, payload))
 
 
 def cmd_static(args, opts):
-    lams = _sweep(opts["lam_min"], opts["lam_max"], opts["lam_count"],
-                  opts["lam_scale"])
+    lams = _sweep(opts["lam_min"], opts["lam_max"], opts["lam_count"])
     bb = opts["beta_b"]
     p = constants.p_of(bb)
     thresh = variational.static_threshold(bb)
@@ -324,12 +307,6 @@ def cmd_region(args, opts):
     # row-major: x outer, y inner
     rows = zip(*(c.ravel().tolist() for c in columns))
     _write(args.out, _csv_lines(args, opts, header, rows))
-    grid = np.linspace(0.0, 1.0, 201)
-    curve = zip(grid.tolist(), annealed.advisory_curve(grid).tolist())
-    _write(opts["advisory_out"] or (args.out and args.out + ".advisory.csv"),
-           _meta_lines("region.advisory", args.seed, opts)
-           + ["# non-rigorous reference curve, not a bound"]
-           + _table(["inv_beta_v", "b_over_v_curve"], curve))
 
 
 # -- verify ----------------------------------------------------------------
@@ -388,8 +365,7 @@ def main(argv=None):
             raise ValueError(f"--seed {args.seed} is negative")
         opts = _resolve(args)
         # an output file in a missing directory fails before any computing
-        files = ("dump_spectrum", "psi_out", "per_sample_out", "advisory_out")
-        for path in [args.out] + [opts.get(name) for name in files]:
+        for path in (args.out, opts.get("per_sample_out")):
             if path and not os.path.isdir(os.path.dirname(path) or "."):
                 raise ValueError(f"the directory of output file {path} does not exist")
         # the ESS gate: a collapsed effective sample size aborts any subcommand

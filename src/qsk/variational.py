@@ -33,7 +33,6 @@ worker count, and agree with the dense (paths x M) route of
 ``tests/oracles.py`` to rounding (see ``form_bounds`` there).
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +54,6 @@ __all__ = [
     "static_approximation",
     "static_threshold",
     "taylor_prediction",
-    "save_grid_function",
 ]
 
 
@@ -86,20 +84,6 @@ class GridFunction:
 
     def scaled(self, factor):
         return GridFunction(factor * self.values)
-
-
-def save_grid_function(gf: GridFunction, path, meta):
-    """Write a GridFunction and its metadata to ``path`` as one JSON document."""
-    doc = {
-        "format": "qsk-grid",
-        "version": 1,
-        "m_cells": gf.m_cells,
-        "symmetric": True,
-        "meta": dict(meta),
-        "values": gf.values.tolist(),
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f)
 
 
 # -- exact discretization of the two-point kernel --------------------------

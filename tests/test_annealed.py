@@ -5,7 +5,6 @@ import pytest
 
 from qsk import annealed, disorder, hilbert
 from qsk.annealed import (
-    advisory_curve,
     annealed_free_energy,
     delta_infinity_bounds,
     estimate_f_n,
@@ -265,13 +264,3 @@ def test_region_point_classification_logic():
     assert region_labels(xs, lowers).tolist() == expects.tolist()
     grid = region_labels(np.array([[1.2], [0.5]]), np.array([0.0, 0.3]))
     assert grid.tolist() == [["zero", "zero"], ["unresolved", "positive"]]
-
-
-def test_advisory_curve_shape():
-    ends = advisory_curve(np.array([0.0, 1.0, 1.3]))
-    assert ends[0] == pytest.approx(1.51, rel=1e-15)
-    assert ends[1] == 0.0
-    assert ends[2] == 0.0  # clipped beyond the corner
-    xs = np.linspace(0.0, 1.0, 11)
-    ys = advisory_curve(xs)
-    assert np.all(np.diff(ys) < 0)

@@ -47,18 +47,11 @@ def test_constants_sweep(tmp_path):
         assert all(v == "PASS" for v in row[-6:])
 
 
-def test_constants_bad_scale_usage_error(capsys):
-    rc = cli.main(["constants", "--bb-scale", "cubic"])
-    assert rc == 2
-    assert "qsk: error:" in capsys.readouterr().err
-
-
 #: options outside their domain, each with a fragment of its error message
 #: (the --quad-nodes, --n-max, --tol and --max-iter cases went with those
 #: options, which test_removed_flags_are_rejected refuses outright)
 BAD_OPTIONS = [
     ("static --lam-min 0", "log sweep needs a positive lower end"),
-    ("static --lam-scale linear --lam-min 0", "lam must be positive"),
     ("region --x-min 0", "inv_beta_v must be > 0"),
     ("variational --m-cells 0", "m_cells must be >= 1"),
     ("constants --bb-count 0", "a sweep needs at least one point, not 0"),
@@ -106,14 +99,21 @@ def test_out_of_domain_option_is_a_usage_error(command, message, capsys):
     "variational --max-iter 5",
     "variational --allow-noncontractive",
     *(f"{name} --config x.ini" for name in cli.OPTIONS),
+    "variational --psi-out psi.json",
+    "exactdiag --dump-spectrum spectrum.txt",
+    "region --advisory-out advisory.csv",
+    "constants --bb-scale linear",
+    "static --lam-scale linear",
 ])
 def test_removed_flags_are_rejected(command, capsys):
     # every quadrature runs at numerics.QUAD_NODES, variational always
     # prints its static section, quenched has no tail frequency to count
     # past a delta, the gap bound runs to constants.N_MAX, the fixed point
     # stops at the constants of variational and refuses a lam with
-    # 2 lam >= 1 itself, and a flag is the only way to set an option, so
-    # none of these flags is accepted any more
+    # 2 lam >= 1 itself, a flag is the only way to set an option, each
+    # subcommand writes its result once (psi and the spectrum are in the
+    # JSON, and region prints no advisory curve), and a sweep is always on
+    # a log scale, so none of these flags is accepted any more
     with pytest.raises(SystemExit) as exc:
         cli.main(command.split())
     assert exc.value.code == 2
@@ -123,11 +123,8 @@ def test_removed_flags_are_rejected(command, capsys):
 
 @pytest.mark.parametrize("command", [
     "static --lam-count 1 --out {d}/x.csv",
-    "exactdiag --dump-spectrum {d}/spectrum.txt",
-    "variational --psi-out {d}/psi.json",
     "quenched --per-sample-out {d}/per_sample.csv",
-    "region --advisory-out {d}/advisory.csv",
-], ids=["out", "dump-spectrum", "psi-out", "per-sample-out", "advisory-out"])
+], ids=["out", "per-sample-out"])
 def test_output_in_a_missing_directory_is_a_usage_error(command, tmp_path,
                                                         capsys, monkeypatch):
     # refused before the subcommand computes anything
@@ -149,6 +146,32 @@ def test_no_timestamps_in_output(tmp_path):
     assert "time" not in text and "date" not in text
 
 
+#: each subcommand at a tiny size, and the files besides --out it may write
+TINY_RUNS = [
+    ("constants --bb-count 2", []),
+    ("exactdiag --n-spins 2", []),
+    ("annealed --n-spins 2 --ensembles 200", []),
+    ("variational --m-cells 2 --ensembles 200", []),
+    ("static --lam-count 1", []),
+    ("quenched --n-spins 2 --n-disorder 10", []),
+    ("quenched --n-spins 2 --n-disorder 10 --per-sample-out per.csv", ["per.csv"]),
+    ("region --x-count 2 --y-count 2", []),
+    ("verify --only closed_forms", []),
+]
+
+
+@pytest.mark.parametrize("command, extra", TINY_RUNS,
+                         ids=[command for command, _ in TINY_RUNS])
+def test_out_run_writes_only_that_file(command, extra, tmp_path, monkeypatch,
+                                       capsys):
+    # each subcommand writes its result once, into --out; only
+    # --per-sample-out adds the per-sample arrays that the result lacks
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(command.split() + ["--out", "result.txt"]) == 0
+    assert capsys.readouterr().out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["result.txt"] + extra)
+
+
 # -- the option table ------------------------------------------------------
 
 _COMMON = {
@@ -162,15 +185,16 @@ _COMMON = {
 #: conversion), where a flag that had no type converts with ``str``.  The
 #: defaults are those of the table since a flag became the only way to set
 #: an option; the ``--quad-nodes`` flags, ``--with-static``, ``--n-max``,
-#: ``--tol``, ``--max-iter``, ``--allow-noncontractive`` and ``--config``
-#: were removed; test_removed_flags_are_rejected keeps them out.
+#: ``--tol``, ``--max-iter``, ``--allow-noncontractive``, ``--config``,
+#: ``--psi-out``, ``--dump-spectrum``, ``--advisory-out``, ``--bb-scale``
+#: and ``--lam-scale`` were removed; test_removed_flags_are_rejected keeps
+#: them out.
 RECORDED_FLAGS = {
     "constants": {
         **_COMMON,
         "bb_min": (("--bb-min",), 1e-3, "store", "float"),
         "bb_max": (("--bb-max",), 1e3, "store", "float"),
         "bb_count": (("--bb-count",), 200, "store", "int"),
-        "bb_scale": (("--bb-scale",), "log", "store", "str"),
         "n_spins": (("--n-spins",), 2, "store", "int"),
         "lam": (("--lam",), 0.1, "store", "float"),
     },
@@ -179,7 +203,6 @@ RECORDED_FLAGS = {
         "n_spins": (("--n-spins",), 4, "store", "int"),
         "lam": (("--lam",), 0.1, "store", "float"),
         "beta_b": (("--beta-b",), 1.0, "store", "float"),
-        "dump_spectrum": (("--dump-spectrum",), None, "store", "str"),
     },
     "annealed": {
         **_COMMON,
@@ -194,7 +217,6 @@ RECORDED_FLAGS = {
         "beta_b": (("--beta-b",), 1.0, "store", "float"),
         "m_cells": (("--m-cells",), 64, "store", "int"),
         "ensembles": (("--ensembles",), 200_000, "store", "int"),
-        "psi_out": (("--psi-out",), None, "store", "str"),
     },
     "static": {
         **_COMMON,
@@ -202,7 +224,6 @@ RECORDED_FLAGS = {
         "lam_min": (("--lam-min",), 0.01, "store", "float"),
         "lam_max": (("--lam-max",), 1.0, "store", "float"),
         "lam_count": (("--lam-count",), 25, "store", "int"),
-        "lam_scale": (("--lam-scale",), "log", "store", "str"),
     },
     "quenched": {
         **_COMMON,
@@ -220,7 +241,6 @@ RECORDED_FLAGS = {
         "y_min": (("--y-min",), 0.0, "store", "float"),
         "y_max": (("--y-max",), 2.65, "store", "float"),
         "y_count": (("--y-count",), 100, "store", "int"),
-        "advisory_out": (("--advisory-out",), None, "store", "str"),
     },
     "verify": {
         **_COMMON,
@@ -307,10 +327,8 @@ def test_params_block_is_the_model_given(command, lam, tmp_path):
 
 def test_exactdiag_json(tmp_path):
     out = tmp_path / "diag.json"
-    spec = tmp_path / "spectrum.txt"
     rc = cli.main(["exactdiag", "--n-spins", "3", "--lam", "0.15",
-                   "--beta-b", "0.8", "--seed", "5", "--out", str(out),
-                   "--dump-spectrum", str(spec)])
+                   "--beta-b", "0.8", "--seed", "5", "--out", str(out)])
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["meta"]["command"] == "exactdiag" and doc["meta"]["seed"] == 5
@@ -318,10 +336,12 @@ def test_exactdiag_json(tmp_path):
     assert res["params"]["n_spins"] == 3
     assert res["trace_abs"] < 1e-10
     assert abs(3 * res["beta_f_n"] + res["ln_z"]) < 1e-10
-    assert res["ground_energy"] <= res["max_energy"]
     assert abs(res["gibbs_zz_12"]) <= 1.0
-    evals = [float(x) for x in spec.read_text().split()]
+    evals = res["eigenvalues"]
     assert len(evals) == 8 and evals == sorted(evals)
+    # ln Z is the log-sum-exp of the negated spectrum of beta H
+    assert res["ln_z"] == pytest.approx(np.log(np.exp(-np.array(evals)).sum()),
+                                        rel=1e-13)
 
 
 # -- annealed --------------------------------------------------------------
@@ -390,10 +410,8 @@ def test_variational_noncontractive_guard(capsys):
 
 def test_variational_small_run(tmp_path):
     out = tmp_path / "var.json"
-    psi = tmp_path / "psi.json"
     rc = cli.main(["variational", "--lam", "0.1", "--m-cells", "4",
-                   "--ensembles", "3000", "--seed", "6", "--psi-out", str(psi),
-                   "--out", str(out)])
+                   "--ensembles", "3000", "--seed", "6", "--out", str(out)])
     assert rc == 0
     res = json.loads(out.read_text())["result"]
     # the static section can no longer be left out (--with-static is gone);
@@ -401,12 +419,9 @@ def test_variational_small_run(tmp_path):
     assert "static" in res
     v = res["verdicts"]
     assert v["converged"] and v["ratio_bound_ok"] and v["omega_bracket_ok"]
-    with open(psi) as f:
-        doc = json.load(f)
-    meta = doc["meta"]
-    assert doc["m_cells"] == 4 and meta["lam"] == 0.1 and meta["seed"] == 6
-    assert doc["symmetric"] is True
-    assert np.array_equal(np.array(res["report"]["psi"]), np.array(doc["values"]))
+    # the kernel psi is in the result, an exactly symmetric 4 x 4 grid
+    psi = np.array(res["report"]["psi"])
+    assert psi.shape == (4, 4) and np.array_equal(psi, psi.T)
 
 
 def test_variational_with_static_section(tmp_path):
@@ -518,7 +533,7 @@ def test_quenched_strong_disorder_usage_error(capsys):
 # -- region ----------------------------------------------------------------
 
 
-def test_region_scan_with_advisory_sidecar(tmp_path, capsys):
+def test_region_scan_writes_no_sidecar(tmp_path, capsys):
     out = tmp_path / "region.csv"
     rc = cli.main(["region", "--x-count", "4", "--x-min", "0.5",
                    "--x-max", "1.5", "--y-count", "3", "--y-max", "1.0",
@@ -530,24 +545,20 @@ def test_region_scan_with_advisory_sidecar(tmp_path, capsys):
     assert {r[4] for r in rows} <= {"zero", "positive", "unresolved"}
     for r in rows:
         assert float(r[2]) <= float(r[3]) + 1e-15
-    side = tmp_path / "region.csv.advisory.csv"
-    lines = _read_lines(side)
-    assert "# non-rigorous reference curve, not a bound" in lines
-    _, curve = _data_rows(lines)
-    assert len(curve) == 201
-    assert float(curve[0][1]) == pytest.approx(1.51)
-    assert float(curve[-1][1]) == 0.0
+    # no advisory curve beside the table
+    assert [p.name for p in tmp_path.iterdir()] == ["region.csv"]
 
 
-def test_region_explicit_advisory_path(tmp_path):
-    adv = tmp_path / "adv.csv"
+def test_region_stdout_is_one_table(capsys):
     rc = cli.main(["region", "--x-count", "2", "--y-count", "2",
-                   "--x-min", "0.8", "--x-max", "1.2", "--y-max", "0.5",
-                   "--out", str(tmp_path / "r.csv"),
-                   "--advisory-out", str(adv)])
+                   "--x-min", "0.8", "--x-max", "1.2", "--y-max", "0.5"])
     assert rc == 0
-    assert adv.exists()
-    assert not (tmp_path / "r.csv.advisory.csv").exists()
+    lines = capsys.readouterr().out.splitlines()
+    # one meta block, one header and the 2 x 2 grid, with no advisory block
+    assert [ln for ln in lines if ln.startswith("# qsk ")] == [lines[0]]
+    assert lines[1] == "# command: region"
+    header, rows = _data_rows(lines)
+    assert header[0] == "inv_beta_v" and len(rows) == 4
 
 
 # -- verify ----------------------------------------------------------------
@@ -607,14 +618,22 @@ def test_verify_keeps_quadrature_warnings_on_stderr(tmp_path):
     assert "PASS region" in (tmp_path / "v.txt").read_text()
 
 
+def _is_open(func):
+    return (isinstance(func, ast.Name) and func.id == "open"
+            or isinstance(func, ast.Attribute) and func.attr == "open")
+
+
 def test_cli_opens_files_only_in_the_writer():
-    # one error route and one writer: no exception class of its own, and
-    # every output file goes through _write
+    # one error route and one writer: cli has no exception class of its
+    # own, and every output file of the package goes through cli._write
+    openers = []
+    for path in sorted(Path(qsk.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        openers += [(path.stem, getattr(top, "name", None)) for top in tree.body
+                    for node in ast.walk(top)
+                    if isinstance(node, ast.Call) and _is_open(node.func)]
+    assert openers == [("cli", "_write")]
     tree = ast.parse(Path(cli.__file__).read_text())
-    openers = [getattr(top, "name", None) for top in tree.body
-               for node in ast.walk(top)
-               if isinstance(node, ast.Call) and "open" in ast.unparse(node.func)]
-    assert openers == ["_write"]
     assert not [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
 
 @pytest.mark.parametrize("flag, env", [(["--workers", "0"], None),

@@ -1,7 +1,6 @@
 """Grid kernels, the discretized variational objective, and its fixed point."""
 
 import dataclasses
-import json
 import tracemalloc
 
 import numpy as np
@@ -25,7 +24,6 @@ from qsk.variational import (
     lambda_constant,
     lambda_functional,
     lambda_prime,
-    save_grid_function,
     static_approximation,
     static_threshold,
     taylor_prediction,
@@ -66,19 +64,6 @@ def test_grid_function_norms():
     gf = _constant(0.5, 8)
     assert gf.norm2() == pytest.approx(0.25, rel=1e-15)
     assert gf.scaled(-2.0).values[0, 0] == -1.0
-
-
-def test_grid_function_roundtrip(tmp_path):
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(6, 6))
-    gf = GridFunction(0.5 * (a + a.T))
-    path = tmp_path / "kernel.json"
-    save_grid_function(gf, path, meta={"note": "test"})
-    doc = json.loads(path.read_text())
-    assert {k: doc[k] for k in ("format", "version", "m_cells", "symmetric")} == {
-        "format": "qsk-grid", "version": 1, "m_cells": 6, "symmetric": True}
-    assert doc["meta"] == {"note": "test"}
-    assert np.array_equal(GridFunction(np.array(doc["values"])).values, gf.values)
 
 
 # -- discretized two-point kernel ------------------------------------------
