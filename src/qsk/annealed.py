@@ -102,8 +102,10 @@ def f_n_sandwich(params: ModelParams, f_hat, n_sigma):
 def _k_objective(lam, q_grid, nodes):
     """lam(1-(1-q)^2) - E ln cosh(g sqrt(4 lam q)) on a grid of q values."""
     y, lw = normal_nodes(nodes)
-    arg = np.sqrt(4.0 * lam * np.asarray(q_grid))[:, None] * y[None, :]
-    expect = logcosh(arg) @ np.exp(lw)
+    # the rule is symmetric and ln cosh even: nodes y > 0, weights doubled
+    half = y > 0.0
+    arg = np.sqrt(4.0 * lam * np.asarray(q_grid))[:, None] * y[None, half]
+    expect = logcosh(arg) @ (2.0 * np.exp(lw[half]))
     return lam * (1.0 - np.square(1.0 - np.asarray(q_grid))) - expect
 
 

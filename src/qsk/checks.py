@@ -58,9 +58,8 @@ def check_closed_forms(seed):
 def check_moment_chain(seed, lams=(0.01, 0.1, 1.0, 4.0), beta_bs=(0.3, 1.0, 3.0)):
     """The moment inequality chain on a beta_b sweep, and the corridor
     max(0, lam + ln(p_N)/N) <= G_N/N <= lam for 2 <= N <= 64."""
-    bad = 0
-    for bb in np.geomspace(1e-3, 1e3, 200):
-        bad += not all(constants.moment_inequalities(bb).values())
+    chain = constants.moment_inequalities(np.geomspace(1e-3, 1e3, 200))
+    bad = int(np.count_nonzero(~np.all(list(chain.values()), axis=0)))
     corridor_bad = 0
     ns = np.arange(2, 65)
     for lam in lams:

@@ -133,18 +133,20 @@ def _sweep(lo, hi, count):
     return np.geomspace(lo, hi, count)
 
 
-def _fmt(x):
-    if isinstance(x, (bool, np.bool_)):
-        return "PASS" if x else "FAIL"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
+def _column(values):
+    """The cells of one column as text: PASS/FAIL for booleans, floats to 17
+    significant digits, anything else by ``str``."""
+    a = np.asarray(values)
+    items = a.tolist()
+    if a.dtype == bool:
+        return ["PASS" if v else "FAIL" for v in items]
+    if a.dtype.kind == "f":
+        return [format(v, ".17g") for v in items]
+    return [str(v) for v in items]
 
 
 def _meta_lines(command, seed, opts):
-    echo = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(opts.items()))
+    echo = " ".join(f"{k}={_column([v])[0]}" for k, v in sorted(opts.items()))
     return [
         f"# qsk {__version__}",
         f"# command: {command}",
@@ -153,12 +155,15 @@ def _meta_lines(command, seed, opts):
     ]
 
 
-def _table(header, rows):
-    return [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+def _table(header, columns):
+    """CSV lines: the header, then the rows of ``columns``, each an array that
+    ``_column`` formats once or a list of cells already formatted."""
+    cells = [c if isinstance(c, list) else _column(c) for c in columns]
+    return [",".join(header)] + [",".join(row) for row in zip(*cells)]
 
 
-def _csv_lines(args, opts, header, rows):
-    return _meta_lines(args.command, args.seed, opts) + _table(header, rows)
+def _csv_lines(args, opts, header, columns):
+    return _meta_lines(args.command, args.seed, opts) + _table(header, columns)
 
 
 def _json_lines(args, opts, payload):
@@ -194,18 +199,14 @@ def cmd_constants(args, opts):
                    "m_lt_two_p", "two_p_lt_one_plus_p_m"]
     header = ["beta_b", "m", "p", "c0", "p_n", "g_n_over_n", "inf_g_n_over_n",
               "inf_argmin", "w_n"] + chain_names
-    rows = []
     n, lam = opts["n_spins"], opts["lam"]
-    inf_vals, inf_args = constants.inf_g_n_over_n(lam, sweep)
-    for bb, inf_val, inf_arg in zip(sweep, inf_vals, inf_args):
-        checks = constants.moment_inequalities(bb)
-        w_val = constants.w_n_of(n, lam, bb)
-        rows.append(
-            [bb, constants.m_of(bb), constants.p_of(bb), constants.c0_of(bb),
-             constants.p_n_of(n, bb), constants.g_n_of(n, lam, bb) / n,
-             inf_val, inf_arg, w_val] + [checks[k] for k in chain_names]
-        )
-    _write(args.out, _csv_lines(args, opts, header, rows))
+    checks = constants.moment_inequalities(sweep)
+    columns = [sweep, constants.m_of(sweep), constants.p_of(sweep),
+               constants.c0_of(sweep), constants.p_n_of(n, sweep),
+               constants.g_n_of(n, lam, sweep) / n,
+               *constants.inf_g_n_over_n(lam, sweep),
+               constants.w_n_of(n, lam, sweep)] + [checks[k] for k in chain_names]
+    _write(args.out, _csv_lines(args, opts, header, columns))
 
 
 def cmd_exactdiag(args, opts):
@@ -219,7 +220,6 @@ def cmd_exactdiag(args, opts):
         "ln_z": res.ln_z,
         "beta_f_n": -res.ln_z / params.n_spins,
         "gibbs_zz_12": zz,
-        "trace_abs": abs(float(np.trace(h.blocks, axis1=1, axis2=2).sum())),
         "eigenvalues": res.eigenvalues.tolist(),
     }
     _write(args.out, _json_lines(args, opts, payload))
@@ -261,17 +261,14 @@ def cmd_variational(args, opts):
 def cmd_static(args, opts):
     lams = _sweep(opts["lam_min"], opts["lam_max"], opts["lam_count"])
     bb = opts["beta_b"]
-    p = constants.p_of(bb)
-    thresh = variational.static_threshold(bb)
-    rows = []
-    for lam in lams:
-        j = variational.static_approximation(float(lam), bb)
-        rows.append([float(lam), j, j / lam, -p * lam,
-                     "yes" if j > -p * lam else "no",
-                     "yes" if lam < thresh else "no"])
+    minus_p_lam = -constants.p_of(bb) * lams
+    j = np.array([variational.static_approximation(float(lam), bb) for lam in lams])
     header = ["lam", "j_value", "j_over_lam", "minus_p_lam",
               "exceeds_minus_p_lam", "below_threshold"]
-    _write(args.out, _csv_lines(args, opts, header, rows))
+    columns = [lams, j, j / lams, minus_p_lam,
+               np.where(j > minus_p_lam, "yes", "no"),
+               np.where(lams < variational.static_threshold(bb), "yes", "no")]
+    _write(args.out, _csv_lines(args, opts, header, columns))
 
 
 def cmd_quenched(args, opts):
@@ -288,11 +285,10 @@ def cmd_quenched(args, opts):
         "verdicts": disorder.study_verdicts(result, 3, ratio_bound=theory),
     }
     if opts["per_sample_out"]:
-        rows = zip(range(result.n_disorder),
-                   *(a.tolist() for a in result.per_sample))
         _write(opts["per_sample_out"],
                _meta_lines("quenched.per_sample", args.seed, opts)
-               + _table(["index", "ln_z", "beta_f", "order_parameter"], rows))
+               + _table(["index", "ln_z", "beta_f", "order_parameter"],
+                        [np.arange(result.n_disorder), *result.per_sample]))
     _write(args.out, _json_lines(args, opts, payload))
 
 
@@ -300,13 +296,14 @@ def cmd_region(args, opts):
     xs = np.linspace(opts["x_min"], opts["x_max"], opts["x_count"])
     ys = np.linspace(opts["y_min"], opts["y_max"], opts["y_count"])
     lower, upper = annealed.region_scan(xs, ys)
-    x_grid, y_grid = np.meshgrid(xs, ys, indexing="ij")
     header = ["inv_beta_v", "b_over_v", "delta_lower", "delta_upper",
               "classification"]
-    columns = (x_grid, y_grid, lower, upper, annealed.region_labels(x_grid, lower))
-    # row-major: x outer, y inner
-    rows = zip(*(c.ravel().tolist() for c in columns))
-    _write(args.out, _csv_lines(args, opts, header, rows))
+    # row-major: x outer, y inner; each distinct x and y is formatted once
+    x_cells, y_cells = _column(xs), _column(ys)
+    columns = ([x for x in x_cells for _ in y_cells], y_cells * len(x_cells),
+               lower.ravel(), upper.ravel(),
+               annealed.region_labels(xs[:, None], lower).ravel())
+    _write(args.out, _csv_lines(args, opts, header, columns))
 
 
 # -- verify ----------------------------------------------------------------

@@ -11,8 +11,9 @@ whose first two moments
     p = integral mu^2 dt dt'    = (1 - tanh^2(beta*b) + m)/2
 
 drive every bound implemented here.  The identity 2p - m = 1/cosh^2(beta*b)
-is exact and is used as a self-test.  All routines accept the dimensionless
-combinations lam = (beta*v)^2/4 and beta_b = beta*b.
+is exact and is used as a self-test.  All routines take lam = (beta*v)^2/4,
+a scalar, and beta_b = beta*b, also as an array.  The only quadrature is
+W_N's: its Gaussian x-integral is exact, which leaves Gauss-Legendre in t.
 """
 
 import math
@@ -21,14 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (
-    LN2,
-    gauss_hermite,
-    gauss_legendre_01,
-    logcosh,
-    logsumexp,
-    refine_once,
-)
+from .numerics import LN2, gauss_legendre_01, logcosh, logsumexp, refine_once
 
 __all__ = [
     "ModelParams",
@@ -50,6 +44,11 @@ MOMENT_SLACK = 1e-12
 
 #: the largest N of the upper bound inf_N G_N/N on the quenched-annealed gap
 N_MAX = 64
+
+
+def _float_or_array(out):
+    """A 0-d result as a float: scalar arguments give a float."""
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -90,12 +89,10 @@ def mu(t, tp, beta_b):
     tp = np.asarray(tp, dtype=float)
     if np.any(t < 0) or np.any(t > 1) or np.any(tp < 0) or np.any(tp > 1):
         raise ValueError("times must lie in [0, 1]")
-    if beta_b < 0:
+    if np.any(np.asarray(beta_b) < 0):
         raise ValueError("beta_b must be >= 0")
     out = np.exp(logcosh(beta_b * (1.0 - 2.0 * np.abs(t - tp))) - logcosh(beta_b))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _float_or_array(out)
 
 
 def m_of(beta_b):
@@ -105,20 +102,14 @@ def m_of(beta_b):
         raise ValueError("beta_b must be >= 0")
     small = x < 1e-8
     safe = np.where(small, 1.0, x)
-    out = np.where(small, 1.0 - x * x / 3.0, np.tanh(safe) / safe)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _float_or_array(np.where(small, 1.0 - x * x / 3.0, np.tanh(safe) / safe))
 
 
 def p_of(beta_b):
     """Second moment p = (1 - tanh^2(x) + m)/2; decreases from 1 to 0."""
     x = np.asarray(beta_b, dtype=float)
     t2 = np.square(np.tanh(x))
-    out = 0.5 * (1.0 - t2 + m_of(x))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _float_or_array(0.5 * (1.0 - t2 + m_of(x)))
 
 
 def log_two_p_minus_m(beta_b):
@@ -134,10 +125,7 @@ def log_two_p_minus_m(beta_b):
     x = np.asarray(beta_b, dtype=float)
     if np.any(x < 0):
         raise ValueError("beta_b must be >= 0")
-    out = 2.0 * (LN2 - x - np.log1p(np.exp(-2.0 * x)))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _float_or_array(2.0 * (LN2 - x - np.log1p(np.exp(-2.0 * x))))
 
 
 def two_p_minus_m(beta_b):
@@ -155,10 +143,7 @@ def p_n_of(n, beta_b):
     if np.any(n < 1):
         raise ValueError("n must be >= 1")
     p = p_of(beta_b)
-    out = p + (1.0 - p) / n
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    return _float_or_array(p + (1.0 - p) / n)
 
 
 def g_n_of(n, lam, beta_b):
@@ -182,10 +167,7 @@ def g_n_of(n, lam, beta_b):
     with np.errstate(over="ignore", under="ignore"):
         direct = np.log1p(pn * np.expm1(x))
         shifted = x + np.log(pn) + np.log1p((1.0 - pn) * np.exp(-x) / pn)
-    out = np.where(x <= 700.0, direct, shifted)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _float_or_array(np.where(x <= 700.0, direct, shifted))
 
 
 def inf_g_n_over_n(lam, beta_b):
@@ -212,48 +194,62 @@ def inf_g_n_over_n(lam, beta_b):
     return values, argmins
 
 
-def _w_n_eval(n, lam, beta_b, gl_nodes, gh_nodes):
+#: W_N's t-rule above beta_b = 40: Gauss-Legendre panels on [0, 1/2] split at
+#: these multiples of 1/beta_b, the width of mu(t, 0)'s boundary layers
+W_N_LAYER_BREAKS = (2.0, 20.0)
+
+
+def _graded_t_rule(beta_b, nodes):
+    """Nodes and weights in t, each (beta_b.size, T), for a 1-D ``beta_b``;
+    mu(t, 0) is even about t = 1/2, so [0, 1/2] with doubled weights."""
+    x, w = gauss_legendre_01(nodes)
+    edges = np.append(np.outer(1.0 / beta_b, (0.0,) + W_N_LAYER_BREAKS),
+                      np.full((beta_b.size, 1), 0.5), axis=1)[..., None]
+    width = np.diff(edges, axis=1)
+    return ((edges[:, :-1] + width * x).reshape(beta_b.size, -1),
+            (2.0 * width * w).reshape(beta_b.size, -1))
+
+
+def _w_n_eval(n, lam, beta_b, nodes):
     # ln integral_0^1 dt integral dx w_N(x) [cosh(sx) + mu(t,0) sinh(sx)]^N
-    # with w_N(x) = sqrt(N/pi) e^{-N x^2} and s = sqrt(4 lam).  Substituting
-    # x = y/sqrt(N) reduces the x-integral to Gauss-Hermite form.  Writing
-    # cosh(u) + mu*sinh(u) = [(1+mu)e^u + (1-mu)e^{-u}]/2 keeps everything in
-    # log space (mu in (0,1], so both terms are non-negative).
-    t, wt = gauss_legendre_01(gl_nodes)
-    y, wy = gauss_hermite(gh_nodes)
-    mu_t = mu(t, 0.0, beta_b)
-    u = np.sqrt(4.0 * lam / n) * y  # s*x at x = y/sqrt(N)
-    with np.errstate(divide="ignore"):  # mu = 1 (beta_b = 0) gives a clean -inf
-        log_one_minus = np.log1p(-mu_t)
-    log_bracket = (
-        np.logaddexp(
-            np.log1p(mu_t)[:, None] + u[None, :],
-            log_one_minus[:, None] - u[None, :],
-        )
-        - np.log(2.0)
-    )
-    log_terms = (
-        np.log(wt)[:, None]
-        + np.log(wy)[None, :]
-        - 0.5 * np.log(np.pi)
-        + n * log_bracket
-    )
-    return float(logsumexp(log_terms))
+    # with w_N(x) = sqrt(N/pi) e^{-N x^2} and s = sqrt(4 lam).  Binomially,
+    # [cosh(sx) + mu sinh(sx)]^N = 2^-N sum_k C(N,k) (1+mu)^k (1-mu)^(N-k)
+    # e^{(2k-N)sx}, and under w_N the mean of e^{(2k-N)sx} is
+    # e^{lam (2k-N)^2/N}: the x-integral is exact and only t needs a rule.
+    k = np.arange(n + 1)
+    log_fact = np.array([math.lgamma(j + 1) for j in k])
+    log_coef = (log_fact[-1] - log_fact - log_fact[::-1]  # ln C(N, k)
+                + lam * (2 * k - n) ** 2 / n - n * LN2)
+    out = np.empty(beta_b.size)
+    plain = beta_b.ravel() <= 2.0 * W_N_LAYER_BREAKS[-1]
+    for rows in (plain, ~plain):
+        if not rows.any():
+            continue
+        bb = beta_b.ravel()[rows]
+        t, wt = gauss_legendre_01(nodes) if rows is plain else _graded_t_rule(bb, nodes)
+        mu_t = mu(t, 0.0, bb[:, None])[..., None]
+        with np.errstate(divide="ignore", invalid="ignore"):  # mu = 1 at beta_b = 0
+            log_one_minus = np.where(k < n, (n - k) * np.log1p(-mu_t), 0.0)
+        log_terms = k * np.log1p(mu_t) + log_one_minus + log_coef
+        out[rows] = logsumexp(log_terms + np.log(wt)[..., None], axis=(-2, -1))
+    return out.reshape(beta_b.shape)
 
 
 def w_n_of(n, lam, beta_b):
     """Gaussian-interpolation bound W_N (ln of a smoothed N-th moment).
 
-    Satisfies F_N <= W_N <= G_N with equality W_2 = G_2.  Evaluated by a
-    tensor Gauss-Legendre x Gauss-Hermite rule; both node sets are doubled
-    once and a QuadratureConvergenceWarning fires if the value moves by more
-    than 1e-6 relative.
+    Satisfies F_N <= W_N <= G_N with equality W_2 = G_2.  The Gaussian
+    x-integral is exact; the t-integral is Gauss-Legendre, split at mu(t, 0)'s
+    boundary layers once beta_b > 40.  Its nodes are doubled once and a
+    QuadratureConvergenceWarning fires if the value moves by more than 1e-6
+    relative.  ``beta_b`` may be an array.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if lam < 0 or beta_b < 0:
+    bb = np.asarray(beta_b, dtype=float)
+    if lam < 0 or np.any(bb < 0):
         raise ValueError("lam and beta_b must be >= 0")
-    value, _ = refine_once(lambda k: _w_n_eval(n, lam, beta_b, k, k), "w_n_of")
-    return value
+    return _float_or_array(refine_once(lambda k: _w_n_eval(n, lam, bb, k), "w_n_of")[0])
 
 
 # sympy-derived small-x series of c0 (relative error < 1e-12 below the cutoff)
@@ -267,32 +263,32 @@ def c0_of(beta_b):
     Strictly positive for x > 0 with (m-p)^2/cosh(x) <= c0 <= p(m-p).  The
     closed form loses most significant digits to cancellation as x -> 0, so
     below a small-argument cutoff the power series 4x^2/15 - 136x^4/315 + ...
-    is used instead.
+    is used instead.  ``beta_b`` may be an array; a scalar gives a float.
     """
-    x = float(beta_b)
-    if x < 0:
+    x = np.asarray(beta_b, dtype=float)
+    if np.any(x < 0):
         raise ValueError("beta_b must be >= 0")
-    if x < _C0_CUTOFF:
-        x2 = x * x
-        acc = 0.0
-        for coef in reversed(_C0_SERIES):
-            acc = acc * x2 + coef
-        return acc * x2
-    m = m_of(x)
-    p = p_of(x)
+    small = x < _C0_CUTOFF
+    x2 = np.square(np.where(small, x, 0.0))
+    series = np.polynomial.polynomial.polyval(x2, _C0_SERIES)
+    safe = np.where(small, 1.0, x)
+    m = m_of(safe)
+    p = p_of(safe)
     w = 2.0 * p - m  # = 1/cosh^2(x), exact identity
-    return (m - p) / (4.0 * x * x) + w / 6.0 - (w / 2.0) ** 2
+    return _float_or_array(np.where(
+        small, series * x2, (m - p) / (4.0 * safe * safe) + w / 6.0 - (w / 2.0) ** 2))
 
 
 def moment_inequalities(beta_b):
     """The strict ordering 0 < m^2 < p < m < min(1, 2p) <= 2p < (1+p)m.
 
-    Returns a dict of named booleans, one per inequality.  Each holds
-    strictly in exact arithmetic for every beta_b > 0, but the true margins
-    shrink to O(beta_b^4) as beta_b -> 0 (m^2 vs p) and below the rounding
-    error of p as beta_b -> infinity (m vs 2p, where 2p - m = sech^2).  The
-    slack therefore forgives violations up to ``MOMENT_SLACK`` relative to
-    the larger side; it never demands a minimum separation.
+    Returns a dict of named booleans of the shape of ``beta_b``, one per
+    inequality.  Each holds strictly in exact arithmetic for every beta_b > 0,
+    but the true margins shrink to O(beta_b^4) as beta_b -> 0 (m^2 vs p) and
+    below the rounding error of p as beta_b -> infinity (m vs 2p, where
+    2p - m = sech^2).  The slack therefore forgives violations up to
+    ``MOMENT_SLACK`` relative to the larger side; it never demands a minimum
+    separation.
     """
     m = m_of(beta_b)
     p = p_of(beta_b)

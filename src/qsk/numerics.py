@@ -94,18 +94,24 @@ def refine_once(evaluate, label):
 
     Returns the fine-node value together with a convergence flag.  The
     comparison is relative on the scale max(1, |fine|), which suits the
-    log-valued integrals used throughout this package.
+    log-valued integrals used throughout this package.  For an array value
+    the flag is an array, and one warning names the unsettled points.
     """
     coarse = evaluate(QUAD_NODES)
     fine = evaluate(2 * QUAD_NODES)
-    scale = max(1.0, abs(fine))
-    converged = abs(fine - coarse) <= REFINE_RTOL * scale
-    if not converged:
+    scale = np.maximum(1.0, np.abs(fine))
+    converged = np.abs(fine - coarse) <= REFINE_RTOL * scale
+    if np.ndim(fine) == 0:
+        converged = bool(converged)
+        where = ": %.9e vs %.9e, relative change" % (coarse, fine)
+    else:
+        where = " at %d of %d points: worst relative change" % (
+            converged.size - np.count_nonzero(converged), converged.size)
+    if not np.all(converged):
         warnings.warn(
-            "%s did not settle after doubling nodes (%d -> %d): %.9e vs %.9e, "
-            "relative change %.3e > tolerance %.0e"
-            % (label, QUAD_NODES, 2 * QUAD_NODES, coarse, fine,
-               abs(fine - coarse) / scale, REFINE_RTOL),
+            "%s did not settle after doubling nodes (%d -> %d)%s %.3e > tolerance %.0e"
+            % (label, QUAD_NODES, 2 * QUAD_NODES, where,
+               np.max(np.abs(fine - coarse) / scale), REFINE_RTOL),
             QuadratureConvergenceWarning,
             stacklevel=2,
         )

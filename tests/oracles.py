@@ -24,7 +24,11 @@ solved one sample at a time through the one-sample API of ``qsk.hilbert``,
 which the chunked study must reproduce bit for bit.
 ``f2_quenched_exact`` is the N = 2 quenched average E[beta f_2] by
 quadrature over the single coupling, the exact target of a two-spin
-disorder study.
+disorder study.  ``w_n_gauss_hermite`` is W_N with its Gaussian x-integral
+done by Gauss-Hermite quadrature instead of in closed form,
+``k_objective_unfolded`` the k objective on every Gauss-Hermite node, the
+negative ones included, and ``csv_cell`` the one-cell formatter that the
+column-wise CSV tables of ``qsk.cli`` must reproduce byte for byte.
 """
 
 import numpy as np
@@ -36,7 +40,15 @@ from qsk.hilbert import (
     gibbs_zz_matrix,
     spectrum,
 )
-from qsk.numerics import gauss_legendre_01, logcosh, normal_nodes, refine_once
+from qsk.constants import mu
+from qsk.numerics import (
+    gauss_hermite,
+    gauss_legendre_01,
+    logcosh,
+    logsumexp,
+    normal_nodes,
+    refine_once,
+)
 from qsk.paths import PAD, even_jump_count_cdf
 from qsk.streams import (
     DOMAIN_PATHS,
@@ -250,6 +262,54 @@ def weighted_gram_full(s, x):
     var = c2 - 2.0 * k * c1 + np.square(k) * wt2.sum()
     var = 0.5 * (var + var.T)
     return k, np.sqrt(np.clip(var, 0.0, None))
+
+
+def w_n_gauss_hermite(n, lam, beta_b, t, wt, gh_nodes=128):
+    """ln integral_0^1 dt integral dx w_N(x) [cosh(sx) + mu(t,0) sinh(sx)]^N.
+
+    w_N(x) = sqrt(N/pi) e^{-N x^2} and s = sqrt(4 lam).  The t-integral uses
+    the nodes ``t`` and weights ``wt``; substituting x = y/sqrt(N) gives the
+    x-integral Gauss-Hermite form.  Writing cosh(u) + mu*sinh(u) =
+    [(1+mu)e^u + (1-mu)e^{-u}]/2 keeps everything in log space.
+    """
+    y, wy = gauss_hermite(gh_nodes)
+    mu_t = mu(t, 0.0, beta_b)
+    u = np.sqrt(4.0 * lam / n) * y  # s*x at x = y/sqrt(N)
+    with np.errstate(divide="ignore"):  # mu = 1 (beta_b = 0) gives a clean -inf
+        log_one_minus = np.log1p(-mu_t)
+    log_bracket = (
+        np.logaddexp(
+            np.log1p(mu_t)[:, None] + u[None, :],
+            log_one_minus[:, None] - u[None, :],
+        )
+        - np.log(2.0)
+    )
+    log_terms = (
+        np.log(wt)[:, None]
+        + np.log(wy)[None, :]
+        - 0.5 * np.log(np.pi)
+        + n * log_bracket
+    )
+    return float(logsumexp(log_terms))
+
+
+def k_objective_unfolded(lam, q_grid, nodes):
+    """lam(1-(1-q)^2) - E ln cosh(g sqrt(4 lam q)) on all ``nodes`` normal nodes."""
+    y, lw = normal_nodes(nodes)
+    arg = np.sqrt(4.0 * lam * np.asarray(q_grid))[:, None] * y[None, :]
+    return lam * (1.0 - np.square(1.0 - np.asarray(q_grid))) - logcosh(arg) @ np.exp(lw)
+
+
+def csv_cell(x):
+    """One CSV cell: PASS/FAIL for a boolean, an integer as such, a float to
+    17 significant digits, anything else by ``str``."""
+    if isinstance(x, (bool, np.bool_)):
+        return "PASS" if x else "FAIL"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, float):
+        return format(x, ".17g")
+    return str(x)
 
 
 #: half-line panels for integrands that decay like e^{-2*s*y}; the edges

@@ -14,11 +14,17 @@ from qsk.annealed import (
     region_scan,
 )
 from qsk.constants import ModelParams, g_n_of, inf_g_n_over_n, p_n_of, w_n_of
-from qsk.numerics import QuadratureConvergenceWarning, logcosh
+from qsk.numerics import (
+    QUAD_NODES,
+    QuadratureConvergenceWarning,
+    logcosh,
+    refine_once,
+    scan_minimize,
+)
 from qsk.stats import mean_with_err
 from qsk.streams import worker_count
 
-from oracles import sk_equation_solve
+from oracles import k_objective_unfolded, sk_equation_solve
 
 
 # -- F_N estimator ---------------------------------------------------------
@@ -130,6 +136,24 @@ def test_k_flags_unsettled_quadrature():
     with pytest.warns(QuadratureConvergenceWarning,
                       match="k_of_lambda did not settle"):
         k_of_lambda(10.0)
+
+
+@pytest.mark.filterwarnings("ignore::qsk.numerics.QuadratureConvergenceWarning")
+def test_folded_k_matches_all_nodes():
+    # ln cosh is even and the Hermite rule symmetric, so the positive half
+    # with doubled weights reproduces every node; lam as on the default
+    # region's x axis
+    q = np.linspace(0.0, 1.0, 512)
+    for lam in 1.0 / (4.0 * np.linspace(0.05, 2.0, 100) ** 2):
+        for nodes in (QUAD_NODES, 2 * QUAD_NODES):
+            full = k_objective_unfolded(lam, q, nodes)
+            folded = annealed._k_objective(lam, q, nodes)
+            assert np.all(np.abs(folded - full) <= 1e-14 * np.maximum(1.0, np.abs(full)))
+        if 4.0 * lam > 1.0:
+            unfolded, _ = refine_once(
+                lambda n: -scan_minimize(lambda x: -k_objective_unfolded(lam, x, n), q),
+                "unfolded k")
+            assert abs(k_of_lambda(lam) - max(0.0, unfolded)) <= 1e-14, lam
 
 
 def test_k_derivative_equals_q_squared():

@@ -15,6 +15,8 @@ import qsk
 from qsk import cli, streams
 from qsk.streams import BATCH_SIZE
 
+from oracles import csv_cell
+
 
 def _read_lines(path):
     return path.read_text().splitlines()
@@ -322,6 +324,27 @@ def test_params_block_is_the_model_given(command, lam, tmp_path):
     assert params["lam"] == float(lam)
 
 
+def test_tables_format_by_column_as_by_cell():
+    # each column is formatted once; the bytes are those of a per-cell join
+    rows = [
+        [True, 3, 0.1, "zero", 1e-300],
+        [np.bool_(False), np.int64(-7), 2.0 / 3.0, "positive", float("inf")],
+        [np.True_, 0, -0.0, "unresolved", float("nan")],
+        [False, np.int64(2**62), 1e22, "x,y", 3.0],
+    ]
+    header = ["a", "b", "c", "d", "e"]
+    columns = [np.array(col) for col in zip(*rows)]
+    expected = [",".join(header)] + [",".join(csv_cell(v) for v in row)
+                                      for row in rows]
+    assert cli._table(header, columns) == expected
+    # a list of cells already formatted passes through
+    columns[3] = [csv_cell(v) for v in columns[3]]
+    assert cli._table(header, columns) == expected
+    opts = {"x": 0.1, "n": 7, "path": "a b", "unset": None}
+    echo = " ".join(f"{k}={csv_cell(v)}" for k, v in sorted(opts.items()))
+    assert cli._meta_lines("c", 1, opts)[-1] == f"# options: {echo}"
+
+
 # -- exactdiag -------------------------------------------------------------
 
 
@@ -334,7 +357,6 @@ def test_exactdiag_json(tmp_path):
     assert doc["meta"]["command"] == "exactdiag" and doc["meta"]["seed"] == 5
     res = doc["result"]
     assert res["params"]["n_spins"] == 3
-    assert res["trace_abs"] < 1e-10
     assert abs(3 * res["beta_f_n"] + res["ln_z"]) < 1e-10
     assert abs(res["gibbs_zz_12"]) <= 1.0
     evals = res["eigenvalues"]

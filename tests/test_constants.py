@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from qsk import constants
 from qsk.constants import (
     N_MAX,
+    W_N_LAYER_BREAKS,
     ModelParams,
     c0_of,
     g_n_of,
@@ -24,7 +26,9 @@ from qsk.constants import (
     two_p_minus_m,
     w_n_of,
 )
-from qsk.numerics import logcosh
+from qsk.numerics import QuadratureConvergenceWarning, gauss_legendre_01, logcosh
+
+from oracles import w_n_gauss_hermite
 
 BB_SWEEP = np.geomspace(1e-3, 1e3, 200)
 
@@ -296,6 +300,57 @@ def test_w_n_validation():
         w_n_of(1, 0.1, 1.0)
     with pytest.raises(ValueError):
         w_n_of(4, -0.1, 1.0)
+    with pytest.raises(ValueError):
+        w_n_of(4, 0.1, np.array([1.0, -1.0]))
+
+
+def _t_rule(bb, nodes):
+    """The package's t-rule of W_N at one beta_b."""
+    if bb > 2.0 * W_N_LAYER_BREAKS[-1]:
+        t, wt = constants._graded_t_rule(np.array([bb]), nodes)
+        return t[0], wt[0]
+    return gauss_legendre_01(nodes)
+
+
+def test_w_n_closed_form_matches_gauss_hermite():
+    # the x-integral in closed form against Gauss-Hermite on the same t-rule
+    bbs = np.geomspace(1e-3, 100.0, 25)
+    for n in (2, 3, 4, 8, 16):
+        for lam in (0.05, 0.1, 0.5, 2.0):
+            ref = [w_n_gauss_hermite(n, lam, bb, *_t_rule(bb, 128)) for bb in bbs]
+            np.testing.assert_allclose(w_n_of(n, lam, bbs), ref, rtol=1e-13, atol=0)
+
+
+def test_w_2_equals_g_2_inside_the_boundary_layers():
+    # mu(t, 0) has layers of width 1/beta_b at both ends of [0, 1]; the
+    # graded t-rule resolves them at both node counts, so nothing warns
+    bbs = np.array([500.0, 1000.0, 2000.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", QuadratureConvergenceWarning)
+        for lam in (0.1, 1.0):
+            np.testing.assert_allclose(w_n_of(2, lam, bbs), g_n_of(2, lam, bbs),
+                                       rtol=1e-10, atol=0)
+            for n in (4, 16):
+                assert np.all(w_n_of(n, lam, bbs) <= g_n_of(n, lam, bbs) + 1e-12)
+
+
+def test_w_n_at_zero_field_is_n_lam():
+    # mu = 1 everywhere: only the k = N term survives, and W_N = G_N = N lam
+    assert w_n_of(4, 0.3, 0.0) == pytest.approx(1.2, rel=1e-14)
+
+
+def test_w_n_and_c0_broadcast_over_beta_b():
+    grid = BB_SWEEP.reshape(20, 10)
+    w = w_n_of(4, 0.2, grid)
+    c0 = c0_of(grid)
+    assert w.shape == c0.shape == grid.shape
+    for i, j in ((0, 0), (7, 3), (14, 9), (19, 9)):
+        assert w[i, j] == pytest.approx(w_n_of(4, 0.2, grid[i, j]), rel=1e-15)
+        assert c0[i, j] == c0_of(grid[i, j])
+    assert isinstance(w_n_of(4, 0.2, 1.0), float)
+    assert isinstance(c0_of(1.0), float)
+    checks = moment_inequalities(grid)
+    assert all(v.shape == grid.shape and v.all() for v in checks.values())
 
 
 # -- c0 --------------------------------------------------------------------
@@ -324,6 +379,8 @@ def test_c0_bounds_and_vanishing_limits():
         assert lo - 1e-15 <= c0 <= p * (m - p) + 1e-15, bb
     assert c0_of(1e-6) < 1e-12
     assert c0_of(500.0) < 1e-2
+    with pytest.raises(ValueError):
+        c0_of(np.array([0.5, -1e-3]))
 
 
 def test_c0_maximum_location():

@@ -16,12 +16,12 @@ import pytest
 from qsk import cli
 
 GOLDEN = {
-    "region": "39bb31c1d2ae3613e606a2da8f5d42836fcc3017e778cb18715becc6113b21bb",
-    "constants": "4d7ecdc303a3a6e28a6196d7efda9bde41ff9ad6757aa87c092e85f618f25452",
+    "region": "aaa4f0924f16a5ad9eb8015fedb109247164893e995799c716baeb3cfc98402b",
+    "constants": "b1458dc76a3ab8937a2b2c0224beb6e0fd4da4337308556ab77b184baccc3cbe",
     "static --lam-count 5":
         "1b94db7dcd14bdadc4ea0bd826fc332318076cc72a3e4d8182fd25790df854a5",
     "exactdiag --n-spins 4":
-        "478af8912e94a0794c7fcec0fd5ae27be9d380c45c450ad46bd7d113a8c85929",
+        "daac29c2140da09d930e4e23835d1029970e57d0632b0164e63b5d32569019e8",
     "annealed --n-spins 2 --ensembles 4000":
         "aade97ae77dbda15ce501d45168a7448049f5d357241ecfbe1cc92adf4b25ce0",
     "annealed --n-spins 4 --ensembles 4000":

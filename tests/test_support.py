@@ -156,6 +156,28 @@ def test_refine_once():
     assert "relative change 1.000e-05 > tolerance 1e-06" in message
 
 
+def test_refine_once_over_arrays():
+    # an array value gets an element-wise flag and at most one warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, ok = refine_once(lambda n: np.full((2, 3), 42.0), "flat")
+    assert value.shape == ok.shape == (2, 3) and ok.all()
+
+    def evaluate(n):
+        coarse = n == QUAD_NODES
+        return np.array([-3.0, 1.0 + 1e-3 * coarse, 1.0 + 1e-5 * coarse, 1e4 / n])
+
+    with pytest.warns(QuadratureConvergenceWarning) as record:
+        value, ok = refine_once(evaluate, "mylabel")
+    assert len(record) == 1
+    assert value.tolist() == evaluate(2 * QUAD_NODES).tolist()
+    assert ok.tolist() == [True, False, False, False]
+    # the last point moves by 0.5 relative to its own scale, the worst change
+    assert str(record[0].message) == (
+        "mylabel did not settle after doubling nodes (64 -> 128) at 3 of 4 "
+        "points: worst relative change 1.000e+00 > tolerance 1e-06")
+
+
 def test_scan_minimize_parabola():
     # (x - 0.35)^2 + 2 on [0, 1]: the grid misses the minimizer, Brent finds it
     def parabola(x):
