@@ -13,7 +13,7 @@ import numpy as np
 
 from . import annealed, constants, disorder, hilbert, paths, variational
 from .constants import ModelParams
-from .numerics import logcosh
+from .numerics import brent_bounded, logcosh
 from .stats import mean_with_err
 
 #: (g, beta_b, endpoint sign) of the endpoint-resolved exponential moments
@@ -27,8 +27,6 @@ def _failed(checks):
 
 def check_closed_forms(seed):
     """sqrt(2p - m) cosh(beta_b) = 1, the root of p = 1/2 and the maximum of c0."""
-    from scipy.optimize import minimize_scalar
-
     bb = np.geomspace(1e-3, 1e3, 200)
     # sqrt(2p-m)*cosh = exp(0.5*ln(2p-m) + ln cosh); cancellation-free form
     product = np.exp(0.5 * constants.log_two_p_minus_m(bb) + logcosh(bb))
@@ -40,18 +38,17 @@ def check_closed_forms(seed):
     tie = float(np.abs(direct / constants.two_p_minus_m(cond) - 1.0).max())
     root = 1.1996786402577338
     p_at_root = constants.p_of(root)
-    res = minimize_scalar(lambda x: -constants.c0_of(x), bounds=(0.5, 1.5),
-                          method="bounded", options={"xatol": 1e-10})
+    x_max, neg_c0_max = brent_bounded(lambda x: -constants.c0_of(x), 0.5, 1.5, 1e-10)
     ok = (
         dev < 1e-10
         and tie < 1e-10
-        and abs(p_at_root - 0.5) < 1e-4
-        and abs(-res.fun - 0.069571391294736921) < 5e-4
-        and abs(res.x - 0.9089795156301270) < 1e-3
+        and abs(p_at_root - 0.5) < 1e-12
+        and abs(-neg_c0_max - 0.069571391294736921) < 1e-10
+        and abs(x_max - 0.9089795156301270) < 1e-6
     )
     detail = ("identity_dev=%.3e float_tie_dev=%.3e p_at_root_dev=%.3e "
               "c0_max=%.12g at %.12g"
-              % (dev, tie, abs(p_at_root - 0.5), -res.fun, res.x))
+              % (dev, tie, abs(p_at_root - 0.5), -neg_c0_max, x_max))
     return ok, detail
 
 

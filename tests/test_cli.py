@@ -520,17 +520,29 @@ _SCIPY_FREE = """
 import sys
 import qsk.cli
 assert "scipy" not in sys.modules, "import qsk.cli loaded scipy"
-rc = qsk.cli.main(["quenched", "--n-spins", "6", "--n-disorder", "20",
-                   "--workers", "2", "--out", sys.argv[1]])
-assert rc == 0
-assert "scipy" not in sys.modules, "qsk quenched loaded scipy"
+runs = [
+    ["constants", "--bb-count", "3"],
+    ["exactdiag", "--n-spins", "3"],
+    ["annealed", "--n-spins", "3", "--ensembles", "2000"],
+    ["variational", "--m-cells", "8", "--ensembles", "2000"],
+    ["static", "--lam-count", "2"],
+    ["quenched", "--n-spins", "6", "--n-disorder", "20"],
+    ["region", "--x-count", "3", "--y-count", "3"],
+    ["verify"],
+]
+assert sorted(r[0] for r in runs) == sorted(qsk.cli.OPTIONS)
+for argv in runs:
+    rc = qsk.cli.main(argv + ["--workers", "2", "--out", sys.argv[1]])
+    assert rc == 0, argv
+    assert "scipy" not in sys.modules, "qsk %s loaded scipy" % argv[0]
 """
 
 
 def test_import_and_quenched_leave_scipy_unloaded(tmp_path):
+    # quenched and every other subcommand, one after another in one process
     src = str(Path(qsk.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_FREE, str(tmp_path / "q.json")],
+        [sys.executable, "-c", _SCIPY_FREE, str(tmp_path / "out")],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr

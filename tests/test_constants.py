@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from qsk import constants
+from qsk import checks, constants
 from qsk.constants import (
     N_MAX,
     W_N_LAYER_BREAKS,
@@ -388,3 +388,13 @@ def test_c0_maximum_location():
                           method="bounded", options={"xatol": 1e-10})
     assert -res.fun == pytest.approx(0.069571391294736920621, abs=1e-10)
     assert res.x == pytest.approx(0.90897951563012698062, abs=1e-6)
+
+
+def test_closed_forms_gate_catches_a_small_c0_error(monkeypatch):
+    # c0 off by 1e-6 moves its maximum by 1e-6, far below the old 5e-4 gate
+    assert checks.check_closed_forms(0)[0]
+    c0_of = constants.c0_of
+    monkeypatch.setattr(constants, "c0_of", lambda x: c0_of(x) + 1e-6)
+    ok, detail = checks.check_closed_forms(0)
+    assert not ok
+    assert "c0_max=0.0695723912947 " in detail

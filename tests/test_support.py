@@ -9,13 +9,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.special
 
-from qsk import checks, streams
+from qsk import annealed, checks, constants, streams, variational
 from qsk.numerics import (
     LN2,
+    BRENT_MAX_EVALS,
     QUAD_NODES,
     QuadratureConvergenceWarning,
+    brent_bounded,
     gauss_hermite,
     gauss_legendre_01,
     logcosh,
@@ -191,6 +194,52 @@ def test_scan_minimize_parabola():
     # the scan picks the deeper of two wells before Brent refines it
     wells = lambda x: np.minimum((x - 0.1) ** 2 + 0.5, (x - 0.8) ** 2)
     assert scan_minimize(wells, grid) == pytest.approx(0.0, abs=1e-15)
+
+
+def _assert_brent_matches_scipy(f, lo, hi, xatol):
+    """The minimizer, its value and the evaluation count equal scipy's."""
+    calls = []
+    x, fx = brent_bounded(lambda t: calls.append(t) or f(t), lo, hi, xatol)
+    res = scipy.optimize.minimize_scalar(
+        f, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+    assert (x, fx, len(calls)) == (res.x, res.fun, res.nfev)
+    return x, len(calls)
+
+
+def _assert_scan_step_matches_scipy(f, grid):
+    """The same for Brent's step in ``scan_minimize(f, grid)``."""
+    i = int(np.argmin(f(grid)))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    _assert_brent_matches_scipy(lambda x: float(f(np.array([x]))[0]), lo, hi, 1e-12)
+
+
+def test_brent_bounded_matches_scipy_bit_for_bit():
+    # scipy stays the oracle here, off the package's import path
+    for lam in (0.26, 1.0, 6.25):
+        for nodes in (QUAD_NODES, 2 * QUAD_NODES):
+            _assert_scan_step_matches_scipy(
+                lambda q: -annealed._k_objective(lam, q, nodes),
+                np.linspace(0.0, 1.0, 512))
+    for lam, beta_b in ((0.125, 1.0), (0.01, 0.3), (1.0, 3.0)):
+        _assert_scan_step_matches_scipy(
+            lambda xs: lam * xs * xs - variational._lambda_constant_vec(
+                2.0 * lam * xs, beta_b, QUAD_NODES),
+            np.linspace(0.0, 1.5, 601))
+    _assert_brent_matches_scipy(lambda x: -constants.c0_of(x), 0.5, 1.5, 1e-10)
+    # a monotone function: the minimum is at the bracket end, within tolerance
+    assert _assert_brent_matches_scipy(lambda x: x, 0.0, 1.0, 1e-12)[0] < 1e-12
+    assert _assert_brent_matches_scipy(lambda x: -x, 0.0, 1.0, 1e-12)[0] > 1.0 - 1e-7
+    _assert_brent_matches_scipy(lambda x: 1.0, 0.0, 1.0, 1e-12)
+    # a zero-width bracket: one evaluation at its only point
+    assert _assert_brent_matches_scipy(
+        lambda x: (x - 0.3) ** 2, 0.3, 0.3, 1e-12) == (0.3, 1)
+    _assert_brent_matches_scipy(lambda x: math.cos(3.0 * x), -2.0, 4.0, 1e-5)
+
+
+def test_brent_bounded_stops_at_the_evaluation_cap():
+    # a negative tolerance never settles, so only the cap ends the search
+    _, evals = _assert_brent_matches_scipy(lambda t: (t - 0.7) ** 2, 0.0, 1.0, -1.0)
+    assert evals == BRENT_MAX_EVALS
 
 
 # -- estimates -------------------------------------------------------------
@@ -393,6 +442,18 @@ def test_the_pool_size_lives_in_streams_alone():
     assert takers == [("streams.py", "resolve_workers"),
                       ("streams.py", "worker_count")]
     assert held == []
+
+
+def test_no_module_imports_scipy():
+    # the runtime needs numpy alone; scipy is a test oracle only
+    modules = sorted(Path(streams.__file__).parent.glob("*.py"))
+    imported = [(m.name, ast.unparse(node)) for m in modules
+                for node in ast.walk(ast.parse(m.read_text()))
+                if (isinstance(node, ast.Import) and any(
+                    a.name.split(".")[0] == "scipy" for a in node.names))
+                or (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").split(".")[0] == "scipy")]
+    assert imported == []
 
 
 def _defaulted_parameters(module_name, tree):
