@@ -17,10 +17,11 @@ has rate*tanh(rate) jumps on average, so an ensemble stores its paths flat:
 the jump times of every path concatenated in path order, and one offset
 per path.  A kernel that needs rectangular rows pads one chunk of paths at
 a time.  The kernels do merge work only where it changes the answer: a
-pair of paths is merged (gathered and sorted) only when both jump, a pair
-with one jumpless path takes the other path's own alternating sum, and two
-jumpless paths overlap exactly 1.  Every overlap is laid out and summed as
-merging two rows padded to the ensemble's largest count would be, so the
+pair of paths is merged (gathered and sorted) only when both jump and one
+of them jumps more than twice, two two-jump paths take a closed form, a
+pair with one jumpless path takes the other path's own alternating sum,
+and two jumpless paths overlap exactly 1.  Every overlap is bit for bit
+the sum of merging two rows padded to the ensemble's largest count, so the
 outputs do not depend on the chunking.
 
 The signed cell lengths on M cells are never stored as rows.  A jump adds a
@@ -38,14 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .numerics import sinhc
-from .streams import (
-    BATCH_SIZE,
-    DOMAIN_PATHS,
-    batch_generator,
-    batch_ranges,
-    fill_chunks,
-    map_batches,
-)
+from .streams import BATCH_SIZE, DOMAIN_PATHS, batch_generator, batch_ranges
 
 __all__ = [
     "PathEnsemble",
@@ -105,11 +99,14 @@ class PathEnsemble:
     path's times are sorted and lie in (0, 1].
 
     Sampled ensembles are fully determined by (seed, count, rate): the draw
-    is split into fixed-size batches with one counter-based stream each, so
-    the result does not depend on the worker count.  Derived per-path
-    quantities (the jump-cell terms of the signed cell lengths) are memoized
-    on the instance.  The overlap kernels (``p_n_batch``) run on the worker
-    pool, and their results do not depend on it either.
+    is split into fixed-size batches with one counter-based stream each.
+    Derived per-path quantities (the jump-cell terms of the signed cell
+    lengths) are memoized on the instance.  The sampler and the overlap
+    kernels (``p_n_batch``) run their batches in turn, never on the worker
+    pool: they are memory-bound numpy work that two threads on two cores
+    ran no faster.  Most jumping paths jump twice (92% at rate 1), and both
+    take closed forms for those paths that round exactly as the general
+    route does (see ``_sample_paths`` and ``_pair_overlaps``).
     """
 
     def __init__(self, times, counts, rate, seed=None):
@@ -157,8 +154,10 @@ def _check_paths(times, counts):
     up to ``times.size`` and the times of each path are sorted and lie in
     (0, 1], which a NaN does not.  Each check is a pass over the flat arrays.
     A jump at t = 1 is a jump at the last cell boundary and is accepted.
+    Besides the offsets, the checks hold one bool a jump: the parity and the
+    sign are reductions (some count is odd iff the bitwise OR of all is).
     """
-    if np.any(counts < 0) or np.any(counts & 1):
+    if counts.min(initial=0) < 0 or np.bitwise_or.reduce(counts) & 1:
         raise ValueError("every jump count must be even and >= 0")
     offsets = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
@@ -167,9 +166,9 @@ def _check_paths(times, counts):
                          f"but there are {times.size} jump times")
     if times.size and not (times.min() > 0.0 and times.max() <= 1.0):
         raise ValueError("jump times must lie in (0, 1]")
-    rising = times[1:] >= times[:-1]
-    starts = offsets[:-1][counts > 0]  # where each jumping path's times begin
-    rising[starts[1:] - 1] = True  # no order across paths
+    rising = np.empty(times.size + 1, dtype=bool)  # entry j: t_j >= t_(j-1)
+    np.greater_equal(times[1:], times[:-1], out=rising[1:-1])
+    rising[offsets] = True  # no order across paths
     if not rising.all():
         raise ValueError("the jump times of every path must be sorted")
     return offsets
@@ -179,45 +178,50 @@ def _sample_paths(rate, count, seed, conditioned):
     """Flat jump times and per-path counts of ``count`` paths.
 
     Every batch of the layout first draws its jump counts from its own
-    stream; the flat arrays are sized from those counts.  Each batch then
-    draws its times with the same generator, as an (n, kmax) block of
-    uniforms, kmax the batch's largest count, so the stream does not depend
-    on the layout, and writes them sorted into its own slice.  No batch's
-    times are held twice.
+    stream, into the flat counts; the flat times are sized from them.  Each
+    batch then draws its times with the same generator, as an (n, kmax)
+    block of uniforms, kmax the batch's largest count, so the stream does
+    not depend on the layout.  A row with k jumps takes the first k entries
+    of its row of the block, sorted, and writes them to its place in the
+    flat times.  The rows are handled by their count: a two-jump row is the
+    (min, max) of its two entries, and the rows of any other count are
+    sorted as one (rows, k) block.  These are the bytes of sorting every
+    row padded with values above 1, and no batch's times are held twice.
+    The batches run in turn.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    ranges = list(batch_ranges(count))
-
-    def draw_counts(b):
-        rng = batch_generator(seed, DOMAIN_PATHS, ranges[b][0])
-        n = ranges[b][2] - ranges[b][1]
+    counts = np.empty(count, dtype=np.int64)
+    rngs = []
+    for b, start, stop in batch_ranges(count):
+        rng = batch_generator(seed, DOMAIN_PATHS, b)
         if conditioned:
             cdf = even_jump_count_cdf(float(rate))
-            k = 2 * np.searchsorted(cdf, rng.random(n), side="right")
+            counts[start:stop] = 2 * np.searchsorted(cdf, rng.random(stop - start),
+                                                     side="right")
         else:
-            k = rng.poisson(float(rate), size=n)
-        return rng, k.astype(np.int64)
+            counts[start:stop] = rng.poisson(float(rate), size=stop - start)
+        rngs.append(rng)
+    times = np.empty(int(counts.sum()))
 
-    drawn = map_batches(draw_counts, len(ranges))
-    rngs = [rng for rng, _ in drawn]
-    ends = np.cumsum([k.sum() for _, k in drawn])  # where each batch's times end
-    counts = np.concatenate([k for _, k in drawn])
-    del drawn
-    times = np.empty(ends[-1])
-
-    def draw_times(b):
-        _, start, stop = ranges[b]
+    end = 0  # where the batch's times begin
+    for (_, start, stop), rng in zip(batch_ranges(count), rngs):
         k = counts[start:stop]
-        kmax = int(k.max())
-        jumps = rngs[b].random((k.size, kmax))
-        real = np.arange(kmax) < k[:, None]
-        jumps[~real] = PAD
-        rows = np.flatnonzero(k >= 2)  # a row with fewer jumps is sorted
-        jumps[rows] = np.sort(np.take(jumps, rows, axis=0), axis=1)
-        times[ends[b] - k.sum() : ends[b]] = jumps[real]
-
-    map_batches(draw_times, len(ranges))
+        jumps = rng.random((k.size, int(k.max())))
+        at = np.cumsum(k)
+        at += end - k  # where each row's times begin
+        end = at[-1] + k[-1]
+        for c in np.flatnonzero(np.bincount(k)[1:]) + 1:
+            rows = np.flatnonzero(k == c)
+            dest = at[rows]
+            if c == 2:
+                lo, hi = jumps[rows, 0], jumps[rows, 1]
+                times[dest] = np.minimum(lo, hi)
+                times[dest + 1] = np.maximum(lo, hi)
+            else:
+                block = jumps[rows, :c]
+                block.sort(axis=1)
+                times[dest[:, None] + np.arange(c)] = block
     return times, counts
 
 
@@ -284,7 +288,7 @@ def _alternating_signs(width):
 
 def _group_chunks(ensemble, n):
     """The number of consecutive groups of n paths in the ensemble, and the
-    groups in one chunk of the overlap kernels.
+    (start, stop) group ranges of the chunks of the overlap kernels.
 
     A chunk pads its jumping paths to ``max_count``; it has BATCH_SIZE
     groups, or fewer where most paths jump, so that those rows take about
@@ -296,7 +300,9 @@ def _group_chunks(ensemble, n):
     jumping = np.count_nonzero(offsets[1:] > offsets[:-1]) / max(len(ensemble), 1)
     group_bytes = max(8.0 * ensemble.max_count * n * jumping, 1.0)
     size = min(BATCH_SIZE, max(1, int(OVERLAP_CHUNK_BYTES // group_bytes)))
-    return len(ensemble) // n, size
+    n_groups = len(ensemble) // n
+    return n_groups, [(start, min(start + size, n_groups))
+                      for start in range(0, n_groups, size)]
 
 
 def _pair_overlaps(times, counts, n, width):
@@ -319,14 +325,22 @@ def _pair_overlaps(times, counts, n, width):
     would be the other path's own row followed by width PADs, so such a
     pair takes that path's value, summed over the same 2 width columns; two
     jumpless paths give exactly 1.  Every entry is thus bit for bit the full
-    merge, whichever sort algorithm runs: equal keys are equal floats.  Only
-    one spin's block is held at a time, and its index arrays cover only its
-    pairs.
+    merge, whichever sort algorithm runs: equal keys are equal floats.
+
+    A pair of two-jump paths skips the buffer (``_two_jump_overlaps``): its
+    merged row holds four times, then zeros, and its sum is taken as numpy
+    takes it.  A two-jump path t1 <= t2 against a jumpless partner takes
+    A = 1 + 2 (t1 - t2), the sum of its row in any order.  Only one spin's
+    block is held at a time, and its index arrays cover only its pairs.
     """
     n_groups = counts.size // n
     jumping = counts > 0
     movers = np.flatnonzero(jumping)
-    rows = _padded(times, counts[movers], width)  # one row per jumping path
+    held = counts[movers]
+    rows = _padded(times, held, width)  # one row per jumping path
+    begin = np.cumsum(held) - held  # every jumping path has two jumps or more
+    t1, t2 = times[begin], times[begin + 1]
+    long = held > 2
     slot = np.empty(counts.size, dtype=np.int64)  # the row of path p, if it jumps
     slot[movers] = np.arange(movers.size)
     signs = _alternating_signs(2 * width)
@@ -350,12 +364,12 @@ def _pair_overlaps(times, counts, n, width):
         return values
 
     alone = np.ones(counts.size)  # each path's A against a jumpless path
-    alone[movers] = overlaps(np.arange(movers.size), None)
+    alone[movers] = 1.0 + 2.0 * (t1 - t2)
+    alone[movers[long]] = overlaps(np.flatnonzero(long), None)
     alone = np.ascontiguousarray(alone.reshape(n_groups, n).T)
     jumping = np.ascontiguousarray(jumping.reshape(n_groups, n).T)
     for i in range(n - 1):
-        block = alone[i + 1 :].copy()  # pairs (i, j) for j > i
-        np.copyto(block, alone[i], where=jumping[i])
+        block = np.where(jumping[i], alone[i], alone[i + 1 :])  # pairs (i, j), j > i
         both = np.flatnonzero(jumping[i + 1 :] & jumping[i])  # entry (j - i - 1) G + g
         first = both % n_groups
         first *= n
@@ -363,49 +377,75 @@ def _pair_overlaps(times, counts, n, width):
         second = both // n_groups
         second += first
         second += 1  # path j of group g
-        block.ravel()[both] = overlaps(slot[first], slot[second])
+        first, second = slot[first], slot[second]
+        merge = long[first] | long[second]
+        block.ravel()[both[merge]] = overlaps(first[merge], second[merge])
+        short = ~merge
+        first, second = first[short], second[short]
+        block.ravel()[both[short]] = _two_jump_overlaps(
+            t1[first], t2[first], t1[second], t2[second], width)
         yield i, block
+
+
+def _two_jump_overlaps(a1, a2, b1, b2, width):
+    """A for pairs of two-jump paths, a1 < a2 against b1 < b2, bit for bit
+    as ``_pair_overlaps`` sums their merged row of 2 width columns.
+
+    The sorted union is u1 = min(a1, b1), then u2 <= u3, the min and max of
+    max(a1, b1) and min(a2, b2), then u4 = max(a2, b2); the signed row is
+    u1, -u2, u3, -u4 and exact zeros.  numpy sums a row of 8 or more
+    entries pairwise, which groups its first four as (u1 - u2) + (u3 - u4)
+    and adds only zeros after them, and a shorter row in turn.
+    """
+    u1, u4 = np.minimum(a1, b1), np.maximum(a2, b2)
+    inner_lo, inner_hi = np.maximum(a1, b1), np.minimum(a2, b2)
+    u2, u3 = np.minimum(inner_lo, inner_hi), np.maximum(inner_lo, inner_hi)
+    if 2 * width >= 8:
+        total = (u1 - u2) + (u3 - u4)
+    else:
+        total = ((u1 - u2) + u3) - u4
+    return 1.0 + 2.0 * total
 
 
 def p_n_batch(ensemble, n_spins):
     """P_N = (1/N^2) sum_{i,j} A_ij^2 for consecutive groups of ``n_spins`` paths.
 
     The ensemble length must be a multiple of n_spins; returns one value per
-    group.  Vectorized over groups, exact per pair; blocks of groups run on
-    the worker pool.
+    group.  Vectorized over groups, exact per pair, with the closed forms of
+    ``_pair_overlaps`` for two-jump paths; the chunks of groups run in turn,
+    and the result does not depend on the chunking or the worker count.
     """
     n = int(n_spins)
     if n < 2:
         raise ValueError("n_spins must be >= 2")
-    n_groups, size = _group_chunks(ensemble, n)
-
-    def block(start, stop, out):
-        acc = np.full(stop - start, float(n))  # diagonal terms A_ii = 1
-        chunk = _chunk(ensemble, start * n, stop * n)
-        for _, pairs in _pair_overlaps(*chunk, n, ensemble.max_count):
+    n_groups, chunks = _group_chunks(ensemble, n)
+    acc = np.full(n_groups, float(n))  # diagonal terms A_ii = 1
+    for start, stop in chunks:
+        block = acc[start:stop]
+        for _, pairs in _pair_overlaps(*_chunk(ensemble, start * n, stop * n), n,
+                                       ensemble.max_count):
             for a in pairs:
-                acc += 2.0 * np.square(a)
-        np.divide(acc, n**2, out=out)
-
-    return fill_chunks(block, np.empty(n_groups), size)
+                block += 2.0 * np.square(a)
+    return acc / n**2
 
 
 def overlap_matrix_batch(ensemble, n_spins):
     """(n_groups, N, N) overlap matrices A for consecutive groups of paths.
 
-    Blocks of groups run on the worker pool.
+    Every entry is the one ``p_n_batch`` squares, closed forms included;
+    the chunks of groups run in turn.
     """
     n = int(n_spins)
-    n_groups, size = _group_chunks(ensemble, n)
-
-    def block(start, stop, out):
+    n_groups, chunks = _group_chunks(ensemble, n)
+    out = np.empty((n_groups, n, n))
+    for start, stop in chunks:
+        block = out[start:stop]
         for i, pairs in _pair_overlaps(*_chunk(ensemble, start * n, stop * n), n,
                                        ensemble.max_count):
-            out[:, i, i + 1 :] = pairs.T
-            out[:, i + 1 :, i] = pairs.T
-        out[:, np.arange(n), np.arange(n)] = 1.0
-
-    return fill_chunks(block, np.empty((n_groups, n, n)), size)
+            block[:, i, i + 1 :] = pairs.T
+            block[:, i + 1 :, i] = pairs.T
+    out[:, np.arange(n), np.arange(n)] = 1.0
+    return out
 
 
 # -- signed cell lengths as jump-cell terms -------------------------------

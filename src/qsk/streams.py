@@ -14,6 +14,8 @@ each drive a multi-threaded OpenBLAS oversubscribe the cores, and a LAPACK
 result that depends on the BLAS thread count would make the output depend
 on the machine.  The pool size is one process-wide setting, made by the
 ``worker_count`` context.  No caller deals with BLAS threads or worker counts.
+Only the disorder study's chunks, whose eigensolves are LAPACK-bound, use
+the pool; the memory-bound path kernels ran no faster on it and run in turn.
 """
 
 import ctypes
@@ -101,23 +103,6 @@ def map_batches(fn, n_batches):
             return [fn(b) for b in indices]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, indices))
-
-
-def fill_chunks(block, out, size):
-    """Call ``block(start, stop, out[start:stop])`` for every chunk of ``size`` rows.
-
-    The chunks run on the worker pool, in index order.  Rows (paths or
-    groups) are independent, so ``out`` depends neither on the chunking nor
-    on the worker count.
-    """
-    count = out.shape[0]
-
-    def chunk(b):
-        start, stop = b * size, min((b + 1) * size, count)
-        block(start, stop, out[start:stop])
-
-    map_batches(chunk, -(-count // size))
-    return out
 
 
 @lru_cache(maxsize=1)

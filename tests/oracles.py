@@ -10,9 +10,10 @@ matrix instead, one PAD-padded row per path at the width of the largest
 count, which ``padded_matrix`` builds from the flat layout.  The first
 gives the dense signed cell lengths, one row per path; the other two are
 the unchunked, single-threaded forms of the overlap kernels (the pairwise
-merge loop), which the chunked kernels on the worker pool must reproduce
-bit for bit, as ``signed_totals`` must reproduce ``signed_totals_padded``;
-``even_paths`` is the sampler's batch layout drawn on one thread.
+merge loop), which the chunked kernels, two-jump closed forms included,
+must reproduce bit for bit, as ``signed_totals`` must reproduce
+``signed_totals_padded``; ``even_paths`` and ``poisson_paths`` are the
+sampler's batch layout with every row sorted as a whole padded row.
 ``quadratic_forms_full`` and ``weighted_gram_full`` are the variational path
 kernels on a whole (paths x M) signed-length matrix at once, with a row for
 every path, jumpless ones included: the dense route that the jump-cell
@@ -206,10 +207,25 @@ def even_paths(rate, count, seed):
     PAD-only rows included; each row's real times are then read in order.
     """
     cdf = even_jump_count_cdf(float(rate))
+
+    def draw_counts(rng, n):
+        return 2 * np.searchsorted(cdf, rng.random(n), side="right")
+
+    return _padded_block_paths(count, seed, draw_counts)
+
+
+def poisson_paths(rate, count, seed):
+    """The flat jump times and the counts of ``sample_unconditioned``, drawn
+    and sorted as ``even_paths`` draws and sorts them."""
+    return _padded_block_paths(count, seed,
+                               lambda rng, n: rng.poisson(float(rate), size=n))
+
+
+def _padded_block_paths(count, seed, draw_counts):
     times, counts = [], []
     for b, start, stop in batch_ranges(count):
         rng = batch_generator(seed, DOMAIN_PATHS, b)
-        k = 2 * np.searchsorted(cdf, rng.random(stop - start), side="right")
+        k = draw_counts(rng, stop - start)
         kmax = int(k.max())
         block = rng.random((stop - start, kmax))
         block[np.arange(kmax)[None, :] >= k[:, None]] = PAD

@@ -406,8 +406,8 @@ def test_variational_ess_gate(tmp_path, capsys):
 ])
 def test_path_mc_output_does_not_depend_on_workers(command, capsys):
     # the P_N groups (annealed) and the signed-length rows (variational)
-    # span four chunks, so the pool runs both path kernels; variational
-    # now always adds its deterministic static section
+    # span four chunks, which run in turn; variational now always adds its
+    # deterministic static section
     args = command + ["--ensembles", str(3 * BATCH_SIZE + 50), "--seed", "8"]
     outputs = []
     for workers in ("1", "3"):
@@ -605,7 +605,7 @@ def test_verify_unknown_check(capsys):
 
 
 def test_verify_subset_worker_invariant(tmp_path, capsys):
-    # path_kernels samples 20k-path ensembles, five batches each on the pool
+    # path_kernels samples 20k-path ensembles, five batches each, in turn
     args = ["verify", "--only", "closed_forms", "--only", "moment_chain",
             "--only", "path_kernels", "--seed", "99"]
     out1, out2 = tmp_path / "v1.txt", tmp_path / "v2.txt"
@@ -632,10 +632,33 @@ def test_verify_passes_workers_to_the_checks(monkeypatch, capsys):
             super().__init__(max_workers)
 
     monkeypatch.setattr(streams, "ThreadPoolExecutor", RecordingPool)
-    assert cli.main(["verify", "--only", "path_kernels", "--workers", "3"]) == 0
+    assert cli.main(["verify", "--only", "disorder", "--workers", "3"]) == 0
     capsys.readouterr()
     assert sizes and set(sizes) == {3}
     assert streams._workers is None
+
+
+@pytest.mark.parametrize("command", [
+    ["annealed", "--n-spins", "8", "--ensembles", str(3 * BATCH_SIZE)],
+    ["variational", "--m-cells", "8", "--ensembles", str(3 * BATCH_SIZE)],
+    ["verify", "--only", "path_kernels"],
+])
+def test_path_kernels_start_no_pool(command, monkeypatch, capsys):
+    # the sampler and the overlap and signed-length kernels run their
+    # batches in turn, whatever the worker count: two threads ran these
+    # memory-bound kernels no faster on two cores, so only the disorder
+    # chunks go through the pool
+    started = []
+
+    class RecordingPool(streams.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(streams, "ThreadPoolExecutor", RecordingPool)
+    assert cli.main(command + ["--workers", "2"]) == 0
+    capsys.readouterr()
+    assert started == []
 
 
 def test_verify_keeps_quadrature_warnings_on_stderr(tmp_path):

@@ -31,6 +31,7 @@ from oracles import (
     p_n_batch_serial,
     p_n_functional,
     padded_matrix,
+    poisson_paths,
     quadratic_forms_full,
     sample_even_path,
     sigma_at,
@@ -217,8 +218,9 @@ def test_overlap_riemann_cross_check():
 
 def test_ensemble_deterministic_across_workers():
     # at rate 0 no batch jumps; at rate 0.02 and seed 11 batches 1 and 3 do
-    # not jump while batches 0 and 2 do
-    for rate in (1.0, 0.0, 0.02):
+    # not jump while batches 0 and 2 do; at rate 3 some 45% of the paths
+    # jump more than twice
+    for rate in (1.0, 0.0, 0.02, 3.0):
         with worker_count(1):
             e1 = sample_ensemble(rate, MULTI_CHUNK, seed=11)
         with worker_count(4):
@@ -237,6 +239,18 @@ def test_ensemble_deterministic_across_workers():
         else:
             e_other = sample_ensemble(rate, MULTI_CHUNK, seed=12)
             assert not np.array_equal(e1.offsets, e_other.offsets)
+        if rate == 3.0:
+            assert np.mean(counts > 2) > 0.4 and counts.max() >= 10
+
+
+def test_unconditioned_sampler_matches_padded_oracle():
+    # the same bytes as sorting every padded row of every batch's block,
+    # with one-jump rows, which need no sort, and odd counts above 2
+    times, counts = sample_unconditioned(1.5, MULTI_CHUNK, seed=19)
+    ref_times, ref_counts = poisson_paths(1.5, MULTI_CHUNK, seed=19)
+    assert times.tobytes() == ref_times.tobytes()
+    assert counts.tobytes() == ref_counts.tobytes()
+    assert {1, 3} <= set(counts.tolist())
 
 
 def test_sigma_matrix_and_total_times():
@@ -346,7 +360,7 @@ def test_p_n_batch_matches_loop():
                                atol=1e-13)
 
 
-# -- chunked pool kernels against their serial forms ------------------------
+# -- chunked kernels against their serial forms -----------------------------
 
 
 def _fresh(ens):
@@ -403,11 +417,26 @@ def _uniform_paths(counts, rng):
     return PathEnsemble(np.concatenate(times), counts, rate=1.0)
 
 
+def _spread_paths(counts, rng):
+    """A PathEnsemble whose path k has ``counts[k]`` jump times e^(-30 u),
+    u uniform: times of many magnitudes, on which the pairwise and the
+    in-turn sum of a merged row often round apart."""
+    times = [np.sort(np.exp(-30.0 * rng.random(k))) for k in counts]
+    return PathEnsemble(np.concatenate(times), counts, rate=1.0)
+
+
 def _overlap_input(kind, n_spins, groups):
-    """An ensemble of ``groups`` groups of paths of one of seven kinds."""
+    """An ensemble of ``groups`` groups of paths of one of ten kinds."""
     if kind.startswith("rate"):
         return sample_ensemble(float(kind[5:]), n_spins * groups, seed=23)
     rng = np.random.default_rng(24)
+    if kind == "two_jumps":
+        # every pair takes the closed form, on rows of 4 columns
+        return _spread_paths(np.full(groups * n_spins, 2), rng)
+    if kind == "width_two":
+        # no path jumps more than twice: a merged row has 2 * 2 < 8 columns,
+        # which numpy sums in turn
+        return _spread_paths(2 * rng.integers(0, 2, size=groups * n_spins), rng)
     counts = 2 * rng.integers(1, 4, size=(groups, n_spins))
     if kind == "first_chunk_still":
         # no path of the first chunk (at most BATCH_SIZE groups) jumps
@@ -419,12 +448,18 @@ def _overlap_input(kind, n_spins, groups):
         # every chunk but the first pads to 6 columns where a merged row
         # must still span 2 * 24: row sums round by their length
         counts[0, 0] = 24
+    elif kind == "one_very_long":
+        # 2 * 66 columns, which numpy's pairwise row sum splits (above 128),
+        # and times on which the pairwise and the in-turn sum round apart
+        counts[0, 0] = 66
+        return _spread_paths(counts.ravel(), rng)
     return _uniform_paths(counts.ravel(), rng)
 
 
 @pytest.mark.parametrize("n_spins", [2, 16])
 @pytest.mark.parametrize("kind", ["rate_0", "rate_0.2", "rate_1.5", "all_jump",
-                                  "first_chunk_still", "one_jumper", "one_long"])
+                                  "first_chunk_still", "one_jumper", "one_long",
+                                  "two_jumps", "width_two", "one_very_long"])
 def test_overlap_kernels_match_pair_loop_oracle(kind, n_spins):
     groups = 2 * BATCH_SIZE + 7  # two full chunks and part of a third
     ens = _overlap_input(kind, n_spins, groups)
@@ -439,6 +474,12 @@ def test_overlap_kernels_match_pair_loop_oracle(kind, n_spins):
         assert jumping.all()
     elif kind == "one_jumper":
         assert np.all(jumping.sum(axis=1) == 1)
+    elif kind == "two_jumps":
+        assert np.all(np.diff(ens.offsets) == 2)
+    elif kind == "width_two":
+        assert ens.max_count == 2 and 0.4 < jumping.mean() < 0.6
+    elif kind == "one_very_long":
+        assert 2 * ens.max_count > 128
     jumps = padded_matrix(ens.times, np.diff(ens.offsets))
     mats = overlap_matrix_serial(jumps, n_spins)
     p_n = p_n_batch_serial(jumps, n_spins)
@@ -500,14 +541,23 @@ def test_sampling_holds_one_copy_of_the_paths():
     # every batch draws its counts first, the flat arrays are sized from
     # them, and each batch writes its sorted times into its own slice, so
     # the sampling peak stays below 1.25 times the arrays it returns
-    tracemalloc.start()
-    try:
-        with worker_count(2):
-            times, counts = paths._sample_paths(3.0, 480_000, 26, conditioned=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    def traced(sample):
+        tracemalloc.start()
+        try:
+            with worker_count(2):
+                result = sample(3.0, 480_000, 26)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (times, counts), peak = traced(
+        lambda *args: paths._sample_paths(*args, conditioned=True))
     assert peak < 1.25 * (times.nbytes + counts.nbytes), peak
+    # the checks of the ensemble add its offsets and one bool a jump
+    ens, peak = traced(sample_ensemble)
+    assert ens.times.tobytes() == times.tobytes()
+    arrays = times.nbytes + counts.nbytes + ens.offsets.nbytes
+    assert peak < arrays + 2 * times.size, (peak, arrays)
 
 
 @pytest.mark.parametrize("m_cells", [3, 4, 8])

@@ -40,7 +40,6 @@ from qsk.streams import (
     BATCH_SIZE,
     batch_generator,
     batch_ranges,
-    fill_chunks,
     map_batches,
     resolve_workers,
     worker_count,
@@ -557,22 +556,6 @@ def test_every_public_name_has_a_reader_in_the_package():
                and not member.name.startswith("_")
                and member.name not in attributes]
     assert unread == []
-
-
-def test_fill_chunks_covers_the_batch_layout():
-    # each chunk sees its own rows of out, and the last one stops at the
-    # row count
-    count = 2 * BATCH_SIZE + 5
-    seen = []
-
-    def block(start, stop, rows):
-        seen.append((start, stop))
-        rows[:] = np.arange(start, stop)
-
-    with worker_count(2):
-        out = fill_chunks(block, np.full(count, -1), BATCH_SIZE)
-    assert sorted(seen) == [(start, stop) for _, start, stop in batch_ranges(count)]
-    assert np.array_equal(out, np.arange(count))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
