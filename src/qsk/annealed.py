@@ -113,7 +113,8 @@ def k_of_lambda(lam):
     """k(lam) >= 0; equals 0 iff 4*lam <= 1, and k(lam) <= lam always.
 
     The objective can be bimodal near the threshold, so a 512-point dense
-    scan brackets the maximizer before bounded Brent refinement.  The
+    scan brackets the maximizer before parabolic refinement
+    (``scan_minimize``); the value found is never above the true maximum.  The
     Gaussian expectation uses Gauss-Hermite nodes; doubling is checked once.
     """
     lam = float(lam)
@@ -127,7 +128,7 @@ def k_of_lambda(lam):
 
     def evaluate(nodes):
         return -scan_minimize(lambda q: -_k_objective(lam, q, nodes),
-                              np.linspace(0.0, 1.0, 512))
+                              np.linspace(0.0, 1.0, 512))[1]
 
     value, _ = refine_once(evaluate, "k_of_lambda")
     return max(0.0, value)

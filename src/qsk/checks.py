@@ -13,7 +13,7 @@ import numpy as np
 
 from . import annealed, constants, disorder, hilbert, paths, variational
 from .constants import ModelParams
-from .numerics import brent_bounded, logcosh
+from .numerics import logcosh, scan_minimize
 from .stats import mean_with_err
 
 #: (g, beta_b, endpoint sign) of the endpoint-resolved exponential moments
@@ -38,7 +38,8 @@ def check_closed_forms(seed):
     tie = float(np.abs(direct / constants.two_p_minus_m(cond) - 1.0).max())
     root = 1.1996786402577338
     p_at_root = constants.p_of(root)
-    x_max, neg_c0_max = brent_bounded(lambda x: -constants.c0_of(x), 0.5, 1.5, 1e-10)
+    x_max, neg_c0_max = scan_minimize(lambda x: -constants.c0_of(x),
+                                      np.linspace(0.5, 1.5, 101))
     ok = (
         dev < 1e-10
         and tie < 1e-10
@@ -47,7 +48,7 @@ def check_closed_forms(seed):
         and abs(x_max - 0.9089795156301270) < 1e-6
     )
     detail = ("identity_dev=%.3e float_tie_dev=%.3e p_at_root_dev=%.3e "
-              "c0_max=%.12g at %.12g"
+              "c0_max=%.12g at %.8g"
               % (dev, tie, abs(p_at_root - 0.5), -neg_c0_max, x_max))
     return ok, detail
 
@@ -122,22 +123,26 @@ def check_path_kernels(seed, mu_points=6, mu_paths=20_000, laplace_cases=2,
             kernel = variational.GridFunction(np.full((8, 8), 0.8))
             constant_ok = variational.lambda_functional(kernel, ens).agrees_with(
                 variational.lambda_constant(0.8, bb), n_sigma=n_sigma)
-    lap_bad = 0
+    lap_z = []
     for i, (g, bb, s) in enumerate(_LAPLACE_CASES[:laplace_cases]):
         times, counts = paths.sample_unconditioned(bb, laplace_paths, seed + 200 + i)
         tot = paths.signed_totals(times, counts)
         keep = 1 - 2 * (counts % 2) == s
         est = mean_with_err(np.exp(bb + g * tot) * keep)
-        lap_bad += not est.agrees_with(paths.laplace_conditional(g, bb, s),
-                                       n_sigma=n_sigma)
-    p_bad = 0
+        exact = paths.laplace_conditional(g, bb, s)
+        lap_z.append(abs(est.value - exact) / est.std_err)
+    p_z = []
     for n in p_n_spins:
         params = ModelParams(n, 0.1, 1.0)
         est = annealed.mean_p_n(params, p_n_ensembles, seed + 300 + n)
-        p_bad += not est.agrees_with(constants.p_n_of(n, 1.0), n_sigma=n_sigma)
+        p_z.append(abs(est.value - constants.p_n_of(n, 1.0)) / est.std_err)
+    lap_bad = sum(z > n_sigma for z in lap_z)
+    p_bad = sum(z > n_sigma for z in p_z)
     ok = mu_bad == 0 and constant_ok and lap_bad == 0 and p_bad == 0
-    return ok, ("mu_bad=%d worst_z=%.2f constant_kernel=%s laplace_bad=%d p_n_bad=%d"
-                % (mu_bad, worst_z, "ok" if constant_ok else "BAD", lap_bad, p_bad))
+    return ok, ("mu_bad=%d worst_z=%.2f constant_kernel=%s laplace_bad=%d "
+                "laplace_worst_z=%.2f p_n_bad=%d p_n_worst_z=%.2f"
+                % (mu_bad, worst_z, "ok" if constant_ok else "BAD", lap_bad,
+                   max(lap_z, default=0.0), p_bad, max(p_z, default=0.0)))
 
 
 def check_f_bounds(seed, lams=(0.125,), beta_bs=(1.0,), spins=(2, 4),

@@ -1,12 +1,11 @@
 """Shared numerical kernels: overflow-safe elementary functions, quadrature
-and the package's one scalar minimizer, Brent's bounded method
-(``brent_bounded``), which ``scan_minimize`` runs after a grid scan.
+and the package's one scalar minimizer, ``scan_minimize``: a grid scan
+refined by three parabolic steps.
 
 Everything here is deterministic and free of package state; the quadrature
 node tables are cached per node count.
 """
 
-import math
 import warnings
 from functools import lru_cache
 
@@ -17,8 +16,10 @@ LN2 = float(np.log(2.0))
 REFINE_RTOL = 1e-6
 #: Gauss nodes of every quadrature; ``refine_once`` checks them against twice
 QUAD_NODES = 64
-#: function evaluations after which ``brent_bounded`` stops
-BRENT_MAX_EVALS = 500
+#: parabolic steps of ``scan_minimize`` after its grid scan
+PARABOLA_STEPS = 3
+#: spacing of each parabolic step's three points, in grid spacings
+PARABOLA_SHRINK = 0.01
 
 
 class QuadratureConvergenceWarning(UserWarning):
@@ -123,85 +124,33 @@ def refine_once(evaluate, label):
     return fine, converged
 
 
-def brent_bounded(f, lo, hi, xatol):
-    """(x, f(x)) at a minimum of the scalar function ``f`` on [lo, hi].
-
-    Brent's bounded minimizer (R. P. Brent, Algorithms for Minimization
-    without Derivatives, 1973, ch. 5): x is the best point so far, w the
-    second best and v the one before w.  A step is the minimum of the
-    parabola through x, w and v where that lies inside the bracket and moves
-    less than half the step before last; otherwise it is a golden-section
-    step into the larger side of the bracket.  The search stops once the
-    bracket around x is within 2 (sqrt(2.2e-16) |x| + xatol / 3) of its
-    midpoint, or after ``BRENT_MAX_EVALS`` evaluations.  The iterates are
-    those of ``scipy.optimize.minimize_scalar(method="bounded")``, bit for
-    bit, without its option handling and result object.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    x = w = v = a + golden * (b - a)
-    fx = fw = fv = f(x)
-    evals = 1
-    d = e = 0.0
-    mid = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(x) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(x - mid) > tol2 - 0.5 * (b - a):
-        parabolic = False
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, d
-            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-                parabolic = True
-                d = p / q
-                u = x + d
-                if u - a < tol2 or b - u < tol2:
-                    d = tol1 if mid >= x else -tol1  # stay tol1 off the ends
-        if not parabolic:
-            e = a - x if x >= mid else b - x
-            d = golden * e
-        step = max(abs(d), tol1)
-        u = x + step if d >= 0.0 else x - step
-        fu = f(u)
-        evals += 1
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-        mid = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(x) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if evals >= BRENT_MAX_EVALS:
-            break
-    return x, fx
-
-
 def scan_minimize(f, grid):
-    """min f on [grid[0], grid[-1]]: a scan of ``grid``, then ``brent_bounded``.
+    """(x, f(x)) at the least value of f on [grid[0], grid[-1]].
 
-    ``f`` maps an array of points to their values.  Brent refines the least
-    grid value between its two neighbours to 1e-12; the smaller minimum wins.
+    ``f`` maps an array of points to their values.  The least of a scan of
+    ``grid`` (3 or more evenly spaced points) and its two neighbours start
+    ``PARABOLA_STEPS`` steps.  Each step evaluates the vertex of the parabola
+    through the last three points (the least of them where those are not
+    convex) and that point +- ``PARABOLA_SHRINK`` grid spacings, clipped to
+    the grid.  The least value seen wins, so the result is never above the
+    scan's.
     """
     vals = f(grid)
     i = int(np.argmin(vals))
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-    _, fmin = brent_bounded(lambda x: float(f(np.array([x]))[0]), lo, hi, 1e-12)
-    return float(min(vals[i], fmin))
+    x, fx = grid[i], vals[i]
+    j = min(max(i, 1), len(grid) - 2)
+    xs, fs = grid[j - 1:j + 2], vals[j - 1:j + 2]
+    h = PARABOLA_SHRINK * (grid[1] - grid[0])
+    for _ in range(PARABOLA_STEPS):
+        (x0, x1, x2), (f0, f1, f2) = xs, fs
+        a, b = (x1 - x0) * (f1 - f2), (x1 - x2) * (f1 - f0)
+        if a - b < 0.0:  # convex: the vertex
+            v = x1 - 0.5 * ((x1 - x0) * a - (x1 - x2) * b) / (a - b)
+        else:
+            v = xs[np.argmin(fs)]
+        xs = np.clip([v - h, v, v + h], grid[0], grid[-1])
+        fs = f(xs)
+        k = np.argmin(fs)
+        if fs[k] < fx:
+            x, fx = xs[k], fs[k]
+    return float(x), float(fx)

@@ -95,8 +95,8 @@ class PathEnsemble:
     A path that does not jump takes no space, so the ensemble costs 8 bytes
     a path for its offset plus 8 bytes a jump.  The constructor takes the
     times and the per-path jump counts, and raises ValueError unless every
-    count is even and >= 0, the counts add up to ``times.size`` and each
-    path's times are sorted and lie in (0, 1].
+    count is an even integer >= 0, the counts add up to ``times.size`` and
+    each path's times are sorted and lie in (0, 1].
 
     Sampled ensembles are fully determined by (seed, count, rate): the draw
     is split into fixed-size batches with one counter-based stream each.
@@ -111,7 +111,10 @@ class PathEnsemble:
 
     def __init__(self, times, counts, rate, seed=None):
         times = np.ascontiguousarray(times, dtype=float)
-        counts = np.asarray(counts, dtype=np.int64)
+        counts = np.asarray(counts)
+        if counts.dtype.kind not in "iu" and not np.all(np.floor(counts) == counts):
+            raise ValueError("every jump count must be an integer")
+        counts = counts.astype(np.int64, copy=False)
         if times.ndim != 1 or counts.ndim != 1:
             raise ValueError("times and counts must be flat arrays")
         self.offsets = _check_paths(times, counts)

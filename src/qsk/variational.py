@@ -412,8 +412,8 @@ def static_approximation(lam, beta_b):
 
     The restriction of the variational problem to constant kernels; satisfies
     -lam <= J <= -m^2 lam, with J/lam -> -m^2 as lam -> 0 and -> -1 as
-    lam -> infinity.  A dense scan plus bounded Brent (``scan_minimize``) over
-    Lambda at ``QUAD_NODES`` Gauss-Hermite nodes, without a doubling check.
+    lam -> infinity.  A dense scan plus parabolic steps (``scan_minimize``)
+    over Lambda at ``QUAD_NODES`` Gauss-Hermite nodes, without a doubling check.
     At beta_b = 0 the paths never jump (sigma = 1, m = 1), both bounds meet
     and J = -lam exactly, which the scan would only reach up to rounding.
     """
@@ -425,7 +425,7 @@ def static_approximation(lam, beta_b):
     return scan_minimize(
         lambda xs: lam * xs * xs
         - _lambda_constant_vec(2.0 * lam * xs, beta_b, QUAD_NODES),
-        np.linspace(0.0, 1.5, 601))
+        np.linspace(0.0, 1.5, 601))[1]
 
 
 def static_threshold(beta_b):

@@ -151,9 +151,12 @@ def test_folded_k_matches_all_nodes():
             assert np.all(np.abs(folded - full) <= 1e-14 * np.maximum(1.0, np.abs(full)))
         if 4.0 * lam > 1.0:
             unfolded, _ = refine_once(
-                lambda n: -scan_minimize(lambda x: -k_objective_unfolded(lam, x, n), q),
+                lambda n: -scan_minimize(
+                    lambda x: -k_objective_unfolded(lam, x, n), q)[1],
                 "unfolded k")
-            assert abs(k_of_lambda(lam) - max(0.0, unfolded)) <= 1e-14, lam
+            # on the scale max(1, |k|): one ulp of k(100) ~ 84.85 is 1.4e-14
+            assert (abs(k_of_lambda(lam) - max(0.0, unfolded))
+                    <= 1e-14 * max(1.0, unfolded)), lam
 
 
 def test_k_derivative_equals_q_squared():

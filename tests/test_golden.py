@@ -16,10 +16,10 @@ import pytest
 from qsk import cli
 
 GOLDEN = {
-    "region": "aaa4f0924f16a5ad9eb8015fedb109247164893e995799c716baeb3cfc98402b",
+    "region": "2134a25088a86984a83c8293d065f2bf18e4d7835c6afbe5296c3915a4f42ad4",
     "constants": "b1458dc76a3ab8937a2b2c0224beb6e0fd4da4337308556ab77b184baccc3cbe",
     "static --lam-count 5":
-        "1b94db7dcd14bdadc4ea0bd826fc332318076cc72a3e4d8182fd25790df854a5",
+        "e380d449689fe45bba25a777f4db7ab4db8d630b901b3d32027e6ad8e2d200a4",
     "exactdiag --n-spins 4":
         "daac29c2140da09d930e4e23835d1029970e57d0632b0164e63b5d32569019e8",
     "annealed --n-spins 2 --ensembles 4000":
@@ -27,11 +27,11 @@ GOLDEN = {
     "annealed --n-spins 4 --ensembles 4000":
         "2706927a6ff9acf5dba28ed547638cf3368fc28f1659c7197a16cf3ea0bf8202",
     "variational --ensembles 5000 --m-cells 8":
-        "2b3b0d75c18be2e3ea896b35d8de41ea4a55aa7b4b44d66a5620a2b83bcaec6f",
+        "93b96858942db2f20ec37c329ee05a7e06a4e967aa720db15bb42d770a211ad7",
     "quenched --n-spins 4 --n-disorder 60 --per-sample-out per_sample.csv":
         "ff0b083096b23b315ce124e7b12858ea63249b5646bcdeade8661775fd15ad79",
     "verify --seed 777":
-        "f309b5e91b03a7438ea2fd668f3fca31690ee22ff0331d36e10c19656deb5022",
+        "7f341b9622fe12486db2ed3884176b98f4162e4cd1bb124c006953bbb5227fd3",
 }
 
 #: files a command writes besides stdout, keyed like GOLDEN

@@ -98,6 +98,7 @@ def test_jump_path_validation():
     ([0.2, 0.7, 0.5, 0.6], [4, -2], "even and >= 0"),
     ([0.2, 0.7, 0.9, 0.95], [1, 3], "even and >= 0"),
     ([0.3, 0.2], [0, 2, 0], "sorted"),  # between jumpless paths
+    ([0.2, 0.7], [2.9], "integer"),  # not truncated to a one-path ensemble
 ])
 def test_path_ensemble_rejects_malformed_rows(jumps, counts, message):
     # every kernel reads path k as counts[k] sorted times in (0, 1]
