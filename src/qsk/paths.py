@@ -29,9 +29,10 @@ step to sigma, and the step's cell integrals are one partial cell plus all
 the cells after it, so a path's row is a handful of terms: one indicator of
 "all cells from here on" and one partial cell for each cell that holds
 jumps (``CellTerms``).  Jumps that share a cell share its terms.  The
-ensemble memoizes, per M, each jumping path's products of pairs of terms,
-which turn a quadratic form in the row into lookups into one table; a
-jumpless path has no terms.
+ensemble memoizes, per M, each jumping path's term coefficients and the
+table indices of its pairs of terms, which turn a quadratic form in the
+row into lookups into one table; the kernels make the products of the
+pairs' coefficients one piece at a time.  A jumpless path has no terms.
 """
 
 from functools import lru_cache
@@ -56,6 +57,15 @@ PAD = 2.0
 
 #: bytes of padded jump times that one chunk of the overlap kernels may hold
 OVERLAP_CHUNK_BYTES = 2 << 20
+
+#: path offsets and jump counts are int32: an ensemble holds fewer jumps
+JUMP_LIMIT = 1 << 31
+
+#: pair terms that one piece of the variational kernels reads
+PIECE_PAIRS = 1 << 15
+
+#: paths whose jump cells one chunk of the CellTerms build holds
+BUILD_PATHS = 4 * BATCH_SIZE
 
 
 @lru_cache(maxsize=256)
@@ -92,11 +102,12 @@ class PathEnsemble:
 
     ``times`` holds the sorted jump times of every path, concatenated in
     path order; path k's times are ``times[offsets[k]:offsets[k + 1]]``.
-    A path that does not jump takes no space, so the ensemble costs 8 bytes
-    a path for its offset plus 8 bytes a jump.  The constructor takes the
-    times and the per-path jump counts, and raises ValueError unless every
-    count is an even integer >= 0, the counts add up to ``times.size`` and
-    each path's times are sorted and lie in (0, 1].
+    A path that does not jump takes no space, so the ensemble costs 4 bytes
+    a path for its int32 offset plus 8 bytes a jump.  The constructor takes
+    the times and the per-path jump counts, and raises ValueError unless
+    every count is an even integer >= 0, the counts add up to
+    ``times.size``, fewer than ``JUMP_LIMIT`` (2**31) in all, and each
+    path's times are sorted and lie in (0, 1].
 
     Sampled ensembles are fully determined by (seed, count, rate): the draw
     is split into fixed-size batches with one counter-based stream each.
@@ -114,7 +125,6 @@ class PathEnsemble:
         counts = np.asarray(counts)
         if counts.dtype.kind not in "iu" and not np.all(np.floor(counts) == counts):
             raise ValueError("every jump count must be an integer")
-        counts = counts.astype(np.int64, copy=False)
         if times.ndim != 1 or counts.ndim != 1:
             raise ValueError("times and counts must be flat arrays")
         self.offsets = _check_paths(times, counts)
@@ -151,18 +161,25 @@ class PathEnsemble:
 
 
 def _check_paths(times, counts):
-    """The offsets of the paths in ``times``, one more than there are paths.
+    """The int32 offsets of the paths in ``times``, one more than there are
+    paths.
 
     Raises ValueError unless every count is even and >= 0, the counts add
     up to ``times.size`` and the times of each path are sorted and lie in
-    (0, 1], which a NaN does not.  Each check is a pass over the flat arrays.
-    A jump at t = 1 is a jump at the last cell boundary and is accepted.
-    Besides the offsets, the checks hold one bool a jump: the parity and the
-    sign are reductions (some count is odd iff the bitwise OR of all is).
+    (0, 1], which a NaN does not.  The total count must stay below
+    ``JUMP_LIMIT``; it is checked before anything the size of the counts is
+    made.  Each check is a pass over the flat arrays.  A jump at t = 1 is a
+    jump at the last cell boundary and is accepted.  Besides the offsets,
+    the checks hold one bool a jump: the parity and the sign are reductions
+    (some count is odd iff the bitwise OR of all is).
     """
-    if counts.min(initial=0) < 0 or np.bitwise_or.reduce(counts) & 1:
+    if counts.min(initial=0) < 0:
         raise ValueError("every jump count must be even and >= 0")
-    offsets = np.zeros(counts.size + 1, dtype=np.int64)
+    _check_total(counts.sum(dtype=float))
+    counts = counts.astype(np.int32, copy=False)
+    if np.bitwise_or.reduce(counts) & 1:
+        raise ValueError("every jump count must be even and >= 0")
+    offsets = np.zeros(counts.size + 1, dtype=np.int32)
     np.cumsum(counts, out=offsets[1:])
     if offsets[-1] != times.size:
         raise ValueError(f"the jump counts add up to {offsets[-1]}, "
@@ -175,6 +192,14 @@ def _check_paths(times, counts):
     if not rising.all():
         raise ValueError("the jump times of every path must be sorted")
     return offsets
+
+
+def _check_total(total):
+    """Raise ValueError unless ``total`` jumps, fewer than JUMP_LIMIT, fit
+    int32 offsets."""
+    if total >= JUMP_LIMIT:
+        raise ValueError(f"{total:.0f} jumps: the int32 offsets of an ensemble "
+                         f"hold fewer than 2**31")
 
 
 def _sample_paths(rate, count, seed, conditioned):
@@ -190,11 +215,13 @@ def _sample_paths(rate, count, seed, conditioned):
     (min, max) of its two entries, and the rows of any other count are
     sorted as one (rows, k) block.  These are the bytes of sorting every
     row padded with values above 1, and no batch's times are held twice.
-    The batches run in turn.
+    The batches run in turn.  The counts are int32; a total of
+    ``JUMP_LIMIT`` jumps or more raises ValueError before the times are
+    made.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    counts = np.empty(count, dtype=np.int64)
+    counts = np.empty(count, dtype=np.int32)
     rngs = []
     for b, start, stop in batch_ranges(count):
         rng = batch_generator(seed, DOMAIN_PATHS, b)
@@ -205,7 +232,9 @@ def _sample_paths(rate, count, seed, conditioned):
         else:
             counts[start:stop] = rng.poisson(float(rate), size=stop - start)
         rngs.append(rng)
-    times = np.empty(int(counts.sum()))
+    total = int(counts.sum())
+    _check_total(total)
+    times = np.empty(total)
 
     end = 0  # where the batch's times begin
     for (_, start, stop), rng in zip(batch_ranges(count), rngs):
@@ -458,18 +487,171 @@ class TermGroup:
     """The terms of the jumping paths that have J jump cells.
 
     ``rows`` holds the paths' places among the ensemble's jumping paths, in
-    path order.  Row k of ``pairs`` and ``coefs`` lists the pairs p <= q of
-    path k's 2J + 1 terms c_p v_(i_p) (see CellTerms): the index
-    i_p (2M + 1) + i_q into a flat (2M + 1) x (2M + 1) table and f c_p c_q,
-    with f = 2 for p < q.  For symmetric A, <z, A z> is then the row sum of
-    ``coefs`` times (V^T A V) at ``pairs``.  ``cells`` and ``levels`` hold
-    each path's jump cells c and z_c, from which ``CellTerms.squares``
-    makes the pair terms of z o z when they are needed.
+    path order.  Column k of ``coefs`` holds the coefficients c_p of path
+    k's 2J + 1 terms c_p v_(i_p) (see CellTerms): 1 for u_0, then alpha_c
+    and gamma_c of its jump cells in increasing c.  Row k of ``pairs`` lists
+    the pairs p <= q of these terms as the index i_p (2M + 1) + i_q into a
+    flat (2M + 1) x (2M + 1) table; its first 2J + 1 entries pair u_0
+    (index 0) with each term, so they are the term indices i_q themselves.
+    The pairs' products (c_p f) c_q, f = 2 for p < q, are not stored: the
+    kernels make them for one piece of about PIECE_PAIRS pairs at a time,
+    one row of n values a pair.  For symmetric A, <z, A z> is the sum of
+    the products times (V^T A V) at ``pairs``.
     """
 
-    def __init__(self, rows, pairs, coefs, cells, levels):
+    def __init__(self, rows, pairs, coefs):
         self.rows, self.pairs, self.coefs = rows, pairs, coefs
-        self.cells, self.levels = cells, levels
+
+    def pieces(self):
+        """Slices of about PIECE_PAIRS pairs that cover the rows in order."""
+        size = max(1, PIECE_PAIRS // self.pairs.shape[1])
+        return [slice(start, start + size) for start in range(0, self.rows.size, size)]
+
+    def put(self, rows, cells, m_cells):
+        """Write the pair indices of ``rows``, whose jump cells on m_cells
+        cells are ``cells``, one row a jump cell."""
+        self.pairs[rows] = _pair_index(_term_ids(cells.T, m_cells), 2 * m_cells + 1)
+
+    def forms(self, table):
+        """<z, A z> of every path, for ``table`` = V^T A V flat: the sum of
+        its pair products times the table at its pairs, bit for bit as
+        numpy sums them as a row (``_column_sums``)."""
+        out = np.empty(self.rows.size)
+        for rows in self.pieces():
+            values = np.take(table, self.pairs[rows].T)
+            values *= _products(self.coefs[:, rows])
+            out[rows] = _column_sums(values)
+        return out
+
+    def weigh(self, rows, factor, out):
+        """Write the pair products of ``rows`` times ``factor``, one value a
+        path, to ``out``, one row a path like ``pairs``."""
+        products = _products(self.coefs[:, rows])
+        products *= factor
+        out[:] = products.T
+        return out
+
+    def squares(self, rows):
+        """The pair indices and products, laid out like ``pairs``, of z o z
+        for ``rows``: its J + 1 terms are u_0 (1 on every cell, as z_k^2 = 1
+        off the jump cells) and (z_c^2 - 1) e_c for each jump cell c.
+        z_c = sigma_c + gamma_c, where sigma_c, 1 plus the alphas of the
+        earlier jump cells, is the value of sigma on cell c before its
+        first jump."""
+        coefs = self.coefs[:, rows]
+        j = coefs.shape[0] // 2
+        level = np.ones((j + 1, coefs.shape[1]))
+        np.cumsum(coefs[1:j], axis=0, out=level[2:])
+        level[2:] += 1.0
+        level[1:] += coefs[j + 1 :]
+        level[1:] = np.square(level[1:]) - 1.0
+        return self.pairs[rows][:, _square_pairs(j)], _products(level).T
+
+
+class TwoCellGroup(TermGroup):
+    """The TermGroup of the paths with two jump cells, c1 < c2.
+
+    A path with two jumps in two cells has alpha = (-2, 2), so 12 of its 15
+    pair products are constants or a power of two times gamma_1 or
+    gamma_2 (``_TWO_CELLS``), and only gamma_1^2, 2 gamma_1 gamma_2 and
+    gamma_2^2 take a product.  A factor that is a power of two can be
+    applied before or after the others without changing a bit, so the
+    kernels apply the constants and the gammas apart.  The other paths of
+    the group (alpha = (0, 0): four jumps or more) take the products as
+    such.
+
+    The pair indices of such a path depend on (c1, c2) alone: ``keys``
+    holds c2 (c2 - 1)/2 + c1 for each path, and row k of ``key_pairs``
+    the pair indices of key k.  ``forms`` scales the table values of every
+    key by the constants once, gathers them by key, one row a pair, and
+    adds each path's 15 values as numpy adds a row (``_column_sums``).
+    """
+
+    def __init__(self, rows, pairs, coefs, m_cells):
+        super().__init__(rows, pairs, coefs)
+        c2, c1 = np.tril_indices(m_cells, -1)  # key c2 (c2 - 1)/2 + c1, in order
+        self.keys = np.empty(rows.size, np.min_scalar_type(c1.size))
+        self.key_pairs = _pair_index(_term_ids(np.stack([c1, c2], 1), m_cells),
+                                     2 * m_cells + 1).astype(pairs.dtype)
+
+    def put(self, rows, cells, m_cells):
+        c1, c2 = cells.astype(np.int64)
+        keys = self.keys[rows]
+        keys[:] = c2 * (c2 - 1) // 2 + c1
+        np.take(self.key_pairs, keys, axis=0, out=self.pairs[rows])
+
+    def forms(self, table):
+        scaled = np.take(table, self.key_pairs.T)
+        scaled *= _TWO_CELLS[:, None]
+        out = np.empty(self.rows.size)
+        for rows in self.pieces():
+            coefs = self.coefs[:, rows]
+            values = np.take(scaled, self.keys[rows], axis=1)
+            gamma = coefs[3:]
+            values[3:5] *= gamma
+            values[7:9] *= gamma
+            values[10:12] *= gamma
+            values[12:14] *= gamma * gamma[0]
+            values[14] *= np.square(gamma[1])
+            other = _alpha_zero(coefs)
+            if other.size:
+                values[:, other] = np.take(table, self.pairs[rows][other].T)
+                values[:, other] *= _products(coefs[:, other])
+            out[rows] = _column_sums(values)
+        return out
+
+    def weigh(self, rows, factor, out):
+        coefs = self.coefs[:, rows]
+        gamma = coefs[3:]
+        cols = np.empty(out.shape[::-1])  # one row a pair
+        cols[0] = factor
+        for k in (1, 2, 5, 6, 9):
+            np.multiply(factor, _TWO_CELLS[k], out=cols[k])
+        both = gamma * factor
+        for k in (3, 7, 10):  # gamma_1 and gamma_2 against one term
+            np.multiply(both, _TWO_CELLS[k], out=cols[k : k + 2])
+        np.multiply(gamma * gamma[0], factor, out=cols[12:14])
+        cols[13] *= 2.0
+        np.multiply(np.square(gamma[1]), factor, out=cols[14])
+        other = _alpha_zero(coefs)
+        if other.size:
+            cols[:, other] = _products(coefs[:, other]) * factor[other]
+        out[:] = cols.T
+        return out
+
+
+def _alpha_zero(coefs):
+    """The columns of two-cell ``coefs`` whose alpha is (0, 0), not (-2, 2)."""
+    return np.flatnonzero(coefs[2] - coefs[1] != 4.0)
+
+
+def _column_sums(cols):
+    """The sum of each column of ``cols``, bit for bit as numpy sums each
+    row of a C-ordered copy of ``cols.T``: 0.0 plus a pairwise sum of its n
+    entries, which adds them in turn below 8, keeps 8 interleaved partial
+    sums r_i up to 128 (combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+    (r6 + r7)), followed by the last n % 8 entries in turn) and above 128
+    adds the sums of its first floor(n/2) - (floor(n/2) mod 8) entries and
+    of the rest.  Each step is one vector operation over all columns.
+    """
+    n = cols.shape[0]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _column_sums(cols[:half]) + _column_sums(cols[half:])
+    if n < 8:
+        total = np.full(cols.shape[1], -0.0)
+        for row in cols:
+            total += row
+        return total + 0.0
+    r = cols[:8].copy()
+    for start in range(8, n - n % 8, 8):
+        r += cols[start : start + 8]
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    total = r[0] + r[1]
+    for row in cols[n - n % 8 :]:
+        total += row
+    return total + 0.0
 
 
 class CellTerms:
@@ -490,6 +672,8 @@ class CellTerms:
     K jumps has 2J + 1 terms, J <= min(K, M) its number of jump cells.
     ``groups`` holds one TermGroup for each J that occurs, in increasing J.
     A jumpless path would have z = u_0, the pair index 0, and is left out.
+    A path with two jumps in two cells holds 30 bytes of pair indices (up
+    to M = 127), 40 of coefficients, a 4-byte row and a 2-byte key.
     """
 
     def __init__(self, m_cells, n_jumping, groups):
@@ -510,19 +694,6 @@ class CellTerms:
         both[:, :m] = rows[:, ::-1].cumsum(axis=1)[:, ::-1]
         return np.block([[both, rows], [rows.T, a]]).ravel()
 
-    def squares(self, group, rows):
-        """The pairs and coefficients, like ``group.pairs`` and
-        ``group.coefs``, of z o z for ``rows`` of ``group``: its J + 1 terms
-        are u_0 (1 on every cell, as z_k^2 = 1 off the jump cells) and
-        (z_c^2 - 1) e_c for each jump cell c."""
-        cells = group.cells[rows]
-        ids = np.zeros((cells.shape[0], cells.shape[1] + 1), np.int64)
-        ids[:, 1:] = cells
-        ids[:, 1:] += self.m_cells + 1
-        coefs = np.ones(ids.shape)
-        coefs[:, 1:] = np.square(group.levels[rows]) - 1.0
-        return _pair_terms(ids, coefs, 2 * self.m_cells + 1)
-
     def unfold(self, h):
         """V h V^T, an M x M matrix, for h flat like ``table``: u_b adds to
         the cells >= b, so V is a prefix sum over the first M + 1 indices
@@ -533,27 +704,32 @@ class CellTerms:
         return vh[:, : m + 1].cumsum(axis=1)[:, :m] + vh[:, m + 1 :]
 
 
+def _cell_starts(times, counts, m):
+    """The cell floor(M t) of every jump of a flat layout on m cells (the
+    last cell for t = 1), whether it is the first jump of its cell in its
+    path, and the first jump of each jumping path."""
+    counts = counts[counts > 0]
+    cell = np.minimum((m * times).astype(np.int32), m - 1)  # floor: t >= 0
+    starts = np.cumsum(counts) - counts
+    first = np.ones(times.size, dtype=bool)
+    np.not_equal(cell[1:], cell[:-1], out=first[1:])
+    first[starts] = True
+    return cell, first, starts
+
+
 def _jump_cells(times, counts, m):
     """The jump cells of the jumping paths of a flat layout, on m cells.
 
     Returns the number of jump cells of each jumping path and, for every
-    jump cell in path order, the cell c, alpha_c, gamma_c and
-    z_c = sigma_c + gamma_c, where sigma_c is the value of sigma on the
-    cell before its first jump.
+    jump cell in path order, the cell c, alpha_c and gamma_c.
     """
-    counts = counts[counts > 0]
-    y = m * times
-    cell = np.minimum(y.astype(np.int32), m - 1)  # floor: y >= 0
-    starts = np.cumsum(counts) - counts  # each path's first jump
-    index = np.arange(times.size) - np.repeat(starts, counts)  # j - 1
+    cell, first, starts = _cell_starts(times, counts, m)
+    index = np.arange(times.size) - np.repeat(starts, counts[counts > 0])  # j - 1
     a = np.where(index & 1, 2.0, -2.0)
-    first = np.ones(times.size, dtype=bool)  # the first jump of its cell
-    first[1:] = (cell[1:] != cell[:-1]) | (index[1:] == 0)
     at = np.flatnonzero(first)
-    gamma = np.add.reduceat(a * ((cell + 1) - y), at)
-    level = (1 - 2 * (index[at] & 1)) + gamma
+    gamma = np.add.reduceat(a * ((cell + 1) - m * times), at)
     return (np.add.reduceat(first, starts, dtype=np.int64), cell[at],
-            np.add.reduceat(a, at), gamma, level)
+            np.add.reduceat(a, at), gamma)
 
 
 @lru_cache(maxsize=64)
@@ -563,52 +739,91 @@ def _triangle(n):
     return p, q, np.where(p < q, 2.0, 1.0)
 
 
-def _pair_terms(ids, coefs, width):
-    """The pairs p <= q of each row's terms: i_p width + i_q, and f c_p c_q."""
-    p, q, f = _triangle(ids.shape[1])
-    return ids[:, p] * width + ids[:, q], coefs[:, p] * f * coefs[:, q]
+@lru_cache(maxsize=64)
+def _square_pairs(j):
+    """The places, among the pairs of the 2j + 1 terms of a path with j jump
+    cells, of the pairs of its terms u_0, e_(c_1), ..., e_(c_j)."""
+    p, q, _ = _triangle(2 * j + 1)
+    place = np.zeros((2 * j + 1, 2 * j + 1), np.int64)
+    place[p, q] = np.arange(p.size)
+    terms = np.r_[0, j + 1 : 2 * j + 1]
+    p, q, _ = _triangle(j + 1)
+    return place[terms[p], terms[q]]
+
+
+def _term_ids(cells, m):
+    """The term indices u_0, u_(c+1), e_c of rows of jump cells on m cells."""
+    ids = np.zeros((cells.shape[0], 2 * cells.shape[1] + 1), np.int32)
+    ids[:, 1 : cells.shape[1] + 1] = cells + 1
+    ids[:, cells.shape[1] + 1 :] = cells + 1 + m
+    return ids
+
+
+def _pair_index(ids, width):
+    """The pairs p <= q of each row's term indices, as i_p width + i_q."""
+    p, q, _ = _triangle(ids.shape[1])
+    return ids[:, p] * width + ids[:, q]
+
+
+def _products(coefs):
+    """The pairs p <= q of the term coefficients in each column of
+    ``coefs``, one row a pair, as (c_p f) c_q."""
+    p, q, f = _triangle(coefs.shape[0])
+    products = np.take(coefs, p, axis=0)
+    products *= f[:, None]
+    products *= np.take(coefs, q, axis=0)
+    return products
+
+
+#: the pair products of a path with two jumps in two cells, for gamma = 1
+_TWO_CELLS = _products(np.array([[1.0], [-2.0], [2.0], [1.0], [1.0]]))[:, 0]
 
 
 def _cell_terms(ensemble, m_cells):
     """The CellTerms of the ensemble on m_cells uniform cells.
 
-    The jump cells of each BATCH_SIZE chunk of paths size every group; each
-    chunk's terms then go into its own rows of the groups.
+    A first pass counts the jump cells of every jumping path, BUILD_PATHS
+    paths at a time, which sizes every group; the second finds each chunk's
+    jump cells again and writes its terms into its own rows of the groups.
+    Only one chunk's jump cells are held.
     """
     m = int(m_cells)
     if m < 1:
         raise ValueError("m_cells must be >= 1")
     width = 2 * m + 1
+    def chunks():
+        for start in range(0, len(ensemble), BUILD_PATHS):
+            yield _chunk(ensemble, start, min(start + BUILD_PATHS, len(ensemble)))
 
-    cells = [_jump_cells(*_chunk(ensemble, start, stop), m)
-             for _, start, stop in batch_ranges(len(ensemble))]
-    top = max((int(n.max(initial=0)) for n, *_ in cells), default=0)
+    sizes = [np.add.reduceat(first, starts, dtype=np.int32)  # jump cells a path
+             for _, first, starts in (_cell_starts(*chunk, m) for chunk in chunks())]
+    top = max((int(n.max(initial=0)) for n in sizes), default=0)
     tally = np.array([np.bincount(n, minlength=top + 1)
-                      for n, *_ in cells]).reshape(-1, top + 1)
+                      for n in sizes]).reshape(-1, top + 1)
     before = np.cumsum(tally, axis=0) - tally  # group rows of the earlier chunks
     movers = np.cumsum(tally.sum(axis=1))  # jumping paths up to each chunk
     index = np.min_scalar_type(width * width - 1)  # holds every table index
-    groups = {j: TermGroup(np.empty(size, np.int32),
-                           np.empty((size, (2 * j + 1) * (j + 1)), index),
-                           np.empty((size, (2 * j + 1) * (j + 1))),
-                           np.empty((size, j), index), np.empty((size, j)))
-              for j, size in enumerate(tally.sum(axis=0)) if j and size}
+    groups = {}
+    for j, size in enumerate(tally.sum(axis=0)):
+        if j and size:
+            arrays = (np.empty(size, np.int32),
+                      np.empty((size, (2 * j + 1) * (j + 1)), index),
+                      np.empty((2 * j + 1, size)))
+            groups[j] = TwoCellGroup(*arrays, m) if j == 2 else TermGroup(*arrays)
 
-    for chunk, (n, cell, alpha, gamma, level) in enumerate(cells):
+    for chunk, (times, counts) in enumerate(chunks()):
+        n, cell, alpha, gamma = _jump_cells(times, counts, m)
         first = np.cumsum(n) - n
         for j, group in groups.items():
             local = np.flatnonzero(n == j)
             rows = slice(before[chunk, j], before[chunk, j] + local.size)
             group.rows[rows] = movers[chunk] - n.size + local
-            at = first[local, None] + np.arange(j)
-            group.cells[rows], group.levels[rows] = cell[at], level[at]
-            ids = np.zeros((local.size, 2 * j + 1), np.int32)  # u_0, u_(c+1), e_c
-            ids[:, 1 : j + 1] = cell[at] + 1
-            ids[:, j + 1 :] = ids[:, 1 : j + 1] + m
-            coefs = np.ones(ids.shape)
-            coefs[:, 1 : j + 1] = alpha[at]
-            coefs[:, j + 1 :] = gamma[at]
-            group.pairs[rows], group.coefs[rows] = _pair_terms(ids, coefs, width)
+            at = first[local] + np.arange(j)[:, None]  # one row a jump cell
+            group.put(rows, cell[at], m)
+            coefs = group.coefs[:, rows]
+            coefs[0] = 1.0
+            coefs[1 : j + 1] = alpha[at]
+            coefs[j + 1 :] = gamma[at]
     return CellTerms(m, int(tally.sum()), tuple(groups.values()))
 
 

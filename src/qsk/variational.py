@@ -24,10 +24,12 @@ row of M signed cell lengths: with z = M s written as a sum of a few
 columns of a fixed (M x (2M + 1)) matrix V, a form <z, psi z> is a sum of
 lookups into the table V^T psi V, 15 for a path with two jumps in two
 cells, and the weighted Gram sum wt z z^T is V h V^T, where h adds up the
-same pair terms by table index.  Every jumpless path has z = u_0, so the
-sample average is one atom, the n0 jumpless paths with the common form
-and weight, plus the paths that jump.  The kernels go through the terms in
-chunks of rows, in turn: at a few lookups a path the pool's start-up and
+same pair terms by table index.  The products of the terms' coefficients
+are made for one piece of paths at a time (closed forms for two jumps in
+two cells), not stored.  Every jumpless path has z = u_0, so the sample
+average is one atom, the n0 jumpless paths with the common form and
+weight, plus the paths that jump.  The kernels go through the terms in
+pieces of rows, in turn: at a few lookups a path the pool's start-up and
 contention cost more than they save.  The results do not depend on the
 worker count, and agree with the dense (paths x M) route of
 ``tests/oracles.py`` to rounding (see ``form_bounds`` there).
@@ -40,6 +42,7 @@ import numpy as np
 from .constants import c0_of, inf_g_n_over_n, m_of, p_of
 from .numerics import (QUAD_NODES, gauss_hermite, logcosh, logsumexp,
                        refine_once, scan_minimize)
+from .paths import PIECE_PAIRS
 from .stats import EstimateWithError, log_mean_exp
 
 __all__ = [
@@ -138,22 +141,10 @@ def discretize_mu(m_cells, beta_b):
 # -- path functionals ------------------------------------------------------
 
 
-#: pair terms that one chunk of the path kernels reads
-PIECE_PAIRS = 1 << 15
-
 #: the fixed-point iteration stops once the sup-norm update falls below
 #: FIXED_POINT_TOL, or after FIXED_POINT_MAX_ITER iterations
 FIXED_POINT_TOL = 1e-8
 FIXED_POINT_MAX_ITER = 200
-
-
-def _pieces(terms):
-    """Yield ``(group, rows)``: slices of the rows of every TermGroup of
-    ``terms``, about PIECE_PAIRS pair terms each."""
-    for group in terms.groups:
-        size = max(1, PIECE_PAIRS // group.pairs.shape[1])
-        for start in range(0, group.rows.size, size):
-            yield group, slice(start, start + size)
 
 
 def _quadratic_forms(psi: GridFunction, terms, n_paths):
@@ -166,10 +157,8 @@ def _quadratic_forms(psi: GridFunction, terms, n_paths):
     """
     table = terms.table(psi.values) / psi.m_cells**2
     x = np.full(n_paths, table[0])
-    for group, rows in _pieces(terms):
-        values = np.take(table, group.pairs[rows])
-        values *= group.coefs[rows]
-        x[group.rows[rows]] = values.sum(axis=1)
+    for group in terms.groups:
+        x[group.rows] = group.forms(table)
     return x
 
 
@@ -198,29 +187,38 @@ def _weighted_gram(terms, x, with_err):
     ``x`` is laid out as ``_quadratic_forms`` returns it.  With z = M s,
     the weighted second moments are the Gram sum_i wt_i z_i z_i^T and, with
     ``with_err``, the same with wt_i^2 and with wt_i^2 on z_i o z_i.  Each
-    is V h V^T, where h adds up the weighted pair terms by table index, one
-    ``bincount`` per chunk of rows.  The n0 jumpless paths share z = u_0 and
-    the weight wt0, so they add n0 wt0 to h[0, 0], and n0 wt0^2 to the
-    other two.
+    is V h V^T, where h adds up the weighted pair products by table index,
+    one ``bincount`` for each piece of a TermGroup (``TermGroup.pieces``):
+    the pieces fix the order of every addition, so h keeps its bits.  The
+    n0 jumpless paths share z = u_0 and the weight wt0, so they add n0 wt0
+    to h[0, 0], and n0 wt0^2 to the other two.  Besides x it holds one
+    path-length vector, the weights (computed in place), and one piece's
+    buffers; the squared weights are made per piece, and once in full at
+    the end.
     """
     size = (2 * terms.m_cells + 1) ** 2  # entries of the flat table
-    u = np.exp(x - x.max())
-    total = u.sum()
-    wt = u / total
+    wt = x - x.max()
+    np.exp(wt, out=wt)
+    total = wt.sum()
     sums = np.zeros((3 if with_err else 1, size))
-    sums[0, 0] = u[terms.n_jumping :].sum() / total  # exactly 1 when all weights tie
+    sums[0, 0] = wt[terms.n_jumping :].sum() / total  # exactly 1 when all weights tie
+    wt /= total
     if with_err:
         sums[1:, 0] = np.square(wt[terms.n_jumping :]).sum()
 
-    for group, rows in _pieces(terms):
-        wt_rows = wt[group.rows[rows], None]
+    buffer = np.empty(max([PIECE_PAIRS] + [g.pairs.shape[1] for g in terms.groups]))
+    for group, rows in ((g, rows) for g in terms.groups for rows in g.pieces()):
         pairs = group.pairs[rows].ravel()
-        sums[0] += np.bincount(pairs, (group.coefs[rows] * wt_rows).ravel(), size)
+        weights = buffer[: pairs.size].reshape(-1, group.pairs.shape[1])
+        wt_rows = wt[group.rows[rows]]
+        group.weigh(rows, wt_rows, weights)
+        sums[0] += np.bincount(pairs, weights.ravel(), size)
         if with_err:
-            wt2_rows = np.square(wt_rows)
-            sums[1] += np.bincount(pairs, (group.coefs[rows] * wt2_rows).ravel(), size)
-            square_pairs, square_coefs = terms.squares(group, rows)
-            square_coefs *= wt2_rows
+            np.square(wt_rows, out=wt_rows)
+            group.weigh(rows, wt_rows, weights)
+            sums[1] += np.bincount(pairs, weights.ravel(), size)
+            square_pairs, square_coefs = group.squares(rows)
+            square_coefs *= wt_rows[:, None]
             sums[2] += np.bincount(square_pairs.ravel(), square_coefs.ravel(), size)
     grams = [terms.unfold(h) for h in sums]
     k = 0.5 * (grams[0] + grams[0].T)

@@ -106,6 +106,21 @@ def test_path_ensemble_rejects_malformed_rows(jumps, counts, message):
         PathEnsemble(jumps, counts, rate=1.0)
 
 
+def test_path_ensemble_refuses_int32_overflow_before_allocating():
+    # offsets are int32: the total count is checked before anything the
+    # size of the counts is made, so 2**31 jumps are refused at once
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"2\*\*31"):
+            PathEnsemble(np.empty(0), [2**30, 2**30], 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16, peak
+    ens = PathEnsemble([0.2, 0.7], np.array([2, 0], np.int64), 1.0)
+    assert ens.offsets.dtype == np.int32 and ens.offsets.tolist() == [0, 2, 2]
+
+
 def test_path_ensemble_checks_every_chunk():
     # a bad path after many good ones is found, and a jump at t = 1 is
     # accepted; one path's times may lie below the previous path's
@@ -231,7 +246,8 @@ def test_ensemble_deterministic_across_workers():
         # the same bytes as drawing every batch in turn and sorting every row
         times, counts = even_paths(rate, MULTI_CHUNK, seed=11)
         assert e4.times.tobytes() == times.tobytes()
-        assert np.diff(e4.offsets).tobytes() == counts.tobytes()
+        assert e4.offsets.dtype == np.int32
+        np.testing.assert_array_equal(np.diff(e4.offsets), counts)
         jumps = np.add.reduceat(counts, np.arange(0, MULTI_CHUNK, BATCH_SIZE))
         if rate == 0.0:
             assert not jumps.any()
@@ -250,7 +266,8 @@ def test_unconditioned_sampler_matches_padded_oracle():
     times, counts = sample_unconditioned(1.5, MULTI_CHUNK, seed=19)
     ref_times, ref_counts = poisson_paths(1.5, MULTI_CHUNK, seed=19)
     assert times.tobytes() == ref_times.tobytes()
-    assert counts.tobytes() == ref_counts.tobytes()
+    assert counts.dtype == np.int32
+    np.testing.assert_array_equal(counts, ref_counts)
     assert {1, 3} <= set(counts.tolist())
 
 
@@ -586,6 +603,54 @@ def test_signed_lengths_with_jumps_on_cell_boundaries(m_cells):
         np.testing.assert_allclose(ref[row * repeat],
                                    cell_signed_lengths(np.array(times), m_cells),
                                    rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("rate", [1.0, 3.0])
+@pytest.mark.parametrize("m_cells", [3, 8, 64])
+def test_rebuilt_pair_products_match_the_products_bit_for_bit(rate, m_cells):
+    # CellTerms keeps each path's 2J + 1 term coefficients; the kernels
+    # rebuild the pair products (c_p f) c_q for one piece at a time, with
+    # closed forms for two jumps in two cells, and add the forms up as
+    # numpy adds a row.  Every group, piece and product keeps its bits
+    ens = sample_ensemble(rate, MULTI_CHUNK, seed=31)
+    terms = ens.signed_lengths(m_cells)
+    rng = np.random.default_rng(32)
+    a = rng.standard_normal((m_cells, m_cells))
+    table = terms.table(a + a.T)
+    alphas = set()
+    for group in terms.groups:
+        forms = group.forms(table)
+        for rows in group.pieces():
+            coefs = group.coefs[:, rows].T
+            p, q = np.triu_indices(coefs.shape[1])
+            products = coefs[:, p] * np.where(p < q, 2.0, 1.0) * coefs[:, q]
+            out = np.empty(products.shape)
+            group.weigh(rows, np.ones(coefs.shape[0]), out)
+            assert out.tobytes() == products.tobytes(), (group.rows.size, rows)
+            factor = rng.random(coefs.shape[0])
+            group.weigh(rows, factor, out)
+            assert out.tobytes() == (products * factor[:, None]).tobytes()
+            values = np.take(table, group.pairs[rows]) * products
+            assert forms[rows].tobytes() == values.sum(axis=1).tobytes()
+            if coefs.shape[1] == 5:
+                alphas |= set(map(tuple, coefs[:, 1:3].tolist()))
+    # two jumps in two cells, and (but at rate 1 on 64 cells) paths with an
+    # even count of jumps in each of two cells
+    expected = {(-2.0, 2.0), (0.0, 0.0)}
+    if rate == 1.0 and m_cells == 64:
+        expected.remove((0.0, 0.0))
+    assert alphas == expected
+
+
+def test_column_sums_add_as_numpy_adds_a_row():
+    rng = np.random.default_rng(33)
+    for width in [*range(1, 20), 28, 45, 66, 91, 120, 128, 129, 136, 153, 300]:
+        rows = rng.standard_normal((500, width))
+        rows *= np.exp(rng.uniform(-20, 20, rows.shape))  # many magnitudes
+        rows[::7] = 0.0
+        rows[::11] = -0.0
+        got = paths._column_sums(np.ascontiguousarray(rows.T))
+        assert got.tobytes() == rows.sum(axis=1).tobytes(), width
 
 
 # -- closed-form kernels ---------------------------------------------------
