@@ -529,7 +529,6 @@ class TermGroup:
         products = _products(self.coefs[:, rows])
         products *= factor
         out[:] = products.T
-        return out
 
     def squares(self, rows):
         """The pair indices and products, laid out like ``pairs``, of z o z
@@ -617,7 +616,6 @@ class TwoCellGroup(TermGroup):
         if other.size:
             cols[:, other] = _products(coefs[:, other]) * factor[other]
         out[:] = cols.T
-        return out
 
 
 def _alpha_zero(coefs):
@@ -775,8 +773,11 @@ def _products(coefs):
     return products
 
 
-#: the pair products of a path with two jumps in two cells, for gamma = 1
-_TWO_CELLS = _products(np.array([[1.0], [-2.0], [2.0], [1.0], [1.0]]))[:, 0]
+#: the pair products of a path with two jumps in two cells, for gamma = 1:
+#: ``_products`` of its coefficients (1, -2, 2, 1, 1), written out because
+#: a numpy kernel run at import raises the peak RSS of every command
+_TWO_CELLS = np.array([1.0, -4.0, 4.0, 2.0, 2.0, 4.0, -8.0, -4.0, -4.0, 4.0,
+                       4.0, 4.0, 1.0, 2.0, 1.0])
 
 
 def _cell_terms(ensemble, m_cells):

@@ -207,19 +207,20 @@ def _weighted_gram(terms, x, with_err):
         sums[1:, 0] = np.square(wt[terms.n_jumping :]).sum()
 
     buffer = np.empty(max([PIECE_PAIRS] + [g.pairs.shape[1] for g in terms.groups]))
-    for group, rows in ((g, rows) for g in terms.groups for rows in g.pieces()):
-        pairs = group.pairs[rows].ravel()
-        weights = buffer[: pairs.size].reshape(-1, group.pairs.shape[1])
-        wt_rows = wt[group.rows[rows]]
-        group.weigh(rows, wt_rows, weights)
-        sums[0] += np.bincount(pairs, weights.ravel(), size)
-        if with_err:
-            np.square(wt_rows, out=wt_rows)
+    for group in terms.groups:
+        for rows in group.pieces():
+            pairs = group.pairs[rows].ravel()
+            weights = buffer[: pairs.size].reshape(-1, group.pairs.shape[1])
+            wt_rows = wt[group.rows[rows]]
             group.weigh(rows, wt_rows, weights)
-            sums[1] += np.bincount(pairs, weights.ravel(), size)
-            square_pairs, square_coefs = group.squares(rows)
-            square_coefs *= wt_rows[:, None]
-            sums[2] += np.bincount(square_pairs.ravel(), square_coefs.ravel(), size)
+            sums[0] += np.bincount(pairs, weights.ravel(), size)
+            if with_err:
+                np.square(wt_rows, out=wt_rows)
+                group.weigh(rows, wt_rows, weights)
+                sums[1] += np.bincount(pairs, weights.ravel(), size)
+                square_pairs, square_coefs = group.squares(rows)
+                square_coefs *= wt_rows[:, None]
+                sums[2] += np.bincount(square_pairs.ravel(), square_coefs.ravel(), size)
     grams = [terms.unfold(h) for h in sums]
     k = 0.5 * (grams[0] + grams[0].T)
     grad = GridFunction(k)

@@ -612,6 +612,8 @@ def test_rebuilt_pair_products_match_the_products_bit_for_bit(rate, m_cells):
     # rebuild the pair products (c_p f) c_q for one piece at a time, with
     # closed forms for two jumps in two cells, and add the forms up as
     # numpy adds a row.  Every group, piece and product keeps its bits
+    two_cells = paths._products(np.array([[1.0], [-2.0], [2.0], [1.0], [1.0]]))
+    assert paths._TWO_CELLS.tobytes() == two_cells[:, 0].tobytes()
     ens = sample_ensemble(rate, MULTI_CHUNK, seed=31)
     terms = ens.signed_lengths(m_cells)
     rng = np.random.default_rng(32)
