@@ -37,7 +37,7 @@ from .stats import (
     jackknife_se,
     mean_with_err,
 )
-from .streams import BATCH_SIZE, map_batches, pool_size
+from .streams import BATCH_SIZE, map_batches
 
 __all__ = [
     "DisorderStudyResult",
@@ -90,12 +90,10 @@ def _study_arrays(params, n_disorder, seed):
 
     All couplings are drawn first; the samples are then solved in the
     fewest contiguous chunks of balanced size that hold at most
-    ``CHUNK_BYTES`` of blocks each, each chunk as one stack.  More than one
-    chunk are made a multiple of the pool size (at most one a sample), so
-    that every worker gets as many.  ``map_batches`` decides whether the
-    chunks share the pool.  A sample's result does not depend on the stack
-    it is solved in and is stored at its sample index, so the output does
-    not depend on the worker count.  The
+    ``CHUNK_BYTES`` of blocks each, each chunk as one stack.  The layout
+    depends on N and the sample count alone: ``map_batches`` decides
+    whether the chunks share the pool, and each result is stored at its
+    sample index, so the output does not depend on the worker count.  The
     ``hilbert`` kernels check their invariants (symmetric, traceless blocks
     and |<Sz_i Sz_j>| <= 1) on every sample; a failure names the offending
     (seed, batch, index) triple.
@@ -133,9 +131,6 @@ def _study_arrays(params, n_disorder, seed):
 
     per_chunk = max(1, CHUNK_BYTES // (16 * dim * dim))
     n_chunks = -(-n_disorder // per_chunk)
-    if n_chunks > 1:
-        workers = pool_size()
-        n_chunks = min(n_disorder, -(-n_chunks // workers) * workers)
     map_batches(solve_chunk, n_chunks)
     return ln_z, -ln_z / n, op
 

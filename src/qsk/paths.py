@@ -502,10 +502,20 @@ class TermGroup:
     def __init__(self, rows, pairs, coefs):
         self.rows, self.pairs, self.coefs = rows, pairs, coefs
 
+    @property
+    def n_pairs(self):
+        """(J + 1)(2J + 1), the number of pairs of a path's terms."""
+        terms = self.coefs.shape[0]
+        return terms * (terms + 1) // 2
+
     def pieces(self):
         """Slices of about PIECE_PAIRS pairs that cover the rows in order."""
-        size = max(1, PIECE_PAIRS // self.pairs.shape[1])
+        size = max(1, PIECE_PAIRS // self.n_pairs)
         return [slice(start, start + size) for start in range(0, self.rows.size, size)]
+
+    def pair_indices(self, rows):
+        """The pair indices of ``rows``, laid out like ``pairs``."""
+        return self.pairs[rows]
 
     def put(self, rows, cells, m_cells):
         """Write the pair indices of ``rows``, whose jump cells on m_cells
@@ -544,7 +554,7 @@ class TermGroup:
         level[2:] += 1.0
         level[1:] += coefs[j + 1 :]
         level[1:] = np.square(level[1:]) - 1.0
-        return self.pairs[rows][:, _square_pairs(j)], _products(level).T
+        return self.pair_indices(rows)[:, _square_pairs(j)], _products(level).T
 
 
 class TwoCellGroup(TermGroup):
@@ -559,25 +569,28 @@ class TwoCellGroup(TermGroup):
     the group (alpha = (0, 0): four jumps or more) take the products as
     such.
 
-    The pair indices of such a path depend on (c1, c2) alone: ``keys``
-    holds c2 (c2 - 1)/2 + c1 for each path, and row k of ``key_pairs``
-    the pair indices of key k.  ``forms`` scales the table values of every
-    key by the constants once, gathers them by key, one row a pair, and
-    adds each path's 15 values as numpy adds a row (``_column_sums``).
+    The pair indices of every path of the group depend on its cells
+    (c1, c2) alone, so the group stores no ``pairs``: ``keys`` holds
+    c2 (c2 - 1)/2 + c1 for each path, row k of ``key_pairs`` the pair
+    indices of key k, and ``pair_indices`` gathers them for one piece.
+    ``forms`` scales the table values of every key by the constants once,
+    gathers them by key, one row a pair, and adds each path's 15 values as
+    numpy adds a row (``_column_sums``).
     """
 
-    def __init__(self, rows, pairs, coefs, m_cells):
-        super().__init__(rows, pairs, coefs)
+    def __init__(self, rows, coefs, m_cells):
+        self.rows, self.coefs = rows, coefs
         c2, c1 = np.tril_indices(m_cells, -1)  # key c2 (c2 - 1)/2 + c1, in order
         self.keys = np.empty(rows.size, np.min_scalar_type(c1.size))
         self.key_pairs = _pair_index(_term_ids(np.stack([c1, c2], 1), m_cells),
-                                     2 * m_cells + 1).astype(pairs.dtype)
+                                     2 * m_cells + 1)
 
     def put(self, rows, cells, m_cells):
         c1, c2 = cells.astype(np.int64)
-        keys = self.keys[rows]
-        keys[:] = c2 * (c2 - 1) // 2 + c1
-        np.take(self.key_pairs, keys, axis=0, out=self.pairs[rows])
+        self.keys[rows] = c2 * (c2 - 1) // 2 + c1
+
+    def pair_indices(self, rows):
+        return np.take(self.key_pairs, self.keys[rows], axis=0)
 
     def forms(self, table):
         scaled = np.take(table, self.key_pairs.T)
@@ -594,7 +607,8 @@ class TwoCellGroup(TermGroup):
             values[14] *= np.square(gamma[1])
             other = _alpha_zero(coefs)
             if other.size:
-                values[:, other] = np.take(table, self.pairs[rows][other].T)
+                keys = self.keys[rows][other]
+                values[:, other] = np.take(table, self.key_pairs[keys].T)
                 values[:, other] *= _products(coefs[:, other])
             out[rows] = _column_sums(values)
         return out
@@ -630,7 +644,10 @@ def _column_sums(cols):
     sums r_i up to 128 (combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
     (r6 + r7)), followed by the last n % 8 entries in turn) and above 128
     adds the sums of its first floor(n/2) - (floor(n/2) mod 8) entries and
-    of the rest.  Each step is one vector operation over all columns.
+    of the rest.  Each step is one vector operation over all columns.  The
+    kernels build their values one row a pair because (paths x pairs) rows
+    summed by numpy made the forms about twice as slow; a test checks this
+    schedule against numpy's own row sums.
     """
     n = cols.shape[0]
     if n > 128:
@@ -670,8 +687,8 @@ class CellTerms:
     K jumps has 2J + 1 terms, J <= min(K, M) its number of jump cells.
     ``groups`` holds one TermGroup for each J that occurs, in increasing J.
     A jumpless path would have z = u_0, the pair index 0, and is left out.
-    A path with two jumps in two cells holds 30 bytes of pair indices (up
-    to M = 127), 40 of coefficients, a 4-byte row and a 2-byte key.
+    A path with two jumps in two cells holds 40 bytes of coefficients, a
+    4-byte row and a 2-byte key of its cells (up to M = 362).
     """
 
     def __init__(self, m_cells, n_jumping, groups):
@@ -807,10 +824,9 @@ def _cell_terms(ensemble, m_cells):
     groups = {}
     for j, size in enumerate(tally.sum(axis=0)):
         if j and size:
-            arrays = (np.empty(size, np.int32),
-                      np.empty((size, (2 * j + 1) * (j + 1)), index),
-                      np.empty((2 * j + 1, size)))
-            groups[j] = TwoCellGroup(*arrays, m) if j == 2 else TermGroup(*arrays)
+            rows, coefs = np.empty(size, np.int32), np.empty((2 * j + 1, size))
+            groups[j] = (TwoCellGroup(rows, coefs, m) if j == 2 else TermGroup(
+                rows, np.empty((size, (2 * j + 1) * (j + 1)), index), coefs))
 
     for chunk, (times, counts) in enumerate(chunks()):
         n, cell, alpha, gamma = _jump_cells(times, counts, m)

@@ -87,12 +87,6 @@ def worker_count(workers):
         _workers = previous
 
 
-def pool_size():
-    """The worker count ``map_batches`` uses: the ``worker_count`` setting,
-    else QSK_WORKERS, else 1."""
-    return _workers or resolve_workers()
-
-
 def map_batches(fn, n_batches):
     """Apply ``fn(batch_index)`` for each batch (or work chunk), in index order.
 
@@ -102,7 +96,7 @@ def map_batches(fn, n_batches):
     they run in turn.  Results are collected into a list indexed by batch, so they do
     not depend on the worker count or on the order of completion.
     """
-    workers = pool_size()
+    workers = _workers or resolve_workers()
     indices = range(n_batches)
     with single_blas_thread() as pinned:
         if not pinned or workers <= 1 or n_batches <= 1:

@@ -206,11 +206,11 @@ def _weighted_gram(terms, x, with_err):
     if with_err:
         sums[1:, 0] = np.square(wt[terms.n_jumping :]).sum()
 
-    buffer = np.empty(max([PIECE_PAIRS] + [g.pairs.shape[1] for g in terms.groups]))
+    buffer = np.empty(max([PIECE_PAIRS] + [g.n_pairs for g in terms.groups]))
     for group in terms.groups:
         for rows in group.pieces():
-            pairs = group.pairs[rows].ravel()
-            weights = buffer[: pairs.size].reshape(-1, group.pairs.shape[1])
+            pairs = group.pair_indices(rows).ravel()
+            weights = buffer[: pairs.size].reshape(-1, group.n_pairs)
             wt_rows = wt[group.rows[rows]]
             group.weigh(rows, wt_rows, weights)
             sums[0] += np.bincount(pairs, weights.ravel(), size)

@@ -255,7 +255,7 @@ def form_bounds(terms, psi_values):
     pairs = np.zeros(terms.n_jumping + 1)
     pairs[-1] = 1
     for group in terms.groups:
-        pairs[group.rows] = group.pairs.shape[1]
+        pairs[group.rows] = group.n_pairs
     eps = np.finfo(float).eps
     return 8 * np.abs(psi_values).max() * eps * pairs * (2 * terms.m_cells + 2 + pairs)
 

@@ -133,21 +133,16 @@ def _per_sample_bytes(result):
     return [a.tobytes() for a in result.per_sample]
 
 
-#: chunk counts of a study at 1, 2, 3 and 4 workers: the fewest chunks of
-#: at most CHUNK_BYTES of blocks (256 samples at N = 5, 64 at N = 6, 1 at
-#: N = 10: 2, 7 and 12 chunks), rounded up to a multiple of the pool size
-WORKER_CHUNKS = {(5, 300): (2, 2, 3, 4), (6, 400): (7, 8, 9, 8), (10, 12): (12,) * 4}
-
-
 def test_run_study_worker_invariance(monkeypatch):
     # every study spreads its samples over several chunks, and N = 10 is
     # large enough that eigh's bits depend on the BLAS thread count unless
-    # it is pinned
+    # it is pinned; 6 x 400 makes 7 chunks, which 2 and 4 workers do not
+    # divide
     calls = _spy_map_batches(monkeypatch)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for n, count in WORKER_CHUNKS:
+        for n, count in ((5, 300), (6, 400), (10, 12)):
             params = ModelParams(n, 0.1, 1.0)
             runs = {}
             for w in (1, 2, 3, 4):
@@ -158,8 +153,11 @@ def test_run_study_worker_invariance(monkeypatch):
                 assert runs[w].quenched_mean == runs[1].quenched_mean
     finally:
         sys.setswitchinterval(switch)
-    assert calls == [(chunks, w) for counts in WORKER_CHUNKS.values()
-                     for chunks, w in zip(counts, (1, 2, 3, 4))]
+    # the chunking depends on the block size and the sample count alone:
+    # the fewest chunks of at most CHUNK_BYTES of blocks (256 samples at
+    # N = 5, 64 at N = 6, 1 at N = 10), the same at every worker count;
+    # map_batches alone decides whether the chunks then share a pool
+    assert calls == [(chunks, w) for chunks in (2, 7, 12) for w in (1, 2, 3, 4)]
 
 
 def test_blas_thread_context_restores_count():

@@ -632,7 +632,7 @@ def test_rebuilt_pair_products_match_the_products_bit_for_bit(rate, m_cells):
             factor = rng.random(coefs.shape[0])
             group.weigh(rows, factor, out)
             assert out.tobytes() == (products * factor[:, None]).tobytes()
-            values = np.take(table, group.pairs[rows]) * products
+            values = np.take(table, group.pair_indices(rows)) * products
             assert forms[rows].tobytes() == values.sum(axis=1).tobytes()
             if coefs.shape[1] == 5:
                 alphas |= set(map(tuple, coefs[:, 1:3].tolist()))
