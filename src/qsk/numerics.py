@@ -68,7 +68,13 @@ def sinhc(x):
 
 @lru_cache(maxsize=64)
 def gauss_legendre_01(n):
-    """Gauss-Legendre nodes/weights mapped to [0, 1]."""
+    """Gauss-Legendre nodes/weights mapped to [0, 1].
+
+    Accuracy floor: integrands concentrated at an endpoint come out only
+    to about 1e-13 relative, whatever the node count; integral_0^1
+    e^{-50 t} dt is 1.4e-13 off at 128 nodes.  The rules built on these
+    nodes (W_N's panels among them) are accurate to that floor.
+    """
     if n < 1:
         raise ValueError("need at least one node")
     x, w = np.polynomial.legendre.leggauss(int(n))

@@ -20,9 +20,9 @@ a time.  The kernels do merge work only where it changes the answer: a
 pair of paths is merged (gathered and sorted) only when both jump and one
 of them jumps more than twice, two two-jump paths take a closed form, a
 pair with one jumpless path takes the other path's own alternating sum,
-and two jumpless paths overlap exactly 1.  Every overlap is bit for bit
-the sum of merging two rows padded to the ensemble's largest count, so the
-outputs do not depend on the chunking.
+and two jumpless paths overlap exactly 1.  Every sum of the kernels adds
+its terms in turn from 0.0 (``_sum_in_turn``), an order in which padding
+zeros change no bit, so the outputs do not depend on the chunking.
 
 The signed cell lengths on M cells are never stored as rows.  A jump adds a
 step to sigma, and the step's cell integrals are one partial cell plus all
@@ -116,8 +116,8 @@ class PathEnsemble:
     kernels (``p_n_batch``) run their batches in turn, never on the worker
     pool: they are memory-bound numpy work that two threads on two cores
     ran no faster.  Most jumping paths jump twice (92% at rate 1), and both
-    take closed forms for those paths that round exactly as the general
-    route does (see ``_sample_paths`` and ``_pair_overlaps``).
+    take closed forms for those paths that give the bits of the general
+    route (see ``_sample_paths`` and ``_pair_overlaps``).
     """
 
     def __init__(self, times, counts, rate, seed=None):
@@ -276,18 +276,19 @@ def sample_unconditioned(rate, count, seed):
 def signed_totals(times, counts):
     """integral_0^1 sigma(t) dt per path of the flat layout (any parity).
 
-    integral_0^1 sigma = (-1)^K + 2 sum_j (-1)^{j-1} t_j, K the jump count.
-    Each BATCH_SIZE chunk of paths is summed as rows padded to the largest
-    count, so the sums round alike in every chunk.
+    integral_0^1 sigma = (-1)^K + 2 sum_j (-1)^{j-1} t_j, K the jump count,
+    the sum added in turn.  Each BATCH_SIZE chunk of paths is padded to its
+    own largest count.
     """
     counts = np.asarray(counts)
     offsets = np.concatenate(([0], np.cumsum(counts)))
-    width = int(counts.max())
-    signs = _alternating_signs(width)
     sums = np.empty(counts.size)
     for _, start, stop in batch_ranges(counts.size):
-        rows = _padded(times[offsets[start] : offsets[stop]], counts[start:stop], width)
-        sums[start:stop] = (signs * np.where(rows < 1.5, rows, 0.0)).sum(axis=1)
+        held = counts[start:stop]
+        rows = _padded(times[offsets[start] : offsets[stop]], held, int(held.max()))
+        rows *= rows < 1.5  # PAD -> 0
+        rows *= _alternating_signs(rows.shape[1])
+        sums[start:stop] = _sum_in_turn(rows.T)
     return (1.0 - 2.0 * (counts % 2)) + 2.0 * sums
 
 
@@ -318,13 +319,27 @@ def _alternating_signs(width):
     return s
 
 
+def _sum_in_turn(rows):
+    """The sum of each column of ``rows``, its rows added in turn to 0.0.
+
+    Adding +-0.0 to a sum that starts at +0.0 changes no bit, so rows of
+    zeros after the last term leave the sum as it is.  The loop is explicit
+    because numpy's ``sum`` adds a long contiguous run pairwise: a row, or
+    the one column of a (n, 1) array.
+    """
+    total = np.zeros(rows.shape[1])
+    for row in rows:
+        total += row
+    return total
+
+
 def _group_chunks(ensemble, n):
     """The number of consecutive groups of n paths in the ensemble, and the
     (start, stop) group ranges of the chunks of the overlap kernels.
 
-    A chunk pads its jumping paths to ``max_count``; it has BATCH_SIZE
-    groups, or fewer where most paths jump, so that those rows take about
-    OVERLAP_CHUNK_BYTES at most.
+    A chunk pads its jumping paths to its own largest count, at most
+    ``max_count``; it has BATCH_SIZE groups, or fewer where most paths jump,
+    so that those rows take about OVERLAP_CHUNK_BYTES at most.
     """
     if len(ensemble) % n != 0:
         raise ValueError("ensemble length must be a multiple of n_spins")
@@ -337,38 +352,33 @@ def _group_chunks(ensemble, n):
                       for start in range(0, n_groups, size)]
 
 
-def _pair_overlaps(times, counts, n, width):
+def _pair_overlaps(times, counts, n):
     """Yield ``(i, a)`` for each spin i < N - 1 of one chunk of groups: a is
     the (N-1-i, n_groups) array of overlaps A_ij, j > i, so the blocks
     follow ``triu_indices``.
 
     ``times`` and ``counts`` are the flat layout of the chunk's paths, path
-    g N + i being spin i of group g, and ``width`` is the largest count of
-    the whole ensemble.  The product sigma_i sigma_j flips sign at every
-    jump of the merged path, so the overlap integral_0^1 sigma_i sigma_j dt
-    is an alternating sum of the merged jump times: A = 1 + 2 sum_k
-    (-1)^{k-1} t_(k) over the sorted union.  The chunk's jumping paths are
-    padded with PAD to ``width``, and only pairs in which both paths jump
-    are merged: their two rows are gathered, BATCH_SIZE pairs at a time,
-    into one reused buffer of 2 width columns, which is sorted; the PAD
-    entries end up last and are zeroed before the sum.  Rows of ``width``
-    columns in every chunk keep the sums alike: numpy's pairwise row sum
-    rounds by the row length.  Against a jumpless partner the merged row
-    would be the other path's own row followed by width PADs, so such a
-    pair takes that path's value, summed over the same 2 width columns; two
-    jumpless paths give exactly 1.  Every entry is thus bit for bit the full
-    merge, whichever sort algorithm runs: equal keys are equal floats.
-
-    A pair of two-jump paths skips the buffer (``_two_jump_overlaps``): its
-    merged row holds four times, then zeros, and its sum is taken as numpy
-    takes it.  A two-jump path t1 <= t2 against a jumpless partner takes
-    A = 1 + 2 (t1 - t2), the sum of its row in any order.  Only one spin's
-    block is held at a time, and its index arrays cover only its pairs.
+    g N + i being spin i of group g.  The product sigma_i sigma_j flips sign
+    at every jump of the merged path, so the overlap integral_0^1 sigma_i
+    sigma_j dt is an alternating sum of the merged jump times: A = 1 + 2
+    sum_k (-1)^{k-1} t_(k) over the sorted union, added in turn.  The
+    chunk's jumping paths are padded with PAD to its largest count, and
+    only pairs in which both paths jump are merged: their two rows are
+    gathered, BATCH_SIZE pairs at a time, into one reused buffer, which is
+    sorted; the PAD entries end up last and are zeroed before the sum.
+    Against a jumpless partner the merged row is the other path's own row,
+    and two jumpless paths give exactly 1.  Every entry is thus bit for bit
+    the sum of the full merge, whichever sort algorithm runs: equal keys
+    are equal floats.  A pair of two-jump paths skips the buffer
+    (``_two_jump_overlaps``), and so does a two-jump path t1 <= t2 against
+    a jumpless partner: A = 1 + 2 (t1 - t2).  Only one spin's block is held
+    at a time, and its index arrays cover only its pairs.
     """
     n_groups = counts.size // n
     jumping = counts > 0
     movers = np.flatnonzero(jumping)
     held = counts[movers]
+    width = int(held.max(initial=0))
     rows = _padded(times, held, width)  # one row per jumping path
     begin = np.cumsum(held) - held  # every jumping path has two jumps or more
     t1, t2 = times[begin], times[begin + 1]
@@ -381,18 +391,17 @@ def _pair_overlaps(times, counts, n, width):
     def overlaps(first, second):
         """A for the row pairs (first[k], second[k]); None: jumpless partner."""
         values = np.empty(first.size)
+        columns = width if second is None else 2 * width
         for lo in range(0, first.size, BATCH_SIZE):
             hi = min(lo + BATCH_SIZE, first.size)
-            buf = merged[: hi - lo]
+            buf = merged[: hi - lo, :columns]
             buf[:, :width] = np.take(rows, first[lo:hi], axis=0)
-            if second is None:
-                buf[:, width:] = PAD
-            else:
+            if second is not None:
                 buf[:, width:] = np.take(rows, second[lo:hi], axis=0)
                 buf.sort(axis=1)
             buf *= buf < 1.5  # PAD -> 0
-            buf *= signs
-            values[lo:hi] = 1.0 + 2.0 * buf.sum(axis=1)
+            buf *= signs[:columns]
+            values[lo:hi] = 1.0 + 2.0 * _sum_in_turn(buf.T)
         return values
 
     alone = np.ones(counts.size)  # each path's A against a jumpless path
@@ -415,28 +424,22 @@ def _pair_overlaps(times, counts, n, width):
         short = ~merge
         first, second = first[short], second[short]
         block.ravel()[both[short]] = _two_jump_overlaps(
-            t1[first], t2[first], t1[second], t2[second], width)
+            t1[first], t2[first], t1[second], t2[second])
         yield i, block
 
 
-def _two_jump_overlaps(a1, a2, b1, b2, width):
+def _two_jump_overlaps(a1, a2, b1, b2):
     """A for pairs of two-jump paths, a1 < a2 against b1 < b2, bit for bit
-    as ``_pair_overlaps`` sums their merged row of 2 width columns.
+    as ``_pair_overlaps`` sums their merged row.
 
     The sorted union is u1 = min(a1, b1), then u2 <= u3, the min and max of
     max(a1, b1) and min(a2, b2), then u4 = max(a2, b2); the signed row is
-    u1, -u2, u3, -u4 and exact zeros.  numpy sums a row of 8 or more
-    entries pairwise, which groups its first four as (u1 - u2) + (u3 - u4)
-    and adds only zeros after them, and a shorter row in turn.
+    u1, -u2, u3, -u4, added in turn.
     """
     u1, u4 = np.minimum(a1, b1), np.maximum(a2, b2)
     inner_lo, inner_hi = np.maximum(a1, b1), np.minimum(a2, b2)
     u2, u3 = np.minimum(inner_lo, inner_hi), np.maximum(inner_lo, inner_hi)
-    if 2 * width >= 8:
-        total = (u1 - u2) + (u3 - u4)
-    else:
-        total = ((u1 - u2) + u3) - u4
-    return 1.0 + 2.0 * total
+    return 1.0 + 2.0 * (((u1 - u2) + u3) - u4)
 
 
 def p_n_batch(ensemble, n_spins):
@@ -454,8 +457,7 @@ def p_n_batch(ensemble, n_spins):
     acc = np.full(n_groups, float(n))  # diagonal terms A_ii = 1
     for start, stop in chunks:
         block = acc[start:stop]
-        for _, pairs in _pair_overlaps(*_chunk(ensemble, start * n, stop * n), n,
-                                       ensemble.max_count):
+        for _, pairs in _pair_overlaps(*_chunk(ensemble, start * n, stop * n), n):
             for a in pairs:
                 block += 2.0 * np.square(a)
     return acc / n**2
@@ -472,8 +474,7 @@ def overlap_matrix_batch(ensemble, n_spins):
     out = np.empty((n_groups, n, n))
     for start, stop in chunks:
         block = out[start:stop]
-        for i, pairs in _pair_overlaps(*_chunk(ensemble, start * n, stop * n), n,
-                                       ensemble.max_count):
+        for i, pairs in _pair_overlaps(*_chunk(ensemble, start * n, stop * n), n):
             block[:, i, i + 1 :] = pairs.T
             block[:, i + 1 :, i] = pairs.T
     out[:, np.arange(n), np.arange(n)] = 1.0
@@ -523,14 +524,14 @@ class TermGroup:
         self.pairs[rows] = _pair_index(_term_ids(cells.T, m_cells), 2 * m_cells + 1)
 
     def forms(self, table):
-        """<z, A z> of every path, for ``table`` = V^T A V flat: the sum of
-        its pair products times the table at its pairs, bit for bit as
-        numpy sums them as a row (``_column_sums``)."""
+        """<z, A z> of every path, for ``table`` = V^T A V flat: its pair
+        products times the table at its pairs, added in turn in the order
+        of ``pairs``."""
         out = np.empty(self.rows.size)
         for rows in self.pieces():
             values = np.take(table, self.pairs[rows].T)
             values *= _products(self.coefs[:, rows])
-            out[rows] = _column_sums(values)
+            out[rows] = _sum_in_turn(values)
         return out
 
     def weigh(self, rows, factor, out):
@@ -574,8 +575,8 @@ class TwoCellGroup(TermGroup):
     c2 (c2 - 1)/2 + c1 for each path, row k of ``key_pairs`` the pair
     indices of key k, and ``pair_indices`` gathers them for one piece.
     ``forms`` scales the table values of every key by the constants once,
-    gathers them by key, one row a pair, and adds each path's 15 values as
-    numpy adds a row (``_column_sums``).
+    gathers them by key, one row a pair, and adds each path's 15 values in
+    turn, as ``TermGroup.forms`` does.
     """
 
     def __init__(self, rows, coefs, m_cells):
@@ -610,7 +611,7 @@ class TwoCellGroup(TermGroup):
                 keys = self.keys[rows][other]
                 values[:, other] = np.take(table, self.key_pairs[keys].T)
                 values[:, other] *= _products(coefs[:, other])
-            out[rows] = _column_sums(values)
+            out[rows] = _sum_in_turn(values)
         return out
 
     def weigh(self, rows, factor, out):
@@ -635,38 +636,6 @@ class TwoCellGroup(TermGroup):
 def _alpha_zero(coefs):
     """The columns of two-cell ``coefs`` whose alpha is (0, 0), not (-2, 2)."""
     return np.flatnonzero(coefs[2] - coefs[1] != 4.0)
-
-
-def _column_sums(cols):
-    """The sum of each column of ``cols``, bit for bit as numpy sums each
-    row of a C-ordered copy of ``cols.T``: 0.0 plus a pairwise sum of its n
-    entries, which adds them in turn below 8, keeps 8 interleaved partial
-    sums r_i up to 128 (combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
-    (r6 + r7)), followed by the last n % 8 entries in turn) and above 128
-    adds the sums of its first floor(n/2) - (floor(n/2) mod 8) entries and
-    of the rest.  Each step is one vector operation over all columns.  The
-    kernels build their values one row a pair because (paths x pairs) rows
-    summed by numpy made the forms about twice as slow; a test checks this
-    schedule against numpy's own row sums.
-    """
-    n = cols.shape[0]
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _column_sums(cols[:half]) + _column_sums(cols[half:])
-    if n < 8:
-        total = np.full(cols.shape[1], -0.0)
-        for row in cols:
-            total += row
-        return total + 0.0
-    r = cols[:8].copy()
-    for start in range(8, n - n % 8, 8):
-        r += cols[start : start + 8]
-    r = r[0::2] + r[1::2]
-    r = r[0::2] + r[1::2]
-    total = r[0] + r[1]
-    for row in cols[n - n % 8 :]:
-        total += row
-    return total + 0.0
 
 
 class CellTerms:

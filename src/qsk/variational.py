@@ -151,8 +151,8 @@ def _quadratic_forms(psi: GridFunction, terms, n_paths):
     """<psi, sigma x sigma> for each of ``n_paths`` paths.
 
     ``terms`` are the CellTerms of the paths that jump; their forms come
-    first, in path order, each the sum of its pair terms' lookups into
-    V^T psi V / M^2 (s = z/M).  The n_paths - terms.n_jumping jumpless paths
+    first, in path order, each its pair terms' lookups into V^T psi V / M^2
+    (s = z/M) added in turn.  The n_paths - terms.n_jumping jumpless paths
     follow, each with the form <w, psi w> of the cell widths w = u_0/M.
     """
     table = terms.table(psi.values) / psi.m_cells**2

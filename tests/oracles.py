@@ -12,7 +12,10 @@ gives the dense signed cell lengths, one row per path; the other two are
 the unchunked, single-threaded forms of the overlap kernels (the pairwise
 merge loop), which the chunked kernels, two-jump closed forms included,
 must reproduce bit for bit, as ``signed_totals`` must reproduce
-``signed_totals_padded``; ``even_paths`` and ``poisson_paths`` are the
+``signed_totals_padded``.  Each of these adds its sums in turn, left to
+right from 0.0 (``sum_in_turn``), the one order of the path kernels, in
+which the PAD columns, zeroed, change no bit.  ``even_paths`` and
+``poisson_paths`` are the
 sampler's batch layout with every row sorted as a whole padded row.
 ``quadratic_forms_full`` and ``weighted_gram_full`` are the variational path
 kernels on a whole (paths x M) signed-length matrix at once, with a row for
@@ -128,12 +131,21 @@ def padded_matrix(times, counts):
     return jumps
 
 
+def sum_in_turn(rows):
+    """The sum of each row of ``rows``, its entries added in turn to 0.0,
+    one column at a time."""
+    total = np.zeros(rows.shape[0])
+    for column in rows.T:
+        total += column
+    return total
+
+
 def signed_totals_padded(jumps, counts):
     """integral_0^1 sigma per row of a padded jump matrix, any parity:
-    (-1)^K + 2 sum_j (-1)^{j-1} t_j, summed over the whole row."""
+    (-1)^K + 2 sum_j (-1)^{j-1} t_j, added in turn over the whole row."""
     signs = np.ones(jumps.shape[1])
     signs[1::2] = -1.0
-    s = 2.0 * (signs * np.where(jumps < 1.5, jumps, 0.0)).sum(axis=1)
+    s = 2.0 * sum_in_turn(signs * np.where(jumps < 1.5, jumps, 0.0))
     return (1.0 - 2.0 * (counts % 2)) + s
 
 
@@ -163,7 +175,7 @@ def overlap_matrix_serial(jumps, n_spins):
     The pairwise merge loop, all groups at once on one thread: for every
     pair the two padded rows are concatenated and stable-sorted, the PAD
     entries (last after the sort) are zeroed, and A = 1 + 2 sum_k
-    (-1)^{k-1} t_(k) is summed over all 2 kmax columns.
+    (-1)^{k-1} t_(k) is added in turn over all 2 kmax columns.
     """
     n = int(n_spins)
     grouped = jumps.reshape(jumps.shape[0] // n, n, -1)
@@ -180,7 +192,7 @@ def overlap_matrix_serial(jumps, n_spins):
             merged.sort(axis=1, kind="stable")
             merged[merged >= 1.5] = 0.0
             merged *= signs
-            out[:, i, j] = out[:, j, i] = 1.0 + 2.0 * merged.sum(axis=1)
+            out[:, i, j] = out[:, j, i] = 1.0 + 2.0 * sum_in_turn(merged)
     return out
 
 

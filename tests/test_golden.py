@@ -27,7 +27,7 @@ GOLDEN = {
     "annealed --n-spins 4 --ensembles 4000":
         "2706927a6ff9acf5dba28ed547638cf3368fc28f1659c7197a16cf3ea0bf8202",
     "variational --ensembles 5000 --m-cells 8":
-        "93b96858942db2f20ec37c329ee05a7e06a4e967aa720db15bb42d770a211ad7",
+        "5b5eb1af79c7cad49767318f89be7b433bba6898662ed346478471777418a2c8",
     "quenched --n-spins 4 --n-disorder 60 --per-sample-out per_sample.csv":
         "ff0b083096b23b315ce124e7b12858ea63249b5646bcdeade8661775fd15ad79",
     "verify --seed 777":

@@ -37,6 +37,7 @@ from oracles import (
     sigma_at,
     signed_lengths_broadcast,
     signed_totals_padded,
+    sum_in_turn,
     weighted_gram_full,
 )
 
@@ -437,8 +438,8 @@ def _uniform_paths(counts, rng):
 
 def _spread_paths(counts, rng):
     """A PathEnsemble whose path k has ``counts[k]`` jump times e^(-30 u),
-    u uniform: times of many magnitudes, on which the pairwise and the
-    in-turn sum of a merged row often round apart."""
+    u uniform: times of many magnitudes, on which a merged row added in
+    another order than in turn often rounds apart."""
     times = [np.sort(np.exp(-30.0 * rng.random(k))) for k in counts]
     return PathEnsemble(np.concatenate(times), counts, rate=1.0)
 
@@ -452,8 +453,7 @@ def _overlap_input(kind, n_spins, groups):
         # every pair takes the closed form, on rows of 4 columns
         return _spread_paths(np.full(groups * n_spins, 2), rng)
     if kind == "width_two":
-        # no path jumps more than twice: a merged row has 2 * 2 < 8 columns,
-        # which numpy sums in turn
+        # no path jumps more than twice, so no pair is merged
         return _spread_paths(2 * rng.integers(0, 2, size=groups * n_spins), rng)
     counts = 2 * rng.integers(1, 4, size=(groups, n_spins))
     if kind == "first_chunk_still":
@@ -463,12 +463,13 @@ def _overlap_input(kind, n_spins, groups):
         # one path per group jumps, so a pair has one jumping path or none
         counts *= np.arange(n_spins) == rng.integers(n_spins, size=(groups, 1))
     elif kind == "one_long":
-        # every chunk but the first pads to 6 columns where a merged row
-        # must still span 2 * 24: row sums round by their length
+        # every chunk but the first pads to 6 columns where the oracle's
+        # merged rows span 2 * 24: the zeros after a row's last term must
+        # change no bit
         counts[0, 0] = 24
     elif kind == "one_very_long":
-        # 2 * 66 columns, which numpy's pairwise row sum splits (above 128),
-        # and times on which the pairwise and the in-turn sum round apart
+        # 2 * 66 columns, and times on which a sum in another order than in
+        # turn rounds apart
         counts[0, 0] = 66
         return _spread_paths(counts.ravel(), rng)
     return _uniform_paths(counts.ravel(), rng)
@@ -610,8 +611,8 @@ def test_signed_lengths_with_jumps_on_cell_boundaries(m_cells):
 def test_rebuilt_pair_products_match_the_products_bit_for_bit(rate, m_cells):
     # CellTerms keeps each path's 2J + 1 term coefficients; the kernels
     # rebuild the pair products (c_p f) c_q for one piece at a time, with
-    # closed forms for two jumps in two cells, and add the forms up as
-    # numpy adds a row.  Every group, piece and product keeps its bits
+    # closed forms for two jumps in two cells, and add each form's terms
+    # in turn.  Every group, piece and product keeps its bits
     two_cells = paths._products(np.array([[1.0], [-2.0], [2.0], [1.0], [1.0]]))
     assert paths._TWO_CELLS.tobytes() == two_cells[:, 0].tobytes()
     ens = sample_ensemble(rate, MULTI_CHUNK, seed=31)
@@ -633,7 +634,7 @@ def test_rebuilt_pair_products_match_the_products_bit_for_bit(rate, m_cells):
             group.weigh(rows, factor, out)
             assert out.tobytes() == (products * factor[:, None]).tobytes()
             values = np.take(table, group.pair_indices(rows)) * products
-            assert forms[rows].tobytes() == values.sum(axis=1).tobytes()
+            assert forms[rows].tobytes() == sum_in_turn(values).tobytes()
             if coefs.shape[1] == 5:
                 alphas |= set(map(tuple, coefs[:, 1:3].tolist()))
     # two jumps in two cells, and (but at rate 1 on 64 cells) paths with an
@@ -644,15 +645,25 @@ def test_rebuilt_pair_products_match_the_products_bit_for_bit(rate, m_cells):
     assert alphas == expected
 
 
-def test_column_sums_add_as_numpy_adds_a_row():
+def test_sum_in_turn_adds_as_a_python_loop():
+    # columns of 1 to 300 rows, among them pieces of one column, which
+    # numpy's sum(axis=0) would add pairwise; entries of many magnitudes
+    # and signed zeros
     rng = np.random.default_rng(33)
-    for width in [*range(1, 20), 28, 45, 66, 91, 120, 128, 129, 136, 153, 300]:
-        rows = rng.standard_normal((500, width))
-        rows *= np.exp(rng.uniform(-20, 20, rows.shape))  # many magnitudes
-        rows[::7] = 0.0
-        rows[::11] = -0.0
-        got = paths._column_sums(np.ascontiguousarray(rows.T))
-        assert got.tobytes() == rows.sum(axis=1).tobytes(), width
+    for n_rows in [*range(1, 20), 28, 45, 66, 91, 120, 128, 129, 136, 153, 300]:
+        for n_cols in (1, 7):
+            rows = rng.standard_normal((n_rows, n_cols))
+            rows *= np.exp(rng.uniform(-20, 20, rows.shape))
+            rows[::7] = 0.0
+            rows[::11] = -0.0
+            expected = []
+            for column in rows.T.tolist():
+                total = 0.0
+                for value in column:
+                    total += value
+                expected.append(total)
+            got = paths._sum_in_turn(rows)
+            assert got.tobytes() == np.array(expected).tobytes(), (n_rows, n_cols)
 
 
 # -- closed-form kernels ---------------------------------------------------
@@ -697,6 +708,14 @@ def test_signed_totals_match_padded_oracle():
     counts[0] = 9
     rows = np.sort(rng.random((MULTI_CHUNK, 9)), axis=1)
     times = rows[np.arange(9) < counts[:, None]]
+    expected = signed_totals_padded(padded_matrix(times, counts), counts)
+    assert np.array_equal(signed_totals(times, counts), expected)
+    # up to 40 times of many magnitudes a path, which a sum in another
+    # order than in turn rounds apart
+    rng = np.random.default_rng(15)
+    counts = rng.integers(0, 41, MULTI_CHUNK)
+    rows = np.sort(np.exp(-30.0 * rng.random((MULTI_CHUNK, 40))), axis=1)
+    times = rows[np.arange(40) < counts[:, None]]
     expected = signed_totals_padded(padded_matrix(times, counts), counts)
     assert np.array_equal(signed_totals(times, counts), expected)
 
